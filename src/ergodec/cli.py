@@ -68,7 +68,7 @@ SCHEMAS: dict[str, dict] = {
         "beta": None,  # [alpha, beta] switches to continuous mixing
         "samples": 2000,
         "window": 1024,
-        "mc_samples": 400,
+        "mc_samples": 400,  # unused: constant-cocycle levels are closed-form
         "tolerance": 0.02,
         "min_gap": 0.05,
         "depth": 2,

@@ -27,7 +27,7 @@ from .averaging import (
     average_mc,
     default_schedule,
     mc_level_values,
-    monomial_level_average,
+    monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_class_key,
 )
 from .cocycles import Cocycle
@@ -68,6 +68,52 @@ class LimitStatistic:
         return [float(self.values[k]) for k in order]
 
 
+def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
+    """Delta-method sd of r_S(a) - r_S(b) for a monomial moving k coordinates.
+
+    Given m_b ones among the first b coordinates of an exchangeable sequence,
+    the first a < b of them are a uniform draw without replacement, so m_a is
+    hypergeometric and m_a/a - m_b/b has mean 0 and variance
+    p(1-p)(b-a)/(a(b-1)), p = m_b/b. A k-coordinate monomial is p^k to first
+    order, so its sd is that of the frequency times k p^(k-1).
+    """
+    if k == 0:
+        return 0.0
+    return k * p ** (k - 1) * math.sqrt(p * (1.0 - p) * (b - a) / (a * (b - 1)))
+
+
+def _moved_count(indices: tuple[int, ...], n: int, x_bits: np.ndarray) -> int | None:
+    """Coordinates of the monomial that S(n) moves; None when one it fixes is 0."""
+    if any(x_bits[i - 1] == 0 for i in indices if i > n):
+        return None
+    return sum(1 for i in indices if i <= n)
+
+
+def _closed_form_levels(x_bits, levels, keys, exact_cap):
+    """Constant-cocycle level values at ``levels``, the stderr of the last one
+    and the convergence slack, per key; no random draws and no enumeration."""
+    prefix = np.cumsum(x_bits, dtype=np.int64)
+    per_level = []
+    for n in levels:
+        m = int(prefix[n - 1])
+        moved = [_moved_count(key, n, x_bits) for key in keys]
+        per_level.append([
+            Fraction(0) if k is None else Fraction(math.perm(m, k), math.perm(n, k))
+            for k in moved
+        ])
+    b = levels[-1]  # ``moved`` and ``m`` now belong to level b
+    stderrs = [0.0] * len(keys)
+    slack = [0.0] * len(keys)
+    if b > exact_cap:
+        p = m / b
+        for j, k in enumerate(moved):
+            if k:
+                stderrs[j] = k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / b)
+                if len(levels) == 2:
+                    slack[j] = 3.0 * level_gap_sd(k, p, levels[0], b)
+    return per_level, stderrs, slack
+
+
 def pi_phi(
     x,
     rho: Cocycle,
@@ -80,9 +126,26 @@ def pi_phi(
 ) -> LimitStatistic:
     """Entrywise limit detection over the dictionary.
 
-    One set of Haar draws per level is shared by all entries, which preserves
-    the pointwise monotonicity of monomials (r_S >= r_{S u {j}}) in Monte
-    Carlo mode and changes nothing in exact mode.
+    The limit rule compares the last two schedule levels a < b, so only those
+    two are evaluated; the statistic still records the whole schedule. A
+    point's entry converges when |r(b) - r(a)| < tolerance + slack, and its
+    value is r(b).
+
+    Constant cocycle: r_S(n) is the hypergeometric closed form
+    (m_n)_k / (n)_k, exact at every level, where m_n counts the ones among the
+    first n coordinates, k is the number of coordinates of S that S(n) moves,
+    and r_S(n) = 0 when a coordinate of S above n is 0. The slack is three
+    times ``level_gap_sd`` (the sd of the nested hypergeometric difference,
+    the finite de Finetti fluctuation of Diaconis and Freedman, 1980), and the
+    stderr is k p^(k-1) sqrt(p(1-p)/b), p = m_b/b: the sd of the level-b value
+    about its limit. For b <= exact_cap both are 0, as for every exact level,
+    so the exact averages themselves must agree within the tolerance.
+    ``mc_samples`` and ``rng`` are not used.
+
+    Other cocycles: exact averages up to exact_cap and Monte Carlo above, with
+    slack 3 times the combined stderr of the two levels. One set of Haar draws
+    per level is shared by all entries, which preserves the pointwise
+    monotonicity of monomials (r_S >= r_{S u {j}}).
     """
     x_bits = np.asarray(x, dtype=np.uint8)
     window = x_bits.shape[0]
@@ -93,50 +156,50 @@ def pi_phi(
         raise ValueError("schedule exceeds the configuration window")
     entries = dictionary.entries
     keys = [m.indices for m in entries]
+    levels = sched[-2:]
 
-    shared = rho.is_constant_one or rho.potential is not None
-    per_level: list[list[tuple[object, float]]] = []
-    x_tuple: Config | None = None
-    for n in sched:
-        if n <= exact_cap:
-            if rho.is_constant_one:
-                vals = [
-                    (monomial_level_average(n, m.indices, x_bits), 0.0) for m in entries
-                ]
-            else:
-                if x_tuple is None:
-                    x_tuple = tuple(int(b) for b in x_bits)
+    if rho.is_constant_one:
+        per_level, last_ses, slack = _closed_form_levels(
+            x_bits, levels, keys, exact_cap
+        )
+    else:
+        per_level_se: list[list[tuple[object, float]]] = []
+        x_tuple = tuple(int(b) for b in x_bits)
+        for n in levels:
+            if n <= exact_cap:
                 vals = [
                     (average_exact(n, rho, m, x_tuple).value, 0.0) for m in entries
                 ]
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo levels need a random stream")
-            if shared:
-                vals = mc_level_values(x_bits, n, rho, entries, mc_samples, rng)
             else:
-                if x_tuple is None:
-                    x_tuple = tuple(int(b) for b in x_bits)
-                vals = []
-                for m in entries:
-                    rep = average_mc(n, rho, m, x_tuple, mc_samples, rng)
-                    vals.append((rep.value, rep.stderr))
-        per_level.append(vals)
+                if rng is None:
+                    raise ValueError("Monte Carlo levels need a random stream")
+                if rho.potential is not None:
+                    vals = mc_level_values(x_bits, n, rho, entries, mc_samples, rng)
+                else:
+                    vals = []
+                    for m in entries:
+                        rep = average_mc(n, rho, m, x_tuple, mc_samples, rng)
+                        vals.append((rep.value, rep.stderr))
+            per_level_se.append(vals)
+        per_level = [[v for v, _ in lv] for lv in per_level_se]
+        last_ses = [float(se) for _, se in per_level_se[-1]]
+        slack = [
+            3.0 * math.sqrt(sum(lv[j][1] ** 2 for lv in per_level_se))
+            for j in range(len(keys))
+        ]
 
     values: dict[tuple[int, ...], object] = {}
     stderrs: dict[tuple[int, ...], float] = {}
     converged: dict[tuple[int, ...], bool] = {}
     for j, key in enumerate(keys):
-        series = [lv[j] for lv in per_level]
-        last_v, last_se = series[-1]
-        if len(series) == 1:
-            ok = last_se == 0.0
+        last_v = per_level[-1][j]
+        if len(levels) == 1:
+            ok = last_ses[j] == 0.0
         else:
-            prev_v, prev_se = series[-2]
-            diff = abs(float(last_v) - float(prev_v))
-            ok = diff < tolerance + 3.0 * math.sqrt(last_se**2 + prev_se**2)
+            diff = abs(float(last_v) - float(per_level[0][j]))
+            ok = diff < tolerance + slack[j]
         values[key] = last_v
-        stderrs[key] = float(last_se)
+        stderrs[key] = last_ses[j]
         converged[key] = bool(ok)
     return LimitStatistic(
         values=values,
@@ -153,7 +216,7 @@ class DecomposeConfig:
     samples: int = 2000
     schedule: Optional[tuple[int, ...]] = None
     tolerance: float = 0.02
-    mc_samples: int = 400
+    mc_samples: int = 400  # Haar draws per level; the constant cocycle draws none
     depth: int = 2
     width: int = 2
     min_gap: float = 0.05

@@ -142,7 +142,10 @@ def validate_config(x: Iterable[int]) -> Config:
 
 
 def ones_count(x: Config, prefix: int | None = None) -> int:
-    """Number of ones among the first ``prefix`` coordinates (whole window if None)."""
-    if prefix is None:
-        return sum(x)
-    return sum(x[:prefix])
+    """Number of ones among the first ``prefix`` coordinates (whole window if None).
+
+    Accepts tuples and numpy bit arrays alike and always returns a Python
+    int: summing uint8 elements directly would wrap past 255 ones.
+    """
+    head = x if prefix is None else x[:prefix]
+    return sum(map(int, head))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -224,18 +225,26 @@ class ProductBernoulli:
             out = out * self.params[i - 1]
         return out
 
+    @cached_property
+    def _float_params(self) -> np.ndarray:
+        # Converting exact parameters one by one dominates sampling at wide
+        # windows, so it is done once per measure.
+        return np.array([float(q) for q in self.params])
+
+    @cached_property
+    def _log_terms(self) -> tuple[float, np.ndarray]:
+        p = self._float_params
+        return np.sum(np.log1p(-p)), np.log(p) - np.log1p(-p)
+
     def sample_array(self, rng: RandomStream) -> np.ndarray:
-        p = np.array([float(q) for q in self.params])
-        return (rng.random(self.window) < p).astype(np.uint8)
+        return (rng.random(self.window) < self._float_params).astype(np.uint8)
 
     def sample(self, rng: RandomStream) -> Config:
         return tuple(int(b) for b in self.sample_array(rng))
 
     def log_atom_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log-mass for uint8 rows of shape (n, window)."""
-        p = np.array([float(q) for q in self.params])
-        logit = np.log(p) - np.log1p(-p)
-        base = np.sum(np.log1p(-p))
+        base, logit = self._log_terms
         return base + rows @ logit
 
     def log_atom(self, x: Config) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,10 +28,15 @@ FAST_VALIDATE = {
     "invariance_level": 3,
 }
 
+# Five binomial sd of a recovered 0.3/0.7 weight at 200 points: the default
+# 0.01/0.02 bounds sit below the sampling error of 200 points.
+FAST_DEFINETTI_TOL = 5 * math.sqrt(0.3 * 0.7 / 200)
 FAST_DEFINETTI = {
     "samples": 200,
     "window": 256,
     "mc_samples": 128,
+    "residual_bound": FAST_DEFINETTI_TOL,
+    "recovery_tolerance": FAST_DEFINETTI_TOL,
 }
 
 

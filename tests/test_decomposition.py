@@ -1,11 +1,14 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ergodec.averaging import average_exact
+from ergodec.averaging import average_exact, default_schedule, monomial_level_average
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
@@ -16,6 +19,7 @@ from ergodec.decomposition import (
     decompose,
     ergodicity_test,
     ks_statistic,
+    level_gap_sd,
     mes_ed_roundtrip,
     pi_phi,
     singular_assembly_check,
@@ -92,6 +96,70 @@ def test_pi_phi_values_within_unit_interval():
     stat = pi_phi(x, constant_one(), DICT2, rng=substream(55, 1), mc_samples=64)
     for key, v in stat.values.items():
         assert 0 <= float(v) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=8, max_size=12), st.integers(1, 8))
+def test_closed_form_matches_enumeration_at_small_levels(bits, level):
+    x = tuple(bits)
+    stat = pi_phi(x, constant_one(), DICT2, schedule=(level,))
+    for mono in DICT2.entries:  # level 1 fixes coordinate 2
+        want = average_exact(level, constant_one(), mono, x).value
+        assert stat.values[mono.indices] == want
+        assert stat.stderrs[mono.indices] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(512, 2048), st.floats(0.55, 1.0))
+def test_closed_form_matches_tuple_average_past_255_ones(seed, level, p):
+    window = 2048
+    bits = (np.random.default_rng(seed).random(window) < p).astype(np.uint8)
+    assume(int(bits[:level].sum()) > 255)
+    x = tuple(int(b) for b in bits)
+    stat = pi_phi(bits, constant_one(), DICT2, schedule=(level // 2, level))
+    for key, value in stat.values.items():
+        assert value == monomial_level_average(level, key, x)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (3, 7), (4, 12), (6, 9)])
+def test_level_gap_sd_is_the_hypergeometric_sd(a, b):
+    for m in range(b + 1):
+        # m_a given m_b = m is hypergeometric: a draws without replacement
+        mean = Fraction(m, b)
+        var = sum(
+            Fraction(math.comb(m, j) * math.comb(b - m, a - j), math.comb(b, a))
+            * (Fraction(j, a) - mean) ** 2
+            for j in range(a + 1)
+        )
+        sd = level_gap_sd(1, m / b, a, b)
+        assert sd == pytest.approx(math.sqrt(var), rel=1e-12, abs=1e-15)
+
+
+def _same_statistic(full, last_two):
+    assert full.schedule != last_two.schedule
+    assert full.values == last_two.values
+    assert full.stderrs == last_two.stderrs
+    assert full.converged == last_two.converged
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_pi_phi_reads_only_the_last_two_levels(seed, p):
+    bits = (np.random.default_rng(seed).random(512) < p).astype(np.uint8)
+    sched = default_schedule(512)
+    # the constant cocycle draws nothing, so no stream is needed at MC-range levels
+    _same_statistic(
+        pi_phi(bits, constant_one(), DICT2, sched, tolerance=0.02),
+        pi_phi(bits, constant_one(), DICT2, sched[-2:], tolerance=0.02),
+    )
+    params = [Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2),
+              Fraction(2, 3), Fraction(3, 8), Fraction(1, 4), Fraction(5, 6)]
+    rho = make_rn(ProductBernoulli(params))
+    x = tuple(int(b) for b in bits[:8])
+    _same_statistic(
+        pi_phi(x, rho, DICT2, (1, 2, 4, 8), tolerance=0.02),
+        pi_phi(x, rho, DICT2, (4, 8), tolerance=0.02),
+    )
 
 
 def test_split_by_gaps_exact_threshold():

@@ -162,3 +162,20 @@ def test_ones_count_prefix():
     x = (1, 0, 1, 1, 0, 1)
     assert ones_count(x) == 4
     assert ones_count(x, 3) == 2
+
+
+def test_ones_count_past_255_ones_on_uint8_bits():
+    import numpy as np
+
+    from ergodec.averaging import monomial_level_average
+
+    x = (1, 0, 1) * 200 + (1,) * 3496  # 4096 coordinates, 200 of them 0
+    bits = np.array(x, dtype=np.uint8)
+    for prefix in (None, 300, 600, 4096):
+        assert ones_count(bits, prefix) == ones_count(x, prefix)
+        assert type(ones_count(bits, prefix)) is int
+    assert ones_count(bits) == 3896
+    ones = np.ones(4096, np.uint8)
+    assert monomial_level_average(4096, (1,), ones) == 1
+    want = monomial_level_average(600, (1, 2), x)
+    assert monomial_level_average(600, (1, 2), bits) == want

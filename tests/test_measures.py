@@ -274,3 +274,24 @@ def test_mixture_weights_validation():
         Mixture([Fraction(1, 2), Fraction(1, 3)], [comp, comp])
     with pytest.raises(ValueError):
         Mixture([0.5, 0.5 + 1e-9], [comp, comp])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(1, 99), min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_cached_float_params_are_bit_identical(percents, exact, seed):
+    params = [Fraction(q, 100) if exact else q / 100 for q in percents]
+    nu = ProductBernoulli(params)
+    p = np.array([float(q) for q in params])
+    for i in range(3):  # repeated calls reuse the cached arrays
+        got = nu.sample_array(substream(seed, i))
+        want = (substream(seed, i).random(len(params)) < p).astype(np.uint8)
+        assert got.tobytes() == want.tobytes()
+    rows = np.stack([nu.sample_array(substream(seed, 9 + i)) for i in range(4)])
+    logit = np.log(p) - np.log1p(-p)
+    want_log = np.sum(np.log1p(-p)) + rows @ logit
+    assert nu.log_atom_rows(rows).tobytes() == want_log.tobytes()
+    assert nu.log_atom_rows(rows).tobytes() == want_log.tobytes()
