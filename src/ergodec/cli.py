@@ -49,19 +49,10 @@ from .sigma_finite import (
     pcl,
     reweight_decomposition,
 )
+from .validation import DEFAULTS as VALIDATE_DEFAULTS
 
 SCHEMAS: dict[str, dict] = {
-    "validate": {
-        "window": 16,
-        "level": 6,
-        "trials": 1000,
-        "sweep_window": 4,
-        "sweep_level": 2,
-        "tower_window": 4,
-        "tower_cap": 3,
-        "fubini_window": 3,
-        "invariance_level": 3,
-    },
+    "validate": VALIDATE_DEFAULTS,
     "definetti": {
         "weights": [0.3, 0.7],
         "params": [0.2, 0.8],
@@ -106,6 +97,23 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+# JSON types of the keys whose default is null (null stays accepted there).
+NULLABLE = {"beta": [0.0], "expected_weights": [0.0], "expected_centers": [0.0],
+            "bernoulli": 0.0, "expect": ""}
+
+
+def _typed_like(value, default) -> bool:
+    """value has the JSON type of default: an int passes for a float, a bool
+    never passes for a number, and list items match the default's items."""
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_typed_like(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
 def load_config(name: str, path: str | None, overrides: dict) -> dict:
     schema = SCHEMAS[name]
     cfg = dict(schema)
@@ -115,6 +123,10 @@ def load_config(name: str, path: str | None, overrides: dict) -> dict:
         unknown = sorted(set(user) - set(schema))
         if unknown:
             raise ValueError(f"unknown config keys for {name}: {unknown}")
+        wrong = sorted(k for k, v in user.items() if not (v is None and schema[k] is None)
+                       and not _typed_like(v, NULLABLE.get(k, schema[k])))
+        if wrong:
+            raise ValueError(f"mistyped config values for {name}: {wrong}")
         cfg.update(user)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
     return cfg

@@ -44,17 +44,10 @@ class GeometricWeight:
         if self.base < 2:
             raise ValueError("base must be >= 2 for orbit summability")
 
-    def _positions(self, x) -> Sequence[int]:
-        if isinstance(x, (frozenset, set)):
-            return sorted(x)
-        return [i + 1 for i, b in enumerate(x) if b]
-
     def __call__(self, x) -> Fraction:
-        out = Fraction(1)
-        q = Fraction(1, self.base)
-        for i in self._positions(x):
-            out *= q**i
-        return out
+        # x is a 0/1 configuration or the set of its ones positions
+        ones = x if isinstance(x, (frozenset, set)) else (i + 1 for i, b in enumerate(x) if b)
+        return Fraction(1, self.base) ** sum(ones)
 
     def orbit_mass(self, k: int, window: int | None = None) -> Fraction:
         """Exact sum of f over the orbit with k ones.

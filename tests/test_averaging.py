@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodec.averaging import (
@@ -274,11 +274,82 @@ def test_conditional_expectation_detects_wrong_class():
     assert rep.witness is not None
 
 
-def test_conditional_expectation_capacity_guard():
+def test_conditional_expectation_verifies_48_classes():
+    # window 6, level 2: 3 * 2^4 = 48 classes; the scan has no 2^c cap
     nu = _product_atoms([Fraction(1, 2)] * 6)
-    rho = constant_one()
-    with pytest.raises(CapacityError):
-        conditional_expectation_check(2, rho, CylinderMonomial((1,)), nu, max_sets=16)
+    rep = conditional_expectation_check(2, constant_one(), CylinderMonomial((1,)), nu)
+    assert rep.ok
+    assert rep.classes == 48
+    assert rep.sets_checked == 2**48
+
+
+def _sweep_conditional_expectation(level, rho, phi, nu):
+    """The former exhaustive sweep: every union of orbit classes in binary
+    order, returning at the first union whose difference is nonzero."""
+    from ergodec.averaging import orbit_class_key
+
+    classes = {}
+    for x in sorted(nu.atoms):
+        classes.setdefault(orbit_class_key(x, level), []).append(x)
+    labels = sorted(classes)
+    c = len(labels)
+    diffs = []
+    for key in labels:
+        members = classes[key]
+        val = average_exact(level, rho, phi, members[0]).value
+        lhs = sum((Fraction(phi(x)) * nu.atom(x) for x in members), Fraction(0))
+        mass = sum((nu.atom(x) for x in members), Fraction(0))
+        diffs.append(lhs - val * mass)
+    sets_checked = 0
+    for bits in range(2**c):
+        total = Fraction(0)
+        for i in range(c):
+            if bits >> i & 1:
+                total += diffs[i]
+        sets_checked += 1
+        if total != 0:
+            witness_sets = [labels[i] for i in range(c) if bits >> i & 1]
+            return (False, c, sets_checked, (witness_sets, total))
+    return (True, c, sets_checked, None)
+
+
+_params = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda t: Fraction(t[0], t[0] + t[1])),
+    min_size=4,
+    max_size=4,
+)
+
+
+# Level 1 at window 4 is left out: its 16 singleton classes make the copied
+# sweep add up 2^16 unions (about 1.5 s); level 1 is covered at window 3.
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]),
+    rho_params=_params,
+    nu_params=_params,
+    in_class=st.booleans(),
+    entry=st.integers(0, 100),
+)
+@example(
+    shape=(4, 2),
+    rho_params=[Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2)],
+    nu_params=[Fraction(1, 2)] * 4,
+    in_class=False,
+    entry=1,
+)
+def test_conditional_expectation_scan_equals_sweep(shape, rho_params, nu_params, in_class, entry):
+    window, level = shape
+    rho_params = rho_params[:window]
+    nu = _product_atoms(rho_params if in_class else nu_params[:window])
+    rho = make_rn(ProductBernoulli(rho_params))
+    entries = TestDictionary.build(2, window).entries
+    phi = entries[entry % len(entries)]
+    rep = conditional_expectation_check(level, rho, phi, nu)
+    assert (rep.ok, rep.classes, rep.sets_checked, rep.witness) == (
+        _sweep_conditional_expectation(level, rho, phi, nu)
+    )
+    if in_class:
+        assert rep.ok
 
 
 def test_fubini_identity_exact():

@@ -1,11 +1,20 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergodec.cli import load_config, main, run_experiment
+from ergodec import cli
+from ergodec.cli import SCHEMAS, load_config, main, run_experiment
 from ergodec.reporting import (
     ResultRecord,
     Verdict,
@@ -93,6 +102,91 @@ def test_cli_unknown_key_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_key": 1}))
     assert main(["definetti", "--config", str(bad)]) == 2
+
+
+def test_load_config_accepts_schema_types(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"tolerance": 0, "beta": [2, 3.5], "expected_weights": None}))
+    cfg = load_config("definetti", str(good), {})
+    assert cfg["tolerance"] == 0 and cfg["beta"] == [2, 3.5]
+
+
+@pytest.mark.parametrize(
+    "name, user",
+    [
+        ("validate", {"window": "abc"}),
+        ("orbital", {"schedule": [1, 2.5]}),
+        ("definetti", {"beta": [2, "3"]}),
+    ],
+)
+def test_load_config_rejects_mistyped_values(tmp_path, name, user):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(user))
+    with pytest.raises(ValueError, match="mistyped"):
+        load_config(name, str(bad), {})
+
+
+# JSON value kinds; the lists hold strings, which no list key accepts.
+_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != int(v)),
+    "str": st.text(max_size=5),
+    "list": st.lists(st.text(max_size=3), min_size=1, max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_NULLABLE_KINDS = {"bernoulli": {"int", "float"}, "expect": {"str"}}
+
+
+def _accepted_kinds(key, default):
+    if default is None:
+        return {"null"} | _NULLABLE_KINDS.get(key, set())
+    if isinstance(default, float):
+        return {"int", "float"}
+    return {int: {"int"}, dict: {"dict"}, list: set()}[type(default)]
+
+
+@pytest.mark.parametrize(
+    "name, key", [(name, key) for name, schema in SCHEMAS.items() for key in schema]
+)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cli_mistyped_config_exits_2_before_running(name, key, data):
+    wrong = sorted(set(_KINDS) - _accepted_kinds(key, SCHEMAS[name][key]))
+    value = data.draw(st.sampled_from(wrong).flatmap(_KINDS.get))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), mock.patch.object(
+        cli, "run_experiment", side_effect=AssertionError("experiment started")
+    ):
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert main([name, "--config", str(path)]) == 2
+    assert err.getvalue().startswith("config error: mistyped config values")
+    assert "Traceback" not in err.getvalue()
+
+
+# sha256 of every output file at --seed 7, recorded on the code before the
+# orbit-class scan replaced the 2^c union sweep (commit c626bd9).
+RECORDED_OUTPUT_SHA256 = {
+    "validate/result.json": "192187817a6edc4c97ad1111f6525a91a2fcecdd304103c96cfb81356ce79714",
+    "kolmogorov/result.json": "31a0a0a6a997c95b68646890c4bcb8a10b49e88728ba2b32f43dccf34b684326",
+    "sigma-finite/result.json": "2a0ff106521fc08b0b81f41dee9cc784f5fc42a98b96b78a5d13fb2b2dd271d8",
+    "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
+    "orbital/result.json": "ddf7cd88982d81776bf255ec446b756720b41947f3e96516660e3604aeb88085",
+    "orbital/series.csv": "ccdf81ba713951d00e21f70fd0c710c7da359263f344f62a03ac2af3f9fbfb8e",
+}
+
+
+def test_outputs_match_recorded_hashes(tmp_path):
+    for name in ("validate", "kolmogorov", "sigma-finite", "orbital"):
+        assert main([name, "--seed", "7", "--out", str(tmp_path / name)]) == 0
+    got = {
+        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("*/*"))
+        if p.name != "meta.json"
+    }
+    assert got == RECORDED_OUTPUT_SHA256
 
 
 def test_validate_subcommand_passes(tmp_path):

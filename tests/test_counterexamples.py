@@ -2,10 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ergodec.averaging import orbit_class_key
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.counterexamples import (
     InvariantSetFullGroup,
+    _weakly_indecomposable,
     LabelFamilySet,
     algebra_atoms,
     demonstrate_kolmogorov,
@@ -186,3 +190,37 @@ def test_exhaustive_sweep_never_neither():
                     assert verdict.relation == "equal"
                 else:
                     assert verdict.relation == "mutually-singular"
+
+
+def _weakly_indecomposable_loop(nu):
+    """The former exhaustive check: every proper union of orbit classes."""
+    classes = {}
+    for x, m in nu.atoms.items():
+        key = orbit_class_key(x, nu.window)
+        classes[key] = classes.get(key, Fraction(0)) + m
+    labels = sorted(classes)
+    for r in range(1, len(labels)):
+        for combo in itertools.combinations(labels, r):
+            if sum((classes[c] for c in combo), Fraction(0)) not in (0, 1):
+                return False
+    return True
+
+
+_mass = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.fractions(min_value=0, max_value=2, max_denominator=6),
+)
+
+
+@given(atoms=st.dictionaries(st.tuples(*[st.integers(0, 1)] * 5), _mass, max_size=8))
+def test_weakly_indecomposable_equals_subset_loop(atoms):
+    # window 5: the orbit classes are the ones counts 0..5, so c <= 6
+    nu = AtomicMeasure(atoms, window=5)
+    assert _weakly_indecomposable(nu) == _weakly_indecomposable_loop(nu)
+
+
+def test_weakly_indecomposable_two_unit_classes_is_vacuously_true():
+    # total mass 2: the only proper unions are the two singletons, mass 1 each
+    nu = AtomicMeasure({(0, 0): 1, (1, 1): 1})
+    assert _weakly_indecomposable(nu)
+    assert not _weakly_indecomposable(AtomicMeasure({(0, 0): 1, (1, 0): 1, (1, 1): 1}))

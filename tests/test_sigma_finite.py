@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodec.errors import CapacityError, DivergentIntegralError
 from ergodec.measures import (
@@ -81,6 +83,27 @@ def test_orbit_mass_window_matches_enumeration():
             for combo in itertools.combinations(range(1, window + 1), k)
         )
         assert f.orbit_mass(k, window) == brute
+
+
+def _product_loop_weight(base, x):
+    """The former GeometricWeight: one power of 1/base per ones position."""
+    positions = sorted(x) if isinstance(x, frozenset) else [i + 1 for i, b in enumerate(x) if b]
+    out = Fraction(1)
+    for i in positions:
+        out *= Fraction(1, base) ** i
+    return out
+
+
+@settings(max_examples=200)
+@given(
+    base=st.integers(2, 9),
+    bits=st.lists(st.integers(0, 1), max_size=40),
+    positions=st.frozensets(st.integers(1, 80), max_size=12),
+)
+def test_geometric_weight_equals_product_loop(base, bits, positions):
+    f = GeometricWeight(base)
+    assert f(tuple(bits)) == _product_loop_weight(base, tuple(bits))
+    assert f(positions) == _product_loop_weight(base, positions)
 
 
 def test_constant_weight_divergence():
