@@ -179,6 +179,31 @@ def _draw_distinct_indices(
     return idx
 
 
+def haar_rows(
+    x_bits: np.ndarray, level: int, samples: int, rng: RandomStream
+) -> np.ndarray:
+    """samples x window uint8 rows: x with its first ``level`` 0/1 coordinates
+    permuted by independent Haar draws from S(level).
+
+    Each row draws ``level`` uniform keys and puts at position j the bit of
+    the coordinate with the j-th smallest key, i.e. ``x[:level][argsort(keys)]``.
+    The keys are doubles in [0, 1), whose int64 bit patterns sort in the same
+    order as their values and stay below 0x3FF0 << 48, so ``(pattern << 1) | bit``
+    cannot overflow; sorting those packed keys in place and reading bit 0
+    gives the gathered bits without materializing the permutations. Only
+    equal keys in one row (probability about level^2 / 2^54) can order
+    differently, and there argsort's own order depends on its algorithm.
+    """
+    keys = rng.random((samples, level))
+    packed = keys.view(np.int64)
+    packed <<= 1
+    packed |= x_bits[:level]
+    packed.sort(axis=1)
+    rows = np.tile(x_bits, (samples, 1))
+    rows[:, :level] = packed & 1
+    return rows
+
+
 def mc_level_values(
     x_bits: np.ndarray,
     level: int,
@@ -232,11 +257,7 @@ def mc_level_values(
     if rho.potential is None:
         raise ValueError("shared-draw kernel needs a potential-backed cocycle")
 
-    # Haar draws as full permutations of the first ``level`` coordinates.
-    keys = rng.random((samples, level))
-    perms = np.argsort(keys, axis=1)
-    rows = np.tile(x_bits, (samples, 1))
-    rows[:, :level] = x_bits[:level][perms]
+    rows = haar_rows(x_bits, level, samples, rng)
     if rho.log_potential_rows is not None:
         logw = rho.log_potential_rows(rows) - rho.log_potential_rows(
             x_bits.reshape(1, -1)

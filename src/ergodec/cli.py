@@ -102,15 +102,32 @@ NULLABLE = {"beta": [0.0], "expected_weights": [0.0], "expected_centers": [0.0],
             "bernoulli": 0.0, "expect": ""}
 
 
+def _is_weight(value) -> bool:
+    """value is a finite number (never a bool) or a string ``Fraction`` parses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _typed_like(value, default) -> bool:
     """value has the JSON type of default: an int passes for a float, a bool
-    never passes for a number, and list items match the default's items."""
+    never passes for a number, list items match the default's items, and a
+    dict (orbit label -> weight) has non-negative integer-string keys and
+    weight values."""
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     if isinstance(default, list):
         return isinstance(value, list) and all(_typed_like(v, default[0]) for v in value)
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(
+            k.isascii() and k.isdigit() and _is_weight(v) for k, v in value.items()
+        )
     return isinstance(value, type(default))
 
 

@@ -32,7 +32,8 @@ class Cocycle:
 
     ``potential`` (when present) is the positive function u with
     rho(g, x) = u(act(g, x)) / u(x); ``log_potential_rows`` optionally maps a
-    uint8 matrix of configurations to log-u values for vectorized Monte Carlo.
+    matrix of 0/1 configurations, one per row, uint8 or float64, to log-u
+    values for vectorized Monte Carlo.
     """
 
     eval_fn: Callable[[Permutation, Config], object]

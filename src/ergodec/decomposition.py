@@ -164,7 +164,9 @@ def pi_phi(
         )
     else:
         per_level_se: list[list[tuple[object, float]]] = []
-        x_tuple = tuple(int(b) for b in x_bits)
+        # Only exact levels and the callable fallback read x as a tuple.
+        if levels[0] <= exact_cap or rho.potential is None:
+            x_tuple = tuple(int(b) for b in x_bits)
         for n in levels:
             if n <= exact_cap:
                 vals = [

@@ -243,7 +243,7 @@ class ProductBernoulli:
         return tuple(int(b) for b in self.sample_array(rng))
 
     def log_atom_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized log-mass for uint8 rows of shape (n, window)."""
+        """Vectorized log-mass for 0/1 rows of shape (n, window), uint8 or float64."""
         base, logit = self._log_terms
         return base + rows @ logit
 
@@ -322,6 +322,9 @@ class Mixture:
         return math.exp(self.log_atom(act(g, x)) - self.log_atom(x))
 
     def log_atom_rows(self, rows: np.ndarray) -> np.ndarray:
+        # numpy casts uint8 rows to float64 for each component's matrix
+        # product anyway; casting once gives the same dgemv and the same bits.
+        rows = np.asarray(rows, dtype=np.float64)
         comp = np.stack(
             [
                 math.log(float(w)) + c.log_atom_rows(rows)

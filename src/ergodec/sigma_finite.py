@@ -22,6 +22,7 @@ import numpy as np
 from .averaging import (
     EXACT_LEVEL_CAP,
     combined_stderr,
+    haar_rows,
     mc_level_values,
     monomial_level_average,
 )
@@ -393,11 +394,7 @@ def orbital_measure(
         raise ValueError("mode is 'exact' or 'monte-carlo'")
     if rng is None:
         raise ValueError("Monte Carlo mode needs a random stream")
-    x_bits = np.asarray(x, dtype=np.uint8)
-    keys = rng.random((samples, level))
-    perms = np.argsort(keys, axis=1)
-    rows = np.tile(x_bits, (samples, 1))
-    rows[:, :level] = x_bits[:level][perms]
+    rows = haar_rows(np.asarray(x, dtype=np.uint8), level, samples, rng)
     return OrbitalSample(rows=rows, level=level)
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from ergodec.averaging import (
     conditional_expectation_check,
     default_schedule,
     fubini_check,
+    haar_rows,
     invariance_check,
     limit_average,
     monomial_level_average,
@@ -390,3 +392,36 @@ def test_monomial_average_within_unit_interval(bits, level):
     x = tuple((bits >> i) & 1 for i in range(6))
     v = monomial_level_average(level, (1, 2), x)
     assert 0 <= v <= 1
+
+
+def _argsort_haar_rows(x_bits, level, samples, rng):
+    """The argsort-and-gather Haar draw that ``haar_rows`` replaced."""
+    keys = rng.random((samples, level))
+    perms = np.argsort(keys, axis=1)
+    rows = np.tile(x_bits, (samples, 1))
+    rows[:, :level] = x_bits[:level][perms]
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.sampled_from(["random", "zeros", "ones"]),
+    st.integers(2, 64),
+    st.integers(0, 2**32 - 1),
+)
+@example(64, "zeros", 64, 0)
+@example(64, "ones", 2, 1)
+@example(64, "random", 64, 2)
+def test_haar_rows_equal_argsort_gather(window, fill, samples, seed):
+    if fill == "random":
+        x_bits = substream(seed, 0).integers(0, 2, size=window).astype(np.uint8)
+    else:
+        x_bits = np.full(window, fill == "ones", dtype=np.uint8)
+    for level in range(1, window + 1):
+        rng_new, rng_old = substream(seed, 1, level), substream(seed, 1, level)
+        got = haar_rows(x_bits, level, samples, rng_new)
+        want = _argsort_haar_rows(x_bits, level, samples, rng_old)
+        assert got.dtype == np.uint8 and got.shape == (samples, window)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.random() == rng_old.random()  # same stream use

@@ -109,6 +109,9 @@ def test_load_config_accepts_schema_types(tmp_path):
     good.write_text(json.dumps({"tolerance": 0, "beta": [2, 3.5], "expected_weights": None}))
     cfg = load_config("definetti", str(good), {})
     assert cfg["tolerance"] == 0 and cfg["beta"] == [2, 3.5]
+    weights = {"0": 1, "1": 0.5, "2": "1/3", "10": "2.5"}
+    good.write_text(json.dumps({"orbit_weights": weights}))
+    assert load_config("sigma-finite", str(good), {})["orbit_weights"] == weights
 
 
 @pytest.mark.parametrize(
@@ -117,6 +120,11 @@ def test_load_config_accepts_schema_types(tmp_path):
         ("validate", {"window": "abc"}),
         ("orbital", {"schedule": [1, 2.5]}),
         ("definetti", {"beta": [2, "3"]}),
+        ("sigma-finite", {"orbit_weights": {"1": [1]}}),
+        ("sigma-finite", {"orbit_weights": {"1": True}}),
+        ("sigma-finite", {"orbit_weights": {"x": "1"}}),
+        ("sigma-finite", {"orbit_weights": {"-1": "1"}}),
+        ("sigma-finite", {"orbit_weights": {"1": "x"}}),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, name, user):
@@ -135,6 +143,24 @@ _KINDS = {
     "str": st.text(max_size=5),
     "list": st.lists(st.text(max_size=3), min_size=1, max_size=3),
     "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    # An orbit-weight dict with one entry that is not a non-negative integer
+    # string mapped to a number (never a bool) or a fraction string.
+    "bad-dict": st.one_of(
+        st.tuples(
+            st.text(max_size=3).filter(lambda k: not (k.isascii() and k.isdigit())),
+            st.integers(0, 9),
+        ),
+        st.tuples(
+            st.just("1"),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.lists(st.integers(), max_size=2),
+                st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+                st.sampled_from(["", "x", "1/0", "nan"]),
+            ),
+        ),
+    ).map(lambda kv: {"2": 1, kv[0]: kv[1]}),
 }
 _NULLABLE_KINDS = {"bernoulli": {"int", "float"}, "expect": {"str"}}
 
@@ -154,7 +180,21 @@ def _accepted_kinds(key, default):
 @given(data=st.data())
 def test_cli_mistyped_config_exits_2_before_running(name, key, data):
     wrong = sorted(set(_KINDS) - _accepted_kinds(key, SCHEMAS[name][key]))
-    value = data.draw(st.sampled_from(wrong).flatmap(_KINDS.get))
+    _assert_config_error(name, key, data.draw(st.sampled_from(wrong).flatmap(_KINDS.get)))
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, schema in SCHEMAS.items() for key, v in schema.items()
+     if isinstance(v, dict)],
+)
+@settings(max_examples=25, deadline=None)
+@given(value=_KINDS["bad-dict"])
+def test_cli_mistyped_dict_entry_exits_2_before_running(name, key, value):
+    _assert_config_error(name, key, value)
+
+
+def _assert_config_error(name, key, value):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), mock.patch.object(
         cli, "run_experiment", side_effect=AssertionError("experiment started")

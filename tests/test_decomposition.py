@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -488,3 +489,27 @@ def test_ks_statistic_uniform_grid_is_small():
     n = 1000
     values = (np.arange(n) + 0.5) / n
     assert ks_statistic(values, lambda v: v) <= 1 / n
+
+
+# sha256 of the limit statistics and of the weights below, recorded on the
+# code before the packed-key Haar draw replaced argsort (commit 9ac399e).
+RECORDED_MC_SHA256 = (
+    "c613e4e4a6f23bf5e87a8983c86e1d31399c7d3ef8969aed542ecd924e0667a6",
+    "2275a65e568e4ab299b7745afd90e6adf3da9862eac05387638fdadfbfbe3748",
+)
+
+
+def test_mc_decompose_matches_recorded_hashes():
+    # Window 64: the two levels the limit rule reads, 32 and 64, are Monte Carlo.
+    comps = [
+        ProductBernoulli([a if i % 2 == 0 else b for i in range(64)])
+        for a, b in ((0.2, 0.25), (0.75, 0.8))
+    ]
+    nu = Mixture([0.4, 0.6], comps)
+    config = DecomposeConfig(samples=16, seed=7, nonconvergence_threshold=1.0)
+    dm = decompose(nu, make_rn(nu), config)
+    got = (
+        hashlib.sha256(dm.statistics.tobytes()).hexdigest(),
+        hashlib.sha256(np.array(dm.weights).tobytes()).hexdigest(),
+    )
+    assert got == RECORDED_MC_SHA256

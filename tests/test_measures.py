@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodec.errors import ZeroMassError
@@ -295,3 +295,34 @@ def test_cached_float_params_are_bit_identical(percents, exact, seed):
     want_log = np.sum(np.log1p(-p)) + rows @ logit
     assert nu.log_atom_rows(rows).tobytes() == want_log.tobytes()
     assert nu.log_atom_rows(rows).tobytes() == want_log.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 2048),
+    st.integers(1, 400),
+    st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(2048, 400, [2, 3], True, 0)
+@example(2048, 400, [2, 3], False, 0)
+@example(1024, 1, [1, 1, 1], False, 1)
+def test_mixture_log_atom_rows_match_per_component_uint8(window, n, parts, exact, seed):
+    rng = substream(seed, 0)
+    comps = [
+        ProductBernoulli(
+            [Fraction(int(q), 100) if exact else q / 100 for q in rng.integers(1, 100, window)]
+        )
+        for _ in parts
+    ]
+    weights = [Fraction(a, sum(parts)) for a in parts]
+    nu = Mixture(weights if exact else [float(w) for w in weights], comps)
+    rows = rng.integers(0, 2, size=(n, window)).astype(np.uint8)
+    # The former computation: each component casts the uint8 rows itself.
+    comp = np.stack(
+        [math.log(float(w)) + c.log_atom_rows(rows) for w, c in zip(nu.weights, comps)]
+    )
+    top = comp.max(axis=0)
+    want = top + np.log(np.sum(np.exp(comp - top), axis=0))
+    assert nu.log_atom_rows(rows).tobytes() == want.tobytes()

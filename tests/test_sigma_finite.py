@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +337,20 @@ def test_average_decay_on_infinite_orbits():
     s = orbital_measure(x, 1000, mode="monte-carlo", samples=3000, rng=substream(73, 6))
     est, _ = s.cylinder_mass(Cylinder.of({1: 1}))
     assert est <= 0.01
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.integers(2, 200), st.integers(0, 2**32 - 1), st.data())
+def test_orbital_measure_monte_carlo_rows_unchanged(window, samples, seed, data):
+    level = data.draw(st.integers(1, window))
+    x = tuple(int(b) for b in substream(seed, 0).integers(0, 2, size=window))
+    got = orbital_measure(x, level, mode="monte-carlo", samples=samples, rng=substream(seed, 1))
+    # The argsort-and-gather draw that the packed-key kernel replaced.
+    x_bits = np.asarray(x, dtype=np.uint8)
+    perms = np.argsort(substream(seed, 1).random((samples, level)), axis=1)
+    want = np.tile(x_bits, (samples, 1))
+    want[:, :level] = x_bits[:level][perms]
+    assert got.level == level and got.rows.tobytes() == want.tobytes()
 
 
 def test_orbital_measure_fixed_prefix_point_mass():
