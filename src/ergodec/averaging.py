@@ -4,20 +4,21 @@ The level-n average of a bounded function phi at a point x is the ratio
 
     sum_k phi(act(k, x)) rho(k, x)  /  sum_k rho(k, x),   k over S(n),
 
-computed exactly for small n (rational arithmetic when the inputs are
-rational) and by self-normalized Monte Carlo over Haar draws for large n.
-If the denominator were infinite the average is defined to be 0; that branch
-is unreachable for finite levels but kept for interface fidelity.
+For the constant cocycle and a cylinder monomial it is the hypergeometric
+closed form ``closed_form_levels``, exact at every level. Otherwise it is
+computed exactly up to S(8) (rational arithmetic when the inputs are
+rational) and above that by self-normalized Monte Carlo over Haar draws
+(``haar_rows``), which needs a potential-backed cocycle. If the denominator
+were infinite the average is defined to be 0; that branch is unreachable for
+finite levels but kept for interface fidelity.
 
-Exact evaluation has two algebraic shortcuts that produce the same value as
+Exact evaluation below S(8) has two shortcuts that give the same value as
 plain group enumeration and are cross-checked against it in the test suite:
-a hypergeometric closed form (constant cocycle + cylinder monomial), and an
-orbit-collapsed sum for potential-backed cocycles, valid because all
-stabilizer cosets contribute equal blocks.
+the closed form above, and an orbit-collapsed sum for potential-backed
+cocycles, valid because all stabilizer cosets contribute equal blocks.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ import numpy as np
 from .cocycles import Cocycle
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
-from .groups import ENUMERATION_CAP, Config, act, enumerate_level, ones_count
+from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
 from .measures import AtomicMeasure
 from .rng import RandomStream
 
@@ -71,34 +72,79 @@ def _ratio_or_zero(num, den):
     return num / den
 
 
-def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fraction:
-    """Exact constant-cocycle average of a cylinder monomial.
+def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
+    """Delta-method sd of r_S(a) - r_S(b) for a monomial moving k coordinates.
 
-    Coordinates above the level are fixed by S(level); the moved part is the
-    probability that a uniform distinct tuple lands on ones.
+    Given m_b ones among the first b coordinates of an exchangeable sequence,
+    the first a < b of them are a uniform draw without replacement, so m_a is
+    hypergeometric and m_a/a - m_b/b has mean 0 and variance
+    p(1-p)(b-a)/(a(b-1)), p = m_b/b. A k-coordinate monomial is p^k to first
+    order, so its sd is that of the frequency times k p^(k-1).
     """
-    for i in indices:
-        if i > level and x[i - 1] == 0:
-            return Fraction(0)
-    moved = sum(1 for i in indices if i <= level)
-    m = ones_count(x, level)
-    val = Fraction(1)
-    for j in range(moved):
-        val *= Fraction(m - j, level - j)
-        if val == 0:
-            break
-    return val
+    if k == 0:
+        return 0.0
+    return k * p ** (k - 1) * math.sqrt(p * (1.0 - p) * (b - a) / (a * (b - 1)))
 
 
-def _prefix_orbit(x: Config, level: int):
-    """All distinct rearrangements of the first ``level`` coordinates."""
-    m = ones_count(x, level)
-    tail = x[level:]
-    for ones_at in itertools.combinations(range(level), m):
-        head = [0] * level
-        for i in ones_at:
-            head[i] = 1
-        yield tuple(head) + tail
+def closed_form_levels(
+    x,
+    prefix: np.ndarray,
+    levels: Sequence[int],
+    keys: Sequence[tuple[int, ...]],
+    exact_cap: int = EXACT_LEVEL_CAP,
+):
+    """Constant-cocycle level averages of cylinder monomials, exact at every
+    level, with no random draws and no enumeration.
+
+    ``prefix`` holds the prefix counts of x (a tuple or a bit array):
+    ``prefix[n - 1]`` ones among its first n coordinates, as ``np.cumsum``
+    in int64 gives them, so one prefix sum serves every level and key. The
+    average of the monomial on S at level n is the hypergeometric closed form
+    (m_n)_k / (n)_k, where k counts the coordinates of S that S(n) moves, and
+    0 when a coordinate of S above n is 0 in x. Returns
+    ``(values, slacks, stderrs)``:
+
+    - ``values[i][j]``: the Fraction average of ``keys[j]`` at ``levels[i]``;
+    - ``slacks[i][j]``: the limit-rule slack of the step from a = levels[i-1]
+      to b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > exact_cap
+      and 0 otherwise (``slacks[0]`` is all 0);
+    - ``stderrs[j]``: the sd of the last level's value about its limit,
+      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > exact_cap and 0 otherwise.
+    """
+    values, slacks = [], []
+    a = None
+    for n in levels:
+        m = int(prefix[n - 1])
+        moved = [
+            None if any(x[i - 1] == 0 for i in key if i > n)
+            else sum(1 for i in key if i <= n)
+            for key in keys
+        ]
+        values.append([
+            Fraction(0) if k is None else Fraction(math.perm(m, k), math.perm(n, k))
+            for k in moved
+        ])
+        slack = [0.0] * len(keys)
+        if a is not None and n > exact_cap:
+            p = m / n
+            slack = [3.0 * level_gap_sd(k, p, a, n) if k else 0.0 for k in moved]
+        slacks.append(slack)
+        a = n
+    stderrs = [0.0] * len(keys)
+    if a > exact_cap:  # ``moved`` and ``m`` now belong to the last level
+        p = m / a
+        stderrs = [
+            k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / a) if k else 0.0
+            for k in moved
+        ]
+    return values, slacks, stderrs
+
+
+def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fraction:
+    """Exact constant-cocycle average of a cylinder monomial at one level."""
+    prefix = np.cumsum(np.asarray(x, dtype=np.int64))
+    (((value,),), _, _) = closed_form_levels(x, prefix, (level,), (tuple(indices),))
+    return value
 
 
 def _orbit_collapsed_average(level: int, potential, phi, x: Config):
@@ -107,7 +153,7 @@ def _orbit_collapsed_average(level: int, potential, phi, x: Config):
         raise ZeroMassError(f"cocycle potential vanishes at {x}")
     num = Fraction(0)
     den = Fraction(0)
-    for y in _prefix_orbit(x, level):
+    for y in level_orbit(x, level):
         u = potential(y)
         den += u
         if u != 0:
@@ -161,24 +207,6 @@ def _self_normalized(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return est, se
 
 
-def _draw_distinct_indices(
-    rng: RandomStream, samples: int, width: int, level: int
-) -> np.ndarray:
-    """samples x width matrix of distinct uniform indices in [0, level)."""
-    if width > level:
-        raise ValueError("cannot draw more distinct indices than the level")
-    idx = rng.integers(0, level, size=(samples, width))
-    if width > 1:
-        while True:
-            srt = np.sort(idx, axis=1)
-            dup = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-            bad = int(dup.sum())
-            if bad == 0:
-                break
-            idx[dup] = rng.integers(0, level, size=(bad, width))
-    return idx
-
-
 def haar_rows(
     x_bits: np.ndarray, level: int, samples: int, rng: RandomStream
 ) -> np.ndarray:
@@ -204,6 +232,25 @@ def haar_rows(
     return rows
 
 
+def _weighted_haar_rows(
+    x_bits: np.ndarray, level: int, rho: Cocycle, samples: int, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haar rows of x at ``level`` and their importance weights rho = u(row)/u(x)."""
+    if rho.potential is None:
+        raise ValueError("Monte Carlo levels need a potential-backed cocycle")
+    rows = haar_rows(x_bits, level, samples, rng)
+    if rho.log_potential_rows is not None:
+        logw = rho.log_potential_rows(rows) - rho.log_potential_rows(
+            x_bits.reshape(1, -1)
+        )
+        return rows, np.exp(logw)
+    ux = float(rho.potential(tuple(int(b) for b in x_bits)))
+    if ux == 0:
+        raise ZeroMassError("cocycle potential vanishes at the base point")
+    w = np.array([float(rho.potential(tuple(int(b) for b in r))) / ux for r in rows])
+    return rows, w
+
+
 def mc_level_values(
     x_bits: np.ndarray,
     level: int,
@@ -216,63 +263,17 @@ def mc_level_values(
 
     One set of Haar draws serves every monomial, so estimates inherit the
     pointwise order of the integrands (a superset monomial never exceeds its
-    subset). Returns (estimate, stderr) per monomial.
+    subset). Returns (estimate, stderr) per monomial. The cocycle must have
+    a potential, else ValueError.
     """
     if samples < 2:
         raise ValueError("at least 2 samples required")
-    window = x_bits.shape[0]
-    if level > window:
+    if level > x_bits.shape[0]:
         raise ValueError("level exceeds the configuration window")
-
-    moved_union = sorted(
-        {i for m in monomials for i in m.indices if i <= level and m.indices}
-    )
-    fixed_ok = {
-        m: all(x_bits[i - 1] for i in m.indices if i > level) for m in monomials
-    }
-
-    if rho.is_constant_one:
-        width = len(moved_union)
-        col = {i: c for c, i in enumerate(moved_union)}
-        if width > 0:
-            idx = _draw_distinct_indices(rng, samples, width, level)
-            drawn = x_bits[idx].astype(np.float64)
-        out = []
-        for m in monomials:
-            if not fixed_ok[m]:
-                out.append((0.0, 0.0))
-                continue
-            cols = [col[i] for i in m.indices if i <= level]
-            if not cols:
-                out.append((1.0, 0.0))
-                continue
-            v = drawn[:, cols[0]].copy()
-            for c in cols[1:]:
-                v *= drawn[:, c]
-            est = float(np.mean(v))
-            se = float(np.std(v, ddof=1)) / math.sqrt(samples)
-            out.append((est, se))
-        return out
-
-    if rho.potential is None:
-        raise ValueError("shared-draw kernel needs a potential-backed cocycle")
-
-    rows = haar_rows(x_bits, level, samples, rng)
-    if rho.log_potential_rows is not None:
-        logw = rho.log_potential_rows(rows) - rho.log_potential_rows(
-            x_bits.reshape(1, -1)
-        )
-        w = np.exp(logw)
-    else:
-        ux = float(rho.potential(tuple(int(b) for b in x_bits)))
-        if ux == 0:
-            raise ZeroMassError("cocycle potential vanishes at the base point")
-        w = np.array(
-            [float(rho.potential(tuple(int(b) for b in r))) / ux for r in rows]
-        )
+    rows, w = _weighted_haar_rows(x_bits, level, rho, samples, rng)
     out = []
     for m in monomials:
-        if not fixed_ok[m]:
+        if not all(x_bits[i - 1] for i in m.indices if i > level):
             out.append((0.0, 0.0))
             continue
         cols = [i - 1 for i in m.indices if i <= level]
@@ -294,32 +295,19 @@ def average_mc(
     samples: int,
     rng: RandomStream,
 ) -> AveragingReport:
-    """Self-normalized importance estimate of the level average."""
+    """Self-normalized importance estimate of the level average over Haar
+    rows; the cocycle must have a potential, else ValueError."""
     if samples < 2:
         raise ValueError("at least 2 samples required")
     if level > len(x):
         raise ValueError("level exceeds the configuration window")
     x_bits = np.array(x, dtype=np.uint8)
-
-    if isinstance(phi, CylinderMonomial) and (
-        rho.is_constant_one or rho.potential is not None
-    ):
+    if isinstance(phi, CylinderMonomial):
         ((est, se),) = mc_level_values(x_bits, level, rho, [phi], samples, rng)
-        return AveragingReport(
-            value=est, level=level, method="monte-carlo", stderr=se, sample_count=samples
-        )
-
-    # Generic fallback: draw full permutations and evaluate callables.
-    from .groups import haar_sample
-
-    v = np.empty(samples)
-    w = np.empty(samples)
-    for s in range(samples):
-        k = haar_sample(level, rng)
-        y = act(k, x)
-        w[s] = float(rho(k, x))
-        v[s] = float(phi(y))
-    est, se = _self_normalized(v, w)
+    else:
+        rows, w = _weighted_haar_rows(x_bits, level, rho, samples, rng)
+        v = np.array([float(phi(tuple(int(b) for b in r))) for r in rows])
+        est, se = _self_normalized(v, w)
     return AveragingReport(
         value=est, level=level, method="monte-carlo", stderr=se, sample_count=samples
     )
@@ -353,22 +341,37 @@ def limit_average(
     """Track level averages along a schedule and detect the limit.
 
     Convergence is declared exactly when the last two levels differ by less
-    than tolerance + 3 * combined stderr; non-convergence is a legitimate
-    outcome and is reported as such, never masked.
+    than tolerance + slack; non-convergence is a legitimate outcome and is
+    reported as such, never masked. For the constant cocycle and a cylinder
+    monomial every level is the exact closed form (``closed_form_levels``,
+    stderr 0) and the slack is its ``level_gap_sd`` slack. Otherwise levels
+    up to exact_cap are exact, levels above are Monte Carlo, and the slack is
+    3 * combined stderr.
     """
     sched = tuple(schedule)
     if any(b <= a for a, b in zip(sched, sched[1:])):
         raise ValueError("schedule must be strictly increasing")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    reports = []
-    for n in sched:
-        if n <= exact_cap:
-            reports.append(average_exact(n, rho, phi, x))
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo levels need a random stream")
-            reports.append(average_mc(n, rho, phi, x, mc_samples, rng))
+    if rho.is_constant_one and isinstance(phi, CylinderMonomial):
+        prefix = np.cumsum(np.asarray(x, dtype=np.int64))
+        values, slacks, _ = closed_form_levels(x, prefix, sched, [phi.indices], exact_cap)
+        # Closed-form levels draw nothing and enumerate nothing.
+        reports = [
+            AveragingReport(value=v, level=n, method="exact", stderr=0.0, sample_count=0)
+            for n, (v,) in zip(sched, values)
+        ]
+        slack = slacks[-1][0]
+    else:
+        reports = []
+        for n in sched:
+            if n <= exact_cap:
+                reports.append(average_exact(n, rho, phi, x))
+            else:
+                if rng is None:
+                    raise ValueError("Monte Carlo levels need a random stream")
+                reports.append(average_mc(n, rho, phi, x, mc_samples, rng))
+        slack = 3.0 * combined_stderr(*reports[-2:]) if len(reports) > 1 else 0.0
     if len(reports) == 1:
         only = reports[0]
         converged = only.method == "exact"
@@ -382,7 +385,7 @@ def limit_average(
         )
     a, b = reports[-2], reports[-1]
     diff = abs(float(b.value) - float(a.value))
-    threshold = tolerance + 3.0 * combined_stderr(a, b)
+    threshold = tolerance + slack
     converged = diff < threshold
     return LimitReport(
         levels=tuple(reports),

@@ -90,7 +90,7 @@ SCHEMAS: dict[str, dict] = {
         "ones": 3,
         "bernoulli": None,  # p switches to a sampled configuration
         "schedule": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000],
-        "samples": 2000,
+        "samples": 2000,  # unused: every orbital level is closed-form
         "decay_threshold": 0.01,
         "expect": None,  # optional expected verdict
     },
@@ -422,19 +422,14 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, 
 
 def run_orbital(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
     window = cfg["window"]
-    stream = substream(seed, 0x0B)
     if cfg["bernoulli"] is not None:
         nu = ProductBernoulli([cfg["bernoulli"]] * window)
-        x = nu.sample(stream)
+        x = nu.sample(substream(seed, 0x0B))
     else:
         k = cfg["ones"]
         x = tuple(1 if i < k else 0 for i in range(window))
     report = orbital_dichotomy(
-        x,
-        schedule=cfg["schedule"],
-        samples=cfg["samples"],
-        rng=stream,
-        decay_threshold=cfg["decay_threshold"],
+        x, schedule=cfg["schedule"], decay_threshold=cfg["decay_threshold"]
     )
     verdicts = [
         Verdict(

@@ -24,7 +24,7 @@ import numpy as np
 from .averaging import (
     EXACT_LEVEL_CAP,
     average_exact,
-    average_mc,
+    closed_form_levels,
     default_schedule,
     mc_level_values,
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -33,7 +33,7 @@ from .averaging import (
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
 from .errors import CapacityError, NonConvergenceError
-from .groups import Config, Permutation, act, validate_config
+from .groups import Config, Permutation, act, level_orbit, validate_config
 from .measures import (
     AtomicMeasure,
     Cylinder,
@@ -68,52 +68,6 @@ class LimitStatistic:
         return [float(self.values[k]) for k in order]
 
 
-def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
-    """Delta-method sd of r_S(a) - r_S(b) for a monomial moving k coordinates.
-
-    Given m_b ones among the first b coordinates of an exchangeable sequence,
-    the first a < b of them are a uniform draw without replacement, so m_a is
-    hypergeometric and m_a/a - m_b/b has mean 0 and variance
-    p(1-p)(b-a)/(a(b-1)), p = m_b/b. A k-coordinate monomial is p^k to first
-    order, so its sd is that of the frequency times k p^(k-1).
-    """
-    if k == 0:
-        return 0.0
-    return k * p ** (k - 1) * math.sqrt(p * (1.0 - p) * (b - a) / (a * (b - 1)))
-
-
-def _moved_count(indices: tuple[int, ...], n: int, x_bits: np.ndarray) -> int | None:
-    """Coordinates of the monomial that S(n) moves; None when one it fixes is 0."""
-    if any(x_bits[i - 1] == 0 for i in indices if i > n):
-        return None
-    return sum(1 for i in indices if i <= n)
-
-
-def _closed_form_levels(x_bits, levels, keys, exact_cap):
-    """Constant-cocycle level values at ``levels``, the stderr of the last one
-    and the convergence slack, per key; no random draws and no enumeration."""
-    prefix = np.cumsum(x_bits, dtype=np.int64)
-    per_level = []
-    for n in levels:
-        m = int(prefix[n - 1])
-        moved = [_moved_count(key, n, x_bits) for key in keys]
-        per_level.append([
-            Fraction(0) if k is None else Fraction(math.perm(m, k), math.perm(n, k))
-            for k in moved
-        ])
-    b = levels[-1]  # ``moved`` and ``m`` now belong to level b
-    stderrs = [0.0] * len(keys)
-    slack = [0.0] * len(keys)
-    if b > exact_cap:
-        p = m / b
-        for j, k in enumerate(moved):
-            if k:
-                stderrs[j] = k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / b)
-                if len(levels) == 2:
-                    slack[j] = 3.0 * level_gap_sd(k, p, levels[0], b)
-    return per_level, stderrs, slack
-
-
 def pi_phi(
     x,
     rho: Cocycle,
@@ -132,20 +86,23 @@ def pi_phi(
     value is r(b).
 
     Constant cocycle: r_S(n) is the hypergeometric closed form
-    (m_n)_k / (n)_k, exact at every level, where m_n counts the ones among the
-    first n coordinates, k is the number of coordinates of S that S(n) moves,
-    and r_S(n) = 0 when a coordinate of S above n is 0. The slack is three
-    times ``level_gap_sd`` (the sd of the nested hypergeometric difference,
-    the finite de Finetti fluctuation of Diaconis and Freedman, 1980), and the
-    stderr is k p^(k-1) sqrt(p(1-p)/b), p = m_b/b: the sd of the level-b value
-    about its limit. For b <= exact_cap both are 0, as for every exact level,
-    so the exact averages themselves must agree within the tolerance.
-    ``mc_samples`` and ``rng`` are not used.
+    (m_n)_k / (n)_k of ``averaging.closed_form_levels``, exact at every level,
+    where m_n counts the ones among the first n coordinates, k is the number
+    of coordinates of S that S(n) moves, and r_S(n) = 0 when a coordinate of
+    S above n is 0. The slack is three times ``level_gap_sd`` (the sd of the
+    nested hypergeometric difference, the finite de Finetti fluctuation of
+    Diaconis and Freedman, 1980), and the stderr is k p^(k-1) sqrt(p(1-p)/b),
+    p = m_b/b: the sd of the level-b value about its limit. For
+    b <= exact_cap both are 0, as for every exact level, so the exact
+    averages themselves must agree within the tolerance. ``mc_samples`` and
+    ``rng`` are not used.
 
     Other cocycles: exact averages up to exact_cap and Monte Carlo above, with
-    slack 3 times the combined stderr of the two levels. One set of Haar draws
-    per level is shared by all entries, which preserves the pointwise
-    monotonicity of monomials (r_S >= r_{S u {j}}).
+    slack 3 times the combined stderr of the two levels. Monte Carlo needs a
+    potential-backed cocycle (every constructor in ``cocycles`` builds one),
+    else ValueError. One set of Haar draws per level is shared by all
+    entries, which preserves the pointwise monotonicity of monomials
+    (r_S >= r_{S u {j}}).
     """
     x_bits = np.asarray(x, dtype=np.uint8)
     window = x_bits.shape[0]
@@ -159,13 +116,14 @@ def pi_phi(
     levels = sched[-2:]
 
     if rho.is_constant_one:
-        per_level, last_ses, slack = _closed_form_levels(
-            x_bits, levels, keys, exact_cap
+        per_level, slacks, last_ses = closed_form_levels(
+            x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys, exact_cap
         )
+        slack = slacks[-1]
     else:
         per_level_se: list[list[tuple[object, float]]] = []
-        # Only exact levels and the callable fallback read x as a tuple.
-        if levels[0] <= exact_cap or rho.potential is None:
+        # Only exact levels read x as a tuple.
+        if levels[0] <= exact_cap:
             x_tuple = tuple(int(b) for b in x_bits)
         for n in levels:
             if n <= exact_cap:
@@ -175,13 +133,7 @@ def pi_phi(
             else:
                 if rng is None:
                     raise ValueError("Monte Carlo levels need a random stream")
-                if rho.potential is not None:
-                    vals = mc_level_values(x_bits, n, rho, entries, mc_samples, rng)
-                else:
-                    vals = []
-                    for m in entries:
-                        rep = average_mc(n, rho, m, x_tuple, mc_samples, rng)
-                        vals.append((rep.value, rep.stderr))
+                vals = mc_level_values(x_bits, n, rho, entries, mc_samples, rng)
             per_level_se.append(vals)
         per_level = [[v for v, _ in lv] for lv in per_level_se]
         last_ses = [float(se) for _, se in per_level_se[-1]]
@@ -799,7 +751,7 @@ def almost_invariant_upgrade(a_set, nu: AtomicMeasure) -> InvariantUpgradeReport
         if x in a_cfgs and k not in full_counts:
             outside = next(
                 cfg
-                for cfg in _count_class(window, k)
+                for cfg in level_orbit(x, window)
                 if cfg not in a_cfgs
             )
             witness = (x, outside, _permutation_between(x, outside))
@@ -818,14 +770,6 @@ def almost_invariant_upgrade(a_set, nu: AtomicMeasure) -> InvariantUpgradeReport
         symmetric_difference_mass=sym_mass,
         witness=witness,
     )
-
-
-def _count_class(window: int, k: int):
-    for ones_at in itertools.combinations(range(window), k):
-        cfg = [0] * window
-        for i in ones_at:
-            cfg[i] = 1
-        yield tuple(cfg)
 
 
 def ks_statistic(values: np.ndarray, cdf) -> float:

@@ -134,6 +134,18 @@ def act(g: Permutation, x: Config) -> Config:
     return tuple(y)
 
 
+def level_orbit(x: Config, level: int) -> Iterator[Config]:
+    """The S(level)-orbit of x, each configuration once: every arrangement of
+    the ones among the first ``level`` coordinates, with the tail of x kept."""
+    m = ones_count(x, level)
+    tail = tuple(x[level:])
+    for ones_at in itertools.combinations(range(level), m):
+        head = [0] * level
+        for i in ones_at:
+            head[i] = 1
+        yield tuple(head) + tail
+
+
 def validate_config(x: Iterable[int]) -> Config:
     t = tuple(int(b) for b in x)
     if any(b not in (0, 1) for b in t):

@@ -10,7 +10,6 @@ closed-form rational computation.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,17 +18,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .averaging import (
-    EXACT_LEVEL_CAP,
-    combined_stderr,
-    haar_rows,
-    mc_level_values,
-    monomial_level_average,
-)
-from .cocycles import constant_one
+from .averaging import EXACT_LEVEL_CAP, closed_form_levels, haar_rows
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
-from .groups import Config, ones_count
+from .groups import Config, level_orbit
 from .measures import AtomicMeasure, Cylinder, OrbitSigmaFinite, INFINITE
 from .rng import RandomStream
 
@@ -380,16 +372,9 @@ def orbital_measure(
             raise CapacityError(
                 f"exact orbital measures are capped at level {EXACT_LEVEL_CAP}"
             )
-        m = ones_count(x, level)
-        tail = tuple(x[level:])
-        share = Fraction(1, comb(level, m))
-        atoms = {}
-        for ones_at in itertools.combinations(range(level), m):
-            head = [0] * level
-            for i in ones_at:
-                head[i] = 1
-            atoms[tuple(head) + tail] = share
-        return AtomicMeasure(atoms)
+        orbit = list(level_orbit(x, level))
+        share = Fraction(1, len(orbit))
+        return AtomicMeasure({y: share for y in orbit})
     if mode != "monte-carlo":
         raise ValueError("mode is 'exact' or 'monte-carlo'")
     if rng is None:
@@ -409,8 +394,6 @@ class DichotomyReport:
 def orbital_dichotomy(
     x: Config,
     schedule: Sequence[int],
-    samples: int = 2000,
-    rng: RandomStream | None = None,
     battery: Sequence[CylinderMonomial] | None = None,
     decay_threshold: float = 0.01,
     tolerance: float = 1e-3,
@@ -418,10 +401,14 @@ def orbital_dichotomy(
 ) -> DichotomyReport:
     """Track orbital-measure integrals of a battery of cylinder functions.
 
-    Declares mass escape when every tracked value ends below the threshold on
-    a non-increasing trend, convergence when every series is Cauchy at the
-    last step with some value staying above the threshold; otherwise reports
-    inconclusive.
+    Every level is the exact closed form of ``averaging.closed_form_levels``
+    (the series carry stderr 0), so the scan makes no random draws. A step
+    from level a to b counts as rising or as not Cauchy only beyond its slack,
+    3 ``level_gap_sd`` when b > exact_cap and 0 otherwise, the limit rule of
+    ``pi_phi``. Declares mass escape when every tracked value ends below the
+    threshold and no step rises; convergence when every series is Cauchy at
+    the last step with some value staying above the threshold; otherwise
+    reports inconclusive.
     """
     sched = tuple(schedule)
     if any(b <= a for a, b in zip(sched, sched[1:])):
@@ -430,33 +417,24 @@ def orbital_dichotomy(
         raise ValueError("schedule exceeds the configuration window")
     mons = tuple(battery) if battery is not None else TestDictionary.build(2, 2).nonconstant()
     x_bits = np.asarray(x, dtype=np.uint8)
-    rho = constant_one()
+    values, slacks, _ = closed_form_levels(
+        x_bits, np.cumsum(x_bits, dtype=np.int64), sched, [m.indices for m in mons],
+        exact_cap,
+    )
 
-    series: dict[tuple[int, ...], list[tuple[int, float, float]]] = {
-        m.indices: [] for m in mons
+    series = {
+        m.indices: tuple((n, float(lv[j]), 0.0) for n, lv in zip(sched, values))
+        for j, m in enumerate(mons)
     }
-    for n in sched:
-        if n <= exact_cap:
-            for m in mons:
-                v = monomial_level_average(n, m.indices, tuple(int(b) for b in x_bits))
-                series[m.indices].append((n, float(v), 0.0))
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo levels need a random stream")
-            vals = mc_level_values(x_bits, n, rho, mons, samples, rng)
-            for m, (est, se) in zip(mons, vals):
-                series[m.indices].append((n, est, se))
-
     finals = {k: s[-1][1] for k, s in series.items()}
     all_cauchy = True
     all_decaying = True
-    for k, s in series.items():
-        if len(s) >= 2:
-            (_, va, sa), (_, vb, sb) = s[-2], s[-1]
-            if abs(vb - va) >= tolerance + 3.0 * math.sqrt(sa**2 + sb**2):
-                all_cauchy = False
-        for (_, va, sa), (_, vb, sb) in zip(s, s[1:]):
-            if vb > va + 3.0 * math.sqrt(sa**2 + sb**2):
+    for j, m in enumerate(mons):
+        s = series[m.indices]
+        if len(s) >= 2 and abs(s[-1][1] - s[-2][1]) >= tolerance + slacks[-1][j]:
+            all_cauchy = False
+        for i in range(1, len(s)):
+            if s[i][1] > s[i - 1][1] + slacks[i][j]:
                 all_decaying = False
     if all(v <= decay_threshold for v in finals.values()) and all_decaying:
         verdict = "escapes-mass"
@@ -466,7 +444,7 @@ def orbital_dichotomy(
         verdict = "inconclusive"
     return DichotomyReport(
         verdict=verdict,
-        series={k: tuple(v) for k, v in series.items()},
+        series=series,
         finals=finals,
         decay_threshold=decay_threshold,
     )

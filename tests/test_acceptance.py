@@ -3,7 +3,6 @@
 Each test prints one PASS/FAIL line (visible under ``pytest -s``) and
 enforces its runtime budget. Seeds are fixed; reruns are byte-stable.
 """
-import itertools
 import time
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from ergodec.cocycles import constant_one, make_rn, verify_identity
 from ergodec.decomposition import DecomposeConfig, decompose, ks_statistic
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.measures import (
-    AtomicMeasure,
     BetaExchangeable,
     Cylinder,
     Mixture,
@@ -41,6 +39,7 @@ from ergodec.sigma_finite import (
     pcl,
     reweight_decomposition,
 )
+from ergodec.validation import _product_atoms, _rational_params
 
 SEED = 20260810
 
@@ -48,20 +47,6 @@ SEED = 20260810
 def _report(name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     print(f"{status} {name}" + (f" ({detail})" if detail else ""))
-
-
-def _product_atoms(params):
-    atoms = {}
-    for bits in itertools.product((0, 1), repeat=len(params)):
-        m = Fraction(1)
-        for p, b in zip(params, bits):
-            m *= p if b else 1 - p
-        atoms[bits] = m
-    return AtomicMeasure(atoms)
-
-
-def _rational_params(window):
-    return [Fraction(2 + (i % 7), 11) for i in range(window)]
 
 
 def test_criterion_01_cocycle_identity():
@@ -297,17 +282,10 @@ def test_criterion_10_orbital_dichotomy():
         x, 1000, mode="monte-carlo", samples=2000, rng=substream(SEED, 10)
     )
     est, _ = sample.cylinder_mass(Cylinder.of({1: 1}))
-    escape = orbital_dichotomy(
-        x,
-        [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000],
-        samples=2000,
-        rng=substream(SEED, 11),
-    )
+    escape = orbital_dichotomy(x, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000])
     nu = ProductBernoulli([0.5] * window)
     xb = nu.sample(substream(SEED, 12))
-    converge = orbital_dichotomy(
-        xb, [512, 1024, 2048, 4096], samples=4000, rng=substream(SEED, 13)
-    )
+    converge = orbital_dichotomy(xb, [512, 1024, 2048, 4096])
     elapsed = time.monotonic() - t0
     ok = (
         exact_ok

@@ -21,11 +21,14 @@ from ergodec.averaging import (
     monomial_level_average,
     tower_check,
 )
-from ergodec.cocycles import Cocycle, constant_one, make_rn
+from ergodec.cocycles import Cocycle, constant_one, make_rho_f, make_rn
+from ergodec.decomposition import pi_phi
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
-from ergodec.measures import AtomicMeasure, ProductBernoulli
+from ergodec.measures import ProductBernoulli
 from ergodec.rng import substream
+from ergodec.sigma_finite import make_fibrewise_f, orbital_dichotomy
+from ergodec.validation import _product_atoms
 
 
 def brute_force_average(level, weight_fn, phi, x):
@@ -204,16 +207,6 @@ def test_limit_average_reports_nonconvergence():
 def test_limit_schedule_must_increase():
     with pytest.raises(ValueError):
         limit_average(constant_one(), CylinderMonomial((1,)), (1, 0), [2, 2])
-
-
-def _product_atoms(params):
-    atoms = {}
-    for bits in itertools.product((0, 1), repeat=len(params)):
-        m = Fraction(1)
-        for p, b in zip(params, bits):
-            m *= p if b else 1 - p
-        atoms[bits] = m
-    return AtomicMeasure(atoms)
 
 
 def test_tower_idempotent_at_equal_levels():
@@ -425,3 +418,80 @@ def test_haar_rows_equal_argsort_gather(window, fill, samples, seed):
         assert got.dtype == np.uint8 and got.shape == (samples, window)
         assert got.tobytes() == want.tobytes()
         assert rng_new.random() == rng_old.random()  # same stream use
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=8, max_size=12),
+    st.sets(st.integers(1, 8), min_size=1),
+)
+def test_closed_form_callers_equal_enumeration_up_to_level_8(bits, levels):
+    x = tuple(bits)
+    sched = sorted(levels)
+    battery = TestDictionary.build(2, 3).nonconstant()
+    rep = orbital_dichotomy(x, sched, battery=battery)
+    for mono in battery:
+        want = [average_exact(n, constant_one(), mono, x).value for n in sched]
+        assert rep.series[mono.indices] == tuple((n, float(w), 0.0) for n, w in zip(sched, want))
+        lim = limit_average(constant_one(), mono, x, sched)
+        assert [r.value for r in lim.levels] == want
+        assert all(r.method == "exact" and r.stderr == 0 for r in lim.levels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.55, 1.0),
+    st.sets(st.integers(9, 2047), max_size=4),
+)
+def test_closed_form_callers_above_level_8_past_255_ones(seed, p, levels):
+    window = 2048
+    bits = (np.random.default_rng(seed).random(window) < p).astype(np.uint8)
+    bits[1499], bits[1599] = 0, 1  # a zero and a one that low levels fix
+    x = tuple(int(b) for b in bits)
+    assert sum(x) > 255
+    sched = sorted(levels | {window})
+    battery = [CylinderMonomial(k) for k in [(1,), (2,), (1, 2), (1, 1500), (2, 1600), (3, 4, 5)]]
+
+    def oracle(n, key):
+        if any(x[i - 1] == 0 for i in key if i > n):
+            return Fraction(0)
+        k = sum(1 for i in key if i <= n)
+        return Fraction(math.perm(sum(x[:n]), k), math.perm(n, k))
+
+    rep = orbital_dichotomy(bits, sched, battery=battery)
+    for mono in battery:
+        want = [oracle(n, mono.indices) for n in sched]
+        assert rep.series[mono.indices] == tuple((n, float(w), 0.0) for n, w in zip(sched, want))
+        lim = limit_average(constant_one(), mono, x, sched)
+        assert [r.value for r in lim.levels] == want
+
+
+def test_average_mc_callable_phi_under_callable_potential():
+    rho = make_rho_f(make_fibrewise_f())  # no log_potential_rows: per-row potential calls
+    rng = substream(41, 9)
+    hits = 0
+    for _ in range(100):
+        x = tuple(int(b) for b in rng.integers(0, 2, size=6))
+
+        def phi(y):
+            return Fraction(y[0] + 2 * y[-1], 3)
+
+        exact = float(average_exact(6, rho, phi, x).value)
+        mc = average_mc(6, rho, phi, x, 400, rng)
+        if abs(mc.value - exact) <= 3 * mc.stderr + 1e-12:
+            hits += 1
+    # weight ratios up to 4^9 give the self-normalized estimate heavier tails
+    # than a normal one, so a few misses at 3 se are expected
+    assert hits >= 97
+
+
+def test_monte_carlo_level_needs_a_potential():
+    fake = Cocycle(eval_fn=_not_a_cocycle, provenance="radon-nikodym", potential=None)
+    x = (1, 0) * 8
+    with pytest.raises(ValueError, match="potential"):
+        average_mc(12, fake, CylinderMonomial((1,)), x, 50, substream(41, 10))
+    with pytest.raises(ValueError, match="potential"):
+        average_mc(12, fake, _const_phi(1.0), x, 50, substream(41, 10))
+    with pytest.raises(ValueError, match="potential"):
+        pi_phi(x, fake, TestDictionary.build(2, 2), schedule=(8, 16), rng=substream(41, 10))

@@ -207,14 +207,17 @@ def _assert_config_error(name, key, value):
 
 
 # sha256 of every output file at --seed 7, recorded on the code before the
-# orbit-class scan replaced the 2^c union sweep (commit c626bd9).
+# orbit-class scan replaced the 2^c union sweep (commit c626bd9). The orbital
+# digests were recorded again when its series became the exact closed form
+# (3/n for r_1 and r_2, 6/(n(n-1)) for r_1_2, stderr 0) in place of Monte
+# Carlo estimates above level 8.
 RECORDED_OUTPUT_SHA256 = {
     "validate/result.json": "192187817a6edc4c97ad1111f6525a91a2fcecdd304103c96cfb81356ce79714",
     "kolmogorov/result.json": "31a0a0a6a997c95b68646890c4bcb8a10b49e88728ba2b32f43dccf34b684326",
     "sigma-finite/result.json": "2a0ff106521fc08b0b81f41dee9cc784f5fc42a98b96b78a5d13fb2b2dd271d8",
     "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
-    "orbital/result.json": "ddf7cd88982d81776bf255ec446b756720b41947f3e96516660e3604aeb88085",
-    "orbital/series.csv": "ccdf81ba713951d00e21f70fd0c710c7da359263f344f62a03ac2af3f9fbfb8e",
+    "orbital/result.json": "469f276112685ded95f7088a90317075d7610a396aa3d3a2a4867f0884e01ddc",
+    "orbital/series.csv": "c885cf891c559a5d9de24436f91212cec43fb3a751d626b3292ff427fe224eb9",
 }
 
 

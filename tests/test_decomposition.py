@@ -9,7 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ergodec.averaging import average_exact, default_schedule, monomial_level_average
+from ergodec.averaging import (
+    average_exact,
+    default_schedule,
+    level_gap_sd,
+    monomial_level_average,
+)
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
@@ -20,7 +25,6 @@ from ergodec.decomposition import (
     decompose,
     ergodicity_test,
     ks_statistic,
-    level_gap_sd,
     mes_ed_roundtrip,
     pi_phi,
     singular_assembly_check,
@@ -31,16 +35,7 @@ from ergodec.errors import NonConvergenceError
 from ergodec.groups import act, enumerate_level
 from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
 from ergodec.rng import substream
-
-
-def _product_atoms(params):
-    atoms = {}
-    for bits in itertools.product((0, 1), repeat=len(params)):
-        m = Fraction(1)
-        for p, b in zip(params, bits):
-            m *= p if b else 1 - p
-        atoms[bits] = m
-    return AtomicMeasure(atoms)
+from ergodec.validation import _product_atoms
 
 
 DICT2 = TestDictionary.build(2, 2)

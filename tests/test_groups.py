@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodec.errors import CapacityError, DegreeOverflowError
 from ergodec.groups import (
@@ -9,6 +11,7 @@ from ergodec.groups import (
     compose,
     enumerate_level,
     haar_sample,
+    level_orbit,
     ones_count,
     validate_config,
 )
@@ -179,3 +182,12 @@ def test_ones_count_past_255_ones_on_uint8_bits():
     assert monomial_level_average(4096, (1,), ones) == 1
     want = monomial_level_average(600, (1, 2), x)
     assert monomial_level_average(600, (1, 2), bits) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(0, 1), min_size=6, max_size=10))
+def test_level_orbit_is_the_orbit_of_the_level(level, bits):
+    x = tuple(bits)  # coordinates above the level form the tail
+    got = list(level_orbit(x, level))
+    assert len(got) == len(set(got))
+    assert set(got) == {act(k, x) for k in enumerate_level(level)}

@@ -385,7 +385,7 @@ def test_orbital_measure_monte_carlo_lln():
 
 def test_orbital_dichotomy_all_ones_converges():
     x = tuple([1] * 256)
-    rep = orbital_dichotomy(x, [1, 2, 4, 16, 64, 256], samples=200, rng=substream(73, 2))
+    rep = orbital_dichotomy(x, [1, 2, 4, 16, 64, 256])
     assert rep.verdict == "converges-to-probability"
     assert all(v == 1.0 for v in rep.finals.values())
 
@@ -393,10 +393,7 @@ def test_orbital_dichotomy_all_ones_converges():
 def test_orbital_dichotomy_three_ones_escapes():
     window = 1024
     x = tuple(1 if i < 3 else 0 for i in range(window))
-    rep = orbital_dichotomy(
-        x, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000],
-        samples=2000, rng=substream(73, 3),
-    )
+    rep = orbital_dichotomy(x, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000])
     assert rep.verdict == "escapes-mass"
     assert rep.finals[(1,)] <= 0.01
 
@@ -405,14 +402,14 @@ def test_orbital_dichotomy_inconclusive_on_oscillation():
     # exact levels 1 and 2 disagree by 0.5 while staying above the decay
     # threshold: neither Cauchy nor escaping
     x = (1, 0, 1, 1)
-    rep = orbital_dichotomy(x, [1, 2], samples=100, rng=substream(73, 7))
+    rep = orbital_dichotomy(x, [1, 2])
     assert rep.verdict == "inconclusive"
 
 
 def test_orbital_dichotomy_bernoulli_converges_to_moments():
     nu = ProductBernoulli([0.3] * 2048)
     x = nu.sample(substream(73, 4))
-    rep = orbital_dichotomy(x, [256, 512, 1024, 2048], samples=3000, rng=substream(73, 5))
+    rep = orbital_dichotomy(x, [256, 512, 1024, 2048])
     assert rep.verdict == "converges-to-probability"
     assert abs(rep.finals[(1,)] - 0.3) <= 0.03
     assert abs(rep.finals[(1, 2)] - 0.09) <= 0.03
