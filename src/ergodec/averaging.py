@@ -5,12 +5,16 @@ The level-n average of a bounded function phi at a point x is the ratio
     sum_k phi(act(k, x)) rho(k, x)  /  sum_k rho(k, x),   k over S(n),
 
 For the constant cocycle and a cylinder monomial it is the hypergeometric
-closed form ``closed_form_levels``, exact at every level. Otherwise it is
-computed exactly up to S(8) (rational arithmetic when the inputs are
-rational) and above that by self-normalized Monte Carlo over Haar draws
-(``haar_rows``), which needs a potential-backed cocycle. If the denominator
-were infinite the average is defined to be 0; that branch is unreachable for
-finite levels but kept for interface fidelity.
+closed form ``closed_form_levels``, exact at every level. For a potential
+with log-linear parts (``make_rn`` of a product Bernoulli measure or of a
+mixture of them) and a cylinder monomial, ``product_levels`` gives it as an
+exact orbit sum in floats, from elementary-symmetric tables; ``pi_phi`` uses
+it above S(8). Otherwise it is computed exactly up to S(8) (rational
+arithmetic when the inputs are rational) and above that by self-normalized
+Monte Carlo over Haar draws (``haar_rows``), which needs a potential-backed
+cocycle. If the denominator were infinite the average is defined to be 0;
+that branch is unreachable for finite levels but kept for interface
+fidelity.
 
 Exact evaluation below S(8) has two shortcuts that give the same value as
 plain group enumeration and are cross-checked against it in the test suite:
@@ -20,6 +24,7 @@ cocycles, valid because all stabilizer cosets contribute equal blocks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,7 +35,7 @@ from .cocycles import Cocycle
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
 from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, LogLinearParts
 from .rng import RandomStream
 
 EXACT_LEVEL_CAP = ENUMERATION_CAP
@@ -140,6 +145,168 @@ def closed_form_levels(
     return values, slacks, stderrs
 
 
+def _esp_log_tables(
+    logit: np.ndarray, held: Sequence[int], stops: Sequence[int]
+) -> list[np.ndarray]:
+    """log e_j of the odds exp(logit[c, i]) over the coordinates 1..stop
+    (1-based) outside ``held``, for each stop: one row per component c,
+    j = 0 up to the number of those coordinates.
+
+    The dynamic program keeps the ratios R_j = e_j / e_(j-1). Adding a
+    coordinate with odds t turns e_j into e_j + t e_(j-1), so R_j becomes
+    (R_j + t) / (1 + t / R_(j-1)), with R_0 = inf and R_j = 0 past the
+    coordinates seen so far. The ratios stay between the smallest odds over
+    the window size and the window size times the largest odds, so no window
+    overflows or underflows, and log e_j is the cumulative sum of log R. By
+    Newton's inequalities R_j <= R_(j-1), which keeps the two weights of an
+    update below 1 in total: a rounding error is never amplified.
+    """
+    comps = logit.shape[0]
+    free = [i for i in range(max(stops)) if i + 1 not in held]
+    odds = np.exp(logit[:, free])
+    # a level-n table is taken after the free coordinates up to n
+    counts = [n - sum(1 for i in held if i <= n) for n in stops]
+    ratio = np.zeros((comps, len(free) + 1))
+    ratio[:, 0] = np.inf
+    found = {0: np.zeros((comps, 1))}
+    for s in range(len(free)):
+        t = odds[:, s : s + 1]
+        den = t / ratio[:, : s + 1]
+        den += 1.0
+        cur = ratio[:, 1 : s + 2]
+        cur += t
+        cur /= den
+        if s + 1 in counts:
+            logs = np.cumsum(np.log(ratio[:, 1 : s + 2]), axis=1)
+            found[s + 1] = np.concatenate([np.zeros((comps, 1)), logs], axis=1)
+    return [found[c] for c in counts]
+
+
+def _tilted_inclusion(logit: np.ndarray, m: int, q: np.ndarray) -> np.ndarray:
+    """Tilted inclusion probabilities of the orbit with m ones among the
+    coordinates of ``logit`` (components x n): pi_i = sum_c q_c
+    sigma(lam_c + logit_ci), where lam_c solves sum_i sigma(lam_c + logit_ci)
+    = m (Hajek's approximation to conditional-Poisson sampling) and q_c is
+    the component's share of the orbit mass. Constant parameters give
+    pi_i = m/n."""
+    n = logit.shape[1]
+    if m == 0 or m == n:
+        return np.full(n, float(m == n))
+    target = math.log(m / (n - m))
+    # sigma is increasing, so lam = target - max logit undershoots m and
+    # target - min logit overshoots it: Newton steps stay in that bracket,
+    # with bisection when a step would leave it.
+    lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
+    lam = target - logit.mean(axis=1)
+    for _ in range(200):
+        pi = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
+        f = pi.sum(axis=1) - m
+        if np.all(np.abs(f) <= 1e-12 * n):
+            break
+        lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
+        step = lam - f / (pi * (1.0 - pi)).sum(axis=1)
+        lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    return q @ pi
+
+
+def product_levels(
+    x,
+    prefix: np.ndarray,
+    levels: Sequence[int],
+    keys: Sequence[tuple[int, ...]],
+    parts: LogLinearParts,
+    exact_cap: int = EXACT_LEVEL_CAP,
+):
+    """Level averages of cylinder monomials under a cocycle whose potential
+    has log-linear parts (``measures.LogLinearParts``), as exact orbit sums
+    with no random draws; the float counterpart of ``closed_form_levels``.
+
+    Given x, the level-n orbit is every configuration with the same m ones
+    among the first n coordinates and the same tail. With odds
+    t_ci = exp(logit_ci), its mass under component c is
+    A_c e_m(t_c1..t_cn), A_c = exp(const_c + sum_(i>n) x_i logit_ci), and a
+    monomial moving the set S' has numerator
+    A_c prod_(i in S') t_ci e_(m-|S'|)(t_c without S'): the conditional-
+    Poisson (rejective-sampling) identity. Splitting 1..n into the held-out
+    coordinates H (those of the keys, at most 2^|H| subsets T) and the rest,
+    e_(m-|S'|)(t without S') prod_(S') t = sum over T containing S' of
+    prod_(T) t e_(m-|T|)(t off H), and the tables of e_j(t off H) depend on
+    the measure and the levels only (``_esp_log_tables``, memoised on the
+    parts). Per point the work is a prefix count and a tail dot product per
+    level and a sum over the subsets T.
+
+    Returns ``(values, slacks, stderrs)`` like ``closed_form_levels``, with
+    float values (the empty key is exactly 1.0) and this slack and stderr,
+    by the delta method through the tilted inclusion probabilities pi_i at
+    level b (``_tilted_inclusion``),
+    V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
+
+    - slack 3 c_S sqrt(b (V_b - V_a) / ((b - 1) V_a V_b)) for the step
+      a -> b, b > exact_cap (0 otherwise);
+    - stderr c_S / sqrt(V_b) at the last level b > exact_cap (0 otherwise).
+
+    With constant parameters pi_i = m_b/b and these are exactly
+    3 ``level_gap_sd`` and the stderr of ``closed_form_levels``.
+    """
+    xf = np.asarray(x, dtype=np.float64)
+    held_all = tuple(sorted({i for key in keys for i in key}))
+    memo = (held_all, tuple(levels))
+    if memo not in parts.tables:
+        parts.tables[memo] = _esp_log_tables(parts.logit, held_all, levels)
+    tables = parts.tables[memo]
+    values, slacks = [], []
+    a = None
+    for n, log_e in zip(levels, tables):
+        m = int(prefix[n - 1])
+        held = [i for i in held_all if i <= n]
+        masks = (np.arange(2 ** len(held))[:, None] >> np.arange(len(held))) & 1
+        j = m - masks.sum(axis=1)
+        valid = (j >= 0) & (j < log_e.shape[1])
+        log_g = (
+            (parts.const + parts.logit[:, n:] @ xf[n:])[:, None]
+            + parts.logit[:, [i - 1 for i in held]] @ masks.T
+            + log_e[:, np.where(valid, j, 0)]
+        )
+        log_g[:, ~valid] = -np.inf
+        g = np.exp(log_g - log_g.max())
+        per_subset = g.sum(axis=0)
+        den = per_subset.sum()
+        moved = [
+            None if any(x[i - 1] == 0 for i in key if i > n)
+            else [i for i in key if i <= n]
+            for key in keys
+        ]
+        row = []
+        for s in moved:
+            if s is None:
+                row.append(0.0)
+            else:
+                holds_s = masks[:, [held.index(i) for i in s]].all(axis=1)
+                row.append(min(1.0, float(per_subset[holds_s].sum() / den)))
+        values.append(row)
+        slack = [0.0] * len(keys)
+        if n > exact_cap and any(moved):
+            pi = _tilted_inclusion(parts.logit[:, :n], m, g.sum(axis=1) / den)
+            cum = np.cumsum(pi * (1.0 - pi))
+            coef = [
+                float(math.prod(pi[i - 1] for i in s) * sum(1.0 - pi[i - 1] for i in s))
+                if s else 0.0
+                for s in moved
+            ]
+            v_b = float(cum[n - 1])
+            if a is not None:
+                v_a = float(cum[a - 1])
+                if v_a > 0.0:
+                    gap = math.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
+                    slack = [3.0 * c * gap for c in coef]
+        slacks.append(slack)
+        a = n
+    stderrs = [0.0] * len(keys)
+    if a > exact_cap and any(moved) and v_b > 0.0:
+        stderrs = [c / math.sqrt(v_b) for c in coef]
+    return values, slacks, stderrs
+
+
 def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fraction:
     """Exact constant-cocycle average of a cylinder monomial at one level."""
     prefix = np.cumsum(np.asarray(x, dtype=np.int64))
@@ -207,6 +374,9 @@ def _self_normalized(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     return est, se
 
 
+_HALF_LOG_MAX = 0.5 * math.log(sys.float_info.max)
+
+
 def haar_rows(
     x_bits: np.ndarray, level: int, samples: int, rng: RandomStream
 ) -> np.ndarray:
@@ -235,7 +405,14 @@ def haar_rows(
 def _weighted_haar_rows(
     x_bits: np.ndarray, level: int, rho: Cocycle, samples: int, rng: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Haar rows of x at ``level`` and their importance weights rho = u(row)/u(x)."""
+    """Haar rows of x at ``level`` and their importance weights rho = u(row)/u(x).
+
+    With log-potential rows, weights whose square would overflow a double
+    (log rho above half the log of the largest double, where the variance of
+    ``_self_normalized`` becomes inf) are all divided by the largest one
+    instead: the self-normalized estimate and its stderr do not depend on a
+    common factor.
+    """
     if rho.potential is None:
         raise ValueError("Monte Carlo levels need a potential-backed cocycle")
     rows = haar_rows(x_bits, level, samples, rng)
@@ -243,6 +420,9 @@ def _weighted_haar_rows(
         logw = rho.log_potential_rows(rows) - rho.log_potential_rows(
             x_bits.reshape(1, -1)
         )
+        top = float(logw.max())
+        if top > _HALF_LOG_MAX:
+            logw = logw - top
         return rows, np.exp(logw)
     ux = float(rho.potential(tuple(int(b) for b in x_bits)))
     if ux == 0:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import Config, Permutation, act
-from .measures import rn_derivative
+from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
 PROVENANCE_CONSTANT = "constant-one"
@@ -33,7 +33,10 @@ class Cocycle:
     ``potential`` (when present) is the positive function u with
     rho(g, x) = u(act(g, x)) / u(x); ``log_potential_rows`` optionally maps a
     matrix of 0/1 configurations, one per row, uint8 or float64, to log-u
-    values for vectorized Monte Carlo.
+    values for vectorized Monte Carlo. ``log_linear`` optionally gives u as a
+    mixture of log-linear terms (``measures.LogLinearParts``); ``pi_phi``
+    then computes levels above the exact cap as exact orbit sums
+    (``averaging.product_levels``) instead of by Monte Carlo.
     """
 
     eval_fn: Callable[[Permutation, Config], object]
@@ -41,6 +44,7 @@ class Cocycle:
     potential: Optional[Callable[[Config], object]] = None
     log_potential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fibrewise_continuous: bool = True
+    log_linear: Optional[LogLinearParts] = None
 
     def __call__(self, g: Permutation, x: Config):
         return self.eval_fn(g, x)
@@ -79,11 +83,16 @@ def _weight_eval(f, g: Permutation, x: Config):
 
 
 def make_rho_f(f) -> Cocycle:
-    """Weight-ratio cocycle rho(g, x) = f(act(g, x)) / f(x) for positive f."""
+    """Weight-ratio cocycle rho(g, x) = f(act(g, x)) / f(x) for positive f.
+
+    A vectorized ``f.log_rows`` (log f of 0/1 rows), when f has one, serves
+    Monte Carlo levels in log space.
+    """
     return Cocycle(
         eval_fn=partial(_weight_eval, f),
         provenance=PROVENANCE_WEIGHT,
         potential=f,
+        log_potential_rows=getattr(f, "log_rows", None),
     )
 
 
@@ -92,12 +101,19 @@ def _rn_eval(nu, g: Permutation, x: Config):
 
 
 def make_rn(nu) -> Cocycle:
-    """Radon-Nikodym cocycle of a measure; zero-mass points raise on evaluation."""
+    """Radon-Nikodym cocycle of a measure; zero-mass points raise on evaluation.
+
+    The potential is the atom mass of nu. A product Bernoulli measure, or a
+    mixture of them, also hands over its log-linear parts, which make every
+    level an exact orbit sum; other measures take Monte Carlo above the
+    exact cap.
+    """
     return Cocycle(
         eval_fn=partial(_rn_eval, nu),
         provenance=PROVENANCE_RN,
         potential=nu.atom,
         log_potential_rows=getattr(nu, "log_atom_rows", None),
+        log_linear=getattr(nu, "log_linear", None),
     )
 
 

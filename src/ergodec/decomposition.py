@@ -29,6 +29,7 @@ from .averaging import (
     mc_level_values,
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_class_key,
+    product_levels,
 )
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
@@ -94,8 +95,15 @@ def pi_phi(
     Diaconis and Freedman, 1980), and the stderr is k p^(k-1) sqrt(p(1-p)/b),
     p = m_b/b: the sd of the level-b value about its limit. For
     b <= exact_cap both are 0, as for every exact level, so the exact
-    averages themselves must agree within the tolerance. ``mc_samples`` and
-    ``rng`` are not used.
+    averages themselves must agree within the tolerance.
+
+    Product potentials (a cocycle with ``log_linear`` parts, as ``make_rn``
+    of a product Bernoulli measure or a mixture of them builds): exact
+    ``Fraction`` averages up to exact_cap and, above it, the exact orbit sums
+    of ``averaging.product_levels`` (elementary-symmetric tables, no random
+    draws), with its slack and stderr: the same delta method as for the
+    constant cocycle, taken through the tilted inclusion probabilities, to
+    which it reduces exactly when the parameters are constant.
 
     Other cocycles: exact averages up to exact_cap and Monte Carlo above, with
     slack 3 times the combined stderr of the two levels. Monte Carlo needs a
@@ -103,6 +111,8 @@ def pi_phi(
     else ValueError. One set of Haar draws per level is shared by all
     entries, which preserves the pointwise monotonicity of monomials
     (r_S >= r_{S u {j}}).
+
+    Only Monte Carlo levels read ``mc_samples`` and ``rng``.
     """
     x_bits = np.asarray(x, dtype=np.uint8)
     window = x_bits.shape[0]
@@ -115,16 +125,25 @@ def pi_phi(
     keys = [m.indices for m in entries]
     levels = sched[-2:]
 
+    # Only exact levels read x as a tuple.
+    if levels[0] <= exact_cap and not rho.is_constant_one:
+        x_tuple = tuple(int(b) for b in x_bits)
     if rho.is_constant_one:
         per_level, slacks, last_ses = closed_form_levels(
             x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys, exact_cap
         )
         slack = slacks[-1]
+    elif rho.log_linear is not None:
+        per_level, slacks, last_ses = product_levels(
+            x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys,
+            rho.log_linear, exact_cap,
+        )
+        slack = slacks[-1]
+        for i, n in enumerate(levels):
+            if n <= exact_cap:
+                per_level[i] = [average_exact(n, rho, m, x_tuple).value for m in entries]
     else:
         per_level_se: list[list[tuple[object, float]]] = []
-        # Only exact levels read x as a tuple.
-        if levels[0] <= exact_cap:
-            x_tuple = tuple(int(b) for b in x_bits)
         for n in levels:
             if n <= exact_cap:
                 vals = [
@@ -170,7 +189,9 @@ class DecomposeConfig:
     samples: int = 2000
     schedule: Optional[tuple[int, ...]] = None
     tolerance: float = 0.02
-    mc_samples: int = 400  # Haar draws per level; the constant cocycle draws none
+    # Haar draws per Monte Carlo level: only a potential without log-linear
+    # parts draws; the constant cocycle and product potentials are exact.
+    mc_samples: int = 400
     depth: int = 2
     width: int = 2
     min_gap: float = 0.05

@@ -12,7 +12,7 @@ representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -67,6 +67,23 @@ class Cylinder:
 
     def pinned_zeros(self) -> frozenset[int]:
         return frozenset(p for p, b in self.pins if b == 0)
+
+
+@dataclass(eq=False)
+class LogLinearParts:
+    """A potential whose mixture components are log-linear in x:
+
+        log u(x) = logsumexp over c of (const[c] + logit[c] . x).
+
+    For a product Bernoulli component, logit[c, i] = log(p_ci / (1 - p_ci))
+    and const[c] = log w_c + sum_i log(1 - p_ci). ``tables`` memoises the
+    elementary-symmetric tables that ``averaging.product_levels`` builds from
+    them; they depend on the measure and the levels, never on the point.
+    """
+
+    const: np.ndarray  # (components,)
+    logit: np.ndarray  # (components, window)
+    tables: dict = field(default_factory=dict, repr=False)
 
 
 def _as_exact(v: Scalar) -> Scalar:
@@ -236,6 +253,11 @@ class ProductBernoulli:
         p = self._float_params
         return np.sum(np.log1p(-p)), np.log(p) - np.log1p(-p)
 
+    @cached_property
+    def log_linear(self) -> LogLinearParts:
+        base, logit = self._log_terms
+        return LogLinearParts(np.array([base]), logit.reshape(1, -1))
+
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         return (rng.random(self.window) < self._float_params).astype(np.uint8)
 
@@ -333,6 +355,18 @@ class Mixture:
         )
         top = comp.max(axis=0)
         return top + np.log(np.sum(np.exp(comp - top), axis=0))
+
+    @cached_property
+    def log_linear(self) -> LogLinearParts | None:
+        """The components' log-linear parts, stacked; None unless every
+        component has them (product Bernoulli, or a mixture of those)."""
+        parts = [getattr(c, "log_linear", None) for c in self.components]
+        if any(q is None for q in parts):
+            return None
+        const = np.concatenate(
+            [math.log(float(w)) + q.const for w, q in zip(self.weights, parts)]
+        )
+        return LogLinearParts(const, np.concatenate([q.logit for q in parts]))
 
     def sample_component(self, rng: RandomStream) -> int:
         r = rng.random()

@@ -42,6 +42,13 @@ class GeometricWeight:
         ones = x if isinstance(x, (frozenset, set)) else (i + 1 for i, b in enumerate(x) if b)
         return Fraction(1, self.base) ** sum(ones)
 
+    def log_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:
+        -log(base) times the sum of each row's ones positions. f itself
+        underflows a double once that sum passes about 1074 / log2(base)."""
+        positions = np.arange(1, rows.shape[1] + 1, dtype=np.float64)
+        return -math.log(self.base) * (rows @ positions)
+
     def orbit_mass(self, k: int, window: int | None = None) -> Fraction:
         """Exact sum of f over the orbit with k ones.
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodec.averaging import (
+    EXACT_LEVEL_CAP,
     AveragingReport,
     _ratio_or_zero,
     average_exact,
     average_mc,
+    closed_form_levels,
     conditional_expectation_check,
     default_schedule,
     fubini_check,
@@ -19,15 +22,16 @@ from ergodec.averaging import (
     invariance_check,
     limit_average,
     monomial_level_average,
+    product_levels,
     tower_check,
 )
 from ergodec.cocycles import Cocycle, constant_one, make_rho_f, make_rn
 from ergodec.decomposition import pi_phi
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
-from ergodec.measures import ProductBernoulli
+from ergodec.measures import BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
-from ergodec.sigma_finite import make_fibrewise_f, orbital_dichotomy
+from ergodec.sigma_finite import GeometricWeight, make_fibrewise_f, orbital_dichotomy
 from ergodec.validation import _product_atoms
 
 
@@ -468,7 +472,8 @@ def test_closed_form_callers_above_level_8_past_255_ones(seed, p, levels):
 
 
 def test_average_mc_callable_phi_under_callable_potential():
-    rho = make_rho_f(make_fibrewise_f())  # no log_potential_rows: per-row potential calls
+    # without log_potential_rows: per-row potential calls
+    rho = replace(make_rho_f(make_fibrewise_f()), log_potential_rows=None)
     rng = substream(41, 9)
     hits = 0
     for _ in range(100):
@@ -495,3 +500,177 @@ def test_monte_carlo_level_needs_a_potential():
         average_mc(12, fake, _const_phi(1.0), x, 50, substream(41, 10))
     with pytest.raises(ValueError, match="potential"):
         pi_phi(x, fake, TestDictionary.build(2, 2), schedule=(8, 16), rng=substream(41, 10))
+
+
+_odds = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: Fraction(t[0], t[0] + t[1]))
+
+
+@st.composite
+def _rational_mixture(draw, window):
+    comps = draw(st.integers(1, 3))
+    params = [draw(st.lists(_odds, min_size=window, max_size=window)) for _ in range(comps)]
+    raw = draw(st.lists(st.integers(1, 5), min_size=comps, max_size=comps))
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    members = [ProductBernoulli(p) for p in params]
+    return members[0] if comps == 1 else Mixture(weights, members)
+
+
+def _product_levels(nu, x, levels, keys, exact_cap=EXACT_LEVEL_CAP):
+    bits = np.asarray(x, dtype=np.uint8)
+    return product_levels(
+        bits, np.cumsum(bits, dtype=np.int64), levels, keys, make_rn(nu).log_linear, exact_cap
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 10).flatmap(
+        lambda w: st.tuples(
+            _rational_mixture(w),
+            st.lists(st.integers(0, 1), min_size=w, max_size=w),
+            st.integers(3, w),
+        )
+    ),
+    st.sets(st.integers(1, 8), min_size=1),
+)
+def test_product_levels_equal_enumeration_up_to_level_8(case, levels):
+    nu, x, high = case
+    x = tuple(x)
+    sched = sorted(levels)
+    # (high,) and (1, high) have a coordinate above the low levels, which
+    # those levels hold fixed at x's bit there, 0 or 1.
+    keys = [(), (1,), (2,), (1, 2), (high,), (1, high)]
+    values, _, _ = _product_levels(nu, x, sched, keys)
+    rho = make_rn(nu)
+    for n, row in zip(sched, values):
+        for key, got in zip(keys, row):
+            want = average_exact(n, rho, CylinderMonomial(key), x).value
+            assert abs(got - float(want)) <= 1e-12
+        assert row[0] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3),
+    st.floats(0.0, 1.0),
+    st.integers(16, 2048).flatmap(
+        lambda w: st.tuples(st.just(w), st.sets(st.integers(1, w - 1), min_size=1, max_size=3))
+    ),
+)
+def test_product_levels_reduce_to_the_closed_form_for_constant_parameters(seed, ps, q, shape):
+    window, lows = shape
+    comps = [ProductBernoulli([p] * window) for p in ps]
+    nu = comps[0] if len(comps) == 1 else Mixture([1 / len(comps)] * len(comps), comps)
+    bits = (np.random.default_rng(seed).random(window) < q).astype(np.uint8)
+    sched = sorted(lows | {window})
+    keys = [(), (1,), (2,), (1, 2), (1, window)]
+    values, slacks, stderrs = _product_levels(nu, bits, sched, keys)
+    want_v, want_slacks, want_se = closed_form_levels(
+        bits, np.cumsum(bits, dtype=np.int64), sched, keys
+    )
+    for row, want_row in zip(values, want_v):
+        assert all(abs(v - float(w)) <= 1e-12 for v, w in zip(row, want_row))
+    # slack 3 level_gap_sd and stderr k p^(k-1) sqrt(p(1-p)/b), p = m_b/b
+    for row, want_row in zip(slacks + [stderrs], want_slacks + [want_se]):
+        for got, want in zip(row, want_row):
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["two-constant", "alternating"]),
+    st.floats(0.0, 1.0),
+    st.sets(st.integers(1, 2047), min_size=1, max_size=3),
+)
+def test_product_levels_stay_finite_at_window_2048_extreme_odds(seed, kind, q, lows):
+    window = 2048
+    if kind == "two-constant":
+        comps = [ProductBernoulli([0.01] * window), ProductBernoulli([0.99] * window)]
+        nu = Mixture([0.5, 0.5], comps)
+    else:
+        nu = ProductBernoulli([0.01 if i % 2 else 0.99 for i in range(window)])
+    # any density: far from typical for every component, so the orbit masses
+    # are far below the smallest double and only their ratios are finite
+    bits = (np.random.default_rng(seed).random(window) < q).astype(np.uint8)
+    sched = sorted(lows | {window})
+    keys = [(), (1,), (2,), (1, 2), (1, 1500)]
+    values, slacks, stderrs = _product_levels(nu, bits, sched, keys)
+    for row in values:
+        assert row[0] == 1.0
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in row)
+    for row in slacks + [stderrs]:
+        assert all(math.isfinite(v) and v >= 0.0 for v in row)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(9, 256))
+def test_pi_phi_under_a_product_potential_draws_nothing(seed, window):
+    comps = [ProductBernoulli([0.2 + 0.05 * (i % 2) for i in range(window)]),
+             ProductBernoulli([0.8 - 0.05 * (i % 2) for i in range(window)])]
+    nu = Mixture([0.4, 0.6], comps)
+    stream, twin = substream(seed, 1), substream(seed, 1)
+    x = nu.sample_array(substream(seed, 0))
+    stat = pi_phi(x, make_rn(nu), TestDictionary.build(2, 2), rng=stream, mc_samples=64)
+    assert all(0.0 <= float(v) <= 1.0 for v in stat.values.values())
+    assert stream.bit_generator.state == twin.bit_generator.state
+
+
+def test_log_linear_parts_only_when_every_component_has_them():
+    window = 16
+    product = ProductBernoulli([Fraction(1, 3)] * window)
+    nested = Mixture([Fraction(1, 4), Fraction(3, 4)], [product, Mixture([1], [product])])
+    parts = make_rn(nested).log_linear
+    assert parts.logit.shape == (2, window)
+    assert np.allclose(parts.const, [math.log(1 / 4) + window * math.log(2 / 3),
+                                     math.log(3 / 4) + window * math.log(2 / 3)])
+    beta = Mixture([Fraction(1, 2)] * 2, [product, BetaExchangeable(2, 3, window)])
+    assert beta.log_linear is None and make_rn(beta).log_linear is None
+    atomic = _product_atoms([Fraction(1, 3)] * 4)
+    assert make_rn(atomic).log_linear is None
+
+
+@pytest.mark.parametrize("window", [64, 128])
+def test_weight_ratio_monte_carlo_no_longer_underflows(window):
+    # f = 4^-(sum of the ones positions) is below the smallest double here,
+    # so weights taken as ratios of float(f) were 0/0; log rows are not.
+    x = tuple([1, 0] * (window // 2))
+    rho = make_rho_f(make_fibrewise_f())
+    rep = average_mc(window, rho, CylinderMonomial((1,)), x, 200, substream(41, window))
+    assert math.isfinite(rep.value) and 0.0 <= rep.value <= 1.0
+    assert math.isfinite(rep.stderr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_geometric_weight_log_rows_equal_log_of_f(base, bits):
+    f = GeometricWeight(base)
+    rows = np.array([bits, bits[::-1]], dtype=np.uint8)
+    got = f.log_rows(rows)
+    for row, g in zip(rows, got):
+        want = -math.log(base) * sum(i + 1 for i, b in enumerate(row) if b)
+        assert math.isclose(g, want, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(math.exp(g), float(f(tuple(int(b) for b in row))), rel_tol=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_product_levels_of_a_mixture_follow_the_component_that_holds_the_orbit(seed, second):
+    # Mirrored parameter patterns: each component's tilt gives other
+    # inclusion probabilities to coordinates 1 and 2. The 256 tail
+    # coordinates above level 256 leave the component that did not draw the
+    # point a posterior share far below 1e-16, so the mixture must read like
+    # the other component alone. (At level 512 there is no tail, both
+    # components give every count the same mass, and the mixture is
+    # symmetric in coordinates 1 and 2.)
+    window = 512
+    a = ProductBernoulli([0.1 if i % 2 else 0.5 for i in range(window)])
+    b = ProductBernoulli([0.5 if i % 2 else 0.1 for i in range(window)])
+    source = b if second else a
+    bits = source.sample_array(substream(seed, 0))
+    keys = [(), (1,), (2,), (1, 2)]
+    mixed = _product_levels(Mixture([0.5, 0.5], [a, b]), bits, (128, 256), keys)
+    alone = _product_levels(source, bits, (128, 256), keys)
+    for got, want in zip(mixed, alone):
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)

@@ -13,9 +13,11 @@ from ergodec.averaging import (
     average_exact,
     default_schedule,
     level_gap_sd,
+    mc_level_values,
     monomial_level_average,
+    product_levels,
 )
-from ergodec.cocycles import constant_one, make_rn
+from ergodec.cocycles import PROVENANCE_RN, Cocycle, constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
     almost_invariant_upgrade,
@@ -494,17 +496,77 @@ RECORDED_MC_SHA256 = (
 )
 
 
-def test_mc_decompose_matches_recorded_hashes():
-    # Window 64: the two levels the limit rule reads, 32 and 64, are Monte Carlo.
+def _monte_carlo_rn(nu) -> Cocycle:
+    """The Radon-Nikodym cocycle of nu with its potential and log-potential
+    rows but without log-linear parts, so its levels above the exact cap are
+    Monte Carlo."""
+    return Cocycle(
+        eval_fn=make_rn(nu).eval_fn,
+        provenance=PROVENANCE_RN,
+        potential=nu.atom,
+        log_potential_rows=nu.log_atom_rows,
+    )
+
+
+def _bench_mixture(window):
     comps = [
-        ProductBernoulli([a if i % 2 == 0 else b for i in range(64)])
+        ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
         for a, b in ((0.2, 0.25), (0.75, 0.8))
     ]
-    nu = Mixture([0.4, 0.6], comps)
+    return Mixture([0.4, 0.6], comps), comps
+
+
+def test_mc_decompose_matches_recorded_hashes():
+    # Window 64: the two levels the limit rule reads, 32 and 64, are Monte Carlo.
+    nu, _ = _bench_mixture(64)
     config = DecomposeConfig(samples=16, seed=7, nonconvergence_threshold=1.0)
-    dm = decompose(nu, make_rn(nu), config)
+    dm = decompose(nu, _monte_carlo_rn(nu), config)
     got = (
         hashlib.sha256(dm.statistics.tobytes()).hexdigest(),
         hashlib.sha256(np.array(dm.weights).tobytes()).hexdigest(),
     )
     assert got == RECORDED_MC_SHA256
+
+
+def test_monte_carlo_agrees_with_exact_orbit_sums_at_window_64():
+    """What the Monte Carlo path is still good for: at window 64 the 400
+    self-normalized draws have a healthy effective sample size, and the
+    estimates lie within 3 se of the exact orbit sums. (At window 1024 only
+    about 85 of these 100 points would.)"""
+    window = 64
+    nu, _ = _bench_mixture(window)
+    parts = make_rn(nu).log_linear
+    entries = DICT2.entries
+    keys = [m.indices for m in entries]
+    hits = 0
+    for i in range(100):
+        stream = substream(7, i)
+        x = nu.sample_array(stream)
+        ((exact,), _, _) = product_levels(
+            x, np.cumsum(x, dtype=np.int64), (window,), keys, parts
+        )
+        est = mc_level_values(x, window, _monte_carlo_rn(nu), entries, 400, stream)
+        hits += all(abs(v - e) <= 3 * se for (v, se), e in zip(est, exact))
+    assert hits >= 90
+
+
+@pytest.mark.parametrize("seed", [210000, 220000, 230000])
+def test_decompose_quasi_invariant_mixture_at_window_1024(seed):
+    # the benchmark's quasi-invariant input and its first operation's seeds,
+    # at the default 1% non-convergence threshold
+    nu, comps = _bench_mixture(1024)
+    dm = decompose(nu, make_rn(nu), DecomposeConfig(samples=40, seed=seed))
+    assert dm.non_converged_fraction == 0.0
+    assert dm.components == 2
+    assert all(abs(c - want) < 0.05 for c, want in zip(sorted(dm.centers), (0.2, 0.75)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 300]))
+def test_product_potential_decompose_bytes_equal_across_workers(seed, window):
+    nu, _ = _bench_mixture(window)
+    config = DecomposeConfig(samples=24, seed=seed, nonconvergence_threshold=1.0)
+    one = decompose(nu, make_rn(nu), config)
+    two = decompose(nu, make_rn(nu), replace(config, workers=2))
+    assert one.statistics.tobytes() == two.statistics.tobytes()
+    assert one.weights == two.weights
