@@ -5,7 +5,8 @@ The level-n average of a bounded function phi at a point x is the ratio
     sum_k phi(act(k, x)) rho(k, x)  /  sum_k rho(k, x),   k over S(n),
 
 For the constant cocycle and a cylinder monomial it is the hypergeometric
-closed form ``closed_form_levels``, exact at every level. For a potential
+closed form ``closed_form_levels``, exact at every level and evaluated for a
+batch of points at once. For a potential
 with log-linear parts (``make_rn`` of a product Bernoulli measure or of a
 mixture of them) and a cylinder monomial, ``product_levels`` gives it as an
 exact orbit sum in floats, from elementary-symmetric tables; ``pi_phi`` uses
@@ -91,58 +92,146 @@ def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
     return k * p ** (k - 1) * math.sqrt(p * (1.0 - p) * (b - a) / (a * (b - 1)))
 
 
+# Integers below 2^53 are exact doubles, so the one rounding of a float64
+# division of two of them is the correctly rounded quotient, as for
+# float(Fraction).
+_EXACT_FLOAT_INT = 2**53
+
+
+@dataclass(frozen=True)
+class ClosedFormLevels:
+    """Constant-cocycle level averages of a batch of points, from
+    ``closed_form_levels``; arrays are indexed [level, point, key].
+
+    - ``nums`` and ``dens``: the average is ``nums / dens``, with
+      ``nums[i, p, j]`` = (m_n)_k, 0 when a coordinate of the key above n is 0
+      in the point, and ``dens[i][j]`` = (n)_k as a Python int; ``nums`` is
+      int64 unless some (n)_k reaches 2^53, then it holds Python ints;
+    - ``values``: the averages in float64, each the correctly rounded
+      quotient, so equal to ``float(self.fraction(i, p, j))``;
+    - ``slacks``: the limit-rule slack of the step from a = levels[i-1] to
+      b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > exact_cap and
+      0 otherwise (``slacks[0]`` is 0);
+    - ``stderrs[p, j]``: the sd of the last level's value about its limit,
+      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > exact_cap and 0 otherwise.
+    """
+
+    nums: np.ndarray
+    dens: tuple[tuple[int, ...], ...]
+    values: np.ndarray
+    slacks: np.ndarray
+    stderrs: np.ndarray
+
+    def fraction(self, level: int, point: int, key: int) -> Fraction:
+        """The exact average: level, point and key are indices."""
+        return Fraction(int(self.nums[level, point, key]), self.dens[level][key])
+
+
+def level_counts(x_bits: np.ndarray, levels: Sequence[int]) -> list[int]:
+    """Ones among the first n coordinates of x for each of the increasing
+    ``levels`` n: the ``counts`` row of x for ``closed_form_levels``."""
+    out, m, lo = [], 0, 0
+    for n in levels:
+        m += np.count_nonzero(x_bits[lo:n])
+        out.append(m)
+        lo = n
+    return out
+
+
+def _monomial_slope(p: np.ndarray, k: int):
+    """d(p^k)/dp = k p^(k-1), with the bits of the Python ``k * p ** (k - 1)``:
+    p^0 is 1.0 and p^1 is p exactly, and higher powers take Python's float
+    pow (the platform's pow, which numpy's vector power need not match)."""
+    if k == 1:
+        return 1.0
+    if k == 2:
+        return 2 * p
+    return k * np.array([q ** (k - 1) for q in p.tolist()])
+
+
 def closed_form_levels(
-    x,
-    prefix: np.ndarray,
+    counts: np.ndarray,
+    heads: np.ndarray,
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
     exact_cap: int = EXACT_LEVEL_CAP,
-):
-    """Constant-cocycle level averages of cylinder monomials, exact at every
-    level, with no random draws and no enumeration.
+) -> ClosedFormLevels:
+    """Constant-cocycle level averages of cylinder monomials for a batch of
+    points, exact at every level, with no random draws and no enumeration.
 
-    ``prefix`` holds the prefix counts of x (a tuple or a bit array):
-    ``prefix[n - 1]`` ones among its first n coordinates, as ``np.cumsum``
-    in int64 gives them, so one prefix sum serves every level and key. The
-    average of the monomial on S at level n is the hypergeometric closed form
-    (m_n)_k / (n)_k, where k counts the coordinates of S that S(n) moves, and
-    0 when a coordinate of S above n is 0 in x. Returns
-    ``(values, slacks, stderrs)``:
-
-    - ``values[i][j]``: the Fraction average of ``keys[j]`` at ``levels[i]``;
-    - ``slacks[i][j]``: the limit-rule slack of the step from a = levels[i-1]
-      to b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > exact_cap
-      and 0 otherwise (``slacks[0]`` is all 0);
-    - ``stderrs[j]``: the sd of the last level's value about its limit,
-      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > exact_cap and 0 otherwise.
+    ``counts[p, i]`` is the number of ones among the first ``levels[i]``
+    coordinates of point p (``level_counts``), and ``heads[p]`` holds the
+    point's first coordinates, at least up to the largest index of a key.
+    The average of the monomial on S at level n is the hypergeometric closed
+    form (m_n)_k / (n)_k, where k counts the coordinates of S that S(n)
+    moves, and 0 when a coordinate of S above n is 0. The falling factorials
+    are exact integers: int64 arrays while (n)_k < 2^53, where one float64
+    division gives the correctly rounded value, and Python ints above that,
+    so no count wraps. The slack and stderr are vectorized with the bits of
+    their per-point formulas. Returns a ``ClosedFormLevels``; a batch of one
+    point serves the per-point callers.
     """
-    values, slacks = [], []
-    a = None
-    for n in levels:
-        m = int(prefix[n - 1])
-        moved = [
-            None if any(x[i - 1] == 0 for i in key if i > n)
-            else sum(1 for i in key if i <= n)
-            for key in keys
-        ]
-        values.append([
-            Fraction(0) if k is None else Fraction(math.perm(m, k), math.perm(n, k))
-            for k in moved
-        ])
-        slack = [0.0] * len(keys)
-        if a is not None and n > exact_cap:
-            p = m / n
-            slack = [3.0 * level_gap_sd(k, p, a, n) if k else 0.0 for k in moved]
-        slacks.append(slack)
-        a = n
-    stderrs = [0.0] * len(keys)
-    if a > exact_cap:  # ``moved`` and ``m`` now belong to the last level
-        p = m / a
-        stderrs = [
-            k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / a) if k else 0.0
-            for k in moved
-        ]
-    return values, slacks, stderrs
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape[1:] != (len(levels),):
+        raise ValueError("counts need one column per level")
+    if np.count_nonzero((counts < 0) | (counts > np.asarray(levels, dtype=np.int64))):
+        raise ValueError("a level count lies outside 0..level")
+    points, shape = counts.shape[0], (len(levels), counts.shape[0], len(keys))
+    dens = tuple(
+        tuple(math.perm(n, sum(1 for i in key if i <= n)) for key in keys)
+        for n in levels
+    )
+    exact = max((d for row in dens for d in row), default=1) >= _EXACT_FLOAT_INT
+    nums = np.zeros(shape, dtype=object if exact else np.int64)
+    values = np.zeros(shape)
+    slacks = np.zeros(shape)
+    stderrs = np.zeros(shape[1:])
+    for li, n in enumerate(levels):
+        m = counts[:, li]
+        p = m / n
+        if n > exact_cap:
+            spread = p * (1.0 - p)
+            if li:
+                a = levels[li - 1]
+                gap = np.sqrt(spread * float(n - a) / float(a * (n - 1)))
+            last = np.sqrt(spread / float(n))
+        falling = {0: np.ones(points, dtype=np.int64)}
+        for j, key in enumerate(keys):
+            k = sum(1 for i in key if i <= n)
+            alive = np.ones(points, dtype=bool)
+            for i in key:
+                if i > n:
+                    alive &= heads[:, i - 1] != 0
+            den = dens[li][j]
+            if den < _EXACT_FLOAT_INT:
+                for t in range(len(falling), k + 1):
+                    falling[t] = falling[t - 1] * (m - (t - 1))
+                num = np.where(alive, falling[k], 0)
+                values[li, :, j] = num / float(den)
+            else:
+                num = [math.perm(int(c), k) if ok else 0 for c, ok in zip(m, alive)]
+                values[li, :, j] = [q / den for q in num]
+            nums[li, :, j] = num
+            if k == 0 or n <= exact_cap:
+                continue
+            coef = _monomial_slope(p, k)
+            if li:
+                slacks[li, :, j] = np.where(alive, 3.0 * (coef * gap), 0.0)
+            if li == len(levels) - 1:
+                stderrs[:, j] = np.where(alive, coef * last, 0.0)
+    return ClosedFormLevels(nums, dens, values, slacks, stderrs)
+
+
+def point_closed_form(
+    x, levels: Sequence[int], keys: Sequence[tuple[int, ...]],
+    exact_cap: int = EXACT_LEVEL_CAP,
+) -> ClosedFormLevels:
+    """``closed_form_levels`` for the single point x (a tuple or a bit array)."""
+    x_bits = np.asarray(x, dtype=np.uint8)
+    top = max((max(key) for key in keys if key), default=0)
+    return closed_form_levels(
+        [level_counts(x_bits, levels)], x_bits[None, :top], levels, keys, exact_cap
+    )
 
 
 def _esp_log_tables(
@@ -235,8 +324,11 @@ def product_levels(
     parts). Per point the work is a prefix count and a tail dot product per
     level and a sum over the subsets T.
 
-    Returns ``(values, slacks, stderrs)`` like ``closed_form_levels``, with
-    float values (the empty key is exactly 1.0) and this slack and stderr,
+    Returns per-level lists ``(values, slacks, stderrs)``: ``values[i][j]``
+    for ``keys[j]`` at ``levels[i]``, ``slacks[i][j]`` for the step into
+    ``levels[i]`` and ``stderrs[j]`` at the last level, as ``ClosedFormLevels``
+    holds them for one point, with float values (the empty key is exactly
+    1.0) and this slack and stderr,
     by the delta method through the tilted inclusion probabilities pi_i at
     level b (``_tilted_inclusion``),
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
@@ -309,9 +401,7 @@ def product_levels(
 
 def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fraction:
     """Exact constant-cocycle average of a cylinder monomial at one level."""
-    prefix = np.cumsum(np.asarray(x, dtype=np.int64))
-    (((value,),), _, _) = closed_form_levels(x, prefix, (level,), (tuple(indices),))
-    return value
+    return point_closed_form(x, (level,), (tuple(indices),)).fraction(0, 0, 0)
 
 
 def _orbit_collapsed_average(level: int, potential, phi, x: Config):
@@ -534,14 +624,16 @@ def limit_average(
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     if rho.is_constant_one and isinstance(phi, CylinderMonomial):
-        prefix = np.cumsum(np.asarray(x, dtype=np.int64))
-        values, slacks, _ = closed_form_levels(x, prefix, sched, [phi.indices], exact_cap)
+        cf = point_closed_form(x, sched, [phi.indices], exact_cap)
         # Closed-form levels draw nothing and enumerate nothing.
         reports = [
-            AveragingReport(value=v, level=n, method="exact", stderr=0.0, sample_count=0)
-            for n, (v,) in zip(sched, values)
+            AveragingReport(
+                value=cf.fraction(i, 0, 0), level=n, method="exact", stderr=0.0,
+                sample_count=0,
+            )
+            for i, n in enumerate(sched)
         ]
-        slack = slacks[-1][0]
+        slack = float(cf.slacks[-1, 0, 0])
     else:
         reports = []
         for n in sched:

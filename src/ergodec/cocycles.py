@@ -100,19 +100,28 @@ def _rn_eval(nu, g: Permutation, x: Config):
     return rn_derivative(nu, g, x)
 
 
+def _log_atom_rows(nu):
+    """nu's vectorized log-mass, or None when nu, or a component of a mixture,
+    has none (its Monte Carlo weights then come from the atom masses)."""
+    if any(_log_atom_rows(c) is None for c in getattr(nu, "components", ())):
+        return None
+    return getattr(nu, "log_atom_rows", None)
+
+
 def make_rn(nu) -> Cocycle:
     """Radon-Nikodym cocycle of a measure; zero-mass points raise on evaluation.
 
     The potential is the atom mass of nu. A product Bernoulli measure, or a
     mixture of them, also hands over its log-linear parts, which make every
     level an exact orbit sum; other measures take Monte Carlo above the
-    exact cap.
+    exact cap, with log-space weights when every component has a vectorized
+    log-mass and per-row atom masses otherwise.
     """
     return Cocycle(
         eval_fn=partial(_rn_eval, nu),
         provenance=PROVENANCE_RN,
         potential=nu.atom,
-        log_potential_rows=getattr(nu, "log_atom_rows", None),
+        log_potential_rows=_log_atom_rows(nu),
         log_linear=getattr(nu, "log_linear", None),
     )
 

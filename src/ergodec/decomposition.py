@@ -26,9 +26,11 @@ from .averaging import (
     average_exact,
     closed_form_levels,
     default_schedule,
+    level_counts,
     mc_level_values,
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_class_key,
+    point_closed_form,
     product_levels,
 )
 from .cocycles import Cocycle
@@ -95,7 +97,10 @@ def pi_phi(
     Diaconis and Freedman, 1980), and the stderr is k p^(k-1) sqrt(p(1-p)/b),
     p = m_b/b: the sd of the level-b value about its limit. For
     b <= exact_cap both are 0, as for every exact level, so the exact
-    averages themselves must agree within the tolerance.
+    averages themselves must agree within the tolerance. The point is a
+    batch of one for the kernel, and the values are
+    ``Fraction((m_n)_k, (n)_k)``; ``decompose`` evaluates whole blocks of
+    points through the same kernel, with the same bits.
 
     Product potentials (a cocycle with ``log_linear`` parts, as ``make_rn``
     of a product Bernoulli measure or a mixture of them builds): exact
@@ -115,12 +120,7 @@ def pi_phi(
     Only Monte Carlo levels read ``mc_samples`` and ``rng``.
     """
     x_bits = np.asarray(x, dtype=np.uint8)
-    window = x_bits.shape[0]
-    sched = tuple(schedule) if schedule is not None else default_schedule(window)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if sched[-1] > window:
-        raise ValueError("schedule exceeds the configuration window")
+    sched = _checked_schedule(schedule, x_bits.shape[0])
     entries = dictionary.entries
     keys = [m.indices for m in entries]
     levels = sched[-2:]
@@ -129,10 +129,11 @@ def pi_phi(
     if levels[0] <= exact_cap and not rho.is_constant_one:
         x_tuple = tuple(int(b) for b in x_bits)
     if rho.is_constant_one:
-        per_level, slacks, last_ses = closed_form_levels(
-            x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys, exact_cap
-        )
-        slack = slacks[-1]
+        cf = point_closed_form(x_bits, levels, keys, exact_cap)
+        per_level = [
+            [cf.fraction(i, 0, j) for j in range(len(keys))] for i in range(len(levels))
+        ]
+        slack, last_ses = cf.slacks[-1, 0], cf.stderrs[0]
     elif rho.log_linear is not None:
         per_level, slacks, last_ses = product_levels(
             x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys,
@@ -160,28 +161,35 @@ def pi_phi(
             3.0 * math.sqrt(sum(lv[j][1] ** 2 for lv in per_level_se))
             for j in range(len(keys))
         ]
-
-    values: dict[tuple[int, ...], object] = {}
-    stderrs: dict[tuple[int, ...], float] = {}
-    converged: dict[tuple[int, ...], bool] = {}
-    for j, key in enumerate(keys):
-        last_v = per_level[-1][j]
-        if len(levels) == 1:
-            ok = last_ses[j] == 0.0
-        else:
-            diff = abs(float(last_v) - float(per_level[0][j]))
-            ok = diff < tolerance + slack[j]
-        values[key] = last_v
-        stderrs[key] = last_ses[j]
-        converged[key] = bool(ok)
+    floats = np.array([[float(v) for v in lv] for lv in per_level])
+    converged = _limit_rule(floats, np.asarray(slack), np.asarray(last_ses), tolerance)
     return LimitStatistic(
-        values=values,
-        stderrs=stderrs,
-        converged=converged,
+        values=dict(zip(keys, per_level[-1])),
+        stderrs={key: float(se) for key, se in zip(keys, last_ses)},
+        converged={key: bool(ok) for key, ok in zip(keys, converged)},
         schedule=sched,
         mc_samples=mc_samples,
         tolerance=tolerance,
     )
+
+
+def _checked_schedule(schedule: Sequence[int] | None, window: int) -> tuple[int, ...]:
+    sched = tuple(schedule) if schedule is not None else default_schedule(window)
+    if any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if sched[-1] > window:
+        raise ValueError("schedule exceeds the configuration window")
+    return sched
+
+
+def _limit_rule(values: np.ndarray, slack, stderrs, tolerance: float) -> np.ndarray:
+    """The entrywise limit rule of ``pi_phi`` on float ``values`` indexed
+    [level, ..., key], the evaluated levels first: |r(b) - r(a)| <
+    tolerance + slack for the last two levels a < b, and stderr 0 when only
+    one level is evaluated."""
+    if values.shape[0] == 1:
+        return stderrs == 0.0
+    return np.abs(values[-1] - values[-2]) < tolerance + slack
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,17 @@ def split_by_gaps(values: np.ndarray, min_gap: float) -> list[np.ndarray]:
 
 
 def _point_block(args):
-    """Compute limit statistics for a block of point indices (one task)."""
+    """Limit statistics ``(vals, ses, conv, configs)`` for a block of point
+    indices (one task), rows in index order.
+
+    Each point is drawn from its own ``substream(seed, i)``, so the rows do
+    not depend on how the points are split into blocks or workers. Under the
+    constant cocycle the loop keeps only each point's ones counts at the two
+    levels ``pi_phi`` reads and its first coordinates up to the largest key
+    index; one ``closed_form_levels`` call then evaluates the whole block,
+    with the bits of ``pi_phi`` point by point. Other cocycles call
+    ``pi_phi`` per point.
+    """
     nu, rho, dictionary, schedule, tolerance, mc_samples, exact_cap, seed, indices, keep_configs = args
     keys = [m.indices for m in dictionary.entries]
     vals = np.empty((len(indices), len(keys)))
@@ -259,21 +277,36 @@ def _point_block(args):
     conv = np.empty(vals.shape, dtype=bool)
     configs = [] if keep_configs else None
     sampler = getattr(nu, "sample_array", None)
+    batched = rho.is_constant_one
+    if batched:
+        levels = _checked_schedule(schedule, nu.window)[-2:]
+        top = max((max(key) for key in keys if key), default=0)
+        counts = []
+        heads = np.empty((len(indices), top), dtype=np.uint8)
     for row, i in enumerate(indices):
         stream = substream(seed, i)
         if sampler is not None:
             x = sampler(stream)
         else:
             x = np.asarray(nu.sample(stream), dtype=np.uint8)
-        stat = pi_phi(
-            x, rho, dictionary, schedule, tolerance, mc_samples, stream, exact_cap
-        )
-        for j, k in enumerate(keys):
-            vals[row, j] = float(stat.values[k])
-            ses[row, j] = stat.stderrs[k]
-            conv[row, j] = stat.converged[k]
+        if batched:
+            counts.append(level_counts(x, levels))
+            heads[row] = x[:top]
+        else:
+            stat = pi_phi(
+                x, rho, dictionary, schedule, tolerance, mc_samples, stream, exact_cap
+            )
+            for j, k in enumerate(keys):
+                vals[row, j] = float(stat.values[k])
+                ses[row, j] = stat.stderrs[k]
+                conv[row, j] = stat.converged[k]
         if keep_configs:
             configs.append(tuple(int(b) for b in x))
+    if batched:
+        counts = np.array(counts, dtype=np.int64).reshape(len(indices), len(levels))
+        cf = closed_form_levels(counts, heads, levels, keys, exact_cap)
+        vals, ses = cf.values[-1], cf.stderrs
+        conv = _limit_rule(cf.values, cf.slacks[-1], ses, tolerance)
     return vals, ses, conv, configs
 
 

@@ -87,6 +87,8 @@ class LogLinearParts:
 
 
 def _as_exact(v: Scalar) -> Scalar:
+    if type(v) is float:  # the common case, without the ABC check of Fraction
+        return v
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     return v
@@ -226,11 +228,24 @@ class ProductBernoulli:
         return out
 
     def rn_derivative(self, g: Permutation, x: Config) -> Scalar:
-        """Closed-form mass ratio over moved coordinates only."""
+        """Closed-form mass ratio over moved coordinates only.
+
+        With rational parameters p = a/b on the moved coordinates each factor
+        is (a or b - a) / (a or b - a), the b's cancelling, so the ratio is
+        one integer product over another and a single Fraction. Otherwise the
+        factors are multiplied in turn.
+        """
         y = act(g, x)
+        moved = [(i, self.params[i - 1]) for i in g.support]
+        if all(type(p) is Fraction for _, p in moved):
+            num = den = 1
+            for i, p in moved:
+                a, b = p.numerator, p.denominator
+                num *= a if y[i - 1] == 1 else b - a
+                den *= a if x[i - 1] == 1 else b - a
+            return Fraction(num, den)
         out: Scalar = Fraction(1)
-        for i in g.support:
-            p = self.params[i - 1]
+        for i, p in moved:
             num = p if y[i - 1] == 1 else (1 - p)
             den = p if x[i - 1] == 1 else (1 - p)
             out = out * num / den
@@ -378,8 +393,10 @@ class Mixture:
         return len(self.weights) - 1
 
     def sample_array(self, rng: RandomStream) -> np.ndarray:
-        i = self.sample_component(rng)
-        return self.components[i].sample_array(rng)
+        comp = self.components[self.sample_component(rng)]
+        if hasattr(comp, "sample_array"):
+            return comp.sample_array(rng)
+        return np.asarray(comp.sample(rng), dtype=np.uint8)
 
     def sample(self, rng: RandomStream) -> Config:
         return tuple(int(b) for b in self.sample_array(rng))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .averaging import EXACT_LEVEL_CAP, closed_form_levels, haar_rows
+from .averaging import EXACT_LEVEL_CAP, haar_rows, point_closed_form
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
 from .groups import Config, level_orbit
@@ -423,14 +423,11 @@ def orbital_dichotomy(
     if sched[-1] > len(x):
         raise ValueError("schedule exceeds the configuration window")
     mons = tuple(battery) if battery is not None else TestDictionary.build(2, 2).nonconstant()
-    x_bits = np.asarray(x, dtype=np.uint8)
-    values, slacks, _ = closed_form_levels(
-        x_bits, np.cumsum(x_bits, dtype=np.int64), sched, [m.indices for m in mons],
-        exact_cap,
-    )
+    cf = point_closed_form(x, sched, [m.indices for m in mons], exact_cap)
+    values, slacks = cf.values[:, 0].tolist(), cf.slacks[:, 0].tolist()
 
     series = {
-        m.indices: tuple((n, float(lv[j]), 0.0) for n, lv in zip(sched, values))
+        m.indices: tuple((n, lv[j], 0.0) for n, lv in zip(sched, values))
         for j, m in enumerate(mons)
     }
     finals = {k: s[-1][1] for k, s in series.items()}

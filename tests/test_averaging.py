@@ -14,7 +14,6 @@ from ergodec.averaging import (
     _ratio_or_zero,
     average_exact,
     average_mc,
-    closed_form_levels,
     conditional_expectation_check,
     default_schedule,
     fubini_check,
@@ -22,6 +21,7 @@ from ergodec.averaging import (
     invariance_check,
     limit_average,
     monomial_level_average,
+    point_closed_form,
     product_levels,
     tower_check,
 )
@@ -566,13 +566,12 @@ def test_product_levels_reduce_to_the_closed_form_for_constant_parameters(seed, 
     sched = sorted(lows | {window})
     keys = [(), (1,), (2,), (1, 2), (1, window)]
     values, slacks, stderrs = _product_levels(nu, bits, sched, keys)
-    want_v, want_slacks, want_se = closed_form_levels(
-        bits, np.cumsum(bits, dtype=np.int64), sched, keys
-    )
-    for row, want_row in zip(values, want_v):
-        assert all(abs(v - float(w)) <= 1e-12 for v, w in zip(row, want_row))
+    want = point_closed_form(bits, sched, keys)
+    for row, want_row in zip(values, want.values[:, 0]):
+        assert all(abs(v - w) <= 1e-12 for v, w in zip(row, want_row))
     # slack 3 level_gap_sd and stderr k p^(k-1) sqrt(p(1-p)/b), p = m_b/b
-    for row, want_row in zip(slacks + [stderrs], want_slacks + [want_se]):
+    want_rows = list(want.slacks[:, 0]) + [want.stderrs[0]]
+    for row, want_row in zip(slacks + [stderrs], want_rows):
         for got, want in zip(row, want_row):
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-15)
 

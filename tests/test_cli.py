@@ -210,7 +210,14 @@ def _assert_config_error(name, key, value):
 # orbit-class scan replaced the 2^c union sweep (commit c626bd9). The orbital
 # digests were recorded again when its series became the exact closed form
 # (3/n for r_1 and r_2, 6/(n(n-1)) for r_1_2, stderr 0) in place of Monte
-# Carlo estimates above level 8.
+# Carlo estimates above level 8. The definetti digests (configs in
+# RECORDED_DEFINETTI_CONFIGS) were recorded on the per-point closed-form
+# limit statistic (commit 4eaa553), before it was batched over the points of
+# a block.
+RECORDED_DEFINETTI_CONFIGS = {
+    "definetti": {**FAST_DEFINETTI, "depth": 3, "width": 3},
+    "definetti-beta": {"beta": [2, 3], "samples": 150, "window": 256, "mc_samples": 128},
+}
 RECORDED_OUTPUT_SHA256 = {
     "validate/result.json": "192187817a6edc4c97ad1111f6525a91a2fcecdd304103c96cfb81356ce79714",
     "kolmogorov/result.json": "31a0a0a6a997c95b68646890c4bcb8a10b49e88728ba2b32f43dccf34b684326",
@@ -218,15 +225,26 @@ RECORDED_OUTPUT_SHA256 = {
     "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
     "orbital/result.json": "469f276112685ded95f7088a90317075d7610a396aa3d3a2a4867f0884e01ddc",
     "orbital/series.csv": "c885cf891c559a5d9de24436f91212cec43fb3a751d626b3292ff427fe224eb9",
+    "definetti/result.json": "7fdea2eab0c990bb8228638330b52cd88740a259f6ec1a66799c747052ded26f",
+    "definetti/samples.csv": "dd3bb41a2c400eb47c2f96a75b229db707bc24869a6865f35cc7959fd435eac3",
+    "definetti/components.csv": "599db820cb064f01d6860818aff672406aae482c40668af2ad5b297d07fb0468",
+    "definetti-beta/result.json": "693aa186c2af9346910e9b1d616764d24731af8396ab4c90189c807c0f837a8d",
+    "definetti-beta/samples.csv": "68796a2f5d774e89b21a925f80c63dad19c6a8d9c2f8a096d68b291d1ca7b719",
 }
 
 
 def test_outputs_match_recorded_hashes(tmp_path):
+    out = tmp_path / "out"
     for name in ("validate", "kolmogorov", "sigma-finite", "orbital"):
-        assert main([name, "--seed", "7", "--out", str(tmp_path / name)]) == 0
+        assert main([name, "--seed", "7", "--out", str(out / name)]) == 0
+    for name, cfg in RECORDED_DEFINETTI_CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["definetti", "--config", str(path), "--seed", "7", "--out", str(out / name)]
+        assert main(argv) == 0
     got = {
-        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.glob("*/*"))
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.glob("*/*"))
         if p.name != "meta.json"
     }
     assert got == RECORDED_OUTPUT_SHA256

@@ -1,7 +1,11 @@
 import itertools
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from ergodec.averaging import point_closed_form
 
 from ergodec.cocycles import (
     Cocycle,
@@ -10,8 +14,10 @@ from ergodec.cocycles import (
     make_rn,
     verify_identity,
 )
-from ergodec.groups import Permutation, act, haar_sample
-from ergodec.measures import AtomicMeasure, ProductBernoulli
+from ergodec.decomposition import pi_phi
+from ergodec.dictionary import TestDictionary
+from ergodec.groups import Permutation, act, haar_sample, level_orbit
+from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.sigma_finite import GeometricWeight
 
@@ -127,3 +133,40 @@ def test_positivity_and_identity_at_identity(bits, perm_index):
 def test_cocycle_declares_fibrewise_continuity():
     assert constant_one().fibrewise_continuous
     assert make_rn(ProductBernoulli([Fraction(1, 2)])).fibrewise_continuous
+
+
+@pytest.mark.parametrize("kind", ["beta", "atomic"])
+def test_make_rn_mixture_without_log_rows_takes_atom_masses(kind):
+    # exchangeable components: every atom ratio is exactly 1, so the Monte
+    # Carlo level average is a plain Haar mean and must agree with the
+    # closed form
+    window = 16
+    if kind == "beta":
+        comps = [BetaExchangeable(1, 1, window), BetaExchangeable(2, 3, window)]
+    else:
+        comps = [
+            AtomicMeasure({y: Fraction(1) for y in level_orbit(x, window)}).normalized()
+            for x in [(1, 1, 1) + (0,) * 13, (1,) * 10 + (0,) * 6]
+        ]
+    nu = Mixture([Fraction(1, 2)] * 2, comps)
+    rho = make_rn(nu)
+    assert rho.log_potential_rows is None
+    dictionary = TestDictionary.build(2, 2)
+    keys = [m.indices for m in dictionary.entries]
+    for i in range(5):
+        x = nu.sample_array(substream(61, i))
+        stat = pi_phi(x, rho, dictionary, schedule=(8, 16), mc_samples=400,
+                      rng=substream(62, i))
+        exact = point_closed_form(x, (16,), keys)
+        for j, key in enumerate(keys):
+            assert abs(float(stat.values[key]) - exact.values[0, 0, j]) <= (
+                4 * stat.stderrs[key] + 1e-12
+            )
+
+
+def test_make_rn_hands_over_log_rows_when_every_component_has_them():
+    comps = [ProductBernoulli([0.2] * 8), ProductBernoulli([0.7] * 8)]
+    nested = Mixture([0.5, 0.5], [Mixture([0.5, 0.5], comps), comps[0]])
+    assert make_rn(nested).log_potential_rows == nested.log_atom_rows
+    mixed = Mixture([0.5, 0.5], [comps[0], BetaExchangeable(1, 1, 8)])
+    assert make_rn(mixed).log_potential_rows is None

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from ergodec.averaging import (
     average_exact,
+    closed_form_levels,
     default_schedule,
+    level_counts,
     level_gap_sd,
     mc_level_values,
     monomial_level_average,
@@ -20,6 +22,8 @@ from ergodec.averaging import (
 from ergodec.cocycles import PROVENANCE_RN, Cocycle, constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
+    _map_blocks,
+    _point_block,
     almost_invariant_upgrade,
     assemble,
     barycenter_residual,
@@ -570,3 +574,164 @@ def test_product_potential_decompose_bytes_equal_across_workers(seed, window):
     two = decompose(nu, make_rn(nu), replace(config, workers=2))
     assert one.statistics.tobytes() == two.statistics.tobytes()
     assert one.weights == two.weights
+
+
+def _per_point_closed_form(x, levels, keys, exact_cap):
+    """The constant-cocycle closed form one point at a time, as it stood
+    before it was batched: Fraction values (m_n)_k/(n)_k from the prefix sum,
+    Python-float slack 3 level_gap_sd and stderr k p^(k-1) sqrt(p(1-p)/b)."""
+    prefix = np.cumsum(np.asarray(x, dtype=np.int64))
+    values, slacks, a = [], [], None
+    for n in levels:
+        m = int(prefix[n - 1])
+        moved = [
+            None if any(x[i - 1] == 0 for i in key if i > n)
+            else sum(1 for i in key if i <= n)
+            for key in keys
+        ]
+        values.append([
+            Fraction(0) if k is None else Fraction(math.perm(m, k), math.perm(n, k))
+            for k in moved
+        ])
+        slack = [0.0] * len(keys)
+        if a is not None and n > exact_cap:
+            p = m / n
+            slack = [3.0 * level_gap_sd(k, p, a, n) if k else 0.0 for k in moved]
+        slacks.append(slack)
+        a = n
+    stderrs = [0.0] * len(keys)
+    if a > exact_cap:
+        p = m / a
+        stderrs = [
+            k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / a) if k else 0.0 for k in moved
+        ]
+    return values, slacks, stderrs
+
+
+def _per_point_rows(nu, keys, schedule, tolerance, exact_cap, seed, indices):
+    """(vals, ses, conv, slack) of the points, point by point, with the limit
+    rule of pi_phi on the last two levels."""
+    levels = tuple(schedule)[-2:]
+    vals, ses, conv, last_slacks = [], [], [], []
+    for i in indices:
+        x = nu.sample_array(substream(seed, i))
+        values, slacks, stderrs = _per_point_closed_form(x, levels, keys, exact_cap)
+        vals.append([float(v) for v in values[-1]])
+        ses.append(stderrs)
+        last_slacks.append(slacks[-1])
+        if len(levels) == 1:
+            conv.append([se == 0.0 for se in stderrs])
+        else:
+            conv.append([
+                abs(float(b) - float(a)) < tolerance + s
+                for a, b, s in zip(values[0], values[1], slacks[-1])
+            ])
+    return np.array(vals), np.array(ses), np.array(conv, dtype=bool), np.array(last_slacks)
+
+
+def _block_args(nu, dictionary, schedule, tolerance, exact_cap, seed, indices):
+    return (nu, constant_one(), dictionary, schedule, tolerance, 400, exact_cap,
+            seed, indices, False)
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def _block_cases(draw):
+    window = draw(st.integers(16, 4096))
+    if draw(st.booleans()):
+        schedule = default_schedule(window)
+    else:
+        # low levels at or below the exact cap, some below the key indices
+        a = draw(st.one_of(st.integers(1, 10), st.integers(1, window - 1)))
+        schedule = (a, draw(st.integers(a + 1, window)))
+    depth = draw(st.integers(1, 3))
+    dictionary = TestDictionary.build(depth, draw(st.integers(depth, 4)))
+    ps = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=2))
+    comps = [ProductBernoulli([p] * window) for p in ps]
+    nu = comps[0] if len(comps) == 1 else Mixture([0.5, 0.5], comps)
+    lo = draw(st.integers(0, 10**6))
+    indices = range(lo, lo + draw(st.integers(1, 30)))
+    # the default cap, none, and caps on either side of the last level
+    exact_cap = draw(st.sampled_from([8, 0, 64, schedule[-1], schedule[-1] - 1]))
+    return (nu, dictionary, schedule, draw(st.floats(1e-3, 0.1)), exact_cap,
+            draw(st.integers(0, 2**32 - 1)), indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_cases())
+def test_batched_point_block_matches_per_point_pi_phi(case):
+    nu, dictionary, schedule, tolerance, exact_cap, seed, indices = case
+    keys = [m.indices for m in dictionary.entries]
+    got = _point_block(_block_args(*case))
+    want = _per_point_rows(nu, keys, *case[2:])
+    _assert_same_bytes(got[:3], want[:3])
+    xs = [nu.sample_array(substream(seed, i)) for i in indices]
+    levels = tuple(schedule)[-2:]
+    cf = closed_form_levels(
+        np.array([level_counts(x, levels) for x in xs]),
+        np.array([x[: dictionary.width] for x in xs]), levels, keys, exact_cap,
+    )
+    _assert_same_bytes([cf.slacks[-1]], want[3:])
+    for row, x in enumerate(xs):
+        stat = pi_phi(x, constant_one(), dictionary, schedule, tolerance,
+                      exact_cap=exact_cap)
+        assert [float(stat.values[k]) for k in keys] == got[0][row].tolist()
+        assert [stat.stderrs[k] for k in keys] == got[1][row].tolist()
+        assert [stat.converged[k] for k in keys] == got[2][row].tolist()
+
+
+@pytest.mark.parametrize("window, depth", [(4096, 3), (2048, 5)])
+def test_batched_point_block_matches_per_point_rows(window, depth):
+    # depth 5 at window 2048: (2048)_5 is above 2^53, so the last level takes
+    # the exact integer path, and (1024)_5 below it the float64 division
+    if depth == 5:
+        assert math.perm(2048, 5) >= 2**53 > math.perm(1024, 5)
+    dictionary = TestDictionary.build(depth, depth)
+    keys = [m.indices for m in dictionary.entries]
+    nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
+                              ProductBernoulli([0.8] * window)])
+    case = (nu, dictionary, default_schedule(window), 0.02, 8, 77, range(40))
+    _assert_same_bytes(_point_block(_block_args(*case))[:3],
+                       _per_point_rows(nu, keys, *case[2:])[:3])
+
+
+def test_batched_point_blocks_identical_across_workers():
+    window = 1024
+    nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
+                              ProductBernoulli([0.8] * window)])
+    dictionary = TestDictionary.build(3, 3)
+    keys = [m.indices for m in dictionary.entries]
+    tasks = [
+        _block_args(nu, dictionary, default_schedule(window), 0.02, 8, 5, range(lo, lo + 25))
+        for lo in range(0, 100, 25)
+    ]
+    one, two = _map_blocks(tasks, 1), _map_blocks(tasks, 2)
+    want = _per_point_rows(nu, keys, default_schedule(window), 0.02, 8, 5, range(100))
+    for blocks in (one, two):
+        got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
+        _assert_same_bytes(got, want[:3])
+
+
+@pytest.mark.parametrize("n, depth", [(4096, 5), (2**20, 4)])
+def test_closed_form_levels_takes_exact_integers_past_2_53(n, depth):
+    # (4096)_5 lies between 2^53 and 2^63: a float64 division of the rounded
+    # integers gives another double for 340 of the 4097 counts. (2^20)_4 is
+    # about 1.2e24, past int64 as well.
+    keys = [tuple(range(1, k + 1)) for k in range(depth + 1)] + [(1, n)]
+    counts = np.unique(np.linspace(0, n, min(n + 1, 3000)).astype(np.int64))[:, None]
+    heads = np.zeros((len(counts), depth), dtype=np.uint8)
+    cf = closed_form_levels(counts, heads, (n,), keys)
+    assert cf.nums.dtype == object
+    for p, m in enumerate(counts[:, 0].tolist()):
+        for j, key in enumerate(keys):
+            want = Fraction(math.perm(m, len(key)), math.perm(n, len(key)))
+            assert cf.fraction(0, p, j) == want
+            assert cf.values[0, p, j] == float(want)
+    with pytest.raises(ValueError):
+        closed_form_levels(np.array([[n + 1]]), heads[:1], (n,), keys)

@@ -130,6 +130,47 @@ def test_rn_chain_relation_exact():
         assert lhs == rhs
 
 
+def _rn_by_factors(params, g, x):
+    """ProductBernoulli.rn_derivative as a running product of the moved
+    coordinates' factor ratios, one multiplication and division each."""
+    from ergodec.groups import act
+
+    y = act(g, x)
+    out = Fraction(1)
+    for i in g.support:
+        p = params[i - 1]
+        num = p if y[i - 1] == 1 else (1 - p)
+        den = p if x[i - 1] == 1 else (1 - p)
+        out = out * num / den
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+            st.floats(0.001, 0.999),
+        ).filter(lambda p: 0 < p < 1),
+        min_size=1, max_size=10,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_rn_derivative_matches_factor_product(params, seed):
+    from ergodec.groups import haar_sample
+
+    nu = ProductBernoulli(params)
+    rng = substream(seed, 0)
+    window = len(params)
+    for _ in range(5):
+        g = haar_sample(window, rng)
+        x = tuple(int(b) for b in rng.integers(0, 2, size=window))
+        got = nu.rn_derivative(g, x)
+        want = _rn_by_factors(nu.params, g, x)
+        # rational parameters: the same exact value; floats: the same bits
+        assert type(got) is type(want) and got == want
+
+
 def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
     rng = substream(17, 0)
