@@ -9,8 +9,9 @@ closed form ``closed_form_levels``, exact at every level and evaluated for a
 batch of points at once. For a potential
 with log-linear parts (``make_rn`` of a product Bernoulli measure or of a
 mixture of them) and a cylinder monomial, ``product_levels`` gives it as an
-exact orbit sum in floats, from elementary-symmetric tables; ``pi_phi`` uses
-it above S(8). Otherwise it is computed exactly up to S(8) (rational
+exact orbit sum in floats, from elementary-symmetric tables, also for a batch
+of points; ``pi_phi``, ``decompose`` and ``limit_average`` use it above S(8).
+Otherwise it is computed exactly up to S(8) (rational
 arithmetic when the inputs are rational) and above that by self-normalized
 Monte Carlo over Haar draws (``haar_rows``), which needs a potential-backed
 cocycle. If the denominator were infinite the average is defined to be 0;
@@ -44,7 +45,7 @@ EXACT_LEVEL_CAP = ENUMERATION_CAP
 
 @dataclass(frozen=True)
 class AveragingReport:
-    value: object  # Fraction for exact, float for monte-carlo
+    value: object  # Fraction for exact, float for exact orbit sums and monte-carlo
     level: int
     method: str  # "exact" | "monte-carlo"
     stderr: float
@@ -271,44 +272,68 @@ def _esp_log_tables(
     return [found[c] for c in counts]
 
 
-def _tilted_inclusion(logit: np.ndarray, m: int, q: np.ndarray) -> np.ndarray:
-    """Tilted inclusion probabilities of the orbit with m ones among the
-    coordinates of ``logit`` (components x n): pi_i = sum_c q_c
-    sigma(lam_c + logit_ci), where lam_c solves sum_i sigma(lam_c + logit_ci)
-    = m (Hajek's approximation to conditional-Poisson sampling) and q_c is
-    the component's share of the orbit mass. Constant parameters give
-    pi_i = m/n."""
+# Newton chunks hold at most about this many floats per (points x
+# components x coordinates) array, so memory does not grow with the block.
+# 128 KB arrays kept the quasi-invariant benchmark's peak RSS at the
+# per-point kernel's; 512 KB ones raised it by about 2 MB.
+_NEWTON_FLOATS = 1 << 14
+
+
+def _tilted_inclusion(logit: np.ndarray, m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Tilted inclusion probabilities of the orbits with m[p] ones among the
+    coordinates of ``logit`` (components x n), one row per point p:
+    pi_pi = sum_c q_pc sigma(lam_pc + logit_ci), where lam_pc solves
+    sum_i sigma(lam_pc + logit_ci) = m[p] (Hajek's approximation to
+    conditional-Poisson sampling) and q_pc is the component's share of the
+    point's orbit mass. Constant parameters give pi_pi = m[p]/n.
+
+    The Newton steps run on all the points at once; a point leaves at the
+    step where its own test passes (or the 200th), so it takes the steps it
+    would take alone. The target (Python's log) and q_p @ pi_p stay per
+    point, which keeps their bits too.
+    """
     n = logit.shape[1]
-    if m == 0 or m == n:
-        return np.full(n, float(m == n))
-    target = math.log(m / (n - m))
+    out = np.empty((m.shape[0], n))
+    edge = (m == 0) | (m == n)
+    out[edge] = (m[edge] == n)[:, None]
+    live = np.flatnonzero(~edge)
+    target = np.array([math.log(k / (n - k)) for k in m[live].tolist()]).reshape(-1, 1)
+    ones, q = m[live, None], q[live]
     # sigma is increasing, so lam = target - max logit undershoots m and
     # target - min logit overshoots it: Newton steps stay in that bracket,
     # with bisection when a step would leave it.
     lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
     lam = target - logit.mean(axis=1)
-    for _ in range(200):
-        pi = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
-        f = pi.sum(axis=1) - m
-        if np.all(np.abs(f) <= 1e-12 * n):
+    for it in range(200):
+        if not live.size:
             break
+        pi = 1.0 / (1.0 + np.exp(-(lam[:, :, None] + logit)))
+        f = pi.sum(axis=2) - ones
+        done = np.all(np.abs(f) <= 1e-12 * n, axis=1) | (it == 199)
+        if done.any():
+            for p in np.flatnonzero(done):
+                out[live[p]] = q[p] @ pi[p]
+            keep = ~done
+            live, ones, q, pi, f, lam, lo, hi = (
+                v[keep] for v in (live, ones, q, pi, f, lam, lo, hi)
+            )
         lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
-        step = lam - f / (pi * (1.0 - pi)).sum(axis=1)
+        step = lam - f / (pi * (1.0 - pi)).sum(axis=2)
         lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-    return q @ pi
+    return out
 
 
 def product_levels(
-    x,
-    prefix: np.ndarray,
+    bits: np.ndarray,
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
     parts: LogLinearParts,
     exact_cap: int = EXACT_LEVEL_CAP,
-):
-    """Level averages of cylinder monomials under a cocycle whose potential
-    has log-linear parts (``measures.LogLinearParts``), as exact orbit sums
-    with no random draws; the float counterpart of ``closed_form_levels``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level averages of cylinder monomials for a batch of points (one 0/1
+    row of ``bits`` each) under a cocycle whose potential has log-linear
+    parts (``measures.LogLinearParts``), as exact orbit sums with no random
+    draws; the float counterpart of ``closed_form_levels``.
 
     Given x, the level-n orbit is every configuration with the same m ones
     among the first n coordinates and the same tail. With odds
@@ -321,16 +346,14 @@ def product_levels(
     e_(m-|S'|)(t without S') prod_(S') t = sum over T containing S' of
     prod_(T) t e_(m-|T|)(t off H), and the tables of e_j(t off H) depend on
     the measure and the levels only (``_esp_log_tables``, memoised on the
-    parts). Per point the work is a prefix count and a tail dot product per
-    level and a sum over the subsets T.
+    parts). The sums over T run on arrays over the points; the tail dot
+    product stays one matrix-vector product per point and level, since a
+    matrix-matrix product over the points rounds differently.
 
-    Returns per-level lists ``(values, slacks, stderrs)``: ``values[i][j]``
-    for ``keys[j]`` at ``levels[i]``, ``slacks[i][j]`` for the step into
-    ``levels[i]`` and ``stderrs[j]`` at the last level, as ``ClosedFormLevels``
-    holds them for one point, with float values (the empty key is exactly
-    1.0) and this slack and stderr,
-    by the delta method through the tilted inclusion probabilities pi_i at
-    level b (``_tilted_inclusion``),
+    Returns ``(values, slacks, stderrs)`` indexed [level, point, key] and
+    [point, key] as in ``ClosedFormLevels`` (the empty key is exactly 1.0),
+    with this slack and stderr, by the delta method through the tilted
+    inclusion probabilities pi_i at level b (``_tilted_inclusion``),
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
 
     - slack 3 c_S sqrt(b (V_b - V_a) / ((b - 1) V_a V_b)) for the step
@@ -340,62 +363,68 @@ def product_levels(
     With constant parameters pi_i = m_b/b and these are exactly
     3 ``level_gap_sd`` and the stderr of ``closed_form_levels``.
     """
-    xf = np.asarray(x, dtype=np.float64)
+    bits = np.asarray(bits, dtype=np.uint8)
+    if levels[-1] > bits.shape[1]:
+        raise ValueError("level exceeds the configuration window")
     held_all = tuple(sorted({i for key in keys for i in key}))
     memo = (held_all, tuple(levels))
     if memo not in parts.tables:
         parts.tables[memo] = _esp_log_tables(parts.logit, held_all, levels)
-    tables = parts.tables[memo]
-    values, slacks = [], []
+    comps, points = parts.logit.shape[0], bits.shape[0]
+    shape = (len(levels), points, len(keys))
+    values, slacks, stderrs = np.zeros(shape), np.zeros(shape), np.zeros(shape[1:])
+    counts, tails = np.empty(shape[:2], dtype=np.int64), np.empty(shape[:2] + (comps,))
+    for p, x in enumerate(bits):
+        counts[:, p], xf = level_counts(x, levels), x.astype(np.float64)
+        for li, n in enumerate(levels):
+            tails[li, p] = parts.logit[:, n:] @ xf[n:]
     a = None
-    for n, log_e in zip(levels, tables):
-        m = int(prefix[n - 1])
+    for li, (n, log_e, m) in enumerate(zip(levels, parts.tables[memo], counts)):
         held = [i for i in held_all if i <= n]
         masks = (np.arange(2 ** len(held))[:, None] >> np.arange(len(held))) & 1
-        j = m - masks.sum(axis=1)
+        j = m[:, None] - masks.sum(axis=1)
         valid = (j >= 0) & (j < log_e.shape[1])
         log_g = (
-            (parts.const + parts.logit[:, n:] @ xf[n:])[:, None]
+            (parts.const + tails[li])[:, :, None]
             + parts.logit[:, [i - 1 for i in held]] @ masks.T
-            + log_e[:, np.where(valid, j, 0)]
+            + log_e[:, np.where(valid, j, 0)].transpose(1, 0, 2)
         )
-        log_g[:, ~valid] = -np.inf
-        g = np.exp(log_g - log_g.max())
-        per_subset = g.sum(axis=0)
-        den = per_subset.sum()
-        moved = [
-            None if any(x[i - 1] == 0 for i in key if i > n)
-            else [i for i in key if i <= n]
-            for key in keys
-        ]
-        row = []
-        for s in moved:
-            if s is None:
-                row.append(0.0)
-            else:
-                holds_s = masks[:, [held.index(i) for i in s]].all(axis=1)
-                row.append(min(1.0, float(per_subset[holds_s].sum() / den)))
-        values.append(row)
-        slack = [0.0] * len(keys)
-        if n > exact_cap and any(moved):
-            pi = _tilted_inclusion(parts.logit[:, :n], m, g.sum(axis=1) / den)
-            cum = np.cumsum(pi * (1.0 - pi))
-            coef = [
-                float(math.prod(pi[i - 1] for i in s) * sum(1.0 - pi[i - 1] for i in s))
-                if s else 0.0
-                for s in moved
-            ]
-            v_b = float(cum[n - 1])
-            if a is not None:
-                v_a = float(cum[a - 1])
-                if v_a > 0.0:
-                    gap = math.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
-                    slack = [3.0 * c * gap for c in coef]
-        slacks.append(slack)
+        log_g = np.where(valid[:, None, :], log_g, -np.inf)
+        g = np.exp(log_g - log_g.max(axis=(1, 2))[:, None, None])
+        per_subset = g.sum(axis=1)
+        den = per_subset.sum(axis=1)
+        moved = [[i for i in key if i <= n] for key in keys]
+        # active: the key moves a coordinate and has no 0 above n
+        active = np.tile([bool(s) for s in moved], (points, 1))
+        for k, (key, s) in enumerate(zip(keys, moved)):
+            alive = np.all(bits[:, [i - 1 for i in key if i > n]] != 0, axis=1)
+            active[:, k] &= alive
+            holds = masks[:, [held.index(i) for i in s]].all(axis=1)
+            # a row-major copy, so each row is summed as one point's array is
+            v = np.ascontiguousarray(per_subset[:, holds]).sum(axis=1) / den
+            values[li, :, k] = np.where(alive, np.where(v < 1.0, v, 1.0), 0.0)
+        # level b's pi serves the step a -> b and the last level's stderr
+        wanted = n > exact_cap and (a is not None or li == len(levels) - 1)
+        solve = np.flatnonzero(active.any(axis=1) & wanted)
+        q = g.sum(axis=2) / den[:, None]
+        chunk = max(1, _NEWTON_FLOATS // (comps * n))
+        for rows in np.split(solve, range(chunk, solve.size, chunk)):
+            pi = _tilted_inclusion(parts.logit[:, :n], m[rows], q[rows])
+            cum = np.cumsum(pi * (1.0 - pi), axis=1)
+            coef = np.zeros((rows.size, len(keys)))
+            for k, s in enumerate(moved):
+                cols = [pi[:, i - 1] for i in s]
+                coef[:, k] = math.prod(cols) * sum(1.0 - c for c in cols) if s else 0.0
+            coef[~active[rows]] = 0.0
+            v_b = cum[:, n - 1 : n]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if a is not None:
+                    v_a = cum[:, a - 1 : a]
+                    gap = np.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
+                    slacks[li, rows] = np.where(v_a > 0.0, 3.0 * coef * gap, 0.0)
+                if li == len(levels) - 1:
+                    stderrs[rows] = np.where(v_b > 0.0, coef / np.sqrt(v_b), 0.0)
         a = n
-    stderrs = [0.0] * len(keys)
-    if a > exact_cap and any(moved) and v_b > 0.0:
-        stderrs = [c / math.sqrt(v_b) for c in coef]
     return values, slacks, stderrs
 
 
@@ -614,8 +643,13 @@ def limit_average(
     than tolerance + slack; non-convergence is a legitimate outcome and is
     reported as such, never masked. For the constant cocycle and a cylinder
     monomial every level is the exact closed form (``closed_form_levels``,
-    stderr 0) and the slack is its ``level_gap_sd`` slack. Otherwise levels
-    up to exact_cap are exact, levels above are Monte Carlo, and the slack is
+    stderr 0) and the slack is its ``level_gap_sd`` slack. Under a potential
+    with log-linear parts (``make_rn`` of a product Bernoulli measure or a
+    mixture of them) and a cylinder monomial, levels up to exact_cap are
+    exact enumerations and levels above are the exact orbit sums of
+    ``product_levels`` (method "exact", float values, stderr 0, no draws),
+    with that kernel's slack, as in ``pi_phi``. Otherwise levels up to
+    exact_cap are exact, levels above are Monte Carlo, and the slack is
     3 * combined stderr.
     """
     sched = tuple(schedule)
@@ -634,6 +668,19 @@ def limit_average(
             for i, n in enumerate(sched)
         ]
         slack = float(cf.slacks[-1, 0, 0])
+    elif rho.log_linear is not None and isinstance(phi, CylinderMonomial):
+        values, slacks, _ = product_levels(
+            np.asarray(x, dtype=np.uint8)[None, :], sched, [phi.indices],
+            rho.log_linear, exact_cap,
+        )
+        reports = [
+            average_exact(n, rho, phi, x) if n <= exact_cap else AveragingReport(
+                value=float(values[i, 0, 0]), level=n, method="exact", stderr=0.0,
+                sample_count=0,
+            )
+            for i, n in enumerate(sched)
+        ]
+        slack = float(slacks[-1, 0, 0])
     else:
         reports = []
         for n in sched:

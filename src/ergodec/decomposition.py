@@ -108,7 +108,9 @@ def pi_phi(
     of ``averaging.product_levels`` (elementary-symmetric tables, no random
     draws), with its slack and stderr: the same delta method as for the
     constant cocycle, taken through the tilted inclusion probabilities, to
-    which it reduces exactly when the parameters are constant.
+    which it reduces exactly when the parameters are constant. The point is
+    a batch of one for that kernel too, and ``decompose`` passes it whole
+    blocks, with the same bits.
 
     Other cocycles: exact averages up to exact_cap and Monte Carlo above, with
     slack 3 times the combined stderr of the two levels. Monte Carlo needs a
@@ -135,14 +137,15 @@ def pi_phi(
         ]
         slack, last_ses = cf.slacks[-1, 0], cf.stderrs[0]
     elif rho.log_linear is not None:
-        per_level, slacks, last_ses = product_levels(
-            x_bits, np.cumsum(x_bits, dtype=np.int64), levels, keys,
-            rho.log_linear, exact_cap,
+        values, slacks, ses = product_levels(
+            x_bits[None, :], levels, keys, rho.log_linear, exact_cap
         )
-        slack = slacks[-1]
-        for i, n in enumerate(levels):
-            if n <= exact_cap:
-                per_level[i] = [average_exact(n, rho, m, x_tuple).value for m in entries]
+        per_level = [
+            [average_exact(n, rho, m, x_tuple).value for m in entries]
+            if n <= exact_cap else values[i, 0].tolist()
+            for i, n in enumerate(levels)
+        ]
+        slack, last_ses = slacks[-1, 0], ses[0]
     else:
         per_level_se: list[list[tuple[object, float]]] = []
         for n in levels:
@@ -266,9 +269,11 @@ def _point_block(args):
     not depend on how the points are split into blocks or workers. Under the
     constant cocycle the loop keeps only each point's ones counts at the two
     levels ``pi_phi`` reads and its first coordinates up to the largest key
-    index; one ``closed_form_levels`` call then evaluates the whole block,
-    with the bits of ``pi_phi`` point by point. Other cocycles call
-    ``pi_phi`` per point.
+    index; under a product potential (``rho.log_linear``) it keeps the whole
+    point. One ``closed_form_levels`` or ``product_levels`` call then
+    evaluates the whole block, with the bits of ``pi_phi`` point by point
+    (levels up to exact_cap of a product potential stay exact enumerations).
+    Other cocycles call ``pi_phi`` per point.
     """
     nu, rho, dictionary, schedule, tolerance, mc_samples, exact_cap, seed, indices, keep_configs = args
     keys = [m.indices for m in dictionary.entries]
@@ -277,12 +282,12 @@ def _point_block(args):
     conv = np.empty(vals.shape, dtype=bool)
     configs = [] if keep_configs else None
     sampler = getattr(nu, "sample_array", None)
-    batched = rho.is_constant_one
+    batched = rho.is_constant_one or rho.log_linear is not None
     if batched:
         levels = _checked_schedule(schedule, nu.window)[-2:]
         top = max((max(key) for key in keys if key), default=0)
-        counts = []
-        heads = np.empty((len(indices), top), dtype=np.uint8)
+        width = top if rho.is_constant_one else nu.window
+        counts, kept = [], np.empty((len(indices), width), dtype=np.uint8)
     for row, i in enumerate(indices):
         stream = substream(seed, i)
         if sampler is not None:
@@ -291,7 +296,7 @@ def _point_block(args):
             x = np.asarray(nu.sample(stream), dtype=np.uint8)
         if batched:
             counts.append(level_counts(x, levels))
-            heads[row] = x[:top]
+            kept[row] = x[:width]
         else:
             stat = pi_phi(
                 x, rho, dictionary, schedule, tolerance, mc_samples, stream, exact_cap
@@ -302,11 +307,22 @@ def _point_block(args):
                 conv[row, j] = stat.converged[k]
         if keep_configs:
             configs.append(tuple(int(b) for b in x))
-    if batched:
+    if rho.is_constant_one:
         counts = np.array(counts, dtype=np.int64).reshape(len(indices), len(levels))
-        cf = closed_form_levels(counts, heads, levels, keys, exact_cap)
-        vals, ses = cf.values[-1], cf.stderrs
-        conv = _limit_rule(cf.values, cf.slacks[-1], ses, tolerance)
+        cf = closed_form_levels(counts, kept, levels, keys, exact_cap)
+        values, slacks, ses = cf.values, cf.slacks, cf.stderrs
+    elif batched:
+        values, slacks, ses = product_levels(kept, levels, keys, rho.log_linear, exact_cap)
+        for li, n in enumerate(levels):
+            if n <= exact_cap:
+                values[li] = [
+                    [float(average_exact(n, rho, m, tuple(x.tolist())).value)
+                     for m in dictionary.entries]
+                    for x in kept
+                ]
+    if batched:
+        vals = values[-1]
+        conv = _limit_rule(values, slacks[-1], ses, tolerance)
     return vals, ses, conv, configs
 
 
@@ -360,7 +376,11 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         )
 
     m = config.samples
-    block = max(1, min(512, math.ceil(m / max(1, config.workers * 8))))
+    # Rows come from per-point streams, so the split changes no output; one
+    # worker takes blocks of 512, which batch the level kernels best.
+    block = 512
+    if config.workers > 1:
+        block = max(1, min(block, math.ceil(m / (config.workers * 8))))
     task_args = [
         (
             nu,

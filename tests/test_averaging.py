@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     AveragingReport,
+    _esp_log_tables,
     _ratio_or_zero,
+    _tilted_inclusion,
     average_exact,
     average_mc,
     conditional_expectation_check,
@@ -516,10 +518,12 @@ def _rational_mixture(draw, window):
 
 
 def _product_levels(nu, x, levels, keys, exact_cap=EXACT_LEVEL_CAP):
-    bits = np.asarray(x, dtype=np.uint8)
-    return product_levels(
-        bits, np.cumsum(bits, dtype=np.int64), levels, keys, make_rn(nu).log_linear, exact_cap
+    """The kernel on the single point x, as per-level lists of floats."""
+    values, slacks, stderrs = product_levels(
+        np.asarray(x, dtype=np.uint8)[None, :], levels, keys, make_rn(nu).log_linear,
+        exact_cap,
     )
+    return values[:, 0].tolist(), slacks[:, 0].tolist(), stderrs[0].tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -673,3 +677,220 @@ def test_product_levels_of_a_mixture_follow_the_component_that_holds_the_orbit(s
     alone = _product_levels(source, bits, (128, 256), keys)
     for got, want in zip(mixed, alone):
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def _per_point_tilted_inclusion(logit, m, q):
+    """The Newton solve for one point, as it stood before it was batched,
+    with the number of steps it took (200: the loop ran out)."""
+    n = logit.shape[1]
+    if m == 0 or m == n:
+        return np.full(n, float(m == n)), 0
+    target = math.log(m / (n - m))
+    lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
+    lam = target - logit.mean(axis=1)
+    steps = 200
+    for k in range(200):
+        pi = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
+        f = pi.sum(axis=1) - m
+        if np.all(np.abs(f) <= 1e-12 * n):
+            steps = k
+            break
+        lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
+        step = lam - f / (pi * (1.0 - pi)).sum(axis=1)
+        lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    return q @ pi, steps
+
+
+def _per_point_product_levels(x, levels, keys, parts, exact_cap):
+    """The product-potential kernel for one point, as it stood before it was
+    batched: per-level lists (values, slacks) and the last level's stderrs."""
+    xf = np.asarray(x, dtype=np.float64)
+    prefix = np.cumsum(x, dtype=np.int64)
+    held_all = tuple(sorted({i for key in keys for i in key}))
+    tables = _esp_log_tables(parts.logit, held_all, levels)
+    values, slacks = [], []
+    a = None
+    for n, log_e in zip(levels, tables):
+        m = int(prefix[n - 1])
+        held = [i for i in held_all if i <= n]
+        masks = (np.arange(2 ** len(held))[:, None] >> np.arange(len(held))) & 1
+        j = m - masks.sum(axis=1)
+        valid = (j >= 0) & (j < log_e.shape[1])
+        log_g = (
+            (parts.const + parts.logit[:, n:] @ xf[n:])[:, None]
+            + parts.logit[:, [i - 1 for i in held]] @ masks.T
+            + log_e[:, np.where(valid, j, 0)]
+        )
+        log_g[:, ~valid] = -np.inf
+        g = np.exp(log_g - log_g.max())
+        per_subset = g.sum(axis=0)
+        den = per_subset.sum()
+        moved = [
+            None if any(x[i - 1] == 0 for i in key if i > n)
+            else [i for i in key if i <= n]
+            for key in keys
+        ]
+        row = []
+        for s in moved:
+            if s is None:
+                row.append(0.0)
+            else:
+                holds_s = masks[:, [held.index(i) for i in s]].all(axis=1)
+                row.append(min(1.0, float(per_subset[holds_s].sum() / den)))
+        values.append(row)
+        slack = [0.0] * len(keys)
+        if n > exact_cap and any(moved):
+            pi, _ = _per_point_tilted_inclusion(parts.logit[:, :n], m, g.sum(axis=1) / den)
+            cum = np.cumsum(pi * (1.0 - pi))
+            coef = [
+                float(math.prod(pi[i - 1] for i in s) * sum(1.0 - pi[i - 1] for i in s))
+                if s else 0.0
+                for s in moved
+            ]
+            v_b = float(cum[n - 1])
+            if a is not None:
+                v_a = float(cum[a - 1])
+                if v_a > 0.0:
+                    gap = math.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
+                    slack = [3.0 * c * gap for c in coef]
+        slacks.append(slack)
+        a = n
+    stderrs = [0.0] * len(keys)
+    if a > exact_cap and any(moved) and v_b > 0.0:
+        stderrs = [c / math.sqrt(v_b) for c in coef]
+    return values, slacks, stderrs
+
+
+def _parts_of(kind, comps, window, rng):
+    """Log-linear parts of a product law or a mixture of 1-3 of them."""
+    if kind == "constant":
+        params = [[float(p)] * window for p in rng.uniform(0.05, 0.95, comps)]
+    elif kind == "inhomogeneous":
+        params = [list(rng.uniform(0.05, 0.95, window)) for _ in range(comps)]
+    elif kind == "two-constant":  # extreme odds, 0.01 and 0.99 by component
+        params = [[0.01 if c % 2 else 0.99] * window for c in range(comps)]
+    else:  # extreme odds, alternating along the window
+        params = [[0.01 if (i + c) % 2 else 0.99 for i in range(window)] for c in range(comps)]
+    members = [ProductBernoulli(p) for p in params]
+    nu = members[0] if comps == 1 else Mixture([1 / comps] * comps, members)
+    return make_rn(nu).log_linear
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([16, 64, 300, 2048]),
+    st.sampled_from(["constant", "inhomogeneous", "two-constant", "alternating"]),
+    st.integers(1, 3),
+    st.integers(1, 40),
+)
+def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, comps, points):
+    # At window 2048 the Newton chunks hold 4, 2 or 2 points for 1-3
+    # components, so most blocks straddle a chunk boundary.
+    rng = np.random.default_rng(seed)
+    parts = _parts_of(kind, comps, window, rng)
+    bits = (rng.random((points, window)) < rng.random((points, 1))).astype(np.uint8)
+    bits[0] = 0  # m = 0 at every level
+    if points > 1:
+        bits[-1] = 1  # m = n at every level
+    lows = rng.integers(1, window, int(rng.integers(0, 3)))
+    levels = sorted({int(n) for n in lows} | {window})
+    dictionary = TestDictionary.build(int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+    # coordinates above the low levels, 0 in some points and 1 in others
+    keys = [m.indices for m in dictionary.entries] + [(1, window)]
+    if levels[0] < window:
+        keys.append((levels[0] + 1,))
+    exact_cap = int(rng.choice([0, 8, levels[0]]))
+    got = product_levels(bits, levels, keys, parts, exact_cap)
+    want = [_per_point_product_levels(x, levels, keys, parts, exact_cap) for x in bits]
+    values = np.array([w[0] for w in want]).transpose(1, 0, 2)
+    slacks = np.array([w[1] for w in want]).transpose(1, 0, 2)
+    stderrs = np.array([w[2] for w in want])
+    for g, w in zip(got, (values, slacks, stderrs)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(2, 400),
+    st.sampled_from([0.0, 1e6]),
+    st.integers(1, 40),
+)
+def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offset, points):
+    # logits near 1e6 put adjacent values of lam + logit further apart than
+    # the convergence test can resolve: some points run all 200 steps
+    rng = np.random.default_rng(seed)
+    logit = offset * rng.choice([-1.0, 1.0], (comps, 1)) + rng.normal(0, 2, (comps, n))
+    m = rng.integers(0, n + 1, points)
+    m[0] = 0
+    if points > 1:
+        m[-1] = n
+    q = rng.random((points, comps))
+    q /= q.sum(axis=1, keepdims=True)
+    got = _tilted_inclusion(logit, m, q)
+    want = np.array([_per_point_tilted_inclusion(logit, int(k), qp)[0] for k, qp in zip(m, q)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tilted_inclusion_keeps_points_that_never_converge():
+    # A batch where some points pass the convergence test in two steps and
+    # others never do (200 steps, no break): each leaves at its own step.
+    rng = np.random.default_rng(5)
+    n = 300
+    logit = 1e6 + rng.normal(0, 0.1, (2, n))
+    logit[1] -= 2e6
+    m = np.array([0, n, 1, 5, 150, 299, 77, 200] * 5)
+    q = rng.random((len(m), 2))
+    q /= q.sum(axis=1, keepdims=True)
+    want = [_per_point_tilted_inclusion(logit, int(k), qp) for k, qp in zip(m, q)]
+    assert {s for _, s in want} >= {0, 2, 200}
+    got = _tilted_inclusion(logit, m, q)
+    assert got.tobytes() == np.array([pi for pi, _ in want]).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(8, 10).flatmap(
+        lambda w: st.tuples(
+            _rational_mixture(w),
+            st.lists(st.integers(0, 1), min_size=w, max_size=w),
+            st.integers(1, w),
+        )
+    ),
+    st.sets(st.integers(1, 8), min_size=1),
+)
+def test_limit_average_under_a_product_potential_equals_enumeration(case, levels):
+    nu, x, top = case
+    x = tuple(x)
+    rho, sched = make_rn(nu), sorted(levels)
+    for indices in [(1,), (1, 2), (top,), (1, top)]:
+        mono = CylinderMonomial(tuple(sorted(set(indices))))
+        exact = limit_average(rho, mono, x, sched)
+        orbit_sums = limit_average(rho, mono, x, sched, exact_cap=0)
+        for e, o in zip(exact.levels, orbit_sums.levels):
+            assert e == average_exact(e.level, rho, mono, x)
+            assert o.method == "exact" and o.stderr == 0.0 and o.sample_count == 0
+            assert abs(o.value - float(e.value)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [210000, 220000])
+def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(seed):
+    # no Monte Carlo: no random stream is needed
+    window = 1024
+    comps = [ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
+             for a, b in ((0.2, 0.25), (0.75, 0.8))]
+    nu = Mixture([0.4, 0.6], comps)
+    rho, sched = make_rn(nu), (512, 1024)
+    dictionary = TestDictionary.build(2, 2)
+    for i in range(4):
+        x = nu.sample_array(substream(seed, i))
+        stat = pi_phi(x, rho, dictionary, sched, tolerance=0.02)
+        for mono in dictionary.nonconstant():
+            rep = limit_average(rho, mono, tuple(x.tolist()), sched, tolerance=0.02)
+            assert [r.method for r in rep.levels] == ["exact", "exact"]
+            # the kernel's tables depend on the keys it is given, so the
+            # values agree to rounding, not to the bit
+            assert abs(rep.levels[-1].value - stat.values[mono.indices]) <= 1e-12
+            assert rep.converged == stat.converged[mono.indices]

@@ -546,9 +546,8 @@ def test_monte_carlo_agrees_with_exact_orbit_sums_at_window_64():
     for i in range(100):
         stream = substream(7, i)
         x = nu.sample_array(stream)
-        ((exact,), _, _) = product_levels(
-            x, np.cumsum(x, dtype=np.int64), (window,), keys, parts
-        )
+        values, _, _ = product_levels(x[None, :], (window,), keys, parts)
+        exact = values[0, 0]
         est = mc_level_values(x, window, _monte_carlo_rn(nu), entries, 400, stream)
         hits += all(abs(v - e) <= 3 * se for (v, se), e in zip(est, exact))
     assert hits >= 90
@@ -574,6 +573,54 @@ def test_product_potential_decompose_bytes_equal_across_workers(seed, window):
     two = decompose(nu, make_rn(nu), replace(config, workers=2))
     assert one.statistics.tobytes() == two.statistics.tobytes()
     assert one.weights == two.weights
+
+
+# sha256 of the limit statistics and of the weights of decompose under the
+# Radon-Nikodym cocycle of product mixtures, recorded on the per-point
+# product-potential kernel (commit c888350) before it was batched.
+RECORDED_PRODUCT_SHA256 = {
+    "bench-1024": (
+        "16eb3a15d96327df28b7bf893a9ad503e00b61600296397b39671fa8c5833434",
+        "f2e88390f06a48e70a0ab9aa1f9ccfb6ec9e05cf70bc119a47bee2694ddb6dfe",
+    ),
+    "window-16-exact-level-8": (
+        "dd869339e5bfd10312d765434d1c27fe011cf35fec6b454c40846b47cada6d72",
+        "7dd1362f9ff8a1b590340e3971eb9a21eaac9ac906979268042b4f0b15a449d2",
+    ),
+    "three-components-300": (
+        "d84a90f7a5d77c8239aad32e1b6acc130e813912eb581ea412b3f02e2d6c4cea",
+        "cf8ccd6e5eb516f337b7865fbe30cb1ab026a1da7927743e04b241a9ede5615e",
+    ),
+}
+
+
+def _three_component_mixture(window):
+    comps = [
+        ProductBernoulli([a if i % 3 == 0 else b for i in range(window)])
+        for a, b in ((0.1, 0.15), (0.45, 0.5), (0.85, 0.9))
+    ]
+    return Mixture([0.3, 0.3, 0.4], comps)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_PRODUCT_SHA256))
+def test_product_potential_decompose_matches_recorded_hashes(name):
+    if name == "bench-1024":
+        nu = _bench_mixture(1024)[0]
+        config = DecomposeConfig(samples=40, seed=210000)
+    elif name == "window-16-exact-level-8":
+        # level 8 is an exact Fraction level beside the product level 16
+        nu = _bench_mixture(16)[0]
+        config = DecomposeConfig(samples=40, seed=7, schedule=(4, 8, 16),
+                                 nonconvergence_threshold=1.0)
+    else:
+        nu = _three_component_mixture(300)
+        config = DecomposeConfig(samples=40, seed=11, nonconvergence_threshold=1.0)
+    dm = decompose(nu, make_rn(nu), config)
+    got = (
+        hashlib.sha256(dm.statistics.tobytes()).hexdigest(),
+        hashlib.sha256(np.array(dm.weights).tobytes()).hexdigest(),
+    )
+    assert got == RECORDED_PRODUCT_SHA256[name]
 
 
 def _per_point_closed_form(x, levels, keys, exact_cap):
@@ -735,3 +782,55 @@ def test_closed_form_levels_takes_exact_integers_past_2_53(n, depth):
             assert cf.values[0, p, j] == float(want)
     with pytest.raises(ValueError):
         closed_form_levels(np.array([[n + 1]]), heads[:1], (n,), keys)
+
+
+def _product_rows(nu, dictionary, schedule, tolerance, exact_cap, seed, indices):
+    """(vals, ses, conv) of the points from pi_phi point by point under nu's
+    Radon-Nikodym cocycle."""
+    rho, keys = make_rn(nu), [m.indices for m in dictionary.entries]
+    rows = []
+    for i in indices:
+        stat = pi_phi(nu.sample_array(substream(seed, i)), rho, dictionary, schedule,
+                      tolerance, exact_cap=exact_cap)
+        rows.append(([float(stat.values[k]) for k in keys],
+                     [stat.stderrs[k] for k in keys], [stat.converged[k] for k in keys]))
+    vals, ses, conv = zip(*rows)
+    return np.array(vals), np.array(ses), np.array(conv, dtype=bool)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([16, 64, 300]),
+    st.integers(1, 3),
+    st.sampled_from([0, 8]),
+    st.booleans(),
+)
+def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, exact_cap, two):
+    nu = _bench_mixture(window)[0] if comps == 2 else (
+        _three_component_mixture(window) if comps == 3
+        else ProductBernoulli([0.3 + 0.1 * (i % 2) for i in range(window)])
+    )
+    # (4, 8, window): level 8 is exact beside a product level unless exact_cap is 0
+    schedule = (4, 8, window) if two else default_schedule(window)
+    dictionary = TestDictionary.build(2, 3)
+    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, exact_cap, seed, range(30), False)
+    _assert_same_bytes(
+        _point_block(args)[:3],
+        _product_rows(nu, dictionary, schedule, 0.02, exact_cap, seed, range(30)),
+    )
+
+
+def test_product_point_blocks_identical_across_workers():
+    window = 300
+    nu = _three_component_mixture(window)
+    dictionary = TestDictionary.build(2, 2)
+    schedule = default_schedule(window)
+    tasks = [
+        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 8, 5, range(lo, lo + 15), False)
+        for lo in range(0, 60, 15)
+    ]
+    want = _product_rows(nu, dictionary, schedule, 0.02, 8, 5, range(60))
+    for blocks in (_map_blocks(tasks, 1), _map_blocks(tasks, 2)):
+        got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
+        _assert_same_bytes(got, want)

@@ -367,3 +367,37 @@ def test_mixture_log_atom_rows_match_per_component_uint8(window, n, parts, exact
     top = comp.max(axis=0)
     want = top + np.log(np.sum(np.exp(comp - top), axis=0))
     assert nu.log_atom_rows(rows).tobytes() == want.tobytes()
+
+
+def _former_log_atom(nu, x):
+    """log_atom as it stood before a configuration was converted once per
+    call: each product component converted the tuple itself."""
+    if isinstance(nu, ProductBernoulli):
+        return float(nu.log_atom_rows(np.asarray(x, dtype=np.uint8).reshape(1, -1))[0])
+    if isinstance(nu, BetaExchangeable):
+        k, n, a, b = sum(x), len(x), nu.alpha, nu.beta
+        return (math.lgamma(a + k) + math.lgamma(b + n - k) + math.lgamma(a + b)
+                - math.lgamma(a) - math.lgamma(b) - math.lgamma(a + b + n))
+    logs = [math.log(float(w)) + _former_log_atom(c, x) for w, c in zip(nu.weights, nu.components)]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 2**32 - 1), st.sampled_from(["flat", "nested", "beta"]))
+def test_mixture_log_atom_converts_once_with_the_same_bits(window, seed, shape):
+    rng = substream(seed, 0)
+    a = ProductBernoulli([q / 100 for q in rng.integers(1, 100, window)])
+    b = ProductBernoulli([q / 100 for q in rng.integers(1, 100, window)])
+    other = {"flat": b, "nested": Mixture([0.5, 0.5], [a, b]),
+             "beta": BetaExchangeable(2, 3, window)}[shape]
+    nu = Mixture([0.3, 0.7], [a, other])
+    stream, twin = substream(seed, 1), substream(seed, 1)
+    for _ in range(3):
+        x = nu.sample(stream)
+        # the former conversion of a draw, and Python ints as before
+        assert x == tuple(int(v) for v in nu.sample_array(twin))
+        assert all(type(v) is int for v in x)
+        want = _former_log_atom(nu, x)
+        assert nu.log_atom(x) == want
+        assert nu.log_atom(np.array(x, dtype=np.uint8)) == want
