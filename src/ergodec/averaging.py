@@ -10,13 +10,14 @@ batch of points at once. For a potential
 with log-linear parts (``make_rn`` of a product Bernoulli measure or of a
 mixture of them) and a cylinder monomial, ``product_levels`` gives it as an
 exact orbit sum in floats, from elementary-symmetric tables, also for a batch
-of points; ``pi_phi``, ``decompose`` and ``limit_average`` use it above S(8).
-Otherwise it is computed exactly up to S(8) (rational
+of points. Otherwise it is computed exactly up to S(8) (rational
 arithmetic when the inputs are rational) and above that by self-normalized
 Monte Carlo over Haar draws (``haar_rows``), which needs a potential-backed
-cocycle. If the denominator were infinite the average is defined to be 0;
-that branch is unreachable for finite levels but kept for interface
-fidelity.
+cocycle. ``level_table`` is the one place that picks among these engines for
+cylinder monomials; ``pi_phi``, ``decompose``, ``ergodicity_test`` and
+``limit_average`` call it. If the denominator were infinite the average is
+defined to be 0; that branch is unreachable for finite levels but kept for
+interface fidelity.
 
 Exact evaluation below S(8) has two shortcuts that give the same value as
 plain group enumeration and are cross-checked against it in the test suite:
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cocycles import Cocycle
+from .cocycles import Cocycle, constant_one
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
 from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
@@ -128,15 +129,13 @@ class ClosedFormLevels:
         return Fraction(int(self.nums[level, point, key]), self.dens[level][key])
 
 
-def level_counts(x_bits: np.ndarray, levels: Sequence[int]) -> list[int]:
-    """Ones among the first n coordinates of x for each of the increasing
-    ``levels`` n: the ``counts`` row of x for ``closed_form_levels``."""
-    out, m, lo = [], 0, 0
-    for n in levels:
-        m += np.count_nonzero(x_bits[lo:n])
-        out.append(m)
-        lo = n
-    return out
+def level_counts(bits: np.ndarray, levels: Sequence[int]) -> np.ndarray:
+    """Ones among the first n coordinates of each 0/1 row of ``bits`` (along
+    its last axis) for each of the increasing ``levels`` n, in int64 with one
+    column per level: the ``counts`` of ``closed_form_levels``."""
+    bounds = (0, *levels)
+    parts = [bits[..., a:b].sum(axis=-1, dtype=np.uint32) for a, b in zip(bounds, bounds[1:])]
+    return np.cumsum(np.stack(parts, axis=-1), axis=-1, dtype=np.int64)
 
 
 def _monomial_slope(p: np.ndarray, k: int):
@@ -169,8 +168,8 @@ def closed_form_levels(
     are exact integers: int64 arrays while (n)_k < 2^53, where one float64
     division gives the correctly rounded value, and Python ints above that,
     so no count wraps. The slack and stderr are vectorized with the bits of
-    their per-point formulas. Returns a ``ClosedFormLevels``; a batch of one
-    point serves the per-point callers.
+    their per-point formulas. Returns a ``ClosedFormLevels``; ``level_table``
+    calls it for the constant cocycle.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape[1:] != (len(levels),):
@@ -221,18 +220,6 @@ def closed_form_levels(
             if li == len(levels) - 1:
                 stderrs[:, j] = np.where(alive, coef * last, 0.0)
     return ClosedFormLevels(nums, dens, values, slacks, stderrs)
-
-
-def point_closed_form(
-    x, levels: Sequence[int], keys: Sequence[tuple[int, ...]],
-    exact_cap: int = EXACT_LEVEL_CAP,
-) -> ClosedFormLevels:
-    """``closed_form_levels`` for the single point x (a tuple or a bit array)."""
-    x_bits = np.asarray(x, dtype=np.uint8)
-    top = max((max(key) for key in keys if key), default=0)
-    return closed_form_levels(
-        [level_counts(x_bits, levels)], x_bits[None, :top], levels, keys, exact_cap
-    )
 
 
 def _esp_log_tables(
@@ -373,9 +360,9 @@ def product_levels(
     comps, points = parts.logit.shape[0], bits.shape[0]
     shape = (len(levels), points, len(keys))
     values, slacks, stderrs = np.zeros(shape), np.zeros(shape), np.zeros(shape[1:])
-    counts, tails = np.empty(shape[:2], dtype=np.int64), np.empty(shape[:2] + (comps,))
+    counts, tails = level_counts(bits, levels).T, np.empty(shape[:2] + (comps,))
     for p, x in enumerate(bits):
-        counts[:, p], xf = level_counts(x, levels), x.astype(np.float64)
+        xf = x.astype(np.float64)
         for li, n in enumerate(levels):
             tails[li, p] = parts.logit[:, n:] @ xf[n:]
     a = None
@@ -430,7 +417,8 @@ def product_levels(
 
 def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fraction:
     """Exact constant-cocycle average of a cylinder monomial at one level."""
-    return point_closed_form(x, (level,), (tuple(indices),)).fraction(0, 0, 0)
+    bits = np.asarray(x, dtype=np.uint8)[None, :]
+    return level_table(bits, constant_one(), (level,), [tuple(indices)]).value(0, 0, 0)
 
 
 def _orbit_collapsed_average(level: int, potential, phi, x: Config):
@@ -627,6 +615,125 @@ def default_schedule(window: int) -> tuple[int, ...]:
     return tuple(levels)
 
 
+def checked_schedule(schedule: Sequence[int] | None, window: int) -> tuple[int, ...]:
+    """The schedule as a tuple (``default_schedule`` when None); ValueError
+    unless its levels start at 1 or above, increase strictly and stay within
+    the window."""
+    sched = tuple(schedule) if schedule is not None else default_schedule(window)
+    if not sched or sched[0] < 1:
+        raise ValueError("schedule levels must be >= 1")
+    if any(b <= a for a, b in zip(sched, sched[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    if sched[-1] > window:
+        raise ValueError("schedule exceeds the configuration window")
+    return sched
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """Level averages of cylinder monomials for a block of points, from
+    ``level_table``.
+
+    - ``values`` and ``slacks`` are indexed [level, point, key] as in
+      ``ClosedFormLevels``;
+    - ``stderrs[i, p, j]`` is the standard error of a Monte Carlo level; the
+      closed-form and product engines fill only the last level, with the sd
+      of its value about the limit;
+    - ``methods[i]`` names the engine of level i: "closed-form",
+      "enumeration", "product" or "monte-carlo";
+    - ``value(i, p, j)`` is the exact value of an entry of a closed-form or
+      enumeration level, and the float of ``values`` at other levels.
+    """
+
+    values: np.ndarray
+    slacks: np.ndarray
+    stderrs: np.ndarray
+    methods: tuple[str, ...]
+    closed_form: Optional[ClosedFormLevels] = None
+    enumerated: tuple = ()  # per level: None, or per point the exact values
+
+    def value(self, level: int, point: int, key: int):
+        if self.closed_form is not None:
+            return self.closed_form.fraction(level, point, key)
+        exact = self.enumerated[level]
+        return float(self.values[level, point, key]) if exact is None else exact[point][key]
+
+
+def level_table(
+    rows: np.ndarray,
+    rho: Cocycle,
+    levels: Sequence[int],
+    keys: Sequence[tuple[int, ...]],
+    exact_cap: int = EXACT_LEVEL_CAP,
+    mc_samples: int = 512,
+    streams: Sequence[RandomStream | None] | None = None,
+) -> LevelTable:
+    """Level averages of the cylinder monomials on ``keys`` at the increasing
+    ``levels`` for a block of points, one 0/1 row of ``rows`` each: the one
+    place that picks the engine of a level. Level by level:
+
+    1. the constant cocycle takes the hypergeometric closed form of
+       ``closed_form_levels``, exact at every level, from one count of ones
+       over the block; its slack is 3 ``level_gap_sd`` (the finite de Finetti
+       fluctuation of Diaconis and Freedman, 1980) and its stderr
+       k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, both 0 at levels <= exact_cap;
+    2. any other cocycle takes ``average_exact`` at levels <= exact_cap,
+       with slack and stderr 0;
+    3. above that, a potential with log-linear parts (``make_rn`` of a
+       product Bernoulli measure or a mixture of them) takes the exact orbit
+       sums of ``product_levels``, with its delta-method slack and stderr;
+    4. everything else takes ``mc_level_values``: one set of Haar draws per
+       level shared by all keys (which keeps r_S >= r_{S u {j}}), drawn for
+       each point from its own ``streams`` entry in ascending level order, so
+       a point's draws do not depend on the block. Its stderr is the Monte
+       Carlo one and the slack of a step 3 times the combined stderr of its
+       two levels. It needs a potential-backed cocycle and a stream, else
+       ValueError.
+
+    Only Monte Carlo levels read ``mc_samples`` and ``streams``.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    shape = (len(levels), rows.shape[0], len(keys))
+    stderrs = np.zeros(shape)
+    if rho.is_constant_one:
+        cf = closed_form_levels(level_counts(rows, levels), rows, levels, keys, exact_cap)
+        stderrs[-1] = cf.stderrs
+        return LevelTable(cf.values, cf.slacks, stderrs, ("closed-form",) * len(levels), cf)
+    top = "product" if rho.log_linear is not None else "monte-carlo"
+    methods = tuple("enumeration" if n <= exact_cap else top for n in levels)
+    if top == "product":
+        values, slacks, stderrs[-1] = product_levels(
+            rows, levels, keys, rho.log_linear, exact_cap
+        )
+    else:
+        values, slacks = np.zeros(shape), np.zeros(shape)
+    monomials = [CylinderMonomial(key) for key in keys]
+    points = [tuple(x) for x in rows.tolist()] if "enumeration" in methods else ()
+    enumerated = tuple(
+        [[average_exact(n, rho, m, x).value for m in monomials] for x in points]
+        if method == "enumeration" else None
+        for n, method in zip(levels, methods)
+    )
+    for li, exact in enumerate(enumerated):
+        for p, row in enumerate(exact or ()):
+            values[li, p] = [float(v) for v in row]
+    if top == "monte-carlo":
+        for p, stream in enumerate(streams or [None] * len(rows)):
+            for li, n in enumerate(levels):
+                if methods[li] == "monte-carlo":
+                    if stream is None:
+                        raise ValueError("Monte Carlo levels need a random stream")
+                    values[li, p], stderrs[li, p] = zip(
+                        *mc_level_values(rows[p], n, rho, monomials, mc_samples, stream)
+                    )
+        # 3 * combined stderr, in Python floats as ``combined_stderr``
+        ses = stderrs.tolist()
+        for li in range(1, len(levels)):
+            for p, (prev, cur) in enumerate(zip(ses[li - 1], ses[li])):
+                slacks[li, p] = [3.0 * math.sqrt(a**2 + b**2) for a, b in zip(prev, cur)]
+    return LevelTable(values, slacks, stderrs, methods, enumerated=enumerated)
+
+
 def limit_average(
     rho: Cocycle,
     phi,
@@ -641,46 +748,24 @@ def limit_average(
 
     Convergence is declared exactly when the last two levels differ by less
     than tolerance + slack; non-convergence is a legitimate outcome and is
-    reported as such, never masked. For the constant cocycle and a cylinder
-    monomial every level is the exact closed form (``closed_form_levels``,
-    stderr 0) and the slack is its ``level_gap_sd`` slack. Under a potential
-    with log-linear parts (``make_rn`` of a product Bernoulli measure or a
-    mixture of them) and a cylinder monomial, levels up to exact_cap are
-    exact enumerations and levels above are the exact orbit sums of
-    ``product_levels`` (method "exact", float values, stderr 0, no draws),
-    with that kernel's slack, as in ``pi_phi``. Otherwise levels up to
-    exact_cap are exact, levels above are Monte Carlo, and the slack is
-    3 * combined stderr.
+    reported as such, never masked. A cylinder monomial takes its levels and
+    slack from ``level_table``, whose docstring gives the engine of each
+    level: Monte Carlo levels are reported as "monte-carlo" with their
+    stderr, every other level as "exact" with stderr 0 (enumerated levels
+    count their level! permutations, the others 0 samples). Any other phi
+    takes ``average_exact`` up to exact_cap and ``average_mc`` above, with
+    slack 3 * combined stderr.
     """
-    sched = tuple(schedule)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    sched = checked_schedule(schedule, len(x))
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if rho.is_constant_one and isinstance(phi, CylinderMonomial):
-        cf = point_closed_form(x, sched, [phi.indices], exact_cap)
-        # Closed-form levels draw nothing and enumerate nothing.
-        reports = [
-            AveragingReport(
-                value=cf.fraction(i, 0, 0), level=n, method="exact", stderr=0.0,
-                sample_count=0,
-            )
-            for i, n in enumerate(sched)
-        ]
-        slack = float(cf.slacks[-1, 0, 0])
-    elif rho.log_linear is not None and isinstance(phi, CylinderMonomial):
-        values, slacks, _ = product_levels(
-            np.asarray(x, dtype=np.uint8)[None, :], sched, [phi.indices],
-            rho.log_linear, exact_cap,
+    if isinstance(phi, CylinderMonomial):
+        table = level_table(
+            np.asarray(x, dtype=np.uint8)[None, :], rho, sched, [phi.indices],
+            exact_cap, mc_samples, [rng],
         )
-        reports = [
-            average_exact(n, rho, phi, x) if n <= exact_cap else AveragingReport(
-                value=float(values[i, 0, 0]), level=n, method="exact", stderr=0.0,
-                sample_count=0,
-            )
-            for i, n in enumerate(sched)
-        ]
-        slack = float(slacks[-1, 0, 0])
+        reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
+        slack = float(table.slacks[-1, 0, 0])
     else:
         reports = []
         for n in sched:
@@ -714,6 +799,16 @@ def limit_average(
         threshold=threshold,
         tolerance=tolerance,
     )
+
+
+def _level_report(table: LevelTable, i: int, level: int, mc_samples: int) -> AveragingReport:
+    """Level i of a one-point, one-key ``LevelTable`` as an ``AveragingReport``."""
+    method, value = table.methods[i], table.value(i, 0, 0)
+    if method == "monte-carlo":
+        stderr = float(table.stderrs[i, 0, 0])
+        return AveragingReport(value, level, method, stderr, mc_samples)
+    count = math.factorial(level) if method == "enumeration" else 0
+    return AveragingReport(value, level, "exact", 0.0, count)
 
 
 @dataclass(frozen=True)

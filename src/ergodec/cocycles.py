@@ -34,10 +34,10 @@ class Cocycle:
     rho(g, x) = u(act(g, x)) / u(x); ``log_potential_rows`` optionally maps a
     matrix of 0/1 configurations, one per row, uint8 or float64, to log-u
     values for vectorized Monte Carlo. ``log_linear`` optionally gives u as a
-    mixture of log-linear terms (``measures.LogLinearParts``); ``pi_phi``,
-    ``decompose`` and ``limit_average`` then compute levels above the exact
-    cap as exact orbit sums (``averaging.product_levels``) instead of by
-    Monte Carlo.
+    mixture of log-linear terms (``measures.LogLinearParts``);
+    ``averaging.level_table`` then computes levels above the exact cap as
+    exact orbit sums (``averaging.product_levels``) instead of by Monte
+    Carlo.
     """
 
     eval_fn: Callable[[Permutation, Config], object]

@@ -24,14 +24,12 @@ import numpy as np
 from .averaging import (
     EXACT_LEVEL_CAP,
     average_exact,
-    closed_form_levels,
+    checked_schedule,
     default_schedule,
-    level_counts,
-    mc_level_values,
+    level_table,
+    mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_class_key,
-    point_closed_form,
-    product_levels,
 )
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
@@ -86,103 +84,26 @@ def pi_phi(
     The limit rule compares the last two schedule levels a < b, so only those
     two are evaluated; the statistic still records the whole schedule. A
     point's entry converges when |r(b) - r(a)| < tolerance + slack, and its
-    value is r(b).
-
-    Constant cocycle: r_S(n) is the hypergeometric closed form
-    (m_n)_k / (n)_k of ``averaging.closed_form_levels``, exact at every level,
-    where m_n counts the ones among the first n coordinates, k is the number
-    of coordinates of S that S(n) moves, and r_S(n) = 0 when a coordinate of
-    S above n is 0. The slack is three times ``level_gap_sd`` (the sd of the
-    nested hypergeometric difference, the finite de Finetti fluctuation of
-    Diaconis and Freedman, 1980), and the stderr is k p^(k-1) sqrt(p(1-p)/b),
-    p = m_b/b: the sd of the level-b value about its limit. For
-    b <= exact_cap both are 0, as for every exact level, so the exact
-    averages themselves must agree within the tolerance. The point is a
-    batch of one for the kernel, and the values are
-    ``Fraction((m_n)_k, (n)_k)``; ``decompose`` evaluates whole blocks of
-    points through the same kernel, with the same bits.
-
-    Product potentials (a cocycle with ``log_linear`` parts, as ``make_rn``
-    of a product Bernoulli measure or a mixture of them builds): exact
-    ``Fraction`` averages up to exact_cap and, above it, the exact orbit sums
-    of ``averaging.product_levels`` (elementary-symmetric tables, no random
-    draws), with its slack and stderr: the same delta method as for the
-    constant cocycle, taken through the tilted inclusion probabilities, to
-    which it reduces exactly when the parameters are constant. The point is
-    a batch of one for that kernel too, and ``decompose`` passes it whole
-    blocks, with the same bits.
-
-    Other cocycles: exact averages up to exact_cap and Monte Carlo above, with
-    slack 3 times the combined stderr of the two levels. Monte Carlo needs a
-    potential-backed cocycle (every constructor in ``cocycles`` builds one),
-    else ValueError. One set of Haar draws per level is shared by all
-    entries, which preserves the pointwise monotonicity of monomials
-    (r_S >= r_{S u {j}}).
-
-    Only Monte Carlo levels read ``mc_samples`` and ``rng``.
+    value is r(b): the exact value where level b is exact (a ``Fraction``
+    under the constant cocycle), else a float. The point is a batch of one
+    for ``averaging.level_table``, whose docstring gives the engine of each
+    level with its slack and stderr; ``decompose`` evaluates whole blocks of
+    points through it, with the same bits. Only Monte Carlo levels read
+    ``mc_samples`` and ``rng``.
     """
     x_bits = np.asarray(x, dtype=np.uint8)
-    sched = _checked_schedule(schedule, x_bits.shape[0])
-    entries = dictionary.entries
-    keys = [m.indices for m in entries]
-    levels = sched[-2:]
-
-    # Only exact levels read x as a tuple.
-    if levels[0] <= exact_cap and not rho.is_constant_one:
-        x_tuple = tuple(int(b) for b in x_bits)
-    if rho.is_constant_one:
-        cf = point_closed_form(x_bits, levels, keys, exact_cap)
-        per_level = [
-            [cf.fraction(i, 0, j) for j in range(len(keys))] for i in range(len(levels))
-        ]
-        slack, last_ses = cf.slacks[-1, 0], cf.stderrs[0]
-    elif rho.log_linear is not None:
-        values, slacks, ses = product_levels(
-            x_bits[None, :], levels, keys, rho.log_linear, exact_cap
-        )
-        per_level = [
-            [average_exact(n, rho, m, x_tuple).value for m in entries]
-            if n <= exact_cap else values[i, 0].tolist()
-            for i, n in enumerate(levels)
-        ]
-        slack, last_ses = slacks[-1, 0], ses[0]
-    else:
-        per_level_se: list[list[tuple[object, float]]] = []
-        for n in levels:
-            if n <= exact_cap:
-                vals = [
-                    (average_exact(n, rho, m, x_tuple).value, 0.0) for m in entries
-                ]
-            else:
-                if rng is None:
-                    raise ValueError("Monte Carlo levels need a random stream")
-                vals = mc_level_values(x_bits, n, rho, entries, mc_samples, rng)
-            per_level_se.append(vals)
-        per_level = [[v for v, _ in lv] for lv in per_level_se]
-        last_ses = [float(se) for _, se in per_level_se[-1]]
-        slack = [
-            3.0 * math.sqrt(sum(lv[j][1] ** 2 for lv in per_level_se))
-            for j in range(len(keys))
-        ]
-    floats = np.array([[float(v) for v in lv] for lv in per_level])
-    converged = _limit_rule(floats, np.asarray(slack), np.asarray(last_ses), tolerance)
+    sched = checked_schedule(schedule, x_bits.shape[0])
+    keys = [m.indices for m in dictionary.entries]
+    table = level_table(x_bits[None, :], rho, sched[-2:], keys, exact_cap, mc_samples, [rng])
+    converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
     return LimitStatistic(
-        values=dict(zip(keys, per_level[-1])),
-        stderrs={key: float(se) for key, se in zip(keys, last_ses)},
-        converged={key: bool(ok) for key, ok in zip(keys, converged)},
+        values={k: table.value(-1, 0, j) for j, k in enumerate(keys)},
+        stderrs=dict(zip(keys, table.stderrs[-1, 0].tolist())),
+        converged=dict(zip(keys, converged[0].tolist())),
         schedule=sched,
         mc_samples=mc_samples,
         tolerance=tolerance,
     )
-
-
-def _checked_schedule(schedule: Sequence[int] | None, window: int) -> tuple[int, ...]:
-    sched = tuple(schedule) if schedule is not None else default_schedule(window)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if sched[-1] > window:
-        raise ValueError("schedule exceeds the configuration window")
-    return sched
 
 
 def _limit_rule(values: np.ndarray, slack, stderrs, tolerance: float) -> np.ndarray:
@@ -261,69 +182,33 @@ def split_by_gaps(values: np.ndarray, min_gap: float) -> list[np.ndarray]:
     return groups
 
 
+def _sampled_table(nu, rho: Cocycle, keys, levels, exact_cap: int, mc_samples: int, streams):
+    """Draw one point of nu from each stream into a (points x window) uint8
+    block and evaluate it with ``level_table``, whose Monte Carlo levels draw
+    on from the same streams. Returns (rows, table)."""
+    rows = np.empty((len(streams), nu.window), dtype=np.uint8)
+    for r, stream in enumerate(streams):
+        rows[r] = nu.sample_array(stream)
+    return rows, level_table(rows, rho, levels, keys, exact_cap, mc_samples, streams)
+
+
 def _point_block(args):
     """Limit statistics ``(vals, ses, conv, configs)`` for a block of point
-    indices (one task), rows in index order.
+    indices (one task), rows in index order: the rule of ``pi_phi`` on a
+    ``level_table`` of the block.
 
-    Each point is drawn from its own ``substream(seed, i)``, so the rows do
-    not depend on how the points are split into blocks or workers. Under the
-    constant cocycle the loop keeps only each point's ones counts at the two
-    levels ``pi_phi`` reads and its first coordinates up to the largest key
-    index; under a product potential (``rho.log_linear``) it keeps the whole
-    point. One ``closed_form_levels`` or ``product_levels`` call then
-    evaluates the whole block, with the bits of ``pi_phi`` point by point
-    (levels up to exact_cap of a product potential stay exact enumerations).
-    Other cocycles call ``pi_phi`` per point.
+    Each point is drawn from its own ``substream(seed, i)``, which also feeds
+    its Monte Carlo levels, so the rows do not depend on how the points are
+    split into blocks or workers.
     """
     nu, rho, dictionary, schedule, tolerance, mc_samples, exact_cap, seed, indices, keep_configs = args
     keys = [m.indices for m in dictionary.entries]
-    vals = np.empty((len(indices), len(keys)))
-    ses = np.empty_like(vals)
-    conv = np.empty(vals.shape, dtype=bool)
-    configs = [] if keep_configs else None
-    sampler = getattr(nu, "sample_array", None)
-    batched = rho.is_constant_one or rho.log_linear is not None
-    if batched:
-        levels = _checked_schedule(schedule, nu.window)[-2:]
-        top = max((max(key) for key in keys if key), default=0)
-        width = top if rho.is_constant_one else nu.window
-        counts, kept = [], np.empty((len(indices), width), dtype=np.uint8)
-    for row, i in enumerate(indices):
-        stream = substream(seed, i)
-        if sampler is not None:
-            x = sampler(stream)
-        else:
-            x = np.asarray(nu.sample(stream), dtype=np.uint8)
-        if batched:
-            counts.append(level_counts(x, levels))
-            kept[row] = x[:width]
-        else:
-            stat = pi_phi(
-                x, rho, dictionary, schedule, tolerance, mc_samples, stream, exact_cap
-            )
-            for j, k in enumerate(keys):
-                vals[row, j] = float(stat.values[k])
-                ses[row, j] = stat.stderrs[k]
-                conv[row, j] = stat.converged[k]
-        if keep_configs:
-            configs.append(tuple(int(b) for b in x))
-    if rho.is_constant_one:
-        counts = np.array(counts, dtype=np.int64).reshape(len(indices), len(levels))
-        cf = closed_form_levels(counts, kept, levels, keys, exact_cap)
-        values, slacks, ses = cf.values, cf.slacks, cf.stderrs
-    elif batched:
-        values, slacks, ses = product_levels(kept, levels, keys, rho.log_linear, exact_cap)
-        for li, n in enumerate(levels):
-            if n <= exact_cap:
-                values[li] = [
-                    [float(average_exact(n, rho, m, tuple(x.tolist())).value)
-                     for m in dictionary.entries]
-                    for x in kept
-                ]
-    if batched:
-        vals = values[-1]
-        conv = _limit_rule(values, slacks[-1], ses, tolerance)
-    return vals, ses, conv, configs
+    levels = checked_schedule(schedule, nu.window)[-2:]
+    streams = [substream(seed, i) for i in indices]
+    rows, table = _sampled_table(nu, rho, keys, levels, exact_cap, mc_samples, streams)
+    conv = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
+    configs = [tuple(x) for x in rows.tolist()] if keep_configs else None
+    return table.values[-1], table.stderrs[-1], conv, configs
 
 
 def _map_blocks(task_args, workers: int):
@@ -575,30 +460,29 @@ def ergodicity_test(
             witnesses=tuple(witnesses),
         )
 
-    sched = tuple(schedule) if schedule is not None else default_schedule(window)
+    sched = checked_schedule(schedule, window)
+    keys = [m.indices for m in dictionary.entries]
+    streams = [substream(seed, 0xE6, i) for i in range(probes)]
+    _, table = _sampled_table(eta, rho, keys, sched[-2:], exact_cap, mc_samples, streams)
+    converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], 1e-3)
+    values, ses = table.values[-1].tolist(), table.stderrs[-1].tolist()
+    targets = [(keys.index(m.indices), float(expectation_monomial(eta, m.indices)))
+               for m in entries]
     failures = 0
     checks = 0
     non_converged = 0
     witnesses = []
     for i in range(probes):
-        stream = substream(seed, 0xE6, i)
-        sampler = getattr(eta, "sample_array", None)
-        x = sampler(stream) if sampler is not None else np.asarray(
-            eta.sample(stream), dtype=np.uint8
-        )
-        stat = pi_phi(x, rho, dictionary, sched, 1e-3, mc_samples, stream, exact_cap)
-        for mono in entries:
-            key = mono.indices
+        for j, target in targets:
             checks += 1
-            if not stat.converged[key]:
+            if not converged[i, j]:
                 non_converged += 1
                 continue
-            target = float(expectation_monomial(eta, key))
-            dev = abs(float(stat.values[key]) - target)
-            if dev > 3.0 * stat.stderrs[key] + tolerance:
+            dev = abs(values[i][j] - target)
+            if dev > 3.0 * ses[i][j] + tolerance:
                 failures += 1
                 if len(witnesses) < 3:
-                    witnesses.append((i, key, float(stat.values[key]), target))
+                    witnesses.append((i, keys[j], values[i][j], target))
     if non_converged > 0.1 * checks:
         verdict = "inconclusive"
     elif failures == 0:

@@ -191,6 +191,9 @@ class AtomicMeasure:
                 return cfg
         return items[-1][0]
 
+    def sample_array(self, rng: RandomStream) -> np.ndarray:
+        return np.array(self.sample(rng), dtype=np.uint8)
+
     def canonical_text(self) -> str:
         lines = [f"atomic window={self._window}"]
         for cfg, m in sorted(self._atoms.items()):
@@ -403,10 +406,7 @@ class Mixture:
         return len(self.weights) - 1
 
     def sample_array(self, rng: RandomStream) -> np.ndarray:
-        comp = self.components[self.sample_component(rng)]
-        if hasattr(comp, "sample_array"):
-            return comp.sample_array(rng)
-        return np.asarray(comp.sample(rng), dtype=np.uint8)
+        return self.components[self.sample_component(rng)].sample_array(rng)
 
     def sample(self, rng: RandomStream) -> Config:
         return tuple(self.sample_array(rng).tolist())

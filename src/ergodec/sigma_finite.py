@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .averaging import EXACT_LEVEL_CAP, haar_rows, point_closed_form
+from .averaging import EXACT_LEVEL_CAP, checked_schedule, haar_rows, level_table
+from .cocycles import constant_one
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
 from .groups import Config, level_orbit
@@ -417,14 +418,11 @@ def orbital_dichotomy(
     the last step with some value staying above the threshold; otherwise
     reports inconclusive.
     """
-    sched = tuple(schedule)
-    if any(b <= a for a, b in zip(sched, sched[1:])):
-        raise ValueError("schedule must be strictly increasing")
-    if sched[-1] > len(x):
-        raise ValueError("schedule exceeds the configuration window")
+    sched = checked_schedule(schedule, len(x))
     mons = tuple(battery) if battery is not None else TestDictionary.build(2, 2).nonconstant()
-    cf = point_closed_form(x, sched, [m.indices for m in mons], exact_cap)
-    values, slacks = cf.values[:, 0].tolist(), cf.slacks[:, 0].tolist()
+    bits = np.asarray(x, dtype=np.uint8)[None, :]
+    table = level_table(bits, constant_one(), sched, [m.indices for m in mons], exact_cap)
+    values, slacks = table.values[:, 0].tolist(), table.slacks[:, 0].tolist()
 
     series = {
         m.indices: tuple((n, lv[j], 0.0) for n, lv in zip(sched, values))

@@ -21,14 +21,14 @@ from ergodec.averaging import (
     fubini_check,
     haar_rows,
     invariance_check,
+    level_table,
     limit_average,
     monomial_level_average,
-    point_closed_form,
     product_levels,
     tower_check,
 )
 from ergodec.cocycles import Cocycle, constant_one, make_rho_f, make_rn
-from ergodec.decomposition import pi_phi
+from ergodec.decomposition import _point_block, ergodicity_test, pi_phi
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
 from ergodec.measures import BetaExchangeable, Mixture, ProductBernoulli
@@ -213,6 +213,33 @@ def test_limit_average_reports_nonconvergence():
 def test_limit_schedule_must_increase():
     with pytest.raises(ValueError):
         limit_average(constant_one(), CylinderMonomial((1,)), (1, 0), [2, 2])
+
+
+@pytest.mark.parametrize(
+    "caller", ["constant", "product", "pi_phi", "point_block", "ergodicity", "orbital"]
+)
+@pytest.mark.parametrize("schedule, message", [
+    ((2, 8), "schedule exceeds"),  # a window-4 point has no level 8
+    ((0, 4), "levels must be >= 1"),  # the closed form read level 0 as 0/0
+    ((), "levels must be >= 1"),
+])
+def test_schedule_outside_the_point_raises(caller, schedule, message):
+    x, mono, dictionary = (1, 0, 1, 0), CylinderMonomial((1,)), TestDictionary.build(1, 1)
+    nu = ProductBernoulli([Fraction(1, 3)] * 4)
+    rho = make_rn(nu)
+    with pytest.raises(ValueError, match=message):
+        if caller == "constant":
+            limit_average(constant_one(), mono, x, schedule)
+        elif caller == "product":
+            limit_average(rho, mono, x, schedule)
+        elif caller == "pi_phi":
+            pi_phi(x, rho, dictionary, schedule)
+        elif caller == "point_block":
+            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 8, 0, range(2), False))
+        elif caller == "ergodicity":
+            ergodicity_test(nu, rho, dictionary, probes=2, schedule=schedule)
+        else:
+            orbital_dichotomy(x, schedule)
 
 
 def test_tower_idempotent_at_equal_levels():
@@ -570,11 +597,11 @@ def test_product_levels_reduce_to_the_closed_form_for_constant_parameters(seed, 
     sched = sorted(lows | {window})
     keys = [(), (1,), (2,), (1, 2), (1, window)]
     values, slacks, stderrs = _product_levels(nu, bits, sched, keys)
-    want = point_closed_form(bits, sched, keys)
+    want = level_table(bits[None, :], constant_one(), sched, keys)
     for row, want_row in zip(values, want.values[:, 0]):
         assert all(abs(v - w) <= 1e-12 for v, w in zip(row, want_row))
     # slack 3 level_gap_sd and stderr k p^(k-1) sqrt(p(1-p)/b), p = m_b/b
-    want_rows = list(want.slacks[:, 0]) + [want.stderrs[0]]
+    want_rows = list(want.slacks[:, 0]) + [want.stderrs[-1, 0]]
     for row, want_row in zip(slacks + [stderrs], want_rows):
         for got, want in zip(row, want_row):
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-15)

@@ -15,6 +15,7 @@ from ergodec.averaging import (
     default_schedule,
     level_counts,
     level_gap_sd,
+    limit_average,
     mc_level_values,
     monomial_level_average,
     product_levels,
@@ -36,7 +37,7 @@ from ergodec.decomposition import (
     singular_assembly_check,
     split_by_gaps,
 )
-from ergodec.dictionary import TestDictionary
+from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import NonConvergenceError
 from ergodec.groups import act, enumerate_level
 from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
@@ -834,3 +835,86 @@ def test_product_point_blocks_identical_across_workers():
     for blocks in (_map_blocks(tasks, 1), _map_blocks(tasks, 2)):
         got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
         _assert_same_bytes(got, want)
+
+
+# sha256 of the repr of ergodicity_test verdicts and of limit_average reports
+# under the three kinds of cocycle (constant, product potential, Monte Carlo),
+# recorded on commit 0d6eee3, before one level dispatcher served every caller.
+RECORDED_ERGODICITY_SHA256 = (
+    "14dd9d20ed254c2b323ea1b6fd27e648de6f80330b537046085e8cc7376bb1a0"
+)
+RECORDED_LIMIT_AVERAGE_SHA256 = (
+    "edfebb53d15597859d841a0e489c37ec121b0de2740507c7bc16ed71241a1f55"
+)
+
+
+def _three_cocycles(nu):
+    return (constant_one(), make_rn(nu), _monte_carlo_rn(nu))
+
+
+def test_ergodicity_test_matches_recorded_verdicts():
+    nu, comps = _bench_mixture(64)
+    verdicts = [
+        ergodicity_test(eta, rho, DICT2, probes=8, schedule=schedule,
+                        mc_samples=200, seed=17, exact_cap=exact_cap)
+        for eta in (nu, comps[1])
+        for rho in _three_cocycles(eta)
+        for schedule, exact_cap in ((None, 8), ((4, 8, 64), 8), ((4, 8, 64), 0))
+    ]
+    assert {v.verdict for v in verdicts} >= {"ergodic", "non-ergodic"}
+    assert any(v.witnesses for v in verdicts)
+    got = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+    assert got == RECORDED_ERGODICITY_SHA256
+
+
+def test_limit_average_matches_recorded_reports():
+    nu, _ = _bench_mixture(64)
+    reports = []
+    for i, rho in itertools.product(range(3), _three_cocycles(nu)):
+        x = tuple(nu.sample_array(substream(5, i)).tolist())
+        for key, schedule, exact_cap in (
+            ((1,), default_schedule(64), 8),
+            ((1, 2), (4, 8, 64), 8),
+            ((2, 64), (4, 8, 32, 64), 8),
+            ((1, 3), (2, 16, 64), 0),
+        ):
+            reports.append(limit_average(
+                rho, CylinderMonomial(key), x, schedule, tolerance=0.02,
+                mc_samples=200, rng=substream(5, 100 + i), exact_cap=exact_cap,
+            ))
+    assert {r.method for rep in reports for r in rep.levels} == {"exact", "monte-carlo"}
+    got = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert got == RECORDED_LIMIT_AVERAGE_SHA256
+
+
+@pytest.mark.parametrize("kind", ["constant", "product", "monte-carlo"])
+def test_point_block_rows_do_not_depend_on_the_split(kind):
+    nu, _ = _bench_mixture(64)
+    rho = dict(zip(("constant", "product", "monte-carlo"), _three_cocycles(nu)))[kind]
+    schedule, mc_samples, exact_cap, seed = (4, 8, 32, 64), 200, 8, 23
+
+    def block(indices):
+        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, exact_cap, seed,
+                             indices, True))
+
+    whole = block(range(30))
+    parts = [block(range(0, 7)), block(range(7, 30))]
+    _assert_same_bytes(whole[:3], [np.concatenate([p[k] for p in parts]) for k in range(3)])
+    assert whole[3] == parts[0][3] + parts[1][3]
+    keys = [m.indices for m in DICT2.entries]
+    for row, i in enumerate(range(30)):
+        stream = substream(seed, i)
+        x = nu.sample_array(stream)
+        assert tuple(x.tolist()) == whole[3][row]
+        stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, stream, exact_cap)
+        assert [float(stat.values[k]) for k in keys] == whole[0][row].tolist()
+        assert [stat.stderrs[k] for k in keys] == whole[1][row].tolist()
+        assert [stat.converged[k] for k in keys] == whole[2][row].tolist()
+
+
+def test_ergodicity_test_with_no_probes_checks_nothing():
+    nu, _ = _bench_mixture(16)
+    for rho in _three_cocycles(nu):
+        for schedule in (None, (4, 8, 16)):
+            verdict = ergodicity_test(nu, rho, DICT2, probes=0, schedule=schedule)
+            assert (verdict.verdict, verdict.checks) == ("ergodic", 0)

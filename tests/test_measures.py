@@ -184,6 +184,24 @@ def test_sample_requires_probability():
         sample(nu, substream(17, 1))
 
 
+@pytest.mark.parametrize("kind", ["atomic", "product", "beta", "mixture"])
+def test_sample_array_is_the_bits_of_sample(kind):
+    atomic = AtomicMeasure({(1, 0, 1, 1): Fraction(1, 3), (0, 0, 1, 0): Fraction(2, 3)})
+    nu = {
+        "atomic": atomic,
+        "product": ProductBernoulli([Fraction(1, 3), 0.5, 0.25, 0.9]),
+        "beta": BetaExchangeable(2, 3, 4),
+        "mixture": Mixture([0.5, 0.5], [atomic, ProductBernoulli([0.4] * 4)]),
+    }[kind]
+    for i in range(20):
+        by_array, by_tuple = substream(17, 9, i), substream(17, 9, i)
+        got = nu.sample_array(by_array)
+        assert got.dtype == np.uint8
+        assert tuple(got.tolist()) == nu.sample(by_tuple)
+        # the same use of the stream: the next draws agree too
+        assert by_array.random() == by_tuple.random()
+
+
 def test_sample_bernoulli_clt_bound():
     nu = ProductBernoulli([0.2] * 4096)
     x = sample(nu, substream(17, 2))
