@@ -4,20 +4,20 @@ The level-n average of a bounded function phi at a point x is the ratio
 
     sum_k phi(act(k, x)) rho(k, x)  /  sum_k rho(k, x),   k over S(n),
 
-For the constant cocycle and a cylinder monomial it is the hypergeometric
-closed form ``closed_form_levels``, exact at every level and evaluated for a
-batch of points at once. For a potential
-with log-linear parts (``make_rn`` of a product Bernoulli measure or of a
-mixture of them) and a cylinder monomial, ``product_levels`` gives it as an
-exact orbit sum in floats, from elementary-symmetric tables, also for a batch
-of points. Otherwise it is computed exactly up to S(8) (rational
-arithmetic when the inputs are rational) and above that by self-normalized
-Monte Carlo over Haar draws (``haar_rows``), which needs a potential-backed
-cocycle. ``level_table`` is the one place that picks among these engines for
-cylinder monomials; ``pi_phi``, ``decompose``, ``ergodicity_test`` and
-``limit_average`` call it. If the denominator were infinite the average is
-defined to be 0; that branch is unreachable for finite levels but kept for
-interface fidelity.
+For the constant cocycle (``make_rn`` and ``make_rho_f`` of exchangeable
+inputs return it) and a cylinder monomial it is the hypergeometric closed
+form ``closed_form_levels``, exact at every level, for a batch of points at
+once. Other cocycles are exact up to S(8) (``EXACT_LEVEL_CAP``; rational
+arithmetic when the inputs are rational). Above that, a potential with
+log-linear parts (``make_rn`` of an inhomogeneous product Bernoulli measure
+or a mixture of them) takes ``product_levels`` for cylinder monomials, an
+exact float orbit sum over a batch of points; everything else takes
+self-normalized Monte Carlo over Haar draws (``haar_rows``), which needs a
+potential-backed cocycle. ``level_table`` is the one place that picks among
+these engines for cylinder monomials; ``pi_phi``, ``decompose``,
+``ergodicity_test`` and ``limit_average`` call it. If the denominator were
+infinite the average is defined to be 0; that branch is unreachable for
+finite levels but kept for interface fidelity.
 
 Exact evaluation below S(8) has two shortcuts that give the same value as
 plain group enumeration and are cross-checked against it in the test suite:
@@ -112,10 +112,10 @@ class ClosedFormLevels:
     - ``values``: the averages in float64, each the correctly rounded
       quotient, so equal to ``float(self.fraction(i, p, j))``;
     - ``slacks``: the limit-rule slack of the step from a = levels[i-1] to
-      b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > exact_cap and
-      0 otherwise (``slacks[0]`` is 0);
+      b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > 8 and 0
+      otherwise (``slacks[0]`` is 0);
     - ``stderrs[p, j]``: the sd of the last level's value about its limit,
-      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > exact_cap and 0 otherwise.
+      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > 8 and 0 otherwise.
     """
 
     nums: np.ndarray
@@ -154,7 +154,6 @@ def closed_form_levels(
     heads: np.ndarray,
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> ClosedFormLevels:
     """Constant-cocycle level averages of cylinder monomials for a batch of
     points, exact at every level, with no random draws and no enumeration.
@@ -189,7 +188,7 @@ def closed_form_levels(
     for li, n in enumerate(levels):
         m = counts[:, li]
         p = m / n
-        if n > exact_cap:
+        if n > EXACT_LEVEL_CAP:
             spread = p * (1.0 - p)
             if li:
                 a = levels[li - 1]
@@ -212,7 +211,7 @@ def closed_form_levels(
                 num = [math.perm(int(c), k) if ok else 0 for c, ok in zip(m, alive)]
                 values[li, :, j] = [q / den for q in num]
             nums[li, :, j] = num
-            if k == 0 or n <= exact_cap:
+            if k == 0 or n <= EXACT_LEVEL_CAP:
                 continue
             coef = _monomial_slope(p, k)
             if li:
@@ -315,7 +314,6 @@ def product_levels(
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
     parts: LogLinearParts,
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level averages of cylinder monomials for a batch of points (one 0/1
     row of ``bits`` each) under a cocycle whose potential has log-linear
@@ -344,8 +342,8 @@ def product_levels(
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
 
     - slack 3 c_S sqrt(b (V_b - V_a) / ((b - 1) V_a V_b)) for the step
-      a -> b, b > exact_cap (0 otherwise);
-    - stderr c_S / sqrt(V_b) at the last level b > exact_cap (0 otherwise).
+      a -> b, b > 8 (0 otherwise);
+    - stderr c_S / sqrt(V_b) at the last level b > 8 (0 otherwise).
 
     With constant parameters pi_i = m_b/b and these are exactly
     3 ``level_gap_sd`` and the stderr of ``closed_form_levels``.
@@ -391,7 +389,7 @@ def product_levels(
             v = np.ascontiguousarray(per_subset[:, holds]).sum(axis=1) / den
             values[li, :, k] = np.where(alive, np.where(v < 1.0, v, 1.0), 0.0)
         # level b's pi serves the step a -> b and the last level's stderr
-        wanted = n > exact_cap and (a is not None or li == len(levels) - 1)
+        wanted = n > EXACT_LEVEL_CAP and (a is not None or li == len(levels) - 1)
         solve = np.flatnonzero(active.any(axis=1) & wanted)
         q = g.sum(axis=2) / den[:, None]
         chunk = max(1, _NEWTON_FLOATS // (comps * n))
@@ -520,6 +518,10 @@ def _weighted_haar_rows(
     instead: the self-normalized estimate and its stderr do not depend on a
     common factor.
     """
+    if samples < 2:
+        raise ValueError("at least 2 samples required")
+    if level > x_bits.shape[0]:
+        raise ValueError("level exceeds the configuration window")
     if rho.potential is None:
         raise ValueError("Monte Carlo levels need a potential-backed cocycle")
     rows = haar_rows(x_bits, level, samples, rng)
@@ -553,10 +555,6 @@ def mc_level_values(
     subset). Returns (estimate, stderr) per monomial. The cocycle must have
     a potential, else ValueError.
     """
-    if samples < 2:
-        raise ValueError("at least 2 samples required")
-    if level > x_bits.shape[0]:
-        raise ValueError("level exceeds the configuration window")
     rows, w = _weighted_haar_rows(x_bits, level, rho, samples, rng)
     out = []
     for m in monomials:
@@ -580,14 +578,12 @@ def average_mc(
     phi,
     x: Config,
     samples: int,
-    rng: RandomStream,
+    rng: RandomStream | None,
 ) -> AveragingReport:
     """Self-normalized importance estimate of the level average over Haar
-    rows; the cocycle must have a potential, else ValueError."""
-    if samples < 2:
-        raise ValueError("at least 2 samples required")
-    if level > len(x):
-        raise ValueError("level exceeds the configuration window")
+    rows; ValueError without a potential or a random stream."""
+    if rng is None:
+        raise ValueError("Monte Carlo levels need a random stream")
     x_bits = np.array(x, dtype=np.uint8)
     if isinstance(phi, CylinderMonomial):
         ((est, se),) = mc_level_values(x_bits, level, rho, [phi], samples, rng)
@@ -664,7 +660,6 @@ def level_table(
     rho: Cocycle,
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
-    exact_cap: int = EXACT_LEVEL_CAP,
     mc_samples: int = 512,
     streams: Sequence[RandomStream | None] | None = None,
 ) -> LevelTable:
@@ -676,12 +671,14 @@ def level_table(
        ``closed_form_levels``, exact at every level, from one count of ones
        over the block; its slack is 3 ``level_gap_sd`` (the finite de Finetti
        fluctuation of Diaconis and Freedman, 1980) and its stderr
-       k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, both 0 at levels <= exact_cap;
-    2. any other cocycle takes ``average_exact`` at levels <= exact_cap,
-       with slack and stderr 0;
-    3. above that, a potential with log-linear parts (``make_rn`` of a
-       product Bernoulli measure or a mixture of them) takes the exact orbit
-       sums of ``product_levels``, with its delta-method slack and stderr;
+       k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, both 0 at levels up to S(8).
+       ``make_rn`` and ``make_rho_f`` of an exchangeable input return this
+       cocycle, so they take the closed form too;
+    2. any other cocycle takes ``average_exact`` at levels up to S(8)
+       (``EXACT_LEVEL_CAP``), with slack and stderr 0;
+    3. above that, log-linear parts (``make_rn`` of an inhomogeneous product
+       Bernoulli measure or a mixture of them) take the exact orbit sums of
+       ``product_levels``, with their delta-method slack and stderr;
     4. everything else takes ``mc_level_values``: one set of Haar draws per
        level shared by all keys (which keeps r_S >= r_{S u {j}}), drawn for
        each point from its own ``streams`` entry in ascending level order, so
@@ -696,15 +693,13 @@ def level_table(
     shape = (len(levels), rows.shape[0], len(keys))
     stderrs = np.zeros(shape)
     if rho.is_constant_one:
-        cf = closed_form_levels(level_counts(rows, levels), rows, levels, keys, exact_cap)
+        cf = closed_form_levels(level_counts(rows, levels), rows, levels, keys)
         stderrs[-1] = cf.stderrs
         return LevelTable(cf.values, cf.slacks, stderrs, ("closed-form",) * len(levels), cf)
     top = "product" if rho.log_linear is not None else "monte-carlo"
-    methods = tuple("enumeration" if n <= exact_cap else top for n in levels)
+    methods = tuple("enumeration" if n <= EXACT_LEVEL_CAP else top for n in levels)
     if top == "product":
-        values, slacks, stderrs[-1] = product_levels(
-            rows, levels, keys, rho.log_linear, exact_cap
-        )
+        values, slacks, stderrs[-1] = product_levels(rows, levels, keys, rho.log_linear)
     else:
         values, slacks = np.zeros(shape), np.zeros(shape)
     monomials = [CylinderMonomial(key) for key in keys]
@@ -742,7 +737,6 @@ def limit_average(
     tolerance: float = 1e-3,
     mc_samples: int = 512,
     rng: RandomStream | None = None,
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> LimitReport:
     """Track level averages along a schedule and detect the limit.
 
@@ -753,8 +747,8 @@ def limit_average(
     level: Monte Carlo levels are reported as "monte-carlo" with their
     stderr, every other level as "exact" with stderr 0 (enumerated levels
     count their level! permutations, the others 0 samples). Any other phi
-    takes ``average_exact`` up to exact_cap and ``average_mc`` above, with
-    slack 3 * combined stderr.
+    takes ``average_exact`` up to S(8) and ``average_mc`` above, with slack
+    3 * combined stderr.
     """
     sched = checked_schedule(schedule, len(x))
     if tolerance <= 0:
@@ -762,19 +756,16 @@ def limit_average(
     if isinstance(phi, CylinderMonomial):
         table = level_table(
             np.asarray(x, dtype=np.uint8)[None, :], rho, sched, [phi.indices],
-            exact_cap, mc_samples, [rng],
+            mc_samples, [rng],
         )
         reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
         slack = float(table.slacks[-1, 0, 0])
     else:
-        reports = []
-        for n in sched:
-            if n <= exact_cap:
-                reports.append(average_exact(n, rho, phi, x))
-            else:
-                if rng is None:
-                    raise ValueError("Monte Carlo levels need a random stream")
-                reports.append(average_mc(n, rho, phi, x, mc_samples, rng))
+        reports = [
+            average_exact(n, rho, phi, x) if n <= EXACT_LEVEL_CAP
+            else average_mc(n, rho, phi, x, mc_samples, rng)
+            for n in sched
+        ]
         slack = 3.0 * combined_stderr(*reports[-2:]) if len(reports) > 1 else 0.0
     if len(reports) == 1:
         only = reports[0]

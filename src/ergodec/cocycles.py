@@ -3,8 +3,9 @@
 Every constructor here produces a potential-backed cocycle, i.e. one of the
 form rho(g, x) = u(act(g, x)) / u(x) for a strictly positive function u. That
 structure guarantees the multiplicative identity exactly and enables
-orbit-collapsed exact averaging. Fibrewise continuity is automatic for finite
-levels and carried as a declared flag so hypotheses stay visible in code.
+orbit-collapsed exact averaging. For an argument that declares itself
+exchangeable, rho is identically 1 and ``make_rn`` and ``make_rho_f`` return
+``constant_one()``.
 
 Constructors avoid closures so cocycles pickle cleanly into worker processes.
 """
@@ -21,38 +22,30 @@ from .groups import Config, Permutation, act
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
-PROVENANCE_CONSTANT = "constant-one"
-PROVENANCE_RN = "radon-nikodym"
-PROVENANCE_WEIGHT = "from-weight"
-
 
 @dataclass
 class Cocycle:
-    """Evaluable positive weight rho(g, x) with a provenance tag.
+    """Evaluable positive weight rho(g, x).
 
     ``potential`` (when present) is the positive function u with
     rho(g, x) = u(act(g, x)) / u(x); ``log_potential_rows`` optionally maps a
     matrix of 0/1 configurations, one per row, uint8 or float64, to log-u
     values for vectorized Monte Carlo. ``log_linear`` optionally gives u as a
-    mixture of log-linear terms (``measures.LogLinearParts``);
-    ``averaging.level_table`` then computes levels above the exact cap as
-    exact orbit sums (``averaging.product_levels``) instead of by Monte
-    Carlo.
+    mixture of log-linear terms (``measures.LogLinearParts``), and
+    ``is_constant_one`` is set by ``constant_one`` only: these two fields pick
+    each level's engine in ``averaging.level_table``. Every constructor here
+    builds a potential-backed cocycle, which is fibrewise continuous (the
+    hypothesis of Theorem ergdecstrcont) since S(n) moves n coordinates.
     """
 
     eval_fn: Callable[[Permutation, Config], object]
-    provenance: str
     potential: Optional[Callable[[Config], object]] = None
     log_potential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fibrewise_continuous: bool = True
     log_linear: Optional[LogLinearParts] = None
+    is_constant_one: bool = False
 
     def __call__(self, g: Permutation, x: Config):
         return self.eval_fn(g, x)
-
-    @property
-    def is_constant_one(self) -> bool:
-        return self.provenance == PROVENANCE_CONSTANT
 
 
 def _const_eval(g: Permutation, x: Config):
@@ -70,9 +63,9 @@ def _const_log_rows(rows: np.ndarray) -> np.ndarray:
 def constant_one() -> Cocycle:
     return Cocycle(
         eval_fn=_const_eval,
-        provenance=PROVENANCE_CONSTANT,
         potential=_const_potential,
         log_potential_rows=_const_log_rows,
+        is_constant_one=True,
     )
 
 
@@ -86,12 +79,14 @@ def _weight_eval(f, g: Permutation, x: Config):
 def make_rho_f(f) -> Cocycle:
     """Weight-ratio cocycle rho(g, x) = f(act(g, x)) / f(x) for positive f.
 
-    A vectorized ``f.log_rows`` (log f of 0/1 rows), when f has one, serves
-    Monte Carlo levels in log space.
+    ``constant_one()`` when f declares itself ``exchangeable``
+    (``ConstantWeight``). Otherwise a vectorized ``f.log_rows`` (log f of 0/1
+    rows), when f has one, serves Monte Carlo levels in log space.
     """
+    if getattr(f, "exchangeable", False):
+        return constant_one()
     return Cocycle(
         eval_fn=partial(_weight_eval, f),
-        provenance=PROVENANCE_WEIGHT,
         potential=f,
         log_potential_rows=getattr(f, "log_rows", None),
     )
@@ -112,15 +107,18 @@ def _log_atom_rows(nu):
 def make_rn(nu) -> Cocycle:
     """Radon-Nikodym cocycle of a measure; zero-mass points raise on evaluation.
 
-    The potential is the atom mass of nu. A product Bernoulli measure, or a
+    An ``exchangeable`` measure (``BetaExchangeable``, equal product Bernoulli
+    parameters, a mixture of those) gets ``constant_one()``. Otherwise the
+    potential is the atom mass of nu. A product Bernoulli measure, or a
     mixture of them, also hands over its log-linear parts, which make every
-    level an exact orbit sum; other measures take Monte Carlo above the
-    exact cap, with log-space weights when every component has a vectorized
+    level above S(8) an exact orbit sum; other measures take Monte Carlo
+    there, with log-space weights when every component has a vectorized
     log-mass and per-row atom masses otherwise.
     """
+    if getattr(nu, "exchangeable", False):
+        return constant_one()
     return Cocycle(
         eval_fn=partial(_rn_eval, nu),
-        provenance=PROVENANCE_RN,
         potential=nu.atom,
         log_potential_rows=_log_atom_rows(nu),
         log_linear=getattr(nu, "log_linear", None),

@@ -25,7 +25,6 @@ from .averaging import (
     EXACT_LEVEL_CAP,
     average_exact,
     checked_schedule,
-    default_schedule,
     level_table,
     mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -77,7 +76,6 @@ def pi_phi(
     tolerance: float = 1e-3,
     mc_samples: int = 512,
     rng: RandomStream | None = None,
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> LimitStatistic:
     """Entrywise limit detection over the dictionary.
 
@@ -94,7 +92,7 @@ def pi_phi(
     x_bits = np.asarray(x, dtype=np.uint8)
     sched = checked_schedule(schedule, x_bits.shape[0])
     keys = [m.indices for m in dictionary.entries]
-    table = level_table(x_bits[None, :], rho, sched[-2:], keys, exact_cap, mc_samples, [rng])
+    table = level_table(x_bits[None, :], rho, sched[-2:], keys, mc_samples, [rng])
     converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
     return LimitStatistic(
         values={k: table.value(-1, 0, j) for j, k in enumerate(keys)},
@@ -121,8 +119,8 @@ class DecomposeConfig:
     samples: int = 2000
     schedule: Optional[tuple[int, ...]] = None
     tolerance: float = 0.02
-    # Haar draws per Monte Carlo level: only a potential without log-linear
-    # parts draws; the constant cocycle and product potentials are exact.
+    # Haar draws per Monte Carlo level; the constant cocycle (also that of
+    # exchangeable inputs) and product potentials draw none.
     mc_samples: int = 400
     depth: int = 2
     width: int = 2
@@ -134,7 +132,6 @@ class DecomposeConfig:
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
     validate_cocycle: bool = True
-    exact_cap: int = EXACT_LEVEL_CAP
     empirical_window_cap: int = 64  # non-exchangeable representatives store atoms
 
 
@@ -182,14 +179,14 @@ def split_by_gaps(values: np.ndarray, min_gap: float) -> list[np.ndarray]:
     return groups
 
 
-def _sampled_table(nu, rho: Cocycle, keys, levels, exact_cap: int, mc_samples: int, streams):
+def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
     """Draw one point of nu from each stream into a (points x window) uint8
     block and evaluate it with ``level_table``, whose Monte Carlo levels draw
     on from the same streams. Returns (rows, table)."""
     rows = np.empty((len(streams), nu.window), dtype=np.uint8)
     for r, stream in enumerate(streams):
         rows[r] = nu.sample_array(stream)
-    return rows, level_table(rows, rho, levels, keys, exact_cap, mc_samples, streams)
+    return rows, level_table(rows, rho, levels, keys, mc_samples, streams)
 
 
 def _point_block(args):
@@ -201,11 +198,11 @@ def _point_block(args):
     its Monte Carlo levels, so the rows do not depend on how the points are
     split into blocks or workers.
     """
-    nu, rho, dictionary, schedule, tolerance, mc_samples, exact_cap, seed, indices, keep_configs = args
+    nu, rho, dictionary, schedule, tolerance, mc_samples, seed, indices, keep_configs = args
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]
     streams = [substream(seed, i) for i in indices]
-    rows, table = _sampled_table(nu, rho, keys, levels, exact_cap, mc_samples, streams)
+    rows, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
     conv = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
     configs = [tuple(x) for x in rows.tolist()] if keep_configs else None
     return table.values[-1], table.stderrs[-1], conv, configs
@@ -248,7 +245,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     configured fraction of points fails limit detection.
     """
     window = nu.window
-    schedule = config.schedule or default_schedule(window)
+    schedule = checked_schedule(config.schedule, window)
     dictionary = TestDictionary.build(config.depth, config.width)
     if config.validate_cocycle:
         _validate_cocycle_agreement(nu, rho, config.seed)
@@ -274,7 +271,6 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
             schedule,
             config.tolerance,
             config.mc_samples,
-            config.exact_cap,
             config.seed,
             range(lo, min(lo + block, m)),
             keep_configs,
@@ -298,7 +294,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
             diagnostics={
                 "bad_fraction": bad_fraction,
                 "threshold": config.nonconvergence_threshold,
-                "schedule": tuple(schedule),
+                "schedule": schedule,
                 "mc_samples": config.mc_samples,
             },
         )
@@ -321,7 +317,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
             r1_values=r1.copy(),
             statistic_keys=tuple(keys),
             statistics=vals,
-            schedule=tuple(schedule),
+            schedule=schedule,
             mc_samples=config.mc_samples,
         )
 
@@ -365,7 +361,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         r1_values=r1.copy(),
         statistic_keys=tuple(keys),
         statistics=vals,
-        schedule=tuple(schedule),
+        schedule=schedule,
         mc_samples=config.mc_samples,
     )
     residual = barycenter_residual(nu, dm, config.residual_depth)
@@ -424,19 +420,18 @@ def ergodicity_test(
     tolerance: float = 0.02,
     mc_samples: int = 400,
     seed: int = 0,
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> ErgodicityVerdict:
     """Check that limit averages of sampled points match the space averages.
 
     A probe entry fails when |limit - integral| > 3 * stderr + tolerance. On
-    exact atomic models of window <= exact_cap the comparison is exact.
+    exact atomic models of window <= 8 the comparison is exact.
     """
     from .measures import expectation_monomial
 
     window = eta.window
     entries = dictionary.nonconstant()
 
-    if isinstance(eta, AtomicMeasure) and window <= exact_cap:
+    if isinstance(eta, AtomicMeasure) and window <= EXACT_LEVEL_CAP:
         failures = 0
         checks = 0
         witnesses = []
@@ -463,7 +458,7 @@ def ergodicity_test(
     sched = checked_schedule(schedule, window)
     keys = [m.indices for m in dictionary.entries]
     streams = [substream(seed, 0xE6, i) for i in range(probes)]
-    _, table = _sampled_table(eta, rho, keys, sched[-2:], exact_cap, mc_samples, streams)
+    _, table = _sampled_table(eta, rho, keys, sched[-2:], mc_samples, streams)
     converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], 1e-3)
     values, ses = table.values[-1].tolist(), table.stderrs[-1].tolist()
     targets = [(keys.index(m.indices), float(expectation_monomial(eta, m.indices)))

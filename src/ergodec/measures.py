@@ -179,17 +179,19 @@ class AtomicMeasure:
             raise ValueError("expectation is defined for probability measures")
         return sum(fn(c) * m for c, m in sorted(self._atoms.items()))
 
-    def sample(self, rng: RandomStream) -> Config:
+    @cached_property
+    def _sampler(self) -> tuple[list[Config], np.ndarray]:
+        # the sorted atoms and their running float masses (a sequential
+        # cumsum), built once: the atoms never change
         if not self.is_probability():
             raise ValueError("sampling needs a normalized measure")
-        r = rng.random()
-        acc = 0.0
         items = sorted(self._atoms.items())
-        for cfg, m in items:
-            acc += float(m)
-            if r < acc:
-                return cfg
-        return items[-1][0]
+        return [cfg for cfg, _ in items], np.cumsum([float(m) for _, m in items])
+
+    def sample(self, rng: RandomStream) -> Config:
+        # the first atom whose running mass exceeds the draw, else the last
+        configs, cum = self._sampler
+        return configs[min(int(cum.searchsorted(rng.random(), "right")), len(configs) - 1)]
 
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         return np.array(self.sample(rng), dtype=np.uint8)
@@ -223,6 +225,10 @@ class ProductBernoulli:
     @property
     def window(self) -> int:
         return len(self.params)
+
+    @cached_property
+    def exchangeable(self) -> bool:
+        return len(set(self.params)) == 1
 
     def mass(self, a: Cylinder) -> Scalar:
         out: Scalar = Fraction(1)
@@ -340,6 +346,10 @@ class Mixture:
     def window(self) -> int:
         return self.components[0].window
 
+    @property
+    def exchangeable(self) -> bool:
+        return all(getattr(c, "exchangeable", False) for c in self.components)
+
     def mass(self, a: Cylinder) -> Scalar:
         return sum(w * c.mass(a) for w, c in zip(self.weights, self.components))
 
@@ -433,6 +443,8 @@ class BetaExchangeable:
     Integer shape parameters keep every cylinder mass an exact Pochhammer
     ratio, so exact-arithmetic checks apply to this family too.
     """
+
+    exchangeable = True
 
     def __init__(self, alpha: int, beta: int, window: int):
         if alpha < 1 or beta < 1:

@@ -82,6 +82,10 @@ class ConstantWeight:
 
     value: Fraction = Fraction(1)
 
+    @property
+    def exchangeable(self) -> bool:
+        return self.value > 0
+
     def __call__(self, x) -> Fraction:
         return Fraction(self.value)
 
@@ -405,14 +409,13 @@ def orbital_dichotomy(
     battery: Sequence[CylinderMonomial] | None = None,
     decay_threshold: float = 0.01,
     tolerance: float = 1e-3,
-    exact_cap: int = EXACT_LEVEL_CAP,
 ) -> DichotomyReport:
     """Track orbital-measure integrals of a battery of cylinder functions.
 
     Every level is the exact closed form of ``averaging.closed_form_levels``
     (the series carry stderr 0), so the scan makes no random draws. A step
     from level a to b counts as rising or as not Cauchy only beyond its slack,
-    3 ``level_gap_sd`` when b > exact_cap and 0 otherwise, the limit rule of
+    3 ``level_gap_sd`` when b > 8 and 0 otherwise, the limit rule of
     ``pi_phi``. Declares mass escape when every tracked value ends below the
     threshold and no step rises; convergence when every series is Cauchy at
     the last step with some value staying above the threshold; otherwise
@@ -421,7 +424,7 @@ def orbital_dichotomy(
     sched = checked_schedule(schedule, len(x))
     mons = tuple(battery) if battery is not None else TestDictionary.build(2, 2).nonconstant()
     bits = np.asarray(x, dtype=np.uint8)[None, :]
-    table = level_table(bits, constant_one(), sched, [m.indices for m in mons], exact_cap)
+    table = level_table(bits, constant_one(), sched, [m.indices for m in mons])
     values, slacks = table.values[:, 0].tolist(), table.slacks[:, 0].tolist()
 
     series = {

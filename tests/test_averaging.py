@@ -28,7 +28,13 @@ from ergodec.averaging import (
     tower_check,
 )
 from ergodec.cocycles import Cocycle, constant_one, make_rho_f, make_rn
-from ergodec.decomposition import _point_block, ergodicity_test, pi_phi
+from ergodec.decomposition import (
+    DecomposeConfig,
+    _point_block,
+    decompose,
+    ergodicity_test,
+    pi_phi,
+)
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
 from ergodec.measures import BetaExchangeable, Mixture, ProductBernoulli
@@ -216,7 +222,8 @@ def test_limit_schedule_must_increase():
 
 
 @pytest.mark.parametrize(
-    "caller", ["constant", "product", "pi_phi", "point_block", "ergodicity", "orbital"]
+    "caller",
+    ["constant", "product", "pi_phi", "point_block", "ergodicity", "orbital", "decompose"],
 )
 @pytest.mark.parametrize("schedule, message", [
     ((2, 8), "schedule exceeds"),  # a window-4 point has no level 8
@@ -225,7 +232,7 @@ def test_limit_schedule_must_increase():
 ])
 def test_schedule_outside_the_point_raises(caller, schedule, message):
     x, mono, dictionary = (1, 0, 1, 0), CylinderMonomial((1,)), TestDictionary.build(1, 1)
-    nu = ProductBernoulli([Fraction(1, 3)] * 4)
+    nu = ProductBernoulli([Fraction(1, 3), Fraction(1, 4)] * 2)
     rho = make_rn(nu)
     with pytest.raises(ValueError, match=message):
         if caller == "constant":
@@ -235,11 +242,14 @@ def test_schedule_outside_the_point_raises(caller, schedule, message):
         elif caller == "pi_phi":
             pi_phi(x, rho, dictionary, schedule)
         elif caller == "point_block":
-            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 8, 0, range(2), False))
+            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 0, range(2), False))
         elif caller == "ergodicity":
             ergodicity_test(nu, rho, dictionary, probes=2, schedule=schedule)
-        else:
+        elif caller == "orbital":
             orbital_dichotomy(x, schedule)
+        else:
+            # an empty schedule is an error, not the default schedule
+            decompose(nu, rho, DecomposeConfig(samples=2, schedule=schedule))
 
 
 def test_tower_idempotent_at_equal_levels():
@@ -274,7 +284,7 @@ def _not_a_cocycle(g, x):
 
 
 def test_tower_reports_witness_when_weights_are_inconsistent():
-    fake = Cocycle(eval_fn=_not_a_cocycle, provenance="radon-nikodym", potential=None)
+    fake = Cocycle(eval_fn=_not_a_cocycle)
     nu = _product_atoms([Fraction(1, 2)] * 4)
     rep = tower_check(3, 2, fake, CylinderMonomial((1,)), nu)
     assert not rep.ok
@@ -521,7 +531,7 @@ def test_average_mc_callable_phi_under_callable_potential():
 
 
 def test_monte_carlo_level_needs_a_potential():
-    fake = Cocycle(eval_fn=_not_a_cocycle, provenance="radon-nikodym", potential=None)
+    fake = Cocycle(eval_fn=_not_a_cocycle)
     x = (1, 0) * 8
     with pytest.raises(ValueError, match="potential"):
         average_mc(12, fake, CylinderMonomial((1,)), x, 50, substream(41, 10))
@@ -544,11 +554,10 @@ def _rational_mixture(draw, window):
     return members[0] if comps == 1 else Mixture(weights, members)
 
 
-def _product_levels(nu, x, levels, keys, exact_cap=EXACT_LEVEL_CAP):
+def _product_levels(nu, x, levels, keys):
     """The kernel on the single point x, as per-level lists of floats."""
     values, slacks, stderrs = product_levels(
-        np.asarray(x, dtype=np.uint8)[None, :], levels, keys, make_rn(nu).log_linear,
-        exact_cap,
+        np.asarray(x, dtype=np.uint8)[None, :], levels, keys, nu.log_linear
     )
     return values[:, 0].tolist(), slacks[:, 0].tolist(), stderrs[0].tolist()
 
@@ -651,7 +660,7 @@ def test_log_linear_parts_only_when_every_component_has_them():
     window = 16
     product = ProductBernoulli([Fraction(1, 3)] * window)
     nested = Mixture([Fraction(1, 4), Fraction(3, 4)], [product, Mixture([1], [product])])
-    parts = make_rn(nested).log_linear
+    parts = nested.log_linear
     assert parts.logit.shape == (2, window)
     assert np.allclose(parts.const, [math.log(1 / 4) + window * math.log(2 / 3),
                                      math.log(3 / 4) + window * math.log(2 / 3)])
@@ -728,7 +737,7 @@ def _per_point_tilted_inclusion(logit, m, q):
     return q @ pi, steps
 
 
-def _per_point_product_levels(x, levels, keys, parts, exact_cap):
+def _per_point_product_levels(x, levels, keys, parts):
     """The product-potential kernel for one point, as it stood before it was
     batched: per-level lists (values, slacks) and the last level's stderrs."""
     xf = np.asarray(x, dtype=np.float64)
@@ -766,7 +775,7 @@ def _per_point_product_levels(x, levels, keys, parts, exact_cap):
                 row.append(min(1.0, float(per_subset[holds_s].sum() / den)))
         values.append(row)
         slack = [0.0] * len(keys)
-        if n > exact_cap and any(moved):
+        if n > EXACT_LEVEL_CAP and any(moved):
             pi, _ = _per_point_tilted_inclusion(parts.logit[:, :n], m, g.sum(axis=1) / den)
             cum = np.cumsum(pi * (1.0 - pi))
             coef = [
@@ -783,7 +792,7 @@ def _per_point_product_levels(x, levels, keys, parts, exact_cap):
         slacks.append(slack)
         a = n
     stderrs = [0.0] * len(keys)
-    if a > exact_cap and any(moved) and v_b > 0.0:
+    if a > EXACT_LEVEL_CAP and any(moved) and v_b > 0.0:
         stderrs = [c / math.sqrt(v_b) for c in coef]
     return values, slacks, stderrs
 
@@ -800,7 +809,7 @@ def _parts_of(kind, comps, window, rng):
         params = [[0.01 if (i + c) % 2 else 0.99 for i in range(window)] for c in range(comps)]
     members = [ProductBernoulli(p) for p in params]
     nu = members[0] if comps == 1 else Mixture([1 / comps] * comps, members)
-    return make_rn(nu).log_linear
+    return nu.log_linear
 
 
 @settings(max_examples=30, deadline=None)
@@ -820,16 +829,16 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
     bits[0] = 0  # m = 0 at every level
     if points > 1:
         bits[-1] = 1  # m = n at every level
-    lows = rng.integers(1, window, int(rng.integers(0, 3)))
+    # low levels on either side of S(8) half of the time
+    lows = rng.integers(1, rng.choice([12, window]), int(rng.integers(0, 3)))
     levels = sorted({int(n) for n in lows} | {window})
     dictionary = TestDictionary.build(int(rng.integers(1, 4)), int(rng.integers(1, 5)))
     # coordinates above the low levels, 0 in some points and 1 in others
     keys = [m.indices for m in dictionary.entries] + [(1, window)]
     if levels[0] < window:
         keys.append((levels[0] + 1,))
-    exact_cap = int(rng.choice([0, 8, levels[0]]))
-    got = product_levels(bits, levels, keys, parts, exact_cap)
-    want = [_per_point_product_levels(x, levels, keys, parts, exact_cap) for x in bits]
+    got = product_levels(bits, levels, keys, parts)
+    want = [_per_point_product_levels(x, levels, keys, parts) for x in bits]
     values = np.array([w[0] for w in want]).transpose(1, 0, 2)
     slacks = np.array([w[1] for w in want]).transpose(1, 0, 2)
     stderrs = np.array([w[2] for w in want])
@@ -895,11 +904,15 @@ def test_limit_average_under_a_product_potential_equals_enumeration(case, levels
     for indices in [(1,), (1, 2), (top,), (1, top)]:
         mono = CylinderMonomial(tuple(sorted(set(indices))))
         exact = limit_average(rho, mono, x, sched)
-        orbit_sums = limit_average(rho, mono, x, sched, exact_cap=0)
-        for e, o in zip(exact.levels, orbit_sums.levels):
-            assert e == average_exact(e.level, rho, mono, x)
-            assert o.method == "exact" and o.stderr == 0.0 and o.sample_count == 0
-            assert abs(o.value - float(e.value)) <= 1e-12
+        orbit_sums, _, _ = product_levels(
+            np.asarray(x, dtype=np.uint8)[None, :], sched, [mono.indices], nu.log_linear
+        )
+        for e, o in zip(exact.levels, orbit_sums[:, 0, 0].tolist()):
+            want = average_exact(e.level, rho, mono, x)
+            # an exchangeable draw gets closed-form levels, which count no
+            # permutations
+            assert e == (replace(want, sample_count=0) if rho.is_constant_one else want)
+            assert abs(o - float(e.value)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [210000, 220000])
@@ -916,7 +929,9 @@ def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(s
         stat = pi_phi(x, rho, dictionary, sched, tolerance=0.02)
         for mono in dictionary.nonconstant():
             rep = limit_average(rho, mono, tuple(x.tolist()), sched, tolerance=0.02)
-            assert [r.method for r in rep.levels] == ["exact", "exact"]
+            assert [(r.method, r.stderr, r.sample_count) for r in rep.levels] == [
+                ("exact", 0.0, 0)
+            ] * 2
             # the kernel's tables depend on the keys it is given, so the
             # values agree to rounding, not to the bit
             assert abs(rep.levels[-1].value - stat.values[mono.indices]) <= 1e-12

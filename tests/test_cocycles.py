@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodec.averaging import level_table
-
+from ergodec.averaging import EXACT_LEVEL_CAP, default_schedule, level_table
 from ergodec.cocycles import (
     Cocycle,
     constant_one,
@@ -17,9 +18,15 @@ from ergodec.cocycles import (
 from ergodec.decomposition import pi_phi
 from ergodec.dictionary import TestDictionary
 from ergodec.groups import Permutation, act, haar_sample, level_orbit
-from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
+from ergodec.measures import (
+    AtomicMeasure,
+    BetaExchangeable,
+    Mixture,
+    ProductBernoulli,
+    rn_derivative,
+)
 from ergodec.rng import substream
-from ergodec.sigma_finite import GeometricWeight
+from ergodec.sigma_finite import ConstantWeight, GeometricWeight
 
 
 def _doubling_weight(x):
@@ -93,7 +100,7 @@ def test_verify_identity_reports_witness_for_corrupted_cocycle():
             return v + 1
         return v
 
-    rho = Cocycle(eval_fn=corrupted, provenance="radon-nikodym")
+    rho = Cocycle(eval_fn=corrupted)
     rep = verify_identity(rho, 500, 3, 6, substream(37, 2))
     assert rep.violations > 0
     assert rep.first_witness is not None
@@ -130,11 +137,6 @@ def test_positivity_and_identity_at_identity(bits, perm_index):
     assert rho(Permutation.identity(), x) == 1
 
 
-def test_cocycle_declares_fibrewise_continuity():
-    assert constant_one().fibrewise_continuous
-    assert make_rn(ProductBernoulli([Fraction(1, 2)])).fibrewise_continuous
-
-
 @pytest.mark.parametrize("kind", ["beta", "atomic"])
 def test_make_rn_mixture_without_log_rows_takes_atom_masses(kind):
     # exchangeable components: every atom ratio is exactly 1, so the Monte
@@ -150,6 +152,11 @@ def test_make_rn_mixture_without_log_rows_takes_atom_masses(kind):
         ]
     nu = Mixture([Fraction(1, 2)] * 2, comps)
     rho = make_rn(nu)
+    if kind == "beta":
+        # an exchangeable mixture gets the constant cocycle; its atom masses
+        # still serve a hand-built potential
+        assert rho.is_constant_one
+        rho = Cocycle(eval_fn=partial(rn_derivative, nu), potential=nu.atom)
     assert rho.log_potential_rows is None
     dictionary = TestDictionary.build(2, 2)
     keys = [m.indices for m in dictionary.entries]
@@ -165,8 +172,80 @@ def test_make_rn_mixture_without_log_rows_takes_atom_masses(kind):
 
 
 def test_make_rn_hands_over_log_rows_when_every_component_has_them():
-    comps = [ProductBernoulli([0.2] * 8), ProductBernoulli([0.7] * 8)]
+    comps = [ProductBernoulli([0.2, 0.3] * 4), ProductBernoulli([0.7, 0.6] * 4)]
     nested = Mixture([0.5, 0.5], [Mixture([0.5, 0.5], comps), comps[0]])
     assert make_rn(nested).log_potential_rows == nested.log_atom_rows
     mixed = Mixture([0.5, 0.5], [comps[0], BetaExchangeable(1, 1, 8)])
     assert make_rn(mixed).log_potential_rows is None
+
+
+def _inhomogeneous(window):
+    return ProductBernoulli([Fraction(1 + i % 3, 5) for i in range(window)])
+
+
+def _de_finetti(window):
+    return Mixture([0.4, 0.6], [ProductBernoulli([0.3] * window),
+                                ProductBernoulli([0.7] * window)])
+
+
+# constructor, engine at levels up to S(8), engine above
+LEVEL_ENGINES = {
+    "constant_one": (lambda w: constant_one(), "closed-form", "closed-form"),
+    "rn-inhomogeneous-product": (lambda w: make_rn(_inhomogeneous(w)), "enumeration", "product"),
+    "rn-homogeneous-fraction": (
+        lambda w: make_rn(ProductBernoulli([Fraction(2, 7)] * w)), "closed-form", "closed-form"
+    ),
+    "rn-homogeneous-float": (
+        lambda w: make_rn(ProductBernoulli([0.3] * w)), "closed-form", "closed-form"
+    ),
+    "rn-de-finetti-mixture": (lambda w: make_rn(_de_finetti(w)), "closed-form", "closed-form"),
+    "rn-beta": (lambda w: make_rn(BetaExchangeable(2, 3, w)), "closed-form", "closed-form"),
+    "rho-f-constant-weight": (
+        lambda w: make_rho_f(ConstantWeight()), "closed-form", "closed-form"
+    ),
+    "rho-f-geometric-weight": (
+        lambda w: make_rho_f(GeometricWeight(4)), "enumeration", "monte-carlo"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_ENGINES))
+def test_each_constructor_picks_its_level_engine(name):
+    build, low, high = LEVEL_ENGINES[name]
+    window = 256
+    levels = default_schedule(window)
+    x = substream(63, 0).integers(0, 2, size=window).astype(np.uint8)
+    table = level_table(x[None, :], build(window), levels, [(1,), (1, 2)],
+                        mc_samples=64, streams=[substream(63, 1)])
+    assert table.methods == tuple(low if n <= EXACT_LEVEL_CAP else high for n in levels)
+
+
+@st.composite
+def _exchangeable_cocycles(draw, window):
+    kind = draw(st.sampled_from(["beta", "fraction", "float", "mixture", "constant-weight"]))
+    if kind == "constant-weight":
+        return make_rho_f(ConstantWeight(Fraction(draw(st.integers(1, 9)), 4)))
+    beta = BetaExchangeable(draw(st.integers(1, 5)), draw(st.integers(1, 5)), window)
+    fraction = ProductBernoulli([Fraction(draw(st.integers(1, 9)), 10)] * window)
+    floats = ProductBernoulli([draw(st.floats(0.01, 0.99))] * window)
+    nu = {"beta": beta, "fraction": fraction, "float": floats,
+          "mixture": Mixture([0.25, 0.25, 0.5], [beta, fraction, floats])}[kind]
+    return make_rn(nu)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_exchangeable_tables_equal_the_constant_cocycle_to_the_byte(data):
+    window = data.draw(st.integers(2, 512))
+    rho = data.draw(_exchangeable_cocycles(window))
+    levels = sorted(data.draw(st.sets(st.integers(1, window), min_size=1, max_size=4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = (rng.random((data.draw(st.integers(1, 8)), window)) < rng.random()).astype(np.uint8)
+    width = min(window, 3)
+    keys = [m.indices for m in TestDictionary.build(2, width).entries] + [(1, window)]
+    got = level_table(rows, rho, levels, keys)
+    want = level_table(rows, constant_one(), levels, keys)
+    assert got.methods == ("closed-form",) * len(levels)
+    for g, w in ((got.values, want.values), (got.slacks, want.slacks),
+                 (got.stderrs, want.stderrs)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

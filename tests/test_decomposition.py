@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergodec.averaging import (
+    EXACT_LEVEL_CAP,
     average_exact,
     closed_form_levels,
     default_schedule,
@@ -20,7 +21,7 @@ from ergodec.averaging import (
     monomial_level_average,
     product_levels,
 )
-from ergodec.cocycles import PROVENANCE_RN, Cocycle, constant_one, make_rn
+from ergodec.cocycles import Cocycle, constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
     _map_blocks,
@@ -238,6 +239,15 @@ def test_decompose_aborts_on_mass_nonconvergence():
     with pytest.raises(NonConvergenceError) as err:
         decompose(nu, constant_one(), cfg)
     assert err.value.diagnostics["bad_fraction"] > 0.01
+
+
+def test_decompose_stores_the_checked_schedule():
+    nu = ProductBernoulli([0.5] * 4)
+    cfg = DecomposeConfig(samples=20, seed=61, schedule=[1, 2, 4], nonconvergence_threshold=1.0)
+    assert decompose(nu, constant_one(), cfg).schedule == (1, 2, 4)
+    with pytest.raises(NonConvergenceError) as err:
+        decompose(nu, constant_one(), replace(cfg, schedule=[1, 2], nonconvergence_threshold=0.01))
+    assert err.value.diagnostics["schedule"] == (1, 2)
 
 
 def test_decompose_validates_cocycle_class():
@@ -503,11 +513,10 @@ RECORDED_MC_SHA256 = (
 
 def _monte_carlo_rn(nu) -> Cocycle:
     """The Radon-Nikodym cocycle of nu with its potential and log-potential
-    rows but without log-linear parts, so its levels above the exact cap are
-    Monte Carlo."""
+    rows but without log-linear parts, so its levels above S(8) are Monte
+    Carlo."""
     return Cocycle(
         eval_fn=make_rn(nu).eval_fn,
-        provenance=PROVENANCE_RN,
         potential=nu.atom,
         log_potential_rows=nu.log_atom_rows,
     )
@@ -624,7 +633,7 @@ def test_product_potential_decompose_matches_recorded_hashes(name):
     assert got == RECORDED_PRODUCT_SHA256[name]
 
 
-def _per_point_closed_form(x, levels, keys, exact_cap):
+def _per_point_closed_form(x, levels, keys):
     """The constant-cocycle closed form one point at a time, as it stood
     before it was batched: Fraction values (m_n)_k/(n)_k from the prefix sum,
     Python-float slack 3 level_gap_sd and stderr k p^(k-1) sqrt(p(1-p)/b)."""
@@ -642,13 +651,13 @@ def _per_point_closed_form(x, levels, keys, exact_cap):
             for k in moved
         ])
         slack = [0.0] * len(keys)
-        if a is not None and n > exact_cap:
+        if a is not None and n > EXACT_LEVEL_CAP:
             p = m / n
             slack = [3.0 * level_gap_sd(k, p, a, n) if k else 0.0 for k in moved]
         slacks.append(slack)
         a = n
     stderrs = [0.0] * len(keys)
-    if a > exact_cap:
+    if a > EXACT_LEVEL_CAP:
         p = m / a
         stderrs = [
             k * p ** (k - 1) * math.sqrt(p * (1.0 - p) / a) if k else 0.0 for k in moved
@@ -656,14 +665,14 @@ def _per_point_closed_form(x, levels, keys, exact_cap):
     return values, slacks, stderrs
 
 
-def _per_point_rows(nu, keys, schedule, tolerance, exact_cap, seed, indices):
+def _per_point_rows(nu, keys, schedule, tolerance, seed, indices):
     """(vals, ses, conv, slack) of the points, point by point, with the limit
     rule of pi_phi on the last two levels."""
     levels = tuple(schedule)[-2:]
     vals, ses, conv, last_slacks = [], [], [], []
     for i in indices:
         x = nu.sample_array(substream(seed, i))
-        values, slacks, stderrs = _per_point_closed_form(x, levels, keys, exact_cap)
+        values, slacks, stderrs = _per_point_closed_form(x, levels, keys)
         vals.append([float(v) for v in values[-1]])
         ses.append(stderrs)
         last_slacks.append(slacks[-1])
@@ -677,9 +686,8 @@ def _per_point_rows(nu, keys, schedule, tolerance, exact_cap, seed, indices):
     return np.array(vals), np.array(ses), np.array(conv, dtype=bool), np.array(last_slacks)
 
 
-def _block_args(nu, dictionary, schedule, tolerance, exact_cap, seed, indices):
-    return (nu, constant_one(), dictionary, schedule, tolerance, 400, exact_cap,
-            seed, indices, False)
+def _block_args(nu, dictionary, schedule, tolerance, seed, indices):
+    return (nu, constant_one(), dictionary, schedule, tolerance, 400, seed, indices, False)
 
 
 def _assert_same_bytes(got, want):
@@ -695,9 +703,10 @@ def _block_cases(draw):
     if draw(st.booleans()):
         schedule = default_schedule(window)
     else:
-        # low levels at or below the exact cap, some below the key indices
+        # low levels on either side of S(8), some below the key indices
         a = draw(st.one_of(st.integers(1, 10), st.integers(1, window - 1)))
-        schedule = (a, draw(st.integers(a + 1, window)))
+        b = draw(st.one_of(st.integers(a + 1, max(a + 1, 12)), st.integers(a + 1, window)))
+        schedule = (a, b)
     depth = draw(st.integers(1, 3))
     dictionary = TestDictionary.build(depth, draw(st.integers(depth, 4)))
     ps = draw(st.lists(st.floats(0.02, 0.98), min_size=1, max_size=2))
@@ -705,16 +714,14 @@ def _block_cases(draw):
     nu = comps[0] if len(comps) == 1 else Mixture([0.5, 0.5], comps)
     lo = draw(st.integers(0, 10**6))
     indices = range(lo, lo + draw(st.integers(1, 30)))
-    # the default cap, none, and caps on either side of the last level
-    exact_cap = draw(st.sampled_from([8, 0, 64, schedule[-1], schedule[-1] - 1]))
-    return (nu, dictionary, schedule, draw(st.floats(1e-3, 0.1)), exact_cap,
+    return (nu, dictionary, schedule, draw(st.floats(1e-3, 0.1)),
             draw(st.integers(0, 2**32 - 1)), indices)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_block_cases())
 def test_batched_point_block_matches_per_point_pi_phi(case):
-    nu, dictionary, schedule, tolerance, exact_cap, seed, indices = case
+    nu, dictionary, schedule, tolerance, seed, indices = case
     keys = [m.indices for m in dictionary.entries]
     got = _point_block(_block_args(*case))
     want = _per_point_rows(nu, keys, *case[2:])
@@ -723,12 +730,11 @@ def test_batched_point_block_matches_per_point_pi_phi(case):
     levels = tuple(schedule)[-2:]
     cf = closed_form_levels(
         np.array([level_counts(x, levels) for x in xs]),
-        np.array([x[: dictionary.width] for x in xs]), levels, keys, exact_cap,
+        np.array([x[: dictionary.width] for x in xs]), levels, keys,
     )
     _assert_same_bytes([cf.slacks[-1]], want[3:])
     for row, x in enumerate(xs):
-        stat = pi_phi(x, constant_one(), dictionary, schedule, tolerance,
-                      exact_cap=exact_cap)
+        stat = pi_phi(x, constant_one(), dictionary, schedule, tolerance)
         assert [float(stat.values[k]) for k in keys] == got[0][row].tolist()
         assert [stat.stderrs[k] for k in keys] == got[1][row].tolist()
         assert [stat.converged[k] for k in keys] == got[2][row].tolist()
@@ -744,7 +750,7 @@ def test_batched_point_block_matches_per_point_rows(window, depth):
     keys = [m.indices for m in dictionary.entries]
     nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
                               ProductBernoulli([0.8] * window)])
-    case = (nu, dictionary, default_schedule(window), 0.02, 8, 77, range(40))
+    case = (nu, dictionary, default_schedule(window), 0.02, 77, range(40))
     _assert_same_bytes(_point_block(_block_args(*case))[:3],
                        _per_point_rows(nu, keys, *case[2:])[:3])
 
@@ -756,11 +762,11 @@ def test_batched_point_blocks_identical_across_workers():
     dictionary = TestDictionary.build(3, 3)
     keys = [m.indices for m in dictionary.entries]
     tasks = [
-        _block_args(nu, dictionary, default_schedule(window), 0.02, 8, 5, range(lo, lo + 25))
+        _block_args(nu, dictionary, default_schedule(window), 0.02, 5, range(lo, lo + 25))
         for lo in range(0, 100, 25)
     ]
     one, two = _map_blocks(tasks, 1), _map_blocks(tasks, 2)
-    want = _per_point_rows(nu, keys, default_schedule(window), 0.02, 8, 5, range(100))
+    want = _per_point_rows(nu, keys, default_schedule(window), 0.02, 5, range(100))
     for blocks in (one, two):
         got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
         _assert_same_bytes(got, want[:3])
@@ -785,14 +791,14 @@ def test_closed_form_levels_takes_exact_integers_past_2_53(n, depth):
         closed_form_levels(np.array([[n + 1]]), heads[:1], (n,), keys)
 
 
-def _product_rows(nu, dictionary, schedule, tolerance, exact_cap, seed, indices):
+def _product_rows(nu, dictionary, schedule, tolerance, seed, indices):
     """(vals, ses, conv) of the points from pi_phi point by point under nu's
     Radon-Nikodym cocycle."""
     rho, keys = make_rn(nu), [m.indices for m in dictionary.entries]
     rows = []
     for i in indices:
         stat = pi_phi(nu.sample_array(substream(seed, i)), rho, dictionary, schedule,
-                      tolerance, exact_cap=exact_cap)
+                      tolerance)
         rows.append(([float(stat.values[k]) for k in keys],
                      [stat.stderrs[k] for k in keys], [stat.converged[k] for k in keys]))
     vals, ses, conv = zip(*rows)
@@ -804,21 +810,22 @@ def _product_rows(nu, dictionary, schedule, tolerance, exact_cap, seed, indices)
     st.integers(0, 2**32 - 1),
     st.sampled_from([16, 64, 300]),
     st.integers(1, 3),
-    st.sampled_from([0, 8]),
+    st.sampled_from([8, 9]),
     st.booleans(),
 )
-def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, exact_cap, two):
+def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, two):
     nu = _bench_mixture(window)[0] if comps == 2 else (
         _three_component_mixture(window) if comps == 3
         else ProductBernoulli([0.3 + 0.1 * (i % 2) for i in range(window)])
     )
-    # (4, 8, window): level 8 is exact beside a product level unless exact_cap is 0
-    schedule = (4, 8, window) if two else default_schedule(window)
+    # (4, 8, window): level 8 is exact beside a product level; (4, 9, window):
+    # both evaluated levels are product levels
+    schedule = (4, mid, window) if two else default_schedule(window)
     dictionary = TestDictionary.build(2, 3)
-    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, exact_cap, seed, range(30), False)
+    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30), False)
     _assert_same_bytes(
         _point_block(args)[:3],
-        _product_rows(nu, dictionary, schedule, 0.02, exact_cap, seed, range(30)),
+        _product_rows(nu, dictionary, schedule, 0.02, seed, range(30)),
     )
 
 
@@ -828,10 +835,10 @@ def test_product_point_blocks_identical_across_workers():
     dictionary = TestDictionary.build(2, 2)
     schedule = default_schedule(window)
     tasks = [
-        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 8, 5, range(lo, lo + 15), False)
+        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 5, range(lo, lo + 15), False)
         for lo in range(0, 60, 15)
     ]
-    want = _product_rows(nu, dictionary, schedule, 0.02, 8, 5, range(60))
+    want = _product_rows(nu, dictionary, schedule, 0.02, 5, range(60))
     for blocks in (_map_blocks(tasks, 1), _map_blocks(tasks, 2)):
         got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
         _assert_same_bytes(got, want)
@@ -839,12 +846,13 @@ def test_product_point_blocks_identical_across_workers():
 
 # sha256 of the repr of ergodicity_test verdicts and of limit_average reports
 # under the three kinds of cocycle (constant, product potential, Monte Carlo),
-# recorded on commit 0d6eee3, before one level dispatcher served every caller.
+# recorded on commit 0cb3b83, while the exact cap was still a parameter. The
+# schedules put the second-to-last level on either side of S(8).
 RECORDED_ERGODICITY_SHA256 = (
-    "14dd9d20ed254c2b323ea1b6fd27e648de6f80330b537046085e8cc7376bb1a0"
+    "fee8518528a87d73a72ce1eeb754e84c85d955c2028cb23cec1efe0896d047b1"
 )
 RECORDED_LIMIT_AVERAGE_SHA256 = (
-    "edfebb53d15597859d841a0e489c37ec121b0de2740507c7bc16ed71241a1f55"
+    "b1db56408b17ff7c770102841f1d51f41804b050a7b2d65777cd67c8431e9d6f"
 )
 
 
@@ -856,10 +864,10 @@ def test_ergodicity_test_matches_recorded_verdicts():
     nu, comps = _bench_mixture(64)
     verdicts = [
         ergodicity_test(eta, rho, DICT2, probes=8, schedule=schedule,
-                        mc_samples=200, seed=17, exact_cap=exact_cap)
+                        mc_samples=200, seed=17)
         for eta in (nu, comps[1])
         for rho in _three_cocycles(eta)
-        for schedule, exact_cap in ((None, 8), ((4, 8, 64), 8), ((4, 8, 64), 0))
+        for schedule in (None, (4, 8, 64), (4, 9, 64))
     ]
     assert {v.verdict for v in verdicts} >= {"ergodic", "non-ergodic"}
     assert any(v.witnesses for v in verdicts)
@@ -872,15 +880,15 @@ def test_limit_average_matches_recorded_reports():
     reports = []
     for i, rho in itertools.product(range(3), _three_cocycles(nu)):
         x = tuple(nu.sample_array(substream(5, i)).tolist())
-        for key, schedule, exact_cap in (
-            ((1,), default_schedule(64), 8),
-            ((1, 2), (4, 8, 64), 8),
-            ((2, 64), (4, 8, 32, 64), 8),
-            ((1, 3), (2, 16, 64), 0),
+        for key, schedule in (
+            ((1,), default_schedule(64)),
+            ((1, 2), (4, 8, 64)),
+            ((2, 64), (4, 8, 32, 64)),
+            ((1, 3), (2, 9, 64)),
         ):
             reports.append(limit_average(
                 rho, CylinderMonomial(key), x, schedule, tolerance=0.02,
-                mc_samples=200, rng=substream(5, 100 + i), exact_cap=exact_cap,
+                mc_samples=200, rng=substream(5, 100 + i),
             ))
     assert {r.method for rep in reports for r in rep.levels} == {"exact", "monte-carlo"}
     got = hashlib.sha256(repr(reports).encode()).hexdigest()
@@ -891,11 +899,10 @@ def test_limit_average_matches_recorded_reports():
 def test_point_block_rows_do_not_depend_on_the_split(kind):
     nu, _ = _bench_mixture(64)
     rho = dict(zip(("constant", "product", "monte-carlo"), _three_cocycles(nu)))[kind]
-    schedule, mc_samples, exact_cap, seed = (4, 8, 32, 64), 200, 8, 23
+    schedule, mc_samples, seed = (4, 8, 32, 64), 200, 23
 
     def block(indices):
-        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, exact_cap, seed,
-                             indices, True))
+        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices, True))
 
     whole = block(range(30))
     parts = [block(range(0, 7)), block(range(7, 30))]
@@ -906,7 +913,7 @@ def test_point_block_rows_do_not_depend_on_the_split(kind):
         stream = substream(seed, i)
         x = nu.sample_array(stream)
         assert tuple(x.tolist()) == whole[3][row]
-        stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, stream, exact_cap)
+        stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, stream)
         assert [float(stat.values[k]) for k in keys] == whole[0][row].tolist()
         assert [stat.stderrs[k] for k in keys] == whole[1][row].tolist()
         assert [stat.converged[k] for k in keys] == whole[2][row].tolist()

@@ -184,6 +184,48 @@ def test_sample_requires_probability():
         sample(nu, substream(17, 1))
 
 
+def _sample_by_loop(nu, r):
+    """``AtomicMeasure.sample`` at one uniform draw r, as it stood before its
+    table was cached: one pass over the sorted atoms per draw."""
+    acc = 0.0
+    items = sorted(nu.atoms.items())
+    for cfg, m in items:
+        acc += float(m)
+        if r < acc:
+            return cfg
+    return items[-1][0]
+
+
+class _FixedDraw:
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.integers(0, 1), min_size=6, max_size=6).map(tuple),
+        st.integers(1, 10**6),
+        min_size=1,
+    ),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+)
+def test_atomic_sample_equals_the_per_draw_loop(masses, draws):
+    total = sum(masses.values())
+    nu = AtomicMeasure({c: Fraction(m, total) for c, m in masses.items()})
+    # draws on the running sums themselves and just below 1 as well, where
+    # rounding can leave every running sum at or under the draw
+    running = list(itertools.accumulate(float(m) for _, m in sorted(nu.atoms.items())))
+    for r in draws + running + [1.0 - 2.0**-53]:
+        assert nu.sample(_FixedDraw(r)) == _sample_by_loop(nu, r)
+    fast, slow = substream(17, 10), substream(17, 10)
+    for _ in range(10):
+        assert nu.sample(fast) == _sample_by_loop(nu, slow.random())
+
+
 @pytest.mark.parametrize("kind", ["atomic", "product", "beta", "mixture"])
 def test_sample_array_is_the_bits_of_sample(kind):
     atomic = AtomicMeasure({(1, 0, 1, 1): Fraction(1, 3), (0, 0, 1, 0): Fraction(2, 3)})
