@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check, jordan_decompose
 from .cocycles import Cocycle
 from .rng import substream
@@ -221,6 +223,17 @@ def algebra_atoms(max_count: int = 3) -> list[InvariantSetFullGroup]:
     return atoms
 
 
+def atom_unions(atoms: list[InvariantSetFullGroup]) -> list[InvariantSetFullGroup]:
+    """Every union of the atoms, entry bits taking the atoms whose bits are set,
+    as one union with the entry lacking its lowest atom. The symbolic sets are
+    canonical (finite members or cofinite excluded counts): no join order shows."""
+    sets = [InvariantSetFullGroup.empty()]
+    for bits in range(1, 2 ** len(atoms)):
+        low = bits & -bits
+        sets.append(sets[bits ^ low].union(atoms[low.bit_length() - 1]))
+    return sets
+
+
 @dataclass(frozen=True)
 class KolmogorovReport:
     ergodic_full_group: bool
@@ -257,43 +270,29 @@ def demonstrate_kolmogorov(
     convex split into the two Bernoulli components; (c) estimate the mass of
     the finite-permutation-invariant frequency event {frequency <= 1/2} at
     window scale, with the exponential tail bound on the surrogate error.
+    Each configuration of (c) draws its component, then only its ones count
+    as Binomial(window, p): the exact law of the ones of the homogeneous
+    product B(p)^window, so the estimate's law is that of counting drawn bits.
     """
     mixture = Mixture(
         [Fraction(1, 2), Fraction(1, 2)],
         [ProductBernoulli([p_low] * window), ProductBernoulli([p_high] * window)],
     )
 
-    atoms = algebra_atoms(max_count)
-    zero_one = True
-    monotone = True
-    sets_checked = 0
+    zero_one = monotone = True
     previous: list[tuple[InvariantSetFullGroup, int]] = []
-    for bits in range(2 ** len(atoms)):
-        s = InvariantSetFullGroup.empty()
-        for i, atom in enumerate(atoms):
-            if bits >> i & 1:
-                s = s.union(atom)
+    sets = atom_unions(algebra_atoms(max_count))
+    for s in sets:
         m = measure_of_invariant_set(mixture, s)
-        sets_checked += 1
-        if m not in (0, 1):
-            zero_one = False
         comp = measure_of_invariant_set(mixture, s.complement())
-        if m + comp != 1:
-            zero_one = False
-        for t, mt in previous[:16]:
-            if s.subset_of(t) and m > mt:
-                monotone = False
+        zero_one = zero_one and m in (0, 1) and m + comp == 1
+        monotone = monotone and not any(s.subset_of(t) and m > mt for t, mt in previous[:16])
         previous.append((s, m))
 
     stream = substream(seed, 0x5C)
-    hits = 0
-    half = window // 2
-    for i in range(samples):
-        comp = mixture.sample_component(stream)
-        bits_arr = mixture.components[comp].sample_array(stream)
-        if int(bits_arr.sum()) <= half:
-            hits += 1
-    freq_mass = hits / samples
+    # the component by Mixture.sample_component's rule: r < 1/2 picks p_low
+    p = np.where(stream.random(samples) < 0.5, float(p_low), float(p_high))
+    freq_mass = int(np.count_nonzero(stream.binomial(window, p) <= window // 2)) / samples
     freq_se = math.sqrt(freq_mass * (1 - freq_mass) / samples)
     gap = min(0.5 - p_low, p_high - 0.5)
     hoeffding = math.exp(-2 * window * gap * gap)
@@ -302,7 +301,7 @@ def demonstrate_kolmogorov(
         [
             "Full bijection group: the sequence space splits into countably many",
             "orbits (finitely many ones; finitely many zeros; one two-sided orbit).",
-            f"All {sets_checked} unions from the generating algebra received mass 0 or 1",
+            f"All {len(sets)} unions from the generating algebra received mass 0 or 1",
             f"under the mixture (1/2) B({p_low}) + (1/2) B({p_high}): ergodic for the full group.",
             f"Yet the mixture splits as 1/2 * B({p_low}) + 1/2 * B({p_high}): decomposable.",
             "Finite permutations see the frequency event {frequency <= 1/2}, which is",
@@ -313,7 +312,7 @@ def demonstrate_kolmogorov(
     )
     return KolmogorovReport(
         ergodic_full_group=zero_one and monotone,
-        sets_checked=sets_checked,
+        sets_checked=len(sets),
         split_weights=(Fraction(1, 2), Fraction(1, 2)),
         split_params=(p_low, p_high),
         frequency_event_mass=freq_mass,

@@ -214,8 +214,8 @@ class ProductBernoulli:
     """Product measure with coordinate success probabilities strictly inside (0,1)."""
 
     def __init__(self, params: Sequence[Scalar]):
-        ps = tuple(_as_exact(p) for p in params)
-        for p in ps:
+        ps = tuple(map(_as_exact, params))
+        for p in set(ps):  # homogeneous products check one value
             if not (0 < p < 1):
                 raise ValueError("Bernoulli parameters must lie strictly in (0,1)")
         if not ps:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from ergodec.counterexamples import (
     _weakly_indecomposable,
     LabelFamilySet,
     algebra_atoms,
+    atom_unions,
     demonstrate_kolmogorov,
     measure_of_invariant_set,
     orbit_class,
     weak_strong_equivalence_check,
 )
 from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
+from ergodec.rng import substream
 from ergodec.sigma_finite import orbital_measure
 
 
@@ -117,6 +120,57 @@ def test_demonstrate_kolmogorov_report():
     assert report.hoeffding_bound < 1e-100
     assert report.ok
     assert "decomposable" in report.narrative
+
+
+@pytest.mark.parametrize("max_count", range(4))
+def test_atom_unions_equal_the_unions_from_empty(max_count):
+    atoms = algebra_atoms(max_count)
+    want = []
+    for bits in range(2 ** len(atoms)):
+        s = InvariantSetFullGroup.empty()
+        for i, atom in enumerate(atoms):
+            if bits >> i & 1:
+                s = s.union(atom)
+        want.append(s)
+    assert atom_unions(atoms) == want
+
+
+def _frequency_mass_by_bits(p_low, p_high, window, samples, seed):
+    """The frequency-event estimate as it stood before ones counts were drawn
+    as binomials: every configuration's window of bits drawn and counted."""
+    mixture = Mixture(
+        [Fraction(1, 2), Fraction(1, 2)],
+        [ProductBernoulli([p_low] * window), ProductBernoulli([p_high] * window)],
+    )
+    stream = substream(seed, 0x5C)
+    hits = 0
+    for _ in range(samples):
+        comp = mixture.sample_component(stream)
+        if int(mixture.components[comp].sample_array(stream).sum()) <= window // 2:
+            hits += 1
+    return hits / samples
+
+
+def _binomial_cdf(n, p, k):
+    return sum(math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k + 1))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_frequency_event_mass_has_the_binomial_law(seed):
+    # At window 16 the event {ones <= 8} has mass strictly inside (0, 1) under
+    # both components, so a wrong count law moves the estimate.
+    window, samples, p_low, p_high = 16, 4000, 0.4, 0.6
+    exact = (
+        _binomial_cdf(window, Fraction(p_low), window // 2)
+        + _binomial_cdf(window, Fraction(p_high), window // 2)
+    ) / 2
+    report = demonstrate_kolmogorov(p_low, p_high, window, samples, seed, max_count=0)
+    assert type(report.frequency_event_mass) is float
+    assert abs(report.frequency_event_mass - exact) <= 5 * report.frequency_event_stderr
+    by_bits = _frequency_mass_by_bits(p_low, p_high, window, samples, seed)
+    se = math.sqrt(by_bits * (1 - by_bits) / samples)
+    assert abs(by_bits - exact) <= 5 * se
+    assert demonstrate_kolmogorov(p_low, p_high, window, samples, seed, max_count=0) == report
 
 
 def _orbit_uniform(window, count):

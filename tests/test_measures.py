@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,55 @@ def test_rn_derivative_matches_factor_product(params, seed):
         # rational parameters: the same exact value; floats: the same bits
         assert type(got) is type(want) and got == want
 
+
+
+def _params_by_loop(params):
+    """``ProductBernoulli.__init__`` as it stood before it range-checked each
+    distinct parameter once: every coordinate converted and checked in turn."""
+    from ergodec.measures import _as_exact
+
+    ps = tuple(_as_exact(p) for p in params)
+    for p in ps:
+        if not (0 < p < 1):
+            raise ValueError("Bernoulli parameters must lie strictly in (0,1)")
+    if not ps:
+        raise ValueError("at least one coordinate required")
+    return ps
+
+
+_PARAMETER = st.one_of(
+    st.floats(-0.5, 1.5, allow_nan=False),
+    st.sampled_from([0.5, Fraction(1, 2), 0.0, 1.0, 0, 1, float("nan")]),
+    st.integers(-2, 2),
+    st.fractions(min_value=-1, max_value=2, max_denominator=100),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PARAMETER, max_size=6), st.integers(1, 40))
+def test_product_params_equal_the_per_coordinate_loop(base, repeat):
+    params = base * repeat  # repeats make the distinct-value check matter
+    try:
+        want = _params_by_loop(params)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            ProductBernoulli(params)
+        assert str(got.value) == str(err)
+        return
+    got = ProductBernoulli(params).params
+    assert [type(p) for p in got] == [type(p) for p in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("params, message", [
+    ([], "at least one coordinate"),
+    ([0.3, float("nan")], "strictly in (0,1)"),
+    ([Fraction(1, 3), 1], "strictly in (0,1)"),
+    ([0.2] * 4096 + [1.5], "strictly in (0,1)"),
+])
+def test_product_params_errors(params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProductBernoulli(params)
 
 def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
