@@ -12,17 +12,18 @@ arithmetic when the inputs are rational). Above that, a potential with
 log-linear parts (``make_rn`` of an inhomogeneous product Bernoulli measure
 or a mixture of them) takes ``product_levels`` for cylinder monomials, an
 exact float orbit sum over a batch of points; everything else takes
-self-normalized Monte Carlo over Haar draws (``haar_rows``), which needs a
-potential-backed cocycle. ``level_table`` is the one place that picks among
+self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
+cocycle's potential. ``level_table`` is the one place that picks among
 these engines for cylinder monomials; ``pi_phi``, ``decompose``,
 ``ergodicity_test`` and ``limit_average`` call it. If the denominator were
 infinite the average is defined to be 0; that branch is unreachable for
 finite levels but kept for interface fidelity.
 
-Exact evaluation below S(8) has two shortcuts that give the same value as
-plain group enumeration and are cross-checked against it in the test suite:
-the closed form above, and an orbit-collapsed sum for potential-backed
-cocycles, valid because all stabilizer cosets contribute equal blocks.
+Exact evaluation up to S(8) (``average_exact``) is one orbit sum weighted by
+the cocycle's potential u: every cocycle is u(gx)/u(x), so each coset of the
+stabilizer of x contributes the same block and the sum over the orbit equals
+the sum over the group. The test suite checks it, and the closed form, against
+its own enumeration of the group.
 """
 from __future__ import annotations
 
@@ -433,18 +434,9 @@ def _orbit_collapsed_average(level: int, potential, phi, x: Config):
     return _ratio_or_zero(num, den)
 
 
-def _group_enumeration_average(level: int, rho: Cocycle, phi, x: Config):
-    num = Fraction(0)
-    den = Fraction(0)
-    for k in enumerate_level(level):
-        w = rho(k, x)
-        den += w
-        num += phi(act(k, x)) * w
-    return _ratio_or_zero(num, den)
-
-
 def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
-    """Exact level average; capacity error above S(8)."""
+    """Exact level average, one orbit sum weighted by the cocycle's
+    potential; capacity error above S(8)."""
     if level > EXACT_LEVEL_CAP:
         raise CapacityError(
             f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
@@ -453,14 +445,8 @@ def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
         raise ValueError("level must be >= 1")
     if level > len(x):
         raise ValueError("level exceeds the configuration window")
-    if rho.is_constant_one and isinstance(phi, CylinderMonomial):
-        value = monomial_level_average(level, phi.indices, x)
-    elif rho.potential is not None:
-        value = _orbit_collapsed_average(level, rho.potential, phi, x)
-    else:
-        value = _group_enumeration_average(level, rho, phi, x)
     return AveragingReport(
-        value=value,
+        value=_orbit_collapsed_average(level, rho.potential, phi, x),
         level=level,
         method="exact",
         stderr=0.0,
@@ -522,8 +508,6 @@ def _weighted_haar_rows(
         raise ValueError("at least 2 samples required")
     if level > x_bits.shape[0]:
         raise ValueError("level exceeds the configuration window")
-    if rho.potential is None:
-        raise ValueError("Monte Carlo levels need a potential-backed cocycle")
     rows = haar_rows(x_bits, level, samples, rng)
     if rho.log_potential_rows is not None:
         logw = rho.log_potential_rows(rows) - rho.log_potential_rows(
@@ -552,8 +536,7 @@ def mc_level_values(
 
     One set of Haar draws serves every monomial, so estimates inherit the
     pointwise order of the integrands (a superset monomial never exceeds its
-    subset). Returns (estimate, stderr) per monomial. The cocycle must have
-    a potential, else ValueError.
+    subset). Returns (estimate, stderr) per monomial.
     """
     rows, w = _weighted_haar_rows(x_bits, level, rho, samples, rng)
     out = []
@@ -581,7 +564,8 @@ def average_mc(
     rng: RandomStream | None,
 ) -> AveragingReport:
     """Self-normalized importance estimate of the level average over Haar
-    rows; ValueError without a potential or a random stream."""
+    rows, weighted by the cocycle's potential; ValueError without a random
+    stream."""
     if rng is None:
         raise ValueError("Monte Carlo levels need a random stream")
     x_bits = np.array(x, dtype=np.uint8)
@@ -684,8 +668,7 @@ def level_table(
        each point from its own ``streams`` entry in ascending level order, so
        a point's draws do not depend on the block. Its stderr is the Monte
        Carlo one and the slack of a step 3 times the combined stderr of its
-       two levels. It needs a potential-backed cocycle and a stream, else
-       ValueError.
+       two levels. It needs a stream, else ValueError.
 
     Only Monte Carlo levels read ``mc_samples`` and ``streams``.
     """
@@ -814,8 +797,9 @@ def tower_check(
 ) -> TowerReport:
     """Verify A_m(A_n phi) == A_m phi exactly on every positive atom.
 
-    Exactness is guaranteed for potential-backed cocycles, where coarser
-    orbits decompose into finer orbit blocks and the weighted sums telescope.
+    Exactness is guaranteed because every cocycle is potential-backed:
+    coarser orbits decompose into finer orbit blocks and the weighted sums
+    telescope.
     """
     if not (1 <= n <= m <= level_cap):
         raise CapacityError(f"tower check requires 1 <= n <= m <= {level_cap}")

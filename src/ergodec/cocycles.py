@@ -1,7 +1,7 @@
 """Positive multiplicative cocycles rho(g, x) over the permutation action.
 
-Every constructor here produces a potential-backed cocycle, i.e. one of the
-form rho(g, x) = u(act(g, x)) / u(x) for a strictly positive function u. That
+Every cocycle is potential-backed, i.e. of the form
+rho(g, x) = u(act(g, x)) / u(x) for a strictly positive function u. That
 structure guarantees the multiplicative identity exactly and enables
 orbit-collapsed exact averaging. For an argument that declares itself
 exchangeable, rho is identically 1 and ``make_rn`` and ``make_rho_f`` return
@@ -25,21 +25,24 @@ from .rng import RandomStream
 
 @dataclass
 class Cocycle:
-    """Evaluable positive weight rho(g, x).
+    """Evaluable positive weight rho(g, x) = u(act(g, x)) / u(x).
 
-    ``potential`` (when present) is the positive function u with
-    rho(g, x) = u(act(g, x)) / u(x); ``log_potential_rows`` optionally maps a
-    matrix of 0/1 configurations, one per row, uint8 or float64, to log-u
-    values for vectorized Monte Carlo. ``log_linear`` optionally gives u as a
-    mixture of log-linear terms (``measures.LogLinearParts``), and
-    ``is_constant_one`` is set by ``constant_one`` only: these two fields pick
-    each level's engine in ``averaging.level_table``. Every constructor here
-    builds a potential-backed cocycle, which is fibrewise continuous (the
-    hypothesis of Theorem ergdecstrcont) since S(n) moves n coordinates.
+    ``potential`` is the positive function u, and a required field: at every
+    level S(n) a positive cocycle is trivial on stabilizers and a ratio of a
+    potential on each orbit, so requiring u loses no cocycle, and the exact
+    and Monte Carlo level engines read u rather than ``eval_fn``.
+    ``log_potential_rows`` optionally maps a matrix of 0/1 configurations,
+    one per row, uint8 or float64, to log-u values for vectorized Monte
+    Carlo. ``log_linear`` optionally gives u as a mixture of log-linear terms
+    (``measures.LogLinearParts``), and ``is_constant_one`` is set by
+    ``constant_one`` only: these two fields pick each level's engine in
+    ``averaging.level_table``. A potential-backed cocycle is fibrewise
+    continuous (the hypothesis of Theorem ergdecstrcont) since S(n) moves n
+    coordinates.
     """
 
     eval_fn: Callable[[Permutation, Config], object]
-    potential: Optional[Callable[[Config], object]] = None
+    potential: Callable[[Config], object]
     log_potential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_linear: Optional[LogLinearParts] = None
     is_constant_one: bool = False

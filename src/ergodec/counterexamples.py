@@ -110,9 +110,6 @@ class LabelFamilySet:
             return other.counts <= self.counts
         return False  # a cofinite set never fits inside a finite one
 
-    def is_empty(self) -> bool:
-        return self.kind == "finite" and not self.counts
-
 
 @dataclass(frozen=True)
 class InvariantSetFullGroup:
@@ -286,8 +283,10 @@ def demonstrate_kolmogorov(
         m = measure_of_invariant_set(mixture, s)
         comp = measure_of_invariant_set(mixture, s.complement())
         zero_one = zero_one and m in (0, 1) and m + comp == 1
-        monotone = monotone and not any(s.subset_of(t) and m > mt for t, mt in previous[:16])
-        previous.append((s, m))
+        monotone = monotone and not any(s.subset_of(t) and m > mt for t, mt in previous)
+        # monotonicity is spot-checked against the first 16 sets only
+        if len(previous) < 16:
+            previous.append((s, m))
 
     stream = substream(seed, 0x5C)
     # the component by Mixture.sample_component's rule: r < 1/2 picks p_low

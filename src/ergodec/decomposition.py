@@ -126,13 +126,11 @@ class DecomposeConfig:
     width: int = 2
     min_gap: float = 0.05
     mode: str = "finite"  # "finite" (gap clustering) or "continuous" (empirical CDF)
-    exchangeable: bool = True
     seed: int = 0
     workers: int = 1
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
     validate_cocycle: bool = True
-    empirical_window_cap: int = 64  # non-exchangeable representatives store atoms
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
 
 
 def _point_block(args):
-    """Limit statistics ``(vals, ses, conv, configs)`` for a block of point
+    """Limit statistics ``(vals, ses, conv)`` for a block of point
     indices (one task), rows in index order: the rule of ``pi_phi`` on a
     ``level_table`` of the block.
 
@@ -198,14 +196,13 @@ def _point_block(args):
     its Monte Carlo levels, so the rows do not depend on how the points are
     split into blocks or workers.
     """
-    nu, rho, dictionary, schedule, tolerance, mc_samples, seed, indices, keep_configs = args
+    nu, rho, dictionary, schedule, tolerance, mc_samples, seed, indices = args
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]
     streams = [substream(seed, i) for i in indices]
     rows, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
     conv = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
-    configs = [tuple(x) for x in rows.tolist()] if keep_configs else None
-    return table.values[-1], table.stderrs[-1], conv, configs
+    return table.values[-1], table.stderrs[-1], conv
 
 
 def _map_blocks(task_args, workers: int):
@@ -236,26 +233,31 @@ def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int, draws: int = 8):
             )
 
 
+def _representative(center: float, window: int):
+    """The homogeneous product at first-moment limit ``center``: the point
+    mass on all ones or all zeros when the center is within 1e-12 of 1 or 0."""
+    if 1e-12 < center < 1 - 1e-12:
+        return ProductBernoulli([center] * window)
+    bit = 1 if center >= 0.5 else 0
+    return AtomicMeasure({tuple([bit] * window): Fraction(1)})
+
+
 def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     """Sample M points, compute limit statistics, and group them into
     ergodic components.
 
-    Finite mode groups by 1-D gaps on the first-moment limit; continuous mode
-    keeps the empirical distribution of that limit. Aborts when more than the
-    configured fraction of points fails limit detection.
+    Finite mode groups by 1-D gaps on the first-moment limit; each
+    component's representative is the homogeneous product at its center
+    (``_representative``), and the barycenter residual is filled in.
+    Continuous mode keeps the empirical distribution of that limit, with no
+    components and no residual. Aborts when more than the configured fraction
+    of points fails limit detection.
     """
     window = nu.window
     schedule = checked_schedule(config.schedule, window)
     dictionary = TestDictionary.build(config.depth, config.width)
     if config.validate_cocycle:
         _validate_cocycle_agreement(nu, rho, config.seed)
-
-    keep_configs = not config.exchangeable
-    if keep_configs and window > config.empirical_window_cap:
-        raise CapacityError(
-            "non-exchangeable representatives need window <= "
-            f"{config.empirical_window_cap}"
-        )
 
     m = config.samples
     # Rows come from per-point streams, so the split changes no output; one
@@ -273,17 +275,12 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
             config.mc_samples,
             config.seed,
             range(lo, min(lo + block, m)),
-            keep_configs,
         )
         for lo in range(0, m, block)
     ]
     results = _map_blocks(task_args, config.workers)
     vals = np.concatenate([r[0] for r in results])
     conv = np.concatenate([r[2] for r in results])
-    configs: list[Config] = []
-    if keep_configs:
-        for r in results:
-            configs.extend(r[3])
 
     point_ok = conv.all(axis=1)
     bad_fraction = float(np.mean(~point_ok))
@@ -303,60 +300,27 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     r1_col = keys.index((1,))
     r1 = vals[:, r1_col]
 
-    if config.mode == "continuous":
-        return DecomposingMeasure(
-            mode="continuous",
-            labels=(),
-            weights=(),
-            centers=(),
-            counts=(),
-            representatives=(),
-            spreads=(),
-            admissible=True,
-            non_converged_fraction=bad_fraction,
-            r1_values=r1.copy(),
-            statistic_keys=tuple(keys),
-            statistics=vals,
-            schedule=schedule,
-            mc_samples=config.mc_samples,
-        )
-
-    groups = split_by_gaps(r1, config.min_gap)
+    continuous = config.mode == "continuous"
     labels, weights, centers, counts, reps, spreads = [], [], [], [], [], []
+    groups = [] if continuous else split_by_gaps(r1, config.min_gap)
     for gi, idx in enumerate(groups):
         center = float(np.mean(r1[idx]))
-        spread = float(np.std(r1[idx])) if len(idx) > 1 else 0.0
-        if config.exchangeable and 1e-12 < center < 1 - 1e-12:
-            rep = ProductBernoulli([center] * window)
-        elif config.exchangeable:
-            bit = 1 if center >= 0.5 else 0
-            rep = AtomicMeasure({tuple([bit] * window): Fraction(1)})
-        else:
-            share = Fraction(1, len(idx))
-            atoms: dict[Config, Fraction] = {}
-            for i in idx:
-                cfg = configs[int(i)]
-                atoms[cfg] = atoms.get(cfg, Fraction(0)) + share
-            rep = AtomicMeasure(atoms)
         labels.append(f"component-{gi}")
         weights.append(len(idx) / m)
         centers.append(center)
         counts.append(len(idx))
-        reps.append(rep)
-        spreads.append(spread)
+        reps.append(_representative(center, window))
+        spreads.append(float(np.std(r1[idx])) if len(idx) > 1 else 0.0)
 
-    admissible = all(
-        abs(a - b) > 0 for a, b in itertools.combinations(centers, 2)
-    )
     dm = DecomposingMeasure(
-        mode="finite",
+        mode="continuous" if continuous else "finite",
         labels=tuple(labels),
         weights=tuple(weights),
         centers=tuple(centers),
         counts=tuple(counts),
         representatives=tuple(reps),
         spreads=tuple(spreads),
-        admissible=admissible,
+        admissible=all(abs(a - b) > 0 for a, b in itertools.combinations(centers, 2)),
         non_converged_fraction=bad_fraction,
         r1_values=r1.copy(),
         statistic_keys=tuple(keys),
@@ -364,6 +328,8 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         schedule=schedule,
         mc_samples=config.mc_samples,
     )
+    if continuous:
+        return dm
     residual = barycenter_residual(nu, dm, config.residual_depth)
     return replace(dm, barycenter_residual=residual)
 

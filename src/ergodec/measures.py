@@ -482,11 +482,10 @@ class BetaExchangeable:
 
     def rn_derivative(self, g: Permutation, x: Config) -> Fraction:
         # Exchangeable: atom mass depends only on the ones count, which
-        # permutations preserve, so the ratio is exactly 1.
-        y = act(g, x)
-        if sum(y) == sum(x):
-            return Fraction(1)
-        return self.atom(y) / self.atom(x)
+        # permutations preserve, so the ratio is exactly 1. ``act`` still
+        # rejects a permutation of degree above the window.
+        act(g, x)
+        return Fraction(1)
 
     def log_atom(self, x: Config) -> float:
         from math import lgamma

@@ -356,14 +356,6 @@ class OrbitalSample:
         se = float(np.std(v, ddof=1)) / math.sqrt(self.rows.shape[0])
         return est, se
 
-    def monomial_mean(self, indices: Sequence[int]) -> tuple[float, float]:
-        v = np.ones(self.rows.shape[0], dtype=np.float64)
-        for i in indices:
-            v *= self.rows[:, i - 1]
-        est = float(np.mean(v))
-        se = float(np.std(v, ddof=1)) / math.sqrt(self.rows.shape[0])
-        return est, se
-
 
 def orbital_measure(
     x: Config,

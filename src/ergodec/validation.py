@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .averaging import (
-    average_exact,
     conditional_expectation_check,
     fubini_check,
     invariance_check,

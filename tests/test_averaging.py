@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ergodec.averaging as averaging
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     AveragingReport,
@@ -37,6 +38,7 @@ from ergodec.decomposition import (
 )
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
+from ergodec.groups import act, enumerate_level
 from ergodec.measures import BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.sigma_finite import GeometricWeight, make_fibrewise_f, orbital_dichotomy
@@ -91,26 +93,41 @@ def test_average_exact_capacity_error():
 
 
 def test_exact_paths_agree_with_brute_force():
-    params = [Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2), Fraction(2, 3), Fraction(3, 8)]
+    params = [Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2), Fraction(2, 3),
+              Fraction(3, 8), Fraction(5, 9)]
     nu = ProductBernoulli(params)
-    rho = make_rn(nu)
-    one = constant_one()
+    f = make_fibrewise_f()
+
+    def unit(y, x0):
+        return Fraction(1)
+
+    cocycles = [
+        (make_rn(nu), lambda y, x0: nu.atom(y) / nu.atom(x0)),
+        (constant_one(), unit),
+        (make_rho_f(f), lambda y, x0: f(y) / f(x0)),
+    ]
     rng = substream(41, 0)
-    for level in (2, 3, 4):
-        for _ in range(8):
-            x = tuple(int(b) for b in rng.integers(0, 2, size=6))
+    for level in range(1, 7):
+        for _ in range(6):
+            x = tuple(int(b) for b in rng.integers(0, 2, size=7))
             phi = CylinderMonomial(tuple(sorted(
-                rng.choice(range(1, 7), size=2, replace=False).tolist()
+                rng.choice(range(1, 8), size=2, replace=False).tolist()
             )))
-            got_rn = average_exact(level, rho, phi, x).value
-            want_rn = brute_force_average(
-                level, lambda y, x0: nu.atom(y) / nu.atom(x0), phi, x
-            )
-            assert got_rn == want_rn
-            got_one = average_exact(level, one, phi, x).value
-            want_one = brute_force_average(level, lambda y, x0: Fraction(1), phi, x)
-            assert got_one == want_one
-            assert monomial_level_average(level, phi.indices, x) == want_one
+            # a key above the level whose bit is 0: every engine gives 0
+            above = level + 1 + int(rng.integers(0, 7 - level))
+            zeroed = x[: above - 1] + (0,) + x[above:]
+            for point, mono in (
+                (x, phi),
+                (zeroed, CylinderMonomial((above,))),
+                (zeroed, CylinderMonomial((1, above))),
+            ):
+                for rho, weight in cocycles:
+                    want = brute_force_average(level, weight, mono, point)
+                    assert average_exact(level, rho, mono, point).value == want
+                    if point is zeroed:
+                        assert want == 0
+                want_one = brute_force_average(level, unit, mono, point)
+                assert monomial_level_average(level, mono.indices, point) == want_one
 
 
 def test_average_mc_constant_cancels_exactly():
@@ -242,7 +259,7 @@ def test_schedule_outside_the_point_raises(caller, schedule, message):
         elif caller == "pi_phi":
             pi_phi(x, rho, dictionary, schedule)
         elif caller == "point_block":
-            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 0, range(2), False))
+            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 0, range(2)))
         elif caller == "ergodicity":
             ergodicity_test(nu, rho, dictionary, probes=2, schedule=schedule)
         elif caller == "orbital":
@@ -283,9 +300,28 @@ def _not_a_cocycle(g, x):
     return Fraction(1)
 
 
-def test_tower_reports_witness_when_weights_are_inconsistent():
-    fake = Cocycle(eval_fn=_not_a_cocycle)
+def _unit_potential(x):
+    return Fraction(1)
+
+
+def _group_enumeration_average(level, rho, phi, x):
+    """A level average that reads only rho(k, x), over every k in S(level):
+    on a genuine cocycle it equals ``average_exact``, on a fake it does not."""
+    num = den = Fraction(0)
+    for k in enumerate_level(level):
+        w = rho(k, x)
+        den += w
+        num += phi(act(k, x)) * w
+    return AveragingReport(num / den, level, "exact", 0.0, math.factorial(level))
+
+
+def test_tower_reports_witness_when_weights_are_inconsistent(monkeypatch):
+    # average_exact sums the potential over the orbit, which no fake can
+    # break, so the negative control reads rho through group enumeration
+    fake = Cocycle(eval_fn=_not_a_cocycle, potential=_unit_potential)
     nu = _product_atoms([Fraction(1, 2)] * 4)
+    assert tower_check(3, 2, fake, CylinderMonomial((1,)), nu).ok
+    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
     rep = tower_check(3, 2, fake, CylinderMonomial((1,)), nu)
     assert not rep.ok
     assert rep.witness is not None
@@ -531,14 +567,10 @@ def test_average_mc_callable_phi_under_callable_potential():
 
 
 def test_monte_carlo_level_needs_a_potential():
-    fake = Cocycle(eval_fn=_not_a_cocycle)
-    x = (1, 0) * 8
-    with pytest.raises(ValueError, match="potential"):
-        average_mc(12, fake, CylinderMonomial((1,)), x, 50, substream(41, 10))
-    with pytest.raises(ValueError, match="potential"):
-        average_mc(12, fake, _const_phi(1.0), x, 50, substream(41, 10))
-    with pytest.raises(ValueError, match="potential"):
-        pi_phi(x, fake, TestDictionary.build(2, 2), schedule=(8, 16), rng=substream(41, 10))
+    # Monte Carlo weights are potential ratios, and a cocycle cannot be built
+    # without its potential
+    with pytest.raises(TypeError, match="potential"):
+        Cocycle(eval_fn=_not_a_cocycle)
 
 
 _odds = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda t: Fraction(t[0], t[0] + t[1]))

@@ -100,7 +100,7 @@ def test_verify_identity_reports_witness_for_corrupted_cocycle():
             return v + 1
         return v
 
-    rho = Cocycle(eval_fn=corrupted)
+    rho = Cocycle(eval_fn=corrupted, potential=lambda x: Fraction(1))
     rep = verify_identity(rho, 500, 3, 6, substream(37, 2))
     assert rep.violations > 0
     assert rep.first_witness is not None

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ergodec.decomposition
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     average_exact,
@@ -194,6 +197,14 @@ def test_decompose_single_bernoulli():
     assert dm.weights == (1.0,)
     assert abs(dm.centers[0] - 0.5) <= 0.02
     assert dm.admissible
+    # continuous mode keeps the same statistics and builds no components
+    cont = decompose(nu, constant_one(), replace(cfg, mode="continuous"))
+    assert cont.mode == "continuous"
+    assert (cont.labels, cont.weights, cont.centers, cont.counts,
+            cont.representatives, cont.spreads) == ((),) * 6
+    assert cont.admissible is True and cont.barycenter_residual is None
+    assert cont.r1_values.tobytes() == dm.r1_values.tobytes()
+    assert cont.statistics.tobytes() == dm.statistics.tobytes()
 
 
 def test_decompose_two_component_mixture():
@@ -248,6 +259,13 @@ def test_decompose_stores_the_checked_schedule():
     with pytest.raises(NonConvergenceError) as err:
         decompose(nu, constant_one(), replace(cfg, schedule=[1, 2], nonconvergence_threshold=0.01))
     assert err.value.diagnostics["schedule"] == (1, 2)
+
+
+def test_every_decompose_config_field_is_read():
+    # a knob that no code reads is dead configuration
+    source = inspect.getsource(ergodec.decomposition)
+    names = [f.name for f in dataclasses.fields(DecomposeConfig)]
+    assert [n for n in names if f"config.{n}" not in source] == []
 
 
 def test_decompose_validates_cocycle_class():
@@ -687,7 +705,7 @@ def _per_point_rows(nu, keys, schedule, tolerance, seed, indices):
 
 
 def _block_args(nu, dictionary, schedule, tolerance, seed, indices):
-    return (nu, constant_one(), dictionary, schedule, tolerance, 400, seed, indices, False)
+    return (nu, constant_one(), dictionary, schedule, tolerance, 400, seed, indices)
 
 
 def _assert_same_bytes(got, want):
@@ -725,7 +743,7 @@ def test_batched_point_block_matches_per_point_pi_phi(case):
     keys = [m.indices for m in dictionary.entries]
     got = _point_block(_block_args(*case))
     want = _per_point_rows(nu, keys, *case[2:])
-    _assert_same_bytes(got[:3], want[:3])
+    _assert_same_bytes(got, want[:3])
     xs = [nu.sample_array(substream(seed, i)) for i in indices]
     levels = tuple(schedule)[-2:]
     cf = closed_form_levels(
@@ -751,7 +769,7 @@ def test_batched_point_block_matches_per_point_rows(window, depth):
     nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
                               ProductBernoulli([0.8] * window)])
     case = (nu, dictionary, default_schedule(window), 0.02, 77, range(40))
-    _assert_same_bytes(_point_block(_block_args(*case))[:3],
+    _assert_same_bytes(_point_block(_block_args(*case)),
                        _per_point_rows(nu, keys, *case[2:])[:3])
 
 
@@ -822,9 +840,9 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
     # both evaluated levels are product levels
     schedule = (4, mid, window) if two else default_schedule(window)
     dictionary = TestDictionary.build(2, 3)
-    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30), False)
+    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30))
     _assert_same_bytes(
-        _point_block(args)[:3],
+        _point_block(args),
         _product_rows(nu, dictionary, schedule, 0.02, seed, range(30)),
     )
 
@@ -835,7 +853,7 @@ def test_product_point_blocks_identical_across_workers():
     dictionary = TestDictionary.build(2, 2)
     schedule = default_schedule(window)
     tasks = [
-        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 5, range(lo, lo + 15), False)
+        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 5, range(lo, lo + 15))
         for lo in range(0, 60, 15)
     ]
     want = _product_rows(nu, dictionary, schedule, 0.02, 5, range(60))
@@ -902,17 +920,15 @@ def test_point_block_rows_do_not_depend_on_the_split(kind):
     schedule, mc_samples, seed = (4, 8, 32, 64), 200, 23
 
     def block(indices):
-        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices, True))
+        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices))
 
     whole = block(range(30))
     parts = [block(range(0, 7)), block(range(7, 30))]
-    _assert_same_bytes(whole[:3], [np.concatenate([p[k] for p in parts]) for k in range(3)])
-    assert whole[3] == parts[0][3] + parts[1][3]
+    _assert_same_bytes(whole, [np.concatenate([p[k] for p in parts]) for k in range(3)])
     keys = [m.indices for m in DICT2.entries]
     for row, i in enumerate(range(30)):
         stream = substream(seed, i)
         x = nu.sample_array(stream)
-        assert tuple(x.tolist()) == whole[3][row]
         stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, stream)
         assert [float(stat.values[k]) for k in keys] == whole[0][row].tolist()
         assert [stat.stderrs[k] for k in keys] == whole[1][row].tolist()
