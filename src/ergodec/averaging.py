@@ -15,9 +15,12 @@ exact float orbit sum over a batch of points; everything else takes
 self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
 cocycle's potential. ``level_table`` is the one place that picks among
 these engines for cylinder monomials; ``pi_phi``, ``decompose``,
-``ergodicity_test`` and ``limit_average`` call it. If the denominator were
-infinite the average is defined to be 0; that branch is unreachable for
-finite levels but kept for interface fidelity.
+``ergodicity_test``, ``limit_average`` and the ``orbital`` scan call it. Its
+result, a ``LevelTable`` (``closed_form_levels`` returns one too), carries
+values, slacks and stderrs, and ``LevelTable.converged`` is the one limit
+rule all of them apply. If the denominator were infinite the average is
+defined to be 0; that branch is unreachable for finite levels but kept for
+interface fidelity.
 
 Exact evaluation up to S(8) (``average_exact``) is one orbit sum weighted by
 the cocycle's potential u: every cocycle is u(gx)/u(x), so each coset of the
@@ -102,32 +105,52 @@ _EXACT_FLOAT_INT = 2**53
 
 
 @dataclass(frozen=True)
-class ClosedFormLevels:
-    """Constant-cocycle level averages of a batch of points, from
-    ``closed_form_levels``; arrays are indexed [level, point, key].
+class LevelTable:
+    """Level averages of cylinder monomials for a block of points, from
+    ``level_table`` (or ``closed_form_levels``); arrays are indexed
+    [level, point, key].
 
-    - ``nums`` and ``dens``: the average is ``nums / dens``, with
-      ``nums[i, p, j]`` = (m_n)_k, 0 when a coordinate of the key above n is 0
-      in the point, and ``dens[i][j]`` = (n)_k as a Python int; ``nums`` is
-      int64 unless some (n)_k reaches 2^53, then it holds Python ints;
-    - ``values``: the averages in float64, each the correctly rounded
-      quotient, so equal to ``float(self.fraction(i, p, j))``;
-    - ``slacks``: the limit-rule slack of the step from a = levels[i-1] to
-      b = levels[i], 3 ``level_gap_sd``(k, m_b/b, a, b) when b > 8 and 0
-      otherwise (``slacks[0]`` is 0);
-    - ``stderrs[p, j]``: the sd of the last level's value about its limit,
-      k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, when b > 8 and 0 otherwise.
+    - ``values``: the averages in float64; an exact entry holds the correctly
+      rounded float of its exact value;
+    - ``slacks[i]``: the limit-rule slack of the step from level i-1 to level
+      i (``slacks[0]`` is 0);
+    - ``stderrs[i]``: the standard error of a Monte Carlo level; the
+      closed-form and product engines fill only the last level, with the sd
+      of its value about the limit;
+    - ``methods[i]`` names the engine of level i: "closed-form",
+      "enumeration", "product" or "monte-carlo";
+    - ``nums`` and ``dens`` hold the exact values: at a closed-form level the
+      value is ``nums[i, p, j] / dens[i][j]`` in integers (``nums`` is int64
+      unless some denominator reaches 2^53, then it holds Python ints); at an
+      enumeration level ``nums[i, p, j]`` is the exact value itself.
     """
 
-    nums: np.ndarray
-    dens: tuple[tuple[int, ...], ...]
     values: np.ndarray
     slacks: np.ndarray
     stderrs: np.ndarray
+    methods: tuple[str, ...]
+    nums: Optional[np.ndarray] = None
+    dens: tuple[tuple[int, ...], ...] = ()
 
-    def fraction(self, level: int, point: int, key: int) -> Fraction:
-        """The exact average: level, point and key are indices."""
-        return Fraction(int(self.nums[level, point, key]), self.dens[level][key])
+    def value(self, level: int, point: int, key: int):
+        """The exact value of an entry of a closed-form or enumeration level,
+        the float of ``values`` at other levels; level, point and key are
+        indices."""
+        method = self.methods[level]
+        if method == "closed-form":
+            return Fraction(int(self.nums[level, point, key]), self.dens[level][key])
+        if method == "enumeration":
+            return self.nums[level, point, key]
+        return float(self.values[level, point, key])
+
+    def converged(self, tolerance: float) -> np.ndarray:
+        """The limit rule, a bool per [point, key]: with two or more levels,
+        the last two a < b satisfy |r(b) - r(a)| < tolerance + slack; with one
+        level, its stderr is 0. That holds for an exact level at or below
+        S(8), and above S(8) only where the entry cannot move."""
+        if len(self.methods) == 1:
+            return self.stderrs[-1] == 0.0
+        return np.abs(self.values[-1] - self.values[-2]) < tolerance + self.slacks[-1]
 
 
 def level_counts(bits: np.ndarray, levels: Sequence[int]) -> np.ndarray:
@@ -155,7 +178,7 @@ def closed_form_levels(
     heads: np.ndarray,
     levels: Sequence[int],
     keys: Sequence[tuple[int, ...]],
-) -> ClosedFormLevels:
+) -> LevelTable:
     """Constant-cocycle level averages of cylinder monomials for a batch of
     points, exact at every level, with no random draws and no enumeration.
 
@@ -167,9 +190,13 @@ def closed_form_levels(
     moves, and 0 when a coordinate of S above n is 0. The falling factorials
     are exact integers: int64 arrays while (n)_k < 2^53, where one float64
     division gives the correctly rounded value, and Python ints above that,
-    so no count wraps. The slack and stderr are vectorized with the bits of
-    their per-point formulas. Returns a ``ClosedFormLevels``; ``level_table``
-    calls it for the constant cocycle.
+    so no count wraps. The slack of the step from a = levels[i-1] to
+    b = levels[i] is 3 ``level_gap_sd``(k, m_b/b, a, b), and the stderr of
+    the last level b is k p^(k-1) sqrt(p(1-p)/b), p = m_b/b, the sd of its
+    value about the limit; both are 0 when b <= 8, and both are vectorized
+    with the bits of their per-point formulas. Returns a ``LevelTable`` whose
+    levels are all "closed-form"; ``level_table`` calls it for the constant
+    cocycle.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape[1:] != (len(levels),):
@@ -185,7 +212,7 @@ def closed_form_levels(
     nums = np.zeros(shape, dtype=object if exact else np.int64)
     values = np.zeros(shape)
     slacks = np.zeros(shape)
-    stderrs = np.zeros(shape[1:])
+    stderrs = np.zeros(shape)
     for li, n in enumerate(levels):
         m = counts[:, li]
         p = m / n
@@ -218,8 +245,8 @@ def closed_form_levels(
             if li:
                 slacks[li, :, j] = np.where(alive, 3.0 * (coef * gap), 0.0)
             if li == len(levels) - 1:
-                stderrs[:, j] = np.where(alive, coef * last, 0.0)
-    return ClosedFormLevels(nums, dens, values, slacks, stderrs)
+                stderrs[li, :, j] = np.where(alive, coef * last, 0.0)
+    return LevelTable(values, slacks, stderrs, ("closed-form",) * len(levels), nums, dens)
 
 
 def _esp_log_tables(
@@ -337,7 +364,7 @@ def product_levels(
     matrix-matrix product over the points rounds differently.
 
     Returns ``(values, slacks, stderrs)`` indexed [level, point, key] and
-    [point, key] as in ``ClosedFormLevels`` (the empty key is exactly 1.0),
+    [point, key] as in ``LevelTable`` (the empty key is exactly 1.0),
     with this slack and stderr, by the delta method through the tilted
     inclusion probabilities pi_i at level b (``_tilted_inclusion``),
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
@@ -580,10 +607,6 @@ def average_mc(
     )
 
 
-def combined_stderr(a: AveragingReport, b: AveragingReport) -> float:
-    return math.sqrt(a.stderr**2 + b.stderr**2)
-
-
 def default_schedule(window: int) -> tuple[int, ...]:
     """Geometric levels 1, 2, 4, ... capped by and including the window."""
     levels = []
@@ -609,34 +632,17 @@ def checked_schedule(schedule: Sequence[int] | None, window: int) -> tuple[int, 
     return sched
 
 
-@dataclass(frozen=True)
-class LevelTable:
-    """Level averages of cylinder monomials for a block of points, from
-    ``level_table``.
-
-    - ``values`` and ``slacks`` are indexed [level, point, key] as in
-      ``ClosedFormLevels``;
-    - ``stderrs[i, p, j]`` is the standard error of a Monte Carlo level; the
-      closed-form and product engines fill only the last level, with the sd
-      of its value about the limit;
-    - ``methods[i]`` names the engine of level i: "closed-form",
-      "enumeration", "product" or "monte-carlo";
-    - ``value(i, p, j)`` is the exact value of an entry of a closed-form or
-      enumeration level, and the float of ``values`` at other levels.
-    """
-
-    values: np.ndarray
-    slacks: np.ndarray
-    stderrs: np.ndarray
-    methods: tuple[str, ...]
-    closed_form: Optional[ClosedFormLevels] = None
-    enumerated: tuple = ()  # per level: None, or per point the exact values
-
-    def value(self, level: int, point: int, key: int):
-        if self.closed_form is not None:
-            return self.closed_form.fraction(level, point, key)
-        exact = self.enumerated[level]
-        return float(self.values[level, point, key]) if exact is None else exact[point][key]
+def _mc_slacks(stderrs: np.ndarray) -> np.ndarray:
+    """The slack of each step between Monte Carlo levels, indexed as
+    ``stderrs`` [level, point, key]: 3 times the combined stderr
+    sqrt(se_a^2 + se_b^2) of its two levels, in Python floats (0 at the first
+    level, and between two exact levels)."""
+    slacks = np.zeros(stderrs.shape)
+    ses = stderrs.tolist()
+    for li in range(1, len(ses)):
+        for p, (prev, cur) in enumerate(zip(ses[li - 1], ses[li])):
+            slacks[li, p] = [3.0 * math.sqrt(a**2 + b**2) for a, b in zip(prev, cur)]
+    return slacks
 
 
 def level_table(
@@ -668,17 +674,16 @@ def level_table(
        each point from its own ``streams`` entry in ascending level order, so
        a point's draws do not depend on the block. Its stderr is the Monte
        Carlo one and the slack of a step 3 times the combined stderr of its
-       two levels. It needs a stream, else ValueError.
+       two levels (``_mc_slacks``). It needs a stream, else ValueError.
 
-    Only Monte Carlo levels read ``mc_samples`` and ``streams``.
+    Only Monte Carlo levels read ``mc_samples`` and ``streams``. The
+    table's ``converged`` is the limit rule of every caller.
     """
     rows = np.asarray(rows, dtype=np.uint8)
+    if rho.is_constant_one:
+        return closed_form_levels(level_counts(rows, levels), rows, levels, keys)
     shape = (len(levels), rows.shape[0], len(keys))
     stderrs = np.zeros(shape)
-    if rho.is_constant_one:
-        cf = closed_form_levels(level_counts(rows, levels), rows, levels, keys)
-        stderrs[-1] = cf.stderrs
-        return LevelTable(cf.values, cf.slacks, stderrs, ("closed-form",) * len(levels), cf)
     top = "product" if rho.log_linear is not None else "monte-carlo"
     methods = tuple("enumeration" if n <= EXACT_LEVEL_CAP else top for n in levels)
     if top == "product":
@@ -687,14 +692,13 @@ def level_table(
         values, slacks = np.zeros(shape), np.zeros(shape)
     monomials = [CylinderMonomial(key) for key in keys]
     points = [tuple(x) for x in rows.tolist()] if "enumeration" in methods else ()
-    enumerated = tuple(
-        [[average_exact(n, rho, m, x).value for m in monomials] for x in points]
-        if method == "enumeration" else None
-        for n, method in zip(levels, methods)
-    )
-    for li, exact in enumerate(enumerated):
-        for p, row in enumerate(exact or ()):
-            values[li, p] = [float(v) for v in row]
+    nums = np.empty(shape, dtype=object)
+    for li, n in enumerate(levels):
+        if methods[li] == "enumeration":
+            for p, x in enumerate(points):
+                exact = [average_exact(n, rho, m, x).value for m in monomials]
+                nums[li, p] = exact
+                values[li, p] = [float(v) for v in exact]
     if top == "monte-carlo":
         for p, stream in enumerate(streams or [None] * len(rows)):
             for li, n in enumerate(levels):
@@ -704,12 +708,8 @@ def level_table(
                     values[li, p], stderrs[li, p] = zip(
                         *mc_level_values(rows[p], n, rho, monomials, mc_samples, stream)
                     )
-        # 3 * combined stderr, in Python floats as ``combined_stderr``
-        ses = stderrs.tolist()
-        for li in range(1, len(levels)):
-            for p, (prev, cur) in enumerate(zip(ses[li - 1], ses[li])):
-                slacks[li, p] = [3.0 * math.sqrt(a**2 + b**2) for a, b in zip(prev, cur)]
-    return LevelTable(values, slacks, stderrs, methods, enumerated=enumerated)
+        slacks = _mc_slacks(stderrs)
+    return LevelTable(values, slacks, stderrs, methods, nums)
 
 
 def limit_average(
@@ -723,15 +723,17 @@ def limit_average(
 ) -> LimitReport:
     """Track level averages along a schedule and detect the limit.
 
-    Convergence is declared exactly when the last two levels differ by less
-    than tolerance + slack; non-convergence is a legitimate outcome and is
-    reported as such, never masked. A cylinder monomial takes its levels and
-    slack from ``level_table``, whose docstring gives the engine of each
-    level: Monte Carlo levels are reported as "monte-carlo" with their
-    stderr, every other level as "exact" with stderr 0 (enumerated levels
-    count their level! permutations, the others 0 samples). Any other phi
-    takes ``average_exact`` up to S(8) and ``average_mc`` above, with slack
-    3 * combined stderr.
+    The levels of x form a one-point, one-key ``LevelTable``, and its
+    ``converged`` decides: the last two levels differ by less than
+    tolerance + slack, or, on a one-level schedule, that level has stderr 0.
+    Non-convergence is a legitimate outcome and is reported as such, never
+    masked. A cylinder monomial takes its table from ``level_table``, whose
+    docstring gives the engine, slack and stderr of each level: Monte Carlo
+    levels are reported as "monte-carlo" with their stderr, every other
+    level as "exact" with stderr 0 (enumerated levels count their level!
+    permutations, the others 0 samples). Any other phi takes
+    ``average_exact`` up to S(8) and ``average_mc`` above, with the Monte
+    Carlo slack of ``level_table``.
     """
     sched = checked_schedule(schedule, len(x))
     if tolerance <= 0:
@@ -742,35 +744,26 @@ def limit_average(
             mc_samples, [rng],
         )
         reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
-        slack = float(table.slacks[-1, 0, 0])
     else:
         reports = [
             average_exact(n, rho, phi, x) if n <= EXACT_LEVEL_CAP
             else average_mc(n, rho, phi, x, mc_samples, rng)
             for n in sched
         ]
-        slack = 3.0 * combined_stderr(*reports[-2:]) if len(reports) > 1 else 0.0
-    if len(reports) == 1:
-        only = reports[0]
-        converged = only.method == "exact"
-        return LimitReport(
-            levels=tuple(reports),
-            converged=converged,
-            limit_estimate=float(only.value) if converged else None,
-            last_diff=0.0,
-            threshold=tolerance,
-            tolerance=tolerance,
+        stderrs = np.array([[[r.stderr]] for r in reports])
+        table = LevelTable(
+            np.array([[[float(r.value)]] for r in reports]), _mc_slacks(stderrs), stderrs,
+            tuple("enumeration" if r.method == "exact" else r.method for r in reports),
+            np.array([[[r.value]] for r in reports], dtype=object),
         )
-    a, b = reports[-2], reports[-1]
-    diff = abs(float(b.value) - float(a.value))
-    threshold = tolerance + slack
-    converged = diff < threshold
+    converged = bool(table.converged(tolerance)[0, 0])
+    values = table.values[:, 0, 0].tolist()
     return LimitReport(
         levels=tuple(reports),
         converged=converged,
-        limit_estimate=float(b.value) if converged else None,
-        last_diff=diff,
-        threshold=threshold,
+        limit_estimate=values[-1] if converged else None,
+        last_diff=abs(values[-1] - values[-2]) if len(values) > 1 else 0.0,
+        threshold=tolerance + float(table.slacks[-1, 0, 0]),
         tolerance=tolerance,
     )
 

@@ -149,10 +149,6 @@ def load_config(name: str, path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _frac(v) -> Fraction:
-    return Fraction(v) if not isinstance(v, Fraction) else v
-
-
 def run_validate(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
     from .validation import run_validation_suite
 
@@ -173,6 +169,8 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dic
             [ProductBernoulli([p] * window) for p in cfg["params"]],
         )
     rho = constant_one()
+    # A run that fails limit detection still reports: decompose keeps every
+    # point, and the verdict holds it to the library's default threshold.
     dconf = DecomposeConfig(
         samples=cfg["samples"],
         tolerance=cfg["tolerance"],
@@ -184,17 +182,27 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dic
         seed=seed,
         workers=workers,
         residual_depth=cfg["residual_depth"],
+        nonconvergence_threshold=1.0,
     )
     dm = decompose(nu, rho, dconf)
 
     verdicts = [
         Verdict(
             name="limit-detection",
-            passed=dm.non_converged_fraction <= dconf.nonconvergence_threshold,
+            passed=dm.non_converged_fraction <= DecomposeConfig.nonconvergence_threshold,
             detail={"non_converged_fraction": dm.non_converged_fraction},
         )
     ]
     tables: dict[str, list[dict]] = {}
+    csvs = {
+        "samples.csv": (
+            ["index"] + ["r_" + "_".join(map(str, k)) for k in dm.statistic_keys],
+            [
+                [i] + [float(v) for v in dm.statistics[i]]
+                for i in range(dm.statistics.shape[0])
+            ],
+        )
+    }
     if not continuous:
         verdicts.append(
             Verdict(
@@ -238,38 +246,15 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dic
                     },
                 )
             )
-        tables["components"] = [
-            {
-                "label": lab,
-                "weight": float(w),
-                "center": float(c),
-                "count": int(n),
-                "spread": float(s),
-            }
+        header = ["label", "weight", "center", "count", "spread"]
+        rows = [
+            [lab, float(w), float(c), int(n), float(s)]
             for lab, w, c, n, s in zip(
                 dm.labels, dm.weights, dm.centers, dm.counts, dm.spreads
             )
         ]
-
-    csvs = {
-        "samples.csv": (
-            ["index"] + ["r_" + "_".join(map(str, k)) for k in dm.statistic_keys],
-            [
-                [i] + [float(v) for v in dm.statistics[i]]
-                for i in range(dm.statistics.shape[0])
-            ],
-        )
-    }
-    if not continuous:
-        csvs["components.csv"] = (
-            ["label", "weight", "center", "count", "spread"],
-            [
-                [lab, float(w), float(c), int(n), float(s)]
-                for lab, w, c, n, s in zip(
-                    dm.labels, dm.weights, dm.centers, dm.counts, dm.spreads
-                )
-            ],
-        )
+        tables["components"] = [dict(zip(header, row)) for row in rows]
+        csvs["components.csv"] = (header, rows)
     record = ResultRecord(
         experiment="definetti",
         config={**cfg, "seed": seed},
@@ -326,7 +311,7 @@ def run_kolmogorov(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, di
 
 
 def run_sigma_finite(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
-    weights = {int(k): _frac(v) for k, v in cfg["orbit_weights"].items()}
+    weights = {int(k): Fraction(v) for k, v in cfg["orbit_weights"].items()}
     nu = OrbitSigmaFinite(weights)
     f = make_fibrewise_f(cfg["base"])
     dec = decompose_sigma_finite(nu, f)
@@ -393,31 +378,17 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, 
         )
     )
 
-    csvs = {
-        "components.csv": (
-            ["orbit", "weight", "component_scale"],
-            [
-                [k, dec.weights[k], dec.components[k].weight(k)]
-                for k in sorted(dec.weights)
-            ],
-        )
-    }
+    header = ["orbit", "weight", "component_scale"]
+    rows = [
+        [k, dec.weights[k], dec.components[k].weight(k)] for k in sorted(dec.weights)
+    ]
     record = ResultRecord(
         experiment="sigma-finite",
         config={**cfg, "seed": seed},
         verdicts=verdicts,
-        tables={
-            "decomposition": [
-                {
-                    "orbit": k,
-                    "weight": dec.weights[k],
-                    "component_scale": dec.components[k].weight(k),
-                }
-                for k in sorted(dec.weights)
-            ]
-        },
+        tables={"decomposition": [dict(zip(header, row)) for row in rows]},
     )
-    return record, csvs
+    return record, {"components.csv": (header, rows)}
 
 
 def run_orbital(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:

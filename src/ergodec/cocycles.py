@@ -95,10 +95,6 @@ def make_rho_f(f) -> Cocycle:
     )
 
 
-def _rn_eval(nu, g: Permutation, x: Config):
-    return rn_derivative(nu, g, x)
-
-
 def _log_atom_rows(nu):
     """nu's vectorized log-mass, or None when nu, or a component of a mixture,
     has none (its Monte Carlo weights then come from the atom masses)."""
@@ -121,7 +117,7 @@ def make_rn(nu) -> Cocycle:
     if getattr(nu, "exchangeable", False):
         return constant_one()
     return Cocycle(
-        eval_fn=partial(_rn_eval, nu),
+        eval_fn=partial(rn_derivative, nu),
         potential=nu.atom,
         log_potential_rows=_log_atom_rows(nu),
         log_linear=getattr(nu, "log_linear", None),
@@ -147,12 +143,12 @@ def verify_identity(
     level: int,
     window: int,
     rng: RandomStream,
-    float_rtol: float = 1e-12,
 ) -> IdentityReport:
     """Check rho(g*h, x) == rho(g, act(h, x)) * rho(h, x) on random triples.
 
-    Rational values are compared exactly; floats by relative error. The first
-    violating triple is reported as a witness.
+    Rational values are compared exactly; floats by relative error, which
+    must stay within 1e-12. The first violating triple is reported as a
+    witness.
     """
     from .groups import haar_sample
 
@@ -174,7 +170,7 @@ def verify_identity(
             exact = False
             rel = abs(float(lhs) - float(rhs)) / max(abs(float(rhs)), 1e-300)
             max_rel = max(max_rel, rel)
-            bad = rel > float_rtol
+            bad = rel > 1e-12
         if bad:
             violations += 1
             if witness is None:

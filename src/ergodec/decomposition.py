@@ -23,7 +23,7 @@ import numpy as np
 
 from .averaging import (
     EXACT_LEVEL_CAP,
-    average_exact,
+    average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
     checked_schedule,
     level_table,
     mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -79,21 +79,22 @@ def pi_phi(
 ) -> LimitStatistic:
     """Entrywise limit detection over the dictionary.
 
-    The limit rule compares the last two schedule levels a < b, so only those
-    two are evaluated; the statistic still records the whole schedule. A
-    point's entry converges when |r(b) - r(a)| < tolerance + slack, and its
-    value is r(b): the exact value where level b is exact (a ``Fraction``
-    under the constant cocycle), else a float. The point is a batch of one
-    for ``averaging.level_table``, whose docstring gives the engine of each
-    level with its slack and stderr; ``decompose`` evaluates whole blocks of
-    points through it, with the same bits. Only Monte Carlo levels read
-    ``mc_samples`` and ``rng``.
+    The limit rule (``LevelTable.converged``) reads only the last two
+    schedule levels a < b, so only those are evaluated; the statistic still
+    records the whole schedule. A point's entry converges when
+    |r(b) - r(a)| < tolerance + slack, or, on a one-level schedule, when
+    that level's stderr is 0; its value is the last level's: the exact value
+    where that level is exact (a ``Fraction`` under the constant cocycle),
+    else a float. The point is a batch of one for ``averaging.level_table``,
+    whose docstring gives the engine of each level with its slack and
+    stderr; ``decompose`` evaluates whole blocks of points through it, with
+    the same bits. Only Monte Carlo levels read ``mc_samples`` and ``rng``.
     """
     x_bits = np.asarray(x, dtype=np.uint8)
     sched = checked_schedule(schedule, x_bits.shape[0])
     keys = [m.indices for m in dictionary.entries]
     table = level_table(x_bits[None, :], rho, sched[-2:], keys, mc_samples, [rng])
-    converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
+    converged = table.converged(tolerance)
     return LimitStatistic(
         values={k: table.value(-1, 0, j) for j, k in enumerate(keys)},
         stderrs=dict(zip(keys, table.stderrs[-1, 0].tolist())),
@@ -102,16 +103,6 @@ def pi_phi(
         mc_samples=mc_samples,
         tolerance=tolerance,
     )
-
-
-def _limit_rule(values: np.ndarray, slack, stderrs, tolerance: float) -> np.ndarray:
-    """The entrywise limit rule of ``pi_phi`` on float ``values`` indexed
-    [level, ..., key], the evaluated levels first: |r(b) - r(a)| <
-    tolerance + slack for the last two levels a < b, and stderr 0 when only
-    one level is evaluated."""
-    if values.shape[0] == 1:
-        return stderrs == 0.0
-    return np.abs(values[-1] - values[-2]) < tolerance + slack
 
 
 @dataclass(frozen=True)
@@ -189,8 +180,8 @@ def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
 
 def _point_block(args):
     """Limit statistics ``(vals, ses, conv)`` for a block of point
-    indices (one task), rows in index order: the rule of ``pi_phi`` on a
-    ``level_table`` of the block.
+    indices (one task), rows in index order: ``LevelTable.converged`` on a
+    ``level_table`` of the block, as in ``pi_phi``.
 
     Each point is drawn from its own ``substream(seed, i)``, which also feeds
     its Monte Carlo levels, so the rows do not depend on how the points are
@@ -200,9 +191,8 @@ def _point_block(args):
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]
     streams = [substream(seed, i) for i in indices]
-    rows, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
-    conv = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], tolerance)
-    return table.values[-1], table.stderrs[-1], conv
+    _, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
+    return table.values[-1], table.stderrs[-1], table.converged(tolerance)
 
 
 def _map_blocks(task_args, workers: int):
@@ -212,14 +202,13 @@ def _map_blocks(task_args, workers: int):
         return list(pool.map(_point_block, task_args))
 
 
-def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int, draws: int = 8):
-    """Spot-check that nu's atom-ratio cocycle agrees with rho on samples."""
+def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
+    """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho."""
     from .groups import haar_sample
 
     stream = substream(seed, 0xC0C)
-    window = nu.window
-    level = min(6, window)
-    for _ in range(draws):
+    level = min(6, nu.window)
+    for _ in range(8):
         x = nu.sample(stream)
         g = haar_sample(level, stream)
         lhs = rn_derivative(nu, g, x)
@@ -343,15 +332,13 @@ def assemble(dm: DecomposingMeasure):
     return Mixture(dm.weights, dm.representatives)
 
 
-def barycenter_residual(
-    nu, dm: DecomposingMeasure, depth: int, pool: Sequence[int] | None = None
-) -> float:
+def barycenter_residual(nu, dm: DecomposingMeasure, depth: int) -> float:
     """Max over cylinders of |nu(A) - sum_j w_j eta_j(A)|.
 
-    Cylinders pin any subset of the position pool (default {1..depth}) to any
-    bit pattern; both sides are evaluated in closed form.
+    Cylinders pin any subset of the positions {1..depth} to any bit pattern;
+    both sides are evaluated in closed form.
     """
-    positions = tuple(pool) if pool is not None else tuple(range(1, depth + 1))
+    positions = tuple(range(1, depth + 1))
     worst = 0.0
     for size in range(1, depth + 1):
         for subset in itertools.combinations(positions, size):
@@ -389,8 +376,15 @@ def ergodicity_test(
 ) -> ErgodicityVerdict:
     """Check that limit averages of sampled points match the space averages.
 
-    A probe entry fails when |limit - integral| > 3 * stderr + tolerance. On
-    exact atomic models of window <= 8 the comparison is exact.
+    Each probe is a point of eta; ``level_table`` evaluates the last two
+    schedule levels of the block of probes, and ``LevelTable.converged``
+    with tolerance 1e-3 detects each entry's limit. A converged entry fails
+    when |limit - integral| > 3 * stderr + tolerance; one that does not
+    converge counts as non-converged. On exact atomic models of window <= 8
+    the comparison is exact: every atom is a probe, evaluated at the full
+    window by one ``level_table`` call (the closed form under the constant
+    cocycle, orbit sums otherwise), and an entry fails when its value
+    differs from the integral.
     """
     from .measures import expectation_monomial
 
@@ -398,12 +392,15 @@ def ergodicity_test(
     entries = dictionary.nonconstant()
 
     if isinstance(eta, AtomicMeasure) and window <= EXACT_LEVEL_CAP:
+        atoms = sorted(eta.atoms)
+        rows = np.array(atoms, dtype=np.uint8).reshape(len(atoms), window)
+        table = level_table(rows, rho, (window,), [m.indices for m in entries])
         failures = 0
         checks = 0
         witnesses = []
-        for x in sorted(eta.atoms):
-            for mono in entries:
-                val = average_exact(window, rho, mono, x).value
+        for p, x in enumerate(atoms):
+            for j, mono in enumerate(entries):
+                val = table.value(0, p, j)
                 target = expectation_monomial(eta, mono.indices)
                 checks += 1
                 if val != target:
@@ -425,7 +422,7 @@ def ergodicity_test(
     keys = [m.indices for m in dictionary.entries]
     streams = [substream(seed, 0xE6, i) for i in range(probes)]
     _, table = _sampled_table(eta, rho, keys, sched[-2:], mc_samples, streams)
-    converged = _limit_rule(table.values, table.slacks[-1], table.stderrs[-1], 1e-3)
+    converged = table.converged(1e-3)
     values, ses = table.values[-1].tolist(), table.stderrs[-1].tolist()
     targets = [(keys.index(m.indices), float(expectation_monomial(eta, m.indices)))
                for m in entries]

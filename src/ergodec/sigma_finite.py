@@ -400,18 +400,19 @@ def orbital_dichotomy(
     schedule: Sequence[int],
     battery: Sequence[CylinderMonomial] | None = None,
     decay_threshold: float = 0.01,
-    tolerance: float = 1e-3,
 ) -> DichotomyReport:
     """Track orbital-measure integrals of a battery of cylinder functions.
 
     Every level is the exact closed form of ``averaging.closed_form_levels``
-    (the series carry stderr 0), so the scan makes no random draws. A step
-    from level a to b counts as rising or as not Cauchy only beyond its slack,
-    3 ``level_gap_sd`` when b > 8 and 0 otherwise, the limit rule of
-    ``pi_phi``. Declares mass escape when every tracked value ends below the
-    threshold and no step rises; convergence when every series is Cauchy at
-    the last step with some value staying above the threshold; otherwise
-    reports inconclusive.
+    (the series carry stderr 0), so the scan makes no random draws. A series
+    is Cauchy when ``LevelTable.converged`` holds with tolerance 1e-3, the
+    limit rule of ``pi_phi``: its last step moves by less than 1e-3 plus the
+    slack, 3 ``level_gap_sd`` when the step ends above S(8) and 0 otherwise,
+    and a one-level schedule is Cauchy only at or below S(8), where the
+    level's stderr is 0. A step rises only beyond the same slack. Declares
+    mass escape when every tracked value ends below the threshold and no
+    step rises; convergence when every series is Cauchy with some value
+    staying above the threshold; otherwise reports inconclusive.
     """
     sched = checked_schedule(schedule, len(x))
     mons = tuple(battery) if battery is not None else TestDictionary.build(2, 2).nonconstant()
@@ -424,15 +425,12 @@ def orbital_dichotomy(
         for j, m in enumerate(mons)
     }
     finals = {k: s[-1][1] for k, s in series.items()}
-    all_cauchy = True
-    all_decaying = True
-    for j, m in enumerate(mons):
-        s = series[m.indices]
-        if len(s) >= 2 and abs(s[-1][1] - s[-2][1]) >= tolerance + slacks[-1][j]:
-            all_cauchy = False
-        for i in range(1, len(s)):
-            if s[i][1] > s[i - 1][1] + slacks[i][j]:
-                all_decaying = False
+    all_cauchy = bool(table.converged(1e-3).all())
+    all_decaying = all(
+        values[i][j] <= values[i - 1][j] + slacks[i][j]
+        for i in range(1, len(sched))
+        for j in range(len(mons))
+    )
     if all(v <= decay_threshold for v in finals.values()) and all_decaying:
         verdict = "escapes-mass"
     elif all_cauchy:

@@ -948,13 +948,17 @@ def test_limit_average_under_a_product_potential_equals_enumeration(case, levels
 
 
 @pytest.mark.parametrize("seed", [210000, 220000])
-def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(seed):
+@pytest.mark.parametrize("sched", [(512, 1024), (1024,)])
+@pytest.mark.parametrize("cocycle", ["product", "constant"])
+def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(
+    seed, sched, cocycle
+):
     # no Monte Carlo: no random stream is needed
     window = 1024
     comps = [ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
              for a, b in ((0.2, 0.25), (0.75, 0.8))]
     nu = Mixture([0.4, 0.6], comps)
-    rho, sched = make_rn(nu), (512, 1024)
+    rho = make_rn(nu) if cocycle == "product" else constant_one()
     dictionary = TestDictionary.build(2, 2)
     for i in range(4):
         x = nu.sample_array(substream(seed, i))
@@ -963,8 +967,28 @@ def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(s
             rep = limit_average(rho, mono, tuple(x.tolist()), sched, tolerance=0.02)
             assert [(r.method, r.stderr, r.sample_count) for r in rep.levels] == [
                 ("exact", 0.0, 0)
-            ] * 2
+            ] * len(sched)
             # the kernel's tables depend on the keys it is given, so the
             # values agree to rounding, not to the bit
             assert abs(rep.levels[-1].value - stat.values[mono.indices]) <= 1e-12
             assert rep.converged == stat.converged[mono.indices]
+
+
+@pytest.mark.parametrize("cocycle", ["constant", "product"])
+def test_one_level_schedules_agree_across_callers(cocycle):
+    # a window-1024 point with about 30% ones: a one-level schedule converges
+    # exactly when its level has stderr 0, at or below S(8) and not above
+    window = 1024
+    nu = ProductBernoulli([0.3 if i % 2 == 0 else 0.35 for i in range(window)])
+    rho = constant_one() if cocycle == "constant" else make_rn(nu)
+    x = nu.sample_array(substream(61, 0))
+    x[:2] = (1, 0)
+    dictionary = TestDictionary.build(2, 2)
+    for level, want in ((1024, False), (9, False), (8, True), (2, True)):
+        stat = pi_phi(x, rho, dictionary, (level,))
+        for mono in dictionary.nonconstant():
+            rep = limit_average(rho, mono, tuple(x.tolist()), (level,))
+            assert stat.converged[mono.indices] == rep.converged == want
+            assert (rep.limit_estimate is not None) == want
+        orbital = orbital_dichotomy(x, (level,), battery=dictionary.nonconstant())
+        assert orbital.verdict == ("converges-to-probability" if want else "inconclusive")

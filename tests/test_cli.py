@@ -403,3 +403,17 @@ def test_failed_verdict_exit_code(tmp_path):
         )
     )
     assert main(["orbital", "--config", str(cfg), "--seed", "4"]) == 1
+
+
+def test_definetti_nonconvergence_is_a_failed_verdict(tmp_path):
+    # at window 4 more than half the points fail limit detection: the run
+    # still writes its record and exits 1, not 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": 4, "samples": 200}))
+    out = tmp_path / "out"
+    assert main(["definetti", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "result.json").read_text())
+    verdict = next(v for v in record["verdicts"] if v["name"] == "limit-detection")
+    assert not verdict["passed"]
+    assert verdict["detail"]["non_converged_fraction"] > 0.01
+    assert (out / "components.csv").exists()

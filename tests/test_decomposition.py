@@ -348,6 +348,41 @@ def test_ergodicity_test_exact_orbit_measure():
     assert verdict.exact
 
 
+def _per_atom_exact_verdict(eta, rho):
+    """(failures, checks, witnesses) of the exact branch, one average_exact
+    call per atom and monomial."""
+    from ergodec.measures import expectation_monomial
+
+    failures, checks, witnesses = 0, 0, []
+    for x in sorted(eta.atoms):
+        for mono in DICT2.nonconstant():
+            val = average_exact(eta.window, rho, mono, x).value
+            target = expectation_monomial(eta, mono.indices)
+            checks += 1
+            if val != target:
+                failures += 1
+                if len(witnesses) < 3:
+                    witnesses.append((x, mono.indices, val, target))
+    return failures, checks, tuple(witnesses)
+
+
+@pytest.mark.parametrize("cocycle", ["constant", "rn"])
+def test_ergodicity_test_exact_branch_matches_per_atom_averages(cocycle):
+    # two orbits (one and three ones) with unequal masses inside each:
+    # not ergodic under either cocycle
+    eta = AtomicMeasure({
+        (1, 0, 0, 0): Fraction(1, 6), (0, 1, 0, 0): Fraction(1, 3),
+        (1, 1, 1, 0): Fraction(1, 8), (0, 1, 1, 1): Fraction(3, 8),
+    })
+    rho = constant_one() if cocycle == "constant" else make_rn(eta)
+    assert rho.is_constant_one == (cocycle == "constant")
+    verdict = ergodicity_test(eta, rho, DICT2)
+    assert (verdict.verdict, verdict.exact, verdict.probes) == ("non-ergodic", True, 4)
+    got = (verdict.failures, verdict.checks, verdict.witnesses)
+    assert got == _per_atom_exact_verdict(eta, rho)
+    assert all(isinstance(w[2], Fraction) for w in verdict.witnesses)
+
+
 def test_conditional_measures_exchangeable_cells():
     nu = _product_atoms([Fraction(1, 2)] * 4)
     assignment = conditional_measures_exact(nu, make_rn(ProductBernoulli([Fraction(1, 2)] * 4)))
@@ -803,7 +838,7 @@ def test_closed_form_levels_takes_exact_integers_past_2_53(n, depth):
     for p, m in enumerate(counts[:, 0].tolist()):
         for j, key in enumerate(keys):
             want = Fraction(math.perm(m, len(key)), math.perm(n, len(key)))
-            assert cf.fraction(0, p, j) == want
+            assert cf.value(0, p, j) == want
             assert cf.values[0, p, j] == float(want)
     with pytest.raises(ValueError):
         closed_form_levels(np.array([[n + 1]]), heads[:1], (n,), keys)

@@ -413,6 +413,8 @@ def test_orbital_dichotomy_bernoulli_converges_to_moments():
     assert rep.verdict == "converges-to-probability"
     assert abs(rep.finals[(1,)] - 0.3) <= 0.03
     assert abs(rep.finals[(1, 2)] - 0.09) <= 0.03
+    # one level above S(8) has a nonzero stderr: not Cauchy, as in pi_phi
+    assert orbital_dichotomy(x, [2048]).verdict == "inconclusive"
 
 
 def test_f_integral_exact():
