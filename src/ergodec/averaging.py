@@ -463,7 +463,8 @@ def _orbit_collapsed_average(level: int, potential, phi, x: Config):
 
 def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
     """Exact level average, one orbit sum weighted by the cocycle's
-    potential; capacity error above S(8)."""
+    potential; capacity error above S(8). It draws no samples, so its
+    ``sample_count`` is 0."""
     if level > EXACT_LEVEL_CAP:
         raise CapacityError(
             f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
@@ -477,7 +478,7 @@ def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
         level=level,
         method="exact",
         stderr=0.0,
-        sample_count=math.factorial(level),
+        sample_count=0,
     )
 
 
@@ -729,9 +730,9 @@ def limit_average(
     Non-convergence is a legitimate outcome and is reported as such, never
     masked. A cylinder monomial takes its table from ``level_table``, whose
     docstring gives the engine, slack and stderr of each level: Monte Carlo
-    levels are reported as "monte-carlo" with their stderr, every other
-    level as "exact" with stderr 0 (enumerated levels count their level!
-    permutations, the others 0 samples). Any other phi takes
+    levels are reported as "monte-carlo" with their stderr and sample
+    count, every other level as "exact" with stderr 0 and 0 samples. Any
+    other phi takes
     ``average_exact`` up to S(8) and ``average_mc`` above, with the Monte
     Carlo slack of ``level_table``.
     """
@@ -774,8 +775,7 @@ def _level_report(table: LevelTable, i: int, level: int, mc_samples: int) -> Ave
     if method == "monte-carlo":
         stderr = float(table.stderrs[i, 0, 0])
         return AveragingReport(value, level, method, stderr, mc_samples)
-    count = math.factorial(level) if method == "enumeration" else 0
-    return AveragingReport(value, level, "exact", 0.0, count)
+    return AveragingReport(value, level, "exact", 0.0, 0)
 
 
 @dataclass(frozen=True)

@@ -940,10 +940,7 @@ def test_limit_average_under_a_product_potential_equals_enumeration(case, levels
             np.asarray(x, dtype=np.uint8)[None, :], sched, [mono.indices], nu.log_linear
         )
         for e, o in zip(exact.levels, orbit_sums[:, 0, 0].tolist()):
-            want = average_exact(e.level, rho, mono, x)
-            # an exchangeable draw gets closed-form levels, which count no
-            # permutations
-            assert e == (replace(want, sample_count=0) if rho.is_constant_one else want)
+            assert e == average_exact(e.level, rho, mono, x)
             assert abs(o - float(e.value)) <= 1e-12
 
 
