@@ -726,13 +726,14 @@ def limit_average(
 
     The levels of x form a one-point, one-key ``LevelTable``, and its
     ``converged`` decides: the last two levels differ by less than
-    tolerance + slack, or, on a one-level schedule, that level has stderr 0.
-    Non-convergence is a legitimate outcome and is reported as such, never
-    masked. A cylinder monomial takes its table from ``level_table``, whose
-    docstring gives the engine, slack and stderr of each level: Monte Carlo
-    levels are reported as "monte-carlo" with their stderr and sample
-    count, every other level as "exact" with stderr 0 and 0 samples. Any
-    other phi takes
+    tolerance + slack, or, on a one-level schedule, that level has stderr 0
+    in the table (an exact level above S(8) has its sd about the limit
+    there, 0 only where the entry cannot move). Non-convergence is a
+    legitimate outcome and is reported as such, never masked. A cylinder
+    monomial takes its table from ``level_table``, whose docstring gives
+    the engine, slack and stderr of each level: Monte Carlo levels are
+    reported as "monte-carlo" with their stderr and sample count, every
+    other level as "exact" with stderr 0 and 0 samples. Any other phi takes
     ``average_exact`` up to S(8) and ``average_mc`` above, with the Monte
     Carlo slack of ``level_table``.
     """

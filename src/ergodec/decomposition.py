@@ -395,13 +395,15 @@ def ergodicity_test(
         atoms = sorted(eta.atoms)
         rows = np.array(atoms, dtype=np.uint8).reshape(len(atoms), window)
         table = level_table(rows, rho, (window,), [m.indices for m in entries])
+        targets = []
+        if atoms:  # the zero measure has no expectation and nothing to compare
+            targets = [expectation_monomial(eta, m.indices) for m in entries]
         failures = 0
         checks = 0
         witnesses = []
         for p, x in enumerate(atoms):
-            for j, mono in enumerate(entries):
+            for j, (mono, target) in enumerate(zip(entries, targets)):
                 val = table.value(0, p, j)
-                target = expectation_monomial(eta, mono.indices)
                 checks += 1
                 if val != target:
                     failures += 1
@@ -410,7 +412,7 @@ def ergodicity_test(
         verdict = "ergodic" if failures == 0 else "non-ergodic"
         return ErgodicityVerdict(
             verdict=verdict,
-            probes=len(eta.atoms),
+            probes=len(atoms),
             checks=checks,
             failures=failures,
             non_converged=0,

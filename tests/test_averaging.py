@@ -944,9 +944,9 @@ def test_limit_average_under_a_product_potential_equals_enumeration(case, levels
             assert abs(o - float(e.value)) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [210000, 220000])
-@pytest.mark.parametrize("sched", [(512, 1024), (1024,)])
 @pytest.mark.parametrize("cocycle", ["product", "constant"])
+@pytest.mark.parametrize("sched", [(512, 1024), (1024,)])
+@pytest.mark.parametrize("seed", [210000, 220000])
 def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(
     seed, sched, cocycle
 ):

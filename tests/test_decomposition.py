@@ -381,6 +381,9 @@ def test_ergodicity_test_exact_branch_matches_per_atom_averages(cocycle):
     got = (verdict.failures, verdict.checks, verdict.witnesses)
     assert got == _per_atom_exact_verdict(eta, rho)
     assert all(isinstance(w[2], Fraction) for w in verdict.witnesses)
+    # the zero measure has no atom to probe
+    empty = ergodicity_test(AtomicMeasure({}, window=4), rho, DICT2)
+    assert (empty.verdict, empty.probes, empty.checks) == ("ergodic", 0, 0)
 
 
 def test_conditional_measures_exchangeable_cells():
