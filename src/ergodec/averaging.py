@@ -447,10 +447,25 @@ def monomial_level_average(level: int, indices: Sequence[int], x: Config) -> Fra
     return level_table(bits, constant_one(), (level,), [tuple(indices)]).value(0, 0, 0)
 
 
-def _orbit_collapsed_average(level: int, potential, phi, x: Config):
+def _rescaled_potential(rho: Cocycle, ux, x: Config, level: int):
+    """u / max u on the level orbit of x, from ``rho.log_potential_rows``, for
+    a float potential u that underflows to ux = 0.0 at x (a long product of
+    float masses): the orbit average is the same. ZeroMassError where u is 0
+    at x, exactly or in log space."""
+    orbit = list(level_orbit(x, level))
+    logu = None
+    if isinstance(ux, float) and rho.log_potential_rows is not None:
+        logu = rho.log_potential_rows(np.asarray([x] + orbit, dtype=np.uint8))
+    if logu is None or logu[0] == -math.inf:
+        raise ZeroMassError(f"cocycle potential vanishes at the base point (window {len(x)})")
+    return dict(zip(orbit, np.exp(logu[1:] - logu.max()).tolist())).__getitem__
+
+
+def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
+    potential = rho.potential
     ux = potential(x)
     if ux == 0:
-        raise ZeroMassError(f"cocycle potential vanishes at {x}")
+        potential = _rescaled_potential(rho, ux, x, level)
     num = Fraction(0)
     den = Fraction(0)
     for y in level_orbit(x, level):
@@ -474,7 +489,7 @@ def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
     if level > len(x):
         raise ValueError("level exceeds the configuration window")
     return AveragingReport(
-        value=_orbit_collapsed_average(level, rho.potential, phi, x),
+        value=_orbit_collapsed_average(level, rho, phi, x),
         level=level,
         method="exact",
         stderr=0.0,

@@ -149,15 +149,22 @@ def load_config(name: str, path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def run_validate(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
+# A runner returns what it computes: the ResultRecord fields other than the
+# experiment name and config echo (verdicts, tables, residuals), and the CSV
+# series by file name. run_experiment builds the record.
+RunnerOutput = tuple[dict, dict]
+
+
+def run_validate(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+    # Imported at call time: the benchmark trace wraps
+    # ergodec.validation.run_validation_suite after this module is loaded, and
+    # a module-level import would keep the unwrapped function.
     from .validation import run_validation_suite
 
-    verdicts = run_validation_suite(cfg, seed)
-    record = ResultRecord(experiment="validate", config={**cfg, "seed": seed}, verdicts=verdicts)
-    return record, {}
+    return {"verdicts": run_validation_suite(cfg, seed)}, {}
 
 
-def run_definetti(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
+def run_definetti(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     window = cfg["window"]
     continuous = cfg["beta"] is not None
     if continuous:
@@ -255,19 +262,13 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dic
         ]
         tables["components"] = [dict(zip(header, row)) for row in rows]
         csvs["components.csv"] = (header, rows)
-    record = ResultRecord(
-        experiment="definetti",
-        config={**cfg, "seed": seed},
-        verdicts=verdicts,
-        tables=tables,
-        residuals={"barycenter": dm.barycenter_residual}
-        if dm.barycenter_residual is not None
-        else {},
+    residuals = (
+        {"barycenter": dm.barycenter_residual} if dm.barycenter_residual is not None else {}
     )
-    return record, csvs
+    return {"verdicts": verdicts, "tables": tables, "residuals": residuals}, csvs
 
 
-def run_kolmogorov(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
+def run_kolmogorov(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     report = demonstrate_kolmogorov(
         p_low=cfg["p_low"],
         p_high=cfg["p_high"],
@@ -301,16 +302,10 @@ def run_kolmogorov(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, di
             },
         ),
     ]
-    record = ResultRecord(
-        experiment="kolmogorov",
-        config={**cfg, "seed": seed},
-        verdicts=verdicts,
-        tables={"narrative": [{"text": report.narrative}]},
-    )
-    return record, {}
+    return {"verdicts": verdicts, "tables": {"narrative": [{"text": report.narrative}]}}, {}
 
 
-def run_sigma_finite(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
+def run_sigma_finite(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     weights = {int(k): Fraction(v) for k, v in cfg["orbit_weights"].items()}
     nu = OrbitSigmaFinite(weights)
     f = make_fibrewise_f(cfg["base"])
@@ -382,16 +377,11 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, 
     rows = [
         [k, dec.weights[k], dec.components[k].weight(k)] for k in sorted(dec.weights)
     ]
-    record = ResultRecord(
-        experiment="sigma-finite",
-        config={**cfg, "seed": seed},
-        verdicts=verdicts,
-        tables={"decomposition": [dict(zip(header, row)) for row in rows]},
-    )
-    return record, {"components.csv": (header, rows)}
+    tables = {"decomposition": [dict(zip(header, row)) for row in rows]}
+    return {"verdicts": verdicts, "tables": tables}, {"components.csv": (header, rows)}
 
 
-def run_orbital(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]:
+def run_orbital(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     window = cfg["window"]
     if cfg["bernoulli"] is not None:
         nu = ProductBernoulli([cfg["bernoulli"]] * window)
@@ -414,19 +404,12 @@ def run_orbital(cfg: dict, seed: int, workers: int) -> tuple[ResultRecord, dict]
         name = "r_" + "_".join(map(str, key))
         for level, value, stderr in series:
             rows.append([name, level, value, stderr])
+    finals = [
+        {"entry": "r_" + "_".join(map(str, k)), "value": v}
+        for k, v in sorted(report.finals.items())
+    ]
     csvs = {"series.csv": (["entry", "level", "value", "stderr"], rows)}
-    record = ResultRecord(
-        experiment="orbital",
-        config={**cfg, "seed": seed},
-        verdicts=verdicts,
-        tables={
-            "finals": [
-                {"entry": "r_" + "_".join(map(str, k)), "value": v}
-                for k, v in sorted(report.finals.items())
-            ]
-        },
-    )
-    return record, csvs
+    return {"verdicts": verdicts, "tables": {"finals": finals}}, csvs
 
 
 RUNNERS = {
@@ -442,7 +425,8 @@ def run_experiment(
     name: str, cfg: dict, seed: int, workers: int, out_dir: Path | None
 ) -> ResultRecord:
     started = time.monotonic()
-    record, csvs = RUNNERS[name](cfg, seed, workers)
+    fields, csvs = RUNNERS[name](cfg, seed, workers)
+    record = ResultRecord(experiment=name, config={**cfg, "seed": seed}, **fields)
     elapsed = time.monotonic() - started
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

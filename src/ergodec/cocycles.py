@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Config, Permutation, act
+from .groups import Config, Permutation, act, haar_sample
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
@@ -150,8 +150,6 @@ def verify_identity(
     must stay within 1e-12. The first violating triple is reported as a
     witness.
     """
-    from .groups import haar_sample
-
     if window < level:
         raise ValueError("window must cover the sampled level")
     violations = 0

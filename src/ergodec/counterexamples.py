@@ -19,8 +19,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check, jordan_decompose
+from .averaging import orbit_class_key
 from .cocycles import Cocycle
+from .groups import Permutation, act
+from .measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check, jordan_decompose
 from .rng import substream
 
 FAMILY_FINITE_ONES = "finite-ones"  # k ones, cofinitely many zeros
@@ -244,13 +246,6 @@ class KolmogorovReport:
     samples: int
     narrative: str
 
-    @property
-    def ok(self) -> bool:
-        return (
-            self.ergodic_full_group
-            and abs(self.frequency_event_mass - 0.5) <= 0.02
-        )
-
 
 def demonstrate_kolmogorov(
     p_low: float = 0.2,
@@ -341,8 +336,6 @@ def _weakly_indecomposable(nu: AtomicMeasure) -> bool:
     mass is 0 or 1 and, with c >= 3 classes, at most one is 1. With c == 2
     the proper unions are the singletons, so two classes of mass 1 each
     (total 2, not a probability) count as indecomposable."""
-    from .averaging import orbit_class_key
-
     classes: dict[tuple, Fraction] = {}
     for x, m in nu.atoms.items():
         key = orbit_class_key(x, nu.window)
@@ -355,8 +348,6 @@ def _in_cocycle_class(nu: AtomicMeasure, rho: Cocycle) -> bool:
     """Exact membership check on the window: nu(act(s, x)) == rho(s, x) nu(x)
     for every positive atom and every adjacent transposition (which generate
     the full level, so the identity propagates to all permutations)."""
-    from .groups import Permutation, act
-
     window = nu.window
     swaps = [Permutation.swap(i, i + 1) for i in range(1, window)]
     for x, m in nu.atoms.items():

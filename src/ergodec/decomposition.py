@@ -33,12 +33,13 @@ from .averaging import (
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
 from .errors import CapacityError, NonConvergenceError
-from .groups import Config, Permutation, act, level_orbit, validate_config
+from .groups import Config, Permutation, act, haar_sample, level_orbit, validate_config
 from .measures import (
     AtomicMeasure,
     Cylinder,
     Mixture,
     ProductBernoulli,
+    expectation_monomial,
     rn_derivative,
 )
 from .rng import RandomStream, substream
@@ -204,8 +205,6 @@ def _map_blocks(task_args, workers: int):
 
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
     """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho."""
-    from .groups import haar_sample
-
     stream = substream(seed, 0xC0C)
     level = min(6, nu.window)
     for _ in range(8):
@@ -386,8 +385,6 @@ def ergodicity_test(
     cocycle, orbit sums otherwise), and an entry fails when its value
     differs from the integral.
     """
-    from .measures import expectation_monomial
-
     window = eta.window
     entries = dictionary.nonconstant()
 

@@ -51,29 +51,19 @@ class GeometricWeight:
         return -math.log(self.base) * (rows @ positions)
 
     def orbit_mass(self, k: int, window: int | None = None) -> Fraction:
-        """Exact sum of f over the orbit with k ones.
-
-        Idealized scale: sum over strictly increasing k-tuples of positive
-        positions, q^(k(k+1)/2) / prod_{j=1..k} (1 - q^j). Window scale: the
-        coefficient of t^k in prod_{i=1..window} (1 + q^i t).
+        """Exact sum of f over the orbit with k ones: the Gaussian binomial
+        q^(k(k+1)/2) prod_{j=1..k} (1 - q^(window-k+j)) / (1 - q^j), q = 1/base.
+        On the idealized scale (window None) the numerator factors are 1; on
+        a window smaller than k one of them is 0.
         """
-        q = Fraction(1, self.base)
         if k < 0:
             raise ValueError("orbit labels are nonnegative")
-        if window is None:
-            num = q ** (k * (k + 1) // 2)
-            den = Fraction(1)
-            for j in range(1, k + 1):
-                den *= 1 - q**j
-            return num / den
-        if k > window:
-            return Fraction(0)
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[0] = Fraction(1)
-        for i in range(1, window + 1):
-            for d in range(min(i, k), 0, -1):
-                coeffs[d] += coeffs[d - 1] * q**i
-        return coeffs[k]
+        q = Fraction(1, self.base)
+        mass = q ** (k * (k + 1) // 2)
+        for j in range(1, k + 1):
+            top = 1 if window is None else 1 - q ** (window - k + j)
+            mass *= top / (1 - q**j)
+        return mass
 
 
 @dataclass(frozen=True)
@@ -133,31 +123,19 @@ class FOrbitProbability:
 
 @dataclass(frozen=True)
 class ProjectiveClass:
-    """A measure up to positive scaling, with the normalization convention
-    it was produced under."""
+    """A measure up to positive scaling."""
 
     representative: object  # OrbitSigmaFinite or AtomicMeasure
-    convention: str = "f-normalized"
 
     def same_class(self, other: "ProjectiveClass") -> bool:
+        """Both representatives are of one kind (orbit models on one scale)
+        and their positive masses, orbit weights or atoms, sit on the same
+        keys with one common ratio."""
         a, b = self.representative, other.representative
-        if isinstance(a, OrbitSigmaFinite) and isinstance(b, OrbitSigmaFinite):
-            if a.labels != b.labels or a.scale != b.scale:
-                return False
-            items = sorted(a.orbit_weights)
-            k0 = items[0]
-            return all(
-                a.weight(k) * b.weight(k0) == b.weight(k) * a.weight(k0)
-                for k in items
-            )
-        if isinstance(a, AtomicMeasure) and isinstance(b, AtomicMeasure):
-            if a.support != b.support:
-                return False
-            x0 = sorted(a.support)[0]
-            return all(
-                a.atom(x) * b.atom(x0) == b.atom(x) * a.atom(x0) for x in a.support
-            )
-        return False
+        if type(a) is not type(b) or getattr(a, "scale", None) != getattr(b, "scale", None):
+            return False
+        ma, mb = (r.orbit_weights if isinstance(r, OrbitSigmaFinite) else r.atoms for r in (a, b))
+        return ma.keys() == mb.keys() and len({ma[k] / mb[k] for k in ma}) <= 1
 
 
 @dataclass(frozen=True)
@@ -207,13 +185,7 @@ def p_f(nu, f):
             raise DivergentIntegralError("weight integral vanishes")
         return AtomicMeasure({x: m / total for x, m in weighted.items()})
     if isinstance(nu, OrbitSigmaFinite):
-        masses = _orbit_masses(nu, f)
-        total = sum(
-            (nu.weight(k) * masses[k] for k in nu.labels), Fraction(0)
-        )
-        if total == 0:
-            raise DivergentIntegralError("weight integral vanishes")
-        probs = {k: nu.weight(k) * masses[k] / total for k in nu.labels}
+        probs = decompose_sigma_finite(nu, f).weights
         return FOrbitProbability(orbit_probs=probs, f=f, scale=nu.scale)
     raise TypeError("p_f applies to atomic or orbit sigma-finite measures")
 
@@ -271,7 +243,7 @@ def decompose_sigma_finite(nu: OrbitSigmaFinite, f) -> SigmaFiniteDecomposition:
     c_k * (orbit f-mass) / nu(f). Exact throughout.
     """
     masses = _orbit_masses(nu, f)
-    total = sum((nu.weight(k) * masses[k] for k in nu.labels), Fraction(0))
+    total = f_integral(nu, f)
     if total == 0:
         raise DivergentIntegralError("weight integral vanishes")
     components = {

@@ -42,7 +42,7 @@ from ergodec.decomposition import (
     split_by_gaps,
 )
 from ergodec.dictionary import CylinderMonomial, TestDictionary
-from ergodec.errors import NonConvergenceError
+from ergodec.errors import NonConvergenceError, ZeroMassError
 from ergodec.groups import act, enumerate_level
 from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
 from ergodec.rng import substream
@@ -628,6 +628,27 @@ def test_decompose_quasi_invariant_mixture_at_window_1024(seed):
     assert dm.non_converged_fraction == 0.0
     assert dm.components == 2
     assert all(abs(c - want) < 0.05 for c, want in zip(sorted(dm.centers), (0.2, 0.75)))
+
+
+@pytest.mark.parametrize("window", [2048, 4096])
+def test_exact_levels_survive_an_underflowing_potential(window):
+    # The mixture's float atom mass is a product of `window` masses and
+    # underflows to 0.0; the exact levels weight the orbit in log space.
+    nu, comps = _bench_mixture(window)
+    x = comps[1].sample(substream(3, 1))
+    assert nu.atom(x) == 0.0
+    pi_phi(x, make_rn(nu), DICT2, (4, 8, window))
+    report = limit_average(make_rn(nu), CylinderMonomial((1, 2)), x, default_schedule(window))
+    (level8,) = [r for r in report.levels if r.level == 8]
+    want, _, _ = product_levels(np.asarray(x, dtype=np.uint8)[None, :], (8,), [(1, 2)],
+                                nu.log_linear)
+    assert 0.0 < level8.value and abs(level8.value - want[0, 0, 0]) <= 1e-12
+
+
+def test_exact_level_of_a_vanishing_potential_raises_naming_the_window():
+    nu = AtomicMeasure({(1, 0, 0, 1): Fraction(1, 2), (0, 1, 1, 0): Fraction(1, 2)})
+    with pytest.raises(ZeroMassError, match=r"^cocycle potential vanishes .*window 4\)$"):
+        average_exact(4, make_rn(nu), CylinderMonomial((1,)), (1, 1, 0, 0))
 
 
 @settings(max_examples=4, deadline=None)

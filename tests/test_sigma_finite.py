@@ -86,6 +86,44 @@ def test_orbit_mass_window_matches_enumeration():
         assert f.orbit_mass(k, window) == brute
 
 
+def _orbit_mass_dp(base, k, window):
+    """The former windowed orbit mass: the coefficient of t^k in
+    prod_{i=1..window} (1 + q^i t), q = 1/base, by an O(window * k) DP."""
+    q = Fraction(1, base)
+    if k > window:
+        return Fraction(0)
+    coeffs = [Fraction(1)] + [Fraction(0)] * k
+    for i in range(1, window + 1):
+        for d in range(min(i, k), 0, -1):
+            coeffs[d] += coeffs[d - 1] * q**i
+    return coeffs[k]
+
+
+def _orbit_mass_idealized(base, k):
+    """The former idealized orbit mass: q^(k(k+1)/2) / prod_{j=1..k} (1 - q^j)."""
+    q = Fraction(1, base)
+    den = Fraction(1)
+    for j in range(1, k + 1):
+        den *= 1 - q**j
+    return q ** (k * (k + 1) // 2) / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(2, 9), window=st.integers(0, 64), k=st.integers(0, 66))
+def test_orbit_mass_is_the_gaussian_binomial(base, window, k):
+    f = GeometricWeight(base)
+    got = f.orbit_mass(k, window)
+    assert isinstance(got, Fraction)
+    assert got == _orbit_mass_dp(base, k, window)
+    if window <= 10:
+        brute = sum(
+            (f(frozenset(c)) for c in itertools.combinations(range(1, window + 1), k)),
+            Fraction(0),
+        )
+        assert got == brute
+    assert f.orbit_mass(k) == _orbit_mass_idealized(base, k)
+
+
 def _product_loop_weight(base, x):
     """The former GeometricWeight: one power of 1/base per ones position."""
     positions = sorted(x) if isinstance(x, frozenset) else [i + 1 for i, b in enumerate(x) if b]
@@ -152,6 +190,35 @@ def test_inv_p_f_roundtrip_atomic():
     nu = AtomicMeasure({(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
     back = inv_p_f(p_f(nu, f), f)
     assert back.same_class(ProjectiveClass(representative=nu))
+
+
+def _same(a, b) -> bool:
+    return ProjectiveClass(representative=a).same_class(ProjectiveClass(representative=b))
+
+
+def test_same_class_orbit_models():
+    nu = OrbitSigmaFinite({1: 2, 3: Fraction(1, 5)}, scale=6)
+    assert _same(nu, nu.scaled(Fraction(7, 3)))
+    assert not _same(nu, OrbitSigmaFinite({1: 2, 3: Fraction(2, 5)}, scale=6))
+    assert not _same(nu, OrbitSigmaFinite({1: 2, 2: Fraction(1, 5)}, scale=6))
+    assert not _same(nu, nu.restricted({1}))
+    assert not _same(nu, OrbitSigmaFinite(nu.orbit_weights, scale=7))
+    assert not _same(nu, OrbitSigmaFinite(nu.orbit_weights))
+
+
+def test_same_class_atomic_measures():
+    nu = AtomicMeasure({(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
+    assert _same(nu, nu.scaled(5))
+    assert not _same(nu, AtomicMeasure({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}))
+    assert not _same(nu, AtomicMeasure({(1, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)}))
+    assert not _same(nu, AtomicMeasure({(1, 0): Fraction(1, 3)}))
+
+
+def test_same_class_mixed_representations_differ():
+    orbit = OrbitSigmaFinite({1: 1}, scale=2)
+    atomic = AtomicMeasure({(1, 0): 1, (0, 1): 1})
+    assert not _same(orbit, atomic)
+    assert not _same(atomic, orbit)
 
 
 def test_inv_p_f_representative_is_f_normalized():

@@ -42,3 +42,19 @@ def test_level_layer_bindings_stay_bound():
 def test_mc_level_values_keeps_the_argument_positions_the_trace_reads():
     params = list(inspect.signature(mc_level_values).parameters)
     assert params[1] == "level" and params[4] == "samples"
+
+
+def test_run_validate_calls_the_suite_bound_at_call_time(monkeypatch):
+    # The trace wraps ergodec.validation.run_validation_suite after import;
+    # cli.run_validate must call whatever that binding holds when it runs.
+    import ergodec.validation
+
+    calls = []
+
+    def fake(cfg, seed):
+        calls.append((cfg, seed))
+        return []
+
+    monkeypatch.setattr(ergodec.validation, "run_validation_suite", fake)
+    ergodec.cli.run_validate({"key": 1}, 5, 1)
+    assert calls == [({"key": 1}, 5)]
