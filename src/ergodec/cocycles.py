@@ -31,6 +31,9 @@ class Cocycle:
     level S(n) a positive cocycle is trivial on stabilizers and a ratio of a
     potential on each orbit, so requiring u loses no cocycle, and the exact
     and Monte Carlo level engines read u rather than ``eval_fn``.
+    ``eval_fn`` may evaluate the ratio in closed form: ``make_rho_f`` takes
+    a weight's ``ratio`` method (``GeometricWeight``: one integer power over
+    the moved coordinates), ``make_rn`` a measure's ``rn_derivative``.
     ``log_potential_rows`` optionally maps a matrix of 0/1 configurations,
     one per row, uint8 or float64, to log-u values for vectorized Monte
     Carlo. ``log_linear`` optionally gives u as a mixture of log-linear terms
@@ -83,13 +86,17 @@ def make_rho_f(f) -> Cocycle:
     """Weight-ratio cocycle rho(g, x) = f(act(g, x)) / f(x) for positive f.
 
     ``constant_one()`` when f declares itself ``exchangeable``
-    (``ConstantWeight``). Otherwise a vectorized ``f.log_rows`` (log f of 0/1
-    rows), when f has one, serves Monte Carlo levels in log space.
+    (``ConstantWeight``). A closed-form ``f.ratio(g, x)``, when f has one
+    (``GeometricWeight``: one integer power over the moved coordinates),
+    evaluates rho in place of two f values. A vectorized ``f.log_rows``
+    (log f of 0/1 rows), when f has one, serves Monte Carlo levels in log
+    space.
     """
     if getattr(f, "exchangeable", False):
         return constant_one()
+    ratio = getattr(f, "ratio", None)
     return Cocycle(
-        eval_fn=partial(_weight_eval, f),
+        eval_fn=ratio if ratio is not None else partial(_weight_eval, f),
         potential=f,
         log_potential_rows=getattr(f, "log_rows", None),
     )
@@ -159,7 +166,7 @@ def verify_identity(
     for _ in range(trials):
         g = haar_sample(level, rng)
         h = haar_sample(level, rng)
-        x = tuple(int(b) for b in rng.integers(0, 2, size=window))
+        x = tuple(rng.integers(0, 2, size=window).tolist())
         lhs = rho(g.compose(h), x)
         rhs = rho(g, act(h, x)) * rho(h, x)
         if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):

@@ -22,7 +22,12 @@ ENUMERATION_CAP = 8
 
 
 class Permutation:
-    """A bijection of the positive integers moving finitely many points."""
+    """A bijection of the positive integers moving finitely many points.
+
+    Every instance goes through the validating constructor. The hash is
+    computed lazily, on first use: most permutations are only applied or
+    composed, never hashed.
+    """
 
     __slots__ = ("_map", "_hash")
 
@@ -33,10 +38,10 @@ class Permutation:
                 raise ValueError("permutations act on positive indices")
             if i != j:
                 m[i] = j
-        if set(m.keys()) != set(m.values()):
+        if m.keys() != set(m.values()):
             raise ValueError("mapping is not a bijection of its support")
         self._map = m
-        self._hash = hash(frozenset(m.items()))
+        self._hash = None
 
     @classmethod
     def identity(cls) -> "Permutation":
@@ -67,8 +72,9 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """(self o other)(i) = self(other(i))."""
-        keys = set(self._map) | set(other._map)
-        return Permutation({i: self(other(i)) for i in keys})
+        s = self._map
+        # points other fixes go where self sends them; the rest via both maps
+        return Permutation({**s, **{i: s.get(j, j) for i, j in other._map.items()}})
 
     def inverse(self) -> "Permutation":
         return Permutation({j: i for i, j in self._map.items()})
@@ -83,6 +89,8 @@ class Permutation:
         return isinstance(other, Permutation) and self._map == other._map
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -101,8 +109,8 @@ def haar_sample(level: int, rng: RandomStream) -> Permutation:
     """Uniform draw from S(level) via an unbiased shuffle."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    images = rng.permutation(level)
-    return Permutation({i + 1: int(images[i]) + 1 for i in range(level)})
+    images = rng.permutation(level).tolist()
+    return Permutation({i + 1: v + 1 for i, v in enumerate(images)})
 
 
 def enumerate_level(level: int) -> Iterator[Permutation]:
@@ -118,16 +126,21 @@ def enumerate_level(level: int) -> Iterator[Permutation]:
         yield Permutation.from_one_line(images)
 
 
+def check_degree(g: Permutation, window: int) -> None:
+    """Raise DegreeOverflowError when g moves a coordinate past the window."""
+    if g.degree > window:
+        raise DegreeOverflowError(
+            f"permutation of degree {g.degree} exceeds window {window}"
+        )
+
+
 def act(g: Permutation, x: Config) -> Config:
     """Move the bit at coordinate j to coordinate g(j).
 
     The result bit at position i equals the bit of x at position g^{-1}(i),
     which makes act(g*h, x) == act(g, act(h, x)).
     """
-    if g.degree > len(x):
-        raise DegreeOverflowError(
-            f"permutation of degree {g.degree} exceeds window {len(x)}"
-        )
+    check_degree(g, len(x))
     y = list(x)
     for j, gj in g._map.items():
         y[gj - 1] = x[j - 1]

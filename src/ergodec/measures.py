@@ -239,7 +239,21 @@ class ProductBernoulli:
             out = out * (p if bit == 1 else (1 - p))
         return out
 
+    @cached_property
+    def _rational(self) -> bool:
+        return all(type(p) is Fraction for p in self.params)
+
     def atom(self, x: Config) -> Scalar:
+        """Product of p or 1 - p over the window. With rational parameters
+        p = a/b, one integer product of (a or b - a) over the product of the
+        b's, a single Fraction; otherwise the factors are multiplied in turn."""
+        if self._rational:
+            num = den = 1
+            for p, bit in zip(self.params, x):
+                a, b = p.numerator, p.denominator
+                num *= a if bit == 1 else b - a
+                den *= b
+            return Fraction(num, den)
         out: Scalar = Fraction(1)
         for p, b in zip(self.params, x):
             out = out * (p if b == 1 else (1 - p))
@@ -248,14 +262,14 @@ class ProductBernoulli:
     def rn_derivative(self, g: Permutation, x: Config) -> Scalar:
         """Closed-form mass ratio over moved coordinates only.
 
-        With rational parameters p = a/b on the moved coordinates each factor
-        is (a or b - a) / (a or b - a), the b's cancelling, so the ratio is
-        one integer product over another and a single Fraction. Otherwise the
-        factors are multiplied in turn.
+        With rational parameters p = a/b each factor is (a or b - a) /
+        (a or b - a), the b's cancelling, so the ratio is one integer product
+        over another and a single Fraction. Otherwise the factors are
+        multiplied in turn.
         """
         y = act(g, x)
         moved = [(i, self.params[i - 1]) for i in g.support]
-        if all(type(p) is Fraction for _, p in moved):
+        if self._rational:
             num = den = 1
             for i, p in moved:
                 a, b = p.numerator, p.denominator

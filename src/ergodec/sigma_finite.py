@@ -22,15 +22,18 @@ from .averaging import EXACT_LEVEL_CAP, checked_schedule, haar_rows, level_table
 from .cocycles import constant_one
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
-from .groups import Config, level_orbit
+from .groups import Config, Permutation, check_degree, level_orbit
 from .measures import AtomicMeasure, Cylinder, OrbitSigmaFinite, INFINITE
 from .rng import RandomStream
 
 
 @dataclass(frozen=True)
 class GeometricWeight:
-    """f(x) = prod over ones positions i of base^(-i): strictly positive,
-    summable over every orbit, and fibrewise continuous on finite levels."""
+    """f(x) = prod over ones positions i of base^(-i) = base^(-s), s the sum
+    of the ones positions: strictly positive, summable over every orbit, and
+    fibrewise continuous on finite levels. Its weight ratio has the closed
+    form f(act(g, x)) / f(x) = base^d, d = sum over j moved by g of
+    (j - g(j)) x_j (``ratio``)."""
 
     base: int
 
@@ -41,7 +44,13 @@ class GeometricWeight:
     def __call__(self, x) -> Fraction:
         # x is a 0/1 configuration or the set of its ones positions
         ones = x if isinstance(x, (frozenset, set)) else (i + 1 for i, b in enumerate(x) if b)
-        return Fraction(1, self.base) ** sum(ones)
+        return Fraction(1, self.base ** sum(ones))
+
+    def ratio(self, g: Permutation, x: Config) -> Fraction:
+        """f(act(g, x)) / f(x) as one integer power over the coordinates g
+        moves; DegreeOverflowError, as from ``act``, past the window."""
+        check_degree(g, len(x))
+        return Fraction(self.base) ** sum(j - g(j) for j in g.support if x[j - 1])
 
     def log_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:

@@ -7,6 +7,7 @@ product-measure integral identity, and orbit invariance of averages.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .averaging import (
@@ -41,16 +42,8 @@ def _rational_params(window: int) -> list[Fraction]:
 
 
 def _product_atoms(params: list[Fraction]) -> AtomicMeasure:
-    import itertools
-
-    atoms = {}
-    n = len(params)
-    for bits in itertools.product((0, 1), repeat=n):
-        m = Fraction(1)
-        for p, b in zip(params, bits):
-            m *= p if b else 1 - p
-        atoms[bits] = m
-    return AtomicMeasure(atoms)
+    atom = ProductBernoulli(params).atom
+    return AtomicMeasure({x: atom(x) for x in itertools.product((0, 1), repeat=len(params))})
 
 
 def run_validation_suite(config: dict, seed: int) -> list[Verdict]:

@@ -108,6 +108,51 @@ def test_verify_identity_reports_witness_for_corrupted_cocycle():
     assert lhs != rhs
 
 
+_PROBE = (1, 0, 1, 0, 1, 0)
+
+
+class _OffByOneFactor(GeometricWeight):
+    """A geometric weight whose closed-form ratio is off by one factor of
+    the base at a single probe configuration."""
+
+    def ratio(self, g, x):
+        v = super().ratio(g, x)
+        return v * self.base if x == _PROBE and not g.is_identity() else v
+
+
+def test_verify_identity_catches_an_off_by_one_weight_ratio():
+    rho = make_rho_f(_OffByOneFactor(4))
+    rep = verify_identity(rho, 500, 3, 6, substream(37, 2))
+    assert rep.exact and rep.violations > 0
+    g, h, x, lhs, rhs = rep.first_witness
+    assert lhs != rhs
+    assert verify_identity(make_rho_f(GeometricWeight(4)), 500, 3, 6, substream(37, 2)).ok
+
+
+def _first_witness_by_elementwise_draws(rho, trials, level, window, rng):
+    """verify_identity's loop with its triples drawn element by element."""
+
+    def draw_permutation():
+        images = rng.permutation(level)
+        return Permutation({i + 1: int(images[i]) + 1 for i in range(level)})
+
+    for _ in range(trials):
+        g, h = draw_permutation(), draw_permutation()
+        x = tuple(int(b) for b in rng.integers(0, 2, size=window))
+        lhs, rhs = rho(g.compose(h), x), rho(g, act(h, x)) * rho(h, x)
+        if lhs != rhs:
+            return g, h, x, lhs, rhs
+    return None
+
+
+def test_verify_identity_tests_the_elementwise_triples():
+    rho = make_rho_f(_OffByOneFactor(4))
+    got = verify_identity(rho, 500, 3, 6, substream(37, 2)).first_witness
+    want = _first_witness_by_elementwise_draws(rho, 500, 3, 6, substream(37, 2))
+    assert want is not None and got == want
+    assert all(type(b) is int for b in got[2])
+
+
 def test_weight_and_rn_agree_when_density_proportional():
     # nu with atom mass proportional to f against the uniform reference;
     # full enumeration of the top level and of all configurations

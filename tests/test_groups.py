@@ -191,3 +191,21 @@ def test_level_orbit_is_the_orbit_of_the_level(level, bits):
     got = list(level_orbit(x, level))
     assert len(got) == len(set(got))
     assert set(got) == {act(k, x) for k in enumerate_level(level)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_haar_draws_and_compositions_equal_brute_force_permutations(level, seed):
+    # haar_sample against the same stream read element by element
+    new, old = substream(seed, 0), substream(seed, 0)
+    g, h = haar_sample(level, new), haar_sample(level, new)
+    for drawn in (g, h):
+        images = old.permutation(level)
+        brute = Permutation({i + 1: int(images[i]) + 1 for i in range(level)})
+        assert drawn == brute and hash(drawn) == hash(brute)
+    # compose against the two maps composed pointwise
+    for a, b in ((g, h), (h, g), (g, g.inverse())):
+        ab = a.compose(b)
+        brute = Permutation({i: a(b(i)) for i in range(1, level + 1)})
+        assert ab == brute and hash(ab) == hash(brute) and len({ab, brute}) == 1
+        assert all(ab(i) == a(b(i)) for i in range(1, level + 2))

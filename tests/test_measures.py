@@ -146,17 +146,18 @@ def _rn_by_factors(params, g, x):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.fractions(min_value=0, max_value=1, max_denominator=10**6),
-            st.floats(0.001, 0.999),
-        ).filter(lambda p: 0 < p < 1),
-        min_size=1, max_size=10,
-    ),
-    st.integers(0, 2**32 - 1),
+# rational, float and mixed parameter lists
+_OPEN_UNIT_PARAMS = st.lists(
+    st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.floats(0.001, 0.999),
+    ).filter(lambda p: 0 < p < 1),
+    min_size=1, max_size=10,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPEN_UNIT_PARAMS, st.integers(0, 2**32 - 1))
 def test_rn_derivative_matches_factor_product(params, seed):
     from ergodec.groups import haar_sample
 
@@ -170,6 +171,32 @@ def test_rn_derivative_matches_factor_product(params, seed):
         want = _rn_by_factors(nu.params, g, x)
         # rational parameters: the same exact value; floats: the same bits
         assert type(got) is type(want) and got == want
+
+
+def _atom_by_factors(params, x):
+    """ProductBernoulli.atom as a running product of p or 1 - p."""
+    out = Fraction(1)
+    for p, b in zip(params, x):
+        out = out * (p if b == 1 else (1 - p))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPEN_UNIT_PARAMS, st.integers(0, 2**32 - 1))
+@example([0.25, 0.5, 0.75], 3)
+@example([Fraction(2 + i % 7, 11) for i in range(16)], 3)
+def test_atom_matches_factor_product(params, seed):
+    nu = ProductBernoulli(params)
+    rng = substream(seed, 0)
+    for _ in range(5):
+        x = tuple(rng.integers(0, 2, size=len(params)).tolist())
+        got = nu.atom(x)
+        want = _atom_by_factors(nu.params, x)
+        # rational parameters: one Fraction of the same value; floats: the
+        # float product, bit for bit
+        assert type(got) is type(want) and got == want
+        if all(type(p) is float for p in params):
+            assert type(got) is float
 
 
 

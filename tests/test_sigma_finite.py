@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodec.errors import CapacityError, DivergentIntegralError
+from ergodec.errors import CapacityError, DegreeOverflowError, DivergentIntegralError
+from ergodec.groups import Permutation, act
 from ergodec.measures import (
     INFINITE,
     AtomicMeasure,
@@ -143,6 +144,29 @@ def test_geometric_weight_equals_product_loop(base, bits, positions):
     f = GeometricWeight(base)
     assert f(tuple(bits)) == _product_loop_weight(base, tuple(bits))
     assert f(positions) == _product_loop_weight(base, positions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.integers(2, 7), window=st.integers(1, 24), data=st.data())
+def test_geometric_ratio_is_the_weight_quotient(base, window, data):
+    # levels past the window too: ratio raises exactly where act does
+    level = data.draw(st.integers(1, window + 3))
+    g = Permutation.from_one_line(data.draw(st.permutations(range(1, level + 1))))
+    x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=window, max_size=window)))
+    f = GeometricWeight(base)
+    if g.degree > window:
+        with pytest.raises(DegreeOverflowError):
+            act(g, x)
+        with pytest.raises(DegreeOverflowError):
+            f.ratio(g, x)
+        return
+    got = f.ratio(g, x)
+    assert type(got) is Fraction and got == f(act(g, x)) / f(x)
+
+
+def test_geometric_ratio_rejects_a_degree_past_the_window():
+    with pytest.raises(DegreeOverflowError):
+        GeometricWeight(2).ratio(Permutation.swap(1, 5), (1, 0, 1, 0))
 
 
 def test_constant_weight_divergence():
