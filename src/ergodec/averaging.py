@@ -34,7 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -816,7 +816,7 @@ def tower_check(
     cache: dict[tuple, object] = {}
 
     def inner(y: Config):
-        key = (tuple(sorted(y[:n])), y[n:])
+        key = orbit_class_key(y, n)
         if key not in cache:
             cache[key] = average_exact(n, rho, phi, y).value
         return cache[key]
@@ -844,6 +844,16 @@ def orbit_class_key(x: Config, level: int) -> tuple:
     return (tuple(sorted(x[:level])), x[level:])
 
 
+def orbit_classes(configs: Iterable[Config], level: int) -> dict[tuple, list[Config]]:
+    """The configurations grouped into S(level)-orbit classes, keyed by
+    ``orbit_class_key``. Members are sorted and classes come in the order of
+    their first member, which need not be the order of their keys."""
+    classes: dict[tuple, list[Config]] = {}
+    for x in sorted(configs):
+        classes.setdefault(orbit_class_key(x, level), []).append(x)
+    return classes
+
+
 def conditional_expectation_check(
     level: int, rho: Cocycle, phi, nu: AtomicMeasure
 ) -> ConditionalExpectationReport:
@@ -857,9 +867,7 @@ def conditional_expectation_check(
     ``sets_checked`` is 2^c; otherwise the first failing union is the
     singleton of the first nonzero class i, reached after 2^i + 1 unions.
     """
-    classes: dict[tuple, list[Config]] = {}
-    for x in sorted(nu.atoms):
-        classes.setdefault(orbit_class_key(x, level), []).append(x)
+    classes = orbit_classes(nu.atoms, level)
     labels = sorted(classes)
     c = len(labels)
     diffs = []

@@ -57,7 +57,7 @@ SCHEMAS: dict[str, dict] = {
         "weights": [0.3, 0.7],
         "params": [0.2, 0.8],
         "beta": None,  # [alpha, beta] switches to continuous mixing
-        "samples": 2000,
+        "samples": 20000,
         "window": 1024,
         "mc_samples": 400,  # unused: constant-cocycle levels are closed-form
         "tolerance": 0.02,

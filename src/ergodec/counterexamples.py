@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .averaging import orbit_class_key
+from .averaging import orbit_classes
 from .cocycles import Cocycle
 from .groups import Permutation, act
 from .measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check, jordan_decompose
@@ -336,18 +336,19 @@ def _weakly_indecomposable(nu: AtomicMeasure) -> bool:
     mass is 0 or 1 and, with c >= 3 classes, at most one is 1. With c == 2
     the proper unions are the singletons, so two classes of mass 1 each
     (total 2, not a probability) count as indecomposable."""
-    classes: dict[tuple, Fraction] = {}
-    for x, m in nu.atoms.items():
-        key = orbit_class_key(x, nu.window)
-        classes[key] = classes.get(key, Fraction(0)) + m
-    c, ones = len(classes), list(classes.values()).count(1)
-    return c <= 1 or (all(m in (0, 1) for m in classes.values()) and (c == 2 or ones <= 1))
+    classes = orbit_classes(nu.atoms, nu.window).values()
+    masses = [sum((nu.atom(x) for x in members), Fraction(0)) for members in classes]
+    c, ones = len(masses), masses.count(1)
+    return c <= 1 or (all(m in (0, 1) for m in masses) and (c == 2 or ones <= 1))
 
 
 def _in_cocycle_class(nu: AtomicMeasure, rho: Cocycle) -> bool:
     """Exact membership check on the window: nu(act(s, x)) == rho(s, x) nu(x)
     for every positive atom and every adjacent transposition (which generate
-    the full level, so the identity propagates to all permutations)."""
+    the full level, so the identity propagates to all permutations). Under
+    ``make_rn(nu)`` a swap that leaves the support passes, since that rho is
+    0 there, while ``conditional_measures_exact`` reports such a support as
+    not orbit-closed."""
     window = nu.window
     swaps = [Permutation.swap(i, i + 1) for i in range(1, window)]
     for x, m in nu.atoms.items():

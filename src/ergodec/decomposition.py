@@ -5,7 +5,8 @@ The limit statistic of a point is the vector of detected limits of its level
 averages over the test dictionary. Points of an exchangeable model cluster by
 their first-moment limit; cluster weights and centers recover the mixing
 measure (de Finetti). On exact atomic models the level sets of the full-depth
-statistic are computed symbolically and carry canonical conditional measures.
+statistic are the full-window orbit classes, and each carries its canonical
+conditional measure: nu restricted to the class and normalized.
 
 All Monte Carlo draws for one point come from that point's own child stream,
 so results are bit-identical for any worker count.
@@ -28,7 +29,7 @@ from .averaging import (
     level_table,
     mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
-    orbit_class_key,
+    orbit_classes,
 )
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
@@ -465,7 +466,6 @@ class ConditionalCell:
     configs: frozenset
     measure: AtomicMeasure
     weight: Fraction
-    moments: tuple  # sorted ((indices, Fraction), ...) fingerprint
 
 
 @dataclass(frozen=True)
@@ -476,83 +476,44 @@ class ConditionalAssignment:
     support_orbit_closed: bool
 
 
-def _orbit_moments(members: list[Config], nu: AtomicMeasure) -> tuple:
-    """Exact conditional moments of nu on an orbit, sparse over subsets of ones."""
-    total = sum((nu.atom(x) for x in members), Fraction(0))
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for x in members:
-        massx = nu.atom(x)
-        ones = [i + 1 for i, b in enumerate(x) if b]
-        for size in range(len(ones) + 1):
-            for sub in itertools.combinations(ones, size):
-                acc[sub] = acc.get(sub, Fraction(0)) + massx
-    return tuple(sorted((k, v / total) for k, v in acc.items()))
-
-
 def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAssignment:
     """Level sets of the exact full-depth limit statistic with their
     normalized conditional measures.
 
-    Works on the measure's support: cells are unions of full-window orbits
-    whose exact moment vectors coincide, each cell measure is nu restricted
-    and normalized, and the cocycle property of cell measures is verified on
-    positive transposition pairs (transpositions generate the level).
+    Works on the measure's support. The level sets are the full-window orbit
+    classes (``averaging.orbit_classes``): the first-moment entries of the
+    statistic on a class sum to its ones count, so no two classes share a
+    value. There is one cell per class, in the order of its first member;
+    each cell measure is nu restricted and normalized, and the cocycle
+    property of cell measures is verified on positive transposition pairs
+    (transpositions generate the level).
     """
     window = nu.window
-    if window > CONDITIONAL_WINDOW_CAP:
-        raise CapacityError(
-            f"exact conditional measures are capped at window {CONDITIONAL_WINDOW_CAP}"
-        )
     if not nu.is_probability():
         raise ValueError("conditional measures are computed for probability measures")
 
-    orbits: dict[tuple, list[Config]] = {}
-    for x in sorted(nu.atoms):
-        orbits.setdefault(orbit_class_key(x, window), []).append(x)
-
-    by_fingerprint: dict[tuple, list[Config]] = {}
-    for members in orbits.values():
-        fp = _orbit_moments(members, nu)
-        by_fingerprint.setdefault(fp, []).extend(members)
-
+    swaps = [Permutation.swap(i, i + 1) for i in range(1, window)]
     cells = []
-    accumulated: dict[Config, Fraction] = {}
-    rn_ok = True
-    closed = True
-    for ci, (fp, members) in enumerate(
-        sorted(by_fingerprint.items(), key=lambda kv: sorted(kv[1])[0])
-    ):
+    rn_ok = closed = True
+    for ci, members in enumerate(orbit_classes(nu.atoms, window).values()):
         weight = sum((nu.atom(x) for x in members), Fraction(0))
-        cell_measure = AtomicMeasure(
-            {x: nu.atom(x) / weight for x in members}
-        )
+        cell = {x: nu.atom(x) / weight for x in members}
+        # verify d(cell o T_s)/d(cell) == rho on positive pairs; a swap keeps
+        # the ones count, so one that leaves the cell leaves the support
         for x in members:
-            accumulated[x] = accumulated.get(x, Fraction(0)) + weight * cell_measure.atom(x)
-        # verify d(cell o T_s)/d(cell) == rho on positive pairs
-        member_set = set(members)
-        for x in members:
-            for i in range(1, window):
-                s = Permutation.swap(i, i + 1)
+            for s in swaps:
                 y = act(s, x)
-                if y in member_set:
-                    lhs = cell_measure.atom(y) / cell_measure.atom(x)
-                    if lhs != Fraction(rho(s, x)):
-                        rn_ok = False
-                elif sum(y) == sum(x):
+                if y not in cell:
                     closed = False
+                elif cell[y] / cell[x] != Fraction(rho(s, x)):
+                    rn_ok = False
         cells.append(
-            ConditionalCell(
-                label=f"cell-{ci}",
-                configs=frozenset(members),
-                measure=cell_measure,
-                weight=weight,
-                moments=fp,
-            )
+            ConditionalCell(f"cell-{ci}", frozenset(members), AtomicMeasure(cell), weight)
         )
-    reconstructs = accumulated == nu.atoms
+    accumulated = {x: c.weight * c.measure.atom(x) for c in cells for x in c.configs}
     return ConditionalAssignment(
         cells=tuple(cells),
-        reconstructs_exactly=reconstructs,
+        reconstructs_exactly=accumulated == nu.atoms,
         rn_verified=rn_ok,
         support_orbit_closed=closed,
     )

@@ -70,6 +70,10 @@ class Permutation:
     def support(self) -> frozenset[int]:
         return frozenset(self._map)
 
+    def moves(self) -> Iterable[tuple[int, int]]:
+        """The pairs (j, g(j)) over the moved points j."""
+        return self._map.items()
+
     def compose(self, other: "Permutation") -> "Permutation":
         """(self o other)(i) = self(other(i))."""
         s = self._map

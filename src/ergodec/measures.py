@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ZeroMassError
-from .groups import Config, Permutation, act, validate_config
+from .groups import Config, Permutation, act, check_degree, validate_config
 from .rng import RandomStream
 
 Scalar = Union[Fraction, float, int]
@@ -264,18 +264,22 @@ class ProductBernoulli:
 
         With rational parameters p = a/b each factor is (a or b - a) /
         (a or b - a), the b's cancelling, so the ratio is one integer product
-        over another and a single Fraction. Otherwise the factors are
-        multiplied in turn.
+        over another and a single Fraction. The bit x_j lands at g(j), so a
+        moved j contributes parameter g(j) at x_j to the numerator and
+        parameter j at x_j to the denominator, and g x is never built.
+        Otherwise the factors are multiplied in turn.
         """
+        if self._rational:
+            check_degree(g, len(x))
+            params = self.params
+            num = den = 1
+            for j, gj in g.moves():
+                bit, q, p = x[j - 1], params[gj - 1], params[j - 1]
+                num *= q.numerator if bit == 1 else q.denominator - q.numerator
+                den *= p.numerator if bit == 1 else p.denominator - p.numerator
+            return Fraction(num, den)
         y = act(g, x)
         moved = [(i, self.params[i - 1]) for i in g.support]
-        if self._rational:
-            num = den = 1
-            for i, p in moved:
-                a, b = p.numerator, p.denominator
-                num *= a if y[i - 1] == 1 else b - a
-                den *= a if x[i - 1] == 1 else b - a
-            return Fraction(num, den)
         out: Scalar = Fraction(1)
         for i, p in moved:
             num = p if y[i - 1] == 1 else (1 - p)

@@ -25,6 +25,8 @@ from ergodec.averaging import (
     level_table,
     limit_average,
     monomial_level_average,
+    orbit_class_key,
+    orbit_classes,
     product_levels,
     tower_check,
 )
@@ -989,3 +991,14 @@ def test_one_level_schedules_agree_across_callers(cocycle):
             assert (rep.limit_estimate is not None) == want
         orbital = orbital_dichotomy(x, (level,), battery=dictionary.nonconstant())
         assert orbital.verdict == ("converges-to-probability" if want else "inconclusive")
+
+
+@given(st.frozensets(st.tuples(*[st.integers(0, 1)] * 5), max_size=20), st.integers(1, 6))
+def test_orbit_classes_partition_by_key_in_first_member_order(configs, level):
+    classes = orbit_classes(configs, level)
+    firsts = [members[0] for members in classes.values()]
+    assert firsts == sorted(firsts)
+    for key, members in classes.items():
+        assert members == sorted(members)
+        assert all(orbit_class_key(x, level) == key for x in members)
+    assert sorted(x for members in classes.values() for x in members) == sorted(configs)

@@ -330,6 +330,40 @@ def test_definetti_mixture_recovery_verdict(tmp_path):
     assert names["mixture-recovery"]
 
 
+def _failed_definetti_verdicts(tmp_path, config: dict, seed: int):
+    """Exit code and names of the failed verdicts of one definetti run at
+    the schema defaults overridden by config."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["definetti", "--config", str(cfg), "--seed", str(seed), "--out", str(out)])
+    record = json.loads((out / "result.json").read_text())
+    return code, [v["name"] for v in record["verdicts"] if not v["passed"]]
+
+
+def test_definetti_defaults_pass_where_2000_points_failed(tmp_path):
+    # at 2000 points seed 4 failed barycenter-residual against the default
+    # bound 0.01; the default sample size is sized to that bound
+    assert SCHEMAS["definetti"]["samples"] == 20000
+    assert _failed_definetti_verdicts(tmp_path, {}, 4) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "override,failed",
+    [
+        ({"min_gap": 0.9}, ["barycenter-residual"]),
+        (
+            {"expected_weights": [0.35, 0.65], "expected_centers": [0.2, 0.8]},
+            ["mixture-recovery"],
+        ),
+    ],
+)
+def test_definetti_default_verdicts_keep_their_power(tmp_path, override, failed):
+    # negative controls at the default sample size: one merged component
+    # misses the barycenter, and weights off by 0.05 miss recovery
+    assert _failed_definetti_verdicts(tmp_path, override, 3) == (1, failed)
+
+
 def test_definetti_continuous_mode(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(

@@ -10,6 +10,7 @@ from ergodec.averaging import orbit_class_key
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.counterexamples import (
     InvariantSetFullGroup,
+    _in_cocycle_class,
     _weakly_indecomposable,
     LabelFamilySet,
     algebra_atoms,
@@ -19,6 +20,8 @@ from ergodec.counterexamples import (
     orbit_class,
     weak_strong_equivalence_check,
 )
+from ergodec.decomposition import conditional_measures_exact
+from ergodec.groups import Permutation
 from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.sigma_finite import orbital_measure
@@ -277,3 +280,16 @@ def test_weakly_indecomposable_two_unit_classes_is_vacuously_true():
     nu = AtomicMeasure({(0, 0): 1, (1, 1): 1})
     assert _weakly_indecomposable(nu)
     assert not _weakly_indecomposable(AtomicMeasure({(0, 0): 1, (1, 0): 1, (1, 1): 1}))
+
+
+def test_in_cocycle_class_passes_swaps_that_leave_the_support():
+    # make_rn(nu) is 0 on a swap that leaves the support, so the membership
+    # check passes there, while the conditional cells report the support as
+    # not orbit-closed
+    nu = AtomicMeasure({(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(1, 2)})
+    rho = make_rn(nu)
+    assert rho(Permutation.swap(1, 2), (1, 0, 0)) == 0
+    assert _in_cocycle_class(nu, rho)
+    assignment = conditional_measures_exact(nu, rho)
+    assert assignment.rn_verified
+    assert not assignment.support_orbit_closed

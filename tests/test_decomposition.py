@@ -458,6 +458,111 @@ def test_cell_measures_are_zero_one_on_invariant_sets():
                 assert m in (Fraction(0), Fraction(1))
 
 
+def _fingerprint_conditional_cells(nu, rho):
+    """The former algorithm: group full-window orbits by their exact
+    conditional moment vectors (2^ones subsets per atom), one cell per
+    distinct vector, in the shape of ``_conditional_summary``."""
+    from ergodec.averaging import orbit_class_key
+    from ergodec.groups import Permutation
+
+    window = nu.window
+    orbits = {}
+    for x in sorted(nu.atoms):
+        orbits.setdefault(orbit_class_key(x, window), []).append(x)
+    by_fingerprint = {}
+    for members in orbits.values():
+        total = sum((nu.atom(x) for x in members), Fraction(0))
+        acc = {}
+        for x in members:
+            ones = [i + 1 for i, b in enumerate(x) if b]
+            for size in range(len(ones) + 1):
+                for sub in itertools.combinations(ones, size):
+                    acc[sub] = acc.get(sub, Fraction(0)) + nu.atom(x)
+        fp = tuple(sorted((k, v / total) for k, v in acc.items()))
+        by_fingerprint.setdefault(fp, []).extend(members)
+    cells, accumulated, rn_ok, closed = [], {}, True, True
+    for ci, members in enumerate(sorted(by_fingerprint.values(), key=lambda m: sorted(m)[0])):
+        weight = sum((nu.atom(x) for x in members), Fraction(0))
+        cell = {x: nu.atom(x) / weight for x in members}
+        for x in members:
+            accumulated[x] = accumulated.get(x, Fraction(0)) + weight * cell[x]
+        for x in members:
+            for i in range(1, window):
+                s = Permutation.swap(i, i + 1)
+                y = act(s, x)
+                if y in cell:
+                    if cell[y] / cell[x] != Fraction(rho(s, x)):
+                        rn_ok = False
+                elif sum(y) == sum(x):
+                    closed = False
+        cells.append((f"cell-{ci}", frozenset(members), cell, weight))
+    return tuple(cells), accumulated == nu.atoms, rn_ok, closed
+
+
+def _conditional_summary(nu, rho):
+    a = conditional_measures_exact(nu, rho)
+    cells = tuple((c.label, c.configs, c.measure.atoms, c.weight) for c in a.cells)
+    return cells, a.reconstructs_exactly, a.rn_verified, a.support_orbit_closed
+
+
+def _outcome(fn, nu, rho):
+    """fn(nu, rho), or the raised exception's type and message."""
+    try:
+        return fn(nu, rho)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers raises
+        return type(exc), str(exc)
+
+
+@st.composite
+def _atomic_probability(draw, window):
+    cfgs = st.tuples(*[st.integers(0, 1)] * window)
+    atoms = draw(st.dictionaries(cfgs, st.integers(1, 9), min_size=1, max_size=12))
+    total = sum(atoms.values())
+    return AtomicMeasure({x: Fraction(m, total) for x, m in atoms.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), window=st.integers(1, 7), which=st.sampled_from(
+    ["self", "constant", "other-atomic", "product"]))
+def test_conditional_cells_match_fingerprint_reference(data, window, which):
+    # Cells are the full-window orbit classes: the same cells, measures,
+    # weights, flags and raised exceptions as the moment-fingerprint grouping.
+    # make_rn of another atomic measure raises ZeroMassError off that
+    # measure's support.
+    nu = data.draw(_atomic_probability(window))
+    if which == "self":
+        rho = make_rn(nu)
+    elif which == "constant":
+        rho = constant_one()
+    elif which == "other-atomic":
+        rho = make_rn(data.draw(_atomic_probability(window)))
+    else:
+        params = data.draw(st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=9).filter(
+                lambda p: 0 < p < 1), min_size=window, max_size=window))
+        rho = make_rn(ProductBernoulli(params))
+    got = _outcome(_conditional_summary, nu, rho)
+    assert got == _outcome(_fingerprint_conditional_cells, nu, rho)
+
+
+def test_conditional_cells_past_window_twelve():
+    # window 14, supported on the full orbits of ones counts 0, 1, 2, 13 and
+    # 14: one cell per orbit class, each the whole orbit
+    params = [Fraction(1 + i % 5, 7) for i in range(14)]
+    product = ProductBernoulli(params)
+    counts = (0, 1, 2, 13, 14)
+    support = [x for x in itertools.product((0, 1), repeat=14) if sum(x) in counts]
+    total = sum((product.atom(x) for x in support), Fraction(0))
+    nu = AtomicMeasure({x: product.atom(x) / total for x in support})
+    assignment = conditional_measures_exact(nu, make_rn(product))
+    assert [cell.label for cell in assignment.cells] == [f"cell-{i}" for i in range(5)]
+    for cell, k in zip(assignment.cells, counts):
+        assert cell.configs == {x for x in support if sum(x) == k}
+        assert len(cell.configs) == math.comb(14, k)
+    assert assignment.reconstructs_exactly
+    assert assignment.rn_verified and assignment.support_orbit_closed
+
+
 def test_roundtrip_single_component_fixed_point():
     nu = ProductBernoulli([0.5] * 512)
     cfg = DecomposeConfig(samples=400, seed=67, mc_samples=300)

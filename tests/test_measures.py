@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergodec.errors import ZeroMassError
-from ergodec.groups import Permutation
+from ergodec.errors import DegreeOverflowError, ZeroMassError
+from ergodec.groups import Permutation, act, haar_sample
 from ergodec.measures import (
     INFINITE,
     AtomicMeasure,
@@ -156,17 +156,23 @@ _OPEN_UNIT_PARAMS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_OPEN_UNIT_PARAMS, st.integers(0, 2**32 - 1))
-def test_rn_derivative_matches_factor_product(params, seed):
-    from ergodec.groups import haar_sample
-
+@settings(max_examples=300, deadline=None)
+@given(_OPEN_UNIT_PARAMS, st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_rn_derivative_matches_factor_product(params, extra, seed):
+    # g is drawn from S(window + extra): rn_derivative raises
+    # DegreeOverflowError exactly where act does
     nu = ProductBernoulli(params)
     rng = substream(seed, 0)
     window = len(params)
     for _ in range(5):
-        g = haar_sample(window, rng)
+        g = haar_sample(window + extra, rng)
         x = tuple(int(b) for b in rng.integers(0, 2, size=window))
+        try:
+            act(g, x)
+        except DegreeOverflowError:
+            with pytest.raises(DegreeOverflowError):
+                nu.rn_derivative(g, x)
+            continue
         got = nu.rn_derivative(g, x)
         want = _rn_by_factors(nu.params, g, x)
         # rational parameters: the same exact value; floats: the same bits
