@@ -312,7 +312,7 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     dec = decompose_sigma_finite(nu, f)
     stream = substream(seed, 0x5F)
 
-    descriptor = dec.descriptor
+    descriptor, barycenter = dec.descriptor, dec.barycenter()
     constant = True
     current = dec
     for _ in range(cfg["reweightings"]):
@@ -323,7 +323,7 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> RunnerOutput:
         current = reweight_decomposition(current, phi)
         if current.descriptor != descriptor:
             constant = False
-        if current.barycenter() != dec.barycenter():
+        if current.barycenter() != barycenter:
             constant = False
     verdicts = [
         Verdict(

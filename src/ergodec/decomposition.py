@@ -471,7 +471,6 @@ class ConditionalCell:
 @dataclass(frozen=True)
 class ConditionalAssignment:
     cells: tuple[ConditionalCell, ...]
-    reconstructs_exactly: bool
     rn_verified: bool
     support_orbit_closed: bool
 
@@ -510,10 +509,8 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
         cells.append(
             ConditionalCell(f"cell-{ci}", frozenset(members), AtomicMeasure(cell), weight)
         )
-    accumulated = {x: c.weight * c.measure.atom(x) for c in cells for x in c.configs}
     return ConditionalAssignment(
         cells=tuple(cells),
-        reconstructs_exactly=accumulated == nu.atoms,
         rn_verified=rn_ok,
         support_orbit_closed=closed,
     )

@@ -252,13 +252,14 @@ def decompose_sigma_finite(nu: OrbitSigmaFinite, f) -> SigmaFiniteDecomposition:
     c_k * (orbit f-mass) / nu(f). Exact throughout.
     """
     masses = _orbit_masses(nu, f)
-    total = f_integral(nu, f)
+    weighted = {k: nu.weight(k) * masses[k] for k in nu.labels}
+    total = sum(weighted.values(), Fraction(0))  # f_integral(nu, f)
     if total == 0:
         raise DivergentIntegralError("weight integral vanishes")
     components = {
         k: OrbitSigmaFinite({k: 1 / masses[k]}, nu.scale) for k in nu.labels
     }
-    weights = {k: nu.weight(k) * masses[k] / total for k in nu.labels}
+    weights = {k: w / total for k, w in weighted.items()}
     return SigmaFiniteDecomposition(
         components=components, weights=weights, f=f, scale=nu.scale, f_mass=total
     )

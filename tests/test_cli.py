@@ -386,6 +386,15 @@ def test_kolmogorov_subcommand(tmp_path):
     assert "full-group-zero-one-law" in names
 
 
+def test_kolmogorov_parameters_on_one_side_of_half_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p_low": 0.6}))
+    out = tmp_path / "out"
+    assert main(["kolmogorov", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "p_low < 1/2 < p_high" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sigma_finite_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["sigma-finite", "--seed", "2", "--out", str(out)]) == 0

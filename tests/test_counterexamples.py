@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ergodec import counterexamples
 from ergodec.averaging import orbit_class_key
+from ergodec.cli import main
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.counterexamples import (
     InvariantSetFullGroup,
@@ -14,7 +17,6 @@ from ergodec.counterexamples import (
     _weakly_indecomposable,
     LabelFamilySet,
     algebra_atoms,
-    atom_unions,
     demonstrate_kolmogorov,
     measure_of_invariant_set,
     orbit_class,
@@ -84,16 +86,24 @@ def test_measure_rejects_atomic_inputs():
         measure_of_invariant_set(nu, InvariantSetFullGroup.everything())
 
 
-def test_invariant_algebra_zero_one_and_monotone():
-    atoms = algebra_atoms(2)
-    mixture = _mixture()
+def _unions_from_empty(atoms):
+    """Every union of the atoms, entry bits taking the atoms whose bits are
+    set, each built up from the empty set."""
     sets = []
     for bits in range(2 ** len(atoms)):
         s = InvariantSetFullGroup.empty()
         for i, atom in enumerate(atoms):
             if bits >> i & 1:
                 s = s.union(atom)
-        sets.append((s, measure_of_invariant_set(mixture, s)))
+        sets.append(s)
+    return sets
+
+
+def test_invariant_algebra_zero_one_and_monotone():
+    mixture = _mixture()
+    sets = [
+        (s, measure_of_invariant_set(mixture, s)) for s in _unions_from_empty(algebra_atoms(2))
+    ]
     assert all(m in (0, 1) for _, m in sets)
     for (s1, m1), (s2, m2) in zip(sets[::7], sets[1::7]):
         if s1.subset_of(s2):
@@ -124,17 +134,102 @@ def test_demonstrate_kolmogorov_report():
     assert "decomposable" in report.narrative
 
 
-@pytest.mark.parametrize("max_count", range(4))
-def test_atom_unions_equal_the_unions_from_empty(max_count):
-    atoms = algebra_atoms(max_count)
-    want = []
-    for bits in range(2 ** len(atoms)):
-        s = InvariantSetFullGroup.empty()
-        for i, atom in enumerate(atoms):
-            if bits >> i & 1:
-                s = s.union(atom)
-        want.append(s)
-    assert atom_unions(atoms) == want
+def _union_sweep(max_count, mass):
+    """The zero-one check as an exhaustive sweep: every union of the atoms has
+    mass 0 or 1 and adds to 1 with its complement, and no union is heavier
+    than a superset among the first 16 unions. Returns the verdict and the
+    number of unions."""
+    nu = _mixture()
+    zero_one = monotone = True
+    previous = []
+    sets = _unions_from_empty(algebra_atoms(max_count))
+    for s in sets:
+        m = mass(nu, s)
+        zero_one = zero_one and m in (0, 1) and m + mass(nu, s.complement()) == 1
+        monotone = monotone and not any(s.subset_of(t) and m > mt for t, mt in previous)
+        if len(previous) < 16:
+            previous.append((s, m))
+    return zero_one and monotone, len(sets)
+
+
+def _charges_count_zero(nu, s):
+    """Additive, total 2: the real mass plus a unit on the orbit of the
+    all-zero sequence (the finite-ones atom of count 0)."""
+    return measure_of_invariant_set(nu, s) + int(s.ones_family.contains(0))
+
+
+def _charges_nothing(nu, s):
+    return 0
+
+
+def _halves(nu, s):
+    """Additive, total 1, but not zero-one: half on the all-zero orbit and
+    half on the two-sided orbit."""
+    return Fraction(int(s.ones_family.contains(0)) + int(s.has_two_sided), 2)
+
+
+def _kolmogorov_zero_one(max_count):
+    report = demonstrate_kolmogorov(window=16, samples=10, max_count=max_count)
+    return report.ergodic_full_group, report.sets_checked
+
+
+@pytest.mark.parametrize("max_count", range(5))
+def test_zero_one_scan_matches_the_union_sweep(monkeypatch, max_count):
+    # The atom scan gives the exhaustive sweep's verdict and union count under
+    # the real mass and under three additive masses that break the zero-one
+    # law: totals 2, 0, and 1 split over two atoms.
+    c = len(algebra_atoms(max_count))
+    want = _union_sweep(max_count, measure_of_invariant_set)
+    assert _kolmogorov_zero_one(max_count) == want == (True, 2**c)
+    for mass in (_charges_count_zero, _charges_nothing, _halves):
+        monkeypatch.setattr(counterexamples, "measure_of_invariant_set", mass)
+        want = _union_sweep(max_count, mass)
+        assert _kolmogorov_zero_one(max_count) == want == (False, 2**c)
+
+
+@pytest.mark.parametrize("edit", ["overlap", "gap"])
+def test_zero_one_scan_needs_the_atoms_to_partition(monkeypatch, edit):
+    # Atom masses alone decide every union only for a partition: a repeated
+    # atom (mass 0) or a missing one (the cofinite zeros remainder, mass 0)
+    # leaves masses that are zero-one and sum to 1, and the verdict fails.
+    atoms = algebra_atoms(1)
+    atoms = atoms + atoms[:1] if edit == "overlap" else atoms[:-2] + atoms[-1:]
+    monkeypatch.setattr(counterexamples, "algebra_atoms", lambda max_count: atoms)
+    assert not demonstrate_kolmogorov(window=16, samples=10).ergodic_full_group
+
+
+def test_zero_one_scan_evaluates_each_atom_once(monkeypatch):
+    calls = []
+
+    def counted(nu, s):
+        calls.append(s)
+        return measure_of_invariant_set(nu, s)
+
+    monkeypatch.setattr(counterexamples, "measure_of_invariant_set", counted)
+    report = demonstrate_kolmogorov(window=16, samples=10)
+    assert calls == algebra_atoms(3)  # c = 11 calls, where the sweep made 2^12
+    assert report.sets_checked == 2 ** len(calls)
+
+
+@pytest.mark.parametrize("mass", [_charges_count_zero, _charges_nothing, _halves])
+def test_broken_zero_one_law_fails_the_cli_verdict(monkeypatch, capsys, tmp_path, mass):
+    monkeypatch.setattr(counterexamples, "measure_of_invariant_set", mass)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"window": 1024, "samples": 2000}))
+    assert main(["kolmogorov", "--config", str(cfg), "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL full-group-zero-one-law",
+        "PASS explicit-convex-split",
+        "PASS frequency-event-mass",
+    ]
+
+
+@pytest.mark.parametrize("p_low, p_high", [(0.6, 0.8), (0.8, 0.2), (0.5, 0.8), (0.2, 0.5)])
+def test_kolmogorov_needs_parameters_on_both_sides_of_one_half(p_low, p_high):
+    # With both parameters on one side of 1/2 the squared gap lost its sign
+    # and the tail bound read 2.6e-36 for (0.6, 0.8) while the mass was 0.
+    with pytest.raises(ValueError, match="p_low < 1/2 < p_high"):
+        demonstrate_kolmogorov(p_low, p_high, window=16, samples=10)
 
 
 def _frequency_mass_by_bits(p_low, p_high, window, samples, seed):

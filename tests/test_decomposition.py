@@ -386,6 +386,14 @@ def test_ergodicity_test_exact_branch_matches_per_atom_averages(cocycle):
     assert (empty.verdict, empty.probes, empty.checks) == ("ergodic", 0, 0)
 
 
+def _reconstruction(assignment):
+    """weight * cell atom at every configuration of every cell; the cells
+    must be disjoint, so no configuration is counted twice."""
+    got = {x: c.weight * c.measure.atom(x) for c in assignment.cells for x in c.configs}
+    assert len(got) == sum(len(c.configs) for c in assignment.cells)
+    return got
+
+
 def test_conditional_measures_exchangeable_cells():
     nu = _product_atoms([Fraction(1, 2)] * 4)
     assignment = conditional_measures_exact(nu, make_rn(ProductBernoulli([Fraction(1, 2)] * 4)))
@@ -394,7 +402,7 @@ def test_conditional_measures_exchangeable_cells():
         share = Fraction(1, len(cell.configs))
         for cfg in cell.configs:
             assert cell.measure.atom(cfg) == share
-    assert assignment.reconstructs_exactly
+    assert _reconstruction(assignment) == nu.atoms
     assert assignment.rn_verified
     assert assignment.support_orbit_closed
 
@@ -403,7 +411,7 @@ def test_conditional_measures_point_mass_single_cell():
     nu = AtomicMeasure({(1, 1, 1, 1): Fraction(1)})
     assignment = conditional_measures_exact(nu, make_rn(nu))
     assert len(assignment.cells) == 1
-    assert assignment.reconstructs_exactly
+    assert _reconstruction(assignment) == nu.atoms
 
 
 def test_conditional_measures_inhomogeneous_rn_property_all_permutations():
@@ -411,7 +419,7 @@ def test_conditional_measures_inhomogeneous_rn_property_all_permutations():
     nu = _product_atoms(params)
     rho = make_rn(ProductBernoulli(params))
     assignment = conditional_measures_exact(nu, rho)
-    assert assignment.reconstructs_exactly and assignment.rn_verified
+    assert _reconstruction(assignment) == nu.atoms and assignment.rn_verified
     # independent sweep: every cell measure transforms by rho under all of S(4)
     for cell in assignment.cells:
         for g in enumerate_level(4):
@@ -502,7 +510,7 @@ def _fingerprint_conditional_cells(nu, rho):
 def _conditional_summary(nu, rho):
     a = conditional_measures_exact(nu, rho)
     cells = tuple((c.label, c.configs, c.measure.atoms, c.weight) for c in a.cells)
-    return cells, a.reconstructs_exactly, a.rn_verified, a.support_orbit_closed
+    return cells, _reconstruction(a) == nu.atoms, a.rn_verified, a.support_orbit_closed
 
 
 def _outcome(fn, nu, rho):
@@ -559,7 +567,7 @@ def test_conditional_cells_past_window_twelve():
     for cell, k in zip(assignment.cells, counts):
         assert cell.configs == {x for x in support if sum(x) == k}
         assert len(cell.configs) == math.comb(14, k)
-    assert assignment.reconstructs_exactly
+    assert _reconstruction(assignment) == nu.atoms
     assert assignment.rn_verified and assignment.support_orbit_closed
 
 
