@@ -5,7 +5,6 @@ from .averaging import (
     AveragingReport,
     LimitReport,
     average_exact,
-    average_mc,
     conditional_expectation_check,
     default_schedule,
     fubini_check,

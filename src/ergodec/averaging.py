@@ -13,14 +13,15 @@ log-linear parts (``make_rn`` of an inhomogeneous product Bernoulli measure
 or a mixture of them) takes ``product_levels`` for cylinder monomials, an
 exact float orbit sum over a batch of points; everything else takes
 self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
-cocycle's potential. ``level_table`` is the one place that picks among
-these engines for cylinder monomials; ``pi_phi``, ``decompose``,
-``ergodicity_test``, ``limit_average`` and the ``orbital`` scan call it. Its
-result, a ``LevelTable`` (``closed_form_levels`` returns one too), carries
-values, slacks and stderrs, and ``LevelTable.converged`` is the one limit
-rule all of them apply. If the denominator were infinite the average is
-defined to be 0; that branch is unreachable for finite levels but kept for
-interface fidelity.
+cocycle's potential (``mc_level_values``, the one Monte Carlo estimator).
+``level_table`` is the one place that picks among these engines;
+``pi_phi``, ``decompose``, ``ergodicity_test``, ``limit_average`` and the
+``orbital`` scan call it, and they average cylinder monomials only. A
+function of the first d coordinates is a finite signed sum of monomials
+(its Moebius expansion), so its level average is the same signed sum of
+monomial averages. The result, a ``LevelTable`` (``closed_form_levels``
+returns one too), carries values, slacks and stderrs, and
+``LevelTable.converged`` is the one limit rule all of them apply.
 
 Exact evaluation up to S(8) (``average_exact``) is one orbit sum weighted by
 the cocycle's potential u: every cocycle is u(gx)/u(x), so each coset of the
@@ -73,15 +74,6 @@ class LimitReport:
     def rows(self) -> list[tuple[int, float, float]]:
         """CSV-ready (level, value, stderr) series."""
         return [(r.level, float(r.value), float(r.stderr)) for r in self.levels]
-
-
-def _ratio_or_zero(num, den):
-    # The infinite-denominator branch of the averaging formula.
-    if den == math.inf:
-        return Fraction(0)
-    if den == 0:
-        raise ZeroMassError("averaging denominator vanished")
-    return num / den
 
 
 def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
@@ -473,7 +465,13 @@ def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
         den += u
         if u != 0:
             num += phi(y) * u
-    return _ratio_or_zero(num, den)
+    if den == 0:
+        raise ZeroMassError("averaging denominator vanished")
+    if isinstance(den, float) and not math.isfinite(den):
+        raise ValueError(
+            f"float potential overflows the level-{level} orbit sum (window {len(x)})"
+        )
+    return num / den
 
 
 def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
@@ -598,31 +596,6 @@ def mc_level_values(
     return out
 
 
-def average_mc(
-    level: int,
-    rho: Cocycle,
-    phi,
-    x: Config,
-    samples: int,
-    rng: RandomStream | None,
-) -> AveragingReport:
-    """Self-normalized importance estimate of the level average over Haar
-    rows, weighted by the cocycle's potential; ValueError without a random
-    stream."""
-    if rng is None:
-        raise ValueError("Monte Carlo levels need a random stream")
-    x_bits = np.array(x, dtype=np.uint8)
-    if isinstance(phi, CylinderMonomial):
-        ((est, se),) = mc_level_values(x_bits, level, rho, [phi], samples, rng)
-    else:
-        rows, w = _weighted_haar_rows(x_bits, level, rho, samples, rng)
-        v = np.array([float(phi(tuple(int(b) for b in r))) for r in rows])
-        est, se = _self_normalized(v, w)
-    return AveragingReport(
-        value=est, level=level, method="monte-carlo", stderr=se, sample_count=samples
-    )
-
-
 def default_schedule(window: int) -> tuple[int, ...]:
     """Geometric levels 1, 2, 4, ... capped by and including the window."""
     levels = []
@@ -730,49 +703,36 @@ def level_table(
 
 def limit_average(
     rho: Cocycle,
-    phi,
+    phi: CylinderMonomial,
     x: Config,
     schedule: Sequence[int],
     tolerance: float = 1e-3,
     mc_samples: int = 512,
     rng: RandomStream | None = None,
 ) -> LimitReport:
-    """Track level averages along a schedule and detect the limit.
+    """Track the level averages of a cylinder monomial along a schedule and
+    detect the limit; TypeError for any other phi (see the module docstring
+    for functions of finitely many coordinates).
 
-    The levels of x form a one-point, one-key ``LevelTable``, and its
+    The levels of x form a one-point, one-key ``level_table``, whose
+    docstring gives the engine, slack and stderr of each level, and its
     ``converged`` decides: the last two levels differ by less than
     tolerance + slack, or, on a one-level schedule, that level has stderr 0
     in the table (an exact level above S(8) has its sd about the limit
     there, 0 only where the entry cannot move). Non-convergence is a
-    legitimate outcome and is reported as such, never masked. A cylinder
-    monomial takes its table from ``level_table``, whose docstring gives
-    the engine, slack and stderr of each level: Monte Carlo levels are
-    reported as "monte-carlo" with their stderr and sample count, every
-    other level as "exact" with stderr 0 and 0 samples. Any other phi takes
-    ``average_exact`` up to S(8) and ``average_mc`` above, with the Monte
-    Carlo slack of ``level_table``.
+    legitimate outcome and is reported as such, never masked. Monte Carlo
+    levels are reported as "monte-carlo" with their stderr and sample count,
+    every other level as "exact" with stderr 0 and 0 samples.
     """
+    if not isinstance(phi, CylinderMonomial):
+        raise TypeError("limit_average averages a CylinderMonomial")
     sched = checked_schedule(schedule, len(x))
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if isinstance(phi, CylinderMonomial):
-        table = level_table(
-            np.asarray(x, dtype=np.uint8)[None, :], rho, sched, [phi.indices],
-            mc_samples, [rng],
-        )
-        reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
-    else:
-        reports = [
-            average_exact(n, rho, phi, x) if n <= EXACT_LEVEL_CAP
-            else average_mc(n, rho, phi, x, mc_samples, rng)
-            for n in sched
-        ]
-        stderrs = np.array([[[r.stderr]] for r in reports])
-        table = LevelTable(
-            np.array([[[float(r.value)]] for r in reports]), _mc_slacks(stderrs), stderrs,
-            tuple("enumeration" if r.method == "exact" else r.method for r in reports),
-            np.array([[[r.value]] for r in reports], dtype=object),
-        )
+    table = level_table(
+        np.asarray(x, dtype=np.uint8)[None, :], rho, sched, [phi.indices], mc_samples, [rng]
+    )
+    reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
     converged = bool(table.converged(tolerance)[0, 0])
     values = table.values[:, 0, 0].tolist()
     return LimitReport(

@@ -1,5 +1,7 @@
 """Sigma-finite invariant measures: weight normalization, projective classes,
-finite/infinite component split, and orbital measures.
+finite/infinite component split, and orbital measures (exact atomic measures
+up to S(8); above it the exact closed-form cylinder masses of
+``orbital_dichotomy``).
 
 The desk model is the orbit-counting measure on finitely supported 0/1
 sequences: orbit k (configurations with k ones) carries counting measure with
@@ -18,13 +20,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .averaging import EXACT_LEVEL_CAP, checked_schedule, haar_rows, level_table
+from .averaging import EXACT_LEVEL_CAP, checked_schedule, level_table
 from .cocycles import constant_one
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
 from .groups import Config, Permutation, check_degree, level_orbit
-from .measures import AtomicMeasure, Cylinder, OrbitSigmaFinite, INFINITE
-from .rng import RandomStream
+from .measures import AtomicMeasure, OrbitSigmaFinite, INFINITE
 
 
 @dataclass(frozen=True)
@@ -322,51 +323,18 @@ def classify_components(nu: OrbitSigmaFinite) -> ComponentSplit:
     )
 
 
-@dataclass(frozen=True)
-class OrbitalSample:
-    """Monte Carlo draw from the uniform orbit measure of a point."""
-
-    rows: np.ndarray  # samples x window, uint8
-    level: int
-
-    def cylinder_mass(self, a: Cylinder) -> tuple[float, float]:
-        hits = np.ones(self.rows.shape[0], dtype=bool)
-        for pos, bit in a.pins:
-            hits &= self.rows[:, pos - 1] == bit
-        v = hits.astype(np.float64)
-        est = float(np.mean(v))
-        se = float(np.std(v, ddof=1)) / math.sqrt(self.rows.shape[0])
-        return est, se
-
-
-def orbital_measure(
-    x: Config,
-    level: int,
-    mode: str = "exact",
-    samples: int = 1000,
-    rng: RandomStream | None = None,
-):
-    """Uniform average of point masses over the level orbit of x.
-
-    Exact mode materializes the orbit as an atomic measure (level <= 8);
-    Monte Carlo mode returns a weighted sample with stderr metadata.
-    """
+def orbital_measure(x: Config, level: int) -> AtomicMeasure:
+    """Uniform average of point masses over the level orbit of x, as an exact
+    atomic measure; CapacityError above S(8). Above that, the exact cylinder
+    masses of the orbital measure are level averages of cylinder monomials
+    under the constant cocycle, which ``orbital_dichotomy`` tracks."""
     if level < 1 or level > len(x):
         raise ValueError("level must be within the window")
-    if mode == "exact":
-        if level > EXACT_LEVEL_CAP:
-            raise CapacityError(
-                f"exact orbital measures are capped at level {EXACT_LEVEL_CAP}"
-            )
-        orbit = list(level_orbit(x, level))
-        share = Fraction(1, len(orbit))
-        return AtomicMeasure({y: share for y in orbit})
-    if mode != "monte-carlo":
-        raise ValueError("mode is 'exact' or 'monte-carlo'")
-    if rng is None:
-        raise ValueError("Monte Carlo mode needs a random stream")
-    rows = haar_rows(np.asarray(x, dtype=np.uint8), level, samples, rng)
-    return OrbitalSample(rows=rows, level=level)
+    if level > EXACT_LEVEL_CAP:
+        raise CapacityError(f"exact orbital measures are capped at level {EXACT_LEVEL_CAP}")
+    orbit = list(level_orbit(x, level))
+    share = Fraction(1, len(orbit))
+    return AtomicMeasure({y: share for y in orbit})
 
 
 @dataclass(frozen=True)

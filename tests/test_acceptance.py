@@ -13,6 +13,7 @@ from scipy.special import betainc
 from ergodec.averaging import (
     conditional_expectation_check,
     fubini_check,
+    monomial_level_average,
     tower_check,
 )
 from ergodec.cli import load_config, run_experiment
@@ -275,13 +276,10 @@ def test_criterion_10_orbital_dichotomy():
     window = 4096
     x = tuple(1 if i < 3 else 0 for i in range(window))
     exact_ok = all(
-        orbital_measure(x, n, mode="exact").mass(Cylinder.of({1: 1})) == Fraction(3, n)
+        orbital_measure(x, n).mass(Cylinder.of({1: 1})) == Fraction(3, n)
         for n in range(3, 9)
     )
-    sample = orbital_measure(
-        x, 1000, mode="monte-carlo", samples=2000, rng=substream(SEED, 10)
-    )
-    est, _ = sample.cylinder_mass(Cylinder.of({1: 1}))
+    est = monomial_level_average(1000, (1,), x)
     escape = orbital_dichotomy(x, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000])
     nu = ProductBernoulli([0.5] * window)
     xb = nu.sample(substream(SEED, 12))
@@ -289,6 +287,7 @@ def test_criterion_10_orbital_dichotomy():
     elapsed = time.monotonic() - t0
     ok = (
         exact_ok
+        and est == Fraction(3, 1000)
         and est <= 0.01
         and escape.verdict == "escapes-mass"
         and converge.verdict == "converges-to-probability"
@@ -298,10 +297,11 @@ def test_criterion_10_orbital_dichotomy():
     _report(
         "criterion-10 orbital dichotomy",
         ok,
-        f"exact 3/n levels, n=1000 estimate {est:.4f}, limit "
+        f"exact 3/n levels, n=1000 value {float(est):.4f}, limit "
         f"{converge.finals[(1,)]:.4f}, {elapsed:.1f}s",
     )
     assert exact_ok
+    assert est == Fraction(3, 1000)
     assert est <= 0.01
     assert escape.verdict == "escapes-mass"
     assert converge.verdict == "converges-to-probability"

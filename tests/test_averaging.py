@@ -13,10 +13,8 @@ from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     AveragingReport,
     _esp_log_tables,
-    _ratio_or_zero,
     _tilted_inclusion,
     average_exact,
-    average_mc,
     conditional_expectation_check,
     default_schedule,
     fubini_check,
@@ -24,6 +22,7 @@ from ergodec.averaging import (
     invariance_check,
     level_table,
     limit_average,
+    mc_level_values,
     monomial_level_average,
     orbit_class_key,
     orbit_classes,
@@ -132,17 +131,23 @@ def test_exact_paths_agree_with_brute_force():
                 assert monomial_level_average(level, mono.indices, point) == want_one
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.uint8)
+
+
 def test_average_mc_constant_cancels_exactly():
     rho = make_rn(ProductBernoulli([Fraction(1, 3)] * 6))
-    rep = average_mc(6, rho, _const_phi(2.5), (1, 0, 1, 0, 1, 0), 50, substream(41, 1))
-    assert rep.value == 2.5
-    assert rep.method == "monte-carlo"
+    x = _bits((1, 0, 1, 0, 1, 0))
+    got = mc_level_values(x, 6, rho, [CylinderMonomial(())], 50, substream(41, 1))
+    assert got == [(1.0, 0.0)]
 
 
 def test_average_mc_symmetry_count():
-    x = tuple([1] * 3 + [0] * 9)
-    rep = average_mc(12, constant_one(), CylinderMonomial((1,)), x, 4000, substream(41, 2))
-    assert abs(rep.value - 3 / 12) <= 3 * rep.stderr + 1e-9
+    x = _bits([1] * 3 + [0] * 9)
+    ((est, se),) = mc_level_values(
+        x, 12, constant_one(), [CylinderMonomial((1,))], 4000, substream(41, 2)
+    )
+    assert abs(est - 3 / 12) <= 3 * se + 1e-9
 
 
 def test_average_mc_agrees_with_exact():
@@ -159,15 +164,17 @@ def test_average_mc_agrees_with_exact():
         )))
         rho = cocycles[trial % 2]
         exact = float(average_exact(6, rho, phi, x).value)
-        mc = average_mc(6, rho, phi, x, 400, rng)
-        if abs(mc.value - exact) <= 3 * mc.stderr + 1e-12:
+        ((est, se),) = mc_level_values(_bits(x), 6, rho, [phi], 400, rng)
+        if abs(est - exact) <= 3 * se + 1e-12:
             hits += 1
     assert hits >= 99
 
 
 def test_average_mc_requires_two_samples():
     with pytest.raises(ValueError):
-        average_mc(4, constant_one(), CylinderMonomial((1,)), (1, 0, 1, 0), 1, substream(0, 0))
+        mc_level_values(
+            _bits((1, 0, 1, 0)), 4, constant_one(), [CylinderMonomial((1,))], 1, substream(0, 0)
+        )
 
 
 def test_positive_contraction_bound():
@@ -184,8 +191,50 @@ def test_positive_contraction_bound():
         assert -3 <= v <= 2
 
 
-def test_infinite_denominator_branch_returns_zero():
-    assert _ratio_or_zero(Fraction(3), math.inf) == 0
+def test_overflowing_float_potential_raises():
+    # the constant cocycle, with a float potential whose orbit sum is inf:
+    # the average is 1/2, not 0
+    rho = Cocycle(eval_fn=lambda g, x: 1.0, potential=lambda x: 1e308)
+    with pytest.raises(ValueError, match=r"level-2 orbit sum \(window 3\)"):
+        average_exact(2, rho, CylinderMonomial((1,)), (1, 0, 1))
+
+
+_MOEBIUS_COCYCLES = (
+    constant_one(),
+    make_rn(ProductBernoulli([Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(1, 2),
+                              Fraction(2, 7), Fraction(5, 6), Fraction(1, 5)])),
+    make_rho_f(GeometricWeight(4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.fractions(-5, 5, max_denominator=9), min_size=2**d, max_size=2**d
+    )),
+    st.lists(st.integers(0, 1), min_size=7, max_size=7),
+    st.integers(1, 6),
+    st.integers(0, 2),
+)
+def test_level_average_of_a_cylinder_function_is_its_moebius_sum(table, bits, level, which):
+    # phi reads its first d coordinates as the binary index of a table entry;
+    # its Moebius coefficients c_S = sum over T in S of (-1)^|S - T| phi(1_T)
+    # make it the signed sum of the monomials on S, and averaging is linear
+    d = len(table).bit_length() - 1
+    rho, x = _MOEBIUS_COCYCLES[which], tuple(bits)
+
+    def phi(y):
+        return table[sum(b << i for i, b in enumerate(y[:d]))]
+
+    subsets = range(2**d)
+    coef = [
+        sum((-1) ** bin(s ^ t).count("1") * table[t] for t in subsets if t & s == t)
+        for s in subsets
+    ]
+    keys = [tuple(i + 1 for i in range(d) if s >> i & 1) for s in subsets]
+    lt = level_table(_bits(x)[None, :], rho, (level,), keys)
+    want = average_exact(level, rho, phi, x).value
+    assert sum(c * lt.value(0, 0, j) for j, c in enumerate(coef)) == want
 
 
 def test_exact_report_rejects_nonzero_stderr():
@@ -195,10 +244,12 @@ def test_exact_report_rejects_nonzero_stderr():
 
 def test_limit_average_constant_converges_immediately():
     rho = constant_one()
-    rep = limit_average(rho, _const_phi(Fraction(2, 3)), (1, 0, 1, 0), [1, 2, 4])
+    rep = limit_average(rho, CylinderMonomial(()), (1, 0, 1, 0), [1, 2, 4])
     assert rep.converged
-    assert rep.limit_estimate == pytest.approx(2 / 3)
+    assert rep.limit_estimate == 1.0
     assert all(r.stderr == 0 for r in rep.levels)
+    with pytest.raises(TypeError, match="CylinderMonomial"):
+        limit_average(rho, _const_phi(Fraction(2, 3)), (1, 0, 1, 0), [1, 2, 4])
 
 
 def test_limit_average_all_ones_fixed():
@@ -487,6 +538,8 @@ def _argsort_haar_rows(x_bits, level, samples, rng):
 @example(64, "zeros", 64, 0)
 @example(64, "ones", 2, 1)
 @example(64, "random", 64, 2)
+@example(300, "random", 200, 3)
+@example(300, "random", 2, 4)
 def test_haar_rows_equal_argsort_gather(window, fill, samples, seed):
     if fill == "random":
         x_bits = substream(seed, 0).integers(0, 2, size=window).astype(np.uint8)
@@ -551,21 +604,19 @@ def test_closed_form_callers_above_level_8_past_255_ones(seed, p, levels):
 def test_average_mc_callable_phi_under_callable_potential():
     # without log_potential_rows: per-row potential calls
     rho = replace(make_rho_f(make_fibrewise_f()), log_potential_rows=None)
+    monomials = [CylinderMonomial((1,)), CylinderMonomial((6,))]
     rng = substream(41, 9)
     hits = 0
     for _ in range(100):
         x = tuple(int(b) for b in rng.integers(0, 2, size=6))
-
-        def phi(y):
-            return Fraction(y[0] + 2 * y[-1], 3)
-
-        exact = float(average_exact(6, rho, phi, x).value)
-        mc = average_mc(6, rho, phi, x, 400, rng)
-        if abs(mc.value - exact) <= 3 * mc.stderr + 1e-12:
-            hits += 1
+        got = mc_level_values(_bits(x), 6, rho, monomials, 400, rng)
+        for mono, (est, se) in zip(monomials, got):
+            exact = float(average_exact(6, rho, mono, x).value)
+            if abs(est - exact) <= 3 * se + 1e-12:
+                hits += 1
     # weight ratios up to 4^9 give the self-normalized estimate heavier tails
     # than a normal one, so a few misses at 3 se are expected
-    assert hits >= 97
+    assert hits >= 194
 
 
 def test_monte_carlo_level_needs_a_potential():
@@ -710,9 +761,11 @@ def test_weight_ratio_monte_carlo_no_longer_underflows(window):
     # so weights taken as ratios of float(f) were 0/0; log rows are not.
     x = tuple([1, 0] * (window // 2))
     rho = make_rho_f(make_fibrewise_f())
-    rep = average_mc(window, rho, CylinderMonomial((1,)), x, 200, substream(41, window))
-    assert math.isfinite(rep.value) and 0.0 <= rep.value <= 1.0
-    assert math.isfinite(rep.stderr)
+    ((est, se),) = mc_level_values(
+        _bits(x), window, rho, [CylinderMonomial((1,))], 200, substream(41, window)
+    )
+    assert math.isfinite(est) and 0.0 <= est <= 1.0
+    assert math.isfinite(se)
 
 
 @settings(max_examples=40, deadline=None)

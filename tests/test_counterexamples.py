@@ -271,10 +271,7 @@ def test_frequency_event_mass_has_the_binomial_law(seed):
 
 
 def _orbit_uniform(window, count):
-    eta = orbital_measure(
-        tuple(1 if i < count else 0 for i in range(window)), window, mode="exact"
-    )
-    return eta
+    return orbital_measure(tuple(1 if i < count else 0 for i in range(window)), window)
 
 
 def test_equivalence_equal_measures():

@@ -342,7 +342,7 @@ def test_ergodicity_test_mixture_non_ergodic():
 def test_ergodicity_test_exact_orbit_measure():
     from ergodec.sigma_finite import orbital_measure
 
-    eta = orbital_measure((1, 1, 0, 0), 4, mode="exact")
+    eta = orbital_measure((1, 1, 0, 0), 4)
     verdict = ergodicity_test(eta, constant_one(), DICT2)
     assert verdict.verdict == "ergodic"
     assert verdict.exact

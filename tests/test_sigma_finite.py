@@ -2,11 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergodec.averaging import monomial_level_average
 from ergodec.errors import CapacityError, DegreeOverflowError, DivergentIntegralError
 from ergodec.groups import Permutation, act
 from ergodec.measures import (
@@ -418,42 +418,25 @@ def test_component_split_parts_are_invariant():
 def test_average_decay_on_infinite_orbits():
     # a point on the k-ones orbit has level average k/n for the first-slot
     # indicator, which decays to 0 as the level grows
-    from ergodec.averaging import monomial_level_average
-
     window = 1024
     k = 3
     x = tuple(1 if i < k else 0 for i in range(window))
     for n in (3, 4, 5, 6, 7, 8):
         assert monomial_level_average(n, (1,), x) == Fraction(k, n)
-    s = orbital_measure(x, 1000, mode="monte-carlo", samples=3000, rng=substream(73, 6))
-    est, _ = s.cylinder_mass(Cylinder.of({1: 1}))
-    assert est <= 0.01
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 300), st.integers(2, 200), st.integers(0, 2**32 - 1), st.data())
-def test_orbital_measure_monte_carlo_rows_unchanged(window, samples, seed, data):
-    level = data.draw(st.integers(1, window))
-    x = tuple(int(b) for b in substream(seed, 0).integers(0, 2, size=window))
-    got = orbital_measure(x, level, mode="monte-carlo", samples=samples, rng=substream(seed, 1))
-    # The argsort-and-gather draw that the packed-key kernel replaced.
-    x_bits = np.asarray(x, dtype=np.uint8)
-    perms = np.argsort(substream(seed, 1).random((samples, level)), axis=1)
-    want = np.tile(x_bits, (samples, 1))
-    want[:, :level] = x_bits[:level][perms]
-    assert got.level == level and got.rows.tobytes() == want.tobytes()
+    est = monomial_level_average(1000, (1,), x)
+    assert est == Fraction(k, 1000) and est <= 0.01
 
 
 def test_orbital_measure_fixed_prefix_point_mass():
     x = (1, 1, 1, 0, 0)
-    eta = orbital_measure(x, 3, mode="exact")
+    eta = orbital_measure(x, 3)
     assert eta.atoms == {x: Fraction(1)}
 
 
 def test_orbital_measure_counting_oracle():
     x = (1, 0, 1, 1, 0, 0)
     for n in (3, 4, 6):
-        eta = orbital_measure(x, n, mode="exact")
+        eta = orbital_measure(x, n)
         k = sum(x[:n])
         got = eta.mass(Cylinder.of({1: 1}))
         # oracle: arrangements with a one in slot 1 over all arrangements
@@ -463,14 +446,14 @@ def test_orbital_measure_counting_oracle():
 
 def test_orbital_measure_capacity():
     with pytest.raises(CapacityError):
-        orbital_measure(tuple([1] * 16), 9, mode="exact")
+        orbital_measure(tuple([1] * 16), 9)
 
 
 def test_orbital_measure_monte_carlo_lln():
     nu = ProductBernoulli([0.5] * 4096)
     x = nu.sample(substream(73, 0))
-    s = orbital_measure(x, 4096, mode="monte-carlo", samples=4000, rng=substream(73, 1))
-    est, se = s.cylinder_mass(Cylinder.of({1: 1}))
+    est = monomial_level_average(4096, (1,), x)
+    assert est == Fraction(sum(x), 4096)
     assert abs(est - 0.5) <= 0.03
 
 
