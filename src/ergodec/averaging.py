@@ -16,7 +16,9 @@ self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
 cocycle's potential (``mc_level_values``, the one Monte Carlo estimator).
 ``level_table`` is the one place that picks among these engines;
 ``pi_phi``, ``decompose``, ``ergodicity_test``, ``limit_average`` and the
-``orbital`` scan call it, and they average cylinder monomials only. A
+``orbital`` scan call it, and they average cylinder monomials only
+(``decompose`` of an exchangeable input has no rows: it hands its drawn
+counts to ``closed_form_levels`` itself). A
 function of the first d coordinates is a finite signed sum of monomials
 (its Moebius expansion), so its level average is the same signed sum of
 monomial averages. The result, a ``LevelTable`` (``closed_form_levels``

@@ -262,8 +262,9 @@ def demonstrate_kolmogorov(
     {frequency <= 1/2} at window scale, with the exponential tail bound on
     the surrogate error, which needs p_low < 1/2 < p_high (ValueError
     otherwise).
-    Each configuration of (c) draws its component, then only its ones count
-    as Binomial(window, p): the exact law of the ones of the homogeneous
+    Each configuration of (c) draws its component's parameter p
+    (``Mixture.directing_sample``), then only its ones count as
+    Binomial(window, p): the exact law of the ones of the homogeneous
     product B(p)^window, so the estimate's law is that of counting drawn bits.
     """
     if not p_low < 0.5 < p_high:
@@ -282,8 +283,7 @@ def demonstrate_kolmogorov(
     sets_checked = 2 ** len(atoms)
 
     stream = substream(seed, 0x5C)
-    # the component by Mixture.sample_component's rule: r < 1/2 picks p_low
-    p = np.where(stream.random(samples) < 0.5, float(p_low), float(p_high))
+    p = mixture.directing_sample(stream, samples)
     freq_mass = int(np.count_nonzero(stream.binomial(window, p) <= window // 2)) / samples
     freq_se = math.sqrt(freq_mass * (1 - freq_mass) / samples)
     gap = min(0.5 - p_low, p_high - 0.5)

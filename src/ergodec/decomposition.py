@@ -8,14 +8,21 @@ measure (de Finetti). On exact atomic models the level sets of the full-depth
 statistic are the full-window orbit classes, and each carries its canonical
 conditional measure: nu restricted to the class and normalized.
 
-All Monte Carlo draws for one point come from that point's own child stream,
-so results are bit-identical for any worker count.
+Under the constant cocycle the statistic of a point depends on its bits only
+through its first coordinates (up to the dictionary width) and its ones
+counts at the evaluated levels. When nu is exchangeable, ``decompose`` draws
+exactly those from one stream, all points at once: each point's de Finetti
+parameter p, its first bits as Bernoulli(p), and one Binomial(n_i - n_(i-1),
+p) per gap between levels past them. Given p the bits are independent
+Bernoulli(p), so these are independent pieces of disjoint blocks of the
+window, with the law the full window gives them. Every other input draws
+each point, and its Monte Carlo levels, from the point's own child stream.
+Either way results are bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,6 +33,7 @@ from .averaging import (
     EXACT_LEVEL_CAP,
     average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
     checked_schedule,
+    closed_form_levels,
     level_table,
     mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -90,7 +98,8 @@ def pi_phi(
     else a float. The point is a batch of one for ``averaging.level_table``,
     whose docstring gives the engine of each level with its slack and
     stderr; ``decompose`` evaluates whole blocks of points through it, with
-    the same bits. Only Monte Carlo levels read ``mc_samples`` and ``rng``.
+    the same bits, unless nu is exchangeable under the constant cocycle.
+    Only Monte Carlo levels read ``mc_samples`` and ``rng``.
     """
     x_bits = np.asarray(x, dtype=np.uint8)
     sched = checked_schedule(schedule, x_bits.shape[0])
@@ -200,8 +209,37 @@ def _point_block(args):
 def _map_blocks(task_args, workers: int):
     if workers <= 1 or len(task_args) <= 1:
         return [_point_block(a) for a in task_args]
+    # imported here: only a pool run pays for multiprocessing's import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_point_block, task_args))
+
+
+def directed_statistics(
+    p: np.ndarray, head: int, levels: Sequence[int], rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(counts, heads)`` for ``closed_form_levels`` of points whose bits
+    are independent Bernoulli(p[i]) given p: the first ``head`` bits of each
+    point, then the ones counts at the increasing ``levels``.
+
+    Levels within the head count its bits. Past the head, the count grows by
+    one Binomial(n_i - n_(i-1), p) per gap between consecutive levels (the
+    first gap starts at the head), drawn in level order: the ones among a
+    block of k independent Bernoulli(p) bits are Binomial(k, p), and disjoint
+    blocks are independent given p, so the pair has the law the full window
+    gives it.
+    """
+    heads = (rng.random((p.shape[0], head)) < p[:, None]).astype(np.uint8)
+    counts = np.empty((p.shape[0], len(levels)), dtype=np.int64)
+    ones, edge = heads.sum(axis=1, dtype=np.int64), head
+    for i, n in enumerate(levels):
+        if n <= head:
+            counts[:, i] = heads[:, :n].sum(axis=1, dtype=np.int64)
+        else:
+            ones = ones + rng.binomial(n - edge, p)
+            counts[:, i], edge = ones, n
+    return counts, heads
 
 
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
@@ -235,6 +273,18 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     """Sample M points, compute limit statistics, and group them into
     ergodic components.
 
+    Only the last two schedule levels are evaluated (``LevelTable.converged``
+    reads no others). Under the constant cocycle with an exchangeable nu the
+    statistics come from ``directed_statistics`` of the points' de Finetti
+    parameters (``nu.directing_sample``), all drawn from one stream,
+    ``substream(seed, 0xDF)``, and evaluated by ``closed_form_levels`` in one
+    call: the closed form reads only the first coordinates and the ones
+    counts, and these have the law the full window gives them. That path
+    starts no process pool, so ``config.workers`` changes nothing there.
+    Every other input is drawn point by point, each point from its own
+    ``substream(seed, i)``, in blocks (``_point_block``) that ``workers``
+    processes share; the split changes no output.
+
     Finite mode groups by 1-D gaps on the first-moment limit; each
     component's representative is the homogeneous product at its center
     (``_representative``), and the barycenter residual is filled in.
@@ -244,32 +294,43 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     """
     window = nu.window
     schedule = checked_schedule(config.schedule, window)
+    m = config.samples
+    if m < 1:
+        raise ValueError("decompose needs at least one sample point")
     dictionary = TestDictionary.build(config.depth, config.width)
     if config.validate_cocycle:
         _validate_cocycle_agreement(nu, rho, config.seed)
 
-    m = config.samples
-    # Rows come from per-point streams, so the split changes no output; one
-    # worker takes blocks of 512, which batch the level kernels best.
-    block = 512
-    if config.workers > 1:
-        block = max(1, min(block, math.ceil(m / (config.workers * 8))))
-    task_args = [
-        (
-            nu,
-            rho,
-            dictionary,
-            schedule,
-            config.tolerance,
-            config.mc_samples,
-            config.seed,
-            range(lo, min(lo + block, m)),
+    keys = [mo.indices for mo in dictionary.entries]
+    if rho.is_constant_one and getattr(nu, "exchangeable", False):
+        levels = schedule[-2:]
+        rng = substream(config.seed, 0xDF)
+        counts, heads = directed_statistics(
+            nu.directing_sample(rng, m), min(config.width, window), levels, rng
         )
-        for lo in range(0, m, block)
-    ]
-    results = _map_blocks(task_args, config.workers)
-    vals = np.concatenate([r[0] for r in results])
-    conv = np.concatenate([r[2] for r in results])
+        table = closed_form_levels(counts, heads, levels, keys)
+        vals, conv = table.values[-1], table.converged(config.tolerance)
+    else:
+        # One worker takes blocks of 512, which batch the level kernels best.
+        block = 512
+        if config.workers > 1:
+            block = max(1, min(block, math.ceil(m / (config.workers * 8))))
+        task_args = [
+            (
+                nu,
+                rho,
+                dictionary,
+                schedule,
+                config.tolerance,
+                config.mc_samples,
+                config.seed,
+                range(lo, min(lo + block, m)),
+            )
+            for lo in range(0, m, block)
+        ]
+        results = _map_blocks(task_args, config.workers)
+        vals = np.concatenate([r[0] for r in results])
+        conv = np.concatenate([r[2] for r in results])
 
     point_ok = conv.all(axis=1)
     bad_fraction = float(np.mean(~point_ok))
@@ -285,7 +346,6 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
             },
         )
 
-    keys = [mo.indices for mo in dictionary.entries]
     r1_col = keys.index((1,))
     r1 = vals[:, r1_col]
 
@@ -332,24 +392,42 @@ def assemble(dm: DecomposingMeasure):
     return Mixture(dm.weights, dm.representatives)
 
 
+def _residual_cylinders(depth: int):
+    """The cylinders pinning a nonempty subset of {1..depth} to any bits."""
+    for size in range(1, depth + 1):
+        for subset in itertools.combinations(range(1, depth + 1), size):
+            for bits in itertools.product((0, 1), repeat=size):
+                yield Cylinder.of(dict(zip(subset, bits)))
+
+
 def barycenter_residual(nu, dm: DecomposingMeasure, depth: int) -> float:
     """Max over cylinders of |nu(A) - sum_j w_j eta_j(A)|.
 
     Cylinders pin any subset of the positions {1..depth} to any bit pattern;
     both sides are evaluated in closed form.
     """
-    positions = tuple(range(1, depth + 1))
     worst = 0.0
-    for size in range(1, depth + 1):
-        for subset in itertools.combinations(positions, size):
-            for bits in itertools.product((0, 1), repeat=size):
-                cyl = Cylinder.of(dict(zip(subset, bits)))
-                target = float(nu.mass(cyl))
-                mixed = sum(
-                    w * float(rep.mass(cyl))
-                    for w, rep in zip(dm.weights, dm.representatives)
-                )
-                worst = max(worst, abs(target - mixed))
+    for cyl in _residual_cylinders(depth):
+        target = float(nu.mass(cyl))
+        mixed = sum(
+            w * float(rep.mass(cyl))
+            for w, rep in zip(dm.weights, dm.representatives)
+        )
+        worst = max(worst, abs(target - mixed))
+    return worst
+
+
+def barycenter_residual_sd(dm: DecomposingMeasure, depth: int) -> float:
+    """Plug-in sd of the mixed side sum_j w_j a_j, a_j = eta_j(A), as the
+    weights w_j are the frequencies of a multinomial sample of M =
+    sum(counts) points: sqrt((sum_j w_j a_j^2 - (sum_j w_j a_j)^2) / M),
+    maximised over the cylinders of ``barycenter_residual``."""
+    worst, points = 0.0, sum(dm.counts)
+    for cyl in _residual_cylinders(depth):
+        masses = [float(rep.mass(cyl)) for rep in dm.representatives]
+        mean = sum(w * a for w, a in zip(dm.weights, masses))
+        second = sum(w * a * a for w, a in zip(dm.weights, masses))
+        worst = max(worst, math.sqrt(max(second - mean * mean, 0.0) / points))
     return worst
 
 

@@ -312,6 +312,13 @@ class ProductBernoulli:
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         return (rng.random(self.window) < self._float_params).astype(np.uint8)
 
+    def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
+        """The de Finetti parameter of ``size`` points: the common parameter
+        of an exchangeable product, drawing nothing; ValueError otherwise."""
+        if not self.exchangeable:
+            raise ValueError("only a homogeneous product has a directing parameter")
+        return np.full(size, self._float_params[0])
+
     def sample(self, rng: RandomStream) -> Config:
         return tuple(self.sample_array(rng).tolist())
 
@@ -424,14 +431,29 @@ class Mixture:
         )
         return LogLinearParts(const, np.concatenate([q.logit for q in parts]))
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        # running float weights, added in order (cumsum is sequential)
+        return np.cumsum([float(w) for w in self.weights])
+
+    def _component_of(self, r):
+        """The component of uniform draw(s) r: the first whose running weight
+        exceeds r, else the last."""
+        return np.minimum(self._cumulative.searchsorted(r, "right"), len(self.weights) - 1)
+
     def sample_component(self, rng: RandomStream) -> int:
-        r = rng.random()
-        acc = 0.0
-        for i, w in enumerate(self.weights):
-            acc += float(w)
-            if r < acc:
-                return i
-        return len(self.weights) - 1
+        return int(self._component_of(rng.random()))
+
+    def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
+        """The de Finetti parameter of ``size`` points: one uniform per point
+        picks its component by ``sample_component``'s rule, then each
+        component, in order, draws the parameters of its points."""
+        picks = self._component_of(rng.random(size))
+        p = np.empty(size)
+        for c, component in enumerate(self.components):
+            mine = np.flatnonzero(picks == c)
+            p[mine] = component.directing_sample(rng, mine.size)
+        return p
 
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         return self.components[self.sample_component(rng)].sample_array(rng)
@@ -524,6 +546,10 @@ class BetaExchangeable:
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         p = rng.beta(self.alpha, self.beta)
         return (rng.random(self._window) < p).astype(np.uint8)
+
+    def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
+        """The de Finetti parameter of ``size`` points, Beta(alpha, beta)."""
+        return rng.beta(self.alpha, self.beta, size)
 
     def sample(self, rng: RandomStream) -> Config:
         return tuple(self.sample_array(rng).tolist())

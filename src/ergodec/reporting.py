@@ -45,6 +45,8 @@ def canonical_json(obj: Any) -> str:
 
 
 def cell_str(v: Any) -> str:
+    if type(v) is float:  # the common case, before any ABC check
+        return repr(v)
     if isinstance(v, Fraction):
         return fraction_str(v)
     if isinstance(v, (np.floating,)):
@@ -60,8 +62,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell_str(v) for v in row])
+        writer.writerows([cell_str(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)

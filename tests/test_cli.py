@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,7 +217,13 @@ def _assert_config_error(name, key, value):
 # a block. The kolmogorov digest was recorded again when each configuration
 # drew its ones count as one binomial instead of a window of bits: the
 # frequency-event mass at --seed 7 moved from 0.5018 to 0.4969, its stderr and
-# narrative line with it.
+# narrative line with it. The definetti digests were recorded again when
+# exchangeable inputs began to draw each point's sufficient statistic (its
+# first bits and its ones counts at the evaluated levels, from one stream) in
+# place of its window: other draws of the same law move every sample row and
+# the components, and result.json also gained the barycenter-residual sd.
+# definetti-beta/result.json (continuous mode: no components, no residual,
+# no point failing limit detection) kept its digest.
 RECORDED_DEFINETTI_CONFIGS = {
     "definetti": {**FAST_DEFINETTI, "depth": 3, "width": 3},
     "definetti-beta": {"beta": [2, 3], "samples": 150, "window": 256, "mc_samples": 128},
@@ -228,11 +235,11 @@ RECORDED_OUTPUT_SHA256 = {
     "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
     "orbital/result.json": "469f276112685ded95f7088a90317075d7610a396aa3d3a2a4867f0884e01ddc",
     "orbital/series.csv": "c885cf891c559a5d9de24436f91212cec43fb3a751d626b3292ff427fe224eb9",
-    "definetti/result.json": "7fdea2eab0c990bb8228638330b52cd88740a259f6ec1a66799c747052ded26f",
-    "definetti/samples.csv": "dd3bb41a2c400eb47c2f96a75b229db707bc24869a6865f35cc7959fd435eac3",
-    "definetti/components.csv": "599db820cb064f01d6860818aff672406aae482c40668af2ad5b297d07fb0468",
+    "definetti/result.json": "ce3877338716f625547aeba4810ccc6dab6f6c5af11aa73a42d3de80a3e3ffdc",
+    "definetti/samples.csv": "a5a07813f89c5e1cd3b7f1fbf6637c2a5ba7cfff992a54273fef467ec3adc860",
+    "definetti/components.csv": "088cb4fbb2b3ca6ba3b25ca16d1560c7366c6fc5edd6526b488bb0b413ea2cb2",
     "definetti-beta/result.json": "693aa186c2af9346910e9b1d616764d24731af8396ab4c90189c807c0f837a8d",
-    "definetti-beta/samples.csv": "68796a2f5d774e89b21a925f80c63dad19c6a8d9c2f8a096d68b291d1ca7b719",
+    "definetti-beta/samples.csv": "f837bc4819face82e2fc1389ee8783fd0cafac9351cedf5c25b1e7bb4a067018",
 }
 
 
@@ -292,6 +299,51 @@ def test_definetti_byte_identical_across_runs_and_workers(tmp_path):
             + (out / "components.csv").read_bytes()
         )
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _legacy_cell(v) -> str:
+    """``cell_str``'s format by isinstance checks alone: the reference for
+    its ``type(v) is float`` fast path."""
+    if isinstance(v, Fraction):
+        return fraction_str(v)
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+@pytest.mark.parametrize("config", [FAST_DEFINETTI, {"beta": [2, 3], "samples": 150,
+                                                     "window": 256}])
+def test_definetti_samples_csv_has_the_bytes_of_the_per_cell_writer(tmp_path, config):
+    # samples.csv rows come from statistics.tolist(); the rows built cell by
+    # cell from the same statistics (float(v) of each numpy value, one
+    # writerow per row) give the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["definetti", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    with open(out / "samples.csv") as fh:
+        header, *lines = list(csv.reader(fh))
+    stats = np.array([[float(v) for v in line[1:]] for line in lines])
+    legacy = io.StringIO(newline="")
+    writer = csv.writer(legacy)
+    writer.writerow(header)
+    for i in range(stats.shape[0]):
+        writer.writerow([_legacy_cell(v) for v in [i] + [float(v) for v in stats[i]]])
+    assert (out / "samples.csv").read_bytes() == legacy.getvalue().encode()
+
+
+def test_definetti_residual_verdict_reports_its_multinomial_sd(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FAST_DEFINETTI))
+    out = tmp_path / "out"
+    assert main(["definetti", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    record = json.loads((out / "result.json").read_text())
+    detail = next(v["detail"] for v in record["verdicts"] if v["name"] == "barycenter-residual")
+    # two components of weight w at first-moment masses near 0.2 and 0.8:
+    # the one-pin cylinders give sd sqrt(w (1 - w) 0.6^2 / 200)
+    w = min(c["weight"] for c in record["tables"]["components"])
+    assert detail["bound"] == FAST_DEFINETTI_TOL
+    assert abs(detail["sd"] - math.sqrt(w * (1 - w) * 0.36 / 200)) < 0.002
 
 
 def test_definetti_csv_matches_record_bit_exactly(tmp_path):

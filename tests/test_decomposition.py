@@ -32,8 +32,10 @@ from ergodec.decomposition import (
     almost_invariant_upgrade,
     assemble,
     barycenter_residual,
+    barycenter_residual_sd,
     conditional_measures_exact,
     decompose,
+    directed_statistics,
     ergodicity_test,
     ks_statistic,
     mes_ed_roundtrip,
@@ -44,7 +46,7 @@ from ergodec.decomposition import (
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import NonConvergenceError, ZeroMassError
 from ergodec.groups import act, enumerate_level
-from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
+from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.validation import _product_atoms
 
@@ -250,6 +252,13 @@ def test_decompose_aborts_on_mass_nonconvergence():
     with pytest.raises(NonConvergenceError) as err:
         decompose(nu, constant_one(), cfg)
     assert err.value.diagnostics["bad_fraction"] > 0.01
+
+
+@pytest.mark.parametrize("exchangeable", [True, False])
+def test_decompose_needs_a_sample_point(exchangeable):
+    nu = ProductBernoulli([0.5] * 16 if exchangeable else [0.3, 0.6] * 8)
+    with pytest.raises(ValueError, match="at least one sample point"):
+        decompose(nu, make_rn(nu), DecomposeConfig(samples=0))
 
 
 def test_decompose_stores_the_checked_schedule():
@@ -1116,3 +1125,131 @@ def test_ergodicity_test_with_no_probes_checks_nothing():
         for schedule in (None, (4, 8, 16)):
             verdict = ergodicity_test(nu, rho, DICT2, probes=0, schedule=schedule)
             assert (verdict.verdict, verdict.checks) == ("ergodic", 0)
+
+
+def _exact_statistic_law(nu, head, levels):
+    """Exact probability of every (heads, counts) outcome of nu, summed over
+    its whole window."""
+    law = {}
+    for x in itertools.product((0, 1), repeat=nu.window):
+        key = (x[:head], tuple(sum(x[:n]) for n in levels))
+        law[key] = law.get(key, Fraction(0)) + nu.atom(x)
+    return law
+
+
+def _statistic_tv(nu, sampler, head, levels, size, seed):
+    """Total variation between the exact law of (heads, counts) and the
+    empirical law of ``size`` draws of ``sampler``, and the number of
+    outcomes the exact law gives positive mass."""
+    law = _exact_statistic_law(nu, head, levels)
+    rng = substream(seed, 0)
+    counts, heads = sampler(nu.directing_sample(rng, size), head, levels, rng)
+    seen = {}
+    for key in zip(map(tuple, heads.tolist()), map(tuple, counts.tolist())):
+        seen[key] = seen.get(key, 0) + 1
+    tv = 0.5 * sum(
+        abs(seen.get(key, 0) / size - float(law.get(key, 0))) for key in law.keys() | seen
+    )
+    return tv, len(law)
+
+
+def _one_binomial_per_level(p, head, levels, rng):
+    """A wrong sampler: each level past the head draws its own binomial over
+    the whole stretch from the head, so the counts of two levels are
+    independent instead of nested."""
+    heads = (rng.random((p.shape[0], head)) < p[:, None]).astype(np.uint8)
+    ones = heads.sum(axis=1, dtype=np.int64)
+    counts = np.stack(
+        [heads[:, :n].sum(axis=1, dtype=np.int64) if n <= head
+         else ones + rng.binomial(n - head, p) for n in levels], axis=1)
+    return counts, heads
+
+
+_RATIONAL_MIXTURE = Mixture(
+    [Fraction(1, 3), Fraction(2, 3)],
+    [ProductBernoulli([Fraction(1, 4)] * 8), ProductBernoulli([Fraction(3, 5)] * 8)],
+)
+
+
+@pytest.mark.parametrize("nu", [_RATIONAL_MIXTURE, BetaExchangeable(2, 3, 8)])
+@pytest.mark.parametrize("head, levels", [(2, (1, 4, 8)), (3, (2, 5, 7))])
+def test_directed_statistics_have_the_law_of_the_window(nu, head, levels):
+    # Bretagnolle-Huber-Carol: for K outcomes and N draws,
+    # P(TV >= t) <= 2^K exp(-2 N t^2). The bound below sets that to 1e-9:
+    # a correct sampler crosses it with probability at most 1e-9.
+    size, alarm = 200_000, 1e-9
+    tv, outcomes = _statistic_tv(nu, directed_statistics, head, levels, size, 71)
+    bound = math.sqrt((outcomes * math.log(2) + math.log(1 / alarm)) / (2 * size))
+    assert bound < 0.02
+    assert tv < bound
+    # the same bound rejects counts that ignore the nesting of the levels
+    wrong, _ = _statistic_tv(nu, _one_binomial_per_level, head, levels, size, 71)
+    assert wrong > 5 * bound
+
+
+def test_directed_statistics_count_the_head_within_it():
+    p = np.array([0.0, 1.0, 0.5])
+    counts, heads = directed_statistics(p, 3, (2, 3, 10), substream(72, 0))
+    assert heads.dtype == np.uint8 and heads.shape == (3, 3)
+    assert heads[:2].tolist() == [[0, 0, 0], [1, 1, 1]]
+    assert counts[:2].tolist() == [[0, 0, 0], [2, 3, 10]]
+    assert counts[2, :2].tolist() == [heads[2, :2].sum(), heads[2].sum()]
+
+
+def test_exchangeable_decompose_is_worker_free(monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    mix = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * 512), ProductBernoulli([0.8] * 512)])
+    for nu, mode in ((mix, "finite"), (BetaExchangeable(2, 3, 512), "continuous")):
+        config = DecomposeConfig(samples=300, seed=73, depth=3, width=3, mode=mode)
+        runs = [decompose(nu, constant_one(), replace(config, workers=w)) for w in (1, 2, 3)]
+        for dm in runs[1:]:
+            assert dm.statistics.tobytes() == runs[0].statistics.tobytes()
+            assert (dm.weights, dm.centers) == (runs[0].weights, runs[0].centers)
+    # the patch is live: a non-exchangeable input at two workers reaches it
+    skew = ProductBernoulli([0.2 if i % 2 else 0.3 for i in range(64)])
+    with pytest.raises(AssertionError, match="process pool"):
+        decompose(skew, make_rn(skew), DecomposeConfig(samples=300, seed=73, workers=2))
+
+
+def test_exchangeable_decompose_reads_one_stream():
+    # the statistics are the closed form of directed_statistics drawn from
+    # substream(seed, 0xDF), in point order
+    nu = BetaExchangeable(2, 3, 256)
+    config = DecomposeConfig(samples=50, seed=74, mode="continuous")
+    dm = decompose(nu, constant_one(), config)
+    rng = substream(74, 0xDF)
+    levels = default_schedule(256)[-2:]
+    counts, heads = directed_statistics(nu.directing_sample(rng, 50), 2, levels, rng)
+    keys = [m.indices for m in DICT2.entries]
+    want = closed_form_levels(counts, heads, levels, keys).values[-1]
+    assert dm.statistics.tobytes() == want.tobytes()
+
+
+def test_barycenter_residual_sd_is_the_multinomial_sd():
+    dm = ergodec.decomposition.DecomposingMeasure(
+        mode="finite",
+        labels=("component-0", "component-1"),
+        weights=(0.3, 0.7),
+        centers=(0.2, 0.8),
+        counts=(3, 7),
+        representatives=(ProductBernoulli([0.2] * 8), ProductBernoulli([0.8] * 8)),
+        spreads=(0.0, 0.0),
+        admissible=True,
+        non_converged_fraction=0.0,
+        r1_values=np.zeros(1),
+        statistic_keys=((1,),),
+        statistics=np.zeros((1, 1)),
+        schedule=(1,),
+        mc_samples=0,
+    )
+    # two components: the variance is w(1 - w)(a_0 - a_1)^2, largest on a
+    # one-pin cylinder, where |a_0 - a_1| = 0.6
+    assert math.isclose(barycenter_residual_sd(dm, 3), math.sqrt(0.21 * 0.36 / 10))
+    one = replace(dm, weights=(1.0,), counts=(10,), representatives=dm.representatives[:1])
+    assert barycenter_residual_sd(one, 3) == 0.0
