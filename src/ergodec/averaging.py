@@ -280,54 +280,65 @@ def _esp_log_tables(
     return [found[c] for c in counts]
 
 
-# Newton chunks hold at most about this many floats per (points x
-# components x coordinates) array, so memory does not grow with the block.
+# Newton chunks (ones counts x components x coordinates) and pi chunks
+# (points x coordinates) hold at most about this many floats per array, so
+# memory does not grow with the block.
 # 128 KB arrays kept the quasi-invariant benchmark's peak RSS at the
 # per-point kernel's; 512 KB ones raised it by about 2 MB.
 _NEWTON_FLOATS = 1 << 14
 
 
-def _tilted_inclusion(logit: np.ndarray, m: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _tilted_inclusion(
+    logit: np.ndarray, m: np.ndarray, q: np.ndarray, tilts: Optional[dict] = None
+) -> np.ndarray:
     """Tilted inclusion probabilities of the orbits with m[p] ones among the
     coordinates of ``logit`` (components x n), one row per point p:
-    pi_pi = sum_c q_pc sigma(lam_pc + logit_ci), where lam_pc solves
-    sum_i sigma(lam_pc + logit_ci) = m[p] (Hajek's approximation to
+    pi_pi = sum_c q_pc sigma(lam_c + logit_ci), where lam_c solves
+    sum_i sigma(lam_c + logit_ci) = m[p] (Hajek's approximation to
     conditional-Poisson sampling) and q_pc is the component's share of the
     point's orbit mass. Constant parameters give pi_pi = m[p]/n.
 
-    The Newton steps run on all the points at once; a point leaves at the
-    step where its own test passes (or the 200th), so it takes the steps it
-    would take alone. The target (Python's log) and q_p @ pi_p stay per
-    point, which keeps their bits too.
+    The tilt lam depends on m, not on q, so it is solved once per count and
+    kept in ``tilts`` (m -> lam for this ``logit``; ``product_levels`` keeps
+    one per level on the parts). The Newton steps run on all the new counts
+    at once; a count leaves at the step where its own test passes (or the
+    200th), so it takes the steps it would take alone, and its target stays
+    Python's log. sigma(lam + logit) is formed once per run of equal counts
+    and q_p @ sigma per point, which keeps the bits of a one-point solve.
     """
     n = logit.shape[1]
+    tilts = {} if tilts is None else tilts
     out = np.empty((m.shape[0], n))
     edge = (m == 0) | (m == n)
     out[edge] = (m[edge] == n)[:, None]
     live = np.flatnonzero(~edge)
-    target = np.array([math.log(k / (n - k)) for k in m[live].tolist()]).reshape(-1, 1)
-    ones, q = m[live, None], q[live]
-    # sigma is increasing, so lam = target - max logit undershoots m and
-    # target - min logit overshoots it: Newton steps stay in that bracket,
-    # with bisection when a step would leave it.
-    lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
-    lam = target - logit.mean(axis=1)
-    for it in range(200):
-        if not live.size:
-            break
-        pi = 1.0 / (1.0 + np.exp(-(lam[:, :, None] + logit)))
-        f = pi.sum(axis=2) - ones
-        done = np.all(np.abs(f) <= 1e-12 * n, axis=1) | (it == 199)
-        if done.any():
-            for p in np.flatnonzero(done):
-                out[live[p]] = q[p] @ pi[p]
-            keep = ~done
-            live, ones, q, pi, f, lam, lo, hi = (
-                v[keep] for v in (live, ones, q, pi, f, lam, lo, hi)
-            )
-        lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
-        step = lam - f / (pi * (1.0 - pi)).sum(axis=2)
-        lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    new = np.array(sorted(set(m[live].tolist()) - tilts.keys()), dtype=np.int64)
+    chunk = max(1, _NEWTON_FLOATS // logit.size)
+    for ks in np.split(new, range(chunk, new.size, chunk)):
+        target = np.array([math.log(k / (n - k)) for k in ks.tolist()]).reshape(-1, 1)
+        # sigma is increasing, so lam = target - max logit undershoots m and
+        # target - min logit overshoots it: Newton steps stay in that
+        # bracket, with bisection when a step would leave it.
+        lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
+        lam = target - logit.mean(axis=1)
+        for it in range(200):
+            if not ks.size:
+                break
+            pi = 1.0 / (1.0 + np.exp(-(lam[:, :, None] + logit)))
+            f = pi.sum(axis=2) - ks[:, None]
+            done = np.all(np.abs(f) <= 1e-12 * n, axis=1) | (it == 199)
+            if done.any():
+                tilts.update(zip(ks[done].tolist(), lam[done]))
+                keep = ~done
+                ks, pi, f, lam, lo, hi = (v[keep] for v in (ks, pi, f, lam, lo, hi))
+            lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
+            step = lam - f / (pi * (1.0 - pi)).sum(axis=2)
+            lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    last = None
+    for p, k in zip(live.tolist(), m[live].tolist()):
+        if k != last:
+            sigma, last = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit))), k
+        out[p] = q[p] @ sigma
     return out
 
 
@@ -360,7 +371,8 @@ def product_levels(
     Returns ``(values, slacks, stderrs)`` indexed [level, point, key] and
     [point, key] as in ``LevelTable`` (the empty key is exactly 1.0),
     with this slack and stderr, by the delta method through the tilted
-    inclusion probabilities pi_i at level b (``_tilted_inclusion``),
+    inclusion probabilities pi_i at level b (``_tilted_inclusion``; the tilt
+    is solved once per (level, m) and memoised on the parts' ``tilts``),
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
 
     - slack 3 c_S sqrt(b (V_b - V_a) / ((b - 1) V_a V_b)) for the step
@@ -414,9 +426,12 @@ def product_levels(
         wanted = n > EXACT_LEVEL_CAP and (a is not None or li == len(levels) - 1)
         solve = np.flatnonzero(active.any(axis=1) & wanted)
         q = g.sum(axis=2) / den[:, None]
-        chunk = max(1, _NEWTON_FLOATS // (comps * n))
+        tilts = parts.tilts.setdefault(n, {})
+        # in order of the ones count, so neighbours in a chunk share a tilt
+        solve = solve[np.argsort(m[solve], kind="stable")]
+        chunk = max(1, _NEWTON_FLOATS // n)
         for rows in np.split(solve, range(chunk, solve.size, chunk)):
-            pi = _tilted_inclusion(parts.logit[:, :n], m[rows], q[rows])
+            pi = _tilted_inclusion(parts.logit[:, :n], m[rows], q[rows], tilts)
             cum = np.cumsum(pi * (1.0 - pi), axis=1)
             coef = np.zeros((rows.size, len(keys)))
             for k, s in enumerate(moved):

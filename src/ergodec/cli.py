@@ -2,8 +2,8 @@
 
 Subcommands expose the demonstrators and property suites with reproducible
 configuration: identical (config, seed) produce byte-identical result records
-and CSV series for any worker count. Volatile facts (wall time, worker count)
-go to an uncompared sidecar meta.json.
+and CSV series, in one process; ``--workers`` is accepted and changes nothing.
+Volatile facts (wall time, ``--workers``) go to an uncompared sidecar meta.json.
 
     ergodec validate   --seed 7 --out runs/validate
     ergodec definetti  --config mix.json --seed 42 --out runs/definetti
@@ -155,7 +155,7 @@ def load_config(name: str, path: str | None, overrides: dict) -> dict:
 RunnerOutput = tuple[dict, dict]
 
 
-def run_validate(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+def run_validate(cfg: dict, seed: int) -> RunnerOutput:
     # Imported at call time: the benchmark trace wraps
     # ergodec.validation.run_validation_suite after this module is loaded, and
     # a module-level import would keep the unwrapped function.
@@ -164,7 +164,7 @@ def run_validate(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     return {"verdicts": run_validation_suite(cfg, seed)}, {}
 
 
-def run_definetti(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
     window = cfg["window"]
     continuous = cfg["beta"] is not None
     if continuous:
@@ -187,7 +187,6 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> RunnerOutput:
         min_gap=cfg["min_gap"],
         mode="continuous" if continuous else "finite",
         seed=seed,
-        workers=workers,
         residual_depth=cfg["residual_depth"],
         nonconvergence_threshold=1.0,
     )
@@ -266,7 +265,7 @@ def run_definetti(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     return {"verdicts": verdicts, "tables": tables, "residuals": residuals}, csvs
 
 
-def run_kolmogorov(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+def run_kolmogorov(cfg: dict, seed: int) -> RunnerOutput:
     report = demonstrate_kolmogorov(
         p_low=cfg["p_low"],
         p_high=cfg["p_high"],
@@ -303,7 +302,7 @@ def run_kolmogorov(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     return {"verdicts": verdicts, "tables": {"narrative": [{"text": report.narrative}]}}, {}
 
 
-def run_sigma_finite(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     weights = {int(k): Fraction(v) for k, v in cfg["orbit_weights"].items()}
     nu = OrbitSigmaFinite(weights)
     f = make_fibrewise_f(cfg["base"])
@@ -379,7 +378,7 @@ def run_sigma_finite(cfg: dict, seed: int, workers: int) -> RunnerOutput:
     return {"verdicts": verdicts, "tables": tables}, {"components.csv": (header, rows)}
 
 
-def run_orbital(cfg: dict, seed: int, workers: int) -> RunnerOutput:
+def run_orbital(cfg: dict, seed: int) -> RunnerOutput:
     window = cfg["window"]
     if cfg["bernoulli"] is not None:
         nu = ProductBernoulli([cfg["bernoulli"]] * window)
@@ -423,7 +422,7 @@ def run_experiment(
     name: str, cfg: dict, seed: int, workers: int, out_dir: Path | None
 ) -> ResultRecord:
     started = time.monotonic()
-    fields, csvs = RUNNERS[name](cfg, seed, workers)
+    fields, csvs = RUNNERS[name](cfg, seed)
     record = ResultRecord(experiment=name, config={**cfg, "seed": seed}, **fields)
     elapsed = time.monotonic() - started
     if out_dir is not None:
@@ -450,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", type=str, default=None, help="flat JSON config")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and unused: every run takes one process")
     args = parser.parse_args(argv)
 
     try:

@@ -7,7 +7,7 @@ orbit-collapsed exact averaging. For an argument that declares itself
 exchangeable, rho is identically 1 and ``make_rn`` and ``make_rho_f`` return
 ``constant_one()``.
 
-Constructors avoid closures so cocycles pickle cleanly into worker processes.
+Constructors avoid closures, so cocycles pickle cleanly.
 """
 from __future__ import annotations
 

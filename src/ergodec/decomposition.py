@@ -16,8 +16,10 @@ parameter p, its first bits as Bernoulli(p), and one Binomial(n_i - n_(i-1),
 p) per gap between levels past them. Given p the bits are independent
 Bernoulli(p), so these are independent pieces of disjoint blocks of the
 window, with the law the full window gives them. Every other input draws
-each point, and its Monte Carlo levels, from the point's own child stream.
-Either way results are bit-identical for any worker count.
+each point, and its Monte Carlo levels, from the point's own child stream,
+in blocks of 512 points. Both paths run in one process and read no worker
+count: the CLI's worker-count flag is accepted by every subcommand and
+changes nothing.
 """
 from __future__ import annotations
 
@@ -118,6 +120,9 @@ def pi_phi(
 
 @dataclass(frozen=True)
 class DecomposeConfig:
+    """Settings of ``decompose``, which runs in one process: the CLI's
+    worker-count flag has no field here and changes nothing."""
+
     samples: int = 2000
     schedule: Optional[tuple[int, ...]] = None
     tolerance: float = 0.02
@@ -129,7 +134,6 @@ class DecomposeConfig:
     min_gap: float = 0.05
     mode: str = "finite"  # "finite" (gap clustering) or "continuous" (empirical CDF)
     seed: int = 0
-    workers: int = 1
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
     validate_cocycle: bool = True
@@ -189,31 +193,21 @@ def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
     return rows, level_table(rows, rho, levels, keys, mc_samples, streams)
 
 
-def _point_block(args):
+def _point_block(nu, rho: Cocycle, dictionary: TestDictionary, schedule, tolerance: float,
+                 mc_samples: int, seed: int, indices: Sequence[int]):
     """Limit statistics ``(vals, ses, conv)`` for a block of point
-    indices (one task), rows in index order: ``LevelTable.converged`` on a
+    indices, rows in index order: ``LevelTable.converged`` on a
     ``level_table`` of the block, as in ``pi_phi``.
 
     Each point is drawn from its own ``substream(seed, i)``, which also feeds
     its Monte Carlo levels, so the rows do not depend on how the points are
-    split into blocks or workers.
+    split into blocks.
     """
-    nu, rho, dictionary, schedule, tolerance, mc_samples, seed, indices = args
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]
     streams = [substream(seed, i) for i in indices]
     _, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
     return table.values[-1], table.stderrs[-1], table.converged(tolerance)
-
-
-def _map_blocks(task_args, workers: int):
-    if workers <= 1 or len(task_args) <= 1:
-        return [_point_block(a) for a in task_args]
-    # imported here: only a pool run pays for multiprocessing's import
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_point_block, task_args))
 
 
 def directed_statistics(
@@ -279,11 +273,10 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     parameters (``nu.directing_sample``), all drawn from one stream,
     ``substream(seed, 0xDF)``, and evaluated by ``closed_form_levels`` in one
     call: the closed form reads only the first coordinates and the ones
-    counts, and these have the law the full window gives them. That path
-    starts no process pool, so ``config.workers`` changes nothing there.
-    Every other input is drawn point by point, each point from its own
-    ``substream(seed, i)``, in blocks (``_point_block``) that ``workers``
-    processes share; the split changes no output.
+    counts, and these have the law the full window gives them. Every other
+    input is drawn point by point, each point from its own
+    ``substream(seed, i)``, in blocks of 512 (``_point_block``); the split
+    changes no output. Both paths run in one process.
 
     Finite mode groups by 1-D gaps on the first-moment limit; each
     component's representative is the homogeneous product at its center
@@ -311,26 +304,14 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         table = closed_form_levels(counts, heads, levels, keys)
         vals, conv = table.values[-1], table.converged(config.tolerance)
     else:
-        # One worker takes blocks of 512, which batch the level kernels best.
-        block = 512
-        if config.workers > 1:
-            block = max(1, min(block, math.ceil(m / (config.workers * 8))))
-        task_args = [
-            (
-                nu,
-                rho,
-                dictionary,
-                schedule,
-                config.tolerance,
-                config.mc_samples,
-                config.seed,
-                range(lo, min(lo + block, m)),
-            )
-            for lo in range(0, m, block)
+        # blocks of 512 points batch the level kernels best
+        blocks = [
+            _point_block(nu, rho, dictionary, schedule, config.tolerance, config.mc_samples,
+                         config.seed, range(lo, min(lo + 512, m)))
+            for lo in range(0, m, 512)
         ]
-        results = _map_blocks(task_args, config.workers)
-        vals = np.concatenate([r[0] for r in results])
-        conv = np.concatenate([r[2] for r in results])
+        vals = np.concatenate([b[0] for b in blocks])
+        conv = np.concatenate([b[2] for b in blocks])
 
     point_ok = conv.all(axis=1)
     bad_fraction = float(np.mean(~point_ok))

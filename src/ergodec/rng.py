@@ -1,9 +1,9 @@
 """Deterministic random-stream construction.
 
 All randomness flows through numpy Generators seeded from a 64-bit master
-seed. Parallel work derives one child stream per task index with
-``substream(seed, index)``, so results never depend on how tasks are
-scheduled across workers.
+seed. Per-point work derives one child stream per point index with
+``substream(seed, index)``, so results never depend on how the points are
+split into blocks. Runs take one process: ``--workers`` changes nothing.
 """
 from __future__ import annotations
 
@@ -18,5 +18,5 @@ def stream_from_seed(seed: int) -> RandomStream:
 
 
 def substream(seed: int, *key: int) -> RandomStream:
-    """Child stream for (seed, key...); identical for any worker layout."""
+    """Child stream for (seed, key...); identical for any split into blocks."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))

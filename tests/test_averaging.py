@@ -312,7 +312,7 @@ def test_schedule_outside_the_point_raises(caller, schedule, message):
         elif caller == "pi_phi":
             pi_phi(x, rho, dictionary, schedule)
         elif caller == "point_block":
-            _point_block((nu, rho, dictionary, schedule, 0.02, 40, 0, range(2)))
+            _point_block(nu, rho, dictionary, schedule, 0.02, 40, 0, range(2))
         elif caller == "ergodicity":
             ergodicity_test(nu, rho, dictionary, probes=2, schedule=schedule)
         elif caller == "orbital":
@@ -940,13 +940,16 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
     st.integers(2, 400),
     st.sampled_from([0.0, 1e6]),
     st.integers(1, 40),
+    st.booleans(),
 )
-def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offset, points):
+def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offset, points, few):
     # logits near 1e6 put adjacent values of lam + logit further apart than
     # the convergence test can resolve: some points run all 200 steps
     rng = np.random.default_rng(seed)
     logit = offset * rng.choice([-1.0, 1.0], (comps, 1)) + rng.normal(0, 2, (comps, n))
     m = rng.integers(0, n + 1, points)
+    if few:  # at most 3 ones counts, each shared by many points
+        m = rng.choice(m[:3], points)
     m[0] = 0
     if points > 1:
         m[-1] = n
@@ -955,6 +958,25 @@ def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offse
     got = _tilted_inclusion(logit, m, q)
     want = np.array([_per_point_tilted_inclusion(logit, int(k), qp)[0] for k, qp in zip(m, q)])
     assert got.tobytes() == want.tobytes()
+
+
+def test_product_levels_solve_the_tilt_once_per_ones_count():
+    # 40 points with 3 interior ones counts at the top level: the parts keep
+    # one tilt per count there, and a second call solves none
+    rng = np.random.default_rng(11)
+    window, levels, keys = 64, (32, 64), [(), (1,), (2,), (1, 2)]
+    parts = _parts_of("inhomogeneous", 2, window, rng)
+    bits = np.zeros((40, window), dtype=np.uint8)
+    for row, k in zip(bits, rng.permutation(np.repeat([10, 31, 50], [13, 13, 14]))):
+        row[rng.choice(window, k, replace=False)] = 1
+    first = product_levels(bits, levels, keys, parts)
+    assert sorted(parts.tilts[window]) == [10, 31, 50]
+    solved = [(n, k, lam) for n, t in parts.tilts.items() for k, lam in t.items()]
+    second = product_levels(bits, levels, keys, parts)
+    assert sum(map(len, parts.tilts.values())) == len(solved)
+    assert all(parts.tilts[n][k] is lam for n, k, lam in solved)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_tilted_inclusion_keeps_points_that_never_converge():

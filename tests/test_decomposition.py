@@ -27,7 +27,6 @@ from ergodec.averaging import (
 from ergodec.cocycles import Cocycle, constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
-    _map_blocks,
     _point_block,
     almost_invariant_upgrade,
     assemble,
@@ -773,17 +772,6 @@ def test_exact_level_of_a_vanishing_potential_raises_naming_the_window():
         average_exact(4, make_rn(nu), CylinderMonomial((1,)), (1, 1, 0, 0))
 
 
-@settings(max_examples=4, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([16, 64, 300]))
-def test_product_potential_decompose_bytes_equal_across_workers(seed, window):
-    nu, _ = _bench_mixture(window)
-    config = DecomposeConfig(samples=24, seed=seed, nonconvergence_threshold=1.0)
-    one = decompose(nu, make_rn(nu), config)
-    two = decompose(nu, make_rn(nu), replace(config, workers=2))
-    assert one.statistics.tobytes() == two.statistics.tobytes()
-    assert one.weights == two.weights
-
-
 # sha256 of the limit statistics and of the weights of decompose under the
 # Radon-Nikodym cocycle of product mixtures, recorded on the per-point
 # product-potential kernel (commit c888350) before it was batched.
@@ -922,7 +910,7 @@ def _block_cases(draw):
 def test_batched_point_block_matches_per_point_pi_phi(case):
     nu, dictionary, schedule, tolerance, seed, indices = case
     keys = [m.indices for m in dictionary.entries]
-    got = _point_block(_block_args(*case))
+    got = _point_block(*_block_args(*case))
     want = _per_point_rows(nu, keys, *case[2:])
     _assert_same_bytes(got, want[:3])
     xs = [nu.sample_array(substream(seed, i)) for i in indices]
@@ -950,25 +938,8 @@ def test_batched_point_block_matches_per_point_rows(window, depth):
     nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
                               ProductBernoulli([0.8] * window)])
     case = (nu, dictionary, default_schedule(window), 0.02, 77, range(40))
-    _assert_same_bytes(_point_block(_block_args(*case)),
+    _assert_same_bytes(_point_block(*_block_args(*case)),
                        _per_point_rows(nu, keys, *case[2:])[:3])
-
-
-def test_batched_point_blocks_identical_across_workers():
-    window = 1024
-    nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * window),
-                              ProductBernoulli([0.8] * window)])
-    dictionary = TestDictionary.build(3, 3)
-    keys = [m.indices for m in dictionary.entries]
-    tasks = [
-        _block_args(nu, dictionary, default_schedule(window), 0.02, 5, range(lo, lo + 25))
-        for lo in range(0, 100, 25)
-    ]
-    one, two = _map_blocks(tasks, 1), _map_blocks(tasks, 2)
-    want = _per_point_rows(nu, keys, default_schedule(window), 0.02, 5, range(100))
-    for blocks in (one, two):
-        got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
-        _assert_same_bytes(got, want[:3])
 
 
 @pytest.mark.parametrize("n, depth", [(4096, 5), (2**20, 4)])
@@ -1023,24 +994,9 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
     dictionary = TestDictionary.build(2, 3)
     args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30))
     _assert_same_bytes(
-        _point_block(args),
+        _point_block(*args),
         _product_rows(nu, dictionary, schedule, 0.02, seed, range(30)),
     )
-
-
-def test_product_point_blocks_identical_across_workers():
-    window = 300
-    nu = _three_component_mixture(window)
-    dictionary = TestDictionary.build(2, 2)
-    schedule = default_schedule(window)
-    tasks = [
-        (nu, make_rn(nu), dictionary, schedule, 0.02, 400, 5, range(lo, lo + 15))
-        for lo in range(0, 60, 15)
-    ]
-    want = _product_rows(nu, dictionary, schedule, 0.02, 5, range(60))
-    for blocks in (_map_blocks(tasks, 1), _map_blocks(tasks, 2)):
-        got = [np.concatenate([b[part] for b in blocks]) for part in range(3)]
-        _assert_same_bytes(got, want)
 
 
 # sha256 of the repr of ergodicity_test verdicts and of limit_average reports
@@ -1104,7 +1060,7 @@ def test_point_block_rows_do_not_depend_on_the_split(kind):
     schedule, mc_samples, seed = (4, 8, 32, 64), 200, 23
 
     def block(indices):
-        return _point_block((nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices))
+        return _point_block(nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices)
 
     whole = block(range(30))
     parts = [block(range(0, 7)), block(range(7, 30))]
@@ -1194,27 +1150,6 @@ def test_directed_statistics_count_the_head_within_it():
     assert heads[:2].tolist() == [[0, 0, 0], [1, 1, 1]]
     assert counts[:2].tolist() == [[0, 0, 0], [2, 3, 10]]
     assert counts[2, :2].tolist() == [heads[2, :2].sum(), heads[2].sum()]
-
-
-def test_exchangeable_decompose_is_worker_free(monkeypatch):
-    import concurrent.futures
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    mix = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * 512), ProductBernoulli([0.8] * 512)])
-    for nu, mode in ((mix, "finite"), (BetaExchangeable(2, 3, 512), "continuous")):
-        config = DecomposeConfig(samples=300, seed=73, depth=3, width=3, mode=mode)
-        runs = [decompose(nu, constant_one(), replace(config, workers=w)) for w in (1, 2, 3)]
-        for dm in runs[1:]:
-            assert dm.statistics.tobytes() == runs[0].statistics.tobytes()
-            assert (dm.weights, dm.centers) == (runs[0].weights, runs[0].centers)
-    # the patch is live: a non-exchangeable input at two workers reaches it
-    skew = ProductBernoulli([0.2 if i % 2 else 0.3 for i in range(64)])
-    with pytest.raises(AssertionError, match="process pool"):
-        decompose(skew, make_rn(skew), DecomposeConfig(samples=300, seed=73, workers=2))
 
 
 def test_exchangeable_decompose_reads_one_stream():

@@ -56,5 +56,5 @@ def test_run_validate_calls_the_suite_bound_at_call_time(monkeypatch):
         return []
 
     monkeypatch.setattr(ergodec.validation, "run_validation_suite", fake)
-    ergodec.cli.run_validate({"key": 1}, 5, 1)
+    ergodec.cli.run_validate({"key": 1}, 5)
     assert calls == [({"key": 1}, 5)]
