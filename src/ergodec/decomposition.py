@@ -136,6 +136,8 @@ class DecomposeConfig:
     seed: int = 0
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
+    # Spot-check that nu's atom-ratio cocycle is rho on 8 draws; skipped under
+    # the constant cocycle with an exchangeable nu, where it cannot fail.
     validate_cocycle: bool = True
 
 
@@ -284,6 +286,17 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     Continuous mode keeps the empirical distribution of that limit, with no
     components and no residual. Aborts when more than the configured fraction
     of points fails limit detection.
+
+    With ``config.validate_cocycle`` every input but one first runs the
+    spot-check that nu's atom-ratio cocycle agrees with rho
+    (``_validate_cocycle_agreement``, 8 draws from ``substream(seed,
+    0xC0C)``; ValueError if not). The exception is the closed-form case, the
+    constant cocycle with an exchangeable nu, where the check cannot fail:
+    nu declares ``exchangeable`` from its own parameters (one product
+    parameter, exchangeable components, a Beta mixing law), so an atom's
+    mass depends only on its ones count, which a permutation keeps, and nu's
+    ratio is 1 exactly, the value of ``constant_one()``. Skipping it changes
+    no output, since the check reads a stream of its own.
     """
     window = nu.window
     schedule = checked_schedule(config.schedule, window)
@@ -291,11 +304,12 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     if m < 1:
         raise ValueError("decompose needs at least one sample point")
     dictionary = TestDictionary.build(config.depth, config.width)
-    if config.validate_cocycle:
+    closed_form = rho.is_constant_one and getattr(nu, "exchangeable", False)
+    if config.validate_cocycle and not closed_form:
         _validate_cocycle_agreement(nu, rho, config.seed)
 
     keys = [mo.indices for mo in dictionary.entries]
-    if rho.is_constant_one and getattr(nu, "exchangeable", False):
+    if closed_form:
         levels = schedule[-2:]
         rng = substream(config.seed, 0xDF)
         counts, heads = directed_statistics(

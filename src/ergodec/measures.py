@@ -216,21 +216,22 @@ class ProductBernoulli:
     """Product measure with coordinate success probabilities strictly inside (0,1)."""
 
     def __init__(self, params: Sequence[Scalar]):
-        ps = tuple(map(_as_exact, params))
-        for p in set(ps):  # homogeneous products check one value
+        ps = tuple(params)
+        if set(map(type, ps)) != {float}:  # floats are kept as they are
+            ps = tuple(map(_as_exact, ps))
+        # [p] * window repeats one object, which count finds by identity
+        distinct = {ps[0]} if ps and ps.count(ps[0]) == len(ps) else set(ps)
+        for p in distinct:
             if not (0 < p < 1):
                 raise ValueError("Bernoulli parameters must lie strictly in (0,1)")
         if not ps:
             raise ValueError("at least one coordinate required")
         self.params = ps
+        self.exchangeable = len(distinct) == 1
 
     @property
     def window(self) -> int:
         return len(self.params)
-
-    @cached_property
-    def exchangeable(self) -> bool:
-        return len(set(self.params)) == 1
 
     def mass(self, a: Cylinder) -> Scalar:
         out: Scalar = Fraction(1)

@@ -58,11 +58,47 @@ def cell_str(v: Any) -> str:
     return str(v)
 
 
+def _float_strs(column: tuple[float, ...]) -> list[str]:
+    """``repr`` of each cell of an all-float column, computed once per
+    distinct value. 0.0 and -0.0 share a key but not a repr, so zeros are
+    formatted cell by cell; a NaN finds its own entry by identity."""
+    reprs = {v: repr(v) for v in set(column)}
+    if 0.0 in reprs:
+        return [reprs[v] if v else repr(v) for v in column]
+    return list(map(reprs.__getitem__, column))
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write the header and rows as ``csv.writer`` text: each cell is
+    ``cell_str`` of its value (float ``repr``, ``fraction_str`` for a
+    Fraction, ``str`` otherwise), quoted by the ``csv`` module's minimal
+    rule where it holds a comma, a quote or a line break, and every line
+    ends in ``\r\n``.
+
+    A non-empty rectangular table whose every column holds only Python
+    floats or only Python ints is formatted column by column, each distinct
+    float once, and joined directly: no such cell needs quoting. Any other
+    table goes through ``cell_str`` and ``csv.writer`` cell by cell.
+    """
+    columns = None
+    if rows and len(set(map(len, rows))) == 1 and rows[0]:
+        columns = []
+        for column in zip(*rows):
+            kinds = set(map(type, column))
+            if kinds == {float}:
+                columns.append(_float_strs(column))
+            elif kinds == {int}:
+                columns.append(list(map(str, column)))
+            else:
+                columns = None
+                break
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([cell_str(v) for v in row] for row in rows)
+        if columns is None:
+            writer.writerows([cell_str(v) for v in row] for row in rows)
+        else:
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 @dataclass(frozen=True)

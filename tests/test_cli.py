@@ -92,6 +92,69 @@ def test_write_csv_repr_floats(tmp_path):
     assert lines[2] == "2,0.25"
 
 
+def _write_csv_per_cell(path, header, rows):
+    """``write_csv`` as it stood before it formatted column by column: every
+    cell through ``cell_str`` and ``csv.writer``. The reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell_str(v) for v in row] for row in rows)
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 0.1, 1.0]),
+)
+_CSV_CELLS = st.one_of(
+    _CSV_FLOATS,
+    _CSV_FLOATS.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.fractions(),
+    st.text(st.sampled_from('ab ,"\r\n'), max_size=4),
+)
+# one strategy per column kind: all floats (a few values, heavily repeated),
+# all np.float64, all ints, 0.0 with -0.0, 1 with 1.0 and True, a few values
+# of any kind, and anything
+_CSV_COLUMNS = st.one_of(
+    st.lists(_CSV_FLOATS, min_size=1, max_size=3).map(st.sampled_from),
+    st.just(_CSV_FLOATS),
+    st.just(_CSV_FLOATS.map(np.float64)),
+    st.just(st.integers(-(10**20), 10**20)),
+    st.lists(_CSV_CELLS, min_size=1, max_size=3).map(st.sampled_from),
+    st.just(st.sampled_from([0.0, -0.0])),
+    st.just(st.sampled_from([1, 1.0, True])),
+    st.just(_CSV_CELLS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from('r_1 ,"\n'), max_size=4), max_size=4),
+       st.lists(_CSV_COLUMNS, min_size=1, max_size=4), st.integers(0, 30), st.data())
+def test_write_csv_has_the_bytes_of_the_per_cell_writer(header, kinds, n_rows, data):
+    columns = [data.draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    rows = [list(row) for row in zip(*columns)]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_csv(got, header, rows)
+        _write_csv_per_cell(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[], []],
+    [[""], [0.5]],
+    [[1.5], [], [2, "x,y"], [-0.0, 0.0, math.nan]],
+    [[0.25] * 3] * 5 + [[0.25, 0.25]],
+])
+def test_write_csv_ragged_and_empty_rows(tmp_path, rows):
+    write_csv(tmp_path / "got.csv", ["a"], rows)
+    _write_csv_per_cell(tmp_path / "want.csv", ["a"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_key": 1}))

@@ -1166,6 +1166,36 @@ def test_exchangeable_decompose_reads_one_stream():
     assert dm.statistics.tobytes() == want.tobytes()
 
 
+def test_decompose_spot_check_rejects_a_measure_outside_the_cocycle_class():
+    # an inhomogeneous product is not invariant: its atom ratio is not 1
+    nu = ProductBernoulli([0.3, 0.6] * 8)
+    with pytest.raises(ValueError, match="not in the cocycle class"):
+        decompose(nu, constant_one(), DecomposeConfig(samples=4))
+
+
+def test_exchangeable_decompose_skips_the_spot_check(monkeypatch):
+    calls = []
+    real_sample, real_rn = Mixture.sample, ergodec.decomposition.rn_derivative
+
+    def sample(self, rng):
+        calls.append("sample")
+        return real_sample(self, rng)
+
+    def rn(nu, g, x):
+        calls.append("rn_derivative")
+        return real_rn(nu, g, x)
+
+    monkeypatch.setattr(Mixture, "sample", sample)
+    monkeypatch.setattr(ergodec.decomposition, "rn_derivative", rn)
+    nu = Mixture([Fraction(1, 3), Fraction(2, 3)],
+                 [ProductBernoulli([0.2] * 64), BetaExchangeable(2, 3, 64)])
+    decompose(nu, constant_one(), DecomposeConfig(samples=20, seed=75))
+    assert calls == []
+    # the same spies see the check when it runs on this measure
+    ergodec.decomposition._validate_cocycle_agreement(nu, constant_one(), 75)
+    assert "sample" in calls and "rn_derivative" in calls
+
+
 def test_barycenter_residual_sd_is_the_multinomial_sd():
     dm = ergodec.decomposition.DecomposingMeasure(
         mode="finite",

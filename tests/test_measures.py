@@ -249,10 +249,51 @@ def test_product_params_equal_the_per_coordinate_loop(base, repeat):
     ([0.3, float("nan")], "strictly in (0,1)"),
     ([Fraction(1, 3), 1], "strictly in (0,1)"),
     ([0.2] * 4096 + [1.5], "strictly in (0,1)"),
+    ([0.3] * 4095 + [1.0], "strictly in (0,1)"),
+    ([0.3, 0], "strictly in (0,1)"),
+    ([Fraction(0)], "strictly in (0,1)"),
 ])
 def test_product_params_errors(params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ProductBernoulli(params)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+_IN_RANGE = st.floats(0, 1, exclude_min=True, exclude_max=True)
+# a float, or the same value as a float, an np.float64, an equal Fraction and
+# an equal instance of a Fraction subclass
+_PARAMETER_GROUP = st.one_of(
+    _IN_RANGE.map(lambda x: [x]),
+    _IN_RANGE.flatmap(lambda x: st.lists(
+        st.sampled_from([x, np.float64(x), Fraction(x), _FractionSubclass(x)]),
+        min_size=1, max_size=4)),
+    st.fractions(min_value=0, max_value=1, max_denominator=50)
+    .filter(lambda q: 0 < q < 1).map(lambda q: [q]),
+)
+_OUT_OF_RANGE = [0.0, 1.0, -0.25, 1.5, math.nan, np.float64(1.0), 0, 1, True,
+                 Fraction(0), Fraction(3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PARAMETER_GROUP, min_size=1, max_size=4), st.integers(1, 50),
+       st.sampled_from(_OUT_OF_RANGE), st.data())
+def test_product_constructor_matches_the_per_coordinate_conversion(groups, repeat, bad, data):
+    from ergodec.measures import _as_exact
+
+    params = [p for group in groups for p in group] * repeat
+    want = tuple(map(_as_exact, params))
+    nu = ProductBernoulli(params)
+    assert nu.params == want
+    assert [type(p) for p in nu.params] == [type(p) for p in want]
+    assert nu.exchangeable == (len(set(want)) == 1)
+    assert nu._rational == all(type(p) is Fraction for p in want)
+    at = data.draw(st.integers(0, len(params)))
+    with pytest.raises(ValueError, match=re.escape("strictly in (0,1)")):
+        ProductBernoulli(params[:at] + [bad] + params[at:])
+
 
 def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
