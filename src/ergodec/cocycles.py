@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Config, Permutation, act, haar_sample
+from .groups import Config, Permutation, act
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
@@ -144,6 +144,35 @@ class IdentityReport:
         return self.violations == 0
 
 
+def _identity_triples(
+    trials: int, level: int, window: int, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``trials`` independent triples (g, h, x): g and h uniform on S(level)
+    as rows of one-line images, x uniform on {0,1}^window as uint8 rows. Each
+    array is one draw: g's rows, then h's, then x's."""
+    tile = np.tile(np.arange(1, level + 1), (trials, 1))
+    g = rng.permuted(tile, axis=1)
+    h = rng.permuted(tile, axis=1)
+    x = rng.integers(0, 2, size=(trials, window), dtype=np.uint8)
+    return g, h, x
+
+
+# Values compared exactly by ``_violates``
+_EXACT = (int, Fraction)
+
+# Trials drawn per batch: the arrays of one batch take about
+# _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is.
+_TRIAL_CHUNK = 1024
+
+
+def _violates(lhs: int | Fraction, a: int | Fraction, b: int | Fraction) -> bool:
+    """lhs != a * b, exactly, without normalising a * b: denominators are
+    positive, so p/q == (r/s)(t/u) if and only if p s u == q r t. An int is
+    its own numerator over 1."""
+    return (lhs.numerator * a.denominator * b.denominator
+            != lhs.denominator * a.numerator * b.numerator)
+
+
 def verify_identity(
     rho: Cocycle,
     trials: int,
@@ -153,33 +182,52 @@ def verify_identity(
 ) -> IdentityReport:
     """Check rho(g*h, x) == rho(g, act(h, x)) * rho(h, x) on random triples.
 
-    Rational values are compared exactly; floats by relative error, which
-    must stay within 1e-12. The first violating triple is reported as a
-    witness.
+    The triples have the law of independent draws: g and h Haar on
+    S(level), x uniform on the window. They are drawn in batches of at most
+    ``_TRIAL_CHUNK`` trials (``_identity_triples``), and g*h and act(h, x)
+    are formed on each batch's arrays, so memory does not grow with
+    ``trials``; each trial still builds its three ``Permutation``s and
+    evaluates rho three times. When all three values are ints or Fractions
+    they are compared exactly, by cross-multiplying numerators and
+    denominators; otherwise by relative error, which must stay within
+    1e-12. The first violating triple is reported as a witness
+    (g, h, x, lhs, rhs).
     """
+    if level < 1:
+        raise ValueError("level must be >= 1")
     if window < level:
         raise ValueError("window must cover the sampled level")
     violations = 0
     witness = None
     exact = True
     max_rel = 0.0
-    for _ in range(trials):
-        g = haar_sample(level, rng)
-        h = haar_sample(level, rng)
-        x = tuple(rng.integers(0, 2, size=window).tolist())
-        lhs = rho(g.compose(h), x)
-        rhs = rho(g, act(h, x)) * rho(h, x)
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            bad = lhs != rhs
-        else:
-            exact = False
-            rel = abs(float(lhs) - float(rhs)) / max(abs(float(rhs)), 1e-300)
-            max_rel = max(max_rel, rel)
-            bad = rel > 1e-12
-        if bad:
-            violations += 1
-            if witness is None:
-                witness = (g, h, x, lhs, rhs)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        n = min(_TRIAL_CHUNK, trials - start)
+        g_rows, h_rows, x_rows = _identity_triples(n, level, window, rng)
+        gh_rows = np.take_along_axis(g_rows, h_rows - 1, axis=1)
+        # act(h, x): the bit at coordinate j moves to coordinate h(j)
+        hx_rows = x_rows.copy()
+        hx_rows[np.arange(n)[:, None], h_rows - 1] = x_rows[:, :level]
+        for t in range(n):
+            g = Permutation.from_one_line(g_rows[t].tolist())
+            h = Permutation.from_one_line(h_rows[t].tolist())
+            x = tuple(x_rows[t].tolist())
+            lhs = rho(Permutation.from_one_line(gh_rows[t].tolist()), x)
+            a = rho(g, tuple(hx_rows[t].tolist()))
+            b = rho(h, x)
+            if (isinstance(lhs, _EXACT) and isinstance(a, _EXACT)
+                    and isinstance(b, _EXACT)):
+                bad = _violates(lhs, a, b)
+            else:
+                exact = False
+                rhs = float(a * b)
+                rel = abs(float(lhs) - rhs) / max(abs(rhs), 1e-300)
+                max_rel = max(max_rel, rel)
+                bad = rel > 1e-12
+            if bad:
+                violations += 1
+                if witness is None:
+                    witness = (g, h, x, lhs, a * b)
     return IdentityReport(
         trials=trials,
         violations=violations,

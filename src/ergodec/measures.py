@@ -217,7 +217,8 @@ class ProductBernoulli:
 
     def __init__(self, params: Sequence[Scalar]):
         ps = tuple(params)
-        if set(map(type, ps)) != {float}:  # floats are kept as they are
+        all_float = set(map(type, ps)) == {float}
+        if not all_float:  # floats are kept as they are
             ps = tuple(map(_as_exact, ps))
         # [p] * window repeats one object, which count finds by identity
         distinct = {ps[0]} if ps and ps.count(ps[0]) == len(ps) else set(ps)
@@ -228,13 +229,17 @@ class ProductBernoulli:
             raise ValueError("at least one coordinate required")
         self.params = ps
         self.exchangeable = len(distinct) == 1
+        self._all_float = all_float
 
     @property
     def window(self) -> int:
         return len(self.params)
 
     def mass(self, a: Cylinder) -> Scalar:
-        out: Scalar = Fraction(1)
+        # Fraction(1) * p is the float 1.0 * p, so float parameters start
+        # from 1.0 and skip Fraction's mixed-type operator; the empty
+        # cylinder keeps its exact 1
+        out: Scalar = 1.0 if a.pins and self._all_float else Fraction(1)
         for pos, bit in a.pins:
             if pos > self.window:
                 raise ValueError("pinned position outside the window")
@@ -245,6 +250,12 @@ class ProductBernoulli:
     @cached_property
     def _rational(self) -> bool:
         return all(type(p) is Fraction for p in self.params)
+
+    @cached_property
+    def _factors(self) -> tuple[tuple[int, int], ...]:
+        # per coordinate p = a/b, the numerators of 1 - p and p over b:
+        # (b - a, a), indexed by the bit
+        return tuple((p.denominator - p.numerator, p.numerator) for p in self.params)
 
     def atom(self, x: Config) -> Scalar:
         """Product of p or 1 - p over the window. With rational parameters
@@ -274,12 +285,12 @@ class ProductBernoulli:
         """
         if self._rational:
             check_degree(g, len(x))
-            params = self.params
+            factors = self._factors
             num = den = 1
             for j, gj in g.moves():
-                bit, q, p = x[j - 1], params[gj - 1], params[j - 1]
-                num *= q.numerator if bit == 1 else q.denominator - q.numerator
-                den *= p.numerator if bit == 1 else p.denominator - p.numerator
+                bit = x[j - 1]
+                num *= factors[gj - 1][bit]
+                den *= factors[j - 1][bit]
             return Fraction(num, den)
         y = act(g, x)
         moved = [(i, self.params[i - 1]) for i in g.support]
@@ -298,9 +309,12 @@ class ProductBernoulli:
 
     @cached_property
     def _float_params(self) -> np.ndarray:
-        # Converting exact parameters one by one dominates sampling at wide
-        # windows, so it is done once per measure.
-        return np.array([float(q) for q in self.params])
+        # Converting parameters dominates sampling at wide windows, so it is
+        # done once per measure: one value for a homogeneous product, else
+        # one C pass that calls each parameter's __float__, as float(q) does.
+        if self.exchangeable:
+            return np.full(self.window, float(self.params[0]))
+        return np.array(self.params, dtype=np.float64)
 
     @cached_property
     def _log_terms(self) -> tuple[float, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -51,7 +52,7 @@ class GeometricWeight:
         """f(act(g, x)) / f(x) as one integer power over the coordinates g
         moves; DegreeOverflowError, as from ``act``, past the window."""
         check_degree(g, len(x))
-        return Fraction(self.base) ** sum(j - g(j) for j in g.support if x[j - 1])
+        return Fraction(self.base) ** sum(j - gj for j, gj in g.moves() if x[j - 1])
 
     def log_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:
@@ -60,11 +61,13 @@ class GeometricWeight:
         positions = np.arange(1, rows.shape[1] + 1, dtype=np.float64)
         return -math.log(self.base) * (rows @ positions)
 
+    @lru_cache(maxsize=256)
     def orbit_mass(self, k: int, window: int | None = None) -> Fraction:
         """Exact sum of f over the orbit with k ones: the Gaussian binomial
         q^(k(k+1)/2) prod_{j=1..k} (1 - q^(window-k+j)) / (1 - q^j), q = 1/base.
         On the idealized scale (window None) the numerator factors are 1; on
-        a window smaller than k one of them is 0.
+        a window smaller than k one of them is 0. The last 256 (weight, k,
+        window) are memoised: a run asks for the same few orbits many times.
         """
         if k < 0:
             raise ValueError("orbit labels are nonnegative")

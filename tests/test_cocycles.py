@@ -1,15 +1,19 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodec.averaging import EXACT_LEVEL_CAP, default_schedule, level_table
 from ergodec.cocycles import (
+    _TRIAL_CHUNK,
     Cocycle,
+    _identity_triples,
+    _violates,
     constant_one,
     make_rho_f,
     make_rn,
@@ -17,7 +21,7 @@ from ergodec.cocycles import (
 )
 from ergodec.decomposition import pi_phi
 from ergodec.dictionary import TestDictionary
-from ergodec.groups import Permutation, act, haar_sample, level_orbit
+from ergodec.groups import Permutation, act, compose, haar_sample, level_orbit
 from ergodec.measures import (
     AtomicMeasure,
     BetaExchangeable,
@@ -129,28 +133,84 @@ def test_verify_identity_catches_an_off_by_one_weight_ratio():
     assert verify_identity(make_rho_f(GeometricWeight(4)), 500, 3, 6, substream(37, 2)).ok
 
 
-def _first_witness_by_elementwise_draws(rho, trials, level, window, rng):
-    """verify_identity's loop with its triples drawn element by element."""
-
-    def draw_permutation():
-        images = rng.permutation(level)
-        return Permutation({i + 1: int(images[i]) + 1 for i in range(level)})
-
-    for _ in range(trials):
-        g, h = draw_permutation(), draw_permutation()
-        x = tuple(int(b) for b in rng.integers(0, 2, size=window))
-        lhs, rhs = rho(g.compose(h), x), rho(g, act(h, x)) * rho(h, x)
+def _brute_force_verdicts(rho, trials, level, window, rng):
+    """verify_identity's violation count and first witness, from the same
+    batched triples taken one at a time through compose and act."""
+    violations, witness = 0, None
+    draws = (_identity_triples(min(_TRIAL_CHUNK, trials - start), level, window, rng)
+             for start in range(0, trials, _TRIAL_CHUNK))
+    for g_row, h_row, x_row in itertools.chain.from_iterable(zip(*d) for d in draws):
+        g = Permutation.from_one_line([int(v) for v in g_row])
+        h = Permutation.from_one_line([int(v) for v in h_row])
+        x = tuple(int(b) for b in x_row)
+        lhs, rhs = rho(compose(g, h), x), rho(g, act(h, x)) * rho(h, x)
         if lhs != rhs:
-            return g, h, x, lhs, rhs
-    return None
+            violations += 1
+            witness = witness or (g, h, x, lhs, rhs)
+    return violations, witness
 
 
-def test_verify_identity_tests_the_elementwise_triples():
+@pytest.mark.parametrize(
+    "trials, level, window", [(500, 3, 6), (500, 5, 6), (2 * _TRIAL_CHUNK + 7, 3, 6)]
+)
+def test_verify_identity_finds_the_brute_force_witness(trials, level, window):
     rho = make_rho_f(_OffByOneFactor(4))
-    got = verify_identity(rho, 500, 3, 6, substream(37, 2)).first_witness
-    want = _first_witness_by_elementwise_draws(rho, 500, 3, 6, substream(37, 2))
-    assert want is not None and got == want
-    assert all(type(b) is int for b in got[2])
+    rep = verify_identity(rho, trials, level, window, substream(37, 2))
+    violations, witness = _brute_force_verdicts(rho, trials, level, window, substream(37, 2))
+    assert witness is not None
+    assert (rep.violations, rep.first_witness) == (violations, witness)
+    assert all(type(b) is int for b in rep.first_witness[2])
+
+
+def _int_or_fraction(value, g, x):
+    """A constant cocycle that returns ``value`` as a Python int on half
+    the configurations and as a Fraction on the rest."""
+    return value if x[0] == 0 else Fraction(value)
+
+
+@pytest.mark.parametrize("value, violated", [(1, False), (2, True)])
+def test_verify_identity_compares_int_values_exactly(value, violated):
+    rho = Cocycle(eval_fn=partial(_int_or_fraction, value), potential=lambda x: 1)
+    rep = verify_identity(rho, 200, 3, 6, substream(41, 0))
+    assert rep.exact and rep.violations == (200 if violated else 0)
+
+
+def _pair_tv(sampler, size, seed):
+    """Total variation between the uniform law on S(3) x S(3) and the
+    empirical law of ``size`` (g, h) pairs drawn by ``sampler``."""
+    g, h, _ = sampler(size, 3, 3, substream(seed, 0))
+    digits = np.array([16, 4, 1])
+    seen = dict(zip(*np.unique(g @ digits * 64 + h @ digits, return_counts=True)))
+    codes = [np.array(p) @ digits for p in itertools.permutations((1, 2, 3))]
+    law = {a * 64 + b: 1 / 36 for a in codes for b in codes}
+    return 0.5 * sum(abs(seen.get(k, 0) / size - law.get(k, 0)) for k in law.keys() | seen)
+
+
+def _h_equal_to_g(trials, level, window, rng):
+    """A wrong sampler: g and h each Haar, but h = g."""
+    g, _, x = _identity_triples(trials, level, window, rng)
+    return g, g.copy(), x
+
+
+def test_identity_triples_have_the_law_of_independent_haar_pairs():
+    # Bretagnolle-Huber-Carol, as in the directed-statistics law test: for
+    # K outcomes and N draws, P(TV >= t) <= 2^K exp(-2 N t^2), set to 1e-9.
+    size, alarm, outcomes = 200_000, 1e-9, 36
+    bound = math.sqrt((outcomes * math.log(2) + math.log(1 / alarm)) / (2 * size))
+    assert bound < 0.02
+    assert _pair_tv(_identity_triples, size, 38) < bound
+    # the same bound rejects a sampler whose g and h have the right marginals
+    assert _pair_tv(_h_equal_to_g, size, 38) > 5 * bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.fractions(), st.fractions(), st.booleans())
+@example(1, 1, Fraction(1), False)
+@example(Fraction(3, 2), 3, Fraction(1, 2), False)
+@example(2, 1, 1, False)
+def test_cross_multiplied_verdict_is_the_fraction_comparison(lhs, a, b, equal):
+    lhs = a * b if equal else lhs
+    assert _violates(lhs, a, b) == (lhs != a * b)
 
 
 def test_weight_and_rn_agree_when_density_proportional():

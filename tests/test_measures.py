@@ -295,6 +295,28 @@ def test_product_constructor_matches_the_per_coordinate_conversion(groups, repea
         ProductBernoulli(params[:at] + [bad] + params[at:])
 
 
+def _mass_by_running_product(params, pins):
+    """``ProductBernoulli.mass`` as it stood: a running product from
+    Fraction(1) over the pinned coordinates."""
+    out = Fraction(1)
+    for pos, bit in pins:
+        p = params[pos - 1]
+        out = out * (p if bit == 1 else (1 - p))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PARAMETER_GROUP, min_size=1, max_size=4), st.integers(1, 20), st.data())
+def test_product_float_params_and_mass_match_the_per_coordinate_loops(groups, repeat, data):
+    nu = ProductBernoulli([p for group in groups for p in group] * repeat)
+    want = np.array([float(q) for q in nu.params])
+    assert nu._float_params.tobytes() == want.tobytes()
+    positions = data.draw(st.lists(st.integers(1, nu.window), unique=True, max_size=8))
+    pins = Cylinder.of({pos: data.draw(st.integers(0, 1)) for pos in positions})
+    got, want = nu.mass(pins), _mass_by_running_product(nu.params, pins.pins)
+    assert type(got) is type(want) and got == want
+
+
 def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
     rng = substream(17, 0)
