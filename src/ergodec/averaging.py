@@ -11,7 +11,8 @@ once. Other cocycles are exact up to S(8) (``EXACT_LEVEL_CAP``; rational
 arithmetic when the inputs are rational). Above that, a potential with
 log-linear parts (``make_rn`` of an inhomogeneous product Bernoulli measure
 or a mixture of them) takes ``product_levels`` for cylinder monomials, an
-exact float orbit sum over a batch of points; everything else takes
+exact float orbit sum over a batch of points, with a delta-method slack from
+moments kept once per ones count (``_count_moments``); everything else takes
 self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
 cocycle's potential (``mc_level_values``, the one Monte Carlo estimator).
 ``level_table`` is the one place that picks among these engines;
@@ -280,43 +281,41 @@ def _esp_log_tables(
     return [found[c] for c in counts]
 
 
-# Newton chunks (ones counts x components x coordinates) and pi chunks
-# (points x coordinates) hold at most about this many floats per array, so
-# memory does not grow with the block.
+# Newton chunks (ones counts x components x coordinates) hold at most about
+# this many floats, so memory does not grow with the number of new counts.
 # 128 KB arrays kept the quasi-invariant benchmark's peak RSS at the
 # per-point kernel's; 512 KB ones raised it by about 2 MB.
 _NEWTON_FLOATS = 1 << 14
 
 
-def _tilted_inclusion(
-    logit: np.ndarray, m: np.ndarray, q: np.ndarray, tilts: Optional[dict] = None
-) -> np.ndarray:
-    """Tilted inclusion probabilities of the orbits with m[p] ones among the
-    coordinates of ``logit`` (components x n), one row per point p:
-    pi_pi = sum_c q_pc sigma(lam_c + logit_ci), where lam_c solves
-    sum_i sigma(lam_c + logit_ci) = m[p] (Hajek's approximation to
-    conditional-Poisson sampling) and q_pc is the component's share of the
-    point's orbit mass. Constant parameters give pi_pi = m[p]/n.
+def _moments(s: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i s_i (1 - s_i)^T over the columns i <= a and i > a of s
+    (components x coordinates), one elementwise product and sum per entry."""
+    t = 1.0 - s
+    return tuple(
+        np.array([[(s[c, r] * t[d, r]).sum() for d in range(len(s))] for c in range(len(s))])
+        for r in (slice(0, a), slice(a, None))
+    )
 
-    The tilt lam depends on m, not on q, so it is solved once per count and
-    kept in ``tilts`` (m -> lam for this ``logit``; ``product_levels`` keeps
-    one per level on the parts). The Newton steps run on all the new counts
-    at once; a count leaves at the step where its own test passes (or the
-    200th), so it takes the steps it would take alone, and its target stays
-    Python's log. sigma(lam + logit) is formed once per run of equal counts
-    and q_p @ sigma per point, which keeps the bits of a one-point solve.
+
+def _count_moments(logit: np.ndarray, a: int, held: list, counts: list, memo: dict) -> None:
+    """Add to ``memo`` each ones count 0 < k < n in ``counts`` that it lacks:
+    k -> (lam, M_a, M_gap, s at the 1-based ``held`` coordinates), where lam_c
+    solves sum_i sigma(lam_c + logit_ci) = k over the n columns of ``logit``
+    (Hajek's approximation to conditional-Poisson sampling), s = sigma(lam +
+    logit) and (M_a, M_gap) = ``_moments(s, a)``. With component shares q
+    summing to 1, pi_i = q . s_i has sum_(i <= a) pi_i (1 - pi_i) = q^T M_a q.
+
+    The Newton steps run on all the new counts at once; a count leaves at
+    the step where its own test passes (or the 200th), so it takes the steps
+    it would take alone, and its target stays Python's log.
     """
     n = logit.shape[1]
-    tilts = {} if tilts is None else tilts
-    out = np.empty((m.shape[0], n))
-    edge = (m == 0) | (m == n)
-    out[edge] = (m[edge] == n)[:, None]
-    live = np.flatnonzero(~edge)
-    new = np.array(sorted(set(m[live].tolist()) - tilts.keys()), dtype=np.int64)
+    new = np.array(sorted(set(counts) - memo.keys()), dtype=np.int64)
     chunk = max(1, _NEWTON_FLOATS // logit.size)
     for ks in np.split(new, range(chunk, new.size, chunk)):
         target = np.array([math.log(k / (n - k)) for k in ks.tolist()]).reshape(-1, 1)
-        # sigma is increasing, so lam = target - max logit undershoots m and
+        # sigma is increasing, so lam = target - max logit undershoots k and
         # target - min logit overshoots it: Newton steps stay in that
         # bracket, with bisection when a step would leave it.
         lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
@@ -328,18 +327,13 @@ def _tilted_inclusion(
             f = pi.sum(axis=2) - ks[:, None]
             done = np.all(np.abs(f) <= 1e-12 * n, axis=1) | (it == 199)
             if done.any():
-                tilts.update(zip(ks[done].tolist(), lam[done]))
+                for k, lam_k, s in zip(ks[done].tolist(), lam[done], pi[done]):
+                    memo[k] = (lam_k, *_moments(s, a), s[:, [i - 1 for i in held]])
                 keep = ~done
                 ks, pi, f, lam, lo, hi = (v[keep] for v in (ks, pi, f, lam, lo, hi))
             lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
             step = lam - f / (pi * (1.0 - pi)).sum(axis=2)
             lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-    last = None
-    for p, k in zip(live.tolist(), m[live].tolist()):
-        if k != last:
-            sigma, last = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit))), k
-        out[p] = q[p] @ sigma
-    return out
 
 
 def product_levels(
@@ -371,16 +365,17 @@ def product_levels(
     Returns ``(values, slacks, stderrs)`` indexed [level, point, key] and
     [point, key] as in ``LevelTable`` (the empty key is exactly 1.0),
     with this slack and stderr, by the delta method through the tilted
-    inclusion probabilities pi_i at level b (``_tilted_inclusion``; the tilt
-    is solved once per (level, m) and memoised on the parts' ``tilts``),
+    inclusion probabilities pi_i at level b,
     V_A = sum_(i in A) pi_i (1 - pi_i), c_S = prod_(S') pi_i sum_(S') (1 - pi_i):
 
     - slack 3 c_S sqrt(b (V_b - V_a) / ((b - 1) V_a V_b)) for the step
       a -> b, b > 8 (0 otherwise);
     - stderr c_S / sqrt(V_b) at the last level b > 8 (0 otherwise).
 
-    With constant parameters pi_i = m_b/b and these are exactly
-    3 ``level_gap_sd`` and the stderr of ``closed_form_levels``.
+    V_a and V_b - V_a are quadratic forms in the point's component shares,
+    of matrices kept per (b, m_b) on the parts (``_count_moments``). With
+    constant parameters pi_i = m_b/b and these are 3 ``level_gap_sd`` and
+    the stderr of ``closed_form_levels``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if levels[-1] > bits.shape[1]:
@@ -422,27 +417,31 @@ def product_levels(
             # a row-major copy, so each row is summed as one point's array is
             v = np.ascontiguousarray(per_subset[:, holds]).sum(axis=1) / den
             values[li, :, k] = np.where(alive, np.where(v < 1.0, v, 1.0), 0.0)
-        # level b's pi serves the step a -> b and the last level's stderr
+        # level b's moments serve the step a -> b and the last level's stderr
         wanted = n > EXACT_LEVEL_CAP and (a is not None or li == len(levels) - 1)
-        solve = np.flatnonzero(active.any(axis=1) & wanted)
-        q = g.sum(axis=2) / den[:, None]
-        tilts = parts.tilts.setdefault(n, {})
-        # in order of the ones count, so neighbours in a chunk share a tilt
-        solve = solve[np.argsort(m[solve], kind="stable")]
-        chunk = max(1, _NEWTON_FLOATS // n)
-        for rows in np.split(solve, range(chunk, solve.size, chunk)):
-            pi = _tilted_inclusion(parts.logit[:, :n], m[rows], q[rows], tilts)
-            cum = np.cumsum(pi * (1.0 - pi), axis=1)
+        rows = np.flatnonzero(active.any(axis=1) & (m > 0) & (m < n) & wanted)
+        if rows.size:
+            moments = parts.moments.setdefault((n, a or 0, tuple(held)), {})
+            ks, inv = np.unique(m[rows], return_inverse=True)
+            _count_moments(parts.logit[:, :n], a or 0, held, ks.tolist(), moments)
+            entries = list(zip(*(moments[k] for k in ks.tolist())))
+            m_a, m_gap, s_held = (np.stack(v)[inv] for v in entries[1:])
+            q = (g[rows].sum(axis=2) / den[rows, None])[:, :, None]
+            # fixed-order elementwise sums: a matmul over the rows rounds with the block
+            v_a, v_gap = (
+                sum(q[:, c] * mats[:, c, d, None] * q[:, d] for c, d in np.ndindex(comps, comps))
+                for mats in (m_a, m_gap)
+            )
+            v_b = v_a + v_gap
+            pi_held = sum(q[:, c] * s_held[:, c] for c in range(comps))
             coef = np.zeros((rows.size, len(keys)))
             for k, s in enumerate(moved):
-                cols = [pi[:, i - 1] for i in s]
+                cols = [pi_held[:, held.index(i)] for i in s]
                 coef[:, k] = math.prod(cols) * sum(1.0 - c for c in cols) if s else 0.0
             coef[~active[rows]] = 0.0
-            v_b = cum[:, n - 1 : n]
             with np.errstate(divide="ignore", invalid="ignore"):
                 if a is not None:
-                    v_a = cum[:, a - 1 : a]
-                    gap = np.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
+                    gap = np.sqrt(n * v_gap / ((n - 1) * v_a * v_b))
                     slacks[li, rows] = np.where(v_a > 0.0, 3.0 * coef * gap, 0.0)
                 if li == len(levels) - 1:
                     stderrs[rows] = np.where(v_b > 0.0, coef / np.sqrt(v_b), 0.0)

@@ -76,7 +76,7 @@ SCHEMAS: dict[str, dict] = {
         "window": 4096,
         "samples": 10000,
         "max_label": 3,
-        "frequency_tolerance": 0.02,
+        "frequency_tolerance": 0.025,  # 5 binomial sd of the mass at 10000 samples
     },
     "sigma-finite": {
         "orbit_weights": {"1": "2", "2": "3", "3": "1"},

@@ -78,14 +78,14 @@ class LogLinearParts:
     For a product Bernoulli component, logit[c, i] = log(p_ci / (1 - p_ci))
     and const[c] = log w_c + sum_i log(1 - p_ci). ``tables`` memoises the
     elementary-symmetric tables that ``averaging.product_levels`` builds from
-    them, and ``tilts`` its tilts, level -> {ones count -> one tilt per
-    component}; they depend on the measure and the levels, never on the point.
+    them, and ``moments`` its slack moments (``averaging._count_moments``);
+    they depend on the measure and the levels, never on the point.
     """
 
     const: np.ndarray  # (components,)
     logit: np.ndarray  # (components, window)
     tables: dict = field(default_factory=dict, repr=False)
-    tilts: dict = field(default_factory=dict, repr=False)
+    moments: dict = field(default_factory=dict, repr=False)
 
 
 def _bits(x) -> np.ndarray:

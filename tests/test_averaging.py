@@ -12,8 +12,9 @@ import ergodec.averaging as averaging
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     AveragingReport,
+    _count_moments,
     _esp_log_tables,
-    _tilted_inclusion,
+    _moments,
     average_exact,
     conditional_expectation_check,
     default_schedule,
@@ -803,11 +804,18 @@ def test_product_levels_of_a_mixture_follow_the_component_that_holds_the_orbit(s
 
 
 def _per_point_tilted_inclusion(logit, m, q):
-    """The Newton solve for one point, as it stood before it was batched,
-    with the number of steps it took (200: the loop ran out)."""
+    """The Newton solve for one point, as it stood before it was batched:
+    its inclusion probabilities pi and 1 - pi, the number of steps it took
+    (200: the loop ran out) and its tilt (None when m is 0 or n).
+
+    pi and 1 - pi are mixed from sigma and 1 - sigma over the components in
+    a fixed order of elementwise products. A BLAS ``q @ sigma`` fuses
+    multiply-adds, and ``1.0 - pi`` cancels: near pi_i = 1 a one-ulp change
+    in pi_i moves 1 - pi_i by a relative 1e-16 / (1 - pi_i), which put this
+    reference 5e-12 away from exact variance sums the kernel met to 1 ulp."""
     n = logit.shape[1]
     if m == 0 or m == n:
-        return np.full(n, float(m == n)), 0
+        return (np.full(n, float(m == n)), np.full(n, float(m != n))), 0, None
     target = math.log(m / (n - m))
     lo, hi = target - logit.max(axis=1), target - logit.min(axis=1)
     lam = target - logit.mean(axis=1)
@@ -821,7 +829,8 @@ def _per_point_tilted_inclusion(logit, m, q):
         lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
         step = lam - f / (pi * (1.0 - pi)).sum(axis=1)
         lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-    return q @ pi, steps
+    mixed = tuple(sum(qc * row for qc, row in zip(q, v)) for v in (pi, 1.0 - pi))
+    return mixed, steps, lam
 
 
 def _per_point_product_levels(x, levels, keys, parts):
@@ -863,8 +872,11 @@ def _per_point_product_levels(x, levels, keys, parts):
         values.append(row)
         slack = [0.0] * len(keys)
         if n > EXACT_LEVEL_CAP and any(moved):
-            pi, _ = _per_point_tilted_inclusion(parts.logit[:, :n], m, g.sum(axis=1) / den)
-            cum = np.cumsum(pi * (1.0 - pi))
+            (pi, rest), _, _ = _per_point_tilted_inclusion(
+                parts.logit[:, :n], m, g.sum(axis=1) / den
+            )
+            var = pi * rest
+            cum = np.cumsum(var)
             coef = [
                 float(math.prod(pi[i - 1] for i in s) * sum(1.0 - pi[i - 1] for i in s))
                 if s else 0.0
@@ -872,9 +884,10 @@ def _per_point_product_levels(x, levels, keys, parts):
             ]
             v_b = float(cum[n - 1])
             if a is not None:
-                v_a = float(cum[a - 1])
+                # the gap's own sum: v_b - v_a cancels when a is near n
+                v_a, v_gap = float(cum[a - 1]), float(np.cumsum(var[a:])[-1])
                 if v_a > 0.0:
-                    gap = math.sqrt(n * (v_b - v_a) / ((n - 1) * v_a * v_b))
+                    gap = math.sqrt(n * v_gap / ((n - 1) * v_a * v_b))
                     slack = [3.0 * c * gap for c in coef]
         slacks.append(slack)
         a = n
@@ -929,8 +942,26 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
     values = np.array([w[0] for w in want]).transpose(1, 0, 2)
     slacks = np.array([w[1] for w in want]).transpose(1, 0, 2)
     stderrs = np.array([w[2] for w in want])
-    for g, w in zip(got, (values, slacks, stderrs)):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[0].shape == values.shape and got[0].tobytes() == values.tobytes()
+    # The kernel takes V_a and V_b - V_a as quadratic forms of per-count
+    # moments, the reference as cumulative sums of pi (1 - pi): the same
+    # sums, rounded differently.
+    for g, w in zip(got[1:], (slacks, stderrs)):
+        assert g.shape == w.shape and np.array_equal(g == 0.0, w == 0.0)
+        assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w))
+
+
+def _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo):
+    """Each count's tilt is the per-point solve's, byte for byte, and so are
+    the sigma columns and moments derived from it."""
+    cols = [i - 1 for i in held]
+    for k, qp in zip(m.tolist(), q):
+        lam = _per_point_tilted_inclusion(logit, k, qp)[2]
+        got_lam, m_a, m_gap, s_held = memo[k]
+        assert got_lam.tobytes() == lam.tobytes()
+        s = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
+        assert s_held.tobytes() == s[:, cols].tobytes()
+        assert b"".join(v.tobytes() for v in _moments(s, a)) == m_a.tobytes() + m_gap.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -944,25 +975,24 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
 )
 def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offset, points, few):
     # logits near 1e6 put adjacent values of lam + logit further apart than
-    # the convergence test can resolve: some points run all 200 steps
+    # the convergence test can resolve: some counts run all 200 steps
     rng = np.random.default_rng(seed)
     logit = offset * rng.choice([-1.0, 1.0], (comps, 1)) + rng.normal(0, 2, (comps, n))
-    m = rng.integers(0, n + 1, points)
+    m = rng.integers(1, n, points)
     if few:  # at most 3 ones counts, each shared by many points
         m = rng.choice(m[:3], points)
-    m[0] = 0
-    if points > 1:
-        m[-1] = n
     q = rng.random((points, comps))
     q /= q.sum(axis=1, keepdims=True)
-    got = _tilted_inclusion(logit, m, q)
-    want = np.array([_per_point_tilted_inclusion(logit, int(k), qp)[0] for k, qp in zip(m, q)])
-    assert got.tobytes() == want.tobytes()
+    a, held = int(rng.integers(0, n)), sorted({int(i) for i in rng.integers(1, n + 1, 3)})
+    memo = {}
+    _count_moments(logit, a, held, m.tolist(), memo)
+    assert sorted(memo) == sorted(set(m.tolist()))
+    _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo)
 
 
 def test_product_levels_solve_the_tilt_once_per_ones_count():
     # 40 points with 3 interior ones counts at the top level: the parts keep
-    # one tilt per count there, and a second call solves none
+    # one entry per count there, and a second call solves none
     rng = np.random.default_rng(11)
     window, levels, keys = 64, (32, 64), [(), (1,), (2,), (1, 2)]
     parts = _parts_of("inhomogeneous", 2, window, rng)
@@ -970,29 +1000,57 @@ def test_product_levels_solve_the_tilt_once_per_ones_count():
     for row, k in zip(bits, rng.permutation(np.repeat([10, 31, 50], [13, 13, 14]))):
         row[rng.choice(window, k, replace=False)] = 1
     first = product_levels(bits, levels, keys, parts)
-    assert sorted(parts.tilts[window]) == [10, 31, 50]
-    solved = [(n, k, lam) for n, t in parts.tilts.items() for k, lam in t.items()]
+    assert list(parts.moments) == [(window, 32, (1, 2))]
+    assert sorted(parts.moments[window, 32, (1, 2)]) == [10, 31, 50]
+    solved = [(key, k, entry) for key, t in parts.moments.items() for k, entry in t.items()]
     second = product_levels(bits, levels, keys, parts)
-    assert sum(map(len, parts.tilts.values())) == len(solved)
-    assert all(parts.tilts[n][k] is lam for n, k, lam in solved)
+    assert sum(map(len, parts.moments.values())) == len(solved)
+    assert all(parts.moments[key][k] is entry for key, k, entry in solved)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
 
 
 def test_tilted_inclusion_keeps_points_that_never_converge():
-    # A batch where some points pass the convergence test in two steps and
+    # A batch where some counts pass the convergence test in two steps and
     # others never do (200 steps, no break): each leaves at its own step.
     rng = np.random.default_rng(5)
     n = 300
     logit = 1e6 + rng.normal(0, 0.1, (2, n))
     logit[1] -= 2e6
-    m = np.array([0, n, 1, 5, 150, 299, 77, 200] * 5)
+    m = np.array([1, 5, 150, 299, 77, 200] * 5)
     q = rng.random((len(m), 2))
     q /= q.sum(axis=1, keepdims=True)
-    want = [_per_point_tilted_inclusion(logit, int(k), qp) for k, qp in zip(m, q)]
-    assert {s for _, s in want} >= {0, 2, 200}
-    got = _tilted_inclusion(logit, m, q)
-    assert got.tobytes() == np.array([pi for pi, _ in want]).tobytes()
+    steps = {_per_point_tilted_inclusion(logit, int(k), qp)[1] for k, qp in zip(m, q)}
+    assert steps >= {2, 200}
+    memo = {}
+    _count_moments(logit, 150, [1, 2, 300], m.tolist(), memo)
+    _assert_moments_match_the_per_point_solve(logit, 150, [1, 2, 300], m, q, memo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda comps: st.integers(1, 60).flatmap(lambda n: st.tuples(
+        # s at least 1e-200, so that q_c q_d s (1 - s) stays a normal float
+        st.lists(
+            st.lists(st.floats(1e-200, 1.0, exclude_max=True), min_size=n, max_size=n),
+            min_size=comps, max_size=comps,
+        ),
+        st.lists(st.integers(0, 2**30), min_size=comps - 1, max_size=comps - 1),
+        st.integers(0, n),
+    )))
+)
+def test_moments_give_the_variance_sums_of_the_mixed_inclusion_probabilities(case):
+    rows, cuts, a = case
+    s = np.array(rows)
+    # shares on the simplex whose floats sum to exactly 1: dyadic cuts of [0, 1]
+    edges = [0, *sorted(cuts), 2**30]
+    q = np.array([(hi - lo) / 2**30 for lo, hi in zip(edges, edges[1:])])
+    v_a, v_gap = (q @ mat @ q for mat in _moments(s, a))
+    pi = [sum(Fraction(qc) * Fraction(sc) for qc, sc in zip(q, col)) for col in s.T]
+    for got, part in zip((v_a, v_gap), (pi[:a], pi[a:])):
+        want = sum(p * (1 - p) for p in part)
+        assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
+    assert v_gap >= 0.0
 
 
 @settings(max_examples=30, deadline=None)

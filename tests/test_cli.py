@@ -286,14 +286,16 @@ def _assert_config_error(name, key, value):
 # place of its window: other draws of the same law move every sample row and
 # the components, and result.json also gained the barycenter-residual sd.
 # definetti-beta/result.json (continuous mode: no components, no residual,
-# no point failing limit detection) kept its digest.
+# no point failing limit detection) kept its digest. The kolmogorov digest was
+# recorded again when the default frequency_tolerance went from 0.02 to
+# 0.025: the config echo is the only line of result.json that changed.
 RECORDED_DEFINETTI_CONFIGS = {
     "definetti": {**FAST_DEFINETTI, "depth": 3, "width": 3},
     "definetti-beta": {"beta": [2, 3], "samples": 150, "window": 256, "mc_samples": 128},
 }
 RECORDED_OUTPUT_SHA256 = {
     "validate/result.json": "192187817a6edc4c97ad1111f6525a91a2fcecdd304103c96cfb81356ce79714",
-    "kolmogorov/result.json": "bfa1033d1f6c65546284f6676771d26035f5b237f7da7fd7fce83100fc477519",
+    "kolmogorov/result.json": "93d430ef6a8a61a6460ae26a8b067af01f51aebabf1e8ae3510436d522a02d24",
     "sigma-finite/result.json": "2a0ff106521fc08b0b81f41dee9cc784f5fc42a98b96b78a5d13fb2b2dd271d8",
     "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
     "orbital/result.json": "469f276112685ded95f7088a90317075d7610a396aa3d3a2a4867f0884e01ddc",
@@ -499,6 +501,20 @@ def test_kolmogorov_subcommand(tmp_path):
     record = json.loads((out / "result.json").read_text())
     names = {v["name"] for v in record["verdicts"]}
     assert "full-group-zero-one-law" in names
+
+
+def test_kolmogorov_default_tolerance_is_five_sd_of_the_event_mass(tmp_path):
+    # seed 4309 reads mass 0.4785: 4.3 sd of Bin(10000, 1/2) / 10000 from 1/2,
+    # a false alarm at the 4-sd tolerance 0.02 that 5 sd (0.025) passes
+    assert main(["kolmogorov", "--seed", "4309", "--out", str(tmp_path / "default")]) == 0
+    record = json.loads((tmp_path / "default" / "result.json").read_text())
+    (mass,) = [v["detail"]["mass"] for v in record["verdicts"]
+               if v["name"] == "frequency-event-mass"]
+    assert mass == 0.4785
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frequency_tolerance": 0.02}))
+    argv = ["kolmogorov", "--config", str(cfg), "--seed", "4309", "--out", str(tmp_path / "tight")]
+    assert main(argv) == 1
 
 
 def test_kolmogorov_parameters_on_one_side_of_half_exit_2(tmp_path, capsys):
