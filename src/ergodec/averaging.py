@@ -650,6 +650,15 @@ def _mc_slacks(stderrs: np.ndarray) -> np.ndarray:
     return slacks
 
 
+def level_methods(rho: Cocycle, levels: Sequence[int]) -> tuple[str, ...]:
+    """The engine ``level_table`` takes at each of the ``levels`` under rho:
+    "closed-form", "enumeration", "product" or "monte-carlo"."""
+    if rho.is_constant_one:
+        return ("closed-form",) * len(levels)
+    top = "product" if rho.log_linear is not None else "monte-carlo"
+    return tuple("enumeration" if n <= EXACT_LEVEL_CAP else top for n in levels)
+
+
 def level_table(
     rows: np.ndarray,
     rho: Cocycle,
@@ -689,9 +698,8 @@ def level_table(
         return closed_form_levels(level_counts(rows, levels), rows, levels, keys)
     shape = (len(levels), rows.shape[0], len(keys))
     stderrs = np.zeros(shape)
-    top = "product" if rho.log_linear is not None else "monte-carlo"
-    methods = tuple("enumeration" if n <= EXACT_LEVEL_CAP else top for n in levels)
-    if top == "product":
+    methods = level_methods(rho, levels)
+    if rho.log_linear is not None:
         values, slacks, stderrs[-1] = product_levels(rows, levels, keys, rho.log_linear)
     else:
         values, slacks = np.zeros(shape), np.zeros(shape)
@@ -704,7 +712,7 @@ def level_table(
                 exact = [average_exact(n, rho, m, x).value for m in monomials]
                 nums[li, p] = exact
                 values[li, p] = [float(v) for v in exact]
-    if top == "monte-carlo":
+    if "monte-carlo" in methods:
         for p, stream in enumerate(streams or [None] * len(rows)):
             for li, n in enumerate(levels):
                 if methods[li] == "monte-carlo":

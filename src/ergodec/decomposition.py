@@ -16,10 +16,10 @@ parameter p, its first bits as Bernoulli(p), and one Binomial(n_i - n_(i-1),
 p) per gap between levels past them. Given p the bits are independent
 Bernoulli(p), so these are independent pieces of disjoint blocks of the
 window, with the law the full window gives them. Every other input draws
-each point, and its Monte Carlo levels, from the point's own child stream,
-in blocks of 512 points. Both paths run in one process and read no worker
-count: the CLI's worker-count flag is accepted by every subcommand and
-changes nothing.
+its points from one stream of its own, in blocks of 512 points, by
+``sample_rows``; only Monte Carlo levels draw from a child stream per
+point. Both paths run in one process and read no worker count: the CLI's
+worker-count flag is accepted by every subcommand and changes nothing.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .averaging import (
     average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
     checked_schedule,
     closed_form_levels,
+    level_methods,
     level_table,
     mc_level_values,  # noqa: F401  (bench/tracing.py wraps this binding)
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -44,6 +46,7 @@ from .averaging import (
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
 from .errors import CapacityError, NonConvergenceError
+from . import measures
 from .groups import Config, Permutation, act, haar_sample, level_orbit, validate_config
 from .measures import (
     AtomicMeasure,
@@ -136,8 +139,9 @@ class DecomposeConfig:
     seed: int = 0
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
-    # Spot-check that nu's atom-ratio cocycle is rho on 8 draws; skipped under
-    # the constant cocycle with an exchangeable nu, where it cannot fail.
+    # Spot-check that nu's atom-ratio cocycle is rho on 8 draws; skipped where
+    # it cannot fail: the constant cocycle with an exchangeable nu, and
+    # rho = make_rn(nu).
     validate_cocycle: bool = True
 
 
@@ -196,19 +200,25 @@ def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
 
 
 def _point_block(nu, rho: Cocycle, dictionary: TestDictionary, schedule, tolerance: float,
-                 mc_samples: int, seed: int, indices: Sequence[int]):
+                 mc_samples: int, seed: int, indices: Sequence[int], rng: RandomStream):
     """Limit statistics ``(vals, ses, conv)`` for a block of point
     indices, rows in index order: ``LevelTable.converged`` on a
     ``level_table`` of the block, as in ``pi_phi``.
 
-    Each point is drawn from its own ``substream(seed, i)``, which also feeds
-    its Monte Carlo levels, so the rows do not depend on how the points are
-    split into blocks.
+    The block's points are the next ``len(indices)`` rows of
+    ``nu.sample_rows`` on ``rng``. A row's draws do not depend on the rows
+    drawn with it, so blocks drawn in index order from one stream give every
+    point the row it has in a single block. Only Monte Carlo levels need a stream
+    per point: point i draws them from ``substream(seed, i)``, and that
+    stream is built only when some level is Monte Carlo.
     """
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]
-    streams = [substream(seed, i) for i in indices]
-    _, table = _sampled_table(nu, rho, keys, levels, mc_samples, streams)
+    rows = nu.sample_rows(rng, len(indices))
+    streams = None
+    if "monte-carlo" in level_methods(rho, levels):
+        streams = [substream(seed, i) for i in indices]
+    table = level_table(rows, rho, levels, keys, mc_samples, streams)
     return table.values[-1], table.stderrs[-1], table.converged(tolerance)
 
 
@@ -238,8 +248,19 @@ def directed_statistics(
     return counts, heads
 
 
+def _is_own_rn(nu, rho: Cocycle) -> bool:
+    """Whether rho is ``make_rn(nu)`` of this very nu: its ratio is
+    ``measures.rn_derivative`` bound to nu itself (compared with ``is``)."""
+    fn = rho.eval_fn
+    return (isinstance(fn, partial) and fn.func is measures.rn_derivative
+            and len(fn.args) == 1 and fn.args[0] is nu and not fn.keywords)
+
+
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
-    """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho."""
+    """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho.
+    ``decompose`` skips it where it cannot fail: the constant cocycle with an
+    exchangeable nu, and rho = ``make_rn(nu)`` (``_is_own_rn``), whose ratio
+    is the very ``rn_derivative(nu, g, x)`` it would be compared with."""
     stream = substream(seed, 0xC0C)
     level = min(6, nu.window)
     for _ in range(8):
@@ -276,9 +297,10 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     ``substream(seed, 0xDF)``, and evaluated by ``closed_form_levels`` in one
     call: the closed form reads only the first coordinates and the ones
     counts, and these have the law the full window gives them. Every other
-    input is drawn point by point, each point from its own
-    ``substream(seed, i)``, in blocks of 512 (``_point_block``); the split
-    changes no output. Both paths run in one process.
+    input is drawn in blocks of 512 points (``_point_block``), all rows from
+    one stream, ``substream(seed, 0xD0, 0)``, by ``nu.sample_rows`` in point
+    order; Monte Carlo levels draw from ``substream(seed, i)`` for point i.
+    The split changes no output. Both paths run in one process.
 
     Finite mode groups by 1-D gaps on the first-moment limit; each
     component's representative is the homogeneous product at its center
@@ -287,16 +309,19 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     components and no residual. Aborts when more than the configured fraction
     of points fails limit detection.
 
-    With ``config.validate_cocycle`` every input but one first runs the
+    With ``config.validate_cocycle`` every input but two first runs the
     spot-check that nu's atom-ratio cocycle agrees with rho
     (``_validate_cocycle_agreement``, 8 draws from ``substream(seed,
-    0xC0C)``; ValueError if not). The exception is the closed-form case, the
-    constant cocycle with an exchangeable nu, where the check cannot fail:
-    nu declares ``exchangeable`` from its own parameters (one product
-    parameter, exchangeable components, a Beta mixing law), so an atom's
-    mass depends only on its ones count, which a permutation keeps, and nu's
-    ratio is 1 exactly, the value of ``constant_one()``. Skipping it changes
-    no output, since the check reads a stream of its own.
+    0xC0C)``; ValueError if not). The exceptions are where the check cannot
+    fail. One is the closed-form case, the constant cocycle with an
+    exchangeable nu: nu declares ``exchangeable`` from its own parameters
+    (one product parameter, exchangeable components, a Beta mixing law), so
+    an atom's mass depends only on its ones count, which a permutation
+    keeps, and nu's ratio is 1 exactly, the value of ``constant_one()``. The
+    other is rho = ``make_rn(nu)`` of this very nu (``_is_own_rn``), whose
+    ratio is the ``rn_derivative(nu, g, x)`` the check would compare it
+    with. Skipping it changes no output, since the check reads a stream of
+    its own.
     """
     window = nu.window
     schedule = checked_schedule(config.schedule, window)
@@ -305,7 +330,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         raise ValueError("decompose needs at least one sample point")
     dictionary = TestDictionary.build(config.depth, config.width)
     closed_form = rho.is_constant_one and getattr(nu, "exchangeable", False)
-    if config.validate_cocycle and not closed_form:
+    if config.validate_cocycle and not closed_form and not _is_own_rn(nu, rho):
         _validate_cocycle_agreement(nu, rho, config.seed)
 
     keys = [mo.indices for mo in dictionary.entries]
@@ -319,9 +344,10 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         vals, conv = table.values[-1], table.converged(config.tolerance)
     else:
         # blocks of 512 points batch the level kernels best
+        rng = substream(config.seed, 0xD0, 0)
         blocks = [
             _point_block(nu, rho, dictionary, schedule, config.tolerance, config.mc_samples,
-                         config.seed, range(lo, min(lo + 512, m)))
+                         config.seed, range(lo, min(lo + 512, m)), rng)
             for lo in range(0, m, 512)
         ]
         vals = np.concatenate([b[0] for b in blocks])

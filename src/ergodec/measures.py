@@ -97,6 +97,28 @@ def _bits(x) -> np.ndarray:
     return np.frombuffer(bytes(x), dtype=np.uint8)
 
 
+# Uniform blocks of ``_uniform_blocks`` hold at most about this many floats
+# (1 MB), so sampling memory does not grow with the number of rows.
+_SAMPLE_FLOATS = 1 << 17
+
+
+def _uniform_blocks(rng: RandomStream, size: int, width: int):
+    """``(start, block)`` pairs covering ``size`` rows of ``width`` uniforms
+    each, drawn in row order in blocks of at least one row, so the uniforms
+    of a row do not depend on the blocks."""
+    chunk = max(1, _SAMPLE_FLOATS // width)
+    for lo in range(0, size, chunk):
+        yield lo, rng.random((min(chunk, size - lo), width))
+
+
+def _rows_one_by_one(draw, rng: RandomStream, size: int, window: int) -> np.ndarray:
+    """``size`` rows of ``draw(rng)``, one after another from the stream."""
+    rows = np.empty((size, window), dtype=np.uint8)
+    for r in range(size):
+        rows[r] = draw(rng)
+    return rows
+
+
 def _as_exact(v: Scalar) -> Scalar:
     if type(v) is float:  # the common case, without the ABC check of Fraction
         return v
@@ -195,8 +217,12 @@ class AtomicMeasure:
         configs, cum = self._sampler
         return configs[min(int(cum.searchsorted(rng.random(), "right")), len(configs) - 1)]
 
+    def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
+        """``size`` draws as uint8 rows, one ``sample`` after another."""
+        return _rows_one_by_one(self.sample, rng, size, self._window)
+
     def sample_array(self, rng: RandomStream) -> np.ndarray:
-        return np.array(self.sample(rng), dtype=np.uint8)
+        return self.sample_rows(rng, 1)[0]
 
     def canonical_text(self) -> str:
         lines = [f"atomic window={self._window}"]
@@ -326,8 +352,16 @@ class ProductBernoulli:
         base, logit = self._log_terms
         return LogLinearParts(np.array([base]), logit.reshape(1, -1))
 
+    def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
+        """``size`` draws as uint8 rows: ``window`` uniforms per row, in row
+        order, bit i set when its uniform is below p_i."""
+        rows = np.empty((size, self.window), dtype=np.uint8)
+        for lo, u in _uniform_blocks(rng, size, self.window):
+            rows[lo : lo + len(u)] = u < self._float_params
+        return rows
+
     def sample_array(self, rng: RandomStream) -> np.ndarray:
-        return (rng.random(self.window) < self._float_params).astype(np.uint8)
+        return self.sample_rows(rng, 1)[0]
 
     def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """The de Finetti parameter of ``size`` points: the common parameter
@@ -472,8 +506,33 @@ class Mixture:
             p[mine] = component.directing_sample(rng, mine.size)
         return p
 
-    def sample_array(self, rng: RandomStream) -> np.ndarray:
+    @cached_property
+    def _product_params(self) -> np.ndarray | None:
+        # (components, window) float parameters; None unless every component
+        # is a product Bernoulli measure
+        if not all(isinstance(c, ProductBernoulli) for c in self.components):
+            return None
+        return np.stack([c._float_params for c in self.components])
+
+    def _sample_row(self, rng: RandomStream) -> np.ndarray:
         return self.components[self.sample_component(rng)].sample_array(rng)
+
+    def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
+        """``size`` draws as uint8 rows: per row, one uniform picks the
+        component by ``sample_component``'s rule, then the component draws
+        the row. For a mixture of products that is ``window + 1`` uniforms
+        per row, in row order, drawn as blocks; any other mixture draws one
+        row after another."""
+        params = self._product_params
+        if params is None:
+            return _rows_one_by_one(self._sample_row, rng, size, self.window)
+        rows = np.empty((size, self.window), dtype=np.uint8)
+        for lo, u in _uniform_blocks(rng, size, self.window + 1):
+            rows[lo : lo + len(u)] = u[:, 1:] < params[self._component_of(u[:, 0])]
+        return rows
+
+    def sample_array(self, rng: RandomStream) -> np.ndarray:
+        return self.sample_rows(rng, 1)[0]
 
     def sample(self, rng: RandomStream) -> Config:
         return tuple(self.sample_array(rng).tolist())
@@ -560,9 +619,17 @@ class BetaExchangeable:
             - lgamma(a + b + n)
         )
 
-    def sample_array(self, rng: RandomStream) -> np.ndarray:
+    def _sample_row(self, rng: RandomStream) -> np.ndarray:
         p = rng.beta(self.alpha, self.beta)
-        return (rng.random(self._window) < p).astype(np.uint8)
+        return rng.random(self._window) < p
+
+    def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
+        """``size`` draws as uint8 rows, one after another: per row its
+        Beta parameter, then ``window`` uniforms."""
+        return _rows_one_by_one(self._sample_row, rng, size, self._window)
+
+    def sample_array(self, rng: RandomStream) -> np.ndarray:
+        return self.sample_rows(rng, 1)[0]
 
     def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """The de Finetti parameter of ``size`` points, Beta(alpha, beta)."""

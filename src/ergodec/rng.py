@@ -1,9 +1,13 @@
 """Deterministic random-stream construction.
 
 All randomness flows through numpy Generators seeded from a 64-bit master
-seed. Per-point work derives one child stream per point index with
-``substream(seed, index)``, so results never depend on how the points are
-split into blocks. Runs take one process: ``--workers`` changes nothing.
+seed. ``decompose`` draws all its points from one child stream, a block at
+a time in point order (``sample_rows``), and a row's draws do not depend on
+the rows drawn with it, so results never depend on how the points are split
+into blocks. Only Monte Carlo levels derive one child stream per point index
+with ``substream(seed, index)``. A one-int key k is point k's stream, so
+the points' shared stream takes the two-int key ``(0xD0, 0)``. Runs take
+one process: ``--workers`` changes nothing.
 """
 from __future__ import annotations
 

@@ -313,7 +313,8 @@ def test_schedule_outside_the_point_raises(caller, schedule, message):
         elif caller == "pi_phi":
             pi_phi(x, rho, dictionary, schedule)
         elif caller == "point_block":
-            _point_block(nu, rho, dictionary, schedule, 0.02, 40, 0, range(2))
+            _point_block(nu, rho, dictionary, schedule, 0.02, 40, 0, range(2),
+                         substream(0, 0xD0, 0))
         elif caller == "ergodicity":
             ergodicity_test(nu, rho, dictionary, probes=2, schedule=schedule)
         elif caller == "orbital":

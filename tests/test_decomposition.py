@@ -680,11 +680,15 @@ def test_ks_statistic_uniform_grid_is_small():
     assert ks_statistic(values, lambda v: v) <= 1 / n
 
 
-# sha256 of the limit statistics and of the weights below, recorded on the
-# code before the packed-key Haar draw replaced argsort (commit 9ac399e).
+# sha256 of the limit statistics and of the weights below, first recorded on
+# the code before the packed-key Haar draw replaced argsort (commit 9ac399e).
+# Re-recorded when decompose began to draw every point from one stream,
+# substream(seed, 0xD0, 0), by sample_rows: the points changed, and with them
+# the Monte Carlo draws, which each point now starts fresh on its own
+# substream(seed, i). The point-block tests check these rows against pi_phi.
 RECORDED_MC_SHA256 = (
-    "c613e4e4a6f23bf5e87a8983c86e1d31399c7d3ef8969aed542ecd924e0667a6",
-    "2275a65e568e4ab299b7745afd90e6adf3da9862eac05387638fdadfbfbe3748",
+    "434c38cbc99023d89e8ecf9c91d94bae5927c27c35f904cbc231dfdf699bc556",
+    "7ac7203c42b0b0c34ae89f78dbe125c784fec8420e41722d4bc8c3a2b023fcad",
 )
 
 
@@ -773,20 +777,23 @@ def test_exact_level_of_a_vanishing_potential_raises_naming_the_window():
 
 
 # sha256 of the limit statistics and of the weights of decompose under the
-# Radon-Nikodym cocycle of product mixtures, recorded on the per-point
+# Radon-Nikodym cocycle of product mixtures, first recorded on the per-point
 # product-potential kernel (commit c888350) before it was batched.
+# Re-recorded, all three, when decompose began to draw every point from one
+# stream, substream(seed, 0xD0, 0), by sample_rows instead of point i from
+# substream(seed, i): the points changed, the kernel did not.
 RECORDED_PRODUCT_SHA256 = {
     "bench-1024": (
-        "16eb3a15d96327df28b7bf893a9ad503e00b61600296397b39671fa8c5833434",
-        "f2e88390f06a48e70a0ab9aa1f9ccfb6ec9e05cf70bc119a47bee2694ddb6dfe",
+        "1cc8193e00e7b06f5a2bb9ec9a7dac075b264d5008d66d48c185a4b8ec5dca58",
+        "cf703264ffe755c4e2cbf0a8c94f316768bcb9c3720ce283afebe3873623f19b",
     ),
     "window-16-exact-level-8": (
-        "dd869339e5bfd10312d765434d1c27fe011cf35fec6b454c40846b47cada6d72",
-        "7dd1362f9ff8a1b590340e3971eb9a21eaac9ac906979268042b4f0b15a449d2",
+        "aa410137f05e94b7127486e49ea410eb9c3f0a8405b42195578b0076a6898c95",
+        "ebca198f8ba8f474370f5d744d5a9c08ce0fa72bcd590d69b3cfe1dbf95ac3d5",
     ),
     "three-components-300": (
-        "d84a90f7a5d77c8239aad32e1b6acc130e813912eb581ea412b3f02e2d6c4cea",
-        "cf8ccd6e5eb516f337b7865fbe30cb1ab026a1da7927743e04b241a9ede5615e",
+        "493decf1acfba137395d4a92e28ebef93f29f11243e9559782d9cb4076eb358b",
+        "7fe02abc23516fdb709a22615e5d6d2786a3e3b5e77c15d222a9d57b2e94145d",
     ),
 }
 
@@ -852,13 +859,19 @@ def _per_point_closed_form(x, levels, keys):
     return values, slacks, stderrs
 
 
+def _point_stream(seed):
+    """The one stream ``decompose`` draws the rows of its points from."""
+    return substream(seed, 0xD0, 0)
+
+
 def _per_point_rows(nu, keys, schedule, tolerance, seed, indices):
     """(vals, ses, conv, slack) of the points, point by point, with the limit
     rule of pi_phi on the last two levels."""
     levels = tuple(schedule)[-2:]
     vals, ses, conv, last_slacks = [], [], [], []
+    stream = _point_stream(seed)
     for i in indices:
-        x = nu.sample_array(substream(seed, i))
+        x = nu.sample_array(stream)
         values, slacks, stderrs = _per_point_closed_form(x, levels, keys)
         vals.append([float(v) for v in values[-1]])
         ses.append(stderrs)
@@ -874,7 +887,8 @@ def _per_point_rows(nu, keys, schedule, tolerance, seed, indices):
 
 
 def _block_args(nu, dictionary, schedule, tolerance, seed, indices):
-    return (nu, constant_one(), dictionary, schedule, tolerance, 400, seed, indices)
+    return (nu, constant_one(), dictionary, schedule, tolerance, 400, seed, indices,
+            _point_stream(seed))
 
 
 def _assert_same_bytes(got, want):
@@ -913,7 +927,8 @@ def test_batched_point_block_matches_per_point_pi_phi(case):
     got = _point_block(*_block_args(*case))
     want = _per_point_rows(nu, keys, *case[2:])
     _assert_same_bytes(got, want[:3])
-    xs = [nu.sample_array(substream(seed, i)) for i in indices]
+    stream = _point_stream(seed)
+    xs = [nu.sample_array(stream) for i in indices]
     levels = tuple(schedule)[-2:]
     cf = closed_form_levels(
         np.array([level_counts(x, levels) for x in xs]),
@@ -966,8 +981,9 @@ def _product_rows(nu, dictionary, schedule, tolerance, seed, indices):
     Radon-Nikodym cocycle."""
     rho, keys = make_rn(nu), [m.indices for m in dictionary.entries]
     rows = []
+    stream = _point_stream(seed)
     for i in indices:
-        stat = pi_phi(nu.sample_array(substream(seed, i)), rho, dictionary, schedule,
+        stat = pi_phi(nu.sample_array(stream), rho, dictionary, schedule,
                       tolerance)
         rows.append(([float(stat.values[k]) for k in keys],
                      [stat.stderrs[k] for k in keys], [stat.converged[k] for k in keys]))
@@ -992,7 +1008,8 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
     # both evaluated levels are product levels
     schedule = (4, mid, window) if two else default_schedule(window)
     dictionary = TestDictionary.build(2, 3)
-    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30))
+    args = (nu, make_rn(nu), dictionary, schedule, 0.02, 400, seed, range(30),
+            _point_stream(seed))
     _assert_same_bytes(
         _point_block(*args),
         _product_rows(nu, dictionary, schedule, 0.02, seed, range(30)),
@@ -1062,17 +1079,18 @@ def test_point_block_rows_do_not_depend_on_the_split(kind):
     rho = dict(zip(("constant", "product", "monte-carlo"), _three_cocycles(nu)))[kind]
     schedule, mc_samples, seed = (4, 8, 32, 64), 200, 23
 
-    def block(indices):
-        return _point_block(nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices)
+    def block(indices, rng):
+        return _point_block(nu, rho, DICT2, schedule, 0.02, mc_samples, seed, indices, rng)
 
-    whole = block(range(30))
-    parts = [block(range(0, 7)), block(range(7, 30))]
+    whole = block(range(30), _point_stream(seed))
+    rng = _point_stream(seed)
+    parts = [block(range(0, 7), rng), block(range(7, 30), rng)]
     _assert_same_bytes(whole, [np.concatenate([p[k] for p in parts]) for k in range(3)])
     keys = [m.indices for m in DICT2.entries]
+    rows = _point_stream(seed)
     for row, i in enumerate(range(30)):
-        stream = substream(seed, i)
-        x = nu.sample_array(stream)
-        stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, stream)
+        x = nu.sample_array(rows)
+        stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, substream(seed, i))
         assert [float(stat.values[k]) for k in keys] == whole[0][row].tolist()
         assert [stat.stderrs[k] for k in keys] == whole[1][row].tolist()
         assert [stat.converged[k] for k in keys] == whole[2][row].tolist()
@@ -1096,6 +1114,24 @@ def _exact_statistic_law(nu, head, levels):
     return law
 
 
+def _law_bound(outcomes, size, alarm=1e-9):
+    """Bretagnolle-Huber-Carol: for K outcomes and N draws,
+    P(TV >= t) <= 2^K exp(-2 N t^2). The bound t sets that to ``alarm``: a
+    correct sampler crosses it with probability at most ``alarm``."""
+    return math.sqrt((outcomes * math.log(2) + math.log(1 / alarm)) / (2 * size))
+
+
+def _tv(law, keys, size):
+    """Total variation between an exact law and the empirical law of
+    ``size`` drawn outcomes ``keys``."""
+    seen = {}
+    for key in keys:
+        seen[key] = seen.get(key, 0) + 1
+    return 0.5 * sum(
+        abs(seen.get(key, 0) / size - float(law.get(key, 0))) for key in law.keys() | seen
+    )
+
+
 def _statistic_tv(nu, sampler, head, levels, size, seed):
     """Total variation between the exact law of (heads, counts) and the
     empirical law of ``size`` draws of ``sampler``, and the number of
@@ -1103,13 +1139,8 @@ def _statistic_tv(nu, sampler, head, levels, size, seed):
     law = _exact_statistic_law(nu, head, levels)
     rng = substream(seed, 0)
     counts, heads = sampler(nu.directing_sample(rng, size), head, levels, rng)
-    seen = {}
-    for key in zip(map(tuple, heads.tolist()), map(tuple, counts.tolist())):
-        seen[key] = seen.get(key, 0) + 1
-    tv = 0.5 * sum(
-        abs(seen.get(key, 0) / size - float(law.get(key, 0))) for key in law.keys() | seen
-    )
-    return tv, len(law)
+    keys = zip(map(tuple, heads.tolist()), map(tuple, counts.tolist()))
+    return _tv(law, keys, size), len(law)
 
 
 def _one_binomial_per_level(p, head, levels, rng):
@@ -1133,17 +1164,54 @@ _RATIONAL_MIXTURE = Mixture(
 @pytest.mark.parametrize("nu", [_RATIONAL_MIXTURE, BetaExchangeable(2, 3, 8)])
 @pytest.mark.parametrize("head, levels", [(2, (1, 4, 8)), (3, (2, 5, 7))])
 def test_directed_statistics_have_the_law_of_the_window(nu, head, levels):
-    # Bretagnolle-Huber-Carol: for K outcomes and N draws,
-    # P(TV >= t) <= 2^K exp(-2 N t^2). The bound below sets that to 1e-9:
-    # a correct sampler crosses it with probability at most 1e-9.
-    size, alarm = 200_000, 1e-9
+    size = 200_000
     tv, outcomes = _statistic_tv(nu, directed_statistics, head, levels, size, 71)
-    bound = math.sqrt((outcomes * math.log(2) + math.log(1 / alarm)) / (2 * size))
+    bound = _law_bound(outcomes, size)
     assert bound < 0.02
     assert tv < bound
     # the same bound rejects counts that ignore the nesting of the levels
     wrong, _ = _statistic_tv(nu, _one_binomial_per_level, head, levels, size, 71)
     assert wrong > 5 * bound
+
+
+def _one_pick_per_chunk(nu, rng, size):
+    """A wrong sampler: one component pick for the whole chunk. Each row
+    still has the law of nu, but the rows of a chunk share their component."""
+    return nu.components[nu.sample_component(rng)].sample_rows(rng, size)
+
+
+def _row_tv(nu, sampler, chunks, seed):
+    """Total variation between nu's law on its window and the empirical law
+    of rows drawn by ``sampler`` in ``chunks`` from one stream."""
+    law = {x: nu.atom(x) for x in itertools.product((0, 1), repeat=nu.window)}
+    rng = substream(seed, 0)
+    rows = np.concatenate([sampler(nu, rng, size) for size in chunks])
+    return _tv(law, map(tuple, rows.tolist()), rows.shape[0])
+
+
+_LAW_PRODUCT = ProductBernoulli(
+    [Fraction(1, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+     Fraction(1, 5), Fraction(4, 5)]
+)
+
+
+@pytest.mark.parametrize("nu", [
+    _LAW_PRODUCT,
+    Mixture([Fraction(1, 3), Fraction(2, 3)],
+            [_LAW_PRODUCT, ProductBernoulli([Fraction(4, 5)] * 7)]),
+])
+def test_sample_rows_have_the_law_of_the_window(nu):
+    # 200000 rows of window 7 in uneven chunks; 16385 rows straddle the
+    # 16384-row uniform blocks of a window-7 mixture
+    chunks = (1, 2, 3, 16385, 183609)
+    bound = _law_bound(2**nu.window, sum(chunks))
+    assert bound < 0.02
+    assert _row_tv(nu, type(nu).sample_rows, chunks, 73) < bound
+    if isinstance(nu, Mixture):
+        # the same bound rejects rows that keep every marginal but share a
+        # component pick per chunk: the 183609-row chunk alone moves the
+        # component weights by more than 0.25
+        assert _row_tv(nu, _one_pick_per_chunk, chunks, 73) > 5 * bound
 
 
 def test_directed_statistics_count_the_head_within_it():
@@ -1197,6 +1265,33 @@ def test_exchangeable_decompose_skips_the_spot_check(monkeypatch):
     # the same spies see the check when it runs on this measure
     ergodec.decomposition._validate_cocycle_agreement(nu, constant_one(), 75)
     assert "sample" in calls and "rn_derivative" in calls
+
+
+def test_own_rn_decompose_skips_the_spot_check(monkeypatch):
+    calls = []
+    real = ergodec.decomposition._validate_cocycle_agreement
+
+    def spy(nu, rho, seed):
+        calls.append(nu)
+        return real(nu, rho, seed)
+
+    monkeypatch.setattr(ergodec.decomposition, "_validate_cocycle_agreement", spy)
+    nu, _ = _bench_mixture(64)
+    config = DecomposeConfig(samples=8, seed=76, nonconvergence_threshold=1.0)
+    skipped = decompose(nu, make_rn(nu), config)
+    assert calls == []
+    # an equal measure that is another object is checked, with the same output
+    twin, _ = _bench_mixture(64)
+    checked = decompose(nu, make_rn(twin), config)
+    assert calls == [nu]
+    assert checked.statistics.tobytes() == skipped.statistics.tobytes()
+
+
+def test_decompose_spot_check_rejects_the_rn_cocycle_of_another_mixture():
+    nu, _ = _bench_mixture(64)
+    other = _three_component_mixture(64)
+    with pytest.raises(ValueError, match="not in the cocycle class"):
+        decompose(nu, make_rn(other), DecomposeConfig(samples=4, seed=77))
 
 
 def test_barycenter_residual_sd_is_the_multinomial_sd():

@@ -390,6 +390,45 @@ def test_sample_array_is_the_bits_of_sample(kind):
         assert by_array.random() == by_tuple.random()
 
 
+def _one_row_at_a_time(nu, rng):
+    """A row as ``sample_array`` drew it before ``sample_rows``: a product
+    takes ``window`` uniforms at once, and a mixture one uniform for its
+    component and then the component's row."""
+    if isinstance(nu, Mixture):
+        return _one_row_at_a_time(nu.components[nu.sample_component(rng)], rng)
+    if isinstance(nu, ProductBernoulli):
+        return (rng.random(nu.window) < np.array([float(p) for p in nu.params])).astype(np.uint8)
+    return nu.sample_array(rng)
+
+
+@pytest.mark.parametrize("kind", ["atomic", "product", "beta", "mixture", "product-mixture",
+                                  "wide-product-mixture", "wide-product"])
+def test_sample_rows_are_rows_drawn_in_turn(kind):
+    # wide: 3000 coordinates, so 100 rows span several blocks of uniforms
+    atomic = AtomicMeasure({(1, 0, 1, 1): Fraction(1, 3), (0, 0, 1, 0): Fraction(2, 3)})
+    wide = [ProductBernoulli([0.3 + 0.4 * (i % 3 == 0) for i in range(3000)]),
+            ProductBernoulli([0.8] * 3000)]
+    nu = {
+        "atomic": atomic,
+        "product": ProductBernoulli([Fraction(1, 3), 0.5, 0.25, 0.9]),
+        "beta": BetaExchangeable(2, 3, 4),
+        "mixture": Mixture([0.5, 0.5], [atomic, ProductBernoulli([0.4] * 4)]),
+        "product-mixture": Mixture([0.2, 0.3, 0.5], [ProductBernoulli([p, 0.5, p, 0.1])
+                                                     for p in (0.1, 0.6, 0.9)]),
+        "wide-product-mixture": Mixture([0.4, 0.6], wide),
+        "wide-product": wide[0],
+    }[kind]
+    whole, by_chunk, by_row = substream(17, 11), substream(17, 11), substream(17, 11)
+    rows = nu.sample_rows(whole, 100)
+    assert rows.dtype == np.uint8 and rows.shape == (100, nu.window)
+    chunks = [nu.sample_rows(by_chunk, size) for size in (1, 0, 44, 2, 53)]
+    assert np.concatenate(chunks).tobytes() == rows.tobytes()
+    for row in rows:
+        assert _one_row_at_a_time(nu, by_row).tobytes() == row.tobytes()
+    # the same use of the stream: the next draws agree too
+    assert whole.random() == by_chunk.random() == by_row.random()
+
+
 def test_sample_bernoulli_clt_bound():
     nu = ProductBernoulli([0.2] * 4096)
     x = sample(nu, substream(17, 2))
