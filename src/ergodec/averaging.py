@@ -298,20 +298,38 @@ def _moments(s: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _count_moments(logit: np.ndarray, a: int, held: list, counts: list, memo: dict) -> None:
+def _count_moments(
+    logit: np.ndarray, a: int, held: list, counts: list, memo: dict, tilts: dict
+) -> None:
     """Add to ``memo`` each ones count 0 < k < n in ``counts`` that it lacks:
-    k -> (lam, M_a, M_gap, s at the 1-based ``held`` coordinates), where lam_c
-    solves sum_i sigma(lam_c + logit_ci) = k over the n columns of ``logit``
-    (Hajek's approximation to conditional-Poisson sampling), s = sigma(lam +
-    logit) and (M_a, M_gap) = ``_moments(s, a)``. With component shares q
+    k -> (M_a, M_gap, s at the 1-based ``held`` coordinates), where
+    s = sigma(lam + logit) for the tilt lam = ``tilts[k]`` of the n columns
+    of ``logit`` (``_solve_tilts``, which runs only for counts ``tilts``
+    lacks) and (M_a, M_gap) = ``_moments(s, a)``. With component shares q
     summing to 1, pi_i = q . s_i has sum_(i <= a) pi_i (1 - pi_i) = q^T M_a q.
+    The tilt depends on the level and the count only, so every (a, held)
+    that meets a (level, count) reuses its one solve.
+    """
+    new = sorted(set(counts) - memo.keys())
+    _solve_tilts(logit, new, tilts)
+    cols = [i - 1 for i in held]
+    for k in new:
+        s = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit)))
+        memo[k] = (*_moments(s, a), s[:, cols])
+
+
+def _solve_tilts(logit: np.ndarray, counts: list, tilts: dict) -> None:
+    """Add to ``tilts`` each ones count 0 < k < n in ``counts`` that it
+    lacks: k -> lam, where lam_c solves sum_i sigma(lam_c + logit_ci) = k over
+    the n columns of ``logit`` (Hajek's approximation to conditional-Poisson
+    sampling).
 
     The Newton steps run on all the new counts at once; a count leaves at
     the step where its own test passes (or the 200th), so it takes the steps
     it would take alone, and its target stays Python's log.
     """
     n = logit.shape[1]
-    new = np.array(sorted(set(counts) - memo.keys()), dtype=np.int64)
+    new = np.array(sorted(set(counts) - tilts.keys()), dtype=np.int64)
     chunk = max(1, _NEWTON_FLOATS // logit.size)
     for ks in np.split(new, range(chunk, new.size, chunk)):
         target = np.array([math.log(k / (n - k)) for k in ks.tolist()]).reshape(-1, 1)
@@ -327,8 +345,7 @@ def _count_moments(logit: np.ndarray, a: int, held: list, counts: list, memo: di
             f = pi.sum(axis=2) - ks[:, None]
             done = np.all(np.abs(f) <= 1e-12 * n, axis=1) | (it == 199)
             if done.any():
-                for k, lam_k, s in zip(ks[done].tolist(), lam[done], pi[done]):
-                    memo[k] = (lam_k, *_moments(s, a), s[:, [i - 1 for i in held]])
+                tilts.update(zip(ks[done].tolist(), lam[done]))
                 keep = ~done
                 ks, pi, f, lam, lo, hi = (v[keep] for v in (ks, pi, f, lam, lo, hi))
             lo, hi = np.where(f < 0, lam, lo), np.where(f > 0, lam, hi)
@@ -423,9 +440,10 @@ def product_levels(
         if rows.size:
             moments = parts.moments.setdefault((n, a or 0, tuple(held)), {})
             ks, inv = np.unique(m[rows], return_inverse=True)
-            _count_moments(parts.logit[:, :n], a or 0, held, ks.tolist(), moments)
-            entries = list(zip(*(moments[k] for k in ks.tolist())))
-            m_a, m_gap, s_held = (np.stack(v)[inv] for v in entries[1:])
+            _count_moments(parts.logit[:, :n], a or 0, held, ks.tolist(), moments,
+                           parts.tilts.setdefault(n, {}))
+            entries = zip(*(moments[k] for k in ks.tolist()))
+            m_a, m_gap, s_held = (np.stack(v)[inv] for v in entries)
             q = (g[rows].sum(axis=2) / den[rows, None])[:, :, None]
             # fixed-order elementwise sums: a matmul over the rows rounds with the block
             v_a, v_gap = (

@@ -952,14 +952,14 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
         assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w))
 
 
-def _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo):
+def _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo, tilts):
     """Each count's tilt is the per-point solve's, byte for byte, and so are
     the sigma columns and moments derived from it."""
     cols = [i - 1 for i in held]
     for k, qp in zip(m.tolist(), q):
         lam = _per_point_tilted_inclusion(logit, k, qp)[2]
-        got_lam, m_a, m_gap, s_held = memo[k]
-        assert got_lam.tobytes() == lam.tobytes()
+        m_a, m_gap, s_held = memo[k]
+        assert tilts[k].tobytes() == lam.tobytes()
         s = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
         assert s_held.tobytes() == s[:, cols].tobytes()
         assert b"".join(v.tobytes() for v in _moments(s, a)) == m_a.tobytes() + m_gap.tobytes()
@@ -985,10 +985,10 @@ def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offse
     q = rng.random((points, comps))
     q /= q.sum(axis=1, keepdims=True)
     a, held = int(rng.integers(0, n)), sorted({int(i) for i in rng.integers(1, n + 1, 3)})
-    memo = {}
-    _count_moments(logit, a, held, m.tolist(), memo)
-    assert sorted(memo) == sorted(set(m.tolist()))
-    _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo)
+    memo, tilts = {}, {}
+    _count_moments(logit, a, held, m.tolist(), memo, tilts)
+    assert sorted(memo) == sorted(tilts) == sorted(set(m.tolist()))
+    _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo, tilts)
 
 
 def test_product_levels_solve_the_tilt_once_per_ones_count():
@@ -1003,6 +1003,7 @@ def test_product_levels_solve_the_tilt_once_per_ones_count():
     first = product_levels(bits, levels, keys, parts)
     assert list(parts.moments) == [(window, 32, (1, 2))]
     assert sorted(parts.moments[window, 32, (1, 2)]) == [10, 31, 50]
+    assert list(parts.tilts) == [window] and sorted(parts.tilts[window]) == [10, 31, 50]
     solved = [(key, k, entry) for key, t in parts.moments.items() for k, entry in t.items()]
     second = product_levels(bits, levels, keys, parts)
     assert sum(map(len, parts.moments.values())) == len(solved)
@@ -1023,9 +1024,34 @@ def test_tilted_inclusion_keeps_points_that_never_converge():
     q /= q.sum(axis=1, keepdims=True)
     steps = {_per_point_tilted_inclusion(logit, int(k), qp)[1] for k, qp in zip(m, q)}
     assert steps >= {2, 200}
-    memo = {}
-    _count_moments(logit, 150, [1, 2, 300], m.tolist(), memo)
-    _assert_moments_match_the_per_point_solve(logit, 150, [1, 2, 300], m, q, memo)
+    memo, tilts = {}, {}
+    _count_moments(logit, 150, [1, 2, 300], m.tolist(), memo, tilts)
+    _assert_moments_match_the_per_point_solve(logit, 150, [1, 2, 300], m, q, memo, tilts)
+
+
+def test_limit_average_solves_each_tilt_once_across_keys(monkeypatch):
+    # four key sets at window 1024: each held-coordinate set has moments of
+    # its own, and all four share one Newton solve per (level, ones count)
+    solved, real = [], averaging._solve_tilts
+
+    def spy(logit, counts, tilts):
+        before = set(tilts)
+        real(logit, counts, tilts)
+        solved.extend((logit.shape[1], k) for k in tilts.keys() - before)
+
+    monkeypatch.setattr(averaging, "_solve_tilts", spy)
+    window = 1024
+    comps = [ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
+             for a, b in ((0.2, 0.25), (0.75, 0.8))]
+    nu = Mixture([0.4, 0.6], comps)
+    rho, x = make_rn(nu), nu.sample(substream(65, 0))
+    for key in ((1,), (2,), (1, 2), (3,)):
+        limit_average(rho, CylinderMonomial(key), x, default_schedule(window))
+    parts = rho.log_linear
+    # levels 16, 32, ..., 1024 are product levels, each with one ones count
+    assert len(solved) == len(set(solved)) == 7
+    assert sorted(solved) == sorted((n, k) for n, t in parts.tilts.items() for k in t)
+    assert sum(map(len, parts.moments.values())) == 28
 
 
 @settings(max_examples=60, deadline=None)
