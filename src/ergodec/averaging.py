@@ -353,6 +353,25 @@ def _solve_tilts(logit: np.ndarray, counts: list, tilts: dict) -> None:
             lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
 
 
+def _slack_coefficients(q: np.ndarray, s_held: np.ndarray, held: list, moved: list) -> np.ndarray:
+    """c_S = prod_(S') pi_i sum_(S') (1 - pi_i) of each point (rows of the
+    component shares q) and key (``moved``, its 1-based coordinates S' among
+    ``held``), with pi_i = q . s_i and 1 - pi_i = q . (1 - s_i) from the
+    sigma columns ``s_held`` (points x components x held). The shares sum to
+    1, so both are the point's inclusion probability and its complement;
+    forming the complement as ``1.0 - pi_i`` instead would cancel where pi_i
+    is near 1."""
+    comps = q.shape[1]
+    pi = sum(q[:, c, None] * s_held[:, c] for c in range(comps))
+    rest = sum(q[:, c, None] * (1.0 - s_held[:, c]) for c in range(comps))
+    coef = np.zeros((q.shape[0], len(moved)))
+    for k, s in enumerate(moved):
+        if s:
+            cols = [held.index(i) for i in s]
+            coef[:, k] = math.prod(pi[:, j] for j in cols) * sum(rest[:, j] for j in cols)
+    return coef
+
+
 def product_levels(
     bits: np.ndarray,
     levels: Sequence[int],
@@ -451,11 +470,7 @@ def product_levels(
                 for mats in (m_a, m_gap)
             )
             v_b = v_a + v_gap
-            pi_held = sum(q[:, c] * s_held[:, c] for c in range(comps))
-            coef = np.zeros((rows.size, len(keys)))
-            for k, s in enumerate(moved):
-                cols = [pi_held[:, held.index(i)] for i in s]
-                coef[:, k] = math.prod(cols) * sum(1.0 - c for c in cols) if s else 0.0
+            coef = _slack_coefficients(q[:, :, 0], s_held, held, moved)
             coef[~active[rows]] = 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 if a is not None:

@@ -13,6 +13,7 @@ from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     AveragingReport,
     _count_moments,
+    _slack_coefficients,
     _esp_log_tables,
     _moments,
     average_exact,
@@ -1078,6 +1079,31 @@ def test_moments_give_the_variance_sums_of_the_mixed_inclusion_probabilities(cas
         want = sum(p * (1 - p) for p in part)
         assert abs(Fraction(got) - want) <= Fraction(1e-13) * want
     assert v_gap >= 0.0
+
+
+def test_slack_coefficients_do_not_cancel_near_pi_one():
+    # window 300, parameters alternating 0.01/0.99 (in opposite phase in the
+    # two components): at high ones counts pi_i is near 1, where 1.0 - pi_i
+    # cancels (8.9e-14 relative against the exact value below); q . (1 - s_i)
+    # does not
+    window = 300
+    parts = _parts_of("alternating", 2, window, None)
+    held, moved = [1, 2, 3], [[1], [2], [3], [1, 2], [1, 2, 3]]
+    counts = list(range(1, window))
+    memo, tilts = {}, {}
+    _count_moments(parts.logit, 0, held, counts, memo, tilts)
+    s_held = np.stack([memo[k][2] for k in counts])
+    q = np.random.default_rng(3).random((len(counts), 2))
+    q[:, 1] = 1.0 - q[:, 0]
+    q[:3] = [[0.5, 0.5], [1e-3, 1 - 1e-3], [1 - 1e-6, 1e-6]]
+    got = _slack_coefficients(q, s_held, held, moved)
+    for p in range(len(counts)):
+        cols = [[Fraction(v) for v in col] for col in s_held[p].T]
+        pi = [sum(Fraction(qc) * sc for qc, sc in zip(q[p], col)) for col in cols]
+        rest = [sum(Fraction(qc) * (1 - sc) for qc, sc in zip(q[p], col)) for col in cols]
+        for k, s in enumerate(moved):
+            exact = (math.prod(pi[i - 1] for i in s) * sum(rest[i - 1] for i in s))
+            assert abs(Fraction(got[p, k]) - exact) <= Fraction(1e-14) * exact
 
 
 @settings(max_examples=30, deadline=None)
