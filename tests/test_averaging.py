@@ -880,7 +880,7 @@ def _per_point_product_levels(x, levels, keys, parts):
             var = pi * rest
             cum = np.cumsum(var)
             coef = [
-                float(math.prod(pi[i - 1] for i in s) * sum(1.0 - pi[i - 1] for i in s))
+                float(math.prod(pi[i - 1] for i in s) * sum(rest[i - 1] for i in s))
                 if s else 0.0
                 for s in moved
             ]
