@@ -353,7 +353,9 @@ def _solve_tilts(logit: np.ndarray, counts: list, tilts: dict) -> None:
             lam = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
 
 
-def _slack_coefficients(q: np.ndarray, s_held: np.ndarray, held: list, moved: list) -> np.ndarray:
+def _slack_coefficients(
+    q: np.ndarray, s_held: np.ndarray, held: list, moved: list
+) -> np.ndarray:
     """c_S = prod_(S') pi_i sum_(S') (1 - pi_i) of each point (rows of the
     component shares q) and key (``moved``, its 1-based coordinates S' among
     ``held``), with pi_i = q . s_i and 1 - pi_i = q . (1 - s_i) from the

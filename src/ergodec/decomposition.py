@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import measures
 from .averaging import (
     EXACT_LEVEL_CAP,
     average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -46,7 +47,6 @@ from .averaging import (
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
 from .errors import CapacityError, NonConvergenceError
-from . import measures
 from .groups import Config, Permutation, act, haar_sample, level_orbit, validate_config
 from .measures import (
     AtomicMeasure,
@@ -208,9 +208,9 @@ def _point_block(nu, rho: Cocycle, dictionary: TestDictionary, schedule, toleran
     The block's points are the next ``len(indices)`` rows of
     ``nu.sample_rows`` on ``rng``. A row's draws do not depend on the rows
     drawn with it, so blocks drawn in index order from one stream give every
-    point the row it has in a single block. Only Monte Carlo levels need a stream
-    per point: point i draws them from ``substream(seed, i)``, and that
-    stream is built only when some level is Monte Carlo.
+    point the row it has in a single block. Only Monte Carlo levels need a
+    stream per point: point i draws them from ``substream(seed, i)``, and
+    that stream is built only when some level is Monte Carlo.
     """
     keys = [m.indices for m in dictionary.entries]
     levels = checked_schedule(schedule, nu.window)[-2:]

@@ -1189,6 +1189,21 @@ def _row_tv(nu, sampler, chunks, seed):
     return _tv(law, map(tuple, rows.tolist()), rows.shape[0])
 
 
+def _pair_tv(nu, sampler, chunks, seed, head=3):
+    """Total variation between the law of two independent draws of nu's
+    first ``head`` coordinates and their empirical law on the row pairs
+    (2j, 2j + 1) drawn by ``sampler`` in ``chunks``: rows that share their
+    randomness fail it even when each row has the law of nu."""
+    one = {}
+    for x in itertools.product((0, 1), repeat=nu.window):
+        one[x[:head]] = one.get(x[:head], 0) + nu.atom(x)
+    law = {a + b: pa * pb for a, pa in one.items() for b, pb in one.items()}
+    rng = substream(seed, 0)
+    rows = np.concatenate([sampler(nu, rng, size) for size in chunks])[:, :head]
+    pairs = rows[: len(rows) // 2 * 2].reshape(-1, 2 * head)
+    return _tv(law, map(tuple, pairs.tolist()), pairs.shape[0])
+
+
 _LAW_PRODUCT = ProductBernoulli(
     [Fraction(1, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
      Fraction(1, 5), Fraction(4, 5)]
@@ -1207,6 +1222,9 @@ def test_sample_rows_have_the_law_of_the_window(nu):
     bound = _law_bound(2**nu.window, sum(chunks))
     assert bound < 0.02
     assert _row_tv(nu, type(nu).sample_rows, chunks, 73) < bound
+    # consecutive rows are independent: the first 3 coordinates of the
+    # 100000 row pairs, 64 outcomes
+    assert _pair_tv(nu, type(nu).sample_rows, chunks, 73) < _law_bound(2**6, sum(chunks) // 2)
     if isinstance(nu, Mixture):
         # the same bound rejects rows that keep every marginal but share a
         # component pick per chunk: the 183609-row chunk alone moves the
