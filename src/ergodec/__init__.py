@@ -58,12 +58,9 @@ from .measures import (
     OrbitSigmaFinite,
     ProductBernoulli,
     ac_check,
-    canonical_text,
     expectation_monomial,
     jordan_decompose,
-    mass,
     rn_derivative,
-    sample,
 )
 from .rng import RandomStream, stream_from_seed, substream
 from .sigma_finite import (

@@ -382,7 +382,7 @@ def run_orbital(cfg: dict, seed: int) -> RunnerOutput:
     window = cfg["window"]
     if cfg["bernoulli"] is not None:
         nu = ProductBernoulli([cfg["bernoulli"]] * window)
-        x = nu.sample(substream(seed, 0x0B))
+        x = nu.sample_rows(substream(seed, 0x0B), 1)[0]
     else:
         k = cfg["ones"]
         x = tuple(1 if i < k else 0 for i in range(window))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
@@ -46,9 +45,6 @@ class FullGroupOrbitLabel:
                 raise ValueError("finite families need a count k >= 0")
         else:
             raise ValueError(f"unknown orbit family: {self.family}")
-
-    def is_countable_orbit(self) -> bool:
-        return self.family != TWO_SIDED
 
 
 def orbit_class(kind: str, count: int | None = None) -> FullGroupOrbitLabel:
@@ -130,20 +126,6 @@ class InvariantSetFullGroup:
     @classmethod
     def everything(cls) -> "InvariantSetFullGroup":
         return cls(LabelFamilySet.all(), LabelFamilySet.all(), True)
-
-    @classmethod
-    def of_labels(cls, labels: Iterable[FullGroupOrbitLabel]) -> "InvariantSetFullGroup":
-        ones = LabelFamilySet.empty()
-        zeros = LabelFamilySet.empty()
-        two_sided = False
-        for lab in labels:
-            if lab.family == FAMILY_FINITE_ONES:
-                ones = ones.union(LabelFamilySet("finite", frozenset({lab.k})))
-            elif lab.family == FAMILY_FINITE_ZEROS:
-                zeros = zeros.union(LabelFamilySet("finite", frozenset({lab.k})))
-            else:
-                two_sided = True
-        return cls(ones, zeros, two_sided)
 
     def contains(self, lab: FullGroupOrbitLabel) -> bool:
         if lab.family == FAMILY_FINITE_ONES:

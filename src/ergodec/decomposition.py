@@ -195,7 +195,7 @@ def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
     on from the same streams. Returns (rows, table)."""
     rows = np.empty((len(streams), nu.window), dtype=np.uint8)
     for r, stream in enumerate(streams):
-        rows[r] = nu.sample_array(stream)
+        rows[r] = nu.sample_rows(stream, 1)[0]
     return rows, level_table(rows, rho, levels, keys, mc_samples, streams)
 
 
@@ -264,7 +264,7 @@ def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
     stream = substream(seed, 0xC0C)
     level = min(6, nu.window)
     for _ in range(8):
-        x = nu.sample(stream)
+        x = tuple(nu.sample_rows(stream, 1)[0].tolist())
         g = haar_sample(level, stream)
         lhs = rn_derivative(nu, g, x)
         rhs = rho(g, x)
@@ -645,32 +645,6 @@ def mes_ed_roundtrip(nu, rho: Cocycle, config: DecomposeConfig) -> RoundtripRepo
         second=second,
         weight_drift=float(np.max(np.abs(w1 - w2))),
         center_drift=float(np.max(np.abs(c1 - c2))),
-    )
-
-
-@dataclass(frozen=True)
-class SingularityEvidence:
-    event_threshold: float
-    mass_low: float  # lower bound for the first measure on the event
-    mass_high: float  # upper bound for the second measure on the event
-    ok: bool
-
-
-def singular_assembly_check(
-    p_low: float, p_high: float, window: int, threshold: float = 0.5
-) -> SingularityEvidence:
-    """Mutual singularity of Bernoulli(p_low) vs Bernoulli(p_high) at window
-    scale, via the typical-frequency event {frequency <= threshold} and the
-    exponential tail bound exp(-2 N t^2)."""
-    if not (p_low < threshold < p_high):
-        raise ValueError("threshold must separate the two parameters")
-    eps_low = math.exp(-2 * window * (threshold - p_low) ** 2)
-    eps_high = math.exp(-2 * window * (p_high - threshold) ** 2)
-    return SingularityEvidence(
-        event_threshold=threshold,
-        mass_low=1.0 - eps_low,
-        mass_high=eps_high,
-        ok=(1.0 - eps_low) > 0.99 and eps_high < 0.01,
     )
 
 

@@ -209,25 +209,20 @@ class AtomicMeasure:
         return sum(fn(c) * m for c, m in sorted(self._atoms.items()))
 
     @cached_property
-    def _sampler(self) -> tuple[list[Config], np.ndarray]:
-        # the sorted atoms and their running float masses (a sequential
-        # cumsum), built once: the atoms never change
+    def _sampler(self) -> tuple[np.ndarray, np.ndarray]:
+        # the sorted atoms as uint8 rows and their running float masses (a
+        # sequential cumsum), built once: the atoms never change
         if not self.is_probability():
             raise ValueError("sampling needs a normalized measure")
         items = sorted(self._atoms.items())
-        return [cfg for cfg, _ in items], np.cumsum([float(m) for _, m in items])
-
-    def sample(self, rng: RandomStream) -> Config:
-        # the first atom whose running mass exceeds the draw, else the last
-        configs, cum = self._sampler
-        return configs[min(int(cum.searchsorted(rng.random(), "right")), len(configs) - 1)]
+        rows = np.array([cfg for cfg, _ in items], dtype=np.uint8).reshape(len(items), -1)
+        return rows, np.cumsum([float(m) for _, m in items])
 
     def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
-        """``size`` draws as uint8 rows, one ``sample`` after another."""
-        return _rows_one_by_one(self.sample, rng, size, self._window)
-
-    def sample_array(self, rng: RandomStream) -> np.ndarray:
-        return self.sample_rows(rng, 1)[0]
+        """``size`` draws as uint8 rows: one uniform per row, in row order,
+        picks the first atom whose running mass exceeds it, else the last."""
+        rows, cum = self._sampler
+        return rows[np.minimum(cum.searchsorted(rng.random(size), "right"), len(rows) - 1)]
 
     def canonical_text(self) -> str:
         lines = [f"atomic window={self._window}"]
@@ -365,6 +360,9 @@ class ProductBernoulli:
             rows[lo : lo + len(u)] = u < self._float_params
         return rows
 
+    # Not a sampler of its own: ``bench/tracing.py`` binds this method as its
+    # "sample" layer, and nothing in the package calls it. ROADMAP item 5
+    # replaces that tracer and removes both.
     def sample_array(self, rng: RandomStream) -> np.ndarray:
         return self.sample_rows(rng, 1)[0]
 
@@ -374,9 +372,6 @@ class ProductBernoulli:
         if not self.exchangeable:
             raise ValueError("only a homogeneous product has a directing parameter")
         return np.full(size, self._float_params[0])
-
-    def sample(self, rng: RandomStream) -> Config:
-        return tuple(self.sample_array(rng).tolist())
 
     def log_atom_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log-mass for 0/1 rows of shape (n, window), uint8 or float64."""
@@ -520,7 +515,7 @@ class Mixture:
         return np.stack([c._float_params for c in self.components])
 
     def _sample_row(self, rng: RandomStream) -> np.ndarray:
-        return self.components[self.sample_component(rng)].sample_array(rng)
+        return self.components[self.sample_component(rng)].sample_rows(rng, 1)[0]
 
     def sample_rows(self, rng: RandomStream, size: int) -> np.ndarray:
         """``size`` draws as uint8 rows: per row, one uniform picks the
@@ -535,12 +530,6 @@ class Mixture:
         for lo, u in _uniform_blocks(rng, size, self.window + 1):
             rows[lo : lo + len(u)] = u[:, 1:] < params[self._component_of(u[:, 0])]
         return rows
-
-    def sample_array(self, rng: RandomStream) -> np.ndarray:
-        return self.sample_rows(rng, 1)[0]
-
-    def sample(self, rng: RandomStream) -> Config:
-        return tuple(self.sample_array(rng).tolist())
 
     def canonical_text(self) -> str:
         lines = ["mixture"]
@@ -633,15 +622,9 @@ class BetaExchangeable:
         Beta parameter, then ``window`` uniforms."""
         return _rows_one_by_one(self._sample_row, rng, size, self._window)
 
-    def sample_array(self, rng: RandomStream) -> np.ndarray:
-        return self.sample_rows(rng, 1)[0]
-
     def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """The de Finetti parameter of ``size`` points, Beta(alpha, beta)."""
         return rng.beta(self.alpha, self.beta, size)
-
-    def sample(self, rng: RandomStream) -> Config:
-        return tuple(self.sample_array(rng).tolist())
 
     def canonical_text(self) -> str:
         return f"beta-exchangeable alpha={self.alpha} beta={self.beta} window={self._window}"
@@ -746,14 +729,6 @@ class OrbitSigmaFinite:
         return f"OrbitSigmaFinite({dict(sorted(self.orbit_weights.items()))}, scale={self.scale})"
 
 
-Measure = Union[AtomicMeasure, ProductBernoulli, Mixture, BetaExchangeable, OrbitSigmaFinite]
-
-
-def mass(mu: Measure, a: Cylinder):
-    """Mass of a cylinder set; may be symbolically infinite."""
-    return mu.mass(a)
-
-
 def rn_derivative(nu, g: Permutation, x: Config) -> Scalar:
     """Atom-mass ratio nu(act(g,x)) / nu(x).
 
@@ -767,11 +742,6 @@ def rn_derivative(nu, g: Permutation, x: Config) -> Scalar:
     if den == 0:
         raise ZeroMassError(f"measure has zero mass at {x}")
     return nu.atom(act(g, x)) / den
-
-
-def sample(nu, rng: RandomStream) -> Config:
-    """Unbiased draw from a normalized measure; deterministic per stream."""
-    return nu.sample(rng)
 
 
 def jordan_decompose(nu1: AtomicMeasure, nu2: AtomicMeasure):
@@ -801,11 +771,6 @@ def ac_check(nu1, nu2) -> str:
     if not (s1 & s2):
         return "mutually-singular"
     return "neither"
-
-
-def canonical_text(mu: Measure) -> str:
-    """Stable text form used by golden-file tests."""
-    return mu.canonical_text()
 
 
 def expectation_monomial(mu, indices: Iterable[int]):

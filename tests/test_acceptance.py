@@ -282,7 +282,7 @@ def test_criterion_10_orbital_dichotomy():
     est = monomial_level_average(1000, (1,), x)
     escape = orbital_dichotomy(x, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000])
     nu = ProductBernoulli([0.5] * window)
-    xb = nu.sample(substream(SEED, 12))
+    xb = tuple(nu.sample_rows(substream(SEED, 12), 1)[0].tolist())
     converge = orbital_dichotomy(xb, [512, 1024, 2048, 4096])
     elapsed = time.monotonic() - t0
     ok = (

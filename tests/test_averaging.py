@@ -266,7 +266,7 @@ def test_limit_average_all_ones_fixed():
 
 def test_limit_average_lln_bernoulli():
     nu = ProductBernoulli([0.2] * 4096)
-    x = nu.sample(substream(43, 1))
+    x = tuple(nu.sample_rows(substream(43, 1), 1)[0].tolist())
     rep = limit_average(
         constant_one(), CylinderMonomial((1,)), x, default_schedule(4096),
         mc_samples=3000, rng=substream(43, 2),
@@ -738,7 +738,7 @@ def test_pi_phi_under_a_product_potential_draws_nothing(seed, window):
              ProductBernoulli([0.8 - 0.05 * (i % 2) for i in range(window)])]
     nu = Mixture([0.4, 0.6], comps)
     stream, twin = substream(seed, 1), substream(seed, 1)
-    x = nu.sample_array(substream(seed, 0))
+    x = nu.sample_rows(substream(seed, 0), 1)[0]
     stat = pi_phi(x, make_rn(nu), TestDictionary.build(2, 2), rng=stream, mc_samples=64)
     assert all(0.0 <= float(v) <= 1.0 for v in stat.values.values())
     assert stream.bit_generator.state == twin.bit_generator.state
@@ -797,7 +797,7 @@ def test_product_levels_of_a_mixture_follow_the_component_that_holds_the_orbit(s
     a = ProductBernoulli([0.1 if i % 2 else 0.5 for i in range(window)])
     b = ProductBernoulli([0.5 if i % 2 else 0.1 for i in range(window)])
     source = b if second else a
-    bits = source.sample_array(substream(seed, 0))
+    bits = source.sample_rows(substream(seed, 0), 1)[0]
     keys = [(), (1,), (2,), (1, 2)]
     mixed = _product_levels(Mixture([0.5, 0.5], [a, b]), bits, (128, 256), keys)
     alone = _product_levels(source, bits, (128, 256), keys)
@@ -1045,7 +1045,7 @@ def test_limit_average_solves_each_tilt_once_across_keys(monkeypatch):
     comps = [ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
              for a, b in ((0.2, 0.25), (0.75, 0.8))]
     nu = Mixture([0.4, 0.6], comps)
-    rho, x = make_rn(nu), nu.sample(substream(65, 0))
+    rho, x = make_rn(nu), tuple(nu.sample_rows(substream(65, 0), 1)[0].tolist())
     for key in ((1,), (2,), (1, 2), (3,)):
         limit_average(rho, CylinderMonomial(key), x, default_schedule(window))
     parts = rho.log_linear
@@ -1146,7 +1146,7 @@ def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(
     rho = make_rn(nu) if cocycle == "product" else constant_one()
     dictionary = TestDictionary.build(2, 2)
     for i in range(4):
-        x = nu.sample_array(substream(seed, i))
+        x = nu.sample_rows(substream(seed, i), 1)[0]
         stat = pi_phi(x, rho, dictionary, sched, tolerance=0.02)
         for mono in dictionary.nonconstant():
             rep = limit_average(rho, mono, tuple(x.tolist()), sched, tolerance=0.02)
@@ -1166,7 +1166,7 @@ def test_one_level_schedules_agree_across_callers(cocycle):
     window = 1024
     nu = ProductBernoulli([0.3 if i % 2 == 0 else 0.35 for i in range(window)])
     rho = constant_one() if cocycle == "constant" else make_rn(nu)
-    x = nu.sample_array(substream(61, 0))
+    x = nu.sample_rows(substream(61, 0), 1)[0]
     x[:2] = (1, 0)
     dictionary = TestDictionary.build(2, 2)
     for level, want in ((1024, False), (9, False), (8, True), (2, True)):

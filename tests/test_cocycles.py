@@ -266,7 +266,7 @@ def test_make_rn_mixture_without_log_rows_takes_atom_masses(kind):
     dictionary = TestDictionary.build(2, 2)
     keys = [m.indices for m in dictionary.entries]
     for i in range(5):
-        x = nu.sample_array(substream(61, i))
+        x = nu.sample_rows(substream(61, i), 1)[0]
         stat = pi_phi(x, rho, dictionary, schedule=(8, 16), mc_samples=400,
                       rng=substream(62, i))
         exact = level_table(x[None, :], constant_one(), (16,), keys)

@@ -17,6 +17,7 @@ from ergodec.averaging import (
     average_exact,
     closed_form_levels,
     default_schedule,
+    haar_rows,
     level_counts,
     level_gap_sd,
     limit_average,
@@ -39,13 +40,18 @@ from ergodec.decomposition import (
     ks_statistic,
     mes_ed_roundtrip,
     pi_phi,
-    singular_assembly_check,
     split_by_gaps,
 )
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import NonConvergenceError, ZeroMassError
 from ergodec.groups import act, enumerate_level
-from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
+from ergodec.measures import (
+    AtomicMeasure,
+    BetaExchangeable,
+    Mixture,
+    ProductBernoulli,
+    expectation_monomial,
+)
 from ergodec.rng import substream
 from ergodec.validation import _product_atoms
 
@@ -64,14 +70,14 @@ def test_pi_phi_all_zeros():
 
 def test_pi_phi_constant_entry_is_exactly_one():
     nu = ProductBernoulli([0.3] * 256)
-    x = nu.sample(substream(51, 1))
+    x = tuple(nu.sample_rows(substream(51, 1), 1)[0].tolist())
     stat = pi_phi(x, constant_one(), DICT2, rng=substream(51, 2), mc_samples=128)
     assert float(stat.r(())) == 1.0
 
 
 def test_pi_phi_bernoulli_moments():
     nu = ProductBernoulli([0.2] * 4096)
-    x = nu.sample(substream(51, 3))
+    x = tuple(nu.sample_rows(substream(51, 3), 1)[0].tolist())
     stat = pi_phi(x, constant_one(), DICT2, rng=substream(51, 4), mc_samples=2000)
     assert abs(float(stat.r((1,))) - 0.2) <= 3 * stat.stderrs[(1,)] + 0.02
     assert abs(float(stat.r((1, 2))) - 0.04) <= 3 * stat.stderrs[(1, 2)] + 0.02
@@ -80,7 +86,7 @@ def test_pi_phi_bernoulli_moments():
 def test_pi_phi_monotone_under_extension():
     nu = ProductBernoulli([0.7] * 512)
     for i in range(5):
-        x = nu.sample(substream(53, i))
+        x = tuple(nu.sample_rows(substream(53, i), 1)[0].tolist())
         stat = pi_phi(x, constant_one(), DICT2, rng=substream(54, i), mc_samples=96)
         for small, big in DICT2.extension_pairs():
             assert float(stat.r(small)) >= float(stat.r(big))
@@ -100,7 +106,7 @@ def test_pi_phi_exact_mode_orbit_invariance():
 
 def test_pi_phi_values_within_unit_interval():
     nu = ProductBernoulli([0.5] * 128)
-    x = nu.sample(substream(55, 0))
+    x = tuple(nu.sample_rows(substream(55, 0), 1)[0].tolist())
     stat = pi_phi(x, constant_one(), DICT2, rng=substream(55, 1), mc_samples=64)
     for key, v in stat.values.items():
         assert 0 <= float(v) <= 1
@@ -605,13 +611,6 @@ def test_assemble_rebuilds_mixture():
     assert len(rebuilt.components) == 2
 
 
-def test_singular_assembly_evidence():
-    ev = singular_assembly_check(0.2, 0.8, 4096)
-    assert ev.ok
-    assert ev.mass_low >= 1 - 1e-12
-    assert ev.mass_high < 1e-100
-
-
 def test_almost_invariant_exact_set_is_fixed_point():
     nu = _product_atoms([Fraction(1, 3)] * 4)
     # union of two full orbits: counts 0 and 2
@@ -736,7 +735,7 @@ def test_monte_carlo_agrees_with_exact_orbit_sums_at_window_64():
     hits = 0
     for i in range(100):
         stream = substream(7, i)
-        x = nu.sample_array(stream)
+        x = nu.sample_rows(stream, 1)[0]
         values, _, _ = product_levels(x[None, :], (window,), keys, parts)
         exact = values[0, 0]
         est = mc_level_values(x, window, _monte_carlo_rn(nu), entries, 400, stream)
@@ -760,7 +759,7 @@ def test_exact_levels_survive_an_underflowing_potential(window):
     # The mixture's float atom mass is a product of `window` masses and
     # underflows to 0.0; the exact levels weight the orbit in log space.
     nu, comps = _bench_mixture(window)
-    x = comps[1].sample(substream(3, 1))
+    x = tuple(comps[1].sample_rows(substream(3, 1), 1)[0].tolist())
     assert nu.atom(x) == 0.0
     pi_phi(x, make_rn(nu), DICT2, (4, 8, window))
     report = limit_average(make_rn(nu), CylinderMonomial((1, 2)), x, default_schedule(window))
@@ -871,7 +870,7 @@ def _per_point_rows(nu, keys, schedule, tolerance, seed, indices):
     vals, ses, conv, last_slacks = [], [], [], []
     stream = _point_stream(seed)
     for i in indices:
-        x = nu.sample_array(stream)
+        x = nu.sample_rows(stream, 1)[0]
         values, slacks, stderrs = _per_point_closed_form(x, levels, keys)
         vals.append([float(v) for v in values[-1]])
         ses.append(stderrs)
@@ -928,7 +927,7 @@ def test_batched_point_block_matches_per_point_pi_phi(case):
     want = _per_point_rows(nu, keys, *case[2:])
     _assert_same_bytes(got, want[:3])
     stream = _point_stream(seed)
-    xs = [nu.sample_array(stream) for i in indices]
+    xs = [nu.sample_rows(stream, 1)[0] for i in indices]
     levels = tuple(schedule)[-2:]
     cf = closed_form_levels(
         np.array([level_counts(x, levels) for x in xs]),
@@ -983,7 +982,7 @@ def _product_rows(nu, dictionary, schedule, tolerance, seed, indices):
     rows = []
     stream = _point_stream(seed)
     for i in indices:
-        stat = pi_phi(nu.sample_array(stream), rho, dictionary, schedule,
+        stat = pi_phi(nu.sample_rows(stream, 1)[0], rho, dictionary, schedule,
                       tolerance)
         rows.append(([float(stat.values[k]) for k in keys],
                      [stat.stderrs[k] for k in keys], [stat.converged[k] for k in keys]))
@@ -1057,7 +1056,7 @@ def test_limit_average_matches_recorded_reports():
     nu, _ = _bench_mixture(64)
     reports = []
     for i, rho in itertools.product(range(3), _three_cocycles(nu)):
-        x = tuple(nu.sample_array(substream(5, i)).tolist())
+        x = tuple(nu.sample_rows(substream(5, i), 1)[0].tolist())
         for key, schedule in (
             ((1,), default_schedule(64)),
             ((1, 2), (4, 8, 64)),
@@ -1089,7 +1088,7 @@ def test_point_block_rows_do_not_depend_on_the_split(kind):
     keys = [m.indices for m in DICT2.entries]
     rows = _point_stream(seed)
     for row, i in enumerate(range(30)):
-        x = nu.sample_array(rows)
+        x = nu.sample_rows(rows, 1)[0]
         stat = pi_phi(x, rho, DICT2, schedule, 0.02, mc_samples, substream(seed, i))
         assert [float(stat.values[k]) for k in keys] == whole[0][row].tolist()
         assert [stat.stderrs[k] for k in keys] == whole[1][row].tolist()
@@ -1180,56 +1179,125 @@ def _one_pick_per_chunk(nu, rng, size):
     return nu.components[nu.sample_component(rng)].sample_rows(rng, size)
 
 
-def _row_tv(nu, sampler, chunks, seed):
-    """Total variation between nu's law on its window and the empirical law
-    of rows drawn by ``sampler`` in ``chunks`` from one stream."""
-    law = {x: nu.atom(x) for x in itertools.product((0, 1), repeat=nu.window)}
+def _drawn_rows(nu, sampler, chunks, seed):
+    """Rows of nu drawn by ``sampler`` in ``chunks`` from one stream."""
     rng = substream(seed, 0)
-    rows = np.concatenate([sampler(nu, rng, size) for size in chunks])
+    return np.concatenate([sampler(nu, rng, size) for size in chunks])
+
+
+def _row_tv(nu, rows):
+    """Total variation between nu's law on its window and the empirical law
+    of ``rows``."""
+    law = {x: nu.atom(x) for x in itertools.product((0, 1), repeat=nu.window)}
     return _tv(law, map(tuple, rows.tolist()), rows.shape[0])
 
 
-def _pair_tv(nu, sampler, chunks, seed, head=3):
+def _pair_tv(nu, rows, head=3):
     """Total variation between the law of two independent draws of nu's
     first ``head`` coordinates and their empirical law on the row pairs
-    (2j, 2j + 1) drawn by ``sampler`` in ``chunks``: rows that share their
-    randomness fail it even when each row has the law of nu."""
+    (2j, 2j + 1): rows that share their randomness fail it even when each
+    row has the law of nu."""
     one = {}
     for x in itertools.product((0, 1), repeat=nu.window):
         one[x[:head]] = one.get(x[:head], 0) + nu.atom(x)
     law = {a + b: pa * pb for a, pa in one.items() for b, pb in one.items()}
-    rng = substream(seed, 0)
-    rows = np.concatenate([sampler(nu, rng, size) for size in chunks])[:, :head]
-    pairs = rows[: len(rows) // 2 * 2].reshape(-1, 2 * head)
+    pairs = rows[: len(rows) // 2 * 2, :head].reshape(-1, 2 * head)
     return _tv(law, map(tuple, pairs.tolist()), pairs.shape[0])
+
+
+def _with_its_first_moments(nu, rng, size):
+    """A wrong sampler: independent coordinates with nu's first moments."""
+    means = [float(expectation_monomial(nu, (i,))) for i in range(1, nu.window + 1)]
+    return ProductBernoulli(means).sample_rows(rng, size)
 
 
 _LAW_PRODUCT = ProductBernoulli(
     [Fraction(1, 4), Fraction(3, 5), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
      Fraction(1, 5), Fraction(4, 5)]
 )
+# coordinates 1 and 7 agree; mass grows with the ones count
+_LAW_ATOMIC = AtomicMeasure({
+    x: Fraction(1 + sum(x)) for x in itertools.product((0, 1), repeat=7) if x[0] == x[6]
+}).normalized()
+_LAW_BETA = BetaExchangeable(2, 3, 7)
+
+
+def _law_chunks(nu):
+    """Uneven chunks of rows from one stream: 200000 rows, where 16385 rows
+    straddle the 16384-row uniform blocks of a window-7 mixture of products.
+    Samplers that draw one row at a time (a Beta mixture, a mixture with a
+    component that is not a product) take 60000 rows, about 0.3 s each."""
+    one_by_one = isinstance(nu, BetaExchangeable) or (
+        isinstance(nu, Mixture)
+        and not all(isinstance(c, ProductBernoulli) for c in nu.components))
+    return (1, 2, 3, 4097, 55897) if one_by_one else (1, 2, 3, 16385, 183609)
 
 
 @pytest.mark.parametrize("nu", [
     _LAW_PRODUCT,
     Mixture([Fraction(1, 3), Fraction(2, 3)],
             [_LAW_PRODUCT, ProductBernoulli([Fraction(4, 5)] * 7)]),
+    _LAW_ATOMIC,
+    _LAW_BETA,
+    Mixture([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
+            [_LAW_PRODUCT, _LAW_ATOMIC, _LAW_BETA]),
 ])
 def test_sample_rows_have_the_law_of_the_window(nu):
-    # 200000 rows of window 7 in uneven chunks; 16385 rows straddle the
-    # 16384-row uniform blocks of a window-7 mixture
-    chunks = (1, 2, 3, 16385, 183609)
-    bound = _law_bound(2**nu.window, sum(chunks))
-    assert bound < 0.02
-    assert _row_tv(nu, type(nu).sample_rows, chunks, 73) < bound
-    # consecutive rows are independent: the first 3 coordinates of the
-    # 100000 row pairs, 64 outcomes
-    assert _pair_tv(nu, type(nu).sample_rows, chunks, 73) < _law_bound(2**6, sum(chunks) // 2)
+    chunks = _law_chunks(nu)
+    rows = _drawn_rows(nu, type(nu).sample_rows, chunks, 73)
+    bound = _law_bound(2**nu.window, len(rows))
+    assert bound < 0.035
+    assert _row_tv(nu, rows) < bound
+    # consecutive rows are independent: the first 3 coordinates of the row
+    # pairs, 64 outcomes
+    assert _pair_tv(nu, rows) < _law_bound(2**6, len(rows) // 2)
+    if nu is not _LAW_PRODUCT:
+        # the same bound rejects rows with nu's first moments and
+        # independent coordinates
+        wrong = _drawn_rows(nu, _with_its_first_moments, chunks, 73)
+        assert _row_tv(nu, wrong) > 5 * bound
     if isinstance(nu, Mixture):
-        # the same bound rejects rows that keep every marginal but share a
-        # component pick per chunk: the 183609-row chunk alone moves the
-        # component weights by more than 0.25
-        assert _row_tv(nu, _one_pick_per_chunk, chunks, 73) > 5 * bound
+        # and rows that keep every marginal but share a component pick per
+        # chunk: the largest chunk alone moves the component weights by
+        # more than 0.25
+        wrong = _drawn_rows(nu, _one_pick_per_chunk, chunks, 73)
+        assert _row_tv(nu, wrong) > 5 * bound
+
+
+def _rotated_rows(x_bits, level, samples, rng):
+    """A wrong Haar draw: the first ``level`` coordinates rotated by a
+    uniform shift. Every coordinate keeps its mean, but only ``level`` of the
+    arrangements occur."""
+    shift = rng.integers(level, size=samples)
+    rows = np.tile(x_bits, (samples, 1))
+    rows[:, :level] = x_bits[(np.arange(level) + shift[:, None]) % level]
+    return rows
+
+
+@pytest.mark.parametrize("bits, level", [
+    ((1, 1, 0, 1, 0, 0, 0, 1), 7),
+    ((0, 1, 1, 0, 1, 1, 0, 0), 8),
+])
+def test_haar_rows_have_the_law_of_a_permuted_window(bits, level):
+    # the law of x with its first ``level`` coordinates permuted by a
+    # uniform element of S(level), by enumeration; 200000 rows in uneven
+    # chunks from one stream
+    x = np.array(bits, dtype=np.uint8)
+    law = {}
+    for head in itertools.permutations(bits[:level]):
+        key = head + bits[level:]
+        law[key] = law.get(key, 0) + Fraction(1, math.factorial(level))
+    chunks = (1, 2, 3, 16385, 183609)
+    bound = _law_bound(len(law), sum(chunks))
+    assert bound < 0.02
+
+    def tv(sampler):
+        rng = substream(76, 0)
+        rows = np.concatenate([sampler(x, level, size, rng) for size in chunks])
+        return _tv(law, map(tuple, rows.tolist()), rows.shape[0])
+
+    assert tv(haar_rows) < bound
+    assert tv(_rotated_rows) > 5 * bound
 
 
 def test_directed_statistics_count_the_head_within_it():
@@ -1264,17 +1332,17 @@ def test_decompose_spot_check_rejects_a_measure_outside_the_cocycle_class():
 
 def test_exchangeable_decompose_skips_the_spot_check(monkeypatch):
     calls = []
-    real_sample, real_rn = Mixture.sample, ergodec.decomposition.rn_derivative
+    real_sample, real_rn = Mixture.sample_rows, ergodec.decomposition.rn_derivative
 
-    def sample(self, rng):
+    def sample_rows(self, rng, size):
         calls.append("sample")
-        return real_sample(self, rng)
+        return real_sample(self, rng, size)
 
     def rn(nu, g, x):
         calls.append("rn_derivative")
         return real_rn(nu, g, x)
 
-    monkeypatch.setattr(Mixture, "sample", sample)
+    monkeypatch.setattr(Mixture, "sample_rows", sample_rows)
     monkeypatch.setattr(ergodec.decomposition, "rn_derivative", rn)
     nu = Mixture([Fraction(1, 3), Fraction(2, 3)],
                  [ProductBernoulli([0.2] * 64), BetaExchangeable(2, 3, 64)])

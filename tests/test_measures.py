@@ -19,19 +19,16 @@ from ergodec.measures import (
     OrbitSigmaFinite,
     ProductBernoulli,
     ac_check,
-    canonical_text,
     expectation_monomial,
     jordan_decompose,
-    mass,
     rn_derivative,
-    sample,
 )
 from ergodec.rng import substream
 
 
 def test_mass_symmetric_bernoulli():
     nu = ProductBernoulli([Fraction(1, 2)] * 4)
-    assert mass(nu, Cylinder.of({1: 1})) == Fraction(1, 2)
+    assert nu.mass(Cylinder.of({1: 1})) == Fraction(1, 2)
 
 
 def test_mass_mixture_exact():
@@ -40,12 +37,12 @@ def test_mass_mixture_exact():
         [ProductBernoulli([Fraction(1, 5)] * 2), ProductBernoulli([Fraction(4, 5)] * 2)],
     )
     # 0.3 * 0.2 + 0.7 * 0.8 = 0.62
-    assert mass(mix, Cylinder.of({1: 1})) == Fraction(31, 50)
+    assert mix.mass(Cylinder.of({1: 1})) == Fraction(31, 50)
 
 
 def test_mass_sigma_finite_whole_space_infinite():
     nu = OrbitSigmaFinite({1: 1})
-    assert mass(nu, Cylinder.whole_space()) == INFINITE
+    assert nu.mass(Cylinder.whole_space()) == INFINITE
 
 
 def test_mass_sigma_finite_pinned_exact():
@@ -321,18 +318,19 @@ def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
     rng = substream(17, 0)
     for _ in range(10):
-        assert sample(nu, rng) == (1, 0, 1)
+        assert nu.sample_rows(rng, 1)[0].tolist() == [1, 0, 1]
 
 
 def test_sample_requires_probability():
     nu = AtomicMeasure({(1,): Fraction(1, 2)})
     with pytest.raises(ValueError):
-        sample(nu, substream(17, 1))
+        nu.sample_rows(substream(17, 1), 1)
 
 
 def _sample_by_loop(nu, r):
-    """``AtomicMeasure.sample`` at one uniform draw r, as it stood before its
-    table was cached: one pass over the sorted atoms per draw."""
+    """The atom ``AtomicMeasure.sample_rows`` picks at one uniform draw r, by
+    the rule it had before its table was cached: one pass over the sorted
+    atoms per draw."""
     acc = 0.0
     items = sorted(nu.atoms.items())
     for cfg, m in items:
@@ -343,11 +341,14 @@ def _sample_by_loop(nu, r):
 
 
 class _FixedDraw:
-    def __init__(self, r):
-        self.r = r
+    """A stream whose uniforms are the given draws, in order."""
 
-    def random(self):
-        return self.r
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,40 +366,31 @@ def test_atomic_sample_equals_the_per_draw_loop(masses, draws):
     # draws on the running sums themselves and just below 1 as well, where
     # rounding can leave every running sum at or under the draw
     running = list(itertools.accumulate(float(m) for _, m in sorted(nu.atoms.items())))
-    for r in draws + running + [1.0 - 2.0**-53]:
-        assert nu.sample(_FixedDraw(r)) == _sample_by_loop(nu, r)
+    draws = draws + running + [1.0 - 2.0**-53]
+    rows = nu.sample_rows(_FixedDraw(draws), len(draws))
+    assert rows.dtype == np.uint8
+    for row, r in zip(rows.tolist(), draws):
+        assert tuple(row) == _sample_by_loop(nu, r)
+    # one block of uniforms is the scalar draws in turn
     fast, slow = substream(17, 10), substream(17, 10)
-    for _ in range(10):
-        assert nu.sample(fast) == _sample_by_loop(nu, slow.random())
-
-
-@pytest.mark.parametrize("kind", ["atomic", "product", "beta", "mixture"])
-def test_sample_array_is_the_bits_of_sample(kind):
-    atomic = AtomicMeasure({(1, 0, 1, 1): Fraction(1, 3), (0, 0, 1, 0): Fraction(2, 3)})
-    nu = {
-        "atomic": atomic,
-        "product": ProductBernoulli([Fraction(1, 3), 0.5, 0.25, 0.9]),
-        "beta": BetaExchangeable(2, 3, 4),
-        "mixture": Mixture([0.5, 0.5], [atomic, ProductBernoulli([0.4] * 4)]),
-    }[kind]
-    for i in range(20):
-        by_array, by_tuple = substream(17, 9, i), substream(17, 9, i)
-        got = nu.sample_array(by_array)
-        assert got.dtype == np.uint8
-        assert tuple(got.tolist()) == nu.sample(by_tuple)
-        # the same use of the stream: the next draws agree too
-        assert by_array.random() == by_tuple.random()
+    for row in nu.sample_rows(fast, 10).tolist():
+        assert tuple(row) == _sample_by_loop(nu, slow.random())
 
 
 def _one_row_at_a_time(nu, rng):
-    """A row as ``sample_array`` drew it before ``sample_rows``: a product
-    takes ``window`` uniforms at once, and a mixture one uniform for its
-    component and then the component's row."""
+    """A row drawn on its own, as before ``sample_rows``: an atomic measure
+    takes one uniform for its atom, a product ``window`` uniforms at once, a
+    Beta mixture its parameter and then ``window`` uniforms, and a mixture
+    one uniform for its component and then the component's row."""
     if isinstance(nu, Mixture):
         return _one_row_at_a_time(nu.components[nu.sample_component(rng)], rng)
+    if isinstance(nu, AtomicMeasure):
+        return np.array(_sample_by_loop(nu, rng.random()), dtype=np.uint8)
     if isinstance(nu, ProductBernoulli):
-        return (rng.random(nu.window) < np.array([float(p) for p in nu.params])).astype(np.uint8)
-    return nu.sample_array(rng)
+        p = np.array([float(p) for p in nu.params])
+    else:
+        p = rng.beta(nu.alpha, nu.beta)
+    return (rng.random(nu.window) < p).astype(np.uint8)
 
 
 @pytest.mark.parametrize("kind", ["atomic", "product", "beta", "mixture", "product-mixture",
@@ -431,8 +423,8 @@ def test_sample_rows_are_rows_drawn_in_turn(kind):
 
 def test_sample_bernoulli_clt_bound():
     nu = ProductBernoulli([0.2] * 4096)
-    x = sample(nu, substream(17, 2))
-    mean = sum(x) / 4096
+    x = nu.sample_rows(substream(17, 2), 1)[0]
+    mean = int(x.sum()) / 4096
     assert abs(mean - 0.2) <= 3 * math.sqrt(0.2 * 0.8 / 4096)
 
 
@@ -520,7 +512,7 @@ def test_beta_exchangeable_rn_is_one():
 def test_beta_exchangeable_sample_moment():
     nu = BetaExchangeable(2, 3, 2048)
     rng = substream(23, 1)
-    means = [sum(nu.sample(rng)) / 2048 for _ in range(300)]
+    means = [int(nu.sample_rows(rng, 1)[0].sum()) / 2048 for _ in range(300)]
     # mixing mean is alpha/(alpha+beta) = 0.4
     assert abs(np.mean(means) - 0.4) < 0.05
 
@@ -534,11 +526,11 @@ def test_expectation_monomial_product_and_mixture():
 
 def test_canonical_text_golden():
     nu = AtomicMeasure({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    assert canonical_text(nu) == "atomic window=2\n01 1/2\n10 1/2"
+    assert nu.canonical_text() == "atomic window=2\n01 1/2\n10 1/2"
     pb = ProductBernoulli([Fraction(1, 3), Fraction(2, 3)])
-    assert canonical_text(pb) == "bernoulli 1/3 2/3"
+    assert pb.canonical_text() == "bernoulli 1/3 2/3"
     orb = OrbitSigmaFinite({2: Fraction(3, 4), 0: Fraction(1)})
-    assert canonical_text(orb) == "orbit-sigma-finite scale=inf\norbit 0 1/1\norbit 2 3/4"
+    assert orb.canonical_text() == "orbit-sigma-finite scale=inf\norbit 0 1/1\norbit 2 3/4"
 
 
 def test_atomic_normalization_and_total():
@@ -573,10 +565,10 @@ def test_cached_float_params_are_bit_identical(percents, exact, seed):
     nu = ProductBernoulli(params)
     p = np.array([float(q) for q in params])
     for i in range(3):  # repeated calls reuse the cached arrays
-        got = nu.sample_array(substream(seed, i))
+        got = nu.sample_rows(substream(seed, i), 1)[0]
         want = (substream(seed, i).random(len(params)) < p).astype(np.uint8)
         assert got.tobytes() == want.tobytes()
-    rows = np.stack([nu.sample_array(substream(seed, 9 + i)) for i in range(4)])
+    rows = np.stack([nu.sample_rows(substream(seed, 9 + i), 1)[0] for i in range(4)])
     logit = np.log(p) - np.log1p(-p)
     want_log = np.sum(np.log1p(-p)) + rows @ logit
     assert nu.log_atom_rows(rows).tobytes() == want_log.tobytes()
@@ -637,11 +629,9 @@ def test_mixture_log_atom_converts_once_with_the_same_bits(window, seed, shape):
     other = {"flat": b, "nested": Mixture([0.5, 0.5], [a, b]),
              "beta": BetaExchangeable(2, 3, window)}[shape]
     nu = Mixture([0.3, 0.7], [a, other])
-    stream, twin = substream(seed, 1), substream(seed, 1)
+    stream = substream(seed, 1)
     for _ in range(3):
-        x = nu.sample(stream)
-        # the former conversion of a draw, and Python ints as before
-        assert x == tuple(int(v) for v in nu.sample_array(twin))
+        x = tuple(nu.sample_rows(stream, 1)[0].tolist())
         assert all(type(v) is int for v in x)
         want = _former_log_atom(nu, x)
         assert nu.log_atom(x) == want

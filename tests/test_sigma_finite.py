@@ -451,7 +451,7 @@ def test_orbital_measure_capacity():
 
 def test_orbital_measure_monte_carlo_lln():
     nu = ProductBernoulli([0.5] * 4096)
-    x = nu.sample(substream(73, 0))
+    x = tuple(nu.sample_rows(substream(73, 0), 1)[0].tolist())
     est = monomial_level_average(4096, (1,), x)
     assert est == Fraction(sum(x), 4096)
     assert abs(est - 0.5) <= 0.03
@@ -482,7 +482,7 @@ def test_orbital_dichotomy_inconclusive_on_oscillation():
 
 def test_orbital_dichotomy_bernoulli_converges_to_moments():
     nu = ProductBernoulli([0.3] * 2048)
-    x = nu.sample(substream(73, 4))
+    x = tuple(nu.sample_rows(substream(73, 4), 1)[0].tolist())
     rep = orbital_dichotomy(x, [256, 512, 1024, 2048])
     assert rep.verdict == "converges-to-probability"
     assert abs(rep.finals[(1,)] - 0.3) <= 0.03
