@@ -17,9 +17,11 @@ p) per gap between levels past them. Given p the bits are independent
 Bernoulli(p), so these are independent pieces of disjoint blocks of the
 window, with the law the full window gives them. Every other input draws
 its points from one stream of its own, in blocks of 512 points, by
-``sample_rows``; only Monte Carlo levels draw from a child stream per
-point. Both paths run in one process and read no worker count: the CLI's
-worker-count flag is accepted by every subcommand and changes nothing.
+``sample_rows``, the one row sampler of every measure; ``ergodicity_test``
+draws its probes the same way, as one block. Only Monte Carlo levels draw
+from a child stream per point. Both paths run in one process and read no
+worker count: the CLI's worker-count flag is accepted by every subcommand
+and changes nothing.
 """
 from __future__ import annotations
 
@@ -189,21 +191,14 @@ def split_by_gaps(values: np.ndarray, min_gap: float) -> list[np.ndarray]:
     return groups
 
 
-def _sampled_table(nu, rho: Cocycle, keys, levels, mc_samples: int, streams):
-    """Draw one point of nu from each stream into a (points x window) uint8
-    block and evaluate it with ``level_table``, whose Monte Carlo levels draw
-    on from the same streams. Returns (rows, table)."""
-    rows = np.empty((len(streams), nu.window), dtype=np.uint8)
-    for r, stream in enumerate(streams):
-        rows[r] = nu.sample_rows(stream, 1)[0]
-    return rows, level_table(rows, rho, levels, keys, mc_samples, streams)
-
-
 def _point_block(nu, rho: Cocycle, dictionary: TestDictionary, schedule, tolerance: float,
                  mc_samples: int, seed: int, indices: Sequence[int], rng: RandomStream):
     """Limit statistics ``(vals, ses, conv)`` for a block of point
     indices, rows in index order: ``LevelTable.converged`` on a
-    ``level_table`` of the block, as in ``pi_phi``.
+    ``level_table`` of the block, as in ``pi_phi``. This is the one point
+    path of ``decompose`` (blocks of 512 from ``substream(seed, 0xD0, 0)``)
+    and of ``ergodicity_test`` (its probes as one block from
+    ``substream(seed, 0xE6, 0)``).
 
     The block's points are the next ``len(indices)`` rows of
     ``nu.sample_rows`` on ``rng``. A row's draws do not depend on the rows
@@ -258,9 +253,12 @@ def _is_own_rn(nu, rho: Cocycle) -> bool:
 
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
     """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho.
-    ``decompose`` skips it where it cannot fail: the constant cocycle with an
-    exchangeable nu, and rho = ``make_rn(nu)`` (``_is_own_rn``), whose ratio
-    is the very ``rn_derivative(nu, g, x)`` it would be compared with."""
+    Each sample is a point, ``nu.sample_rows(stream, 1)[0]`` as a tuple,
+    then a Haar permutation of S(min(6, window)), in turn from
+    ``substream(seed, 0xC0C)``. ``decompose`` skips the check where it
+    cannot fail: the constant cocycle with an exchangeable nu, and rho =
+    ``make_rn(nu)`` (``_is_own_rn``), whose ratio is the very
+    ``rn_derivative(nu, g, x)`` it would be compared with."""
     stream = substream(seed, 0xC0C)
     level = min(6, nu.window)
     for _ in range(8):
@@ -475,15 +473,17 @@ def ergodicity_test(
 ) -> ErgodicityVerdict:
     """Check that limit averages of sampled points match the space averages.
 
-    Each probe is a point of eta; ``level_table`` evaluates the last two
-    schedule levels of the block of probes, and ``LevelTable.converged``
-    with tolerance 1e-3 detects each entry's limit. A converged entry fails
-    when |limit - integral| > 3 * stderr + tolerance; one that does not
-    converge counts as non-converged. On exact atomic models of window <= 8
-    the comparison is exact: every atom is a probe, evaluated at the full
-    window by one ``level_table`` call (the closed form under the constant
-    cocycle, orbit sums otherwise), and an entry fails when its value
-    differs from the integral.
+    The probes are one block of ``_point_block``: their rows come in turn
+    from ``substream(seed, 0xE6, 0)`` by ``eta.sample_rows``, and probe i
+    draws its Monte Carlo levels from ``substream(seed, i)``. ``level_table``
+    evaluates the last two schedule levels of the block, and
+    ``LevelTable.converged`` with tolerance 1e-3 detects each entry's
+    limit. A converged entry fails when |limit - integral| > 3 * stderr +
+    tolerance; one that does not converge counts as non-converged. On exact
+    atomic models of window <= 8 the comparison is exact: every atom is a
+    probe, evaluated at the full window by one ``level_table`` call (the
+    closed form under the constant cocycle, orbit sums otherwise), and an
+    entry fails when its value differs from the integral.
     """
     window = eta.window
     entries = dictionary.nonconstant()
@@ -517,12 +517,10 @@ def ergodicity_test(
             witnesses=tuple(witnesses),
         )
 
-    sched = checked_schedule(schedule, window)
     keys = [m.indices for m in dictionary.entries]
-    streams = [substream(seed, 0xE6, i) for i in range(probes)]
-    _, table = _sampled_table(eta, rho, keys, sched[-2:], mc_samples, streams)
-    converged = table.converged(1e-3)
-    values, ses = table.values[-1].tolist(), table.stderrs[-1].tolist()
+    values, ses, converged = _point_block(eta, rho, dictionary, schedule, 1e-3, mc_samples, seed,
+                                          range(probes), substream(seed, 0xE6, 0))
+    values, ses = values.tolist(), ses.tolist()
     targets = [(keys.index(m.indices), float(expectation_monomial(eta, m.indices)))
                for m in entries]
     failures = 0

@@ -1024,9 +1024,15 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
 # values, which are now 0. It was re-recorded again when the product-potential
 # slack began to take its variance sums from per-count moments: 5 of the 36
 # reports moved only in the last one or two bits of `threshold` (tolerance +
-# slack); every value, estimate and verdict kept its bits.
+# slack); every value, estimate and verdict kept its bits. The ergodicity
+# digest was re-recorded when ergodicity_test began to draw its probes
+# through _point_block: the rows now come in turn from one stream,
+# substream(seed, 0xE6, 0), and Monte Carlo levels from substream(seed, i),
+# where each probe i had drawn both from substream(seed, 0xE6, i). The probe
+# points changed, so failure and non-convergence counts moved; each of the
+# 18 verdicts kept its label.
 RECORDED_ERGODICITY_SHA256 = (
-    "fee8518528a87d73a72ce1eeb754e84c85d955c2028cb23cec1efe0896d047b1"
+    "5d4efcebfab05782b7b8e329c89ad0c2640b87abda609efe8dcc2162fa138784"
 )
 RECORDED_LIMIT_AVERAGE_SHA256 = (
     "8f92b35b6de6c09c7551954997c6aa9f43f18d580b6b1b78b8a85e1a4fb1523d"
