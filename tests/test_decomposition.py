@@ -1252,7 +1252,8 @@ def test_sample_rows_have_the_law_of_the_window(nu):
     chunks = _law_chunks(nu)
     rows = _drawn_rows(nu, type(nu).sample_rows, chunks, 73)
     bound = _law_bound(2**nu.window, len(rows))
-    assert bound < 0.035
+    # the test's resolution: 0.0165 at 200000 rows, 0.0302 at 60000
+    assert bound < (0.02 if len(rows) == 200_000 else 0.031)
     assert _row_tv(nu, rows) < bound
     # consecutive rows are independent: the first 3 coordinates of the row
     # pairs, 64 outcomes
