@@ -921,12 +921,13 @@ def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniRepo
 
     whenever nu has Radon-Nikodym cocycle rho on the window.
     """
-    order = math.factorial(level)
+    group = list(enumerate_level(level))
     lhs = Fraction(0)
     for x, m in sorted(nu.atoms.items()):
-        for k in enumerate_level(level):
-            lhs += Fraction(phi(act(k, x))) * Fraction(rho(k, x)) * m
-    lhs /= order
+        for k in group:
+            r = rho(k, x)
+            lhs += Fraction(phi(act(k, x))) * (r if type(r) is Fraction else Fraction(r)) * m
+    lhs /= len(group)
     rhs = sum(
         (Fraction(phi(x)) * m for x, m in sorted(nu.atoms.items())), Fraction(0)
     )

@@ -18,6 +18,7 @@ not start (bad config, capacity bounds).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -439,7 +440,10 @@ def run_experiment(
     return record
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="ergodec", description="orbit-averaging experiment runner"
     )
@@ -451,7 +455,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and unused: every run takes one process")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.subcommand, args.config, {})

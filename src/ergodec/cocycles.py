@@ -173,6 +173,20 @@ def _violates(lhs: int | Fraction, a: int | Fraction, b: int | Fraction) -> bool
             != lhs.denominator * a.numerator * b.numerator)
 
 
+def _interned(rows: np.ndarray, seen: dict[tuple, Permutation]) -> list[Permutation]:
+    """The permutations with one-line images ``rows``, one validated
+    ``Permutation`` per distinct row: ``seen`` maps each row's tuple to the
+    one already built. S(level) has level! elements, so a batch of rows
+    repeats them once trials outnumber level!."""
+    out = []
+    for key in map(tuple, rows.tolist()):
+        g = seen.get(key)
+        if g is None:
+            g = seen[key] = Permutation.from_one_line(key)
+        out.append(g)
+    return out
+
+
 def verify_identity(
     rho: Cocycle,
     trials: int,
@@ -186,13 +200,16 @@ def verify_identity(
     S(level), x uniform on the window. They are drawn in batches of at most
     ``_TRIAL_CHUNK`` trials (``_identity_triples``), and g*h and act(h, x)
     are formed on each batch's arrays, so memory does not grow with
-    ``trials``; each trial still builds its three ``Permutation``s and
-    evaluates rho three times. When all three values are ints or Fractions
-    they are compared exactly, by cross-multiplying numerators and
-    denominators; otherwise by relative error, which must stay within
-    1e-12. The first violating triple is reported as a witness
-    (g, h, x, lhs, rhs).
+    ``trials``. Each batch builds one ``Permutation`` per distinct row among
+    its g, h and g*h (``_interned``), and each trial evaluates rho three
+    times. When all three values are ints or Fractions they are compared
+    exactly, by cross-multiplying numerators and denominators; otherwise by
+    relative error, which must stay within 1e-12. The first violating triple
+    is reported as a witness (g, h, x, lhs, rhs). ValueError when
+    ``trials`` < 1: no triple, no verdict.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if level < 1:
         raise ValueError("level must be >= 1")
     if window < level:
@@ -208,12 +225,17 @@ def verify_identity(
         # act(h, x): the bit at coordinate j moves to coordinate h(j)
         hx_rows = x_rows.copy()
         hx_rows[np.arange(n)[:, None], h_rows - 1] = x_rows[:, :level]
-        for t in range(n):
-            g = Permutation.from_one_line(g_rows[t].tolist())
-            h = Permutation.from_one_line(h_rows[t].tolist())
-            x = tuple(x_rows[t].tolist())
-            lhs = rho(Permutation.from_one_line(gh_rows[t].tolist()), x)
-            a = rho(g, tuple(hx_rows[t].tolist()))
+        seen: dict[tuple, Permutation] = {}
+        batch = zip(
+            _interned(g_rows, seen),
+            _interned(h_rows, seen),
+            _interned(gh_rows, seen),
+            map(tuple, x_rows.tolist()),
+            map(tuple, hx_rows.tolist()),
+        )
+        for g, h, gh, x, hx in batch:
+            lhs = rho(gh, x)
+            a = rho(g, hx)
             b = rho(h, x)
             if (isinstance(lhs, _EXACT) and isinstance(a, _EXACT)
                     and isinstance(b, _EXACT)):

@@ -24,12 +24,13 @@ ENUMERATION_CAP = 8
 class Permutation:
     """A bijection of the positive integers moving finitely many points.
 
-    Every instance goes through the validating constructor. The hash is
-    computed lazily, on first use: most permutations are only applied or
-    composed, never hashed.
+    Every instance goes through the validating constructor, which also
+    stores the degree: ``check_degree`` reads it before every ``act`` and
+    closed-form ratio. The hash is computed lazily, on first use: most
+    permutations are only applied or composed, never hashed.
     """
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ("_map", "_degree", "_hash")
 
     def __init__(self, mapping: dict[int, int] | None = None):
         m = {}
@@ -41,6 +42,7 @@ class Permutation:
         if m.keys() != set(m.values()):
             raise ValueError("mapping is not a bijection of its support")
         self._map = m
+        self._degree = max(m, default=0)
         self._hash = None
 
     @classmethod
@@ -64,7 +66,7 @@ class Permutation:
     @property
     def degree(self) -> int:
         """Smallest n with support inside {1..n}; 0 for the identity."""
-        return max(self._map, default=0)
+        return self._degree
 
     @property
     def support(self) -> frozenset[int]:
@@ -132,7 +134,7 @@ def enumerate_level(level: int) -> Iterator[Permutation]:
 
 def check_degree(g: Permutation, window: int) -> None:
     """Raise DegreeOverflowError when g moves a coordinate past the window."""
-    if g.degree > window:
+    if g._degree > window:
         raise DegreeOverflowError(
             f"permutation of degree {g.degree} exceeds window {window}"
         )

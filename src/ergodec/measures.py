@@ -650,7 +650,7 @@ class OrbitSigmaFinite:
                 raise ValueError("orbit labels are nonnegative")
             if scale is not None and k > scale:
                 raise ValueError("orbit label exceeds the window")
-            w = Fraction(c)
+            w = c if type(c) is Fraction else Fraction(c)
             if w < 0:
                 raise ValueError("orbit weights are nonnegative")
             if w > 0:

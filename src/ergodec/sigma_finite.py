@@ -52,7 +52,8 @@ class GeometricWeight:
         """f(act(g, x)) / f(x) as one integer power over the coordinates g
         moves; DegreeOverflowError, as from ``act``, past the window."""
         check_degree(g, len(x))
-        return Fraction(self.base) ** sum(j - gj for j, gj in g.moves() if x[j - 1])
+        d = sum(j - gj for j, gj in g.moves() if x[j - 1])
+        return Fraction(self.base**d) if d >= 0 else Fraction(1, self.base**-d)
 
     def log_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:

@@ -48,6 +48,9 @@ def _product_atoms(params: list[Fraction]) -> AtomicMeasure:
 
 def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     cfg = {**DEFAULTS, **config}
+    if cfg["tower_cap"] < 1:
+        # no level pair to check: the tower rule would pass vacuously
+        raise ValueError("tower_cap must be >= 1")
     verdicts: list[Verdict] = []
 
     # 1. cocycle identity for a Radon-Nikodym cocycle, exact

@@ -168,6 +168,26 @@ def test_cli_unknown_key_exit_code(tmp_path):
     assert main(["definetti", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("user", [{"trials": 0}, {"trials": -3}, {"tower_cap": 0}])
+def test_validate_vacuous_identity_checks_exit_2(tmp_path, capsys, user):
+    # no trial or no level pair: the verdict could not fail, so the run does not start
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["orbital", "--seed", "5", "--workers", "2"])
+    again = cli._parser().parse_args(["validate"])
+    assert (first.subcommand, first.seed, first.workers) == ("orbital", 5, 2)
+    assert (again.subcommand, again.seed, again.workers, again.config, again.out) == (
+        "validate", 0, 1, None, None)
+
+
 def test_load_config_accepts_schema_types(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"tolerance": 0, "beta": [2, 3.5], "expected_weights": None}))

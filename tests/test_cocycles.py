@@ -162,6 +162,42 @@ def test_verify_identity_finds_the_brute_force_witness(trials, level, window):
     assert all(type(b) is int for b in rep.first_witness[2])
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_identity_rejects_fewer_than_one_trial(trials):
+    # no triple is drawn, so a pass would say nothing
+    with pytest.raises(ValueError, match="trials"):
+        verify_identity(constant_one(), trials, 3, 6, substream(37, 0))
+
+
+@pytest.mark.parametrize("trials, batches", [(500, 1), (2 * _TRIAL_CHUNK + 7, 3)])
+def test_verify_identity_builds_each_element_of_the_level_once_per_batch(
+    monkeypatch, trials, batches
+):
+    built, calls = [], []
+    init = Permutation.__init__
+
+    def counted_init(self, mapping=None):
+        init(self, mapping)
+        built.append(self)
+
+    base = make_rn(ProductBernoulli([Fraction(2 + (i % 7), 11) for i in range(6)]))
+
+    def counted_rho(g, x):
+        calls.append(g)
+        return base(g, x)
+
+    monkeypatch.setattr(Permutation, "__init__", counted_init)
+    rho = Cocycle(eval_fn=counted_rho, potential=base.potential)
+    rep = verify_identity(rho, trials, 3, 6, substream(37, 2))
+    assert rep.ok and rep.exact
+    # a batch builds each element of S(3) it meets once; all six are met
+    assert len(built) <= batches * math.factorial(3)
+    assert len(set(built)) == math.factorial(3)
+    # rho is still evaluated three times per trial, on the interned objects
+    assert len(calls) == 3 * trials
+    assert {id(g) for g in calls} <= {id(g) for g in built}
+
+
 def _int_or_fraction(value, g, x):
     """A constant cocycle that returns ``value`` as a Python int on half
     the configurations and as a Fraction on the rest."""

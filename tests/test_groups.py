@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from ergodec.errors import CapacityError, DegreeOverflowError
 from ergodec.groups import (
     Permutation,
     act,
+    check_degree,
     compose,
     enumerate_level,
     haar_sample,
@@ -154,6 +156,27 @@ def test_act_compatibility_random():
 def test_act_degree_overflow():
     with pytest.raises(DegreeOverflowError):
         act(Permutation.swap(1, 5), (1, 0))
+
+
+_ONE_LINE = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_ONE_LINE, b=_ONE_LINE, i=st.integers(1, 12), j=st.integers(1, 12),
+       window=st.integers(0, 12))
+def test_stored_degree_is_the_largest_moved_point(a, b, i, j, window):
+    g, h = Permutation.from_one_line(a), Permutation.from_one_line(b)
+    made = [g, Permutation.swap(i, j), g.compose(h), g.inverse(),
+            pickle.loads(pickle.dumps(g))]
+    for p in made:
+        degree = max(p.support, default=0)
+        assert p.degree == degree
+        if degree > window:
+            with pytest.raises(DegreeOverflowError):
+                check_degree(p, window)
+        else:
+            check_degree(p, window)
+    assert made[-1] == g
 
 
 def test_validate_config_rejects_non_bits():

@@ -164,6 +164,20 @@ def test_geometric_ratio_is_the_weight_quotient(base, window, data):
     assert type(got) is Fraction and got == f(act(g, x)) / f(x)
 
 
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_geometric_ratio_is_the_weight_quotient_on_all_of_s4(base):
+    f = GeometricWeight(base)
+    signs = set()
+    for images in itertools.permutations(range(1, 5)):
+        g = Permutation.from_one_line(images)
+        for x in itertools.product((0, 1), repeat=5):
+            got, want = f.ratio(g, x), f(act(g, x)) / f(x)
+            assert type(got) is Fraction and got == want
+            signs.add((want > 1) - (want < 1))
+    # base^d with d < 0, d = 0 and d > 0
+    assert signs == {-1, 0, 1}
+
+
 def test_geometric_ratio_rejects_a_degree_past_the_window():
     with pytest.raises(DegreeOverflowError):
         GeometricWeight(2).ratio(Permutation.swap(1, 5), (1, 0, 1, 0))
