@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cocycles import Cocycle, constant_one
+from .cocycles import _EXACT, Cocycle, constant_one
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
 from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
@@ -504,18 +504,55 @@ def _rescaled_potential(rho: Cocycle, ux, x: Config, level: int):
     return dict(zip(orbit, np.exp(logu[1:] - logu.max()).tolist())).__getitem__
 
 
+def _exact(v) -> int | Fraction:
+    """v as an int or a Fraction; a float converts exactly."""
+    return v if isinstance(v, _EXACT) else Fraction(v)
+
+
+def _sum_over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+    """The sum of nums[i] / dens[i] (each dens[i] > 0) as (numerator,
+    denominator) over the lcm of the denominators, not normalised: the
+    caller builds one Fraction from it, where a running Fraction sum would
+    reduce by a gcd at every term."""
+    lcm = math.lcm(*dens)
+    return sum(n * (lcm // d) for n, d in zip(nums, dens)), lcm
+
+
+def _exact_dot(pairs: Iterable[tuple]) -> tuple[int, int]:
+    """The sum of a * b over pairs (a, b) of ints and Fractions, as
+    ``_sum_over_lcm`` gives it: no product is normalised."""
+    pairs = list(pairs)
+    return _sum_over_lcm(
+        [a.numerator * b.numerator for a, b in pairs],
+        [a.denominator * b.denominator for a, b in pairs],
+    )
+
+
 def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
+    """sum phi(y) u(y) / sum u(y) over the level orbit of x, u the potential
+    of rho; phi is read only where u(y) != 0. When every u and phi value is an
+    int or a Fraction, each sum is one integer over the lcm of its terms'
+    denominators and the result is one Fraction. Otherwise (a float
+    potential) the terms are added one by one in orbit order."""
     potential = rho.potential
     ux = potential(x)
     if ux == 0:
         potential = _rescaled_potential(rho, ux, x, level)
+    orbit = list(level_orbit(x, level))
+    us = [potential(y) for y in orbit]
+    terms = [(phi(y), u) for y, u in zip(orbit, us) if u != 0]
+    if all(isinstance(u, _EXACT) for u in us) and all(isinstance(p, _EXACT) for p, _ in terms):
+        n, n_lcm = _exact_dot(terms)
+        d, d_lcm = _sum_over_lcm([u.numerator for u in us], [u.denominator for u in us])
+        if d == 0:
+            raise ZeroMassError("averaging denominator vanished")
+        return Fraction(n * d_lcm, n_lcm * d)
     num = Fraction(0)
     den = Fraction(0)
-    for y in level_orbit(x, level):
-        u = potential(y)
+    for u in us:
         den += u
-        if u != 0:
-            num += phi(y) * u
+    for p, u in terms:
+        num += p * u
     if den == 0:
         raise ZeroMassError("averaging denominator vanished")
     if isinstance(den, float) and not math.isfinite(den):
@@ -527,8 +564,10 @@ def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
 
 def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
     """Exact level average, one orbit sum weighted by the cocycle's
-    potential; capacity error above S(8). It draws no samples, so its
-    ``sample_count`` is 0."""
+    potential (``_orbit_collapsed_average``: a Fraction built once from
+    integer sums for rational inputs, a term-by-term float sum otherwise);
+    capacity error above S(8). It draws no samples, so its ``sample_count``
+    is 0."""
     if level > EXACT_LEVEL_CAP:
         raise CapacityError(
             f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
@@ -827,7 +866,12 @@ def tower_check(
 
     Exactness is guaranteed because every cocycle is potential-backed:
     coarser orbits decompose into finer orbit blocks and the weighted sums
-    telescope.
+    telescope. Both sides are orbit sums over the S(m) orbit of the atom, the
+    same for every atom of a class, so each class's (lhs, rhs) pair is
+    computed once, keyed by ``orbit_class_key``; an atom where rho's
+    potential is 0 takes its own orbit sums, which rescale or raise there.
+    Atoms are walked in sorted order, so ``pairs_checked`` and the witness
+    are those of the per-atom check.
     """
     if not (1 <= n <= m <= level_cap):
         raise CapacityError(f"tower check requires 1 <= n <= m <= {level_cap}")
@@ -840,10 +884,19 @@ def tower_check(
             cache[key] = average_exact(n, rho, phi, y).value
         return cache[key]
 
+    def sides(x: Config) -> tuple:
+        return average_exact(m, rho, inner, x).value, average_exact(m, rho, phi, x).value
+
+    per_class: dict[tuple, tuple] = {}
     checked = 0
     for x in sorted(nu.atoms):
-        lhs = average_exact(m, rho, inner, x).value
-        rhs = average_exact(m, rho, phi, x).value
+        if rho.potential(x) == 0:
+            lhs, rhs = sides(x)
+        else:
+            key = orbit_class_key(x, m)
+            if key not in per_class:
+                per_class[key] = sides(x)
+            lhs, rhs = per_class[key]
         checked += 1
         if lhs != rhs:
             return TowerReport(ok=False, pairs_checked=checked, witness=(x, lhs, rhs))
@@ -885,6 +938,8 @@ def conditional_expectation_check(
     matches a sweep of the unions in binary order: on success
     ``sets_checked`` is 2^c; otherwise the first failing union is the
     singleton of the first nonzero class i, reached after 2^i + 1 unions.
+    Each class's integrals of phi and of 1 are exact sums over the lcm of
+    their terms' denominators.
     """
     classes = orbit_classes(nu.atoms, level)
     labels = sorted(classes)
@@ -893,8 +948,12 @@ def conditional_expectation_check(
     for key in labels:
         members = classes[key]
         val = average_exact(level, rho, phi, members[0]).value
-        lhs = sum((Fraction(phi(x)) * nu.atom(x) for x in members), Fraction(0))
-        mass = sum((nu.atom(x) for x in members), Fraction(0))
+        masses = [nu.atom(x) for x in members]
+        phis = [_exact(phi(x)) for x in members]
+        lhs = Fraction(*_exact_dot(zip(phis, masses)))
+        mass = Fraction(*_sum_over_lcm(
+            [w.numerator for w in masses], [w.denominator for w in masses]
+        ))
         diffs.append(lhs - val * mass)
     for i, diff in enumerate(diffs):
         if diff != 0:
@@ -919,19 +978,21 @@ def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniRepo
 
         (1/level!) sum_x sum_k phi(act(k,x)) rho(k,x) nu(x) == sum_x phi(x) nu(x)
 
-    whenever nu has Radon-Nikodym cocycle rho on the window.
+    whenever nu has Radon-Nikodym cocycle rho on the window. Values enter
+    exactly (a float as its Fraction), and each side is one integer sum over
+    the lcm of its terms' denominators.
     """
     group = list(enumerate_level(level))
-    lhs = Fraction(0)
-    for x, m in sorted(nu.atoms.items()):
-        for k in group:
-            r = rho(k, x)
-            lhs += Fraction(phi(act(k, x))) * (r if type(r) is Fraction else Fraction(r)) * m
-    lhs /= len(group)
-    rhs = sum(
-        (Fraction(phi(x)) * m for x, m in sorted(nu.atoms.items())), Fraction(0)
+    atoms = sorted(nu.atoms.items())
+    terms = [
+        (_exact(phi(act(k, x))), _exact(rho(k, x)), m) for x, m in atoms for k in group
+    ]
+    num, lcm = _sum_over_lcm(
+        [p.numerator * r.numerator * m.numerator for p, r, m in terms],
+        [p.denominator * r.denominator * m.denominator for p, r, m in terms],
     )
-    return FubiniReport(lhs=lhs, rhs=rhs)
+    rhs = Fraction(*_exact_dot((_exact(phi(x)), m) for x, m in atoms))
+    return FubiniReport(lhs=Fraction(num, lcm * len(group)), rhs=rhs)
 
 
 def invariance_check(level: int, rho: Cocycle, phi, x: Config):

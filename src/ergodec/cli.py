@@ -304,6 +304,10 @@ def run_kolmogorov(cfg: dict, seed: int) -> RunnerOutput:
 
 
 def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
+    for key in ("reweightings", "pairs", "roundtrips"):
+        if cfg[key] < 1:
+            # no reweighting, pair or roundtrip: the verdict would pass vacuously
+            raise ValueError(f"{key} must be >= 1")
     weights = {int(k): Fraction(v) for k, v in cfg["orbit_weights"].items()}
     nu = OrbitSigmaFinite(weights)
     f = make_fibrewise_f(cfg["base"])
@@ -313,11 +317,9 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     descriptor, barycenter = dec.descriptor, dec.barycenter()
     constant = True
     current = dec
-    for _ in range(cfg["reweightings"]):
-        phi = {
-            k: Fraction(int(stream.integers(1, 20)), int(stream.integers(1, 20)))
-            for k in dec.weights
-        }
+    draws = stream.integers(1, 20, size=(cfg["reweightings"], len(dec.weights), 2))
+    for row in draws.tolist():
+        phi = {k: Fraction(a, b) for k, (a, b) in zip(dec.weights, row)}
         current = reweight_decomposition(current, phi)
         if current.descriptor != descriptor:
             constant = False

@@ -32,8 +32,10 @@ class Cocycle:
     potential on each orbit, so requiring u loses no cocycle, and the exact
     and Monte Carlo level engines read u rather than ``eval_fn``.
     ``eval_fn`` may evaluate the ratio in closed form: ``make_rho_f`` takes
-    a weight's ``ratio`` method (``GeometricWeight``: one integer power over
-    the moved coordinates), ``make_rn`` a measure's ``rn_derivative``.
+    a weight's bound ``ratio`` method (``GeometricWeight``: one integer power
+    over the moved coordinates), ``make_rn`` a measure's bound
+    ``rn_derivative``. ``verify_identity`` calls ``eval_fn`` directly, one
+    frame fewer than ``__call__``.
     ``log_potential_rows`` optionally maps a matrix of 0/1 configurations,
     one per row, uint8 or float64, to log-u values for vectorized Monte
     Carlo. ``log_linear`` optionally gives u as a mixture of log-linear terms
@@ -120,11 +122,17 @@ def make_rn(nu) -> Cocycle:
     level above S(8) an exact orbit sum; other measures take Monte Carlo
     there, with log-space weights when every component has a vectorized
     log-mass and per-row atom masses otherwise.
+
+    ``eval_fn`` is nu's own bound ``rn_derivative`` when it has one (the
+    value ``measures.rn_derivative(nu, g, x)`` returns, without that call's
+    lookup), and ``partial(rn_derivative, nu)`` otherwise; both pickle, and
+    ``decomposition._is_own_rn`` recognises both.
     """
     if getattr(nu, "exchangeable", False):
         return constant_one()
+    own = getattr(nu, "rn_derivative", None)
     return Cocycle(
-        eval_fn=partial(rn_derivative, nu),
+        eval_fn=own if own is not None else partial(rn_derivative, nu),
         potential=nu.atom,
         log_potential_rows=_log_atom_rows(nu),
         log_linear=getattr(nu, "log_linear", None),
@@ -157,7 +165,8 @@ def _identity_triples(
     return g, h, x
 
 
-# Values compared exactly by ``_violates``
+# Values compared exactly by ``_violates`` and summed exactly by
+# ``averaging._sum_over_lcm``
 _EXACT = (int, Fraction)
 
 # Trials drawn per batch: the arrays of one batch take about
@@ -202,9 +211,10 @@ def verify_identity(
     are formed on each batch's arrays, so memory does not grow with
     ``trials``. Each batch builds one ``Permutation`` per distinct row among
     its g, h and g*h (``_interned``), and each trial evaluates rho three
-    times. When all three values are ints or Fractions they are compared
-    exactly, by cross-multiplying numerators and denominators; otherwise by
-    relative error, which must stay within 1e-12. The first violating triple
+    times, through ``rho.eval_fn`` itself. When all three values are ints
+    or Fractions they are compared exactly, by cross-multiplying numerators
+    and denominators; otherwise by relative error, which must stay within
+    1e-12. The first violating triple
     is reported as a witness (g, h, x, lhs, rhs). ValueError when
     ``trials`` < 1: no triple, no verdict.
     """
@@ -214,6 +224,7 @@ def verify_identity(
         raise ValueError("level must be >= 1")
     if window < level:
         raise ValueError("window must cover the sampled level")
+    evaluate = rho.eval_fn
     violations = 0
     witness = None
     exact = True
@@ -234,9 +245,9 @@ def verify_identity(
             map(tuple, hx_rows.tolist()),
         )
         for g, h, gh, x, hx in batch:
-            lhs = rho(gh, x)
-            a = rho(g, hx)
-            b = rho(h, x)
+            lhs = evaluate(gh, x)
+            a = evaluate(g, hx)
+            b = evaluate(h, x)
             if (isinstance(lhs, _EXACT) and isinstance(a, _EXACT)
                     and isinstance(b, _EXACT)):
                 bad = _violates(lhs, a, b)

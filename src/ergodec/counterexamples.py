@@ -242,8 +242,8 @@ def demonstrate_kolmogorov(
     (b) exhibit the convex split into the two Bernoulli components; (c)
     estimate the mass of the finite-permutation-invariant frequency event
     {frequency <= 1/2} at window scale, with the exponential tail bound on
-    the surrogate error, which needs p_low < 1/2 < p_high (ValueError
-    otherwise).
+    the surrogate error, which needs p_low < 1/2 < p_high and samples >= 1
+    (ValueError otherwise).
     Each configuration of (c) draws its component's parameter p
     (``Mixture.directing_sample``), then only its ones count as
     Binomial(window, p): the exact law of the ones of the homogeneous
@@ -251,6 +251,8 @@ def demonstrate_kolmogorov(
     """
     if not p_low < 0.5 < p_high:
         raise ValueError("the frequency event needs p_low < 1/2 < p_high")
+    if samples < 1:
+        raise ValueError("the frequency-event mass needs samples >= 1")
     mixture = Mixture(
         [Fraction(1, 2), Fraction(1, 2)],
         [ProductBernoulli([p_low] * window), ProductBernoulli([p_high] * window)],

@@ -244,11 +244,15 @@ def directed_statistics(
 
 
 def _is_own_rn(nu, rho: Cocycle) -> bool:
-    """Whether rho is ``make_rn(nu)`` of this very nu: its ratio is
-    ``measures.rn_derivative`` bound to nu itself (compared with ``is``)."""
+    """Whether rho is ``make_rn(nu)`` of this very nu (compared with ``is``):
+    its ratio is nu's own ``rn_derivative`` method bound to nu, or
+    ``measures.rn_derivative`` partially applied to nu."""
     fn = rho.eval_fn
-    return (isinstance(fn, partial) and fn.func is measures.rn_derivative
-            and len(fn.args) == 1 and fn.args[0] is nu and not fn.keywords)
+    if isinstance(fn, partial):
+        return (fn.func is measures.rn_derivative and len(fn.args) == 1
+                and fn.args[0] is nu and not fn.keywords)
+    return (getattr(fn, "__self__", None) is nu
+            and getattr(fn, "__func__", None) is getattr(type(nu), "rn_derivative", None))
 
 
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):

@@ -13,7 +13,7 @@ closed-form rational computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -38,6 +38,8 @@ class GeometricWeight:
     (j - g(j)) x_j (``ratio``)."""
 
     base: int
+    # base^d per exponent d met by ``ratio``; |d| <= level^2 at S(level)
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base < 2:
@@ -53,7 +55,11 @@ class GeometricWeight:
         moves; DegreeOverflowError, as from ``act``, past the window."""
         check_degree(g, len(x))
         d = sum(j - gj for j, gj in g.moves() if x[j - 1])
-        return Fraction(self.base**d) if d >= 0 else Fraction(1, self.base**-d)
+        power = self._powers.get(d)
+        if power is None:
+            power = Fraction(self.base**d) if d >= 0 else Fraction(1, self.base**-d)
+            self._powers[d] = power
+        return power
 
     def log_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:

@@ -41,11 +41,11 @@ from ergodec.decomposition import (
 )
 from ergodec.dictionary import CylinderMonomial, TestDictionary
 from ergodec.errors import CapacityError
-from ergodec.groups import act, enumerate_level
-from ergodec.measures import BetaExchangeable, Mixture, ProductBernoulli
+from ergodec.groups import act, enumerate_level, level_orbit
+from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.sigma_finite import GeometricWeight, make_fibrewise_f, orbital_dichotomy
-from ergodec.validation import _product_atoms
+from ergodec.validation import _product_atoms, _rational_params
 
 
 def brute_force_average(level, weight_fn, phi, x):
@@ -1188,3 +1188,182 @@ def test_orbit_classes_partition_by_key_in_first_member_order(configs, level):
         assert members == sorted(members)
         assert all(orbit_class_key(x, level) == key for x in members)
     assert sorted(x for members in classes.values() for x in members) == sorted(configs)
+
+
+# Exact sums over one denominator (``averaging._sum_over_lcm``) against plain
+# term-by-term sums, and the tower check's one (lhs, rhs) pair per class.
+
+_fraction = st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(lambda t: Fraction(*t))
+_rational_param = st.tuples(st.integers(1, 8), st.integers(1, 8)).map(
+    lambda t: Fraction(t[0], t[0] + t[1])
+)
+
+
+def _affine_phi(coefs):
+    """phi(y) = c_0 + sum over the ones positions i of y of c_i."""
+    return lambda y: coefs[0] + sum(c for c, b in zip(coefs[1:], y) if b)
+
+
+def _drawn_phi(data, window):
+    """A cylinder monomial of the window or an affine phi with Fraction values."""
+    if data.draw(st.booleans()):
+        entries = TestDictionary.build(2, window).entries
+        return data.draw(st.sampled_from(entries))
+    return _affine_phi(data.draw(st.lists(_fraction, min_size=window + 1, max_size=window + 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_average_exact_equals_group_enumeration(data):
+    # rational products, and atomic measures whose zero-mass atoms give the
+    # potential zeros on the orbit, at every level of windows up to 5
+    window = data.draw(st.integers(1, 5))
+    level = data.draw(st.integers(1, window))
+    if data.draw(st.booleans()):
+        nu = ProductBernoulli(data.draw(st.lists(_rational_param, min_size=window, max_size=window)))
+        x = data.draw(st.tuples(*[st.integers(0, 1)] * window))
+    else:
+        configs = list(itertools.product((0, 1), repeat=window))
+        masses = data.draw(
+            st.lists(st.integers(0, 4), min_size=len(configs), max_size=len(configs)).filter(any)
+        )
+        nu = AtomicMeasure(dict(zip(configs, masses)), window=window)
+        x = data.draw(st.sampled_from(sorted(nu.atoms)))
+    rho = make_rn(nu)
+    phi = _drawn_phi(data, window)
+    got = average_exact(level, rho, phi, x).value
+    assert type(got) is Fraction
+    assert got == _group_enumeration_average(level, rho, phi, x).value
+
+
+def _term_by_term_average(level, rho, phi, x):
+    """The orbit sum added one term at a time in orbit order."""
+    num = den = Fraction(0)
+    for y in level_orbit(x, level):
+        u = rho.potential(y)
+        den += u
+        if u != 0:
+            num += phi(y) * u
+    return num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=st.lists(st.floats(0.05, 0.95), min_size=6, max_size=6),
+    x=st.tuples(*[st.integers(0, 1)] * 6),
+    level=st.integers(1, 6),
+    entry=st.integers(0, 100),
+)
+def test_float_product_levels_are_the_term_by_term_sum_to_the_bit(params, x, level, entry):
+    rho = make_rn(ProductBernoulli(params))
+    entries = TestDictionary.build(3, 6).entries
+    phi = entries[entry % len(entries)]
+    got = average_exact(level, rho, phi, x).value
+    want = _term_by_term_average(level, rho, phi, x)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def _plain_class_diffs(level, rho, phi, nu):
+    """Per orbit class: integral of phi minus the level average times the
+    class mass, each a running Fraction sum."""
+    diffs = []
+    for members in (v for _, v in sorted(orbit_classes(nu.atoms, level).items())):
+        val = average_exact(level, rho, phi, members[0]).value
+        lhs = sum((Fraction(phi(x)) * nu.atom(x) for x in members), Fraction(0))
+        mass = sum((nu.atom(x) for x in members), Fraction(0))
+        diffs.append(lhs - val * mass)
+    return diffs
+
+
+def _plain_fubini(level, rho, phi, nu):
+    group = list(enumerate_level(level))
+    lhs = Fraction(0)
+    for x, m in sorted(nu.atoms.items()):
+        for k in group:
+            lhs += Fraction(phi(act(k, x))) * Fraction(rho(k, x)) * m
+    rhs = sum((Fraction(phi(x)) * m for x, m in sorted(nu.atoms.items())), Fraction(0))
+    return lhs / len(group), rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_checks_equal_plain_fraction_sums(data):
+    window = data.draw(st.integers(2, 4))
+    level = data.draw(st.integers(1, min(window, 3)))
+    rho_params = data.draw(st.lists(_rational_param, min_size=window, max_size=window))
+    nu_params = data.draw(st.lists(_rational_param, min_size=window, max_size=window))
+    nu = _product_atoms(data.draw(st.sampled_from([rho_params, nu_params])))
+    rho = make_rn(ProductBernoulli(rho_params))
+    if data.draw(st.booleans()):
+        phi = _drawn_phi(data, window)
+    else:  # float values enter both sides as their exact Fractions
+        phi = _affine_phi(data.draw(st.lists(st.floats(-2, 2), min_size=window + 1,
+                                             max_size=window + 1)))
+    fub = fubini_check(level, rho, phi, nu)
+    assert type(fub.lhs) is Fraction and type(fub.rhs) is Fraction
+    assert (fub.lhs, fub.rhs) == _plain_fubini(level, rho, phi, nu)
+    rep = conditional_expectation_check(level, rho, phi, nu)
+    diffs = _plain_class_diffs(level, rho, phi, nu)
+    bad = [i for i, d in enumerate(diffs) if d != 0]
+    assert rep.ok == (not bad)
+    if bad:
+        assert rep.witness[1] == diffs[bad[0]]
+        assert rep.sets_checked == 2 ** bad[0] + 1
+
+
+def test_tower_takes_one_orbit_sum_pair_per_class(monkeypatch):
+    # validate's tower model: window 4, S(3) has 4 ones counts x 2 tails = 8
+    # orbit classes among the 16 atoms
+    params = _rational_params(4)
+    nu = _product_atoms(params)
+    rho = make_rn(ProductBernoulli(params))
+    phi = CylinderMonomial((1,))
+    real = averaging.average_exact
+    top_level = []
+    depth = [0]
+
+    def spy(level, rho, f, x):
+        # calls made by tower_check itself, not by an orbit sum inside one
+        if depth[0] == 0:
+            top_level.append((level, "rhs" if f is phi else "lhs"))
+        depth[0] += 1
+        try:
+            return real(level, rho, f, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(averaging, "average_exact", spy)
+    rep = tower_check(3, 3, rho, phi, nu)
+    assert rep.ok and rep.pairs_checked == 16
+    assert top_level.count((3, "rhs")) == 8
+    assert top_level.count((3, "lhs")) == 8
+
+
+def _per_atom_tower(m, n, rho, phi, nu):
+    """Both sides at every atom in turn, the inner average once per level-n
+    class: (ok, pairs_checked, witness) as ``TowerReport`` reads them."""
+    cache = {}
+
+    def inner(y):
+        key = orbit_class_key(y, n)
+        if key not in cache:
+            cache[key] = averaging.average_exact(n, rho, phi, y).value
+        return cache[key]
+
+    for checked, x in enumerate(sorted(nu.atoms), start=1):
+        lhs = averaging.average_exact(m, rho, inner, x).value
+        rhs = averaging.average_exact(m, rho, phi, x).value
+        if lhs != rhs:
+            return False, checked, (x, lhs, rhs)
+    return True, checked, None
+
+
+def test_tower_witness_on_the_fake_cocycle_is_the_per_atom_one(monkeypatch):
+    fake = Cocycle(eval_fn=_not_a_cocycle, potential=_unit_potential)
+    nu = _product_atoms([Fraction(1, 2)] * 4)
+    phi = CylinderMonomial((1,))
+    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
+    rep = tower_check(3, 2, fake, phi, nu)
+    assert not rep.ok
+    assert (rep.ok, rep.pairs_checked, rep.witness) == _per_atom_tower(3, 2, fake, phi, nu)

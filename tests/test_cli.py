@@ -546,6 +546,33 @@ def test_kolmogorov_parameters_on_one_side_of_half_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_kolmogorov_without_samples_exits_2(tmp_path, capsys):
+    # no configuration drawn: the frequency-event mass would divide by zero
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    out = tmp_path / "out"
+    assert main(["kolmogorov", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("user", [
+    {"reweightings": 0, "pairs": 0, "roundtrips": 0},
+    {"reweightings": 0},
+    {"reweightings": -2},
+    {"pairs": 0},
+    {"roundtrips": 0},
+])
+def test_sigma_finite_vacuous_verdicts_exit_2(tmp_path, capsys, user):
+    # no reweighting, pair or roundtrip: the verdict could not fail
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    assert main(["sigma-finite", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sigma_finite_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["sigma-finite", "--seed", "2", "--out", str(out)]) == 0

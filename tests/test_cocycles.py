@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -19,9 +20,9 @@ from ergodec.cocycles import (
     make_rn,
     verify_identity,
 )
-from ergodec.decomposition import pi_phi
+from ergodec.decomposition import _is_own_rn, pi_phi
 from ergodec.dictionary import TestDictionary
-from ergodec.groups import Permutation, act, compose, haar_sample, level_orbit
+from ergodec.groups import Permutation, act, compose, enumerate_level, haar_sample, level_orbit
 from ergodec.measures import (
     AtomicMeasure,
     BetaExchangeable,
@@ -390,3 +391,63 @@ def test_exchangeable_tables_equal_the_constant_cocycle_to_the_byte(data):
     for g, w in ((got.values, want.values), (got.slacks, want.slacks),
                  (got.stderrs, want.stderrs)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _window4_measures():
+    """Non-exchangeable window-4 measures: a rational product, a mixture of
+    two, and an atomic measure (no closed-form ratio of its own)."""
+    a = ProductBernoulli([Fraction(2 + i, 11) for i in range(4)])
+    b = ProductBernoulli([Fraction(7 - i, 11) for i in range(4)])
+    atoms = {x: 1 + sum(i * v for i, v in enumerate(x)) for x in itertools.product((0, 1), repeat=4)}
+    return {
+        "product": a,
+        "mixture": Mixture([Fraction(1, 3), Fraction(2, 3)], [a, b]),
+        "atomic": AtomicMeasure(atoms),
+    }
+
+
+@pytest.mark.parametrize("name", ["product", "mixture", "atomic", "geometric"])
+def test_cocycles_survive_a_pickle_round_trip(name):
+    if name == "geometric":
+        rho = make_rho_f(GeometricWeight(4))
+    else:
+        rho = make_rn(_window4_measures()[name])
+    back = pickle.loads(pickle.dumps(rho))
+    for g in enumerate_level(3):
+        for x in itertools.product((0, 1), repeat=4):
+            assert back(g, x) == rho(g, x)
+            assert back.potential(x) == rho.potential(x)
+
+
+@pytest.mark.parametrize("name", ["product", "mixture", "atomic"])
+def test_make_rn_evaluates_the_module_ratio(name):
+    nu = _window4_measures()[name]
+    rho = make_rn(nu)
+    for g in enumerate_level(3):
+        for x in itertools.product((0, 1), repeat=4):
+            assert rho(g, x) == rn_derivative(nu, g, x)
+
+
+@pytest.mark.parametrize("name", ["product", "mixture", "atomic"])
+def test_is_own_rn_recognises_only_this_very_measure(name):
+    nu = _window4_measures()[name]
+    twin = _window4_measures()[name]
+    fn = make_rn(nu).eval_fn
+    # the measure's own bound ratio where it has one, the module ratio's partial otherwise
+    assert fn.func is rn_derivative if name == "atomic" else fn.__self__ is nu
+    assert _is_own_rn(nu, make_rn(nu))
+    assert not _is_own_rn(nu, make_rn(twin))
+    assert _is_own_rn(nu, Cocycle(eval_fn=partial(rn_derivative, nu), potential=nu.atom))
+    by_hand = Cocycle(eval_fn=partial(rn_derivative, twin), potential=twin.atom)
+    assert not _is_own_rn(nu, by_hand)
+    assert not _is_own_rn(nu, Cocycle(eval_fn=nu.atom, potential=nu.atom))
+
+
+def test_geometric_ratio_reuses_each_power_and_stays_exact():
+    f = GeometricWeight(3)
+    for g in enumerate_level(4):
+        for x in itertools.product((0, 1), repeat=5):
+            r = f.ratio(g, x)
+            assert type(r) is Fraction and r == f(act(g, x)) / f(x)
+            assert f.ratio(g, x) is r
+    assert f == GeometricWeight(3) and hash(f) == hash(GeometricWeight(3))
