@@ -308,8 +308,9 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     component's representative is the homogeneous product at its center
     (``_representative``), and the barycenter residual is filled in.
     Continuous mode keeps the empirical distribution of that limit, with no
-    components and no residual. Aborts when more than the configured fraction
-    of points fails limit detection.
+    components and no residual. Any other mode is a ValueError, and so, in
+    finite mode, are ``min_gap`` <= 0 and ``residual_depth`` < 1. Aborts
+    when more than the configured fraction of points fails limit detection.
 
     With ``config.validate_cocycle`` every input but two first runs the
     spot-check that nu's atom-ratio cocycle agrees with rho
@@ -330,6 +331,15 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     m = config.samples
     if m < 1:
         raise ValueError("decompose needs at least one sample point")
+    if config.mode not in ("finite", "continuous"):
+        raise ValueError(f"unknown decompose mode {config.mode!r}")
+    continuous = config.mode == "continuous"
+    # finite mode's gaps and residual cylinders: a gap of 0 splits every
+    # point off, and depth 0 compares no cylinder
+    if not continuous and config.min_gap <= 0:
+        raise ValueError("min_gap must be positive")
+    if not continuous and config.residual_depth < 1:
+        raise ValueError("residual_depth must be >= 1")
     dictionary = TestDictionary.build(config.depth, config.width)
     closed_form = rho.is_constant_one and getattr(nu, "exchangeable", False)
     if config.validate_cocycle and not closed_form and not _is_own_rn(nu, rho):
@@ -372,7 +382,6 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     r1_col = keys.index((1,))
     r1 = vals[:, r1_col]
 
-    continuous = config.mode == "continuous"
     labels, weights, centers, counts, reps, spreads = [], [], [], [], [], []
     groups = [] if continuous else split_by_gaps(r1, config.min_gap)
     for gi, idx in enumerate(groups):
@@ -487,7 +496,8 @@ def ergodicity_test(
     atomic models of window <= 8 the comparison is exact: every atom is a
     probe, evaluated at the full window by one ``level_table`` call (the
     closed form under the constant cocycle, orbit sums otherwise), and an
-    entry fails when its value differs from the integral.
+    entry fails when its value differs from the integral. An atomic eta
+    with atoms must be a probability measure (ValueError otherwise).
     """
     window = eta.window
     entries = dictionary.nonconstant()
@@ -496,9 +506,10 @@ def ergodicity_test(
         atoms = sorted(eta.atoms)
         rows = np.array(atoms, dtype=np.uint8).reshape(len(atoms), window)
         table = level_table(rows, rho, (window,), [m.indices for m in entries])
-        targets = []
-        if atoms:  # the zero measure has no expectation and nothing to compare
-            targets = [expectation_monomial(eta, m.indices) for m in entries]
+        # the zero measure has no probe; any other eta must be a probability
+        if atoms and not eta.is_probability():
+            raise ValueError("ergodicity_test needs a probability measure")
+        targets = [expectation_monomial(eta, m.indices) for m in entries]
         failures = 0
         checks = 0
         witnesses = []

@@ -1,10 +1,14 @@
 """Measures on binary configuration spaces.
 
-Four families cover the experiments: exact atomic measures (rational masses),
-product Bernoulli measures, finite convex mixtures, and sigma-finite
-orbit-counting measures on the idealized space of finitely supported 0/1
-sequences. Identities are checked in exact rational arithmetic wherever the
-inputs are rational; floats appear only inside Monte Carlo estimators.
+Five families cover the experiments: exact atomic measures (rational masses),
+product Bernoulli measures, finite convex mixtures, a Beta-mixed exchangeable
+family, and sigma-finite orbit-counting measures on the idealized space of
+finitely supported 0/1 sequences. Identities are checked in exact rational arithmetic wherever the
+inputs are rational; float parameters and weights give float masses.
+
+``mass`` of a cylinder is the one integral of every measure: the integral of
+a monomial prod x_i is the mass of the cylinder pinning those coordinates to
+1 (``expectation_monomial``).
 
 Cylinder sets (finitely many pinned coordinates) are the only general set
 representation.
@@ -61,6 +65,11 @@ class Cylinder:
 
     def matches(self, x: Config) -> bool:
         return all(x[pos - 1] == bit for pos, bit in self.pins)
+
+    def check_within(self, window: int) -> None:
+        """ValueError unless every pinned position lies in 1..window."""
+        if self.pins and self.pins[-1][0] > window:
+            raise ValueError("pinned position outside the window")
 
     def pinned_ones(self) -> frozenset[int]:
         return frozenset(p for p, b in self.pins if b == 1)
@@ -200,13 +209,8 @@ class AtomicMeasure:
         return {c: m for c, m in self._atoms.items() if c in keep}
 
     def mass(self, a: Cylinder) -> Fraction:
+        a.check_within(self._window)
         return sum((m for c, m in self._atoms.items() if a.matches(c)), Fraction(0))
-
-    def expectation(self, fn) -> Scalar:
-        total = self.total_mass()
-        if total != 1:
-            raise ValueError("expectation is defined for probability measures")
-        return sum(fn(c) * m for c, m in sorted(self._atoms.items()))
 
     @cached_property
     def _sampler(self) -> tuple[np.ndarray, np.ndarray]:
@@ -223,13 +227,6 @@ class AtomicMeasure:
         picks the first atom whose running mass exceeds it, else the last."""
         rows, cum = self._sampler
         return rows[np.minimum(cum.searchsorted(rng.random(size), "right"), len(rows) - 1)]
-
-    def canonical_text(self) -> str:
-        lines = [f"atomic window={self._window}"]
-        for cfg, m in sorted(self._atoms.items()):
-            bits = "".join(str(b) for b in cfg)
-            lines.append(f"{bits} {m.numerator}/{m.denominator}")
-        return "\n".join(lines)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AtomicMeasure) and self._atoms == other._atoms
@@ -265,10 +262,9 @@ class ProductBernoulli:
         # Fraction(1) * p is the float 1.0 * p, so float parameters start
         # from 1.0 and skip Fraction's mixed-type operator; the empty
         # cylinder keeps its exact 1
+        a.check_within(self.window)
         out: Scalar = 1.0 if a.pins and self._all_float else Fraction(1)
         for pos, bit in a.pins:
-            if pos > self.window:
-                raise ValueError("pinned position outside the window")
             p = self.params[pos - 1]
             out = out * (p if bit == 1 else (1 - p))
         return out
@@ -283,17 +279,19 @@ class ProductBernoulli:
         # (b - a, a), indexed by the bit
         return tuple((p.denominator - p.numerator, p.numerator) for p in self.params)
 
+    @cached_property
+    def _denominator(self) -> int:
+        # the product of the b's, the same for every configuration
+        return math.prod(p.denominator for p in self.params)
+
     def atom(self, x: Config) -> Scalar:
         """Product of p or 1 - p over the window. With rational parameters
-        p = a/b, one integer product of (a or b - a) over the product of the
-        b's, a single Fraction; otherwise the factors are multiplied in turn."""
+        p = a/b, one integer product of ``_factors`` (a or b - a) over the
+        product of the b's, a single Fraction; otherwise the factors are
+        multiplied in turn."""
         if self._rational:
-            num = den = 1
-            for p, bit in zip(self.params, x):
-                a, b = p.numerator, p.denominator
-                num *= a if bit == 1 else b - a
-                den *= b
-            return Fraction(num, den)
+            return Fraction(math.prod(f[bit] for f, bit in zip(self._factors, x)),
+                            self._denominator)
         out: Scalar = Fraction(1)
         for p, b in zip(self.params, x):
             out = out * (p if b == 1 else (1 - p))
@@ -325,12 +323,6 @@ class ProductBernoulli:
             num = p if y[i - 1] == 1 else (1 - p)
             den = p if x[i - 1] == 1 else (1 - p)
             out = out * num / den
-        return out
-
-    def expectation_monomial(self, indices: Iterable[int]) -> Scalar:
-        out: Scalar = Fraction(1)
-        for i in indices:
-            out = out * self.params[i - 1]
         return out
 
     @cached_property
@@ -381,15 +373,6 @@ class ProductBernoulli:
     def log_atom(self, x: Config) -> float:
         return float(self.log_atom_rows(_bits(x).reshape(1, -1))[0])
 
-    def canonical_text(self) -> str:
-        parts = []
-        for p in self.params:
-            if isinstance(p, Fraction):
-                parts.append(f"{p.numerator}/{p.denominator}")
-            else:
-                parts.append(repr(p))
-        return "bernoulli " + " ".join(parts)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProductBernoulli) and self.params == other.params
 
@@ -431,13 +414,6 @@ class Mixture:
 
     def atom(self, x: Config) -> Scalar:
         return sum(w * c.atom(x) for w, c in zip(self.weights, self.components))
-
-    def expectation_monomial(self, indices: Iterable[int]) -> Scalar:
-        idx = tuple(indices)
-        return sum(
-            w * expectation_monomial(c, idx)
-            for w, c in zip(self.weights, self.components)
-        )
 
     def log_atom(self, x: Config) -> float:
         x = _bits(x)  # once for every component
@@ -531,18 +507,6 @@ class Mixture:
             rows[lo : lo + len(u)] = u[:, 1:] < params[self._component_of(u[:, 0])]
         return rows
 
-    def canonical_text(self) -> str:
-        lines = ["mixture"]
-        for w, c in zip(self.weights, self.components):
-            ws = (
-                f"{w.numerator}/{w.denominator}"
-                if isinstance(w, Fraction)
-                else repr(w)
-            )
-            lines.append(f"weight {ws}")
-            lines.append("  " + c.canonical_text().replace("\n", "\n  "))
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return f"Mixture({len(self.components)} components)"
 
@@ -581,14 +545,12 @@ class BetaExchangeable:
         return num / den
 
     def mass(self, a: Cylinder) -> Fraction:
+        a.check_within(self._window)
         return self._count_mass(len(a.pinned_ones()), len(a.pinned_zeros()))
 
     def atom(self, x: Config) -> Fraction:
         k = sum(x)
         return self._count_mass(k, len(x) - k)
-
-    def expectation_monomial(self, indices: Iterable[int]) -> Fraction:
-        return self._count_mass(len(tuple(indices)), 0)
 
     def rn_derivative(self, g: Permutation, x: Config) -> Fraction:
         # Exchangeable: atom mass depends only on the ones count, which
@@ -625,9 +587,6 @@ class BetaExchangeable:
     def directing_sample(self, rng: RandomStream, size: int) -> np.ndarray:
         """The de Finetti parameter of ``size`` points, Beta(alpha, beta)."""
         return rng.beta(self.alpha, self.beta, size)
-
-    def canonical_text(self) -> str:
-        return f"beta-exchangeable alpha={self.alpha} beta={self.beta} window={self._window}"
 
     def __repr__(self) -> str:
         return f"BetaExchangeable({self.alpha}, {self.beta}, window={self._window})"
@@ -710,14 +669,6 @@ class OrbitSigmaFinite:
             {k: c for k, c in self.orbit_weights.items() if k in keep}, self.scale
         )
 
-    def canonical_text(self) -> str:
-        scale = "inf" if self.scale is None else str(self.scale)
-        lines = [f"orbit-sigma-finite scale={scale}"]
-        for k in sorted(self.orbit_weights):
-            c = self.orbit_weights[k]
-            lines.append(f"orbit {k} {c.numerator}/{c.denominator}")
-        return "\n".join(lines)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OrbitSigmaFinite)
@@ -758,14 +709,9 @@ def jordan_decompose(nu1: AtomicMeasure, nu2: AtomicMeasure):
     )
 
 
-def ac_check(nu1, nu2) -> str:
-    """Exact classification: absolutely-continuous, mutually-singular, or neither."""
-    if isinstance(nu1, AtomicMeasure) and isinstance(nu2, AtomicMeasure):
-        s1, s2 = nu1.support, nu2.support
-    elif isinstance(nu1, OrbitSigmaFinite) and isinstance(nu2, OrbitSigmaFinite):
-        s1, s2 = nu1.labels, nu2.labels
-    else:
-        raise TypeError("ac_check compares two atomic or two orbit measures")
+def support_relation(s1: frozenset, s2: frozenset) -> str:
+    """How a measure supported on s1 relates to one supported on s2: a
+    subset is absolutely continuous, a disjoint set mutually singular."""
     if s1 <= s2:
         return "absolutely-continuous"
     if not (s1 & s2):
@@ -773,10 +719,17 @@ def ac_check(nu1, nu2) -> str:
     return "neither"
 
 
+def ac_check(nu1, nu2) -> str:
+    """Exact classification: absolutely-continuous, mutually-singular, or neither."""
+    if isinstance(nu1, AtomicMeasure) and isinstance(nu2, AtomicMeasure):
+        return support_relation(nu1.support, nu2.support)
+    if isinstance(nu1, OrbitSigmaFinite) and isinstance(nu2, OrbitSigmaFinite):
+        return support_relation(nu1.labels, nu2.labels)
+    raise TypeError("ac_check compares two atomic or two orbit measures")
+
+
 def expectation_monomial(mu, indices: Iterable[int]):
-    """Exact integral of the cylinder monomial prod_{i in indices} x_i."""
-    idx = tuple(indices)
-    special = getattr(mu, "expectation_monomial", None)
-    if special is not None:
-        return special(idx)
-    return mu.expectation(lambda c: math.prod(c[i - 1] for i in idx))
+    """Integral of the monomial prod_{i in indices} x_i: the mass of the
+    cylinder pinning each index to 1 (x_i x_i = x_i, so a repeated index
+    counts once). ValueError for an index below 1 or past the window."""
+    return mu.mass(Cylinder.of(dict.fromkeys(indices, 1)))

@@ -26,7 +26,7 @@ from .cocycles import constant_one
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
 from .groups import Config, Permutation, check_degree, level_orbit
-from .measures import AtomicMeasure, OrbitSigmaFinite, INFINITE
+from .measures import AtomicMeasure, OrbitSigmaFinite, INFINITE, support_relation
 
 
 @dataclass(frozen=True)
@@ -164,18 +164,8 @@ class MeasureClassDescriptor:
 
     labels: frozenset[int]
 
-    def subset_of(self, other: "MeasureClassDescriptor") -> bool:
-        return self.labels <= other.labels
-
-    def disjoint_from(self, other: "MeasureClassDescriptor") -> bool:
-        return not (self.labels & other.labels)
-
     def relation(self, other: "MeasureClassDescriptor") -> str:
-        if self.subset_of(other):
-            return "absolutely-continuous"
-        if self.disjoint_from(other):
-            return "mutually-singular"
-        return "neither"
+        return support_relation(self.labels, other.labels)
 
 
 def _orbit_masses(nu: OrbitSigmaFinite, f) -> dict[int, Fraction]:

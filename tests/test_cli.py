@@ -573,6 +573,18 @@ def test_sigma_finite_vacuous_verdicts_exit_2(tmp_path, capsys, user):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("user", [{"residual_depth": 0}, {"min_gap": 0.0}])
+def test_definetti_degenerate_clustering_exits_2(tmp_path, capsys, user):
+    # depth 0 compares no cylinder (a residual that cannot fail), and a gap
+    # of 0 makes every point a component of its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 200, "window": 256, **user}))
+    out = tmp_path / "out"
+    assert main(["definetti", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sigma_finite_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["sigma-finite", "--seed", "2", "--out", str(out)]) == 0

@@ -266,6 +266,20 @@ def test_decompose_needs_a_sample_point(exchangeable):
         decompose(nu, make_rn(nu), DecomposeConfig(samples=0))
 
 
+@pytest.mark.parametrize("change", [
+    {"mode": "contiuous"}, {"min_gap": 0.0}, {"min_gap": -0.1}, {"residual_depth": 0},
+])
+def test_decompose_rejects_an_unknown_mode_and_degenerate_clustering(change):
+    nu = ProductBernoulli([0.5] * 16)
+    with pytest.raises(ValueError):
+        decompose(nu, constant_one(), DecomposeConfig(samples=20, **change))
+
+
+def test_continuous_mode_reads_no_gap_or_residual_depth():
+    cfg = DecomposeConfig(samples=20, mode="continuous", min_gap=0.0, residual_depth=0)
+    assert decompose(BetaExchangeable(2, 3, 16), constant_one(), cfg).mode == "continuous"
+
+
 def test_decompose_stores_the_checked_schedule():
     nu = ProductBernoulli([0.5] * 4)
     cfg = DecomposeConfig(samples=20, seed=61, schedule=[1, 2, 4], nonconvergence_threshold=1.0)
@@ -398,6 +412,15 @@ def test_ergodicity_test_exact_branch_matches_per_atom_averages(cocycle):
     # the zero measure has no atom to probe
     empty = ergodicity_test(AtomicMeasure({}, window=4), rho, DICT2)
     assert (empty.verdict, empty.probes, empty.checks) == ("ergodic", 0, 0)
+
+
+@pytest.mark.parametrize("window", [4, EXACT_LEVEL_CAP + 2])
+def test_ergodicity_test_rejects_a_non_probability_atomic_measure(window):
+    # total mass 2/3: the exact branch and the sampled one both refuse it
+    half = AtomicMeasure({(1,) + (0,) * (window - 1): Fraction(1, 3),
+                          (0,) * window: Fraction(1, 3)})
+    with pytest.raises(ValueError):
+        ergodicity_test(half, constant_one(), DICT2, probes=4)
 
 
 def _reconstruction(assignment):

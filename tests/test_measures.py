@@ -524,13 +524,123 @@ def test_expectation_monomial_product_and_mixture():
     assert expectation_monomial(mix, (1,)) == Fraction(1, 5)
 
 
-def test_canonical_text_golden():
-    nu = AtomicMeasure({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    assert nu.canonical_text() == "atomic window=2\n01 1/2\n10 1/2"
-    pb = ProductBernoulli([Fraction(1, 3), Fraction(2, 3)])
-    assert pb.canonical_text() == "bernoulli 1/3 2/3"
-    orb = OrbitSigmaFinite({2: Fraction(3, 4), 0: Fraction(1)})
-    assert orb.canonical_text() == "orbit-sigma-finite scale=inf\norbit 0 1/1\norbit 2 3/4"
+_INTEGRATED = [
+    ProductBernoulli([0.3, 0.4, 0.6, 0.7]),
+    Mixture([Fraction(1, 2)] * 2,
+            [ProductBernoulli([Fraction(1, 5)] * 4), ProductBernoulli([Fraction(3, 5)] * 4)]),
+    BetaExchangeable(2, 3, 4),
+    AtomicMeasure({(1, 1, 0, 0): Fraction(1, 2), (0, 1, 0, 1): Fraction(1, 4),
+                   (1, 0, 1, 1): Fraction(1, 4)}),
+]
+
+
+@pytest.mark.parametrize("mu", _INTEGRATED, ids=repr)
+def test_repeated_index_integrates_x_i_once(mu):
+    # x_i * x_i = x_i on 0/1 configurations
+    for i in range(1, mu.window + 1):
+        assert expectation_monomial(mu, (i, i)) == expectation_monomial(mu, (i,))
+    assert expectation_monomial(mu, (2, 1, 2)) == expectation_monomial(mu, (1, 2))
+
+
+def test_repeated_index_values():
+    assert expectation_monomial(ProductBernoulli([0.3, 0.4, 0.6, 0.7]), (1, 1)) == 0.3
+    assert expectation_monomial(BetaExchangeable(2, 3, 4), (1, 1)) == Fraction(2, 5)
+
+
+@pytest.mark.parametrize("mu", _INTEGRATED, ids=repr)
+def test_index_outside_the_window_raises(mu):
+    for i in (0, -1, mu.window + 1):
+        with pytest.raises(ValueError):
+            expectation_monomial(mu, (1, i))
+    with pytest.raises(ValueError):
+        mu.mass(Cylinder.of({mu.window + 1: 0}))
+
+
+def test_zero_measure_rejects_a_pin_past_its_window():
+    zero = AtomicMeasure({}, window=3)
+    assert expectation_monomial(zero, (3,)) == 0
+    with pytest.raises(ValueError):
+        zero.mass(Cylinder.of({4: 1}))
+
+
+def test_non_probability_atomic_measure_has_an_integral():
+    nu = AtomicMeasure({(1, 0): Fraction(1, 3), (1, 1): Fraction(1, 3)})
+    assert expectation_monomial(nu, (1,)) == Fraction(2, 3)
+    assert expectation_monomial(nu, (1, 2)) == Fraction(1, 3)
+
+
+def _running_product(params, indices):
+    """The product of the parameters at the sorted distinct indices, from
+    Fraction(1), one factor at a time."""
+    out = Fraction(1)
+    for i in sorted(set(indices)):
+        out = out * params[i - 1]
+    return out
+
+
+_FLOAT_PARAMS = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_FLOAT_PARAMS, data=st.data())
+def test_float_product_monomial_keeps_the_running_product_bits(params, data):
+    idx = data.draw(st.lists(st.integers(1, len(params)), max_size=8))
+    got = expectation_monomial(ProductBernoulli(params), idx)
+    want = _running_product(params, idx)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=_FLOAT_PARAMS, w=st.floats(0.05, 0.95), data=st.data())
+def test_float_mixture_monomial_keeps_the_weighted_running_products(first, w, data):
+    second = data.draw(st.lists(st.floats(0.01, 0.99), min_size=len(first), max_size=len(first)))
+    idx = data.draw(st.lists(st.integers(1, len(first)), max_size=8))
+    mix = Mixture([w, 1.0 - w], [ProductBernoulli(first), ProductBernoulli(second)])
+    want = w * _running_product(first, idx) + (1.0 - w) * _running_product(second, idx)
+    assert expectation_monomial(mix, idx) == want
+
+
+def _brute_monomial(atoms, indices):
+    return sum((m for c, m in atoms.items() if all(c[i - 1] == 1 for i in indices)), Fraction(0))
+
+
+_SMALL_INDICES = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SMALL_INDICES, data=st.data())
+def test_atomic_monomial_is_the_sum_over_its_atoms(shape, data):
+    n, idx = shape
+    configs = st.tuples(*[st.integers(0, 1)] * n)
+    atoms = data.draw(st.dictionaries(configs, st.fractions(0, 3), min_size=1))
+    assert expectation_monomial(AtomicMeasure(atoms), idx) == _brute_monomial(atoms, idx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SMALL_INDICES, alpha=st.integers(1, 5), beta=st.integers(1, 5))
+def test_beta_monomial_is_the_sum_over_the_window(shape, alpha, beta):
+    n, idx = shape
+    nu = BetaExchangeable(alpha, beta, n)
+    atoms = {x: nu.atom(x) for x in itertools.product((0, 1), repeat=n)}
+    assert sum(atoms.values()) == 1
+    assert expectation_monomial(nu, idx) == _brute_monomial(atoms, idx)
+
+
+_RATIONAL = st.integers(2, 40).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.one_of(st.lists(_RATIONAL, min_size=1, max_size=6),
+                        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6)))
+def test_product_atom_is_the_running_product_over_the_row(params):
+    nu = ProductBernoulli(params)
+    for x in itertools.product((0, 1), repeat=len(params)):
+        want = Fraction(1)
+        for p, bit in zip(params, x):
+            want = want * (p if bit == 1 else 1 - p)
+        got = nu.atom(x)
+        assert type(got) is type(want) and got == want
 
 
 def test_atomic_normalization_and_total():
