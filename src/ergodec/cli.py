@@ -174,7 +174,7 @@ def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
     else:
         nu = Mixture(
             cfg["weights"],
-            [ProductBernoulli([p] * window) for p in cfg["params"]],
+            [ProductBernoulli.homogeneous(p, window) for p in cfg["params"]],
         )
     rho = constant_one()
     # A run that fails limit detection still reports: decompose keeps every
@@ -384,7 +384,7 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
 def run_orbital(cfg: dict, seed: int) -> RunnerOutput:
     window = cfg["window"]
     if cfg["bernoulli"] is not None:
-        nu = ProductBernoulli([cfg["bernoulli"]] * window)
+        nu = ProductBernoulli.homogeneous(cfg["bernoulli"], window)
         x = nu.sample_rows(substream(seed, 0x0B), 1)[0]
     else:
         k = cfg["ones"]

@@ -255,7 +255,7 @@ def demonstrate_kolmogorov(
         raise ValueError("the frequency-event mass needs samples >= 1")
     mixture = Mixture(
         [Fraction(1, 2), Fraction(1, 2)],
-        [ProductBernoulli([p_low] * window), ProductBernoulli([p_high] * window)],
+        [ProductBernoulli.homogeneous(p, window) for p in (p_low, p_high)],
     )
 
     atoms = algebra_atoms(max_count)

@@ -181,14 +181,7 @@ def split_by_gaps(values: np.ndarray, min_gap: float) -> list[np.ndarray]:
     order = np.argsort(values, kind="stable")
     sv = values[order]
     cut = min_gap * (1.0 - 1e-9)
-    groups = []
-    start = 0
-    for i in range(1, len(sv)):
-        if sv[i] - sv[i - 1] >= cut:
-            groups.append(order[start:i])
-            start = i
-    groups.append(order[start:])
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(sv) >= cut) + 1)
 
 
 def _point_block(nu, rho: Cocycle, dictionary: TestDictionary, schedule, tolerance: float,
@@ -283,7 +276,7 @@ def _representative(center: float, window: int):
     """The homogeneous product at first-moment limit ``center``: the point
     mass on all ones or all zeros when the center is within 1e-12 of 1 or 0."""
     if 1e-12 < center < 1 - 1e-12:
-        return ProductBernoulli([center] * window)
+        return ProductBernoulli.homogeneous(center, window)
     bit = 1 if center >= 0.5 else 0
     return AtomicMeasure({tuple([bit] * window): Fraction(1)})
 

@@ -254,6 +254,21 @@ class ProductBernoulli:
         self.exchangeable = len(distinct) == 1
         self._all_float = all_float
 
+    @classmethod
+    def homogeneous(cls, p: Scalar, window: int) -> "ProductBernoulli":
+        """``ProductBernoulli([p] * window)``, the same state built without
+        scanning the window: p is checked once, and ``params`` repeats it."""
+        q = _as_exact(p)
+        if not (0 < q < 1):
+            raise ValueError("Bernoulli parameters must lie strictly in (0,1)")
+        if window < 1:
+            raise ValueError("at least one coordinate required")
+        product = cls.__new__(cls)
+        product.params = (q,) * window
+        product.exchangeable = True
+        product._all_float = type(q) is float
+        return product
+
     @property
     def window(self) -> int:
         return len(self.params)
@@ -610,9 +625,9 @@ class OrbitSigmaFinite:
             if scale is not None and k > scale:
                 raise ValueError("orbit label exceeds the window")
             w = c if type(c) is Fraction else Fraction(c)
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError("orbit weights are nonnegative")
-            if w > 0:
+            if w.numerator:
                 store[int(k)] = w
         self.orbit_weights = store
         self.scale = scale
@@ -644,6 +659,10 @@ class OrbitSigmaFinite:
         return comb(free, rest)
 
     def mass(self, a: Cylinder):
+        """Exact mass of the cylinder; ValueError for a pin past a finite
+        ``scale``, as for every windowed measure."""
+        if self.scale is not None:
+            a.check_within(self.scale)
         total: Scalar = Fraction(0)
         for k, c in self.orbit_weights.items():
             n = self._cylinder_count(k, a)
@@ -656,8 +675,8 @@ class OrbitSigmaFinite:
         return self.mass(Cylinder.whole_space())
 
     def scaled(self, factor: Scalar) -> "OrbitSigmaFinite":
-        f = Fraction(factor)
-        if f <= 0:
+        f = factor if type(factor) is Fraction else Fraction(factor)
+        if f.numerator <= 0:
             raise ValueError("scale factor must be positive")
         return OrbitSigmaFinite(
             {k: c * f for k, c in self.orbit_weights.items()}, self.scale

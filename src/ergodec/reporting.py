@@ -11,6 +11,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -58,14 +59,35 @@ def cell_str(v: Any) -> str:
     return str(v)
 
 
-def _float_strs(column: tuple[float, ...]) -> list[str]:
-    """``repr`` of each cell of an all-float column, computed once per
-    distinct value. 0.0 and -0.0 share a key but not a repr, so zeros are
-    formatted cell by cell; a NaN finds its own entry by identity."""
-    reprs = {v: repr(v) for v in set(column)}
-    if 0.0 in reprs:
-        return [reprs[v] if v else repr(v) for v in column]
-    return list(map(reprs.__getitem__, column))
+def _index_float_text(rows: list[list]) -> str | None:
+    """The data lines, as one string, of a non-empty rectangular table
+    whose first column holds only Python ints and whose other columns hold
+    only Python floats: ``str`` of the index, then the float ``repr``s of
+    the row, joined once per distinct row. None for any other table.
+
+    Cell types are tested with ``type(v) is``, so a bool, ``np.float64`` or
+    ``Fraction`` cell, equal to a float and hashed alike, never reuses a
+    float row's text. A row that holds a zero is formatted on its own: 0.0
+    and -0.0 are one key with two reprs. A NaN equals no other NaN, so a
+    row that holds one is formatted again unless it holds the very same
+    objects; its text is the same either way.
+    """
+    if len(rows[0]) < 2 or set(map(len, rows)) != {len(rows[0])}:
+        return None
+    index = [row[0] for row in rows]
+    keys = [tuple(row[1:]) for row in rows]
+    if set(map(type, index)) != {int} or set(map(type, chain.from_iterable(keys))) != {float}:
+        return None
+    texts: dict[tuple, str] = {}
+    lines = []
+    for i, key in zip(index, keys):
+        text = texts.get(key)
+        if text is None:
+            text = ",".join(map(repr, key))
+            if 0.0 not in key:
+                texts[key] = text
+        lines.append(f"{i},{text}\r\n")
+    return "".join(lines)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -75,30 +97,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     rule where it holds a comma, a quote or a line break, and every line
     ends in ``\r\n``.
 
-    A non-empty rectangular table whose every column holds only Python
-    floats or only Python ints is formatted column by column, each distinct
-    float once, and joined directly: no such cell needs quoting. Any other
-    table goes through ``cell_str`` and ``csv.writer`` cell by cell.
+    An index-plus-floats table (``_index_float_text``) is written line by
+    line, each distinct row formatted once: no such cell needs quoting. Any
+    other table goes through ``cell_str`` and ``csv.writer`` cell by cell.
     """
-    columns = None
-    if rows and len(set(map(len, rows))) == 1 and rows[0]:
-        columns = []
-        for column in zip(*rows):
-            kinds = set(map(type, column))
-            if kinds == {float}:
-                columns.append(_float_strs(column))
-            elif kinds == {int}:
-                columns.append(list(map(str, column)))
-            else:
-                columns = None
-                break
+    text = _index_float_text(rows) if rows else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if columns is None:
+        if text is None:
             writer.writerows([cell_str(v) for v in row] for row in rows)
         else:
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            fh.write(text)
 
 
 @dataclass(frozen=True)

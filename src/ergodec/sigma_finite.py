@@ -241,7 +241,7 @@ class SigmaFiniteDecomposition:
         acc: dict[int, Fraction] = {}
         for k, w in self.weights.items():
             for kk, c in self.components[k].orbit_weights.items():
-                acc[kk] = acc.get(kk, Fraction(0)) + w * c
+                acc[kk] = acc[kk] + w * c if kk in acc else w * c
         return OrbitSigmaFinite(acc, self.scale)
 
 
@@ -278,7 +278,8 @@ def reweight_decomposition(
     if any(v <= 0 for v in factors.values()):
         raise ValueError("reweighting factors are strictly positive")
     components = {
-        k: comp.scaled(1 / factors[k]) for k, comp in dec.components.items()
+        k: comp.scaled(Fraction(factors[k].denominator, factors[k].numerator))
+        for k, comp in dec.components.items()
     }
     weights = {k: w * factors[k] for k, w in dec.weights.items()}
     return SigmaFiniteDecomposition(

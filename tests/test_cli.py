@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergodec import cli
+from ergodec import cli, reporting
 from ergodec.cli import SCHEMAS, load_config, main, run_experiment
 from ergodec.reporting import (
     ResultRecord,
@@ -153,6 +153,80 @@ def test_write_csv_ragged_and_empty_rows(tmp_path, rows):
     write_csv(tmp_path / "got.csv", ["a"], rows)
     _write_csv_per_cell(tmp_path / "want.csv", ["a"], rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _csv_bytes(writer, header, rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        writer(path, header, rows)
+        return path.read_bytes()
+
+
+# cells a float column of the fast path must never reuse a float row's text
+# for: equal to a float and hashed alike, but of another type
+_FLOAT_LOOKALIKES = [True, False, 1, 0, np.float64(0.5), np.float64(-0.0), Fraction(1, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.lists(
+           st.lists(_CSV_FLOATS, min_size=w, max_size=w), min_size=1, max_size=4)),
+       st.integers(0, 60), st.data())
+def test_write_csv_of_repeated_index_float_rows_has_the_per_cell_bytes(pool, n_rows, data):
+    # a few distinct float rows, heavily repeated, under an int index; then
+    # the same table with one float cell swapped for an equal non-float
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+    index = data.draw(st.lists(st.integers(-(10**20), 10**20), min_size=n_rows,
+                               max_size=n_rows) | st.just(list(range(n_rows))))
+    rows = [[i] + list(pool[k]) for i, k in zip(index, picks)]
+    header = ["index"] + [f"r_{j}" for j in range(len(pool[0]))]
+    want = _csv_bytes(_write_csv_per_cell, header, rows)
+    assert _csv_bytes(write_csv, header, rows) == want
+    if rows:
+        assert reporting._index_float_text(rows) is not None
+        r = data.draw(st.integers(0, n_rows - 1))
+        c = data.draw(st.integers(1, len(pool[0])))
+        rows[r][c] = data.draw(st.sampled_from(_FLOAT_LOOKALIKES))
+        assert reporting._index_float_text(rows) is None
+        assert _csv_bytes(write_csv, header, rows) == _csv_bytes(_write_csv_per_cell, header, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    # 0.0 and -0.0 in one column: one key, two reprs
+    [[0, 0.0, 0.5], [1, -0.0, 0.5], [2, 0.0, 0.5], [3, -0.0, 0.5], [4, 0.25, 0.5]],
+    [[i, (-0.0, 0.0)[i % 2], -0.0] for i in range(7)],
+    # NaN and infinite rows, repeated
+    [[i, (math.nan, math.inf, -math.inf, 0.1)[i % 4], math.nan] for i in range(9)],
+    [[0, float("nan")], [1, float("nan")], [2, math.nan], [3, math.nan]],
+    # one bool, np.float64 or int cell equal to a float in the column
+    [[0, 1.0, 0.5], [1, True, 0.5], [2, 1.0, 0.5]],
+    [[0, 1.0, 0.5], [1, 1, 0.5], [2, 1.0, 0.5]],
+    [[0, 0.5, 0.25], [1, np.float64(0.5), 0.25], [2, 0.5, 0.25]],
+    [[0, 0.0, 0.5], [1, False, 0.5], [2, np.float64(-0.0), 0.5]],
+    # an index that is not a Python int
+    [[True, 0.5], [1, 0.5]],
+    [[np.int64(0), 0.5], [1, 0.5]],
+    [[0.0, 0.5], [1, 0.5]],
+])
+def test_write_csv_fast_path_special_rows(tmp_path, rows):
+    write_csv(tmp_path / "got.csv", ["a", "b", "c"], rows)
+    _write_csv_per_cell(tmp_path / "want.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [FAST_DEFINETTI, {"beta": [2, 3], "samples": 150,
+                                                     "window": 256}])
+def test_definetti_samples_rows_take_the_index_float_path(config):
+    # samples.csv is the headline output: its rows must stay an int index and
+    # Python floats, or write_csv silently falls back to the per-cell writer
+    cfg = load_config("definetti", None, config)
+    _, csvs = cli.run_definetti(cfg, 5)
+    header, rows = csvs["samples.csv"]
+    assert header[0] == "index" and len(rows) == cfg["samples"]
+    assert [row[0] for row in rows] == list(range(len(rows)))
+    assert all(type(row[0]) is int for row in rows)
+    assert {type(v) for row in rows for v in row[1:]} == {float}
+    assert {len(row) for row in rows} == {len(header)}
+    assert reporting._index_float_text(rows) is not None
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

@@ -196,6 +196,51 @@ def test_split_by_gaps_noisy_two_clusters():
     assert len(split_by_gaps(values, 0.05)) == 2
 
 
+def _split_by_gaps_loop(values, min_gap):
+    """``split_by_gaps`` as it stood: a Python loop over the sorted values
+    that cuts where a neighbour gap reaches the cut."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cut = min_gap * (1.0 - 1e-9)
+    groups = []
+    start = 0
+    for i in range(1, len(sv)):
+        if sv[i] - sv[i - 1] >= cut:
+            groups.append(order[start:i])
+            start = i
+    groups.append(order[start:])
+    return groups
+
+
+# two-decimal values and gaps, so neighbours lie exactly min_gap apart as
+# decimals; a few values per list make ties; any float in [0, 1] besides
+_DECIMALS = st.integers(0, 100).map(lambda k: round(k / 100, 2))
+_GAP_VALUES = st.one_of(
+    st.lists(_DECIMALS, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=40)),
+    st.lists(st.one_of(_DECIMALS, st.floats(0, 1)), max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GAP_VALUES, st.one_of(st.integers(1, 30).map(lambda k: round(k / 100, 2)),
+                              st.floats(1e-6, 1)))
+def test_split_by_gaps_equals_the_loop(values, min_gap):
+    values = np.array(values, dtype=np.float64)
+    got, want = split_by_gaps(values, min_gap), _split_by_gaps_loop(values, min_gap)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("values", [[], [0.3]])
+def test_split_by_gaps_of_no_or_one_value_is_one_group(values):
+    values = np.array(values, dtype=np.float64)
+    got = split_by_gaps(values, 0.05)
+    assert len(got) == 1 and got[0].tolist() == list(range(len(values)))
+    assert got[0].tolist() == _split_by_gaps_loop(values, 0.05)[0].tolist()
+
+
 def test_decompose_single_bernoulli():
     nu = ProductBernoulli([0.5] * 1024)
     cfg = DecomposeConfig(samples=400, seed=61, mc_samples=300)

@@ -314,6 +314,68 @@ def test_product_float_params_and_mass_match_the_per_coordinate_loops(groups, re
     assert type(got) is type(want) and got == want
 
 
+def _same_value(a, b) -> bool:
+    """Same type and value, and for a float the same bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Fraction):
+        return a == b
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+_HOMOGENEOUS_P = st.one_of(
+    _IN_RANGE,
+    _IN_RANGE.map(np.float64),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
+    _IN_RANGE.map(_FractionSubclass),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HOMOGENEOUS_P, st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
+def test_homogeneous_product_is_the_repeated_parameter_list(p, window, seed, data):
+    got, want = ProductBernoulli.homogeneous(p, window), ProductBernoulli([p] * window)
+    assert got.params == want.params
+    assert [type(q) for q in got.params] == [type(q) for q in want.params]
+    assert got.exchangeable is want.exchangeable is True
+    assert got._all_float is want._all_float
+    positions = data.draw(st.lists(st.integers(1, window), unique=True, max_size=8))
+    pins = Cylinder.of({pos: data.draw(st.integers(0, 1)) for pos in positions})
+    assert _same_value(got.mass(pins), want.mass(pins))
+    x = tuple(data.draw(st.lists(st.integers(0, 1), min_size=window, max_size=window)))
+    assert _same_value(got.atom(x), want.atom(x))
+    rows_got = got.sample_rows(substream(seed, 3), 5)
+    assert rows_got.tobytes() == want.sample_rows(substream(seed, 3), 5).tobytes()
+
+
+@pytest.mark.parametrize("p", _OUT_OF_RANGE)
+def test_homogeneous_product_rejects_a_parameter_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=re.escape("strictly in (0,1)")):
+        ProductBernoulli([p] * 3)
+    with pytest.raises(ValueError, match=re.escape("strictly in (0,1)")):
+        ProductBernoulli.homogeneous(p, 3)
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_homogeneous_product_rejects_an_empty_window(window):
+    with pytest.raises(ValueError, match=re.escape("at least one coordinate")):
+        ProductBernoulli([0.5] * window)
+    with pytest.raises(ValueError, match=re.escape("at least one coordinate")):
+        ProductBernoulli.homogeneous(0.5, window)
+
+
+def test_orbit_measure_on_a_finite_scale_rejects_a_pin_past_it():
+    with pytest.raises(ValueError, match="outside the window"):
+        OrbitSigmaFinite({1: 1}, scale=3).mass(Cylinder.of({5: 1}))
+    nu = OrbitSigmaFinite({0: 1, 1: 1}, scale=2)
+    with pytest.raises(ValueError, match="outside the window"):
+        nu.mass(Cylinder.of({1: 0, 2: 0, 3: 0}))
+    # the two in-window pins hold the all-zeros point of orbit 0
+    assert nu.mass(Cylinder.of({1: 0, 2: 0})) == 1
+    # the idealized scale has no window to leave
+    assert OrbitSigmaFinite({1: 1}).mass(Cylinder.of({5: 1})) == 1
+
+
 def test_sample_single_atom():
     nu = AtomicMeasure({(1, 0, 1): Fraction(1)})
     rng = substream(17, 0)

@@ -25,6 +25,7 @@ from ergodec.sigma_finite import (
     GeometricWeight,
     MeasureClassDescriptor,
     ProjectiveClass,
+    SigmaFiniteDecomposition,
     classify_components,
     decompose_sigma_finite,
     f_integral,
@@ -368,6 +369,82 @@ def test_reweighting_requires_positivity():
     dec = decompose_sigma_finite(OrbitSigmaFinite({1: 1}), f)
     with pytest.raises(ValueError):
         reweight_decomposition(dec, {1: Fraction(0)})
+
+
+def _reweighted_by_the_formulas(dec, phi):
+    """``reweight_decomposition`` and ``barycenter`` as they stood: each
+    factor through ``Fraction``, each component's weights times
+    ``1 / factor``, and each barycenter sum started from ``Fraction(0)``.
+    Returns (weights, component weights, barycenter weights)."""
+    factors = {k: Fraction(phi[k]) for k in dec.weights}
+    components = {
+        k: {kk: c * (1 / factors[k]) for kk, c in comp.orbit_weights.items()}
+        for k, comp in dec.components.items()
+    }
+    weights = {k: w * factors[k] for k, w in dec.weights.items()}
+    barycenter = {}
+    for k, w in weights.items():
+        for kk, c in components[k].items():
+            barycenter[kk] = barycenter.get(kk, Fraction(0)) + w * c
+    return weights, components, barycenter
+
+
+_ORBIT_WEIGHTS = st.dictionaries(
+    st.integers(0, 6), st.fractions(min_value=0, max_value=9, max_denominator=9)
+    .filter(lambda q: q > 0), min_size=1, max_size=4)
+_FACTOR = st.one_of(st.integers(1, 9),
+                    st.fractions(min_value=0, max_value=30, max_denominator=30)
+                    .filter(lambda q: q > 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ORBIT_WEIGHTS, st.sampled_from([None, 6, 9]), st.data())
+def test_reweighting_equals_the_formulas(orbit_weights, scale, data):
+    f = make_fibrewise_f()
+    current = decompose_sigma_finite(OrbitSigmaFinite(orbit_weights, scale), f)
+    for _ in range(data.draw(st.integers(1, 5))):
+        phi = {k: data.draw(_FACTOR) for k in current.weights}
+        weights, components, barycenter = _reweighted_by_the_formulas(current, phi)
+        current = reweight_decomposition(current, phi)
+        assert current.weights == weights
+        assert {k: c.orbit_weights for k, c in current.components.items()} == components
+        assert all(c.scale == scale for c in current.components.values())
+        got = current.barycenter()
+        assert got.orbit_weights == barycenter and got.scale == scale
+        assert all(type(v) is Fraction for v in got.orbit_weights.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 4), st.tuples(_FACTOR, _ORBIT_WEIGHTS), min_size=1,
+                       max_size=4))
+def test_barycenter_of_overlapping_components_equals_the_formula(parts):
+    # components that share orbits, so the barycenter sums several terms
+    dec = SigmaFiniteDecomposition(
+        components={k: OrbitSigmaFinite(c) for k, (_, c) in parts.items()},
+        weights={k: Fraction(w) for k, (w, _) in parts.items()},
+        f=make_fibrewise_f(), scale=None, f_mass=Fraction(1))
+    want = {}
+    for k, w in dec.weights.items():
+        for kk, c in dec.components[k].orbit_weights.items():
+            want[kk] = want.get(kk, Fraction(0)) + w * c
+    assert dec.barycenter().orbit_weights == want
+
+
+@pytest.mark.parametrize("bad", [0, Fraction(0), -1, Fraction(-2, 3), -0.5])
+def test_reweighting_and_scaling_reject_a_nonpositive_factor(bad):
+    f = make_fibrewise_f()
+    dec = decompose_sigma_finite(OrbitSigmaFinite({1: 1, 2: 3}), f)
+    with pytest.raises(ValueError, match="strictly positive"):
+        reweight_decomposition(dec, {1: Fraction(1), 2: bad})
+    with pytest.raises(ValueError, match="must be positive"):
+        OrbitSigmaFinite({1: 1}).scaled(bad)
+
+
+@pytest.mark.parametrize("bad", [-1, Fraction(-1, 3), "-2/7", -0.25])
+def test_orbit_measure_rejects_a_negative_weight(bad):
+    with pytest.raises(ValueError, match="nonnegative"):
+        OrbitSigmaFinite({1: 1, 2: bad})
+    assert OrbitSigmaFinite({1: 1, 2: 0, 3: Fraction(0)}).labels == {1}
 
 
 def test_pcl_set_logic():
