@@ -173,7 +173,8 @@ _FLOAT_LOOKALIKES = [True, False, 1, 0, np.float64(0.5), np.float64(-0.0), Fract
        st.integers(0, 60), st.data())
 def test_write_csv_of_repeated_index_float_rows_has_the_per_cell_bytes(pool, n_rows, data):
     # a few distinct float rows, heavily repeated, under an int index; then
-    # the same table with one float cell swapped for an equal non-float
+    # the same table with one float cell swapped for a non-float that equals
+    # some float (1 == 1.0 == True)
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
     index = data.draw(st.lists(st.integers(-(10**20), 10**20), min_size=n_rows,
                                max_size=n_rows) | st.just(list(range(n_rows))))

@@ -241,6 +241,12 @@ def test_split_by_gaps_of_no_or_one_value_is_one_group(values):
     assert got[0].tolist() == _split_by_gaps_loop(values, 0.05)[0].tolist()
 
 
+def test_split_by_gaps_cuts_a_gap_of_exactly_the_cut():
+    cut = 0.05 * (1.0 - 1e-9)
+    values = np.array([0.0, cut, 2 * cut])
+    assert len(split_by_gaps(values, 0.05)) == len(_split_by_gaps_loop(values, 0.05)) == 3
+
+
 def test_decompose_single_bernoulli():
     nu = ProductBernoulli([0.5] * 1024)
     cfg = DecomposeConfig(samples=400, seed=61, mc_samples=300)
