@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .counterexamples import demonstrate_kolmogorov
-from .decomposition import DecomposeConfig, barycenter_residual_sd, decompose
+from .decomposition import DecomposeConfig, decompose
 from .cocycles import constant_one
 from .errors import CapacityError, NonConvergenceError
 from .measures import (
@@ -204,7 +204,7 @@ def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
     csvs = {
         "samples.csv": (
             ["index"] + ["r_" + "_".join(map(str, k)) for k in dm.statistic_keys],
-            [[i] + row for i, row in enumerate(dm.statistics.tolist())],
+            dm.statistics,
         )
     }
     if not continuous:
@@ -221,7 +221,7 @@ def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
                 passed=dm.barycenter_residual <= cfg["residual_bound"],
                 detail={
                     "residual": dm.barycenter_residual,
-                    "sd": barycenter_residual_sd(dm, cfg["residual_depth"]),
+                    "sd": dm.barycenter_residual_sd,
                     "bound": cfg["residual_bound"],
                     "depth": cfg["residual_depth"],
                 },

@@ -166,6 +166,7 @@ class DecomposingMeasure:
     schedule: tuple[int, ...]
     mc_samples: int
     barycenter_residual: Optional[float] = None
+    barycenter_residual_sd: Optional[float] = None
 
     @property
     def components(self) -> int:
@@ -299,11 +300,12 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
 
     Finite mode groups by 1-D gaps on the first-moment limit; each
     component's representative is the homogeneous product at its center
-    (``_representative``), and the barycenter residual is filled in.
-    Continuous mode keeps the empirical distribution of that limit, with no
-    components and no residual. Any other mode is a ValueError, and so, in
-    finite mode, are ``min_gap`` <= 0 and ``residual_depth`` < 1. Aborts
-    when more than the configured fraction of points fails limit detection.
+    (``_representative``), and the barycenter residual and its sd are
+    filled in. Continuous mode keeps the empirical distribution of that
+    limit, with no components and no residual. Any other mode is a
+    ValueError, and so, in finite mode, are ``min_gap`` <= 0 and
+    ``residual_depth`` < 1. Aborts when more than the configured fraction
+    of points fails limit detection.
 
     With ``config.validate_cocycle`` every input but two first runs the
     spot-check that nu's atom-ratio cocycle agrees with rho
@@ -404,8 +406,8 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     )
     if continuous:
         return dm
-    residual = barycenter_residual(nu, dm, config.residual_depth)
-    return replace(dm, barycenter_residual=residual)
+    residual, sd = barycenter_residual(nu, dm, config.residual_depth)
+    return replace(dm, barycenter_residual=residual, barycenter_residual_sd=sd)
 
 
 def assemble(dm: DecomposingMeasure):
@@ -422,38 +424,26 @@ def _residual_cylinders(depth: int):
     for size in range(1, depth + 1):
         for subset in itertools.combinations(range(1, depth + 1), size):
             for bits in itertools.product((0, 1), repeat=size):
-                yield Cylinder.of(dict(zip(subset, bits)))
+                # sorted distinct positions and 0/1 bits: the pins Cylinder.of builds
+                yield Cylinder(tuple(zip(subset, bits)))
 
 
-def barycenter_residual(nu, dm: DecomposingMeasure, depth: int) -> float:
-    """Max over cylinders of |nu(A) - sum_j w_j eta_j(A)|.
-
-    Cylinders pin any subset of the positions {1..depth} to any bit pattern;
-    both sides are evaluated in closed form.
-    """
-    worst = 0.0
+def barycenter_residual(nu, dm: DecomposingMeasure, depth: int) -> tuple[float, float]:
+    """The residual, max over cylinders A of |nu(A) - sum_j w_j a_j| with
+    a_j = eta_j(A), and its sd, the max over the same cylinders of
+    sqrt((sum_j w_j a_j^2 - (sum_j w_j a_j)^2) / M): the plug-in sd of the
+    mixed side as the w_j are the frequencies of a multinomial sample of M =
+    sum(counts) points. Cylinders pin any subset of the positions
+    {1..depth} to any bits; each mass is evaluated once, in closed form."""
+    worst, worst_sd, points = 0.0, 0.0, sum(dm.counts)
     for cyl in _residual_cylinders(depth):
         target = float(nu.mass(cyl))
-        mixed = sum(
-            w * float(rep.mass(cyl))
-            for w, rep in zip(dm.weights, dm.representatives)
-        )
-        worst = max(worst, abs(target - mixed))
-    return worst
-
-
-def barycenter_residual_sd(dm: DecomposingMeasure, depth: int) -> float:
-    """Plug-in sd of the mixed side sum_j w_j a_j, a_j = eta_j(A), as the
-    weights w_j are the frequencies of a multinomial sample of M =
-    sum(counts) points: sqrt((sum_j w_j a_j^2 - (sum_j w_j a_j)^2) / M),
-    maximised over the cylinders of ``barycenter_residual``."""
-    worst, points = 0.0, sum(dm.counts)
-    for cyl in _residual_cylinders(depth):
         masses = [float(rep.mass(cyl)) for rep in dm.representatives]
-        mean = sum(w * a for w, a in zip(dm.weights, masses))
+        mixed = sum(w * a for w, a in zip(dm.weights, masses))
         second = sum(w * a * a for w, a in zip(dm.weights, masses))
-        worst = max(worst, math.sqrt(max(second - mean * mean, 0.0) / points))
-    return worst
+        worst = max(worst, abs(target - mixed))
+        worst_sd = max(worst_sd, math.sqrt(max(second - mixed * mixed, 0.0) / points))
+    return worst, worst_sd
 
 
 @dataclass(frozen=True)

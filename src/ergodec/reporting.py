@@ -59,49 +59,54 @@ def cell_str(v: Any) -> str:
     return str(v)
 
 
+def _indexed_float_lines(index, values: np.ndarray) -> str:
+    """The data lines, as one string: each index, then the float ``repr``s
+    of the float64 row of ``values`` at its place. Rows are keyed by their
+    bytes (a raw-bytes view) and each distinct key is formatted once; a
+    repr is a function of the bits, so 0.0 and -0.0 are two keys."""
+    values = np.ascontiguousarray(values)
+    keys = values.view(np.dtype((np.void, values.itemsize * values.shape[1]))).ravel().tolist()
+    at = dict(zip(keys, range(len(keys))))  # each distinct key -> a row holding it
+    texts = dict(zip(at, [",".join(map(repr, row)) for row in values[list(at.values())].tolist()]))
+    return "".join([f"{i},{texts[k]}\r\n" for i, k in zip(index, keys)])
+
+
 def _index_float_text(rows: list[list]) -> str | None:
-    """The data lines, as one string, of a non-empty rectangular table
-    whose first column holds only Python ints and whose other columns hold
-    only Python floats: ``str`` of the index, then the float ``repr``s of
-    the row, joined once per distinct row. None for any other table.
+    """The data lines of a non-empty rectangular table whose first column
+    holds only Python ints and whose other columns hold only Python floats,
+    through ``_indexed_float_lines``. None for any other table.
 
     Cell types are tested with ``type(v) is``, so a bool, ``np.float64`` or
-    ``Fraction`` cell, equal to a float and hashed alike, never reuses a
-    float row's text. A row that holds a zero is formatted on its own: 0.0
-    and -0.0 are one key with two reprs. A NaN equals no other NaN, so a
-    row that holds one is formatted again unless it holds the very same
-    objects; its text is the same either way.
+    ``Fraction`` cell, whose text may differ from an equal float's, takes
+    the cell-by-cell path.
     """
     if len(rows[0]) < 2 or set(map(len, rows)) != {len(rows[0])}:
         return None
     index = [row[0] for row in rows]
-    keys = [tuple(row[1:]) for row in rows]
-    if set(map(type, index)) != {int} or set(map(type, chain.from_iterable(keys))) != {float}:
+    cells = [row[1:] for row in rows]
+    if set(map(type, index)) != {int} or set(map(type, chain.from_iterable(cells))) != {float}:
         return None
-    texts: dict[tuple, str] = {}
-    lines = []
-    for i, key in zip(index, keys):
-        text = texts.get(key)
-        if text is None:
-            text = ",".join(map(repr, key))
-            if 0.0 not in key:
-                texts[key] = text
-        lines.append(f"{i},{text}\r\n")
-    return "".join(lines)
+    return _indexed_float_lines(index, np.array(cells, dtype=np.float64))
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
     """Write the header and rows as ``csv.writer`` text: each cell is
     ``cell_str`` of its value (float ``repr``, ``fraction_str`` for a
     Fraction, ``str`` otherwise), quoted by the ``csv`` module's minimal
     rule where it holds a comma, a quote or a line break, and every line
     ends in ``\r\n``.
 
-    An index-plus-floats table (``_index_float_text``) is written line by
-    line, each distinct row formatted once: no such cell needs quoting. Any
-    other table goes through ``cell_str`` and ``csv.writer`` cell by cell.
+    A 2-D float64 ``rows`` array, each row after its 0-based index, and an
+    index-plus-floats list (``_index_float_text``) go through
+    ``_indexed_float_lines``: no such cell needs quoting. Any other table
+    goes through ``cell_str`` and ``csv.writer`` cell by cell.
     """
-    text = _index_float_text(rows) if rows else None
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.dtype != np.float64 or rows.shape[1] == 0:
+            raise ValueError("an array table is 2-D float64 with at least one column")
+        text = _indexed_float_lines(range(len(rows)), rows)
+    else:
+        text = _index_float_text(rows) if rows else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -103,7 +103,8 @@ def _write_csv_per_cell(path, header, rows):
 
 _CSV_FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 0.1, 1.0]),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-310,
+                     0.1, 1.0]),
 )
 _CSV_CELLS = st.one_of(
     _CSV_FLOATS,
@@ -140,6 +141,13 @@ def test_write_csv_has_the_bytes_of_the_per_cell_writer(header, kinds, n_rows, d
         write_csv(got, header, rows)
         _write_csv_per_cell(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+    # the float and np.float64 columns as a (non-contiguous) float64 array
+    float_columns = [col for col in columns if all(isinstance(v, float) for v in col)]
+    if float_columns:
+        values = np.array(float_columns, dtype=np.float64).reshape(len(float_columns), n_rows).T
+        indexed = [[i] + row for i, row in enumerate(values.tolist())]
+        assert _csv_bytes(write_csv, header, values) == _csv_bytes(_write_csv_per_cell, header,
+                                                                   indexed)
 
 
 @pytest.mark.parametrize("rows", [
@@ -172,8 +180,9 @@ _FLOAT_LOOKALIKES = [True, False, 1, 0, np.float64(0.5), np.float64(-0.0), Fract
            st.lists(_CSV_FLOATS, min_size=w, max_size=w), min_size=1, max_size=4)),
        st.integers(0, 60), st.data())
 def test_write_csv_of_repeated_index_float_rows_has_the_per_cell_bytes(pool, n_rows, data):
-    # a few distinct float rows, heavily repeated, under an int index; then
-    # the same table with one float cell swapped for a non-float that equals
+    # a few distinct float rows, heavily repeated, under an int index; the
+    # same rows as a float64 array, written after their 0-based index; then
+    # the list table with one float cell swapped for a non-float that equals
     # some float (1 == 1.0 == True)
     picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
     index = data.draw(st.lists(st.integers(-(10**20), 10**20), min_size=n_rows,
@@ -182,6 +191,10 @@ def test_write_csv_of_repeated_index_float_rows_has_the_per_cell_bytes(pool, n_r
     header = ["index"] + [f"r_{j}" for j in range(len(pool[0]))]
     want = _csv_bytes(_write_csv_per_cell, header, rows)
     assert _csv_bytes(write_csv, header, rows) == want
+    values = np.array([pool[k] for k in picks], dtype=np.float64).reshape(n_rows, len(pool[0]))
+    indexed = [[i] + row for i, row in enumerate(values.tolist())]
+    want = _csv_bytes(_write_csv_per_cell, header, indexed)
+    assert _csv_bytes(write_csv, header, values) == want
     if rows:
         assert reporting._index_float_text(rows) is not None
         r = data.draw(st.integers(0, n_rows - 1))
@@ -216,18 +229,25 @@ def test_write_csv_fast_path_special_rows(tmp_path, rows):
 
 @pytest.mark.parametrize("config", [FAST_DEFINETTI, {"beta": [2, 3], "samples": 150,
                                                      "window": 256}])
-def test_definetti_samples_rows_take_the_index_float_path(config):
-    # samples.csv is the headline output: its rows must stay an int index and
-    # Python floats, or write_csv silently falls back to the per-cell writer
+def test_definetti_samples_csv_is_handed_over_as_the_statistics_array(config):
+    # samples.csv is the headline output: write_csv formats it by bit-pattern
+    # keys only when it is handed the float64 statistics array itself
     cfg = load_config("definetti", None, config)
     _, csvs = cli.run_definetti(cfg, 5)
     header, rows = csvs["samples.csv"]
-    assert header[0] == "index" and len(rows) == cfg["samples"]
-    assert [row[0] for row in rows] == list(range(len(rows)))
-    assert all(type(row[0]) is int for row in rows)
-    assert {type(v) for row in rows for v in row[1:]} == {float}
-    assert {len(row) for row in rows} == {len(header)}
-    assert reporting._index_float_text(rows) is not None
+    assert header[0] == "index"
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    assert rows.flags.c_contiguous
+    assert rows.shape == (cfg["samples"], len(header) - 1)
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros(3), np.zeros((2, 0)), np.zeros((2, 2), dtype=np.float32),
+    np.zeros((2, 2), dtype=np.int64), np.zeros((1, 2, 2)),
+])
+def test_write_csv_rejects_an_array_that_is_not_a_float64_table(tmp_path, rows):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], rows)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

@@ -32,7 +32,6 @@ from ergodec.decomposition import (
     almost_invariant_upgrade,
     assemble,
     barycenter_residual,
-    barycenter_residual_sd,
     conditional_measures_exact,
     decompose,
     directed_statistics,
@@ -48,6 +47,7 @@ from ergodec.groups import act, enumerate_level
 from ergodec.measures import (
     AtomicMeasure,
     BetaExchangeable,
+    Cylinder,
     Mixture,
     ProductBernoulli,
     expectation_monomial,
@@ -260,7 +260,8 @@ def test_decompose_single_bernoulli():
     assert cont.mode == "continuous"
     assert (cont.labels, cont.weights, cont.centers, cont.counts,
             cont.representatives, cont.spreads) == ((),) * 6
-    assert cont.admissible is True and cont.barycenter_residual is None
+    assert cont.admissible is True
+    assert cont.barycenter_residual is None and cont.barycenter_residual_sd is None
     assert cont.r1_values.tobytes() == dm.r1_values.tobytes()
     assert cont.statistics.tobytes() == dm.statistics.tobytes()
 
@@ -276,6 +277,8 @@ def test_decompose_two_component_mixture():
     assert abs(weights[0] - 0.3) <= 0.05 and abs(weights[1] - 0.7) <= 0.05
     assert abs(centers[0] - 0.2) <= 0.02 and abs(centers[1] - 0.8) <= 0.02
     assert dm.barycenter_residual <= 0.02
+    assert (dm.barycenter_residual, dm.barycenter_residual_sd) == barycenter_residual(
+        mix, dm, cfg.residual_depth)
     # each recovered representative is itself ergodic for the chain
     for rep in dm.representatives:
         verdict = ergodicity_test(rep, constant_one(), DICT2, probes=6,
@@ -376,7 +379,7 @@ def test_barycenter_residual_exact_single_component():
         schedule=(1,),
         mc_samples=0,
     )
-    assert barycenter_residual(nu, dm, 3) == 0.0
+    assert barycenter_residual(nu, dm, 3) == (0.0, 0.0)
 
 
 def test_barycenter_residual_detects_weight_perturbation():
@@ -399,10 +402,10 @@ def test_barycenter_residual_detects_weight_perturbation():
         schedule=(1,),
         mc_samples=0,
     )
-    assert barycenter_residual(mix, good, 3) <= 1e-12
+    assert barycenter_residual(mix, good, 3)[0] <= 1e-12
     perturbed = replace(good, weights=(0.4, 0.6))
     # |0.1 * (0.2 - 0.8)| = 0.06 on the first-coordinate cylinder
-    assert barycenter_residual(mix, perturbed, 1) >= 0.05
+    assert barycenter_residual(mix, perturbed, 1)[0] >= 0.05
 
 
 def test_ergodicity_test_bernoulli_ergodic():
@@ -1462,6 +1465,7 @@ def test_decompose_spot_check_rejects_the_rn_cocycle_of_another_mixture():
 
 
 def test_barycenter_residual_sd_is_the_multinomial_sd():
+    nu = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * 8), ProductBernoulli([0.8] * 8)])
     dm = ergodec.decomposition.DecomposingMeasure(
         mode="finite",
         labels=("component-0", "component-1"),
@@ -1480,6 +1484,89 @@ def test_barycenter_residual_sd_is_the_multinomial_sd():
     )
     # two components: the variance is w(1 - w)(a_0 - a_1)^2, largest on a
     # one-pin cylinder, where |a_0 - a_1| = 0.6
-    assert math.isclose(barycenter_residual_sd(dm, 3), math.sqrt(0.21 * 0.36 / 10))
+    assert math.isclose(barycenter_residual(nu, dm, 3)[1], math.sqrt(0.21 * 0.36 / 10))
     one = replace(dm, weights=(1.0,), counts=(10,), representatives=dm.representatives[:1])
-    assert barycenter_residual_sd(one, 3) == 0.0
+    assert barycenter_residual(nu, one, 3)[1] == 0.0
+
+
+def _former_residual_cylinders(depth):
+    for size in range(1, depth + 1):
+        for subset in itertools.combinations(range(1, depth + 1), size):
+            for bits in itertools.product((0, 1), repeat=size):
+                yield Cylinder.of(dict(zip(subset, bits)))
+
+
+def _former_barycenter_residual(nu, dm, depth):
+    """The residual as it stood in a function of its own: the reference."""
+    worst = 0.0
+    for cyl in _former_residual_cylinders(depth):
+        target = float(nu.mass(cyl))
+        mixed = sum(
+            w * float(rep.mass(cyl))
+            for w, rep in zip(dm.weights, dm.representatives)
+        )
+        worst = max(worst, abs(target - mixed))
+    return worst
+
+
+def _former_barycenter_residual_sd(dm, depth):
+    """The sd as it stood in a function of its own: the reference."""
+    worst, points = 0.0, sum(dm.counts)
+    for cyl in _former_residual_cylinders(depth):
+        masses = [float(rep.mass(cyl)) for rep in dm.representatives]
+        mean = sum(w * a for w, a in zip(dm.weights, masses))
+        second = sum(w * a * a for w, a in zip(dm.weights, masses))
+        worst = max(worst, math.sqrt(max(second - mean * mean, 0.0) / points))
+    return worst
+
+
+_UNIT_FLOATS = st.floats(0.0, 1.0)
+_PARAMS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _residual_measures(window):
+    """Product (homogeneous or not) and atomic measures on one window."""
+    config = st.lists(st.integers(0, 1), min_size=window, max_size=window).map(tuple)
+    return st.one_of(
+        _PARAMS.map(lambda p: ProductBernoulli.homogeneous(p, window)),
+        st.lists(_PARAMS, min_size=window, max_size=window).map(ProductBernoulli),
+        config.map(lambda x: AtomicMeasure({x: Fraction(1)})),
+        st.dictionaries(config, st.fractions(0, 1), min_size=1, max_size=3).map(AtomicMeasure),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(d, d + 3))),
+       st.integers(1, 4), st.data())
+def test_barycenter_residual_equals_the_former_two_functions(depth_window, k, data):
+    depth, window = depth_window
+    measures = _residual_measures(window)
+    nu_weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+    nu = Mixture([w / sum(nu_weights) for w in nu_weights],
+                 [data.draw(measures) for _ in nu_weights])
+    dm = ergodec.decomposition.DecomposingMeasure(
+        mode="finite",
+        labels=tuple(f"component-{j}" for j in range(k)),
+        weights=tuple(data.draw(st.lists(_UNIT_FLOATS, min_size=k, max_size=k))),
+        centers=(0.5,) * k,
+        counts=tuple(data.draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k))),
+        representatives=tuple(data.draw(measures) for _ in range(k)),
+        spreads=(0.0,) * k,
+        admissible=True,
+        non_converged_fraction=0.0,
+        r1_values=np.zeros(1),
+        statistic_keys=((1,),),
+        statistics=np.zeros((1, 1)),
+        schedule=(1,),
+        mc_samples=0,
+    )
+    residual, sd = barycenter_residual(nu, dm, depth)
+    want = (_former_barycenter_residual(nu, dm, depth), _former_barycenter_residual_sd(dm, depth))
+    assert np.array([residual, sd]).tobytes() == np.array(want).tobytes()
+
+
+def test_residual_cylinders_are_the_pins_cylinder_of_builds():
+    for depth in range(1, 5):
+        got = list(ergodec.decomposition._residual_cylinders(depth))
+        assert got == list(_former_residual_cylinders(depth))
+        assert len(got) == 3**depth - 1
