@@ -146,8 +146,8 @@ def test_write_csv_has_the_bytes_of_the_per_cell_writer(header, kinds, n_rows, d
     if float_columns:
         values = np.array(float_columns, dtype=np.float64).reshape(len(float_columns), n_rows).T
         indexed = [[i] + row for i, row in enumerate(values.tolist())]
-        assert _csv_bytes(write_csv, header, values) == _csv_bytes(_write_csv_per_cell, header,
-                                                                   indexed)
+        want = _csv_bytes(_write_csv_per_cell, header, indexed)
+        assert _csv_bytes(write_csv, header, values) == want
 
 
 @pytest.mark.parametrize("rows", [
@@ -230,8 +230,8 @@ def test_write_csv_fast_path_special_rows(tmp_path, rows):
 @pytest.mark.parametrize("config", [FAST_DEFINETTI, {"beta": [2, 3], "samples": 150,
                                                      "window": 256}])
 def test_definetti_samples_csv_is_handed_over_as_the_statistics_array(config):
-    # samples.csv is the headline output: write_csv formats it by bit-pattern
-    # keys only when it is handed the float64 statistics array itself
+    # samples.csv is the headline output: run_definetti hands write_csv the
+    # float64 statistics array itself, with no per-row list copy
     cfg = load_config("definetti", None, config)
     _, csvs = cli.run_definetti(cfg, 5)
     header, rows = csvs["samples.csv"]
