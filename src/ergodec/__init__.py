@@ -2,14 +2,11 @@
 binary configuration spaces."""
 
 from .averaging import (
-    AveragingReport,
-    LimitReport,
     average_exact,
     conditional_expectation_check,
     default_schedule,
     fubini_check,
     invariance_check,
-    limit_average,
     tower_check,
 )
 from .cocycles import Cocycle, constant_one, make_rho_f, make_rn, verify_identity
@@ -31,7 +28,6 @@ from .decomposition import (
     decompose,
     ergodicity_test,
     ks_statistic,
-    mes_ed_roundtrip,
     pi_phi,
 )
 from .dictionary import CylinderMonomial, TestDictionary

@@ -15,9 +15,10 @@ exact float orbit sum over a batch of points, with a delta-method slack from
 moments kept once per ones count (``_count_moments``); everything else takes
 self-normalized Monte Carlo over Haar draws (``haar_rows``), weighted by the
 cocycle's potential (``mc_level_values``, the one Monte Carlo estimator).
-``level_table`` is the one place that picks among these engines;
-``pi_phi``, ``decompose``, ``ergodicity_test``, ``limit_average`` and the
-``orbital`` scan call it, and they average cylinder monomials only
+``level_table`` is the one place that picks among these engines, and the
+one per-point entry point: a point is a block of one row. It checks its
+levels (``checked_schedule``); ``pi_phi``, ``decompose``, ``ergodicity_test``
+and the ``orbital`` scan call it, and they average cylinder monomials only
 (``decompose`` of an exchangeable input has no rows: it hands its drawn
 counts to ``closed_form_levels`` itself). A
 function of the first d coordinates is a finite signed sum of monomials
@@ -50,33 +51,6 @@ from .measures import AtomicMeasure, LogLinearParts
 from .rng import RandomStream
 
 EXACT_LEVEL_CAP = ENUMERATION_CAP
-
-
-@dataclass(frozen=True)
-class AveragingReport:
-    value: object  # Fraction for exact, float for exact orbit sums and monte-carlo
-    level: int
-    method: str  # "exact" | "monte-carlo"
-    stderr: float
-    sample_count: int
-
-    def __post_init__(self):
-        if self.method == "exact" and self.stderr != 0:
-            raise ValueError("exact averages carry stderr 0")
-
-
-@dataclass(frozen=True)
-class LimitReport:
-    levels: tuple[AveragingReport, ...]
-    converged: bool
-    limit_estimate: Optional[float]
-    last_diff: float
-    threshold: float
-    tolerance: float
-
-    def rows(self) -> list[tuple[int, float, float]]:
-        """CSV-ready (level, value, stderr) series."""
-        return [(r.level, float(r.value), float(r.stderr)) for r in self.levels]
 
 
 def level_gap_sd(k: int, p: float, a: int, b: int) -> float:
@@ -528,12 +502,22 @@ def _exact_dot(pairs: Iterable[tuple]) -> tuple[int, int]:
     )
 
 
-def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
-    """sum phi(y) u(y) / sum u(y) over the level orbit of x, u the potential
-    of rho; phi is read only where u(y) != 0. When every u and phi value is an
-    int or a Fraction, each sum is one integer over the lcm of its terms'
-    denominators and the result is one Fraction. Otherwise (a float
-    potential) the terms are added one by one in orbit order."""
+def average_exact(level: int, rho: Cocycle, phi, x: Config):
+    """Exact level average sum phi(y) u(y) / sum u(y) over the level orbit of
+    x, u the potential of rho; phi is read only where u(y) != 0. When every u
+    and phi value is an int or a Fraction, each sum is one integer over the
+    lcm of its terms' denominators and the result is one Fraction. Otherwise
+    (a float potential) the terms are added one by one in orbit order and
+    the result is a float. CapacityError above S(8), ValueError for a level
+    below 1 or past the window of x."""
+    if level > EXACT_LEVEL_CAP:
+        raise CapacityError(
+            f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
+        )
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if level > len(x):
+        raise ValueError("level exceeds the configuration window")
     potential = rho.potential
     ux = potential(x)
     if ux == 0:
@@ -560,29 +544,6 @@ def _orbit_collapsed_average(level: int, rho: Cocycle, phi, x: Config):
             f"float potential overflows the level-{level} orbit sum (window {len(x)})"
         )
     return num / den
-
-
-def average_exact(level: int, rho: Cocycle, phi, x: Config) -> AveragingReport:
-    """Exact level average, one orbit sum weighted by the cocycle's
-    potential (``_orbit_collapsed_average``: a Fraction built once from
-    integer sums for rational inputs, a term-by-term float sum otherwise);
-    capacity error above S(8). It draws no samples, so its ``sample_count``
-    is 0."""
-    if level > EXACT_LEVEL_CAP:
-        raise CapacityError(
-            f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
-        )
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level > len(x):
-        raise ValueError("level exceeds the configuration window")
-    return AveragingReport(
-        value=_orbit_collapsed_average(level, rho, phi, x),
-        level=level,
-        method="exact",
-        stderr=0.0,
-        sample_count=0,
-    )
 
 
 def _self_normalized(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -743,7 +704,11 @@ def level_table(
 ) -> LevelTable:
     """Level averages of the cylinder monomials on ``keys`` at the increasing
     ``levels`` for a block of points, one 0/1 row of ``rows`` each: the one
-    place that picks the engine of a level. Level by level:
+    place that picks the engine of a level, and the per-point entry point (a
+    point is a block of one row, read as ``value(i, 0, 0)`` and
+    ``converged(tolerance)[0, 0]``). ValueError unless the levels start at 1
+    or above, increase strictly and stay within the rows' window
+    (``checked_schedule``). Level by level:
 
     1. the constant cocycle takes the hypergeometric closed form of
        ``closed_form_levels``, exact at every level, from one count of ones
@@ -768,6 +733,7 @@ def level_table(
     table's ``converged`` is the limit rule of every caller.
     """
     rows = np.asarray(rows, dtype=np.uint8)
+    levels = checked_schedule(levels, rows.shape[1])
     if rho.is_constant_one:
         return closed_form_levels(level_counts(rows, levels), rows, levels, keys)
     shape = (len(levels), rows.shape[0], len(keys))
@@ -783,7 +749,7 @@ def level_table(
     for li, n in enumerate(levels):
         if methods[li] == "enumeration":
             for p, x in enumerate(points):
-                exact = [average_exact(n, rho, m, x).value for m in monomials]
+                exact = [average_exact(n, rho, m, x) for m in monomials]
                 nums[li, p] = exact
                 values[li, p] = [float(v) for v in exact]
     if "monte-carlo" in methods:
@@ -797,59 +763,6 @@ def level_table(
                     )
         slacks = _mc_slacks(stderrs)
     return LevelTable(values, slacks, stderrs, methods, nums)
-
-
-def limit_average(
-    rho: Cocycle,
-    phi: CylinderMonomial,
-    x: Config,
-    schedule: Sequence[int],
-    tolerance: float = 1e-3,
-    mc_samples: int = 512,
-    rng: RandomStream | None = None,
-) -> LimitReport:
-    """Track the level averages of a cylinder monomial along a schedule and
-    detect the limit; TypeError for any other phi (see the module docstring
-    for functions of finitely many coordinates).
-
-    The levels of x form a one-point, one-key ``level_table``, whose
-    docstring gives the engine, slack and stderr of each level, and its
-    ``converged`` decides: the last two levels differ by less than
-    tolerance + slack, or, on a one-level schedule, that level has stderr 0
-    in the table (an exact level above S(8) has its sd about the limit
-    there, 0 only where the entry cannot move). Non-convergence is a
-    legitimate outcome and is reported as such, never masked. Monte Carlo
-    levels are reported as "monte-carlo" with their stderr and sample count,
-    every other level as "exact" with stderr 0 and 0 samples.
-    """
-    if not isinstance(phi, CylinderMonomial):
-        raise TypeError("limit_average averages a CylinderMonomial")
-    sched = checked_schedule(schedule, len(x))
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    table = level_table(
-        np.asarray(x, dtype=np.uint8)[None, :], rho, sched, [phi.indices], mc_samples, [rng]
-    )
-    reports = [_level_report(table, i, n, mc_samples) for i, n in enumerate(sched)]
-    converged = bool(table.converged(tolerance)[0, 0])
-    values = table.values[:, 0, 0].tolist()
-    return LimitReport(
-        levels=tuple(reports),
-        converged=converged,
-        limit_estimate=values[-1] if converged else None,
-        last_diff=abs(values[-1] - values[-2]) if len(values) > 1 else 0.0,
-        threshold=tolerance + float(table.slacks[-1, 0, 0]),
-        tolerance=tolerance,
-    )
-
-
-def _level_report(table: LevelTable, i: int, level: int, mc_samples: int) -> AveragingReport:
-    """Level i of a one-point, one-key ``LevelTable`` as an ``AveragingReport``."""
-    method, value = table.methods[i], table.value(i, 0, 0)
-    if method == "monte-carlo":
-        stderr = float(table.stderrs[i, 0, 0])
-        return AveragingReport(value, level, method, stderr, mc_samples)
-    return AveragingReport(value, level, "exact", 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -881,11 +794,11 @@ def tower_check(
     def inner(y: Config):
         key = orbit_class_key(y, n)
         if key not in cache:
-            cache[key] = average_exact(n, rho, phi, y).value
+            cache[key] = average_exact(n, rho, phi, y)
         return cache[key]
 
     def sides(x: Config) -> tuple:
-        return average_exact(m, rho, inner, x).value, average_exact(m, rho, phi, x).value
+        return average_exact(m, rho, inner, x), average_exact(m, rho, phi, x)
 
     per_class: dict[tuple, tuple] = {}
     checked = 0
@@ -947,7 +860,7 @@ def conditional_expectation_check(
     diffs = []
     for key in labels:
         members = classes[key]
-        val = average_exact(level, rho, phi, members[0]).value
+        val = average_exact(level, rho, phi, members[0])
         masses = [nu.atom(x) for x in members]
         phis = [_exact(phi(x)) for x in members]
         lhs = Fraction(*_exact_dot(zip(phis, masses)))
@@ -997,9 +910,9 @@ def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniRepo
 
 def invariance_check(level: int, rho: Cocycle, phi, x: Config):
     """The level average is constant along the level orbit of x."""
-    base = average_exact(level, rho, phi, x).value
+    base = average_exact(level, rho, phi, x)
     for k in enumerate_level(level):
-        moved = average_exact(level, rho, phi, act(k, x)).value
+        moved = average_exact(level, rho, phi, act(k, x))
         if moved != base:
             return False, (k, base, moved)
     return True, None

@@ -612,39 +612,6 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
 
 
 @dataclass(frozen=True)
-class RoundtripReport:
-    first: DecomposingMeasure
-    second: DecomposingMeasure
-    weight_drift: float
-    center_drift: float
-
-    def within(self, weight_tol: float, center_tol: float) -> bool:
-        return self.weight_drift <= weight_tol and self.center_drift <= center_tol
-
-
-def mes_ed_roundtrip(nu, rho: Cocycle, config: DecomposeConfig) -> RoundtripReport:
-    """Decompose, reassemble the barycenter, decompose again, compare."""
-    first = decompose(nu, rho, config)
-    rebuilt = assemble(first)
-    second_seed = int(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(0xED,)).generate_state(1)[0]
-    )
-    second = decompose(rebuilt, rho, replace(config, seed=second_seed, validate_cocycle=False))
-    if first.components != second.components:
-        return RoundtripReport(first, second, math.inf, math.inf)
-    w1 = np.array(first.weights)[np.argsort(first.centers)]
-    w2 = np.array(second.weights)[np.argsort(second.centers)]
-    c1 = np.sort(np.array(first.centers))
-    c2 = np.sort(np.array(second.centers))
-    return RoundtripReport(
-        first=first,
-        second=second,
-        weight_drift=float(np.max(np.abs(w1 - w2))),
-        center_drift=float(np.max(np.abs(c1 - c2))),
-    )
-
-
-@dataclass(frozen=True)
 class InvariantUpgradeReport:
     almost_invariant: bool
     upgraded: frozenset

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import ergodec.averaging as averaging
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
-    AveragingReport,
     _count_moments,
     _slack_coefficients,
     _esp_log_tables,
@@ -23,7 +22,6 @@ from ergodec.averaging import (
     haar_rows,
     invariance_check,
     level_table,
-    limit_average,
     mc_level_values,
     monomial_level_average,
     orbit_class_key,
@@ -69,25 +67,23 @@ def _const_phi(c):
 
 def test_average_exact_constant_function():
     rho = make_rn(ProductBernoulli([Fraction(1, 3)] * 4))
-    rep = average_exact(3, rho, _const_phi(Fraction(5, 7)), (1, 0, 1, 1))
-    assert rep.value == Fraction(5, 7)
-    assert rep.method == "exact" and rep.stderr == 0
+    value = average_exact(3, rho, _const_phi(Fraction(5, 7)), (1, 0, 1, 1))
+    assert type(value) is Fraction and value == Fraction(5, 7)
 
 
 def test_average_exact_symmetric_slot():
-    rep = average_exact(2, constant_one(), CylinderMonomial((1,)), (1, 0))
-    assert rep.value == Fraction(1, 2)
+    assert average_exact(2, constant_one(), CylinderMonomial((1,)), (1, 0)) == Fraction(1, 2)
 
 
 def test_average_exact_weighted_orbit():
     nu = ProductBernoulli([Fraction(1, 2), Fraction(1, 4)])
-    rep = average_exact(2, make_rn(nu), CylinderMonomial((1,)), (1, 0))
+    value = average_exact(2, make_rn(nu), CylinderMonomial((1,)), (1, 0))
     # oracle: conditional expectation over the two orbit atoms
     mass_10 = Fraction(1, 2) * Fraction(3, 4)
     mass_01 = Fraction(1, 2) * Fraction(1, 4)
     oracle = (1 * mass_10 + 0 * mass_01) / (mass_10 + mass_01)
     assert oracle == Fraction(3, 4)
-    assert rep.value == oracle
+    assert value == oracle
 
 
 def test_average_exact_capacity_error():
@@ -126,7 +122,7 @@ def test_exact_paths_agree_with_brute_force():
             ):
                 for rho, weight in cocycles:
                     want = brute_force_average(level, weight, mono, point)
-                    assert average_exact(level, rho, mono, point).value == want
+                    assert average_exact(level, rho, mono, point) == want
                     if point is zeroed:
                         assert want == 0
                 want_one = brute_force_average(level, unit, mono, point)
@@ -165,7 +161,7 @@ def test_average_mc_agrees_with_exact():
             rng.choice(range(1, 7), size=size, replace=False).tolist()
         )))
         rho = cocycles[trial % 2]
-        exact = float(average_exact(6, rho, phi, x).value)
+        exact = float(average_exact(6, rho, phi, x))
         ((est, se),) = mc_level_values(_bits(x), 6, rho, [phi], 400, rng)
         if abs(est - exact) <= 3 * se + 1e-12:
             hits += 1
@@ -189,7 +185,7 @@ def test_positive_contraction_bound():
     rng = substream(41, 4)
     for _ in range(20):
         x = tuple(int(b) for b in rng.integers(0, 2, size=5))
-        v = average_exact(4, rho, phi, x).value
+        v = average_exact(4, rho, phi, x)
         assert -3 <= v <= 2
 
 
@@ -235,62 +231,53 @@ def test_level_average_of_a_cylinder_function_is_its_moebius_sum(table, bits, le
     ]
     keys = [tuple(i + 1 for i in range(d) if s >> i & 1) for s in subsets]
     lt = level_table(_bits(x)[None, :], rho, (level,), keys)
-    want = average_exact(level, rho, phi, x).value
+    want = average_exact(level, rho, phi, x)
     assert sum(c * lt.value(0, 0, j) for j, c in enumerate(coef)) == want
 
 
-def test_exact_report_rejects_nonzero_stderr():
-    with pytest.raises(ValueError):
-        AveragingReport(value=1.0, level=2, method="exact", stderr=0.1, sample_count=2)
+def _point_table(x, rho, sched, key):
+    """The level table of the one point x and the one key."""
+    return level_table(_bits(x)[None, :], rho, sched, [key])
 
 
 def test_limit_average_constant_converges_immediately():
-    rho = constant_one()
-    rep = limit_average(rho, CylinderMonomial(()), (1, 0, 1, 0), [1, 2, 4])
-    assert rep.converged
-    assert rep.limit_estimate == 1.0
-    assert all(r.stderr == 0 for r in rep.levels)
-    with pytest.raises(TypeError, match="CylinderMonomial"):
-        limit_average(rho, _const_phi(Fraction(2, 3)), (1, 0, 1, 0), [1, 2, 4])
+    table = _point_table((1, 0, 1, 0), constant_one(), [1, 2, 4], ())
+    assert table.converged(1e-3)[0, 0]
+    assert table.value(2, 0, 0) == 1
+    assert table.methods == ("closed-form",) * 3 and not table.stderrs.any()
 
 
 def test_limit_average_all_ones_fixed():
-    x = tuple([1] * 64)
-    rep = limit_average(
-        constant_one(), CylinderMonomial((1,)), x, [1, 2, 4, 8, 16, 32, 64],
-        mc_samples=64, rng=substream(43, 0),
-    )
-    assert rep.converged and rep.limit_estimate == 1.0
-    assert all(float(r.value) == 1.0 for r in rep.levels)
+    table = _point_table([1] * 64, constant_one(), [1, 2, 4, 8, 16, 32, 64], (1,))
+    assert table.converged(1e-3)[0, 0] and table.value(-1, 0, 0) == 1
+    assert (table.values == 1.0).all()
 
 
 def test_limit_average_lln_bernoulli():
     nu = ProductBernoulli([0.2] * 4096)
-    x = tuple(nu.sample_rows(substream(43, 1), 1)[0].tolist())
-    rep = limit_average(
-        constant_one(), CylinderMonomial((1,)), x, default_schedule(4096),
-        mc_samples=3000, rng=substream(43, 2),
-    )
-    assert rep.converged
-    freq = sum(x) / 4096
-    assert abs(rep.limit_estimate - freq) <= 3 * rep.levels[-1].stderr
-    assert abs(rep.limit_estimate - 0.2) <= 0.02
-    series = rep.rows()
-    assert [lvl for lvl, _, _ in series] == list(default_schedule(4096))
-    assert all(se == 0.0 for lvl, _, se in series if lvl <= 8)
+    x = nu.sample_rows(substream(43, 1), 1)[0]
+    sched = default_schedule(4096)
+    table = _point_table(x, constant_one(), sched, (1,))
+    assert table.converged(1e-3)[0, 0]
+    # the level-4096 value is the frequency itself, exactly
+    assert table.value(-1, 0, 0) == Fraction(int(x.sum()), 4096)
+    assert abs(table.values[-1, 0, 0] - 0.2) <= 0.02
+    assert table.methods == ("closed-form",) * len(sched)
+    # only the last level holds a stderr, its sd about the limit
+    assert not table.stderrs[:-1].any() and table.stderrs[-1, 0, 0] > 0
 
 
 def test_limit_average_reports_nonconvergence():
     # levels 1 and 2 genuinely disagree at a point with x1 != x2
-    rep = limit_average(constant_one(), CylinderMonomial((1,)), (1, 0), [1, 2])
-    assert not rep.converged
-    assert rep.limit_estimate is None
-    assert rep.last_diff == pytest.approx(0.5)
+    table = _point_table((1, 0), constant_one(), [1, 2], (1,))
+    assert not table.converged(1e-3)[0, 0]
+    assert table.values[1, 0, 0] - table.values[0, 0, 0] == pytest.approx(-0.5)
+    assert not table.slacks.any()
 
 
 def test_limit_schedule_must_increase():
-    with pytest.raises(ValueError):
-        limit_average(constant_one(), CylinderMonomial((1,)), (1, 0), [2, 2])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _point_table((1, 0), constant_one(), [2, 2], (1,))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +288,7 @@ def test_limit_schedule_must_increase():
     ((2, 8), "schedule exceeds"),  # a window-4 point has no level 8
     ((0, 4), "levels must be >= 1"),  # the closed form read level 0 as 0/0
     ((), "levels must be >= 1"),
+    ((4, 2), "strictly increasing"),
 ])
 def test_schedule_outside_the_point_raises(caller, schedule, message):
     x, mono, dictionary = (1, 0, 1, 0), CylinderMonomial((1,)), TestDictionary.build(1, 1)
@@ -308,9 +296,9 @@ def test_schedule_outside_the_point_raises(caller, schedule, message):
     rho = make_rn(nu)
     with pytest.raises(ValueError, match=message):
         if caller == "constant":
-            limit_average(constant_one(), mono, x, schedule)
+            _point_table(x, constant_one(), schedule, mono.indices)
         elif caller == "product":
-            limit_average(rho, mono, x, schedule)
+            _point_table(x, rho, schedule, mono.indices)
         elif caller == "pi_phi":
             pi_phi(x, rho, dictionary, schedule)
         elif caller == "point_block":
@@ -368,7 +356,7 @@ def _group_enumeration_average(level, rho, phi, x):
         w = rho(k, x)
         den += w
         num += phi(act(k, x)) * w
-    return AveragingReport(num / den, level, "exact", 0.0, math.factorial(level))
+    return num / den
 
 
 def test_tower_reports_witness_when_weights_are_inconsistent(monkeypatch):
@@ -426,7 +414,7 @@ def _sweep_conditional_expectation(level, rho, phi, nu):
     diffs = []
     for key in labels:
         members = classes[key]
-        val = average_exact(level, rho, phi, members[0]).value
+        val = average_exact(level, rho, phi, members[0])
         lhs = sum((Fraction(phi(x)) * nu.atom(x) for x in members), Fraction(0))
         mass = sum((nu.atom(x) for x in members), Fraction(0))
         diffs.append(lhs - val * mass)
@@ -568,11 +556,12 @@ def test_closed_form_callers_equal_enumeration_up_to_level_8(bits, levels):
     battery = TestDictionary.build(2, 3).nonconstant()
     rep = orbital_dichotomy(x, sched, battery=battery)
     for mono in battery:
-        want = [average_exact(n, constant_one(), mono, x).value for n in sched]
+        want = [average_exact(n, constant_one(), mono, x) for n in sched]
         assert rep.series[mono.indices] == tuple((n, float(w), 0.0) for n, w in zip(sched, want))
-        lim = limit_average(constant_one(), mono, x, sched)
-        assert [r.value for r in lim.levels] == want
-        assert all(r.method == "exact" and r.stderr == 0 for r in lim.levels)
+        table = _point_table(x, constant_one(), sched, mono.indices)
+        assert [table.value(i, 0, 0) for i in range(len(sched))] == want
+        assert table.methods == ("closed-form",) * len(sched)
+        assert not table.stderrs.any()
 
 
 @settings(max_examples=30, deadline=None)
@@ -600,8 +589,8 @@ def test_closed_form_callers_above_level_8_past_255_ones(seed, p, levels):
     for mono in battery:
         want = [oracle(n, mono.indices) for n in sched]
         assert rep.series[mono.indices] == tuple((n, float(w), 0.0) for n, w in zip(sched, want))
-        lim = limit_average(constant_one(), mono, x, sched)
-        assert [r.value for r in lim.levels] == want
+        table = _point_table(bits, constant_one(), sched, mono.indices)
+        assert [table.value(i, 0, 0) for i in range(len(sched))] == want
 
 
 def test_average_mc_callable_phi_under_callable_potential():
@@ -614,7 +603,7 @@ def test_average_mc_callable_phi_under_callable_potential():
         x = tuple(int(b) for b in rng.integers(0, 2, size=6))
         got = mc_level_values(_bits(x), 6, rho, monomials, 400, rng)
         for mono, (est, se) in zip(monomials, got):
-            exact = float(average_exact(6, rho, mono, x).value)
+            exact = float(average_exact(6, rho, mono, x))
             if abs(est - exact) <= 3 * se + 1e-12:
                 hits += 1
     # weight ratios up to 4^9 give the self-normalized estimate heavier tails
@@ -672,7 +661,7 @@ def test_product_levels_equal_enumeration_up_to_level_8(case, levels):
     rho = make_rn(nu)
     for n, row in zip(sched, values):
         for key, got in zip(keys, row):
-            want = average_exact(n, rho, CylinderMonomial(key), x).value
+            want = average_exact(n, rho, CylinderMonomial(key), x)
             assert abs(got - float(want)) <= 1e-12
         assert row[0] == 1.0
 
@@ -1045,9 +1034,9 @@ def test_limit_average_solves_each_tilt_once_across_keys(monkeypatch):
     comps = [ProductBernoulli([a if i % 2 == 0 else b for i in range(window)])
              for a, b in ((0.2, 0.25), (0.75, 0.8))]
     nu = Mixture([0.4, 0.6], comps)
-    rho, x = make_rn(nu), tuple(nu.sample_rows(substream(65, 0), 1)[0].tolist())
+    rho, x = make_rn(nu), nu.sample_rows(substream(65, 0), 1)[0]
     for key in ((1,), (2,), (1, 2), (3,)):
-        limit_average(rho, CylinderMonomial(key), x, default_schedule(window))
+        _point_table(x, rho, default_schedule(window), key)
     parts = rho.log_linear
     # levels 16, 32, ..., 1024 are product levels, each with one ones count
     assert len(solved) == len(set(solved)) == 7
@@ -1123,13 +1112,17 @@ def test_limit_average_under_a_product_potential_equals_enumeration(case, levels
     rho, sched = make_rn(nu), sorted(levels)
     for indices in [(1,), (1, 2), (top,), (1, top)]:
         mono = CylinderMonomial(tuple(sorted(set(indices))))
-        exact = limit_average(rho, mono, x, sched)
+        table = _point_table(x, rho, sched, mono.indices)
+        # an exchangeable nu has the constant cocycle: closed form
+        assert set(table.methods) <= {"enumeration", "closed-form"}
+        assert not table.stderrs.any() and not table.slacks.any()
         orbit_sums, _, _ = product_levels(
             np.asarray(x, dtype=np.uint8)[None, :], sched, [mono.indices], nu.log_linear
         )
-        for e, o in zip(exact.levels, orbit_sums[:, 0, 0].tolist()):
-            assert e == average_exact(e.level, rho, mono, x)
-            assert abs(o - float(e.value)) <= 1e-12
+        for i, (n, o) in enumerate(zip(sched, orbit_sums[:, 0, 0].tolist())):
+            value = table.value(i, 0, 0)
+            assert value == average_exact(n, rho, mono, x)
+            assert abs(o - float(value)) <= 1e-12
 
 
 @pytest.mark.parametrize("cocycle", ["product", "constant"])
@@ -1144,19 +1137,21 @@ def test_limit_average_under_a_product_potential_matches_pi_phi_at_window_1024(
              for a, b in ((0.2, 0.25), (0.75, 0.8))]
     nu = Mixture([0.4, 0.6], comps)
     rho = make_rn(nu) if cocycle == "product" else constant_one()
+    method = "product" if cocycle == "product" else "closed-form"
     dictionary = TestDictionary.build(2, 2)
     for i in range(4):
         x = nu.sample_rows(substream(seed, i), 1)[0]
         stat = pi_phi(x, rho, dictionary, sched, tolerance=0.02)
         for mono in dictionary.nonconstant():
-            rep = limit_average(rho, mono, tuple(x.tolist()), sched, tolerance=0.02)
-            assert [(r.method, r.stderr, r.sample_count) for r in rep.levels] == [
-                ("exact", 0.0, 0)
-            ] * len(sched)
+            table = _point_table(x, rho, sched, mono.indices)
+            assert table.methods == (method,) * len(sched)
+            # the exact engines fill only the last level's stderr
+            assert not table.stderrs[:-1].any()
+            assert table.stderrs[-1, 0, 0] == pytest.approx(stat.stderrs[mono.indices], rel=1e-9)
             # the kernel's tables depend on the keys it is given, so the
             # values agree to rounding, not to the bit
-            assert abs(rep.levels[-1].value - stat.values[mono.indices]) <= 1e-12
-            assert rep.converged == stat.converged[mono.indices]
+            assert abs(table.value(-1, 0, 0) - stat.values[mono.indices]) <= 1e-12
+            assert table.converged(0.02)[0, 0] == stat.converged[mono.indices]
 
 
 @pytest.mark.parametrize("cocycle", ["constant", "product"])
@@ -1172,9 +1167,8 @@ def test_one_level_schedules_agree_across_callers(cocycle):
     for level, want in ((1024, False), (9, False), (8, True), (2, True)):
         stat = pi_phi(x, rho, dictionary, (level,))
         for mono in dictionary.nonconstant():
-            rep = limit_average(rho, mono, tuple(x.tolist()), (level,))
-            assert stat.converged[mono.indices] == rep.converged == want
-            assert (rep.limit_estimate is not None) == want
+            table = _point_table(x, rho, (level,), mono.indices)
+            assert stat.converged[mono.indices] == table.converged(1e-3)[0, 0] == want
         orbital = orbital_dichotomy(x, (level,), battery=dictionary.nonconstant())
         assert orbital.verdict == ("converges-to-probability" if want else "inconclusive")
 
@@ -1231,9 +1225,9 @@ def test_average_exact_equals_group_enumeration(data):
         x = data.draw(st.sampled_from(sorted(nu.atoms)))
     rho = make_rn(nu)
     phi = _drawn_phi(data, window)
-    got = average_exact(level, rho, phi, x).value
+    got = average_exact(level, rho, phi, x)
     assert type(got) is Fraction
-    assert got == _group_enumeration_average(level, rho, phi, x).value
+    assert got == _group_enumeration_average(level, rho, phi, x)
 
 
 def _term_by_term_average(level, rho, phi, x):
@@ -1258,7 +1252,7 @@ def test_float_product_levels_are_the_term_by_term_sum_to_the_bit(params, x, lev
     rho = make_rn(ProductBernoulli(params))
     entries = TestDictionary.build(3, 6).entries
     phi = entries[entry % len(entries)]
-    got = average_exact(level, rho, phi, x).value
+    got = average_exact(level, rho, phi, x)
     want = _term_by_term_average(level, rho, phi, x)
     assert type(got) is type(want)
     assert got == want
@@ -1269,7 +1263,7 @@ def _plain_class_diffs(level, rho, phi, nu):
     class mass, each a running Fraction sum."""
     diffs = []
     for members in (v for _, v in sorted(orbit_classes(nu.atoms, level).items())):
-        val = average_exact(level, rho, phi, members[0]).value
+        val = average_exact(level, rho, phi, members[0])
         lhs = sum((Fraction(phi(x)) * nu.atom(x) for x in members), Fraction(0))
         mass = sum((nu.atom(x) for x in members), Fraction(0))
         diffs.append(lhs - val * mass)
@@ -1348,12 +1342,12 @@ def _per_atom_tower(m, n, rho, phi, nu):
     def inner(y):
         key = orbit_class_key(y, n)
         if key not in cache:
-            cache[key] = averaging.average_exact(n, rho, phi, y).value
+            cache[key] = averaging.average_exact(n, rho, phi, y)
         return cache[key]
 
     for checked, x in enumerate(sorted(nu.atoms), start=1):
-        lhs = averaging.average_exact(m, rho, inner, x).value
-        rhs = averaging.average_exact(m, rho, phi, x).value
+        lhs = averaging.average_exact(m, rho, inner, x)
+        rhs = averaging.average_exact(m, rho, phi, x)
         if lhs != rhs:
             return False, checked, (x, lhs, rhs)
     return True, checked, None

@@ -20,7 +20,7 @@ from ergodec.averaging import (
     haar_rows,
     level_counts,
     level_gap_sd,
-    limit_average,
+    level_table,
     mc_level_values,
     monomial_level_average,
     product_levels,
@@ -37,7 +37,6 @@ from ergodec.decomposition import (
     directed_statistics,
     ergodicity_test,
     ks_statistic,
-    mes_ed_roundtrip,
     pi_phi,
     split_by_gaps,
 )
@@ -118,7 +117,7 @@ def test_closed_form_matches_enumeration_at_small_levels(bits, level):
     x = tuple(bits)
     stat = pi_phi(x, constant_one(), DICT2, schedule=(level,))
     for mono in DICT2.entries:  # level 1 fixes coordinate 2
-        want = average_exact(level, constant_one(), mono, x).value
+        want = average_exact(level, constant_one(), mono, x)
         assert stat.values[mono.indices] == want
         assert stat.stderrs[mono.indices] == 0.0
 
@@ -438,7 +437,7 @@ def _per_atom_exact_verdict(eta, rho):
     failures, checks, witnesses = 0, 0, []
     for x in sorted(eta.atoms):
         for mono in DICT2.nonconstant():
-            val = average_exact(eta.window, rho, mono, x).value
+            val = average_exact(eta.window, rho, mono, x)
             target = expectation_monomial(eta, mono.indices)
             checks += 1
             if val != target:
@@ -662,21 +661,35 @@ def test_conditional_cells_past_window_twelve():
     assert assignment.rn_verified and assignment.support_orbit_closed
 
 
+def _decompose_twice(nu, cfg):
+    """Decompose, reassemble the barycenter, decompose it again on a seed of
+    its own: (first, second, weight drift, center drift), components matched
+    by their sorted centers."""
+    first = decompose(nu, constant_one(), cfg)
+    seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0xED,)).generate_state(1)[0])
+    second = decompose(assemble(first), constant_one(),
+                       replace(cfg, seed=seed, validate_cocycle=False))
+    assert first.components == second.components
+    w1, w2 = (np.array(dm.weights)[np.argsort(dm.centers)] for dm in (first, second))
+    c1, c2 = (np.sort(dm.centers) for dm in (first, second))
+    return first, second, np.max(np.abs(w1 - w2)), np.max(np.abs(c1 - c2))
+
+
 def test_roundtrip_single_component_fixed_point():
     nu = ProductBernoulli([0.5] * 512)
     cfg = DecomposeConfig(samples=400, seed=67, mc_samples=300)
-    rep = mes_ed_roundtrip(nu, constant_one(), cfg)
-    assert rep.first.components == rep.second.components == 1
-    assert rep.within(0.02, 0.02)
+    first, second, weight_drift, center_drift = _decompose_twice(nu, cfg)
+    assert first.components == second.components == 1
+    assert weight_drift <= 0.02 and center_drift <= 0.02
 
 
 def test_roundtrip_two_component_mixture():
     mix = Mixture([0.3, 0.7], [ProductBernoulli([0.2] * 1024), ProductBernoulli([0.8] * 1024)])
     cfg = DecomposeConfig(samples=4000, seed=67, mc_samples=300)
-    rep = mes_ed_roundtrip(mix, constant_one(), cfg)
-    assert rep.first.components == rep.second.components == 2
-    assert rep.weight_drift <= 0.02
-    assert rep.center_drift <= 0.02
+    first, second, weight_drift, center_drift = _decompose_twice(mix, cfg)
+    assert first.components == second.components == 2
+    assert weight_drift <= 0.02
+    assert center_drift <= 0.02
 
 
 def test_assemble_rebuilds_mixture():
@@ -739,7 +752,7 @@ def test_upgrade_matches_averaging_definition():
     averaged = {
         x
         for x in nu.atoms
-        if all(average_exact(n, one, chi, x).value == 1 for n in range(1, 5))
+        if all(average_exact(n, one, chi, x) == 1 for n in range(1, 5))
     }
     assert averaged == set(rep.upgraded)
 
@@ -839,11 +852,12 @@ def test_exact_levels_survive_an_underflowing_potential(window):
     x = tuple(comps[1].sample_rows(substream(3, 1), 1)[0].tolist())
     assert nu.atom(x) == 0.0
     pi_phi(x, make_rn(nu), DICT2, (4, 8, window))
-    report = limit_average(make_rn(nu), CylinderMonomial((1, 2)), x, default_schedule(window))
-    (level8,) = [r for r in report.levels if r.level == 8]
-    want, _, _ = product_levels(np.asarray(x, dtype=np.uint8)[None, :], (8,), [(1, 2)],
-                                nu.log_linear)
-    assert 0.0 < level8.value and abs(level8.value - want[0, 0, 0]) <= 1e-12
+    sched = default_schedule(window)
+    bits = np.asarray(x, dtype=np.uint8)[None, :]
+    table = level_table(bits, make_rn(nu), sched, [(1, 2)])
+    level8 = table.value(sched.index(8), 0, 0)
+    want, _, _ = product_levels(bits, (8,), [(1, 2)], nu.log_linear)
+    assert 0.0 < level8 and abs(level8 - want[0, 0, 0]) <= 1e-12
 
 
 def test_exact_level_of_a_vanishing_potential_raises_naming_the_window():
@@ -1092,16 +1106,10 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
     )
 
 
-# sha256 of the repr of ergodicity_test verdicts and of limit_average reports
-# under the three kinds of cocycle (constant, product potential, Monte Carlo),
-# recorded on commit 0cb3b83, while the exact cap was still a parameter. The
-# schedules put the second-to-last level on either side of S(8). The
-# limit_average digest was re-recorded when enumerated levels stopped
-# reporting level! samples: its reprs changed only in those sample_count
-# values, which are now 0. It was re-recorded again when the product-potential
-# slack began to take its variance sums from per-count moments: 5 of the 36
-# reports moved only in the last one or two bits of `threshold` (tolerance +
-# slack); every value, estimate and verdict kept its bits. The ergodicity
+# sha256 of the repr of ergodicity_test verdicts under the three kinds of
+# cocycle (constant, product potential, Monte Carlo), recorded on commit
+# 0cb3b83, while the exact cap was still a parameter. The schedules put the
+# second-to-last level on either side of S(8). The ergodicity
 # digest was re-recorded when ergodicity_test began to draw its probes
 # through _point_block: the rows now come in turn from one stream,
 # substream(seed, 0xE6, 0), and Monte Carlo levels from substream(seed, i),
@@ -1111,8 +1119,17 @@ def test_product_point_block_matches_per_point_pi_phi(seed, window, comps, mid, 
 RECORDED_ERGODICITY_SHA256 = (
     "5d4efcebfab05782b7b8e329c89ad0c2640b87abda609efe8dcc2162fa138784"
 )
-RECORDED_LIMIT_AVERAGE_SHA256 = (
-    "8f92b35b6de6c09c7551954997c6aa9f43f18d580b6b1b78b8a85e1a4fb1523d"
+# sha256 of the repr of one-point, one-key level tables of the same three
+# kinds of cocycle: per case, each level's (method, value, stderr, slack)
+# and the entry's converged(0.02). It replaces the digest of the former
+# one-point report layer over the same 36 (point, cocycle, key, schedule)
+# cases (RECORDED_LIMIT_AVERAGE_SHA256, 8f92b35b...). Before recording, a
+# script run on the parent commit c836cc3 checked that these numbers equal
+# each report's level values, converged, last_diff (the last step of the
+# table's float values) and threshold (0.02 plus the last slack), and that
+# each Monte Carlo level kept its stderr.
+RECORDED_LEVEL_TABLE_SHA256 = (
+    "890886066cc1fcbebf9f3cce04b3eff6a9a30d54b6d1500a88cf6d8fc5664b1d"
 )
 
 
@@ -1135,24 +1152,29 @@ def test_ergodicity_test_matches_recorded_verdicts():
     assert got == RECORDED_ERGODICITY_SHA256
 
 
-def test_limit_average_matches_recorded_reports():
+def test_level_table_matches_recorded_limits():
     nu, _ = _bench_mixture(64)
-    reports = []
+    records = []
     for i, rho in itertools.product(range(3), _three_cocycles(nu)):
-        x = tuple(nu.sample_rows(substream(5, i), 1)[0].tolist())
+        x = nu.sample_rows(substream(5, i), 1)[0]
         for key, schedule in (
             ((1,), default_schedule(64)),
             ((1, 2), (4, 8, 64)),
             ((2, 64), (4, 8, 32, 64)),
             ((1, 3), (2, 9, 64)),
         ):
-            reports.append(limit_average(
-                rho, CylinderMonomial(key), x, schedule, tolerance=0.02,
-                mc_samples=200, rng=substream(5, 100 + i),
-            ))
-    assert {r.method for rep in reports for r in rep.levels} == {"exact", "monte-carlo"}
-    got = hashlib.sha256(repr(reports).encode()).hexdigest()
-    assert got == RECORDED_LIMIT_AVERAGE_SHA256
+            table = level_table(x[None, :], rho, schedule, [key], 200, [substream(5, 100 + i)])
+            levels = [
+                (table.methods[li], table.value(li, 0, 0), float(table.stderrs[li, 0, 0]),
+                 float(table.slacks[li, 0, 0]))
+                for li in range(len(schedule))
+            ]
+            records.append((levels, bool(table.converged(0.02)[0, 0])))
+    assert {m for levels, _ in records for m, *_ in levels} == {
+        "closed-form", "enumeration", "product", "monte-carlo"
+    }
+    got = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert got == RECORDED_LEVEL_TABLE_SHA256
 
 
 @pytest.mark.parametrize("kind", ["constant", "product", "monte-carlo"])
