@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -116,7 +116,10 @@ class LevelTable:
         """The limit rule, a bool per [point, key]: with two or more levels,
         the last two a < b satisfy |r(b) - r(a)| < tolerance + slack; with one
         level, its stderr is 0. That holds for an exact level at or below
-        S(8), and above S(8) only where the entry cannot move."""
+        S(8), and above S(8) only where the entry cannot move. ValueError
+        unless the tolerance is positive."""
+        if not tolerance > 0:
+            raise ValueError("tolerance must be positive")
         if len(self.methods) == 1:
             return self.stderrs[-1] == 0.0
         return np.abs(self.values[-1] - self.values[-2]) < tolerance + self.slacks[-1]
@@ -255,8 +258,9 @@ def _esp_log_tables(
     return [found[c] for c in counts]
 
 
-# Newton chunks (ones counts x components x coordinates) hold at most about
-# this many floats, so memory does not grow with the number of new counts.
+# Newton chunks (ones counts x components x coordinates) and the float rows
+# of the tail products (points x coordinates) hold at most about this many
+# floats, so memory does not grow with the number of new counts or points.
 # 128 KB arrays kept the quasi-invariant benchmark's peak RSS at the
 # per-point kernel's; 512 KB ones raised it by about 2 MB.
 _NEWTON_FLOATS = 1 << 14
@@ -272,31 +276,59 @@ def _moments(s: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+@dataclass(eq=False)
+class CountMoments:
+    """The slack moments of one (level n, previous level a, held coordinates)
+    for each ones count k seen so far: row ``rows[k]`` of ``table`` holds
+    M_a, M_gap (components x components each) and s at the held coordinates
+    (components x held), flattened in that order (``_count_moments``). One
+    packed table makes the lookup for a block one gather over its points, and
+    it holds only the counts met."""
+
+    rows: dict = field(default_factory=dict)
+    table: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+
 def _count_moments(
-    logit: np.ndarray, a: int, held: list, counts: list, memo: dict, tilts: dict
-) -> None:
-    """Add to ``memo`` each ones count 0 < k < n in ``counts`` that it lacks:
-    k -> (M_a, M_gap, s at the 1-based ``held`` coordinates), where
+    logit: np.ndarray, a: int, held: list, counts: list, memo: CountMoments, tilts: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(mats, s_held)`` for the ones counts 0 < k < n of a block's points
+    (``counts``, one per point): ``mats[p]`` stacks (M_a, M_gap) and
+    ``s_held[p]`` is s at the 1-based ``held`` coordinates, where
     s = sigma(lam + logit) for the tilt lam = ``tilts[k]`` of the n columns
-    of ``logit`` (``_solve_tilts``, which runs only for counts ``tilts``
-    lacks) and (M_a, M_gap) = ``_moments(s, a)``. With component shares q
-    summing to 1, pi_i = q . s_i has sum_(i <= a) pi_i (1 - pi_i) = q^T M_a q.
-    The tilt depends on the level and the count only, so every (a, held)
-    that meets a (level, count) reuses its one solve.
+    of ``logit`` (``_solve_tilts``) and (M_a, M_gap) = ``_moments(s, a)``.
+    With component shares q summing to 1, pi_i = q . s_i has
+    sum_(i <= a) pi_i (1 - pi_i) = q^T M_a q.
+
+    Counts that ``memo`` lacks are added to it first, and only those that
+    ``tilts`` lacks are solved: the tilt depends on the level and the count
+    only, so every (a, held) that meets a (level, count) reuses its one
+    solve. A block whose counts are all memoised solves nothing.
     """
-    new = sorted(set(counts) - memo.keys())
-    _solve_tilts(logit, new, tilts)
-    cols = [i - 1 for i in held]
-    for k in new:
-        s = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit)))
-        memo[k] = (*_moments(s, a), s[:, cols])
+    comps = logit.shape[0]
+    new = sorted(set(counts) - memo.rows.keys())
+    if new:
+        _solve_tilts(logit, new, tilts)
+        cols = [i - 1 for i in held]
+        packed = []
+        for k in new:
+            s = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit)))
+            packed.append(np.concatenate([v.ravel() for v in (*_moments(s, a), s[:, cols])]))
+        memo.rows.update(zip(new, range(len(memo.rows), len(memo.rows) + len(new))))
+        memo.table = np.vstack([memo.table.reshape(-1, packed[0].size), *packed])
+    entries = memo.table[[memo.rows[k] for k in counts]]
+    square = 2 * comps * comps
+    return (
+        entries[:, :square].reshape(-1, 2, comps, comps),
+        entries[:, square:].reshape(-1, comps, len(held)),
+    )
 
 
 def _solve_tilts(logit: np.ndarray, counts: list, tilts: dict) -> None:
     """Add to ``tilts`` each ones count 0 < k < n in ``counts`` that it
     lacks: k -> lam, where lam_c solves sum_i sigma(lam_c + logit_ci) = k over
     the n columns of ``logit`` (Hajek's approximation to conditional-Poisson
-    sampling).
+    sampling). Returns at once when ``tilts`` has every count.
 
     The Newton steps run on all the new counts at once; a count leaves at
     the step where its own test passes (or the 200th), so it takes the steps
@@ -304,6 +336,8 @@ def _solve_tilts(logit: np.ndarray, counts: list, tilts: dict) -> None:
     """
     n = logit.shape[1]
     new = np.array(sorted(set(counts) - tilts.keys()), dtype=np.int64)
+    if not new.size:
+        return
     chunk = max(1, _NEWTON_FLOATS // logit.size)
     for ks in np.split(new, range(chunk, new.size, chunk)):
         target = np.array([math.log(k / (n - k)) for k in ks.tolist()]).reshape(-1, 1)
@@ -333,19 +367,94 @@ def _slack_coefficients(
     """c_S = prod_(S') pi_i sum_(S') (1 - pi_i) of each point (rows of the
     component shares q) and key (``moved``, its 1-based coordinates S' among
     ``held``), with pi_i = q . s_i and 1 - pi_i = q . (1 - s_i) from the
-    sigma columns ``s_held`` (points x components x held). The shares sum to
-    1, so both are the point's inclusion probability and its complement;
-    forming the complement as ``1.0 - pi_i`` instead would cancel where pi_i
-    is near 1."""
-    comps = q.shape[1]
-    pi = sum(q[:, c, None] * s_held[:, c] for c in range(comps))
-    rest = sum(q[:, c, None] * (1.0 - s_held[:, c]) for c in range(comps))
+    sigma columns ``s_held`` (points x components x held), each dot product
+    summed over the components in order. The shares sum to 1, so both are
+    the point's inclusion probability and its complement; forming the
+    complement as ``1.0 - pi_i`` instead would cancel where pi_i is near 1."""
+    shares = q[:, :, None]
+    pi = np.cumsum(shares * s_held, axis=1)[:, -1]
+    rest = np.cumsum(shares * (1.0 - s_held), axis=1)[:, -1]
     coef = np.zeros((q.shape[0], len(moved)))
     for k, s in enumerate(moved):
         if s:
             cols = [held.index(i) for i in s]
             coef[:, k] = math.prod(pi[:, j] for j in cols) * sum(rest[:, j] for j in cols)
     return coef
+
+
+def _tail_products(bits: np.ndarray, levels: Sequence[int], logit: np.ndarray) -> np.ndarray:
+    """sum_(i > n) x_i logit[c, i] of each 0/1 row x of ``bits`` at each of
+    the increasing ``levels`` n, indexed [level, point, component]: one
+    stacked product ``logit[:, n:] @ X[:, n:, None]`` per level and chunk of
+    rows. numpy's matmul runs one matrix-vector product (gemv) per stack
+    element, so each point's tail has the bits of its own
+    ``logit[:, n:] @ x[n:]``; a matrix-matrix product over the rows
+    (``X @ logit.T``) would round differently. Only the coordinates past the
+    first level are converted to float, at most ``_NEWTON_FLOATS`` at a
+    time."""
+    start = levels[0]
+    tails = np.empty((len(levels), bits.shape[0], logit.shape[0]))
+    chunk = max(1, _NEWTON_FLOATS // max(1, bits.shape[1] - start))
+    for lo in range(0, bits.shape[0], chunk):
+        rows = bits[lo : lo + chunk, start:].astype(np.float64)[:, :, None]
+        for li, n in enumerate(levels):
+            tails[li, lo : lo + chunk] = (logit[:, n:] @ rows[:, n - start :])[:, :, 0]
+    return tails
+
+
+@dataclass(frozen=True)
+class _LevelPlan:
+    """The point-free part of one level n of ``product_levels`` for a key
+    set, memoised on the parts (``_level_plans``)."""
+
+    n: int
+    held: list  # the keys' 1-based coordinates up to n
+    sizes: np.ndarray  # |T| of each subset T of held, T as a bit mask
+    mask_logit: np.ndarray  # sum_(i in T) logit[c, i], components x subsets
+    # log e_j(t off held), then |held| columns of -inf: an out-of-range
+    # j = m - |T| is -|held|..-1 or past the table by less than |held|, and
+    # indexes one of them
+    log_e: np.ndarray
+    # (keys, the subsets T containing each key's S'), keys grouped by how
+    # many subsets they sum
+    sums: list
+    pins: list  # (key, its 0-based coordinates above n), keys with some
+    moved: list  # S' of each key: its coordinates up to n
+    moving: np.ndarray  # S' is nonempty, a bool per key
+
+
+def _level_plans(
+    parts: LogLinearParts, keys: Sequence[tuple[int, ...]], levels: Sequence[int]
+) -> list[_LevelPlan]:
+    """The ``_LevelPlan`` of each level for ``keys``, built once per key set
+    and levels and kept in ``parts.tables``."""
+    memo = (tuple(keys), tuple(levels))
+    if memo in parts.tables:
+        return parts.tables[memo]
+    held_all = tuple(sorted({i for key in keys for i in key}))
+    plans = []
+    for n, log_e in zip(levels, _esp_log_tables(parts.logit, held_all, levels)):
+        held = [i for i in held_all if i <= n]
+        masks = (np.arange(2 ** len(held))[:, None] >> np.arange(len(held))) & 1
+        moved = [[i for i in key if i <= n] for key in keys]
+        subsets = [np.flatnonzero(masks[:, [held.index(i) for i in s]].all(axis=1)) for s in moved]
+        by_count: dict[int, list[int]] = {}
+        for k, t in enumerate(subsets):
+            by_count.setdefault(t.size, []).append(k)
+        plans.append(_LevelPlan(
+            n=n,
+            held=held,
+            sizes=masks.sum(axis=1),
+            mask_logit=parts.logit[:, [i - 1 for i in held]] @ masks.T,
+            log_e=np.pad(log_e, ((0, 0), (0, len(held))), constant_values=-np.inf),
+            sums=[(ks, np.array([subsets[k] for k in ks])) for ks in by_count.values()],
+            pins=[(k, [i - 1 for i in key if i > n]) for k, key in enumerate(keys)
+                  if any(i > n for i in key)],
+            moved=moved,
+            moving=np.array([bool(s) for s in moved]),
+        ))
+    parts.tables[memo] = plans
+    return plans
 
 
 def product_levels(
@@ -368,11 +477,13 @@ def product_levels(
     Poisson (rejective-sampling) identity. Splitting 1..n into the held-out
     coordinates H (those of the keys, at most 2^|H| subsets T) and the rest,
     e_(m-|S'|)(t without S') prod_(S') t = sum over T containing S' of
-    prod_(T) t e_(m-|T|)(t off H), and the tables of e_j(t off H) depend on
-    the measure and the levels only (``_esp_log_tables``, memoised on the
-    parts). The sums over T run on arrays over the points; the tail dot
-    product stays one matrix-vector product per point and level, since a
-    matrix-matrix product over the points rounds differently.
+    prod_(T) t e_(m-|T|)(t off H). The tables of e_j(t off H) depend on the
+    measure and the levels only (``_esp_log_tables``); with the subset masks
+    they are built once per key set and levels (``_level_plans``, memoised
+    on the parts). Each level is then a few array passes over the whole
+    block: the tails are one stacked matrix-vector product per level
+    (``_tail_products``), with the bits of a per-point product, and the
+    sums over T run on arrays over the points.
 
     Returns ``(values, slacks, stderrs)`` indexed [level, point, key] and
     [point, key] as in ``LevelTable`` (the empty key is exactly 1.0),
@@ -392,61 +503,51 @@ def product_levels(
     bits = np.asarray(bits, dtype=np.uint8)
     if levels[-1] > bits.shape[1]:
         raise ValueError("level exceeds the configuration window")
-    held_all = tuple(sorted({i for key in keys for i in key}))
-    memo = (held_all, tuple(levels))
-    if memo not in parts.tables:
-        parts.tables[memo] = _esp_log_tables(parts.logit, held_all, levels)
-    comps, points = parts.logit.shape[0], bits.shape[0]
+    points = bits.shape[0]
     shape = (len(levels), points, len(keys))
     values, slacks, stderrs = np.zeros(shape), np.zeros(shape), np.zeros(shape[1:])
-    counts, tails = level_counts(bits, levels).T, np.empty(shape[:2] + (comps,))
-    for p, x in enumerate(bits):
-        xf = x.astype(np.float64)
-        for li, n in enumerate(levels):
-            tails[li, p] = parts.logit[:, n:] @ xf[n:]
+    counts = level_counts(bits, levels).T
+    tails = _tail_products(bits, levels, parts.logit)
     a = None
-    for li, (n, log_e, m) in enumerate(zip(levels, parts.tables[memo], counts)):
-        held = [i for i in held_all if i <= n]
-        masks = (np.arange(2 ** len(held))[:, None] >> np.arange(len(held))) & 1
-        j = m[:, None] - masks.sum(axis=1)
-        valid = (j >= 0) & (j < log_e.shape[1])
+    for li, (plan, m) in enumerate(zip(_level_plans(parts, keys, levels), counts)):
+        n, held = plan.n, plan.held
         log_g = (
             (parts.const + tails[li])[:, :, None]
-            + parts.logit[:, [i - 1 for i in held]] @ masks.T
-            + log_e[:, np.where(valid, j, 0)].transpose(1, 0, 2)
+            + plan.mask_logit
+            + plan.log_e[:, m[:, None] - plan.sizes].transpose(1, 0, 2)
         )
-        log_g = np.where(valid[:, None, :], log_g, -np.inf)
         g = np.exp(log_g - log_g.max(axis=(1, 2))[:, None, None])
         per_subset = g.sum(axis=1)
         den = per_subset.sum(axis=1)
-        moved = [[i for i in key if i <= n] for key in keys]
+        v = np.empty((points, len(keys)))
+        for ks, subsets in plan.sums:
+            # np.take copies row-major, so each row is summed as one point's array is
+            v[:, ks] = np.take(per_subset, subsets, axis=1).sum(axis=2)
+        v /= den[:, None]
+        # alive: the key has no 0 above n
+        alive = np.ones((points, len(keys)), dtype=bool)
+        for k, pins in plan.pins:
+            alive[:, k] = bits[:, pins].all(axis=1)
+        values[li] = np.where(alive, np.minimum(v, 1.0), 0.0)
         # active: the key moves a coordinate and has no 0 above n
-        active = np.tile([bool(s) for s in moved], (points, 1))
-        for k, (key, s) in enumerate(zip(keys, moved)):
-            alive = np.all(bits[:, [i - 1 for i in key if i > n]] != 0, axis=1)
-            active[:, k] &= alive
-            holds = masks[:, [held.index(i) for i in s]].all(axis=1)
-            # a row-major copy, so each row is summed as one point's array is
-            v = np.ascontiguousarray(per_subset[:, holds]).sum(axis=1) / den
-            values[li, :, k] = np.where(alive, np.where(v < 1.0, v, 1.0), 0.0)
+        active = alive & plan.moving
         # level b's moments serve the step a -> b and the last level's stderr
         wanted = n > EXACT_LEVEL_CAP and (a is not None or li == len(levels) - 1)
         rows = np.flatnonzero(active.any(axis=1) & (m > 0) & (m < n) & wanted)
         if rows.size:
-            moments = parts.moments.setdefault((n, a or 0, tuple(held)), {})
-            ks, inv = np.unique(m[rows], return_inverse=True)
-            _count_moments(parts.logit[:, :n], a or 0, held, ks.tolist(), moments,
-                           parts.tilts.setdefault(n, {}))
-            entries = zip(*(moments[k] for k in ks.tolist()))
-            m_a, m_gap, s_held = (np.stack(v)[inv] for v in entries)
-            q = (g[rows].sum(axis=2) / den[rows, None])[:, :, None]
-            # fixed-order elementwise sums: a matmul over the rows rounds with the block
-            v_a, v_gap = (
-                sum(q[:, c] * mats[:, c, d, None] * q[:, d] for c, d in np.ndindex(comps, comps))
-                for mats in (m_a, m_gap)
+            mats, s_held = _count_moments(
+                parts.logit[:, :n], a or 0, held, m[rows].tolist(),
+                parts.moments.setdefault((n, a or 0, tuple(held)), CountMoments()),
+                parts.tilts.setdefault(n, {}),
             )
+            q = g[rows].sum(axis=2) / den[rows, None]
+            # q^T M q for M_a and M_gap at once, the (c, d) terms summed in
+            # order: a matmul over the rows rounds with the block
+            terms = q[:, None, :, None] * mats * q[:, None, None, :]
+            forms = np.cumsum(terms.reshape(len(rows), 2, -1), axis=2)
+            v_a, v_gap = forms[:, 0, -1:], forms[:, 1, -1:]
             v_b = v_a + v_gap
-            coef = _slack_coefficients(q[:, :, 0], s_held, held, moved)
+            coef = _slack_coefficients(q, s_held, held, plan.moved)
             coef[~active[rows]] = 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
                 if a is not None:
@@ -685,6 +786,15 @@ def _mc_slacks(stderrs: np.ndarray) -> np.ndarray:
     return slacks
 
 
+def checked_keys(keys: Sequence[tuple[int, ...]], window: int) -> list[CylinderMonomial]:
+    """The cylinder monomials on ``keys``; ValueError unless the indices of
+    each key are 1-based, strictly increasing and within the window."""
+    monomials = [CylinderMonomial(tuple(key)) for key in keys]
+    if any(m.indices and m.indices[-1] > window for m in monomials):
+        raise ValueError("key index exceeds the configuration window")
+    return monomials
+
+
 def level_methods(rho: Cocycle, levels: Sequence[int]) -> tuple[str, ...]:
     """The engine ``level_table`` takes at each of the ``levels`` under rho:
     "closed-form", "enumeration", "product" or "monte-carlo"."""
@@ -708,7 +818,9 @@ def level_table(
     point is a block of one row, read as ``value(i, 0, 0)`` and
     ``converged(tolerance)[0, 0]``). ValueError unless the levels start at 1
     or above, increase strictly and stay within the rows' window
-    (``checked_schedule``). Level by level:
+    (``checked_schedule``), and unless the indices of every key are 1-based,
+    strictly increasing and within the window (``checked_keys``). Level by
+    level:
 
     1. the constant cocycle takes the hypergeometric closed form of
        ``closed_form_levels``, exact at every level, from one count of ones
@@ -734,6 +846,7 @@ def level_table(
     """
     rows = np.asarray(rows, dtype=np.uint8)
     levels = checked_schedule(levels, rows.shape[1])
+    monomials = checked_keys(keys, rows.shape[1])
     if rho.is_constant_one:
         return closed_form_levels(level_counts(rows, levels), rows, levels, keys)
     shape = (len(levels), rows.shape[0], len(keys))
@@ -743,7 +856,6 @@ def level_table(
         values, slacks, stderrs[-1] = product_levels(rows, levels, keys, rho.log_linear)
     else:
         values, slacks = np.zeros(shape), np.zeros(shape)
-    monomials = [CylinderMonomial(key) for key in keys]
     points = [tuple(x) for x in rows.tolist()] if "enumeration" in methods else ()
     nums = np.empty(shape, dtype=object)
     for li, n in enumerate(levels):

@@ -85,13 +85,15 @@ class LogLinearParts:
         log u(x) = logsumexp over c of (const[c] + logit[c] . x).
 
     For a product Bernoulli component, logit[c, i] = log(p_ci / (1 - p_ci))
-    and const[c] = log w_c + sum_i log(1 - p_ci). ``tables`` memoises the
-    elementary-symmetric tables that ``averaging.product_levels`` builds from
-    them, ``tilts`` its Newton tilts per level and ones count
-    (``averaging._solve_tilts``) and ``moments`` its slack moments per
-    (level, previous level, held coordinates) and ones count
-    (``averaging._count_moments``); they depend on the measure and the
-    levels, never on the point.
+    and const[c] = log w_c + sum_i log(1 - p_ci). ``tables`` memoises, per
+    key set and levels, what ``averaging.product_levels`` needs of each
+    level apart from the points (``averaging._level_plans``: the
+    elementary-symmetric tables, subset masks and key subsets); ``tilts``
+    its Newton tilts per level and ones count (``averaging._solve_tilts``);
+    and ``moments`` its slack moments per (level, previous level, held
+    coordinates), each an ``averaging.CountMoments`` table with one packed
+    row per ones count met (``averaging._count_moments``). They depend on
+    the measure, the keys and the levels, never on the point.
     """
 
     const: np.ndarray  # (components,)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import ergodec.averaging as averaging
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
+    CountMoments,
     _count_moments,
     _slack_coefficients,
     _esp_log_tables,
@@ -21,6 +22,7 @@ from ergodec.averaging import (
     fubini_check,
     haar_rows,
     invariance_check,
+    level_methods,
     level_table,
     mc_level_values,
     monomial_level_average,
@@ -278,6 +280,29 @@ def test_limit_average_reports_nonconvergence():
 def test_limit_schedule_must_increase():
     with pytest.raises(ValueError, match="strictly increasing"):
         _point_table((1, 0), constant_one(), [2, 2], (1,))
+
+
+@pytest.mark.parametrize("engine", ["closed-form", "enumeration", "product"])
+@pytest.mark.parametrize("key, message", [
+    ((0,), "1-based"),  # the closed form counted index 0 as a moved coordinate
+    ((2, 2), "strictly increasing"),  # the closed form moved x_2 twice
+    ((2, 1), "strictly increasing"),
+    ((17,), "exceeds the configuration window"),  # an IndexError before
+])
+def test_level_table_rejects_a_bad_key_under_every_engine(engine, key, message):
+    x = np.tile(np.array([1, 0], dtype=np.uint8), 8)
+    rho = constant_one() if engine == "closed-form" else make_rn(ProductBernoulli([0.3, 0.6] * 8))
+    levels = (8, 16) if engine == "product" else (2, 4)
+    assert engine in level_methods(rho, levels)
+    with pytest.raises(ValueError, match=message):
+        level_table(x[None, :], rho, levels, [(1,), key])
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+def test_limit_rule_needs_a_positive_tolerance(tolerance):
+    table = _point_table((1, 0, 1, 0), constant_one(), [2, 4], (1,))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        table.converged(tolerance)
 
 
 @pytest.mark.parametrize(
@@ -942,17 +967,38 @@ def test_product_levels_batch_equals_the_per_point_kernel(seed, window, kind, co
         assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w))
 
 
-def _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo, tilts):
-    """Each count's tilt is the per-point solve's, byte for byte, and so are
-    the sigma columns and moments derived from it."""
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(9, 600),
+    st.integers(1, 3),
+    st.integers(1, 700),
+)
+def test_tail_products_have_the_bits_of_the_per_point_products(seed, window, comps, points):
+    # chunks of rows hold at most _NEWTON_FLOATS floats, so wide blocks take
+    # several; the stacked product must not round as a matrix-matrix one does
+    rng = np.random.default_rng(seed)
+    logit = rng.normal(0.0, 3.0, (comps, window))
+    bits = (rng.random((points, window)) < rng.random((points, 1))).astype(np.uint8)
+    levels = sorted({int(n) for n in rng.integers(1, window + 1, int(rng.integers(1, 4)))})
+    got = averaging._tail_products(bits, levels, logit)
+    assert got.shape == (len(levels), points, comps)
+    for p, x in enumerate(bits.astype(np.float64)):
+        for li, n in enumerate(levels):
+            assert got[li, p].tobytes() == (logit[:, n:] @ x[n:]).tobytes()
+
+
+def _assert_moments_match_the_per_point_solve(logit, a, held, m, q, got, tilts):
+    """Each point's tilt is the per-point solve's, byte for byte, and so are
+    the sigma columns and moments ``got`` from ``_count_moments`` for it."""
     cols = [i - 1 for i in held]
-    for k, qp in zip(m.tolist(), q):
+    mats, s_held = got
+    for p, (k, qp) in enumerate(zip(m.tolist(), q)):
         lam = _per_point_tilted_inclusion(logit, k, qp)[2]
-        m_a, m_gap, s_held = memo[k]
         assert tilts[k].tobytes() == lam.tobytes()
         s = 1.0 / (1.0 + np.exp(-(lam[:, None] + logit)))
-        assert s_held.tobytes() == s[:, cols].tobytes()
-        assert b"".join(v.tobytes() for v in _moments(s, a)) == m_a.tobytes() + m_gap.tobytes()
+        assert s_held[p].tobytes() == s[:, cols].tobytes()
+        assert b"".join(v.tobytes() for v in _moments(s, a)) == mats[p].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -975,15 +1021,17 @@ def test_tilted_inclusion_batch_equals_the_per_point_solve(seed, comps, n, offse
     q = rng.random((points, comps))
     q /= q.sum(axis=1, keepdims=True)
     a, held = int(rng.integers(0, n)), sorted({int(i) for i in rng.integers(1, n + 1, 3)})
-    memo, tilts = {}, {}
-    _count_moments(logit, a, held, m.tolist(), memo, tilts)
-    assert sorted(memo) == sorted(tilts) == sorted(set(m.tolist()))
-    _assert_moments_match_the_per_point_solve(logit, a, held, m, q, memo, tilts)
+    memo, tilts = CountMoments(), {}
+    got = _count_moments(logit, a, held, m.tolist(), memo, tilts)
+    assert sorted(memo.rows) == sorted(tilts) == sorted(set(m.tolist()))
+    assert len(memo.table) == len(memo.rows)
+    _assert_moments_match_the_per_point_solve(logit, a, held, m, q, got, tilts)
 
 
-def test_product_levels_solve_the_tilt_once_per_ones_count():
+def test_product_levels_solve_the_tilt_once_per_ones_count(monkeypatch):
     # 40 points with 3 interior ones counts at the top level: the parts keep
-    # one entry per count there, and a second call solves none
+    # one packed row per count there, and a second call on the same counts
+    # (the rows reversed) reaches no tilt solve and adds no row
     rng = np.random.default_rng(11)
     window, levels, keys = 64, (32, 64), [(), (1,), (2,), (1, 2)]
     parts = _parts_of("inhomogeneous", 2, window, rng)
@@ -992,14 +1040,26 @@ def test_product_levels_solve_the_tilt_once_per_ones_count():
         row[rng.choice(window, k, replace=False)] = 1
     first = product_levels(bits, levels, keys, parts)
     assert list(parts.moments) == [(window, 32, (1, 2))]
-    assert sorted(parts.moments[window, 32, (1, 2)]) == [10, 31, 50]
+    memo = parts.moments[window, 32, (1, 2)]
+    assert sorted(memo.rows) == [10, 31, 50] and memo.table.shape == (3, 2 * 4 + 2 * 2)
     assert list(parts.tilts) == [window] and sorted(parts.tilts[window]) == [10, 31, 50]
-    solved = [(key, k, entry) for key, t in parts.moments.items() for k, entry in t.items()]
-    second = product_levels(bits, levels, keys, parts)
-    assert sum(map(len, parts.moments.values())) == len(solved)
-    assert all(parts.moments[key][k] is entry for key, k, entry in solved)
-    for a, b in zip(first, second):
+    table, tilts = memo.table, dict(parts.tilts[window])
+    solves = []
+    monkeypatch.setattr(averaging, "_solve_tilts", lambda *args: solves.append(args))
+    second = product_levels(bits[::-1], levels, keys, parts)
+    assert solves == [] and parts.moments[window, 32, (1, 2)].table is table
+    assert all(parts.tilts[window][k] is lam for k, lam in tilts.items())
+    values, slacks, stderrs = second
+    for a, b in zip(first, (values[:, ::-1], slacks[:, ::-1], stderrs[::-1])):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_tilt_solve_on_memoised_counts_reads_no_logit():
+    # the bracket takes the max and min of each logit row, which an empty
+    # window has not: a solve that reduced it would raise
+    tilts = {3: np.zeros(2), 5: np.ones(2)}
+    averaging._solve_tilts(np.empty((2, 0)), [5, 3, 3], tilts)
+    assert sorted(tilts) == [3, 5]
 
 
 def test_tilted_inclusion_keeps_points_that_never_converge():
@@ -1014,9 +1074,9 @@ def test_tilted_inclusion_keeps_points_that_never_converge():
     q /= q.sum(axis=1, keepdims=True)
     steps = {_per_point_tilted_inclusion(logit, int(k), qp)[1] for k, qp in zip(m, q)}
     assert steps >= {2, 200}
-    memo, tilts = {}, {}
-    _count_moments(logit, 150, [1, 2, 300], m.tolist(), memo, tilts)
-    _assert_moments_match_the_per_point_solve(logit, 150, [1, 2, 300], m, q, memo, tilts)
+    tilts = {}
+    got = _count_moments(logit, 150, [1, 2, 300], m.tolist(), CountMoments(), tilts)
+    _assert_moments_match_the_per_point_solve(logit, 150, [1, 2, 300], m, q, got, tilts)
 
 
 def test_limit_average_solves_each_tilt_once_across_keys(monkeypatch):
@@ -1041,7 +1101,7 @@ def test_limit_average_solves_each_tilt_once_across_keys(monkeypatch):
     # levels 16, 32, ..., 1024 are product levels, each with one ones count
     assert len(solved) == len(set(solved)) == 7
     assert sorted(solved) == sorted((n, k) for n, t in parts.tilts.items() for k in t)
-    assert sum(map(len, parts.moments.values())) == 28
+    assert sum(len(memo.rows) for memo in parts.moments.values()) == 28
 
 
 @settings(max_examples=60, deadline=None)
@@ -1079,9 +1139,7 @@ def test_slack_coefficients_do_not_cancel_near_pi_one():
     parts = _parts_of("alternating", 2, window, None)
     held, moved = [1, 2, 3], [[1], [2], [3], [1, 2], [1, 2, 3]]
     counts = list(range(1, window))
-    memo, tilts = {}, {}
-    _count_moments(parts.logit, 0, held, counts, memo, tilts)
-    s_held = np.stack([memo[k][2] for k in counts])
+    _, s_held = _count_moments(parts.logit, 0, held, counts, CountMoments(), {})
     q = np.random.default_rng(3).random((len(counts), 2))
     q[:, 1] = 1.0 - q[:, 0]
     q[:3] = [[0.5, 0.5], [1e-3, 1 - 1e-3], [1 - 1e-6, 1e-6]]

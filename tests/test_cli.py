@@ -680,6 +680,17 @@ def test_definetti_degenerate_clustering_exits_2(tmp_path, capsys, user):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0])
+def test_definetti_nonpositive_tolerance_exits_2(tmp_path, capsys, tolerance):
+    # a limit rule |r(b) - r(a)| < tolerance + slack that no point could pass
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 200, "window": 256, "tolerance": tolerance}))
+    out = tmp_path / "out"
+    assert main(["definetti", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sigma_finite_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["sigma-finite", "--seed", "2", "--out", str(out)]) == 0
