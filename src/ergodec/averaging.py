@@ -451,7 +451,7 @@ def _level_plans(
             pins=[(k, [i - 1 for i in key if i > n]) for k, key in enumerate(keys)
                   if any(i > n for i in key)],
             moved=moved,
-            moving=np.array([bool(s) for s in moved]),
+            moving=np.array([bool(s) for s in moved], dtype=bool),
         ))
     parts.tables[memo] = plans
     return plans

@@ -1054,6 +1054,14 @@ def test_product_levels_solve_the_tilt_once_per_ones_count(monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+def test_product_levels_of_no_keys_or_no_points_are_empty():
+    parts = _parts_of("inhomogeneous", 2, 32, np.random.default_rng(1))
+    bits = np.zeros((5, 32), dtype=np.uint8)
+    for rows, keys, shape in ((bits, [], (5, 0)), (bits[:0], [(1,)], (0, 1))):
+        values, slacks, stderrs = product_levels(rows, (16, 32), keys, parts)
+        assert values.shape == slacks.shape == (2, *shape) and stderrs.shape == shape
+
+
 def test_a_tilt_solve_on_memoised_counts_reads_no_logit():
     # the bracket takes the max and min of each logit row, which an empty
     # window has not: a solve that reduced it would raise

@@ -682,7 +682,7 @@ def test_definetti_degenerate_clustering_exits_2(tmp_path, capsys, user):
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0])
 def test_definetti_nonpositive_tolerance_exits_2(tmp_path, capsys, tolerance):
-    # a limit rule |r(b) - r(a)| < tolerance + slack that no point could pass
+    # an out-of-range limit-rule tolerance exits 2 before anything is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 200, "window": 256, "tolerance": tolerance}))
     out = tmp_path / "out"
