@@ -268,10 +268,12 @@ _NEWTON_FLOATS = 1 << 14
 
 def _moments(s: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """sum_i s_i (1 - s_i)^T over the columns i <= a and i > a of s
-    (components x coordinates), one elementwise product and sum per entry."""
+    (... x components x coordinates): each entry is the sum of one
+    row-major elementwise product, so it adds as the product of those two
+    rows alone does."""
     t = 1.0 - s
     return tuple(
-        np.array([[(s[c, r] * t[d, r]).sum() for d in range(len(s))] for c in range(len(s))])
+        (s[..., :, None, r] * t[..., None, :, r]).sum(axis=-1)
         for r in (slice(0, a), slice(a, None))
     )
 
@@ -306,18 +308,24 @@ def _count_moments(
     solve. A block whose counts are all memoised solves nothing.
     """
     comps = logit.shape[0]
+    square = 2 * comps * comps
     new = sorted(set(counts) - memo.rows.keys())
     if new:
         _solve_tilts(logit, new, tilts)
         cols = [i - 1 for i in held]
-        packed = []
-        for k in new:
-            s = 1.0 / (1.0 + np.exp(-(tilts[k][:, None] + logit)))
-            packed.append(np.concatenate([v.ravel() for v in (*_moments(s, a), s[:, cols])]))
+        packed = [memo.table.reshape(-1, square + comps * len(held))]
+        # the moment products (counts x components^2 x coordinates) of a
+        # chunk of counts hold about _NEWTON_FLOATS floats
+        chunk = max(1, _NEWTON_FLOATS // (comps * logit.size))
+        for lo in range(0, len(new), chunk):
+            lam = np.array([tilts[k] for k in new[lo : lo + chunk]])
+            s = 1.0 / (1.0 + np.exp(-(lam[:, :, None] + logit)))
+            packed.append(np.concatenate(
+                [v.reshape(len(s), -1) for v in (*_moments(s, a), s[:, :, cols])], axis=1
+            ))
         memo.rows.update(zip(new, range(len(memo.rows), len(memo.rows) + len(new))))
-        memo.table = np.vstack([memo.table.reshape(-1, packed[0].size), *packed])
+        memo.table = np.concatenate(packed)
     entries = memo.table[[memo.rows[k] for k in counts]]
-    square = 2 * comps * comps
     return (
         entries[:, :square].reshape(-1, 2, comps, comps),
         entries[:, square:].reshape(-1, comps, len(held)),
