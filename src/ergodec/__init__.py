@@ -14,14 +14,11 @@ from .counterexamples import (
     InvariantSetFullGroup,
     demonstrate_kolmogorov,
     measure_of_invariant_set,
-    orbit_class,
-    weak_strong_equivalence_check,
 )
 from .decomposition import (
     DecomposeConfig,
     DecomposingMeasure,
     LimitStatistic,
-    almost_invariant_upgrade,
     assemble,
     barycenter_residual,
     conditional_measures_exact,
@@ -55,16 +52,13 @@ from .measures import (
     ProductBernoulli,
     ac_check,
     expectation_monomial,
-    jordan_decompose,
     rn_derivative,
 )
-from .rng import RandomStream, stream_from_seed, substream
+from .rng import RandomStream, substream
 from .sigma_finite import (
-    ComponentSplit,
     GeometricWeight,
     MeasureClassDescriptor,
     ProjectiveClass,
-    classify_components,
     decompose_sigma_finite,
     inv_p_f,
     make_fibrewise_f,

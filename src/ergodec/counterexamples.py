@@ -9,6 +9,13 @@ under a half/half pair of distinct Bernoulli measures: that mixture is
 ergodic for the full group yet visibly decomposable. Under the finite
 permutations alone the mixture is not ergodic, which the window-scale
 frequency experiment exhibits with an explicit tail bound.
+
+An invariant set of the full group is a union of orbits, encoded by the set
+of counts it holds in each countable family (finite or cofinite) and whether
+it holds the two-sided orbit; ``demonstrate_kolmogorov`` checks the zero-one
+law on the algebra these sets generate. The exact decomposition on windows,
+where two ergodic measures of one cocycle are equal or mutually singular, is
+the ``exact-ergodic-decomposition`` verdict of ``validation``.
 """
 from __future__ import annotations
 
@@ -20,53 +27,8 @@ from functools import reduce
 
 import numpy as np
 
-from .averaging import orbit_classes
-from .cocycles import Cocycle
-from .groups import Permutation, act
-from .measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check, jordan_decompose
+from .measures import Mixture, ProductBernoulli
 from .rng import substream
-
-FAMILY_FINITE_ONES = "finite-ones"  # k ones, cofinitely many zeros
-FAMILY_FINITE_ZEROS = "finite-zeros"  # k zeros, cofinitely many ones
-TWO_SIDED = "two-sided-infinite"
-
-
-@dataclass(frozen=True)
-class FullGroupOrbitLabel:
-    family: str
-    k: int | None  # None exactly for the two-sided orbit
-
-    def __post_init__(self):
-        if self.family == TWO_SIDED:
-            if self.k is not None:
-                raise ValueError("the two-sided orbit carries no count")
-        elif self.family in (FAMILY_FINITE_ONES, FAMILY_FINITE_ZEROS):
-            if self.k is None or self.k < 0:
-                raise ValueError("finite families need a count k >= 0")
-        else:
-            raise ValueError(f"unknown orbit family: {self.family}")
-
-
-def orbit_class(kind: str, count: int | None = None) -> FullGroupOrbitLabel:
-    """Classify a symbolic sequence description into its full-group orbit.
-
-    kind is one of "eventually-zero" (finitely many ones), "eventually-one"
-    (finitely many zeros), or "two-sided" (infinitely many of both, e.g. a
-    density-typical sequence). Ambiguous combinations are rejected.
-    """
-    if kind == "eventually-zero":
-        if count is None:
-            raise ValueError("eventually-zero descriptions need the ones count")
-        return FullGroupOrbitLabel(FAMILY_FINITE_ONES, count)
-    if kind == "eventually-one":
-        if count is None:
-            raise ValueError("eventually-one descriptions need the zeros count")
-        return FullGroupOrbitLabel(FAMILY_FINITE_ZEROS, count)
-    if kind == "two-sided":
-        if count is not None:
-            raise ValueError("two-sided descriptions carry no count")
-        return FullGroupOrbitLabel(TWO_SIDED, None)
-    raise ValueError(f"ambiguous sequence description: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +88,6 @@ class InvariantSetFullGroup:
     @classmethod
     def everything(cls) -> "InvariantSetFullGroup":
         return cls(LabelFamilySet.all(), LabelFamilySet.all(), True)
-
-    def contains(self, lab: FullGroupOrbitLabel) -> bool:
-        if lab.family == FAMILY_FINITE_ONES:
-            return self.ones_family.contains(lab.k)
-        if lab.family == FAMILY_FINITE_ZEROS:
-            return self.zeros_family.contains(lab.k)
-        return self.has_two_sided
 
     def union(self, other: "InvariantSetFullGroup") -> "InvariantSetFullGroup":
         return InvariantSetFullGroup(
@@ -297,85 +252,4 @@ def demonstrate_kolmogorov(
         window=window,
         samples=samples,
         narrative=narrative,
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    relation: str  # "equal" | "mutually-singular" | "neither"
-    weakly_indecomposable: tuple[bool, bool]
-    ac_mass: Fraction
-    singular_mass: Fraction
-    witness: tuple | None
-
-    @property
-    def ok(self) -> bool:
-        return self.relation in ("equal", "mutually-singular")
-
-
-def _weakly_indecomposable(nu: AtomicMeasure) -> bool:
-    """Every proper union of orbit classes carries mass 0 or 1: each class
-    mass is 0 or 1 and, with c >= 3 classes, at most one is 1. With c == 2
-    the proper unions are the singletons, so two classes of mass 1 each
-    (total 2, not a probability) count as indecomposable."""
-    classes = orbit_classes(nu.atoms, nu.window).values()
-    masses = [sum((nu.atom(x) for x in members), Fraction(0)) for members in classes]
-    c, ones = len(masses), masses.count(1)
-    return c <= 1 or (all(m in (0, 1) for m in masses) and (c == 2 or ones <= 1))
-
-
-def _in_cocycle_class(nu: AtomicMeasure, rho: Cocycle) -> bool:
-    """Exact membership check on the window: nu(act(s, x)) == rho(s, x) nu(x)
-    for every positive atom and every adjacent transposition (which generate
-    the full level, so the identity propagates to all permutations). Under
-    ``make_rn(nu)`` a swap that leaves the support passes, since that rho is
-    0 there, while ``conditional_measures_exact`` reports such a support as
-    not orbit-closed."""
-    window = nu.window
-    swaps = [Permutation.swap(i, i + 1) for i in range(1, window)]
-    for x, m in nu.atoms.items():
-        for s in swaps:
-            if nu.atom(act(s, x)) != Fraction(rho(s, x)) * m:
-                return False
-    return True
-
-
-def weak_strong_equivalence_check(
-    nu1: AtomicMeasure, nu2: AtomicMeasure, rho: Cocycle
-) -> EquivalenceVerdict:
-    """For two weakly indecomposable measures in one cocycle class, exactly
-    one of equality or mutual singularity holds; the Jordan split of nu1
-    against nu2 is reported as the trace."""
-    w1 = _weakly_indecomposable(nu1)
-    w2 = _weakly_indecomposable(nu2)
-    if not (w1 and w2):
-        raise ValueError("both inputs must be weakly indecomposable")
-    if not (_in_cocycle_class(nu1, rho) and _in_cocycle_class(nu2, rho)):
-        raise ValueError("both inputs must share the given cocycle")
-    ac, sing = jordan_decompose(nu1, nu2)
-    ac_mass = ac.total_mass()
-    sing_mass = sing.total_mass()
-    if nu1.atoms == nu2.atoms:
-        return EquivalenceVerdict(
-            relation="equal",
-            weakly_indecomposable=(w1, w2),
-            ac_mass=ac_mass,
-            singular_mass=sing_mass,
-            witness=None,
-        )
-    if ac_check(nu1, nu2) == "mutually-singular":
-        return EquivalenceVerdict(
-            relation="mutually-singular",
-            weakly_indecomposable=(w1, w2),
-            ac_mass=ac_mass,
-            singular_mass=sing_mass,
-            witness=None,
-        )
-    witness_atom = next(iter(sorted(set(nu1.support) & set(nu2.support))), None)
-    return EquivalenceVerdict(
-        relation="neither",
-        weakly_indecomposable=(w1, w2),
-        ac_mass=ac_mass,
-        singular_mass=sing_mass,
-        witness=(witness_atom,),
     )

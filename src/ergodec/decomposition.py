@@ -6,7 +6,9 @@ averages over the test dictionary. Points of an exchangeable model cluster by
 their first-moment limit; cluster weights and centers recover the mixing
 measure (de Finetti). On exact atomic models the level sets of the full-depth
 statistic are the full-window orbit classes, and each carries its canonical
-conditional measure: nu restricted to the class and normalized.
+conditional measure: nu restricted to the class and normalized. These cells
+are the ``exact-ergodic-decomposition`` verdict of ``validate``; an invariant
+set of a window model is a union of them.
 
 Under the constant cocycle the statistic of a point depends on its bits only
 through its first coordinates (up to the dictionary width) and its ones
@@ -48,8 +50,8 @@ from .averaging import (
 )
 from .cocycles import Cocycle
 from .dictionary import TestDictionary
-from .errors import CapacityError, NonConvergenceError
-from .groups import Config, Permutation, act, haar_sample, level_orbit, validate_config
+from .errors import NonConvergenceError
+from .groups import Permutation, act, haar_sample
 from .measures import (
     AtomicMeasure,
     Cylinder,
@@ -59,8 +61,6 @@ from .measures import (
     rn_derivative,
 )
 from .rng import RandomStream, substream
-
-CONDITIONAL_WINDOW_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,18 @@ def _is_own_rn(nu, rho: Cocycle) -> bool:
             and getattr(fn, "__func__", None) is getattr(type(nu), "rn_derivative", None))
 
 
+def _cocycle_values_agree(lhs, rhs) -> bool:
+    """Whether two values of a cocycle agree: exactly when both are int or
+    ``Fraction``, else within 1e-9 of rhs relative to max(1, |rhs|), since a
+    float value carries the rounding of its parameters."""
+    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
+        return lhs == rhs
+    return abs(float(lhs) - float(rhs)) <= 1e-9 * max(1.0, abs(float(rhs)))
+
+
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
-    """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho.
+    """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho
+    (``_cocycle_values_agree``).
     Each sample is a point, ``nu.sample_rows(stream, 1)[0]`` as a tuple,
     then a Haar permutation of S(min(6, window)), in turn from
     ``substream(seed, 0xC0C)``. ``decompose`` skips the check where it
@@ -264,13 +274,8 @@ def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
         g = haar_sample(level, stream)
         lhs = rn_derivative(nu, g, x)
         rhs = rho(g, x)
-        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
-            if lhs != rhs:
-                raise ValueError(f"measure is not in the cocycle class: {lhs} != {rhs}")
-        elif abs(float(lhs) - float(rhs)) > 1e-9 * max(1.0, abs(float(rhs))):
-            raise ValueError(
-                f"measure is not in the cocycle class: {float(lhs)} != {float(rhs)}"
-            )
+        if not _cocycle_values_agree(lhs, rhs):
+            raise ValueError(f"measure is not in the cocycle class: {lhs} != {rhs}")
 
 
 def _representative(center: float, window: int):
@@ -580,7 +585,8 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
     value. There is one cell per class, in the order of its first member;
     each cell measure is nu restricted and normalized, and the cocycle
     property of cell measures is verified on positive transposition pairs
-    (transpositions generate the level).
+    (transpositions generate the level), by ``_cocycle_values_agree``: a
+    float rho is compared within its rounding.
     """
     window = nu.window
     if not nu.is_probability():
@@ -599,7 +605,7 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
                 y = act(s, x)
                 if y not in cell:
                     closed = False
-                elif cell[y] / cell[x] != Fraction(rho(s, x)):
+                elif not _cocycle_values_agree(cell[y] / cell[x], rho(s, x)):
                     rn_ok = False
         cells.append(
             ConditionalCell(f"cell-{ci}", frozenset(members), AtomicMeasure(cell), weight)
@@ -608,76 +614,6 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
         cells=tuple(cells),
         rn_verified=rn_ok,
         support_orbit_closed=closed,
-    )
-
-
-@dataclass(frozen=True)
-class InvariantUpgradeReport:
-    almost_invariant: bool
-    upgraded: frozenset
-    symmetric_difference_mass: Fraction
-    witness: tuple | None
-
-
-def _permutation_between(x: Config, y: Config) -> Permutation:
-    """A finite permutation g with act(g, x) == y (equal ones counts)."""
-    ones_x = [i + 1 for i, b in enumerate(x) if b]
-    ones_y = [i + 1 for i, b in enumerate(y) if b]
-    zeros_x = [i + 1 for i, b in enumerate(x) if not b]
-    zeros_y = [i + 1 for i, b in enumerate(y) if not b]
-    mapping = dict(zip(ones_x, ones_y))
-    mapping.update(zip(zeros_x, zeros_y))
-    return Permutation(mapping)
-
-
-def almost_invariant_upgrade(a_set, nu: AtomicMeasure) -> InvariantUpgradeReport:
-    """Largest exactly invariant set inside A, with the almost-invariance audit.
-
-    A point belongs to the upgrade exactly when the full-window level average
-    of A's indicator equals 1 at every level, i.e. when its whole orbit stays
-    inside A. A is almost invariant iff every positive atom inside A has its
-    orbit inside A and every positive atom outside A has its orbit outside;
-    the first violation is returned with a concrete witness permutation.
-    """
-    window = nu.window
-    if window > CONDITIONAL_WINDOW_CAP:
-        raise CapacityError(
-            f"invariant-set upgrade is capped at window {CONDITIONAL_WINDOW_CAP}"
-        )
-    a_cfgs = {validate_config(c) for c in a_set}
-    by_count: dict[int, set[Config]] = {}
-    for c in a_cfgs:
-        by_count.setdefault(sum(c), set()).add(c)
-
-    full_counts = {
-        k for k, group in by_count.items() if len(group) == math.comb(window, k)
-    }
-    upgraded = frozenset(c for c in a_cfgs if sum(c) in full_counts)
-
-    witness = None
-    for x in sorted(nu.atoms):
-        k = sum(x)
-        if x in a_cfgs and k not in full_counts:
-            outside = next(
-                cfg
-                for cfg in level_orbit(x, window)
-                if cfg not in a_cfgs
-            )
-            witness = (x, outside, _permutation_between(x, outside))
-            break
-        if x not in a_cfgs and by_count.get(k):
-            inside = next(iter(sorted(by_count[k])))
-            witness = (x, inside, _permutation_between(x, inside))
-            break
-
-    sym_mass = sum(
-        (nu.atom(c) for c in a_cfgs.symmetric_difference(upgraded)), Fraction(0)
-    )
-    return InvariantUpgradeReport(
-        almost_invariant=witness is None,
-        upgraded=upgraded,
-        symmetric_difference_mass=sym_mass,
-        witness=witness,
     )
 
 

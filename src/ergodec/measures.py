@@ -200,16 +200,6 @@ class AtomicMeasure:
             raise ValueError("scale factor must be nonnegative")
         return AtomicMeasure({c: m * f for c, m in self._atoms.items()}, window=self._window)
 
-    def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        merged = dict(self._atoms)
-        for c, m in other._atoms.items():
-            merged[c] = merged.get(c, Fraction(0)) + m
-        return AtomicMeasure(merged, window=self._window)
-
-    def restricted(self, keep: Iterable[Config]) -> dict[Config, Fraction]:
-        keep = {tuple(c) for c in keep}
-        return {c: m for c, m in self._atoms.items() if c in keep}
-
     def mass(self, a: Cylinder) -> Fraction:
         a.check_within(self._window)
         return sum((m for c, m in self._atoms.items() if a.matches(c)), Fraction(0))
@@ -641,11 +631,6 @@ class OrbitSigmaFinite:
     def weight(self, k: int) -> Fraction:
         return self.orbit_weights.get(k, Fraction(0))
 
-    def orbit_cardinality(self, k: int):
-        if self.scale is None:
-            return 1 if k == 0 else INFINITE
-        return comb(self.scale, k)
-
     def _cylinder_count(self, k: int, a: Cylinder):
         """How many orbit-k configurations satisfy the cylinder constraints."""
         need = len(a.pinned_ones())
@@ -684,12 +669,6 @@ class OrbitSigmaFinite:
             {k: c * f for k, c in self.orbit_weights.items()}, self.scale
         )
 
-    def restricted(self, labels: Iterable[int]) -> "OrbitSigmaFinite":
-        keep = set(labels)
-        return OrbitSigmaFinite(
-            {k: c for k, c in self.orbit_weights.items() if k in keep}, self.scale
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OrbitSigmaFinite)
@@ -714,20 +693,6 @@ def rn_derivative(nu, g: Permutation, x: Config) -> Scalar:
     if den == 0:
         raise ZeroMassError(f"measure has zero mass at {x}")
     return nu.atom(act(g, x)) / den
-
-
-def jordan_decompose(nu1: AtomicMeasure, nu2: AtomicMeasure):
-    """Split nu1 = ac + singular with ac << nu2 and singular _|_ nu2, atomwise.
-
-    Either part may be the zero measure on nu1's window.
-    """
-    supp2 = nu2.support
-    ac = {c: m for c, m in nu1.atoms.items() if c in supp2}
-    sing = {c: m for c, m in nu1.atoms.items() if c not in supp2}
-    return (
-        AtomicMeasure(ac, window=nu1.window),
-        AtomicMeasure(sing, window=nu1.window),
-    )
 
 
 def support_relation(s1: frozenset, s2: frozenset) -> str:

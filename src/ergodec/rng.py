@@ -18,11 +18,6 @@ import numpy as np
 RandomStream = np.random.Generator
 
 
-def stream_from_seed(seed: int) -> RandomStream:
-    """Master stream for a 64-bit seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def substream(seed: int, *key: int) -> RandomStream:
     """Child stream for (seed, key...); identical for any split into blocks."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))

@@ -1,6 +1,6 @@
 """Sigma-finite invariant measures: weight normalization, projective classes,
-finite/infinite component split, and orbital measures (exact atomic measures
-up to S(8); above it the exact closed-form cylinder masses of
+per-orbit decomposition, and orbital measures (exact atomic measures up to
+S(8); above it the exact closed-form cylinder masses of
 ``orbital_dichotomy``).
 
 The desk model is the orbit-counting measure on finitely supported 0/1
@@ -296,32 +296,6 @@ def pcl(nu: OrbitSigmaFinite, f) -> MeasureClassDescriptor:
     classes: the set of orbit labels carrying positive weight."""
     _orbit_masses(nu, f)  # enforce the same summability precondition
     return MeasureClassDescriptor(labels=nu.labels)
-
-
-@dataclass(frozen=True)
-class ComponentSplit:
-    finite_part: OrbitSigmaFinite
-    infinite_part: OrbitSigmaFinite
-    finite_labels: frozenset[int]
-    infinite_labels: frozenset[int]
-
-
-def classify_components(nu: OrbitSigmaFinite) -> ComponentSplit:
-    """Disjoint invariant split into orbits of finite vs infinite cardinality.
-
-    On the idealized scale only the empty configuration forms a finite orbit;
-    on a window every orbit is finite.
-    """
-    finite = frozenset(
-        k for k in nu.labels if nu.orbit_cardinality(k) != INFINITE
-    )
-    infinite = nu.labels - finite
-    return ComponentSplit(
-        finite_part=nu.restricted(finite),
-        infinite_part=nu.restricted(infinite),
-        finite_labels=finite,
-        infinite_labels=frozenset(infinite),
-    )
 
 
 def orbital_measure(x: Config, level: int) -> AtomicMeasure:

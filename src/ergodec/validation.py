@@ -3,7 +3,8 @@
 Each check exercises one identity that holds exactly on rational window
 models: the multiplicative cocycle identity, the conditional-expectation
 characterization of level averages, the tower rule across nested levels, the
-product-measure integral identity, and orbit invariance of averages.
+product-measure integral identity, orbit invariance of averages, and the
+exact ergodic decomposition of a window model into its orbit-class cells.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from .averaging import (
     invariance_check,
     tower_check,
 )
-from .cocycles import constant_one, make_rho_f, make_rn, verify_identity
+from .cocycles import Cocycle, constant_one, make_rho_f, make_rn, verify_identity
+from .decomposition import conditional_measures_exact
 from .dictionary import CylinderMonomial, TestDictionary
-from .measures import AtomicMeasure, ProductBernoulli
+from .measures import AtomicMeasure, ProductBernoulli, ac_check
 from .reporting import Verdict
 from .rng import substream
 from .sigma_finite import make_fibrewise_f
@@ -44,6 +46,39 @@ def _rational_params(window: int) -> list[Fraction]:
 def _product_atoms(params: list[Fraction]) -> AtomicMeasure:
     atom = ProductBernoulli(params).atom
     return AtomicMeasure({x: atom(x) for x in itertools.product((0, 1), repeat=len(params))})
+
+
+def exact_decomposition_verdict(nu: AtomicMeasure, rho: Cocycle, window: int) -> Verdict:
+    """Theorem ergdecstrcont on a window model, exactly: the conditional
+    measures of nu on its full-window orbit classes (``conditional_measures_exact``)
+    are quasi-invariant with cocycle rho and their support is orbit-closed,
+    so each cell is one orbit and ergodic; nu is their barycenter atom for
+    atom; any two cells are mutually singular, the uniqueness step; and a
+    full-support product has ``window + 1`` cells, one per ones count."""
+    assignment = conditional_measures_exact(nu, rho)
+    cells = assignment.cells
+    barycenter: dict = {}
+    for cell in cells:
+        for x, m in cell.measure.atoms.items():
+            barycenter[x] = barycenter.get(x, 0) + cell.weight * m
+    singular = all(
+        ac_check(a.measure, b.measure) == "mutually-singular"
+        for a, b in itertools.combinations(cells, 2)
+    )
+    rn_ok, closed = assignment.rn_verified, assignment.support_orbit_closed
+    exact = barycenter == nu.atoms
+    return Verdict(
+        name="exact-ergodic-decomposition",
+        passed=rn_ok and closed and exact and singular and len(cells) == window + 1,
+        detail={
+            "window": window,
+            "cells": len(cells),
+            "rn_verified": rn_ok,
+            "support_orbit_closed": closed,
+            "barycenter_exact": exact,
+            "mutually_singular": singular,
+        },
+    )
 
 
 def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
@@ -160,4 +195,7 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
             detail={"level": il, "window": window},
         )
     )
+
+    # 7. exact ergodic decomposition of the sweep model into orbit-class cells
+    verdicts.append(exact_decomposition_verdict(nu_small, rho_small, sw))
     return verdicts

@@ -403,13 +403,16 @@ def _assert_config_error(name, key, value):
 # definetti-beta/result.json (continuous mode: no components, no residual,
 # no point failing limit detection) kept its digest. The kolmogorov digest was
 # recorded again when the default frequency_tolerance went from 0.02 to
-# 0.025: the config echo is the only line of result.json that changed.
+# 0.025: the config echo is the only line of result.json that changed. The
+# validate digest was recorded again when the suite gained its seventh
+# verdict, exact-ergodic-decomposition, appended after the other six, whose
+# lines did not change.
 RECORDED_DEFINETTI_CONFIGS = {
     "definetti": {**FAST_DEFINETTI, "depth": 3, "width": 3},
     "definetti-beta": {"beta": [2, 3], "samples": 150, "window": 256, "mc_samples": 128},
 }
 RECORDED_OUTPUT_SHA256 = {
-    "validate/result.json": "192187817a6edc4c97ad1111f6525a91a2fcecdd304103c96cfb81356ce79714",
+    "validate/result.json": "2ce0bc2dd03126afb41da86f530ddebe84aa8fa50d7ac059879c7eb5a9e39283",
     "kolmogorov/result.json": "93d430ef6a8a61a6460ae26a8b067af01f51aebabf1e8ae3510436d522a02d24",
     "sigma-finite/result.json": "2a0ff106521fc08b0b81f41dee9cc784f5fc42a98b96b78a5d13fb2b2dd271d8",
     "sigma-finite/components.csv": "9ec09b235fe23b2e761a8a71c58c5674fa04dd77d7036330417bd3c65b6e8c87",
@@ -449,6 +452,18 @@ def test_validate_subcommand_passes(tmp_path):
     record = json.loads((out / "result.json").read_text())
     assert all(v["passed"] for v in record["verdicts"])
     assert (out / "meta.json").exists()
+
+
+@pytest.mark.parametrize("user", [{}, FAST_VALIDATE])
+def test_validate_runs_the_exact_decomposition_on_the_sweep_model(user):
+    # one cell per ones count of the sweep window, at the defaults and at
+    # the fast config alike
+    from ergodec.validation import DEFAULTS, run_validation_suite
+
+    verdicts = {v.name: v for v in run_validation_suite(user, seed=0)}
+    verdict = verdicts["exact-ergodic-decomposition"]
+    window = {**DEFAULTS, **user}["sweep_window"]
+    assert verdict.passed and verdict.detail["cells"] == window + 1
 
 
 def test_validate_byte_identical_across_runs(tmp_path):

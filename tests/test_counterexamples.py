@@ -4,53 +4,23 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from ergodec import counterexamples
-from ergodec.averaging import orbit_class_key
 from ergodec.cli import main
 from ergodec.cocycles import constant_one, make_rn
 from ergodec.counterexamples import (
     InvariantSetFullGroup,
-    _in_cocycle_class,
-    _weakly_indecomposable,
     LabelFamilySet,
     algebra_atoms,
     demonstrate_kolmogorov,
     measure_of_invariant_set,
-    orbit_class,
-    weak_strong_equivalence_check,
 )
 from ergodec.decomposition import conditional_measures_exact
 from ergodec.groups import Permutation
-from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli
+from ergodec.measures import AtomicMeasure, Mixture, ProductBernoulli, ac_check
 from ergodec.rng import substream
 from ergodec.sigma_finite import orbital_measure
-
-
-def test_orbit_class_all_zeros():
-    lab = orbit_class("eventually-zero", 0)
-    assert lab.family == "finite-ones" and lab.k == 0
-
-
-def test_orbit_class_five_ones():
-    lab = orbit_class("eventually-zero", 5)
-    assert lab.family == "finite-ones" and lab.k == 5
-
-
-def test_orbit_class_density_typical():
-    lab = orbit_class("two-sided")
-    assert lab.family == "two-sided-infinite"
-
-
-def test_orbit_class_rejects_ambiguous():
-    with pytest.raises(ValueError):
-        orbit_class("eventually-zero")
-    with pytest.raises(ValueError):
-        orbit_class("two-sided", 3)
-    with pytest.raises(ValueError):
-        orbit_class("almost-periodic")
+from ergodec.validation import _product_atoms, exact_decomposition_verdict
 
 
 def _mixture(window=4):
@@ -272,114 +242,75 @@ def _orbit_uniform(window, count):
     return orbital_measure(tuple(1 if i < count else 0 for i in range(window)), window)
 
 
+def _cell_measures(nu, rho):
+    """The cell measures of ``conditional_measures_exact``, which must be
+    quasi-invariant with rho on an orbit-closed support."""
+    assignment = conditional_measures_exact(nu, rho)
+    assert assignment.rn_verified and assignment.support_orbit_closed
+    return [cell.measure for cell in assignment.cells]
+
+
 def test_equivalence_equal_measures():
+    # one orbit class under the constant cocycle: one cell, the measure itself
     eta = _orbit_uniform(4, 2)
-    verdict = weak_strong_equivalence_check(eta, eta, constant_one())
-    assert verdict.relation == "equal"
-    assert verdict.weakly_indecomposable == (True, True)
-    assert verdict.singular_mass == 0
+    assert _cell_measures(eta, constant_one()) == [eta]
 
 
 def test_equivalence_disjoint_orbits_singular():
-    nu1 = _orbit_uniform(4, 1)
-    nu2 = _orbit_uniform(4, 2)
-    verdict = weak_strong_equivalence_check(nu1, nu2, constant_one())
-    assert verdict.relation == "mutually-singular"
-    assert verdict.ac_mass == 0 and verdict.singular_mass == 1
+    # the cells of a half/half mix of two orbit measures are those measures
+    nu1, nu2 = _orbit_uniform(4, 1), _orbit_uniform(4, 2)
+    mix = AtomicMeasure({**nu1.scaled(Fraction(1, 2)).atoms, **nu2.scaled(Fraction(1, 2)).atoms})
+    cells = _cell_measures(mix, constant_one())
+    assert sorted(cells, key=lambda c: len(c.support)) == [nu1, nu2]
+    assert ac_check(*cells) == "mutually-singular"
 
 
 def test_equivalence_same_orbit_same_cocycle_forces_equality():
-    # two measures on one orbit with matching mass ratios are the same measure
+    # a measure on one orbit whose mass ratios follow rho is the cell of that
+    # orbit in any measure of rho's class; a measure on the orbit with other
+    # ratios is not in the class
     params = [Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2)]
     reference = ProductBernoulli(params)
     rho = make_rn(reference)
     orbit = [c for c in itertools.product((0, 1), repeat=4) if sum(c) == 2]
     total = sum(reference.atom(c) for c in orbit)
-    nu1 = AtomicMeasure({c: reference.atom(c) / total for c in orbit})
-    nu2 = AtomicMeasure({c: reference.atom(c) / total for c in orbit})
-    verdict = weak_strong_equivalence_check(nu1, nu2, rho)
-    assert verdict.relation == "equal"
-
-
-def test_equivalence_rejects_decomposable_inputs():
-    # two orbits with strictly-between masses: some invariant set has mass 1/2
-    nu = AtomicMeasure(
-        {
-            (0, 0, 0, 0): Fraction(1, 2),
-            (1, 0, 0, 0): Fraction(1, 8),
-            (0, 1, 0, 0): Fraction(1, 8),
-            (0, 0, 1, 0): Fraction(1, 8),
-            (0, 0, 0, 1): Fraction(1, 8),
-        }
-    )
-    with pytest.raises(ValueError):
-        weak_strong_equivalence_check(nu, nu, constant_one())
+    nu = AtomicMeasure({c: reference.atom(c) / total for c in orbit})
+    (cell,) = _cell_measures(nu, rho)
+    assert cell == nu
+    full = conditional_measures_exact(_product_atoms(params), rho)
+    assert full.rn_verified
+    assert [c.measure for c in full.cells if c.configs == frozenset(orbit)] == [nu]
+    assert not conditional_measures_exact(_orbit_uniform(4, 2), rho).rn_verified
 
 
 def test_equivalence_rejects_mismatched_cocycle():
     eta = _orbit_uniform(4, 2)
     skew = make_rn(ProductBernoulli([Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2)]))
-    with pytest.raises(ValueError):
-        weak_strong_equivalence_check(eta, eta, skew)
+    assert not conditional_measures_exact(eta, skew).rn_verified
+    assert not exact_decomposition_verdict(eta, skew, 4).passed
 
 
 def test_exhaustive_sweep_never_neither():
-    # all pairs of single-orbit uniform measures across small windows
+    # every orbit measure across small windows is one cell of the even mix of
+    # all of them, and any two cells are mutually singular: two ergodic
+    # measures of one cocycle are equal or mutually singular
     for window in range(2, 7):
-        for k1 in range(window + 1):
-            for k2 in range(window + 1):
-                nu1 = _orbit_uniform(window, k1)
-                nu2 = _orbit_uniform(window, k2)
-                verdict = weak_strong_equivalence_check(nu1, nu2, constant_one())
-                assert verdict.ok
-                if k1 == k2:
-                    assert verdict.relation == "equal"
-                else:
-                    assert verdict.relation == "mutually-singular"
+        orbits = [_orbit_uniform(window, k) for k in range(window + 1)]
+        mix = AtomicMeasure({x: m / (window + 1) for eta in orbits for x, m in eta.atoms.items()})
+        cells = _cell_measures(mix, constant_one())
+        assert sorted(cells, key=lambda c: sum(next(iter(c.support)))) == orbits
+        for a, b in itertools.combinations(cells, 2):
+            assert ac_check(a, b) == "mutually-singular"
 
 
-def _weakly_indecomposable_loop(nu):
-    """The former exhaustive check: every proper union of orbit classes."""
-    classes = {}
-    for x, m in nu.atoms.items():
-        key = orbit_class_key(x, nu.window)
-        classes[key] = classes.get(key, Fraction(0)) + m
-    labels = sorted(classes)
-    for r in range(1, len(labels)):
-        for combo in itertools.combinations(labels, r):
-            if sum((classes[c] for c in combo), Fraction(0)) not in (0, 1):
-                return False
-    return True
-
-
-_mass = st.one_of(
-    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
-    st.fractions(min_value=0, max_value=2, max_denominator=6),
-)
-
-
-@given(atoms=st.dictionaries(st.tuples(*[st.integers(0, 1)] * 5), _mass, max_size=8))
-def test_weakly_indecomposable_equals_subset_loop(atoms):
-    # window 5: the orbit classes are the ones counts 0..5, so c <= 6
-    nu = AtomicMeasure(atoms, window=5)
-    assert _weakly_indecomposable(nu) == _weakly_indecomposable_loop(nu)
-
-
-def test_weakly_indecomposable_two_unit_classes_is_vacuously_true():
-    # total mass 2: the only proper unions are the two singletons, mass 1 each
-    nu = AtomicMeasure({(0, 0): 1, (1, 1): 1})
-    assert _weakly_indecomposable(nu)
-    assert not _weakly_indecomposable(AtomicMeasure({(0, 0): 1, (1, 0): 1, (1, 1): 1}))
-
-
-def test_in_cocycle_class_passes_swaps_that_leave_the_support():
-    # make_rn(nu) is 0 on a swap that leaves the support, so the membership
-    # check passes there, while the conditional cells report the support as
-    # not orbit-closed
+def test_conditional_cells_flag_a_support_that_is_not_orbit_closed():
+    # make_rn(nu) is 0 on a swap that leaves the support, so the cell ratios
+    # agree with it, while the cells report the support as not orbit-closed
+    # and the verdict fails
     nu = AtomicMeasure({(0, 0, 0): Fraction(1, 2), (1, 0, 0): Fraction(1, 2)})
     rho = make_rn(nu)
     assert rho(Permutation.swap(1, 2), (1, 0, 0)) == 0
-    assert _in_cocycle_class(nu, rho)
     assignment = conditional_measures_exact(nu, rho)
     assert assignment.rn_verified
     assert not assignment.support_orbit_closed
+    assert not exact_decomposition_verdict(nu, rho, 3).passed

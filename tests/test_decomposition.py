@@ -28,8 +28,8 @@ from ergodec.averaging import (
 from ergodec.cocycles import Cocycle, constant_one, make_rn
 from ergodec.decomposition import (
     DecomposeConfig,
+    _cocycle_values_agree,
     _point_block,
-    almost_invariant_upgrade,
     assemble,
     barycenter_residual,
     conditional_measures_exact,
@@ -52,7 +52,7 @@ from ergodec.measures import (
     expectation_monomial,
 )
 from ergodec.rng import substream
-from ergodec.validation import _product_atoms
+from ergodec.validation import _product_atoms, _rational_params, exact_decomposition_verdict
 
 
 DICT2 = TestDictionary.build(2, 2)
@@ -661,6 +661,87 @@ def test_conditional_cells_past_window_twelve():
     assert assignment.rn_verified and assignment.support_orbit_closed
 
 
+def _float_product_atoms(params):
+    """The atomic form of a float product, normalized: its masses are the
+    exact rationals of the float atoms, so they carry the floats' rounding."""
+    product = ProductBernoulli(params)
+    atoms = {x: product.atom(x) for x in itertools.product((0, 1), repeat=len(params))}
+    return AtomicMeasure(atoms).normalized(), product
+
+
+def test_cocycle_values_agree_exactly_on_rationals_and_within_rounding_on_floats():
+    near = Fraction(1) + Fraction(1, 10**12)
+    assert _cocycle_values_agree(Fraction(1), 1)
+    assert not _cocycle_values_agree(near, 1)
+    assert _cocycle_values_agree(near, 1.0) and _cocycle_values_agree(1.0 + 1e-12, Fraction(1))
+    assert not _cocycle_values_agree(1.001, 1.0)
+
+
+@pytest.mark.parametrize("params", [
+    [0.3, 0.6, 0.45], [0.2, 0.25] * 2, [0.15, 0.3, 0.45, 0.6, 0.75]])
+def test_float_products_pass_their_own_cocycle(params):
+    # the cell ratios are exact rationals of rounded floats, compared with a
+    # float rho within its rounding
+    nu, product = _float_product_atoms(params)
+    assignment = conditional_measures_exact(nu, make_rn(product))
+    assert assignment.rn_verified and assignment.support_orbit_closed
+    assert exact_decomposition_verdict(nu, make_rn(product), len(params)).passed
+
+
+def test_float_cocycle_with_other_parameters_fails():
+    nu, _ = _float_product_atoms([0.3, 0.6, 0.45])
+    assert not conditional_measures_exact(nu, make_rn(ProductBernoulli([0.3, 0.45, 0.6]))).rn_verified
+
+
+def _verdict_model(window=4):
+    params = _rational_params(window)
+    return _product_atoms(params), make_rn(ProductBernoulli(params))
+
+
+@pytest.mark.parametrize("window", [1, 2, 4, 6])
+def test_exact_decomposition_verdict_passes_on_full_support_products(window):
+    nu, rho = _verdict_model(window)
+    verdict = exact_decomposition_verdict(nu, rho, window)
+    assert verdict.name == "exact-ergodic-decomposition" and verdict.passed
+    assert verdict.detail["cells"] == window + 1
+
+
+def test_exact_decomposition_verdict_fails_under_another_cocycle():
+    nu, _ = _verdict_model()
+    other = make_rn(ProductBernoulli([Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 7)]))
+    verdict = exact_decomposition_verdict(nu, other, 4)
+    assert not verdict.passed and not verdict.detail["rn_verified"]
+
+
+def test_exact_decomposition_verdict_fails_on_mass_moved_within_a_class():
+    nu, rho = _verdict_model()
+    atoms = nu.atoms
+    atoms[(1, 0, 0, 0)] -= Fraction(1, 1000)
+    atoms[(0, 1, 0, 0)] += Fraction(1, 1000)
+    verdict = exact_decomposition_verdict(AtomicMeasure(atoms), rho, 4)
+    assert not verdict.passed and not verdict.detail["rn_verified"]
+
+
+def test_exact_decomposition_verdict_fails_on_an_atom_moved_out_of_its_class():
+    nu, rho = _verdict_model()
+    atoms = nu.atoms
+    atoms[(0, 0, 0, 0)] += atoms.pop((1, 0, 0, 0))
+    verdict = exact_decomposition_verdict(AtomicMeasure(atoms), rho, 4)
+    assert not verdict.passed and not verdict.detail["support_orbit_closed"]
+
+
+def test_exact_decomposition_verdict_counts_one_cell_per_ones_count():
+    # a product restricted to ones counts 0, 2 and 4 decomposes exactly, but
+    # has 3 cells, not the 5 of a full-support product
+    nu, rho = _verdict_model()
+    nu = AtomicMeasure({x: m for x, m in nu.atoms.items() if sum(x) % 2 == 0}).normalized()
+    verdict = exact_decomposition_verdict(nu, rho, 4)
+    assert verdict.detail == {"window": 4, "cells": 3, "rn_verified": True,
+                              "support_orbit_closed": True, "barycenter_exact": True,
+                              "mutually_singular": True}
+    assert not verdict.passed
+
+
 def _decompose_twice(nu, cfg):
     """Decompose, reassemble the barycenter, decompose it again on a seed of
     its own: (first, second, weight drift, center drift), components matched
@@ -701,49 +782,13 @@ def test_assemble_rebuilds_mixture():
     assert len(rebuilt.components) == 2
 
 
-def test_almost_invariant_exact_set_is_fixed_point():
-    nu = _product_atoms([Fraction(1, 3)] * 4)
-    # union of two full orbits: counts 0 and 2
-    a = {c for c in nu.atoms if sum(c) in (0, 2)}
-    rep = almost_invariant_upgrade(a, nu)
-    assert rep.almost_invariant
-    assert rep.upgraded == frozenset(a)
-    assert rep.symmetric_difference_mass == 0
-
-
-def test_almost_invariant_strips_null_atom():
-    params = [Fraction(1, 3)] * 4
-    full = _product_atoms(params)
-    # null out the whole ones-count-1 orbit, keep everything else
-    atoms = {c: m for c, m in full.atoms.items() if sum(c) != 1}
-    nu = AtomicMeasure(atoms)
-    null_atom = (1, 0, 0, 0)
-    a = {(0, 0, 0, 0), null_atom}
-    rep = almost_invariant_upgrade(a, nu)
-    assert rep.almost_invariant
-    assert null_atom not in rep.upgraded
-    assert rep.upgraded == frozenset({(0, 0, 0, 0)})
-    assert rep.symmetric_difference_mass == 0
-
-
-def test_almost_invariant_half_orbit_witness():
-    nu = _product_atoms([Fraction(1, 3)] * 4)
-    orbit_two = sorted(c for c in nu.atoms if sum(c) == 2)
-    a = set(orbit_two[:3])  # half of one orbit, positive mass
-    rep = almost_invariant_upgrade(a, nu)
-    assert not rep.almost_invariant
-    x, y, g = rep.witness
-    assert act(g, x) == y
-    # the witness certifies positive symmetric-difference mass
-    moved = {act(g, c) for c in a}
-    sym = a.symmetric_difference(moved)
-    assert sum((nu.atom(c) for c in sym), Fraction(0)) > 0
-
-
 def test_upgrade_matches_averaging_definition():
+    # the largest invariant set inside A, the points whose level averages of
+    # A's indicator are 1 at every level, is the union of the cells inside A
     nu = _product_atoms([Fraction(1, 3)] * 4)
     a = {c for c in nu.atoms if sum(c) in (1, 4)} | {(1, 1, 0, 0)}
-    rep = almost_invariant_upgrade(a, nu)
+    cells = conditional_measures_exact(nu, constant_one()).cells
+    upgraded = {x for cell in cells if cell.configs <= a for x in cell.configs}
 
     def chi(y):
         return Fraction(1) if y in a else Fraction(0)
@@ -754,7 +799,7 @@ def test_upgrade_matches_averaging_definition():
         for x in nu.atoms
         if all(average_exact(n, one, chi, x) == 1 for n in range(1, 5))
     }
-    assert averaged == set(rep.upgraded)
+    assert averaged == upgraded == {c for c in nu.atoms if sum(c) in (1, 4)}
 
 
 def test_ks_statistic_frozen_example():

@@ -20,7 +20,6 @@ from ergodec.measures import (
     ProductBernoulli,
     ac_check,
     expectation_monomial,
-    jordan_decompose,
     rn_derivative,
 )
 from ergodec.rng import substream
@@ -497,41 +496,6 @@ def test_sample_mixture_component_frequency():
     hits = sum(1 for _ in range(draws) if mix.sample_component(rng) == 0)
     sigma = math.sqrt(0.3 * 0.7 / draws)
     assert abs(hits / draws - 0.3) <= 3 * sigma
-
-
-def test_jordan_same_measure():
-    nu = AtomicMeasure({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    ac, sing = jordan_decompose(nu, nu)
-    assert ac.atoms == nu.atoms and sing.atoms == {}
-    assert sing.total_mass() == 0
-
-
-def test_jordan_disjoint_supports():
-    nu1 = AtomicMeasure({(1, 0): Fraction(1)})
-    nu2 = AtomicMeasure({(0, 1): Fraction(1)})
-    ac, sing = jordan_decompose(nu1, nu2)
-    assert ac.atoms == {} and sing.atoms == nu1.atoms
-
-
-def test_jordan_split_example():
-    a, b = (1, 0), (0, 1)
-    nu1 = AtomicMeasure({a: Fraction(1, 2), b: Fraction(1, 2)})
-    nu2 = AtomicMeasure({a: Fraction(1)})
-    ac, sing = jordan_decompose(nu1, nu2)
-    assert ac.atoms == {a: Fraction(1, 2)}
-    assert sing.atoms == {b: Fraction(1, 2)}
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 15), st.integers(1, 15))
-def test_jordan_reconstruction_exact(mask1, mask2):
-    configs = list(itertools.product((0, 1), repeat=2))
-    atoms1 = {c: Fraction(i + 1, 10) for i, c in enumerate(configs) if mask1 >> i & 1}
-    atoms2 = {c: Fraction(1) for i, c in enumerate(configs) if mask2 >> i & 1}
-    nu1, nu2 = AtomicMeasure(atoms1), AtomicMeasure(atoms2)
-    ac, sing = jordan_decompose(nu1, nu2)
-    assert ac.plus(sing).atoms == nu1.atoms
-    assert not (sing.support & nu2.support)
 
 
 def test_ac_check_cases():
