@@ -7,8 +7,8 @@ their first-moment limit; cluster weights and centers recover the mixing
 measure (de Finetti). On exact atomic models the level sets of the full-depth
 statistic are the full-window orbit classes, and each carries its canonical
 conditional measure: nu restricted to the class and normalized. These cells
-are the ``exact-ergodic-decomposition`` verdict of ``validate``; an invariant
-set of a window model is a union of them.
+are the ``exact-ergodic-decomposition`` verdict of ``validate``. On nu's
+support, an invariant set of a window model is a union of them.
 
 Under the constant cocycle the statistic of a point depends on its bits only
 through its first coordinates (up to the dictionary width) and its ones
