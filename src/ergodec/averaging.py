@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cocycles import _EXACT, Cocycle, constant_one
+from .cocycles import _EXACT, Cocycle, _values_agree, constant_one
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
 from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
@@ -895,7 +895,9 @@ class TowerReport:
 def tower_check(
     m: int, n: int, rho: Cocycle, phi, nu: AtomicMeasure, level_cap: int = 5
 ) -> TowerReport:
-    """Verify A_m(A_n phi) == A_m phi exactly on every positive atom.
+    """Verify A_m(A_n phi) == A_m phi on every positive atom, exactly where
+    both sides are rational and within the rounding of a float rho or phi
+    otherwise (``cocycles._values_agree``).
 
     Exactness is guaranteed because every cocycle is potential-backed:
     coarser orbits decompose into finer orbit blocks and the weighted sums
@@ -931,7 +933,7 @@ def tower_check(
                 per_class[key] = sides(x)
             lhs, rhs = per_class[key]
         checked += 1
-        if lhs != rhs:
+        if not _values_agree(lhs, rhs):
             return TowerReport(ok=False, pairs_checked=checked, witness=(x, lhs, rhs))
     return TowerReport(ok=True, pairs_checked=checked, witness=None)
 
@@ -1000,10 +1002,11 @@ def conditional_expectation_check(
 class FubiniReport:
     lhs: Fraction
     rhs: Fraction
+    exact: bool  # no phi, rho or nu value was a float
 
     @property
     def ok(self) -> bool:
-        return self.lhs == self.rhs
+        return _values_agree(self.lhs if self.exact else float(self.lhs), self.rhs)
 
 
 def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniReport:
@@ -1013,19 +1016,21 @@ def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniRepo
 
     whenever nu has Radon-Nikodym cocycle rho on the window. Values enter
     exactly (a float as its Fraction), and each side is one integer sum over
-    the lcm of its terms' denominators.
+    the lcm of its terms' denominators. The report remembers whether a float
+    entered, so that ``ok`` compares the sides within its rounding.
     """
     group = list(enumerate_level(level))
     atoms = sorted(nu.atoms.items())
-    terms = [
-        (_exact(phi(act(k, x))), _exact(rho(k, x)), m) for x, m in atoms for k in group
-    ]
+    values = [(phi(act(k, x)), rho(k, x), m) for x, m in atoms for k in group]
+    own = [(phi(x), m) for x, m in atoms]
+    exact = all(isinstance(v, _EXACT) for row in values + own for v in row)
+    terms = [(_exact(p), _exact(r), m) for p, r, m in values]
     num, lcm = _sum_over_lcm(
         [p.numerator * r.numerator * m.numerator for p, r, m in terms],
         [p.denominator * r.denominator * m.denominator for p, r, m in terms],
     )
-    rhs = Fraction(*_exact_dot((_exact(phi(x)), m) for x, m in atoms))
-    return FubiniReport(lhs=Fraction(num, lcm * len(group)), rhs=rhs)
+    rhs = Fraction(*_exact_dot((_exact(p), m) for p, m in own))
+    return FubiniReport(lhs=Fraction(num, lcm * len(group)), rhs=rhs, exact=exact)
 
 
 def invariance_check(level: int, rho: Cocycle, phi, x: Config):

@@ -167,6 +167,10 @@ def run_validate(cfg: dict, seed: int) -> RunnerOutput:
 
 def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
     window = cfg["window"]
+    want_w, want_c = cfg["expected_weights"], cfg["expected_centers"]
+    if (want_w is None) != (want_c is None) or len(want_w or ()) != len(want_c or ()):
+        # one without the other, or unequal lengths, has nothing to compare
+        raise ValueError("expected_weights and expected_centers go together, at equal lengths")
     continuous = cfg["beta"] is not None
     if continuous:
         a, b = cfg["beta"]
@@ -388,6 +392,8 @@ def run_orbital(cfg: dict, seed: int) -> RunnerOutput:
         x = nu.sample_rows(substream(seed, 0x0B), 1)[0]
     else:
         k = cfg["ones"]
+        if not 0 <= k <= window:
+            raise ValueError(f"ones must lie in 0..window ({window}); got {k}")
         x = tuple(1 if i < k else 0 for i in range(window))
     report = orbital_dichotomy(
         x, schedule=cfg["schedule"], decay_threshold=cfg["decay_threshold"]

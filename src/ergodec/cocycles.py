@@ -165,9 +165,18 @@ def _identity_triples(
     return g, h, x
 
 
-# Values compared exactly by ``_violates`` and summed exactly by
-# ``averaging._sum_over_lcm``
+# Values compared exactly by ``_violates`` and ``_values_agree`` and summed
+# exactly by ``averaging._sum_over_lcm``
 _EXACT = (int, Fraction)
+
+
+def _values_agree(lhs, rhs) -> bool:
+    """The one comparison rule of the exact checks: exactly when both values
+    are int or ``Fraction``, else within 1e-9 of rhs relative to max(1,
+    |rhs|), since a float value carries the rounding of its inputs."""
+    if isinstance(lhs, _EXACT) and isinstance(rhs, _EXACT):
+        return lhs == rhs
+    return abs(float(lhs) - float(rhs)) <= 1e-9 * max(1.0, abs(float(rhs)))
 
 # Trials drawn per batch: the arrays of one batch take about
 # _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is.

@@ -8,7 +8,10 @@ measure (de Finetti). On exact atomic models the level sets of the full-depth
 statistic are the full-window orbit classes, and each carries its canonical
 conditional measure: nu restricted to the class and normalized. These cells
 are the ``exact-ergodic-decomposition`` verdict of ``validate``. On nu's
-support, an invariant set of a window model is a union of them.
+support, an invariant set of a window model is a union of them, and an
+atomic eta is ergodic exactly when it has one cell, with ``rn_verified``
+and ``support_orbit_closed``. ``ergodicity_test`` is the sampled criterion,
+one path for every input: limit averages of probes against space averages.
 
 Under the constant cocycle the statistic of a point depends on its bits only
 through its first coordinates (up to the dictionary width) and its ones
@@ -38,7 +41,6 @@ import numpy as np
 
 from . import measures
 from .averaging import (
-    EXACT_LEVEL_CAP,
     average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
     checked_schedule,
     closed_form_levels,
@@ -48,7 +50,7 @@ from .averaging import (
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_classes,
 )
-from .cocycles import Cocycle
+from .cocycles import Cocycle, _values_agree
 from .dictionary import TestDictionary
 from .errors import NonConvergenceError
 from .groups import Permutation, act, haar_sample
@@ -80,9 +82,6 @@ class LimitStatistic:
     @property
     def all_converged(self) -> bool:
         return all(self.converged.values())
-
-    def vector(self, order: Sequence[tuple[int, ...]]) -> list[float]:
-        return [float(self.values[k]) for k in order]
 
 
 def pi_phi(
@@ -141,10 +140,6 @@ class DecomposeConfig:
     seed: int = 0
     nonconvergence_threshold: float = 0.01
     residual_depth: int = 3
-    # Spot-check that nu's atom-ratio cocycle is rho on 8 draws; skipped where
-    # it cannot fail: the constant cocycle with an exchangeable nu, and
-    # rho = make_rn(nu).
-    validate_cocycle: bool = True
 
 
 @dataclass(frozen=True)
@@ -249,18 +244,9 @@ def _is_own_rn(nu, rho: Cocycle) -> bool:
             and getattr(fn, "__func__", None) is getattr(type(nu), "rn_derivative", None))
 
 
-def _cocycle_values_agree(lhs, rhs) -> bool:
-    """Whether two values of a cocycle agree: exactly when both are int or
-    ``Fraction``, else within 1e-9 of rhs relative to max(1, |rhs|), since a
-    float value carries the rounding of its parameters."""
-    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)):
-        return lhs == rhs
-    return abs(float(lhs) - float(rhs)) <= 1e-9 * max(1.0, abs(float(rhs)))
-
-
 def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
     """Spot-check on 8 samples that nu's atom-ratio cocycle agrees with rho
-    (``_cocycle_values_agree``).
+    (``_values_agree``).
     Each sample is a point, ``nu.sample_rows(stream, 1)[0]`` as a tuple,
     then a Haar permutation of S(min(6, window)), in turn from
     ``substream(seed, 0xC0C)``. ``decompose`` skips the check where it
@@ -274,7 +260,7 @@ def _validate_cocycle_agreement(nu, rho: Cocycle, seed: int):
         g = haar_sample(level, stream)
         lhs = rn_derivative(nu, g, x)
         rhs = rho(g, x)
-        if not _cocycle_values_agree(lhs, rhs):
+        if not _values_agree(lhs, rhs):
             raise ValueError(f"measure is not in the cocycle class: {lhs} != {rhs}")
 
 
@@ -312,10 +298,9 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
     ``residual_depth`` < 1. Aborts when more than the configured fraction
     of points fails limit detection.
 
-    With ``config.validate_cocycle`` every input but two first runs the
-    spot-check that nu's atom-ratio cocycle agrees with rho
-    (``_validate_cocycle_agreement``, 8 draws from ``substream(seed,
-    0xC0C)``; ValueError if not). The exceptions are where the check cannot
+    Every input but two first runs the spot-check that nu's atom-ratio
+    cocycle agrees with rho (``_validate_cocycle_agreement``, 8 draws from
+    ``substream(seed, 0xC0C)``; ValueError if not). The exceptions are where the check cannot
     fail. One is the closed-form case, the constant cocycle with an
     exchangeable nu: nu declares ``exchangeable`` from its own parameters
     (one product parameter, exchangeable components, a Beta mixing law), so
@@ -342,7 +327,7 @@ def decompose(nu, rho: Cocycle, config: DecomposeConfig) -> DecomposingMeasure:
         raise ValueError("residual_depth must be >= 1")
     dictionary = TestDictionary.build(config.depth, config.width)
     closed_form = rho.is_constant_one and getattr(nu, "exchangeable", False)
-    if config.validate_cocycle and not closed_form and not _is_own_rn(nu, rho):
+    if not closed_form and not _is_own_rn(nu, rho):
         _validate_cocycle_agreement(nu, rho, config.seed)
 
     keys = [mo.indices for mo in dictionary.entries]
@@ -458,7 +443,6 @@ class ErgodicityVerdict:
     checks: int
     failures: int
     non_converged: int
-    exact: bool
     witnesses: tuple = ()
 
 
@@ -480,46 +464,14 @@ def ergodicity_test(
     evaluates the last two schedule levels of the block, and
     ``LevelTable.converged`` with tolerance 1e-3 detects each entry's
     limit. A converged entry fails when |limit - integral| > 3 * stderr +
-    tolerance; one that does not converge counts as non-converged. On exact
-    atomic models of window <= 8 the comparison is exact: every atom is a
-    probe, evaluated at the full window by one ``level_table`` call (the
-    closed form under the constant cocycle, orbit sums otherwise), and an
-    entry fails when its value differs from the integral. An atomic eta
-    with atoms must be a probability measure (ValueError otherwise).
+    tolerance; one that does not converge counts as non-converged. On an
+    atomic eta at window <= 8 the one-level schedule ``(eta.window,)``
+    reads enumeration levels, whose stderr is 0; the exact statement there
+    is ``conditional_measures_exact``: eta is ergodic exactly when it has
+    one cell, with ``rn_verified`` and ``support_orbit_closed``. Sampling
+    refuses an atomic eta that is not a probability measure (ValueError).
     """
-    window = eta.window
     entries = dictionary.nonconstant()
-
-    if isinstance(eta, AtomicMeasure) and window <= EXACT_LEVEL_CAP:
-        atoms = sorted(eta.atoms)
-        rows = np.array(atoms, dtype=np.uint8).reshape(len(atoms), window)
-        table = level_table(rows, rho, (window,), [m.indices for m in entries])
-        # the zero measure has no probe; any other eta must be a probability
-        if atoms and not eta.is_probability():
-            raise ValueError("ergodicity_test needs a probability measure")
-        targets = [expectation_monomial(eta, m.indices) for m in entries]
-        failures = 0
-        checks = 0
-        witnesses = []
-        for p, x in enumerate(atoms):
-            for j, (mono, target) in enumerate(zip(entries, targets)):
-                val = table.value(0, p, j)
-                checks += 1
-                if val != target:
-                    failures += 1
-                    if len(witnesses) < 3:
-                        witnesses.append((x, mono.indices, val, target))
-        verdict = "ergodic" if failures == 0 else "non-ergodic"
-        return ErgodicityVerdict(
-            verdict=verdict,
-            probes=len(atoms),
-            checks=checks,
-            failures=failures,
-            non_converged=0,
-            exact=True,
-            witnesses=tuple(witnesses),
-        )
-
     keys = [m.indices for m in dictionary.entries]
     values, ses, converged = _point_block(eta, rho, dictionary, schedule, 1e-3, mc_samples, seed,
                                           range(probes), substream(seed, 0xE6, 0))
@@ -555,7 +507,6 @@ def ergodicity_test(
         checks=checks,
         failures=failures,
         non_converged=non_converged,
-        exact=False,
         witnesses=tuple(witnesses),
     )
 
@@ -585,7 +536,7 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
     value. There is one cell per class, in the order of its first member;
     each cell measure is nu restricted and normalized, and the cocycle
     property of cell measures is verified on positive transposition pairs
-    (transpositions generate the level), by ``_cocycle_values_agree``: a
+    (transpositions generate the level), by ``_values_agree``: a
     float rho is compared within its rounding.
     """
     window = nu.window
@@ -605,7 +556,7 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
                 y = act(s, x)
                 if y not in cell:
                     closed = False
-                elif not _cocycle_values_agree(cell[y] / cell[x], rho(s, x)):
+                elif not _values_agree(cell[y] / cell[x], rho(s, x)):
                     rn_ok = False
         cells.append(
             ConditionalCell(f"cell-{ci}", frozenset(members), AtomicMeasure(cell), weight)

@@ -431,14 +431,25 @@ class Mixture:
         top = max(logs)
         return top + math.log(sum(math.exp(v - top) for v in logs))
 
+    @cached_property
+    def _rational(self) -> bool:
+        # every weight a Fraction and every component's masses rational;
+        # atomic and Beta components always have rational masses
+        return (all(type(w) is Fraction for w in self.weights)
+                and all(getattr(c, "_rational", True) for c in self.components))
+
     def rn_derivative(self, g: Permutation, x: Config) -> Scalar:
-        # Direct atom ratios underflow on wide windows; switch to log space.
-        if self.window <= 256:
-            den = self.atom(x)
-            if den == 0:
-                raise ZeroMassError(f"measure has zero mass at {x}")
-            return self.atom(act(g, x)) / den
-        return math.exp(self.log_atom(act(g, x)) - self.log_atom(x))
+        # Float atom masses underflow on wide windows (two products with
+        # p = 0.01 and 0.02 have mass 0.0 at all ones of window 200), so a
+        # float weight or parameter takes log space; rational masses keep
+        # the exact ratio at any window. An atomic component has no
+        # log-mass (``assemble`` builds one from a point-mass component).
+        if not self._rational and all(hasattr(c, "log_atom") for c in self.components):
+            return math.exp(self.log_atom(act(g, x)) - self.log_atom(x))
+        den = self.atom(x)
+        if den == 0:
+            raise ZeroMassError(f"measure has zero mass at {x}")
+        return self.atom(act(g, x)) / den
 
     def log_atom_rows(self, rows: np.ndarray) -> np.ndarray:
         # numpy casts uint8 rows to float64 for each component's matrix
@@ -528,7 +539,7 @@ class BetaExchangeable:
     exchangeable = True
 
     def __init__(self, alpha: int, beta: int, window: int):
-        if alpha < 1 or beta < 1:
+        if alpha < 1 or beta < 1 or alpha != int(alpha) or beta != int(beta):
             raise ValueError("integer shape parameters >= 1 required")
         if window < 1:
             raise ValueError("window must be positive")

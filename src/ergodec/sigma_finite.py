@@ -231,12 +231,6 @@ class SigmaFiniteDecomposition:
     def descriptor(self) -> MeasureClassDescriptor:
         return MeasureClassDescriptor(labels=frozenset(self.weights))
 
-    @property
-    def admissible(self) -> bool:
-        # distinct orbits give non-proportional components, so the projection
-        # to projective classes is injective by construction
-        return True
-
     def barycenter(self) -> OrbitSigmaFinite:
         acc: dict[int, Fraction] = {}
         for k, w in self.weights.items():

@@ -398,6 +398,30 @@ def test_tower_reports_witness_when_weights_are_inconsistent(monkeypatch):
     assert lhs != rhs
 
 
+def _float_not_a_cocycle(g, x):
+    return float(_not_a_cocycle(g, x))
+
+
+def test_float_product_passes_tower_and_fubini_within_rounding(monkeypatch):
+    # the atomic form of a float product carries the floats' rounding, so
+    # its orbit sums miss each other by about 1e-17 and agree within 1e-9
+    params = [0.3, 0.6, 0.45, 0.2]
+    nu = _product_atoms(params).normalized()
+    rho, phi = make_rn(ProductBernoulli(params)), CylinderMonomial((1,))
+    assert all(tower_check(m, n, rho, phi, nu).ok for n in range(1, 5) for m in range(n, 5))
+    reports = [fubini_check(level, rho, phi, nu) for level in range(1, 5)]
+    assert all(rep.ok for rep in reports)
+    # S(1) moves nothing; above it rho is a float, and the exact sides differ
+    assert all(not rep.exact and rep.lhs != rep.rhs for rep in reports[1:])
+    # a cocycle of other parameters still fails; so does the tower rule of a
+    # float fake read through group enumeration, as it holds for any cocycle
+    other = make_rn(ProductBernoulli([0.3, 0.45, 0.6, 0.2]))
+    assert not any(fubini_check(level, other, phi, nu).ok for level in (2, 3, 4))
+    fake = Cocycle(eval_fn=_float_not_a_cocycle, potential=_unit_potential)
+    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
+    assert not tower_check(3, 2, fake, phi, nu).ok
+
+
 def test_conditional_expectation_whole_space_and_sweep():
     params = [Fraction(2, 5), Fraction(1, 3), Fraction(4, 7), Fraction(1, 2)]
     nu = _product_atoms(params)

@@ -706,6 +706,27 @@ def test_definetti_nonpositive_tolerance_exits_2(tmp_path, capsys, tolerance):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, user, message", [
+    # weights without centers have nothing to pair with, centers alone
+    # nothing to check, and zip would cut unequal lengths short
+    ("definetti", {"expected_weights": [0.3, 0.7]}, "go together"),
+    ("definetti", {"expected_centers": [0.2, 0.8]}, "go together"),
+    ("definetti", {"expected_weights": [0.3, 0.7], "expected_centers": [0.2]}, "go together"),
+    # int() would run Beta(1.5, 2) as Beta(1, 2)
+    ("definetti", {"beta": [1.5, 2.0]}, "integer shape parameters"),
+    # the configuration would clamp to all ones, or to none
+    ("orbital", {"window": 4096, "ones": 5000}, "ones must lie in 0..window"),
+    ("orbital", {"ones": -1}, "ones must lie in 0..window"),
+])
+def test_config_values_that_would_crash_or_change_exit_2(tmp_path, capsys, name, user, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 200, "window": 256, **user}))
+    out = tmp_path / "out"
+    assert main([name, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sigma_finite_subcommand(tmp_path):
     out = tmp_path / "out"
     assert main(["sigma-finite", "--seed", "2", "--out", str(out)]) == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergodec.cocycles import make_rn, verify_identity
 from ergodec.errors import DegreeOverflowError, ZeroMassError
 from ergodec.groups import Permutation, act, haar_sample
 from ergodec.measures import (
@@ -125,6 +126,27 @@ def test_rn_chain_relation_exact():
         lhs = rn_derivative(nu, compose(g, h), x)
         rhs = rn_derivative(nu, g, act(h, x)) * rn_derivative(nu, h, x)
         assert lhs == rhs
+
+
+def test_float_mixture_ratio_survives_atom_underflow():
+    # both products' masses near all ones of window 200 are below 1e-330,
+    # 0.0 as floats: the ratio is taken in log space
+    mix = Mixture([0.5, 0.5], [ProductBernoulli([0.01, 0.02] * 100),
+                               ProductBernoulli([0.02, 0.01] * 100)])
+    g, x = Permutation.swap(1, 2), (0,) + (1,) * 199
+    assert mix.atom(x) == 0.0
+    exact = [ProductBernoulli([Fraction(p) for p in c.params]) for c in mix.components]
+    want = sum(c.atom(act(g, x)) for c in exact) / sum(c.atom(x) for c in exact)
+    assert math.isclose(mix.rn_derivative(g, x), want, rel_tol=1e-9)
+    assert mix.rn_derivative(g, (1,) * 200) == 1.0
+
+
+def test_rational_mixture_keeps_exact_ratios_past_window_256():
+    comps = [ProductBernoulli([Fraction(1 + i % 3, 5) for i in range(300)]),
+             ProductBernoulli([Fraction(1 + i % 4, 7) for i in range(300)])]
+    rho = make_rn(Mixture([Fraction(1, 3), Fraction(2, 3)], comps))
+    rep = verify_identity(rho, 50, 6, 300, substream(3, 1))
+    assert rep.ok and rep.exact
 
 
 def _rn_by_factors(params, g, x):
@@ -522,6 +544,13 @@ def test_beta_exchangeable_exact_masses():
     assert nu.mass(Cylinder.of({1: 1, 2: 1})) == Fraction(1, 5)
     assert nu.mass(Cylinder.of({1: 1, 2: 0})) == Fraction(2, 5) - Fraction(1, 5)
     assert expectation_monomial(nu, (1, 2)) == Fraction(1, 5)
+
+
+def test_beta_exchangeable_refuses_shapes_that_are_not_integral():
+    # 1.5 would have run as 1; an integral float is its integer
+    with pytest.raises(ValueError, match="integer shape"):
+        BetaExchangeable(1.5, 2.0, 8)
+    assert BetaExchangeable(2.0, 3, 8).mass(Cylinder.of({1: 1})) == Fraction(2, 5)
 
 
 def test_beta_exchangeable_rn_is_one():
