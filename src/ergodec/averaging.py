@@ -38,8 +38,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -611,14 +612,57 @@ def _exact_dot(pairs: Iterable[tuple]) -> tuple[int, int]:
     )
 
 
-def average_exact(level: int, rho: Cocycle, phi, x: Config):
-    """Exact level average sum phi(y) u(y) / sum u(y) over the level orbit of
-    x, u the potential of rho; phi is read only where u(y) != 0. When every u
-    and phi value is an int or a Fraction, each sum is one integer over the
-    lcm of its terms' denominators and the result is one Fraction. Otherwise
-    (a float potential) the terms are added one by one in orbit order and
-    the result is a float. CapacityError above S(8), ValueError for a level
-    below 1 or past the window of x."""
+@dataclass(frozen=True)
+class OrbitWeights:
+    """The level orbit of a point and rho's potential u on it, rescaled
+    where u vanishes at the point: all of an exact level average but phi,
+    built once (``orbit_weights``) to average many phi over one orbit."""
+
+    level: int
+    orbit: list[Config]
+    us: list
+
+    @cached_property
+    def _exact_den(self) -> tuple[int, int] | None:
+        """sum u over the lcm of its denominators; None for a float u."""
+        if not all(isinstance(u, _EXACT) for u in self.us):
+            return None
+        return _sum_over_lcm([u.numerator for u in self.us], [u.denominator for u in self.us])
+
+    def average(self, phi):
+        """sum phi(y) u(y) / sum u(y) over the orbit, phi read where u(y) != 0.
+        When every u and phi value is an int or a Fraction, each sum is one
+        integer over the lcm of its terms' denominators and the result is
+        one Fraction; otherwise the terms are added one by one in orbit order
+        and the result is a float."""
+        terms = [(phi(y), u) for y, u in zip(self.orbit, self.us) if u != 0]
+        exact_den = self._exact_den
+        if exact_den is not None and all(isinstance(p, _EXACT) for p, _ in terms):
+            n, n_lcm = _exact_dot(terms)
+            d, d_lcm = exact_den
+            if d == 0:
+                raise ZeroMassError("averaging denominator vanished")
+            return Fraction(n * d_lcm, n_lcm * d)
+        num = Fraction(0)
+        den = Fraction(0)
+        for u in self.us:
+            den += u
+        for p, u in terms:
+            num += p * u
+        if den == 0:
+            raise ZeroMassError("averaging denominator vanished")
+        if isinstance(den, float) and not math.isfinite(den):
+            raise ValueError(
+                f"float potential overflows the level-{self.level} orbit sum "
+                f"(window {len(self.orbit[0])})"
+            )
+        return num / den
+
+
+def orbit_weights(level: int, rho: Cocycle, x: Config) -> OrbitWeights:
+    """The level orbit of x and rho's potential on it (``OrbitWeights``).
+    CapacityError above S(8), ValueError for a level below 1 or past the
+    window of x."""
     if level > EXACT_LEVEL_CAP:
         raise CapacityError(
             f"exact averaging is capped at level {EXACT_LEVEL_CAP}; got {level}"
@@ -632,27 +676,13 @@ def average_exact(level: int, rho: Cocycle, phi, x: Config):
     if ux == 0:
         potential = _rescaled_potential(rho, ux, x, level)
     orbit = list(level_orbit(x, level))
-    us = [potential(y) for y in orbit]
-    terms = [(phi(y), u) for y, u in zip(orbit, us) if u != 0]
-    if all(isinstance(u, _EXACT) for u in us) and all(isinstance(p, _EXACT) for p, _ in terms):
-        n, n_lcm = _exact_dot(terms)
-        d, d_lcm = _sum_over_lcm([u.numerator for u in us], [u.denominator for u in us])
-        if d == 0:
-            raise ZeroMassError("averaging denominator vanished")
-        return Fraction(n * d_lcm, n_lcm * d)
-    num = Fraction(0)
-    den = Fraction(0)
-    for u in us:
-        den += u
-    for p, u in terms:
-        num += p * u
-    if den == 0:
-        raise ZeroMassError("averaging denominator vanished")
-    if isinstance(den, float) and not math.isfinite(den):
-        raise ValueError(
-            f"float potential overflows the level-{level} orbit sum (window {len(x)})"
-        )
-    return num / den
+    return OrbitWeights(level, orbit, [potential(y) for y in orbit])
+
+
+def average_exact(level: int, rho: Cocycle, phi, x: Config):
+    """Exact level average sum phi(y) u(y) / sum u(y) over the level orbit of
+    x, u the potential of rho: ``orbit_weights(level, rho, x).average(phi)``."""
+    return orbit_weights(level, rho, x).average(phi)
 
 
 def _self_normalized(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -885,6 +915,94 @@ def level_table(
     return LevelTable(values, slacks, stderrs, methods, nums)
 
 
+class _OrbitClass(NamedTuple):
+    label: tuple
+    members: list[Config]  # nu's atoms in the class, sorted
+    masses: list[Fraction]
+    mass: Fraction
+    weights: OrbitWeights  # the level orbit of members[0]
+
+
+class ExactModel:
+    """One finite model (rho, nu) of the exact checks and what they share
+    across functions phi and level pairs, each part built on first use:
+
+    - ``classes(level)``: nu's atoms in S(level)-orbit classes, with their
+      masses and orbit weights (``conditional_expectation_check``);
+    - ``pushed(level)``: nu pushed through S(level) with rho as weight
+      (``fubini_check``);
+    - ``averages(phi)``: exact level averages of phi, one per orbit class
+      (``tower_check``).
+
+    A check given no model builds one for its own call; the ``validate``
+    suite builds one per model and run, and keeps none past the run.
+    """
+
+    def __init__(self, rho: Cocycle, nu: AtomicMeasure):
+        self.rho, self.nu = rho, nu
+        self.atoms = sorted(nu.atoms.items())
+        self._classes: dict[int, list[_OrbitClass]] = {}
+        self._pushed: dict[int, tuple[dict[Config, Fraction], bool]] = {}
+        self._averages: dict = {}
+
+    @cached_property
+    def vanishing(self) -> frozenset[Config]:
+        """The atoms where rho's potential is 0."""
+        return frozenset(x for x, _ in self.atoms if self.rho.potential(x) == 0)
+
+    def classes(self, level: int) -> list[_OrbitClass]:
+        """nu's atoms in S(level)-orbit classes, in label order."""
+        if level not in self._classes:
+            groups = orbit_classes(self.nu.atoms, level)
+            out = []
+            for label in sorted(groups):
+                members = groups[label]
+                masses = [self.nu.atom(x) for x in members]
+                mass = Fraction(*_sum_over_lcm(
+                    [w.numerator for w in masses], [w.denominator for w in masses]
+                ))
+                weights = orbit_weights(level, self.rho, members[0])
+                out.append(_OrbitClass(label, members, masses, mass, weights))
+            self._classes[level] = out
+        return self._classes[level]
+
+    def pushed(self, level: int) -> tuple[dict[Config, Fraction], bool]:
+        """y -> the sum of rho(k, x) nu(x) over the atoms x and k in S(level)
+        with act(k, x) = y, exact (a float rho value enters as its Fraction),
+        and whether every rho value was an int or a Fraction."""
+        if level not in self._pushed:
+            group = list(enumerate_level(level))
+            terms: dict[Config, list[tuple[int, int]]] = {}
+            exact = True
+            for x, m in self.atoms:
+                for k in group:
+                    r = self.rho(k, x)
+                    exact = exact and isinstance(r, _EXACT)
+                    r = _exact(r)
+                    terms.setdefault(act(k, x), []).append(
+                        (r.numerator * m.numerator, r.denominator * m.denominator)
+                    )
+            pushed = {y: Fraction(*_sum_over_lcm(*zip(*t))) for y, t in terms.items()}
+            self._pushed[level] = pushed, exact
+        return self._pushed[level]
+
+    def averages(self, phi) -> dict[tuple, object]:
+        """(level, orbit class label) -> the exact level average of phi on
+        that class, filled in by ``tower_check``. Kept per phi object, which
+        need not be hashable; the model holds it, so its id stays its own."""
+        return self._averages.setdefault(id(phi), (phi, {}))[1]
+
+
+def _shared(model: ExactModel | None, rho: Cocycle, nu: AtomicMeasure) -> ExactModel:
+    """model, or a new one for a single check; ValueError when model is of
+    another cocycle or measure."""
+    if model is None:
+        return ExactModel(rho, nu)
+    if model.rho is not rho or model.nu is not nu:
+        raise ValueError("the shared model is of another cocycle or measure")
+    return model
+
+
 @dataclass(frozen=True)
 class TowerReport:
     ok: bool
@@ -893,7 +1011,8 @@ class TowerReport:
 
 
 def tower_check(
-    m: int, n: int, rho: Cocycle, phi, nu: AtomicMeasure, level_cap: int = 5
+    m: int, n: int, rho: Cocycle, phi, nu: AtomicMeasure, level_cap: int = 5,
+    model: ExactModel | None = None,
 ) -> TowerReport:
     """Verify A_m(A_n phi) == A_m phi on every positive atom, exactly where
     both sides are rational and within the rounding of a float rho or phi
@@ -905,33 +1024,36 @@ def tower_check(
     same for every atom of a class, so each class's (lhs, rhs) pair is
     computed once, keyed by ``orbit_class_key``; an atom where rho's
     potential is 0 takes its own orbit sums, which rescale or raise there.
-    Atoms are walked in sorted order, so ``pairs_checked`` and the witness
-    are those of the per-atom check.
+    A_n phi and A_m phi are kept per class in ``model.averages(phi)``, so the
+    level pairs checked on one model compute each once. Atoms are walked in
+    sorted order, so ``pairs_checked`` and the witness are those of the
+    per-atom check.
     """
     if not (1 <= n <= m <= level_cap):
         raise CapacityError(f"tower check requires 1 <= n <= m <= {level_cap}")
+    model = _shared(model, rho, nu)
+    averages = model.averages(phi)
 
-    cache: dict[tuple, object] = {}
+    def average(level: int, y: Config):
+        key = (level, orbit_class_key(y, level))
+        if key not in averages:
+            averages[key] = average_exact(level, rho, phi, y)
+        return averages[key]
 
     def inner(y: Config):
-        key = orbit_class_key(y, n)
-        if key not in cache:
-            cache[key] = average_exact(n, rho, phi, y)
-        return cache[key]
+        return average(n, y)
 
-    def sides(x: Config) -> tuple:
-        return average_exact(m, rho, inner, x), average_exact(m, rho, phi, x)
-
-    per_class: dict[tuple, tuple] = {}
+    lhs_of: dict[tuple, object] = {}
     checked = 0
-    for x in sorted(nu.atoms):
-        if rho.potential(x) == 0:
-            lhs, rhs = sides(x)
+    for x, _ in model.atoms:
+        if x in model.vanishing:
+            lhs, rhs = average_exact(m, rho, inner, x), average_exact(m, rho, phi, x)
         else:
+            rhs = average(m, x)
             key = orbit_class_key(x, m)
-            if key not in per_class:
-                per_class[key] = sides(x)
-            lhs, rhs = per_class[key]
+            if key not in lhs_of:
+                lhs_of[key] = average_exact(m, rho, inner, x)
+            lhs = lhs_of[key]
         checked += 1
         if not _values_agree(lhs, rhs):
             return TowerReport(ok=False, pairs_checked=checked, witness=(x, lhs, rhs))
@@ -962,7 +1084,7 @@ def orbit_classes(configs: Iterable[Config], level: int) -> dict[tuple, list[Con
 
 
 def conditional_expectation_check(
-    level: int, rho: Cocycle, phi, nu: AtomicMeasure
+    level: int, rho: Cocycle, phi, nu: AtomicMeasure, model: ExactModel | None = None
 ) -> ConditionalExpectationReport:
     """Verify on every S(level)-invariant union A of orbit classes
 
@@ -974,28 +1096,22 @@ def conditional_expectation_check(
     ``sets_checked`` is 2^c; otherwise the first failing union is the
     singleton of the first nonzero class i, reached after 2^i + 1 unions.
     Each class's integrals of phi and of 1 are exact sums over the lcm of
-    their terms' denominators.
+    their terms' denominators. The classes, their masses and orbit weights
+    come from ``model.classes(level)``, so only phi's values are computed
+    per call.
     """
-    classes = orbit_classes(nu.atoms, level)
-    labels = sorted(classes)
-    c = len(labels)
-    diffs = []
-    for key in labels:
-        members = classes[key]
-        val = average_exact(level, rho, phi, members[0])
-        masses = [nu.atom(x) for x in members]
-        phis = [_exact(phi(x)) for x in members]
-        lhs = Fraction(*_exact_dot(zip(phis, masses)))
-        mass = Fraction(*_sum_over_lcm(
-            [w.numerator for w in masses], [w.denominator for w in masses]
-        ))
-        diffs.append(lhs - val * mass)
-    for i, diff in enumerate(diffs):
+    classes = _shared(model, rho, nu).classes(level)
+    for i, cls in enumerate(classes):
+        lhs = Fraction(*_exact_dot(zip([_exact(phi(x)) for x in cls.members], cls.masses)))
+        diff = lhs - cls.weights.average(phi) * cls.mass
         if diff != 0:
             return ConditionalExpectationReport(
-                ok=False, classes=c, sets_checked=2**i + 1, witness=([labels[i]], diff)
+                ok=False, classes=len(classes), sets_checked=2**i + 1,
+                witness=([cls.label], diff),
             )
-    return ConditionalExpectationReport(ok=True, classes=c, sets_checked=2**c, witness=None)
+    return ConditionalExpectationReport(
+        ok=True, classes=len(classes), sets_checked=2 ** len(classes), witness=None
+    )
 
 
 @dataclass(frozen=True)
@@ -1009,28 +1125,28 @@ class FubiniReport:
         return _values_agree(self.lhs if self.exact else float(self.lhs), self.rhs)
 
 
-def fubini_check(level: int, rho: Cocycle, phi, nu: AtomicMeasure) -> FubiniReport:
+def fubini_check(
+    level: int, rho: Cocycle, phi, nu: AtomicMeasure, model: ExactModel | None = None
+) -> FubiniReport:
     """Exact product-measure identity on a finite model:
 
         (1/level!) sum_x sum_k phi(act(k,x)) rho(k,x) nu(x) == sum_x phi(x) nu(x)
 
-    whenever nu has Radon-Nikodym cocycle rho on the window. Values enter
-    exactly (a float as its Fraction), and each side is one integer sum over
-    the lcm of its terms' denominators. The report remembers whether a float
-    entered, so that ``ok`` compares the sides within its rounding.
+    whenever nu has Radon-Nikodym cocycle rho on the window. The left side
+    is sum_y phi(y) W(y) / level!, W = ``model.pushed(level)``, so phi is
+    read once per configuration. Values enter exactly (a float as its
+    Fraction), and each side is one integer sum over the lcm of its terms'
+    denominators. The report remembers whether a float entered, so that
+    ``ok`` compares the sides within its rounding.
     """
-    group = list(enumerate_level(level))
-    atoms = sorted(nu.atoms.items())
-    values = [(phi(act(k, x)), rho(k, x), m) for x, m in atoms for k in group]
-    own = [(phi(x), m) for x, m in atoms]
-    exact = all(isinstance(v, _EXACT) for row in values + own for v in row)
-    terms = [(_exact(p), _exact(r), m) for p, r, m in values]
-    num, lcm = _sum_over_lcm(
-        [p.numerator * r.numerator * m.numerator for p, r, m in terms],
-        [p.denominator * r.denominator * m.denominator for p, r, m in terms],
-    )
+    model = _shared(model, rho, nu)
+    pushed, exact = model.pushed(level)
+    moved = [phi(y) for y in pushed]
+    own = [(phi(x), m) for x, m in model.atoms]
+    exact = exact and all(isinstance(p, _EXACT) for p in moved + [p for p, _ in own])
+    num, lcm = _exact_dot(zip(map(_exact, moved), pushed.values()))
     rhs = Fraction(*_exact_dot((_exact(p), m) for p, m in own))
-    return FubiniReport(lhs=Fraction(num, lcm * len(group)), rhs=rhs, exact=exact)
+    return FubiniReport(lhs=Fraction(num, lcm * math.factorial(level)), rhs=rhs, exact=exact)
 
 
 def invariance_check(level: int, rho: Cocycle, phi, x: Config):

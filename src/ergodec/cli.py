@@ -172,6 +172,9 @@ def run_definetti(cfg: dict, seed: int) -> RunnerOutput:
         # one without the other, or unequal lengths, has nothing to compare
         raise ValueError("expected_weights and expected_centers go together, at equal lengths")
     continuous = cfg["beta"] is not None
+    if continuous and want_w is not None:
+        # continuous mixing has no components to recover
+        raise ValueError("expected_weights and expected_centers need finite mixing (beta null)")
     if continuous:
         a, b = cfg["beta"]
         nu = BetaExchangeable(a, b, window)
@@ -338,12 +341,16 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     ]
 
     labels = sorted(weights)
+    # Each pair takes two subsets of the labels and each roundtrip one, with
+    # a weight a/b per label: a subset is the first `size` labels of a random
+    # order. Every size, order and weight comes from one array draw.
+    pairs, roundtrips = cfg["pairs"], cfg["roundtrips"]
+    sizes = stream.integers(1, len(labels) + 1, size=2 * pairs + roundtrips).tolist()
+    orders = stream.permuted(np.tile(labels, (2 * pairs + roundtrips, 1)), axis=1).tolist()
+    picks = [sorted(order[:size]) for order, size in zip(orders, sizes)]
+    ratios = stream.integers(1, 9, size=(roundtrips, len(labels), 2)).tolist()
     transfer_ok = True
-    for _ in range(cfg["pairs"]):
-        size1 = int(stream.integers(1, len(labels) + 1))
-        size2 = int(stream.integers(1, len(labels) + 1))
-        pick1 = sorted(stream.choice(labels, size=size1, replace=False).tolist())
-        pick2 = sorted(stream.choice(labels, size=size2, replace=False).tolist())
+    for pick1, pick2 in zip(picks[:pairs], picks[pairs:2 * pairs]):
         m1 = OrbitSigmaFinite({k: weights[k] for k in pick1})
         m2 = OrbitSigmaFinite({k: weights[k] for k in pick2})
         if ac_check(m1, m2) != pcl(m1, f).relation(pcl(m2, f)):
@@ -352,20 +359,13 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
         Verdict(
             name="class-descriptor-transfer",
             passed=transfer_ok,
-            detail={"pairs": cfg["pairs"], "method": "exact"},
+            detail={"pairs": pairs, "method": "exact"},
         )
     )
 
     roundtrip_ok = True
-    for _ in range(cfg["roundtrips"]):
-        size = int(stream.integers(1, len(labels) + 1))
-        pick = sorted(stream.choice(labels, size=size, replace=False).tolist())
-        model = OrbitSigmaFinite(
-            {
-                k: Fraction(int(stream.integers(1, 9)), int(stream.integers(1, 9)))
-                for k in pick
-            }
-        )
+    for pick, row in zip(picks[2 * pairs:], ratios):
+        model = OrbitSigmaFinite({k: Fraction(a, b) for k, (a, b) in zip(pick, row)})
         back = inv_p_f(p_f(model, f), f)
         if not back.same_class(ProjectiveClass(representative=model)):
             roundtrip_ok = False

@@ -11,6 +11,7 @@ Constructors avoid closures, so cocycles pickle cleanly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import Config, Permutation, act
+from .groups import ENUMERATION_CAP, Config, Permutation, act
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
@@ -182,6 +183,10 @@ def _values_agree(lhs, rhs) -> bool:
 # _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is.
 _TRIAL_CHUNK = 1024
 
+# Permutations an interning table may hold before ``verify_identity`` empties
+# it: all of S(8), the enumeration cap
+_INTERN_CAP = math.factorial(ENUMERATION_CAP)
+
 
 def _violates(lhs: int | Fraction, a: int | Fraction, b: int | Fraction) -> bool:
     """lhs != a * b, exactly, without normalising a * b: denominators are
@@ -194,8 +199,8 @@ def _violates(lhs: int | Fraction, a: int | Fraction, b: int | Fraction) -> bool
 def _interned(rows: np.ndarray, seen: dict[tuple, Permutation]) -> list[Permutation]:
     """The permutations with one-line images ``rows``, one validated
     ``Permutation`` per distinct row: ``seen`` maps each row's tuple to the
-    one already built. S(level) has level! elements, so a batch of rows
-    repeats them once trials outnumber level!."""
+    one already built. S(level) has level! elements, so rows repeat them
+    once trials outnumber level!."""
     out = []
     for key in map(tuple, rows.tolist()):
         g = seen.get(key)
@@ -211,15 +216,21 @@ def verify_identity(
     level: int,
     window: int,
     rng: RandomStream,
+    interned: dict[tuple, Permutation] | None = None,
 ) -> IdentityReport:
     """Check rho(g*h, x) == rho(g, act(h, x)) * rho(h, x) on random triples.
 
     The triples have the law of independent draws: g and h Haar on
     S(level), x uniform on the window. They are drawn in batches of at most
     ``_TRIAL_CHUNK`` trials (``_identity_triples``), and g*h and act(h, x)
-    are formed on each batch's arrays, so memory does not grow with
-    ``trials``. Each batch builds one ``Permutation`` per distinct row among
-    its g, h and g*h (``_interned``), and each trial evaluates rho three
+    are formed on each batch's arrays. The permutations come from one
+    interning table (``_interned``), ``interned`` when the caller passes one
+    (``validate`` shares one between its two cocycle verdicts) and a new
+    one per call otherwise: each distinct row among the g, h and g*h of the
+    call, or of every call sharing the table, is built once, so S(level)
+    costs at most level! constructions. The table is emptied before a batch
+    once it holds more than ``_INTERN_CAP`` (8!) elements, so memory does
+    not grow with ``trials`` above S(8). Each trial evaluates rho three
     times, through ``rho.eval_fn`` itself. When all three values are ints
     or Fractions they are compared exactly, by cross-multiplying numerators
     and denominators; otherwise by relative error, which must stay within
@@ -238,14 +249,16 @@ def verify_identity(
     witness = None
     exact = True
     max_rel = 0.0
+    seen = {} if interned is None else interned
     for start in range(0, trials, _TRIAL_CHUNK):
+        if len(seen) > _INTERN_CAP:
+            seen.clear()
         n = min(_TRIAL_CHUNK, trials - start)
         g_rows, h_rows, x_rows = _identity_triples(n, level, window, rng)
         gh_rows = np.take_along_axis(g_rows, h_rows - 1, axis=1)
         # act(h, x): the bit at coordinate j moves to coordinate h(j)
         hx_rows = x_rows.copy()
         hx_rows[np.arange(n)[:, None], h_rows - 1] = x_rows[:, :level]
-        seen: dict[tuple, Permutation] = {}
         batch = zip(
             _interned(g_rows, seen),
             _interned(h_rows, seen),

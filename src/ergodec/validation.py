@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 
 from .averaging import (
+    EXACT_LEVEL_CAP,
+    ExactModel,
     conditional_expectation_check,
     fubini_check,
     invariance_check,
@@ -20,6 +22,8 @@ from .averaging import (
 from .cocycles import Cocycle, constant_one, make_rho_f, make_rn, verify_identity
 from .decomposition import conditional_measures_exact
 from .dictionary import CylinderMonomial, TestDictionary
+from .errors import CapacityError
+from .groups import ENUMERATION_CAP
 from .measures import AtomicMeasure, ProductBernoulli, ac_check
 from .reporting import Verdict
 from .rng import substream
@@ -35,6 +39,15 @@ DEFAULTS = {
     "tower_cap": 3,
     "fubini_window": 3,
     "invariance_level": 3,
+}
+
+# The largest value of each level key: exact averages and the enumeration of
+# S(n) stop at S(8)
+LEVEL_CAPS = {
+    "sweep_level": EXACT_LEVEL_CAP,
+    "tower_cap": EXACT_LEVEL_CAP,
+    "fubini_window": ENUMERATION_CAP,
+    "invariance_level": EXACT_LEVEL_CAP,
 }
 
 
@@ -86,13 +99,19 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     if cfg["tower_cap"] < 1:
         # no level pair to check: the tower rule would pass vacuously
         raise ValueError("tower_cap must be >= 1")
+    for key, cap in LEVEL_CAPS.items():
+        if cfg[key] > cap:
+            # checked before any verdict runs: the earlier ones may take long
+            raise CapacityError(f"{key} is capped at {cap}; got {cfg[key]}")
     verdicts: list[Verdict] = []
 
     # 1. cocycle identity for a Radon-Nikodym cocycle, exact
     window, level, trials = cfg["window"], cfg["level"], cfg["trials"]
     nu = ProductBernoulli(_rational_params(window))
     rho = make_rn(nu)
-    rep = verify_identity(rho, trials, level, window, substream(seed, 1))
+    # both verdicts draw S(level) elements: one table builds each once
+    interned: dict = {}
+    rep = verify_identity(rho, trials, level, window, substream(seed, 1), interned=interned)
     verdicts.append(
         Verdict(
             name="cocycle-identity-radon-nikodym",
@@ -103,7 +122,7 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
 
     # 2. cocycle identity for a weight-ratio cocycle, exact
     rho_f = make_rho_f(make_fibrewise_f())
-    rep_f = verify_identity(rho_f, trials, level, window, substream(seed, 2))
+    rep_f = verify_identity(rho_f, trials, level, window, substream(seed, 2), interned=interned)
     verdicts.append(
         Verdict(
             name="cocycle-identity-weight-ratio",
@@ -118,11 +137,12 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     nu_small = _product_atoms(params)
     rho_small = make_rn(ProductBernoulli(params))
     dictionary = TestDictionary.build(2, sw)
+    model = ExactModel(rho_small, nu_small)
     sweep_ok = True
     sets_checked = 0
     classes = 0
     for mono in dictionary.entries:
-        rep_c = conditional_expectation_check(sl, rho_small, mono, nu_small)
+        rep_c = conditional_expectation_check(sl, rho_small, mono, nu_small, model=model)
         classes = rep_c.classes
         sets_checked += rep_c.sets_checked
         if not rep_c.ok:
@@ -148,11 +168,12 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     nu_t = _product_atoms(params_t)
     rho_t = make_rn(ProductBernoulli(params_t))
     phi = CylinderMonomial((1,))
+    model_t = ExactModel(rho_t, nu_t)
     tower_ok = True
     pairs = 0
     for n in range(1, tc + 1):
         for m in range(n, tc + 1):
-            rep_t = tower_check(m, n, rho_t, phi, nu_t, level_cap=tc)
+            rep_t = tower_check(m, n, rho_t, phi, nu_t, level_cap=tc, model=model_t)
             pairs += 1
             if not rep_t.ok:
                 tower_ok = False
@@ -169,10 +190,11 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     params_f = _rational_params(fw)
     nu_f = _product_atoms(params_f)
     rho_fu = make_rn(ProductBernoulli(params_f))
+    model_f = ExactModel(rho_fu, nu_f)
     fubini_ok = True
     for n in range(1, fw + 1):
         for mono in TestDictionary.build(2, fw).entries:
-            if not fubini_check(n, rho_fu, mono, nu_f).ok:
+            if not fubini_check(n, rho_fu, mono, nu_f, model=model_f).ok:
                 fubini_ok = False
     verdicts.append(
         Verdict(

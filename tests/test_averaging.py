@@ -12,6 +12,7 @@ import ergodec.averaging as averaging
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
     CountMoments,
+    ExactModel,
     _count_moments,
     _slack_coefficients,
     _esp_log_tables,
@@ -1463,3 +1464,91 @@ def test_tower_witness_on_the_fake_cocycle_is_the_per_atom_one(monkeypatch):
     rep = tower_check(3, 2, fake, phi, nu)
     assert not rep.ok
     assert (rep.ok, rep.pairs_checked, rep.witness) == _per_atom_tower(3, 2, fake, phi, nu)
+
+
+# The checks share one ExactModel across dictionary entries and level pairs,
+# as validate runs them; each result must be the per-entry reference's.
+
+@settings(max_examples=25, deadline=None)
+@given(
+    window=st.integers(3, 4),
+    level=st.integers(1, 3),
+    rho_params=st.lists(_rational_param, min_size=4, max_size=4),
+    nu_params=st.lists(_rational_param, min_size=4, max_size=4),
+    in_class=st.booleans(),
+)
+def test_shared_model_checks_equal_per_entry_references(
+    window, level, rho_params, nu_params, in_class
+):
+    rho_params = rho_params[:window]
+    nu = _product_atoms(rho_params if in_class else nu_params[:window])
+    rho = make_rn(ProductBernoulli(rho_params))
+    model = ExactModel(rho, nu)
+    entries = TestDictionary.build(2, window).entries
+    # levels and entries in turn on one model: every part is reused
+    for n in range(1, level + 1):
+        labels = sorted(orbit_classes(nu.atoms, n))
+        for phi in entries:
+            rep = conditional_expectation_check(n, rho, phi, nu, model=model)
+            diffs = _plain_class_diffs(n, rho, phi, nu)
+            bad = next((i for i, d in enumerate(diffs) if d != 0), None)
+            want = (True, 2 ** len(labels), None) if bad is None else (
+                False, 2**bad + 1, ([labels[bad]], diffs[bad]))
+            assert (rep.ok, rep.sets_checked, rep.witness) == want
+            assert rep.classes == len(labels) and (rep.ok or not in_class)
+            assert rep == conditional_expectation_check(n, rho, phi, nu)
+            fub = fubini_check(n, rho, phi, nu, model=model)
+            assert fub.exact and (fub.lhs, fub.rhs) == _plain_fubini(n, rho, phi, nu)
+            assert fub.ok == (fub.lhs == fub.rhs)
+    for phi in entries[1:4]:
+        for n in range(1, level + 1):
+            for m in range(n, level + 1):
+                rep = tower_check(m, n, rho, phi, nu, level_cap=level, model=model)
+                want = _per_atom_tower(m, n, rho, phi, nu)
+                assert (rep.ok, rep.pairs_checked, rep.witness) == want
+        # the tower rule holds for every cocycle, so its reports cannot show
+        # an average of another phi or level: read the shared ones directly
+        for (n, (head, tail)), value in model.averages(phi).items():
+            assert value == average_exact(n, rho, phi, head + tail)
+
+
+def test_a_shared_model_belongs_to_one_cocycle_and_measure():
+    nu = _product_atoms(_rational_params(3))
+    rho = make_rn(ProductBernoulli(_rational_params(3)))
+    model = ExactModel(rho, nu)
+    phi = CylinderMonomial((1,))
+    with pytest.raises(ValueError, match="another cocycle or measure"):
+        fubini_check(1, constant_one(), phi, nu, model=model)
+    with pytest.raises(ValueError, match="another cocycle or measure"):
+        tower_check(2, 1, rho, phi, _product_atoms(_rational_params(3)), model=model)
+
+
+def _per_entry(check):
+    """The check as a call of its own: no model or interning table shared."""
+    def call(*args, model=None, interned=None, **kwargs):
+        return check(*args, **kwargs)
+    return call
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    window=st.integers(3, 4),
+    level=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_validate_verdicts_equal_the_per_entry_suite(window, level, seed):
+    import ergodec.validation as validation
+
+    cfg = {"window": 8, "level": 4, "trials": 300, "sweep_window": window,
+           "sweep_level": level, "tower_window": window, "tower_cap": level,
+           "fubini_window": window, "invariance_level": level}
+    shared = validation.run_validation_suite(cfg, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("verify_identity", "conditional_expectation_check", "tower_check",
+                     "fubini_check"):
+            mp.setattr(validation, name, _per_entry(getattr(validation, name)))
+        alone = validation.run_validation_suite(cfg, seed)
+    assert [(v.name, v.passed, v.detail) for v in shared] == [
+        (v.name, v.passed, v.detail) for v in alone
+    ]
+    assert all(v.passed for v in shared)

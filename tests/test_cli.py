@@ -274,6 +274,29 @@ def test_validate_vacuous_identity_checks_exit_2(tmp_path, capsys, user):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("user", [
+    {"fubini_window": 9}, {"sweep_level": 9}, {"tower_cap": 9}, {"invariance_level": 9},
+])
+def test_validate_levels_past_the_caps_exit_2_before_any_check(
+    tmp_path, capsys, monkeypatch, user
+):
+    # fubini_window 9 would first run every check at levels 1-8 (S(8) on 512
+    # atoms) and only then reach the cap, so the caps are read up front
+    import ergodec.validation
+
+    calls = []
+    for name in ("verify_identity", "conditional_expectation_check", "tower_check",
+                 "fubini_check", "invariance_check"):
+        monkeypatch.setattr(ergodec.validation, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "is capped at 8" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_parser_is_built_once_and_keeps_no_state():
     assert cli._parser() is cli._parser()
     first = cli._parser().parse_args(["orbital", "--seed", "5", "--workers", "2"])
@@ -714,6 +737,9 @@ def test_definetti_nonpositive_tolerance_exits_2(tmp_path, capsys, tolerance):
     ("definetti", {"expected_weights": [0.3, 0.7], "expected_centers": [0.2]}, "go together"),
     # int() would run Beta(1.5, 2) as Beta(1, 2)
     ("definetti", {"beta": [1.5, 2.0]}, "integer shape parameters"),
+    # continuous mixing has no components, so nothing would check them
+    ("definetti", {"beta": [2, 3], "expected_weights": [1.0], "expected_centers": [0.9]},
+     "need finite mixing"),
     # the configuration would clamp to all ones, or to none
     ("orbital", {"window": 4096, "ones": 5000}, "ones must lie in 0..window"),
     ("orbital", {"ones": -1}, "ones must lie in 0..window"),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ergodec.cocycles as cocycles
 from ergodec.averaging import EXACT_LEVEL_CAP, default_schedule, level_table
 from ergodec.cocycles import (
     _TRIAL_CHUNK,
@@ -191,12 +192,32 @@ def test_verify_identity_builds_each_element_of_the_level_once_per_batch(
     rho = Cocycle(eval_fn=counted_rho, potential=base.potential)
     rep = verify_identity(rho, trials, 3, 6, substream(37, 2))
     assert rep.ok and rep.exact
-    # a batch builds each element of S(3) it meets once; all six are met
-    assert len(built) <= batches * math.factorial(3)
-    assert len(set(built)) == math.factorial(3)
+    # a call builds each element of S(3) it meets once, over all its
+    # batches; all six are met
+    assert -(-trials // _TRIAL_CHUNK) == batches
+    assert len(built) == len(set(built)) == math.factorial(3)
     # rho is still evaluated three times per trial, on the interned objects
     assert len(calls) == 3 * trials
     assert {id(g) for g in calls} <= {id(g) for g in built}
+    # as validate runs its two cocycle verdicts: one table per suite run
+    # builds at most level! elements in all
+    built.clear()
+    calls.clear()
+    table: dict = {}
+    reps = [verify_identity(rho, trials, 3, 6, substream(37, key), table) for key in (1, 2)]
+    assert all(r.ok and r.exact for r in reps) and reps[1] == rep
+    assert len(built) <= math.factorial(3) and len(table) == len(built)
+    assert len(calls) == 2 * 3 * trials
+    assert {id(g) for g in calls} <= {id(g) for g in built}
+
+
+def test_verify_identity_empties_a_full_interning_table_before_a_batch(monkeypatch):
+    # above S(8) a shared table would grow with the trials: past the cap it
+    # starts again, so here it holds only the last batch's 7 trials
+    monkeypatch.setattr(cocycles, "_INTERN_CAP", 100)
+    table: dict = {}
+    rep = verify_identity(constant_one(), _TRIAL_CHUNK + 7, 7, 7, substream(37, 0), table)
+    assert rep.ok and 0 < len(table) <= 3 * 7
 
 
 def _int_or_fraction(value, g, x):
