@@ -945,11 +945,6 @@ class ExactModel:
         self._pushed: dict[int, tuple[dict[Config, Fraction], bool]] = {}
         self._averages: dict = {}
 
-    @cached_property
-    def vanishing(self) -> frozenset[Config]:
-        """The atoms where rho's potential is 0."""
-        return frozenset(x for x, _ in self.atoms if self.rho.potential(x) == 0)
-
     def classes(self, level: int) -> list[_OrbitClass]:
         """nu's atoms in S(level)-orbit classes, in label order."""
         if level not in self._classes:
@@ -1046,7 +1041,7 @@ def tower_check(
     lhs_of: dict[tuple, object] = {}
     checked = 0
     for x, _ in model.atoms:
-        if x in model.vanishing:
+        if rho.potential(x) == 0:
             lhs, rhs = average_exact(m, rho, inner, x), average_exact(m, rho, phi, x)
         else:
             rhs = average(m, x)
