@@ -737,12 +737,12 @@ def test_definetti_nonpositive_tolerance_exits_2(tmp_path, capsys, tolerance):
     ("definetti", {"expected_weights": [0.3, 0.7], "expected_centers": [0.2]}, "go together"),
     # int() would run Beta(1.5, 2) as Beta(1, 2)
     ("definetti", {"beta": [1.5, 2.0]}, "integer shape parameters"),
-    # continuous mixing has no components, so nothing would check them
-    ("definetti", {"beta": [2, 3], "expected_weights": [1.0], "expected_centers": [0.9]},
-     "need finite mixing"),
     # the configuration would clamp to all ones, or to none
     ("orbital", {"window": 4096, "ones": 5000}, "ones must lie in 0..window"),
     ("orbital", {"ones": -1}, "ones must lie in 0..window"),
+    # continuous mixing has no components, so nothing would check them
+    ("definetti", {"beta": [2, 3], "expected_weights": [1.0], "expected_centers": [0.9]},
+     "need finite mixing"),
 ])
 def test_config_values_that_would_crash_or_change_exit_2(tmp_path, capsys, name, user, message):
     cfg = tmp_path / "cfg.json"
