@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import ENUMERATION_CAP, Config, Permutation, act
+from .groups import ENUMERATION_CAP, Config, Permutation, act, row_ratio
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
@@ -32,11 +32,18 @@ class Cocycle:
     level S(n) a positive cocycle is trivial on stabilizers and a ratio of a
     potential on each orbit, so requiring u loses no cocycle, and the exact
     and Monte Carlo level engines read u rather than ``eval_fn``.
-    ``eval_fn`` may evaluate the ratio in closed form: ``make_rho_f`` takes
-    a weight's bound ``ratio`` method (``GeometricWeight``: one integer power
-    over the moved coordinates), ``make_rn`` a measure's bound
-    ``rn_derivative``. ``verify_identity`` calls ``eval_fn`` directly, one
-    frame fewer than ``__call__``.
+    ``eval_fn`` may evaluate the ratio in closed form: ``make_rn`` takes a
+    measure's bound ``rn_derivative``, and ``make_rho_f`` the weight's row
+    kernel at one pair.
+    ``ratio_rows`` optionally maps a matrix of one-line images of S(level),
+    one per row, and a matrix of 0/1 configurations of at least level
+    coordinates to the exact values of rho on each row pair, as
+    (numerators, denominators): object arrays of Python ints, so no value
+    wraps. ``eval_fn`` then evaluates the same kernel at one pair
+    (``groups.row_ratio``), so each closed form exists once. Only
+    ``make_rn`` of a product Bernoulli measure with rational parameters and
+    ``make_rho_f`` of a ``GeometricWeight`` set it; ``verify_identity``
+    judges whole batches through it.
     ``log_potential_rows`` optionally maps a matrix of 0/1 configurations,
     one per row, uint8 or float64, to log-u values for vectorized Monte
     Carlo. ``log_linear`` optionally gives u as a mixture of log-linear terms
@@ -49,6 +56,7 @@ class Cocycle:
 
     eval_fn: Callable[[Permutation, Config], object]
     potential: Callable[[Config], object]
+    ratio_rows: Optional[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
     log_potential_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     log_linear: Optional[LogLinearParts] = None
     is_constant_one: bool = False
@@ -89,18 +97,20 @@ def make_rho_f(f) -> Cocycle:
     """Weight-ratio cocycle rho(g, x) = f(act(g, x)) / f(x) for positive f.
 
     ``constant_one()`` when f declares itself ``exchangeable``
-    (``ConstantWeight``). A closed-form ``f.ratio(g, x)``, when f has one
-    (``GeometricWeight``: one integer power over the moved coordinates),
-    evaluates rho in place of two f values. A vectorized ``f.log_rows``
-    (log f of 0/1 rows), when f has one, serves Monte Carlo levels in log
-    space.
+    (``ConstantWeight``). An exact row kernel ``f.ratio_rows``, when f has
+    one (``GeometricWeight``: one integer power over the moved
+    coordinates), becomes ``ratio_rows``, and ``eval_fn`` is that kernel
+    at one pair (``groups.row_ratio``) in place of two f values. A
+    vectorized ``f.log_rows`` (log f of 0/1 rows), when f has one, serves
+    Monte Carlo levels in log space.
     """
     if getattr(f, "exchangeable", False):
         return constant_one()
-    ratio = getattr(f, "ratio", None)
+    kernel = getattr(f, "ratio_rows", None)
     return Cocycle(
-        eval_fn=ratio if ratio is not None else partial(_weight_eval, f),
+        eval_fn=partial(_weight_eval, f) if kernel is None else partial(row_ratio, kernel),
         potential=f,
+        ratio_rows=kernel,
         log_potential_rows=getattr(f, "log_rows", None),
     )
 
@@ -127,7 +137,9 @@ def make_rn(nu) -> Cocycle:
     ``eval_fn`` is nu's own bound ``rn_derivative`` when it has one (the
     value ``measures.rn_derivative(nu, g, x)`` returns, without that call's
     lookup), and ``partial(rn_derivative, nu)`` otherwise; both pickle, and
-    ``decomposition._is_own_rn`` recognises both.
+    ``decomposition._is_own_rn`` recognises both. A product Bernoulli
+    measure with rational parameters also hands over its exact row kernel
+    as ``ratio_rows``; its ``rn_derivative`` is that kernel at one pair.
     """
     if getattr(nu, "exchangeable", False):
         return constant_one()
@@ -135,6 +147,7 @@ def make_rn(nu) -> Cocycle:
     return Cocycle(
         eval_fn=own if own is not None else partial(rn_derivative, nu),
         potential=nu.atom,
+        ratio_rows=getattr(nu, "ratio_rows", None),
         log_potential_rows=_log_atom_rows(nu),
         log_linear=getattr(nu, "log_linear", None),
     )
@@ -179,8 +192,12 @@ def _values_agree(lhs, rhs) -> bool:
         return lhs == rhs
     return abs(float(lhs) - float(rhs)) <= 1e-9 * max(1.0, abs(float(rhs)))
 
-# Trials drawn per batch: the arrays of one batch take about
-# _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is.
+# Trials drawn per batch: the index and bit arrays of one batch take about
+# _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is. A
+# row kernel adds, per evaluation, an (n, level) object gather of 8-byte
+# references and two object arrays of n Python ints, each an 8-byte
+# reference to 28 bytes plus 4 per 30 bits of value; each product of the
+# comparison holds the bits of its three factors.
 _TRIAL_CHUNK = 1024
 
 # Permutations an interning table may hold before ``verify_identity`` empties
@@ -210,33 +227,55 @@ def _interned(rows: np.ndarray, seen: dict[tuple, Permutation]) -> list[Permutat
     return out
 
 
+def _kernel_batch(
+    kernel, g_rows, h_rows, gh_rows, x_rows, hx_rows, want_witness: bool
+) -> tuple[int, tuple | None]:
+    """One batch judged at once through an exact row kernel, by the rule of
+    ``_violates`` on whole arrays: with n1/d1 = rho(g*h, x), n2/d2 = rho(g,
+    h x) and n3/d3 = rho(h, x), a trial is a violation when n1 d2 d3 != d1
+    n2 n3. The count of violations and, when ``want_witness``, the first
+    one's witness (g, h, x, lhs, rhs): the only trial that builds its
+    Permutations and Fractions."""
+    n1, d1 = kernel(gh_rows, x_rows)
+    n2, d2 = kernel(g_rows, hx_rows)
+    n3, d3 = kernel(h_rows, x_rows)
+    bad = np.flatnonzero(n1 * d2 * d3 != d1 * n2 * n3)
+    if not (want_witness and len(bad)):
+        return len(bad), None
+    i = bad[0]
+    g, h = (Permutation.from_one_line(rows[i].tolist()) for rows in (g_rows, h_rows))
+    rhs = Fraction(n2[i], d2[i]) * Fraction(n3[i], d3[i])
+    return len(bad), (g, h, tuple(x_rows[i].tolist()), Fraction(n1[i], d1[i]), rhs)
+
+
 def verify_identity(
     rho: Cocycle,
     trials: int,
     level: int,
     window: int,
     rng: RandomStream,
-    interned: dict[tuple, Permutation] | None = None,
 ) -> IdentityReport:
     """Check rho(g*h, x) == rho(g, act(h, x)) * rho(h, x) on random triples.
 
     The triples have the law of independent draws: g and h Haar on
     S(level), x uniform on the window. They are drawn in batches of at most
     ``_TRIAL_CHUNK`` trials (``_identity_triples``), and g*h and act(h, x)
-    are formed on each batch's arrays. The permutations come from one
-    interning table (``_interned``), ``interned`` when the caller passes one
-    (``validate`` shares one between its two cocycle verdicts) and a new
-    one per call otherwise: each distinct row among the g, h and g*h of the
-    call, or of every call sharing the table, is built once, so S(level)
-    costs at most level! constructions. The table is emptied before a batch
-    once it holds more than ``_INTERN_CAP`` (8!) elements, so memory does
-    not grow with ``trials`` above S(8). Each trial evaluates rho three
-    times, through ``rho.eval_fn`` itself. When all three values are ints
-    or Fractions they are compared exactly, by cross-multiplying numerators
-    and denominators; otherwise by relative error, which must stay within
-    1e-12. The first violating triple
-    is reported as a witness (g, h, x, lhs, rhs). ValueError when
-    ``trials`` < 1: no triple, no verdict.
+    are formed on each batch's arrays. A cocycle with an exact row kernel
+    (``rho.ratio_rows``) is judged a whole batch at once, exactly, by
+    cross-multiplying the kernel's numerators and denominators
+    (``_kernel_batch``). Any other cocycle, whose values may be floats,
+    takes the scalar loop: the permutations come from one interning table
+    per call (``_interned``), so each distinct row among the g, h and g*h
+    is built once, at most level! constructions, and the table is emptied
+    before a batch once it holds more than ``_INTERN_CAP`` (8!) elements,
+    so memory does not grow with ``trials`` above S(8). Each trial there
+    evaluates rho three times, through ``rho.eval_fn`` itself. When all
+    three values are ints or Fractions they are compared exactly, by
+    cross-multiplying numerators and denominators; otherwise by relative
+    error, which must stay within 1e-12. The first violating triple is
+    reported as a witness (g, h, x, lhs, rhs); both paths give the same
+    report on the same triples. ValueError when ``trials`` < 1: no triple,
+    no verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -244,21 +283,29 @@ def verify_identity(
         raise ValueError("level must be >= 1")
     if window < level:
         raise ValueError("window must cover the sampled level")
+    kernel = rho.ratio_rows
     evaluate = rho.eval_fn
     violations = 0
     witness = None
     exact = True
     max_rel = 0.0
-    seen = {} if interned is None else interned
+    seen: dict[tuple, Permutation] = {}
     for start in range(0, trials, _TRIAL_CHUNK):
-        if len(seen) > _INTERN_CAP:
-            seen.clear()
         n = min(_TRIAL_CHUNK, trials - start)
         g_rows, h_rows, x_rows = _identity_triples(n, level, window, rng)
         gh_rows = np.take_along_axis(g_rows, h_rows - 1, axis=1)
         # act(h, x): the bit at coordinate j moves to coordinate h(j)
         hx_rows = x_rows.copy()
         hx_rows[np.arange(n)[:, None], h_rows - 1] = x_rows[:, :level]
+        if kernel is not None:
+            bad, first = _kernel_batch(
+                kernel, g_rows, h_rows, gh_rows, x_rows, hx_rows, witness is None
+            )
+            violations += bad
+            witness = witness or first
+            continue
+        if len(seen) > _INTERN_CAP:
+            seen.clear()
         batch = zip(
             _interned(g_rows, seen),
             _interned(h_rows, seen),

@@ -9,8 +9,11 @@ level without conversion.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, DegreeOverflowError
 from .rng import RandomStream
@@ -151,6 +154,22 @@ def act(g: Permutation, x: Config) -> Config:
     for j, gj in g._map.items():
         y[gj - 1] = x[j - 1]
     return tuple(y)
+
+
+def row_ratio(
+    kernel: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    g: Permutation,
+    x: Config,
+) -> Fraction:
+    """A cocycle's exact row kernel (``Cocycle.ratio_rows``) at one pair
+    (g, x), as one Fraction: the kernel reads g's one-line images over
+    1..degree as one row and x as another. DegreeOverflowError, as from
+    ``act``, when g moves a coordinate past the window."""
+    check_degree(g, len(x))
+    m = g._map
+    images = np.array([[m.get(j, j) for j in range(1, g._degree + 1)]], dtype=np.intp)
+    num, den = kernel(images, np.array([x], dtype=np.uint8))
+    return Fraction(num[0], den[0])
 
 
 def level_orbit(x: Config, level: int) -> Iterator[Config]:

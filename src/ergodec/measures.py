@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ZeroMassError
-from .groups import Config, Permutation, act, check_degree, validate_config
+from .groups import Config, Permutation, act, row_ratio, validate_config
 from .rng import RandomStream
 
 Scalar = Union[Fraction, float, int]
@@ -304,25 +304,44 @@ class ProductBernoulli:
             out = out * (p if b == 1 else (1 - p))
         return out
 
-    def rn_derivative(self, g: Permutation, x: Config) -> Scalar:
-        """Closed-form mass ratio over moved coordinates only.
+    @property
+    def ratio_rows(self):
+        """The exact row kernel of ``rn_derivative`` (``Cocycle.ratio_rows``)
+        when every parameter is rational, else None."""
+        return self._ratio_rows if self._rational else None
 
-        With rational parameters p = a/b each factor is (a or b - a) /
-        (a or b - a), the b's cancelling, so the ratio is one integer product
-        over another and a single Fraction. The bit x_j lands at g(j), so a
-        moved j contributes parameter g(j) at x_j to the numerator and
-        parameter j at x_j to the denominator, and g x is never built.
-        Otherwise the factors are multiplied in turn.
+    @cached_property
+    def _factor_table(self) -> np.ndarray:
+        # ``_factors`` as an object array indexed [coordinate - 1, bit]: its
+        # products are Python ints, which never wrap
+        return np.array(self._factors, dtype=object)
+
+    def _ratio_rows(self, g_rows: np.ndarray, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """nu(act(g, x)) / nu(x) for rational parameters, per row pair, as
+        Python-int numerators and denominators in object arrays. g_rows holds
+        one-line images of S(level), one row each, and x_rows 0/1 rows of at
+        least level coordinates. With p = a/b each factor is (a or b - a)
+        over b, and the b's cancel: the bit x_j lands at g(j), so the
+        numerator is the product over j <= level of ``_factors[g(j) - 1][x_j]``
+        and the denominator that of ``_factors[j - 1][x_j]``; a fixed j gives
+        both the same factor, and g x is never built."""
+        level = g_rows.shape[1]
+        bits = x_rows[:, :level]
+        table = self._factor_table
+        num = table[g_rows - 1, bits].prod(axis=1)
+        den = table[np.arange(level), bits].prod(axis=1)
+        return num, den
+
+    def rn_derivative(self, g: Permutation, x: Config) -> Scalar:
+        """Closed-form mass ratio over the coordinates g moves.
+
+        With rational parameters, the row kernel ``ratio_rows`` at the one
+        pair (g, x) (``groups.row_ratio``), a single Fraction;
+        DegreeOverflowError, as from ``act``, past the window. Otherwise the
+        float factors of the moved coordinates are multiplied in turn.
         """
         if self._rational:
-            check_degree(g, len(x))
-            factors = self._factors
-            num = den = 1
-            for j, gj in g.moves():
-                bit = x[j - 1]
-                num *= factors[gj - 1][bit]
-                den *= factors[j - 1][bit]
-            return Fraction(num, den)
+            return row_ratio(self._ratio_rows, g, x)
         y = act(g, x)
         moved = [(i, self.params[i - 1]) for i in g.support]
         out: Scalar = Fraction(1)

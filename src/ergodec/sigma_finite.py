@@ -13,7 +13,7 @@ closed-form rational computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -25,7 +25,7 @@ from .averaging import EXACT_LEVEL_CAP, checked_schedule, level_table
 from .cocycles import constant_one
 from .dictionary import CylinderMonomial, TestDictionary
 from .errors import CapacityError, DivergentIntegralError
-from .groups import Config, Permutation, check_degree, level_orbit
+from .groups import Config, level_orbit
 from .measures import AtomicMeasure, OrbitSigmaFinite, INFINITE, support_relation
 
 
@@ -35,11 +35,11 @@ class GeometricWeight:
     of the ones positions: strictly positive, summable over every orbit, and
     fibrewise continuous on finite levels. Its weight ratio has the closed
     form f(act(g, x)) / f(x) = base^d, d = sum over j moved by g of
-    (j - g(j)) x_j (``ratio``)."""
+    (j - g(j)) x_j, evaluated on whole batches of (g, x) rows by the exact
+    row kernel ``ratio_rows``; ``make_rho_f`` evaluates one pair through
+    the same kernel."""
 
     base: int
-    # base^d per exponent d met by ``ratio``; |d| <= level^2 at S(level)
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base < 2:
@@ -50,16 +50,21 @@ class GeometricWeight:
         ones = x if isinstance(x, (frozenset, set)) else (i + 1 for i, b in enumerate(x) if b)
         return Fraction(1, self.base ** sum(ones))
 
-    def ratio(self, g: Permutation, x: Config) -> Fraction:
-        """f(act(g, x)) / f(x) as one integer power over the coordinates g
-        moves; DegreeOverflowError, as from ``act``, past the window."""
-        check_degree(g, len(x))
-        d = sum(j - gj for j, gj in g.moves() if x[j - 1])
-        power = self._powers.get(d)
-        if power is None:
-            power = Fraction(self.base**d) if d >= 0 else Fraction(1, self.base**-d)
-            self._powers[d] = power
-        return power
+    def ratio_rows(self, g_rows: np.ndarray, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(act(g, x)) / f(x) per row pair, as Python-int numerators and
+        denominators in object arrays: base^d over 1, or 1 over base^-d,
+        d = sum over j <= level of (j - g(j)) x_j. g_rows holds one-line
+        images of S(level), one row each, and x_rows 0/1 rows of at least
+        level coordinates. |d| <= level^2, so d is exact in int64; each
+        distinct d takes one integer power."""
+        level = g_rows.shape[1]
+        shift = np.arange(1, level + 1) - g_rows
+        d = (shift * x_rows[:, :level]).sum(axis=1)
+        exponents, at = np.unique(d, return_inverse=True)
+        powers = np.array([self.base ** abs(e) for e in exponents.tolist()], dtype=object)
+        num = np.where(exponents >= 0, powers, 1)[at]
+        den = np.where(exponents < 0, powers, 1)[at]
+        return num, den
 
     def log_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized log f of 0/1 rows of shape (n, window), uint8 or float64:

@@ -50,6 +50,17 @@ LEVEL_CAPS = {
     "invariance_level": EXACT_LEVEL_CAP,
 }
 
+# The window each level key runs on, None where the key is its own window: a
+# level below 1 leaves its check nothing to run on, and one past its window
+# has no coordinates to move
+LEVEL_WINDOWS = {
+    "level": "window",
+    "sweep_level": "sweep_window",
+    "tower_cap": "tower_window",
+    "fubini_window": None,
+    "invariance_level": "window",
+}
+
 
 def _rational_params(window: int) -> list[Fraction]:
     # inhomogeneous rational parameters, bounded away from 0 and 1
@@ -96,22 +107,23 @@ def exact_decomposition_verdict(nu: AtomicMeasure, rho: Cocycle, window: int) ->
 
 def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     cfg = {**DEFAULTS, **config}
-    if cfg["tower_cap"] < 1:
-        # no level pair to check: the tower rule would pass vacuously
-        raise ValueError("tower_cap must be >= 1")
+    # every level key is checked before any verdict runs: the earlier ones
+    # may take long, and tower_cap 0 would pass the tower rule vacuously
     for key, cap in LEVEL_CAPS.items():
         if cfg[key] > cap:
-            # checked before any verdict runs: the earlier ones may take long
             raise CapacityError(f"{key} is capped at {cap}; got {cfg[key]}")
+    for key, within in LEVEL_WINDOWS.items():
+        if cfg[key] < 1:
+            raise ValueError(f"{key} must be >= 1; got {cfg[key]}")
+        if within is not None and cfg[key] > cfg[within]:
+            raise ValueError(f"{key} exceeds {within} ({cfg[within]}); got {cfg[key]}")
     verdicts: list[Verdict] = []
 
     # 1. cocycle identity for a Radon-Nikodym cocycle, exact
     window, level, trials = cfg["window"], cfg["level"], cfg["trials"]
     nu = ProductBernoulli(_rational_params(window))
     rho = make_rn(nu)
-    # both verdicts draw S(level) elements: one table builds each once
-    interned: dict = {}
-    rep = verify_identity(rho, trials, level, window, substream(seed, 1), interned=interned)
+    rep = verify_identity(rho, trials, level, window, substream(seed, 1))
     verdicts.append(
         Verdict(
             name="cocycle-identity-radon-nikodym",
@@ -122,7 +134,7 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
 
     # 2. cocycle identity for a weight-ratio cocycle, exact
     rho_f = make_rho_f(make_fibrewise_f())
-    rep_f = verify_identity(rho_f, trials, level, window, substream(seed, 2), interned=interned)
+    rep_f = verify_identity(rho_f, trials, level, window, substream(seed, 2))
     verdicts.append(
         Verdict(
             name="cocycle-identity-weight-ratio",

@@ -1524,8 +1524,8 @@ def test_a_shared_model_belongs_to_one_cocycle_and_measure():
 
 
 def _per_entry(check):
-    """The check as a call of its own: no model or interning table shared."""
-    def call(*args, model=None, interned=None, **kwargs):
+    """The check as a call of its own: no model shared."""
+    def call(*args, model=None, **kwargs):
         return check(*args, **kwargs)
     return call
 
@@ -1544,8 +1544,7 @@ def test_validate_verdicts_equal_the_per_entry_suite(window, level, seed):
            "fubini_window": window, "invariance_level": level}
     shared = validation.run_validation_suite(cfg, seed)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("verify_identity", "conditional_expectation_check", "tower_check",
-                     "fubini_check"):
+        for name in ("conditional_expectation_check", "tower_check", "fubini_check"):
             mp.setattr(validation, name, _per_entry(getattr(validation, name)))
         alone = validation.run_validation_suite(cfg, seed)
     assert [(v.name, v.passed, v.detail) for v in shared] == [

@@ -274,14 +274,28 @@ def test_validate_vacuous_identity_checks_exit_2(tmp_path, capsys, user):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("user", [
-    {"fubini_window": 9}, {"sweep_level": 9}, {"tower_cap": 9}, {"invariance_level": 9},
-])
+# Level keys past their caps, below 1 or past their windows, with the message
+# each run stops with
+_BAD_LEVELS = [
+    ({"fubini_window": 9}, "fubini_window is capped at 8"),
+    ({"sweep_level": 9}, "sweep_level is capped at 8"),
+    ({"tower_cap": 9}, "tower_cap is capped at 8"),
+    ({"invariance_level": 9}, "invariance_level is capped at 8"),
+    ({"sweep_level": 0}, "sweep_level must be >= 1; got 0"),
+    ({"fubini_window": 0}, "fubini_window must be >= 1; got 0"),
+    ({"sweep_window": 1}, "sweep_level exceeds sweep_window (1); got 2"),
+    ({"tower_window": 2, "tower_cap": 3}, "tower_cap exceeds tower_window (2); got 3"),
+]
+
+
+@pytest.mark.parametrize("user", [user for user, _ in _BAD_LEVELS])
 def test_validate_levels_past_the_caps_exit_2_before_any_check(
     tmp_path, capsys, monkeypatch, user
 ):
     # fubini_window 9 would first run every check at levels 1-8 (S(8) on 512
-    # atoms) and only then reach the cap, so the caps are read up front
+    # atoms) and only then reach the cap, and a level below 1 or past its
+    # window would stop only at its own check, after both cocycle-identity
+    # verdicts: every level key is read up front
     import ergodec.validation
 
     calls = []
@@ -293,7 +307,7 @@ def test_validate_levels_past_the_caps_exit_2_before_any_check(
     cfg.write_text(json.dumps(user))
     out = tmp_path / "out"
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "is capped at 8" in capsys.readouterr().err
+    assert next(m for u, m in _BAD_LEVELS if u == user) in capsys.readouterr().err
     assert calls == [] and not out.exists()
 
 

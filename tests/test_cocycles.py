@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 from fractions import Fraction
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -118,12 +119,15 @@ _PROBE = (1, 0, 1, 0, 1, 0)
 
 
 class _OffByOneFactor(GeometricWeight):
-    """A geometric weight whose closed-form ratio is off by one factor of
-    the base at a single probe configuration."""
+    """A geometric weight whose exact row kernel is off by one factor of
+    the base at a single probe configuration; ``make_rho_f`` evaluates one
+    pair through the same kernel, so both see the corruption."""
 
-    def ratio(self, g, x):
-        v = super().ratio(g, x)
-        return v * self.base if x == _PROBE and not g.is_identity() else v
+    def ratio_rows(self, g_rows, x_rows):
+        num, den = super().ratio_rows(g_rows, x_rows)
+        moved = (g_rows != np.arange(1, g_rows.shape[1] + 1)).any(axis=1)
+        hit = moved & (x_rows == _PROBE).all(axis=1)
+        return np.where(hit, num * self.base, num), den
 
 
 def test_verify_identity_catches_an_off_by_one_weight_ratio():
@@ -164,6 +168,117 @@ def test_verify_identity_finds_the_brute_force_witness(trials, level, window):
     assert all(type(b) is int for b in rep.first_witness[2])
 
 
+def _rational_product(window):
+    return ProductBernoulli([Fraction(2 + (i % 7), 11) for i in range(window)])
+
+
+_KERNEL_COCYCLES = {
+    "product": lambda: make_rn(_rational_product(6)),
+    "weight": lambda: make_rho_f(GeometricWeight(4)),
+    "off-by-one": lambda: make_rho_f(_OffByOneFactor(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_COCYCLES))
+@pytest.mark.parametrize(
+    "trials, level, seed", [(500, 3, 2), (500, 6, 5), (2 * _TRIAL_CHUNK + 7, 4, 9)]
+)
+def test_rows_path_and_scalar_loop_give_equal_reports(monkeypatch, name, trials, level, seed):
+    # the same cocycle without its kernel takes the scalar loop on the same
+    # triples: counts and witness agree, and the rows path builds the
+    # Permutations of the first violation only
+    rho = _KERNEL_COCYCLES[name]()
+    assert rho.ratio_rows is not None
+    loop = verify_identity(replace(rho, ratio_rows=None), trials, level, 6, substream(seed, 1))
+    built = []
+    init = Permutation.__init__
+
+    def counted_init(self, mapping=None):
+        init(self, mapping)
+        built.append(self)
+
+    monkeypatch.setattr(Permutation, "__init__", counted_init)
+    rows = verify_identity(rho, trials, level, 6, substream(seed, 1))
+    assert rows == loop and rows.exact
+    assert (rows.violations > 0) == (name == "off-by-one")
+    assert len(built) == (2 if rows.violations else 0)
+
+
+def _assert_rows_exact(kernel, want, g_rows, x_rows) -> int:
+    """Each row's (num, den) from the kernel is a pair of positive Python
+    ints whose quotient is ``want(g, x)``; the largest of them."""
+    num, den = kernel(g_rows, x_rows)
+    assert num.dtype == den.dtype == object and num.shape == den.shape == (len(g_rows),)
+    for g_row, x_row, a, b in zip(g_rows.tolist(), x_rows.tolist(), num, den):
+        assert type(a) is int and type(b) is int and a > 0 and b > 0
+        assert Fraction(a, b) == want(Permutation.from_one_line(g_row), tuple(x_row))
+    return max(max(num), max(den))
+
+
+def _kernel_rows(data, window):
+    """A few (g, x) row pairs at a level up to the window, level = window
+    drawn as often as all others; the first g row is the identity."""
+    level = data.draw(st.one_of(st.just(window), st.integers(1, window)))
+    size = data.draw(st.integers(0, 4))
+    g = [list(range(1, level + 1))]
+    g += [data.draw(st.permutations(range(1, level + 1))) for _ in range(size)]
+    bits = st.lists(st.integers(0, 1), min_size=window, max_size=window)
+    x = [data.draw(bits) for _ in g]
+    return np.array(g, dtype=np.intp).reshape(len(g), level), np.array(x, dtype=np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda p: 0 < p < 1),
+        min_size=1, max_size=12,
+    ),
+    data=st.data(),
+)
+def test_product_row_kernel_is_the_atom_ratio(params, data):
+    nu = ProductBernoulli(params)
+    g_rows, x_rows = _kernel_rows(data, nu.window)
+    _assert_rows_exact(nu.ratio_rows, lambda g, x: nu.atom(act(g, x)) / nu.atom(x),
+                       g_rows, x_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.integers(2, 2**20), window=st.integers(1, 14), data=st.data())
+def test_geometric_row_kernel_is_the_weight_quotient(base, window, data):
+    f = GeometricWeight(base)
+    g_rows, x_rows = _kernel_rows(data, window)
+    _assert_rows_exact(f.ratio_rows, lambda g, x: f(act(g, x)) / f(x), g_rows, x_rows)
+
+
+def test_row_kernels_stay_exact_past_int64():
+    # level = window = 8: a reversal moves every coordinate, so the product
+    # has eight factors near 10^9 and the weight exponent d reaches 32
+    window = 8
+    g_rows = np.array([list(range(window, 0, -1)), list(range(1, window + 1))])
+    x_rows = np.array([[1, 1, 1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0, 1]], dtype=np.uint8)
+    nu = ProductBernoulli([Fraction(10**9 - 7 * i, 10**9 + 7) for i in range(1, window + 1)])
+    f = GeometricWeight(2**20)
+    for kernel, want in (
+        (nu.ratio_rows, lambda g, x: nu.atom(act(g, x)) / nu.atom(x)),
+        (f.ratio_rows, lambda g, x: f(act(g, x)) / f(x)),
+    ):
+        assert _assert_rows_exact(kernel, want, g_rows, x_rows) > 2**63
+
+
+def test_only_rational_products_and_geometric_weights_have_a_kernel():
+    assert make_rn(_rational_product(4)).ratio_rows is not None
+    assert make_rho_f(GeometricWeight(3)).ratio_rows is not None
+    assert ProductBernoulli([0.2, 0.3]).ratio_rows is None
+    for rho in (
+        make_rn(ProductBernoulli([0.2, 0.3])),
+        make_rn(Mixture([Fraction(1, 2)] * 2, [_rational_product(4), ProductBernoulli([Fraction(1, 5)] * 4)])),
+        make_rn(AtomicMeasure({(0, 1): Fraction(1, 3), (1, 0): Fraction(2, 3)})),
+        make_rho_f(_doubling_weight),
+        constant_one(),
+    ):
+        assert rho.ratio_rows is None
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_identity_rejects_fewer_than_one_trial(trials):
     # no triple is drawn, so a pass would say nothing
@@ -199,25 +314,47 @@ def test_verify_identity_builds_each_element_of_the_level_once_per_batch(
     # rho is still evaluated three times per trial, on the interned objects
     assert len(calls) == 3 * trials
     assert {id(g) for g in calls} <= {id(g) for g in built}
-    # as validate runs its two cocycle verdicts: one table per suite run
-    # builds at most level! elements in all
-    built.clear()
-    calls.clear()
-    table: dict = {}
-    reps = [verify_identity(rho, trials, 3, 6, substream(37, key), table) for key in (1, 2)]
-    assert all(r.ok and r.exact for r in reps) and reps[1] == rep
-    assert len(built) <= math.factorial(3) and len(table) == len(built)
-    assert len(calls) == 2 * 3 * trials
-    assert {id(g) for g in calls} <= {id(g) for g in built}
+    # as validate runs its two cocycle verdicts: each call has a table of
+    # its own and builds at most level! elements
+    for key in (1, 2):
+        built.clear()
+        calls.clear()
+        again = verify_identity(rho, trials, 3, 6, substream(37, key))
+        assert again.ok and again.exact and (key != 2 or again == rep)
+        assert len(built) == len(set(built)) <= math.factorial(3)
+        assert len(calls) == 3 * trials
+        assert {id(g) for g in calls} <= {id(g) for g in built}
+
+
+def _distinct_rows_per_batch(trials, level, window, rng):
+    """The distinct one-line rows among each batch's g, h and g*h, from the
+    batches ``verify_identity`` draws."""
+    out = []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        g, h, _ = _identity_triples(min(_TRIAL_CHUNK, trials - start), level, window, rng)
+        gh = np.take_along_axis(g, h - 1, axis=1)
+        out.append({tuple(r) for rows in (g, h, gh) for r in rows.tolist()})
+    return out
 
 
 def test_verify_identity_empties_a_full_interning_table_before_a_batch(monkeypatch):
-    # above S(8) a shared table would grow with the trials: past the cap it
-    # starts again, so here it holds only the last batch's 7 trials
+    # above S(8) a table kept across batches would grow with the trials:
+    # past the cap it starts again, so the last batch rebuilds every row it
+    # meets, also those the first batch built
+    built = []
+    init = Permutation.__init__
+
+    def counted_init(self, mapping=None):
+        init(self, mapping)
+        built.append(self)
+
     monkeypatch.setattr(cocycles, "_INTERN_CAP", 100)
-    table: dict = {}
-    rep = verify_identity(constant_one(), _TRIAL_CHUNK + 7, 7, 7, substream(37, 0), table)
-    assert rep.ok and 0 < len(table) <= 3 * 7
+    monkeypatch.setattr(Permutation, "__init__", counted_init)
+    trials = _TRIAL_CHUNK + 7
+    rep = verify_identity(constant_one(), trials, 7, 7, substream(37, 0))
+    batches = _distinct_rows_per_batch(trials, 7, 7, substream(37, 0))
+    assert rep.ok and len(batches[0]) > 100 and len(batches[1]) <= 3 * 7
+    assert len(built) == sum(map(len, batches)) > len(set.union(*batches))
 
 
 def _int_or_fraction(value, g, x):
@@ -464,11 +601,12 @@ def test_is_own_rn_recognises_only_this_very_measure(name):
     assert not _is_own_rn(nu, Cocycle(eval_fn=nu.atom, potential=nu.atom))
 
 
-def test_geometric_ratio_reuses_each_power_and_stays_exact():
+def test_geometric_weight_ratio_is_one_exact_fraction():
     f = GeometricWeight(3)
+    rho = make_rho_f(f)
+    assert rho.ratio_rows == f.ratio_rows
     for g in enumerate_level(4):
         for x in itertools.product((0, 1), repeat=5):
-            r = f.ratio(g, x)
+            r = rho(g, x)
             assert type(r) is Fraction and r == f(act(g, x)) / f(x)
-            assert f.ratio(g, x) is r
     assert f == GeometricWeight(3) and hash(f) == hash(GeometricWeight(3))
