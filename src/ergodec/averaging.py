@@ -44,10 +44,18 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cocycles import _EXACT, Cocycle, _values_agree, constant_one
+from .cocycles import _EXACT, Cocycle, _exact, _values_agree, constant_one, rho_rows
 from .dictionary import CylinderMonomial
 from .errors import CapacityError, ZeroMassError
-from .groups import ENUMERATION_CAP, Config, act, enumerate_level, level_orbit
+from .groups import (
+    ENUMERATION_CAP,
+    Config,
+    act,
+    act_rows,
+    enumerate_level,
+    level_orbit,
+    level_rows,
+)
 from .measures import AtomicMeasure, LogLinearParts
 from .rng import RandomStream
 
@@ -588,11 +596,6 @@ def _rescaled_potential(rho: Cocycle, ux, x: Config, level: int):
     return dict(zip(orbit, np.exp(logu[1:] - logu.max()).tolist())).__getitem__
 
 
-def _exact(v) -> int | Fraction:
-    """v as an int or a Fraction; a float converts exactly."""
-    return v if isinstance(v, _EXACT) else Fraction(v)
-
-
 def _sum_over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
     """The sum of nums[i] / dens[i] (each dens[i] > 0) as (numerator,
     denominator) over the lcm of the denominators, not normalised: the
@@ -915,6 +918,11 @@ def level_table(
     return LevelTable(values, slacks, stderrs, methods, nums)
 
 
+# (k, x) pairs per ``rho_rows`` call of ``ExactModel.pushed``, a few hundred
+# bytes each: S(8) on 256 atoms is 10^7 pairs
+_PUSH_ROWS = 1 << 16
+
+
 class _OrbitClass(NamedTuple):
     label: tuple
     members: list[Config]  # nu's atoms in the class, sorted
@@ -963,20 +971,24 @@ class ExactModel:
 
     def pushed(self, level: int) -> tuple[dict[Config, Fraction], bool]:
         """y -> the sum of rho(k, x) nu(x) over the atoms x and k in S(level)
-        with act(k, x) = y, exact (a float rho value enters as its Fraction),
-        and whether every rho value was an int or a Fraction."""
+        with act(k, x) = y, exact (a float rho value enters as its integer
+        ratio), and whether every rho value was an int or a Fraction; one
+        ``rho_rows`` call per block of whole atoms, up to ``_PUSH_ROWS`` pairs."""
         if level not in self._pushed:
-            group = list(enumerate_level(level))
+            group = level_rows(level)
+            xs = np.array([x for x, _ in self.atoms], dtype=np.uint8).reshape(-1, self.nu.window)
+            step = max(1, _PUSH_ROWS // len(group))
             terms: dict[Config, list[tuple[int, int]]] = {}
             exact = True
-            for x, m in self.atoms:
-                for k in group:
-                    r = self.rho(k, x)
-                    exact = exact and isinstance(r, _EXACT)
-                    r = _exact(r)
-                    terms.setdefault(act(k, x), []).append(
-                        (r.numerator * m.numerator, r.denominator * m.denominator)
-                    )
+            for start in range(0, len(xs), step):
+                x_rows = np.repeat(xs[start:start + step], len(group), axis=0)
+                g_rows = np.tile(group, (len(x_rows) // len(group), 1))
+                ys = map(tuple, act_rows(g_rows, x_rows).tolist())
+                num, den, flags = rho_rows(self.rho, g_rows, x_rows)
+                exact = exact and bool(flags.all())
+                for i, (y, r_num, r_den) in enumerate(zip(ys, num, den)):
+                    m = self.atoms[start + i // len(group)][1]
+                    terms.setdefault(y, []).append((r_num * m.numerator, r_den * m.denominator))
             pushed = {y: Fraction(*_sum_over_lcm(*zip(*t))) for y, t in terms.items()}
             self._pushed[level] = pushed, exact
         return self._pushed[level]
@@ -1006,8 +1018,7 @@ class TowerReport:
 
 
 def tower_check(
-    m: int, n: int, rho: Cocycle, phi, nu: AtomicMeasure, level_cap: int = 5,
-    model: ExactModel | None = None,
+    m: int, n: int, rho: Cocycle, phi, nu: AtomicMeasure, model: ExactModel | None = None,
 ) -> TowerReport:
     """Verify A_m(A_n phi) == A_m phi on every positive atom, exactly where
     both sides are rational and within the rounding of a float rho or phi
@@ -1024,8 +1035,8 @@ def tower_check(
     sorted order, so ``pairs_checked`` and the witness are those of the
     per-atom check.
     """
-    if not (1 <= n <= m <= level_cap):
-        raise CapacityError(f"tower check requires 1 <= n <= m <= {level_cap}")
+    if not (1 <= n <= m <= EXACT_LEVEL_CAP):
+        raise CapacityError(f"tower check requires 1 <= n <= m <= {EXACT_LEVEL_CAP}")
     model = _shared(model, rho, nu)
     averages = model.averages(phi)
 
@@ -1098,11 +1109,11 @@ def conditional_expectation_check(
     classes = _shared(model, rho, nu).classes(level)
     for i, cls in enumerate(classes):
         lhs = Fraction(*_exact_dot(zip([_exact(phi(x)) for x in cls.members], cls.masses)))
-        diff = lhs - cls.weights.average(phi) * cls.mass
-        if diff != 0:
+        rhs = cls.weights.average(phi) * cls.mass
+        if not _values_agree(lhs, rhs):
             return ConditionalExpectationReport(
                 ok=False, classes=len(classes), sets_checked=2**i + 1,
-                witness=([cls.label], diff),
+                witness=([cls.label], lhs - rhs),
             )
     return ConditionalExpectationReport(
         ok=True, classes=len(classes), sets_checked=2 ** len(classes), witness=None

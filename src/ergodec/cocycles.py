@@ -11,7 +11,6 @@ Constructors avoid closures, so cocycles pickle cleanly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -19,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import ENUMERATION_CAP, Config, Permutation, act, row_ratio
+from .groups import Config, Permutation, act, act_rows, row_ratio
 from .measures import LogLinearParts, rn_derivative
 from .rng import RandomStream
 
@@ -42,8 +41,8 @@ class Cocycle:
     wraps. ``eval_fn`` then evaluates the same kernel at one pair
     (``groups.row_ratio``), so each closed form exists once. Only
     ``make_rn`` of a product Bernoulli measure with rational parameters and
-    ``make_rho_f`` of a ``GeometricWeight`` set it; ``verify_identity``
-    judges whole batches through it.
+    ``make_rho_f`` of a ``GeometricWeight`` set it; the exact checks read
+    rho through ``rho_rows``, which takes whole batches through it.
     ``log_potential_rows`` optionally maps a matrix of 0/1 configurations,
     one per row, uint8 or float64, to log-u values for vectorized Monte
     Carlo. ``log_linear`` optionally gives u as a mixture of log-linear terms
@@ -179,9 +178,14 @@ def _identity_triples(
     return g, h, x
 
 
-# Values compared exactly by ``_violates`` and ``_values_agree`` and summed
-# exactly by ``averaging._sum_over_lcm``
+# Values that ``_values_agree`` compares exactly, ``rho_rows`` flags exact
+# and ``averaging._sum_over_lcm`` sums exactly
 _EXACT = (int, Fraction)
+
+
+def _exact(v) -> int | Fraction:
+    """v as an int or a Fraction; a float converts exactly."""
+    return v if isinstance(v, _EXACT) else Fraction(v)
 
 
 def _values_agree(lhs, rhs) -> bool:
@@ -192,60 +196,53 @@ def _values_agree(lhs, rhs) -> bool:
         return lhs == rhs
     return abs(float(lhs) - float(rhs)) <= 1e-9 * max(1.0, abs(float(rhs)))
 
+
+def rho_rows(
+    rho: Cocycle, g_rows: np.ndarray, x_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rho on each row pair (g one-line images of S(level), x 0/1 rows of at
+    least level coordinates), the one way the exact checks evaluate it, as
+    (num, den, exact): object arrays of Python ints with num / den = rho(g,
+    x), den > 0, and flags, True where the value is an int or a Fraction.
+    Through the exact row kernel ``rho.ratio_rows`` in one call where the
+    cocycle has one; otherwise through ``eval_fn`` once per row, where a
+    float value enters as its exact integer ratio with its flag off."""
+    if rho.ratio_rows is not None:
+        num, den = rho.ratio_rows(g_rows, x_rows)
+        return num, den, np.ones(len(num), dtype=bool)
+    values = [rho.eval_fn(Permutation.from_one_line(g), tuple(x))
+              for g, x in zip(g_rows.tolist(), x_rows.tolist())]
+    ratios = [_exact(v) for v in values]
+    return (
+        np.array([r.numerator for r in ratios], dtype=object),
+        np.array([r.denominator for r in ratios], dtype=object),
+        np.array([isinstance(v, _EXACT) for v in values], dtype=bool),
+    )
+
+
+def _judge(lhs, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule of ``verify_identity`` on the ``rho_rows`` values lhs, a and
+    b of rho(g*h, x), rho(g, h x) and rho(h, x). Per row: whether all three
+    are exact; whether lhs != a b, as n1 d2 d3 != d1 n2 n3 (no product
+    normalised) where all three are exact and as a relative error above
+    1e-12 otherwise; and that relative error, 0 on exact rows."""
+    (n1, d1, e1), (n2, d2, e2), (n3, d3, e3) = lhs, a, b
+    exact = e1 & e2 & e3
+    loose = ~exact
+    rel = np.zeros(len(exact))
+    left = (n1[loose] / d1[loose]).astype(float)
+    right = (n2[loose] * n3[loose] / (d2[loose] * d3[loose])).astype(float)
+    rel[loose] = np.abs(left - right) / np.maximum(np.abs(right), 1e-300)
+    return exact, np.where(exact, n1 * d2 * d3 != d1 * n2 * n3, rel > 1e-12), rel
+
+
 # Trials drawn per batch: the index and bit arrays of one batch take about
-# _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is. A
-# row kernel adds, per evaluation, an (n, level) object gather of 8-byte
-# references and two object arrays of n Python ints, each an 8-byte
-# reference to 28 bytes plus 4 per 30 bits of value; each product of the
-# comparison holds the bits of its three factors.
+# _TRIAL_CHUNK * (32 * level + 2 * window) bytes, whatever ``trials`` is.
+# Each ``rho_rows`` call adds 2n Python ints, each 8 bytes of reference, 28
+# bytes and 4 per 30 bits (a float's integer ratio has up to 1075), and a
+# kernel's (n, level) object gather or, without one, a Permutation per row;
+# each product of the comparison holds the bits of its three factors.
 _TRIAL_CHUNK = 1024
-
-# Permutations an interning table may hold before ``verify_identity`` empties
-# it: all of S(8), the enumeration cap
-_INTERN_CAP = math.factorial(ENUMERATION_CAP)
-
-
-def _violates(lhs: int | Fraction, a: int | Fraction, b: int | Fraction) -> bool:
-    """lhs != a * b, exactly, without normalising a * b: denominators are
-    positive, so p/q == (r/s)(t/u) if and only if p s u == q r t. An int is
-    its own numerator over 1."""
-    return (lhs.numerator * a.denominator * b.denominator
-            != lhs.denominator * a.numerator * b.numerator)
-
-
-def _interned(rows: np.ndarray, seen: dict[tuple, Permutation]) -> list[Permutation]:
-    """The permutations with one-line images ``rows``, one validated
-    ``Permutation`` per distinct row: ``seen`` maps each row's tuple to the
-    one already built. S(level) has level! elements, so rows repeat them
-    once trials outnumber level!."""
-    out = []
-    for key in map(tuple, rows.tolist()):
-        g = seen.get(key)
-        if g is None:
-            g = seen[key] = Permutation.from_one_line(key)
-        out.append(g)
-    return out
-
-
-def _kernel_batch(
-    kernel, g_rows, h_rows, gh_rows, x_rows, hx_rows, want_witness: bool
-) -> tuple[int, tuple | None]:
-    """One batch judged at once through an exact row kernel, by the rule of
-    ``_violates`` on whole arrays: with n1/d1 = rho(g*h, x), n2/d2 = rho(g,
-    h x) and n3/d3 = rho(h, x), a trial is a violation when n1 d2 d3 != d1
-    n2 n3. The count of violations and, when ``want_witness``, the first
-    one's witness (g, h, x, lhs, rhs): the only trial that builds its
-    Permutations and Fractions."""
-    n1, d1 = kernel(gh_rows, x_rows)
-    n2, d2 = kernel(g_rows, hx_rows)
-    n3, d3 = kernel(h_rows, x_rows)
-    bad = np.flatnonzero(n1 * d2 * d3 != d1 * n2 * n3)
-    if not (want_witness and len(bad)):
-        return len(bad), None
-    i = bad[0]
-    g, h = (Permutation.from_one_line(rows[i].tolist()) for rows in (g_rows, h_rows))
-    rhs = Fraction(n2[i], d2[i]) * Fraction(n3[i], d3[i])
-    return len(bad), (g, h, tuple(x_rows[i].tolist()), Fraction(n1[i], d1[i]), rhs)
 
 
 def verify_identity(
@@ -259,23 +256,14 @@ def verify_identity(
 
     The triples have the law of independent draws: g and h Haar on
     S(level), x uniform on the window. They are drawn in batches of at most
-    ``_TRIAL_CHUNK`` trials (``_identity_triples``), and g*h and act(h, x)
-    are formed on each batch's arrays. A cocycle with an exact row kernel
-    (``rho.ratio_rows``) is judged a whole batch at once, exactly, by
-    cross-multiplying the kernel's numerators and denominators
-    (``_kernel_batch``). Any other cocycle, whose values may be floats,
-    takes the scalar loop: the permutations come from one interning table
-    per call (``_interned``), so each distinct row among the g, h and g*h
-    is built once, at most level! constructions, and the table is emptied
-    before a batch once it holds more than ``_INTERN_CAP`` (8!) elements,
-    so memory does not grow with ``trials`` above S(8). Each trial there
-    evaluates rho three times, through ``rho.eval_fn`` itself. When all
-    three values are ints or Fractions they are compared exactly, by
-    cross-multiplying numerators and denominators; otherwise by relative
-    error, which must stay within 1e-12. The first violating triple is
-    reported as a witness (g, h, x, lhs, rhs); both paths give the same
-    report on the same triples. ValueError when ``trials`` < 1: no triple,
-    no verdict.
+    ``_TRIAL_CHUNK`` trials (``_identity_triples``), g*h and act(h, x) are
+    formed on each batch's arrays, and each batch is evaluated by three
+    ``rho_rows`` calls and judged at once by one rule (``_judge``): exact
+    cross-multiplied equality where a trial's three values are exact, and
+    relative error within 1e-12 otherwise. The first violating triple is
+    the witness (g, h, x, lhs, rhs), Fractions or, where a value was a
+    float, floats; only it builds Permutations and Fractions. ValueError
+    when ``trials`` < 1: no triple, no verdict.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -283,53 +271,29 @@ def verify_identity(
         raise ValueError("level must be >= 1")
     if window < level:
         raise ValueError("window must cover the sampled level")
-    kernel = rho.ratio_rows
-    evaluate = rho.eval_fn
     violations = 0
     witness = None
     exact = True
     max_rel = 0.0
-    seen: dict[tuple, Permutation] = {}
     for start in range(0, trials, _TRIAL_CHUNK):
         n = min(_TRIAL_CHUNK, trials - start)
         g_rows, h_rows, x_rows = _identity_triples(n, level, window, rng)
         gh_rows = np.take_along_axis(g_rows, h_rows - 1, axis=1)
-        # act(h, x): the bit at coordinate j moves to coordinate h(j)
-        hx_rows = x_rows.copy()
-        hx_rows[np.arange(n)[:, None], h_rows - 1] = x_rows[:, :level]
-        if kernel is not None:
-            bad, first = _kernel_batch(
-                kernel, g_rows, h_rows, gh_rows, x_rows, hx_rows, witness is None
-            )
-            violations += bad
-            witness = witness or first
-            continue
-        if len(seen) > _INTERN_CAP:
-            seen.clear()
-        batch = zip(
-            _interned(g_rows, seen),
-            _interned(h_rows, seen),
-            _interned(gh_rows, seen),
-            map(tuple, x_rows.tolist()),
-            map(tuple, hx_rows.tolist()),
-        )
-        for g, h, gh, x, hx in batch:
-            lhs = evaluate(gh, x)
-            a = evaluate(g, hx)
-            b = evaluate(h, x)
-            if (isinstance(lhs, _EXACT) and isinstance(a, _EXACT)
-                    and isinstance(b, _EXACT)):
-                bad = _violates(lhs, a, b)
-            else:
-                exact = False
-                rhs = float(a * b)
-                rel = abs(float(lhs) - rhs) / max(abs(rhs), 1e-300)
-                max_rel = max(max_rel, rel)
-                bad = rel > 1e-12
-            if bad:
-                violations += 1
-                if witness is None:
-                    witness = (g, h, x, lhs, a * b)
+        lhs = rho_rows(rho, gh_rows, x_rows)
+        a = rho_rows(rho, g_rows, act_rows(h_rows, x_rows))
+        b = rho_rows(rho, h_rows, x_rows)
+        exact_rows, bad, rel = _judge(lhs, a, b)
+        exact = exact and bool(exact_rows.all())
+        max_rel = max(max_rel, float(rel.max()))
+        violations += int(bad.sum())
+        if witness is None and bad.any():
+            i = np.flatnonzero(bad)[0]
+            g, h = (Permutation.from_one_line(rows[i].tolist()) for rows in (g_rows, h_rows))
+            left = Fraction(lhs[0][i], lhs[1][i])
+            right = Fraction(a[0][i] * b[0][i], a[1][i] * b[1][i])
+            if not exact_rows[i]:
+                left, right = float(left), float(right)
+            witness = (g, h, tuple(x_rows[i].tolist()), left, right)
     return IdentityReport(
         trials=trials,
         violations=violations,

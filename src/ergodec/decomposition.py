@@ -50,10 +50,10 @@ from .averaging import (
     monomial_level_average,  # noqa: F401  (bench/tracing.py wraps this binding)
     orbit_classes,
 )
-from .cocycles import Cocycle, _values_agree
+from .cocycles import Cocycle, _values_agree, rho_rows
 from .dictionary import TestDictionary
 from .errors import NonConvergenceError
-from .groups import Permutation, act, haar_sample
+from .groups import act_rows, haar_sample
 from .measures import (
     AtomicMeasure,
     Cylinder,
@@ -536,35 +536,40 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
     value. There is one cell per class, in the order of its first member;
     each cell measure is nu restricted and normalized, and the cocycle
     property of cell measures is verified on positive transposition pairs
-    (transpositions generate the level), by ``_values_agree``: a
-    float rho is compared within its rounding.
+    (transpositions generate the level), all in one ``rho_rows`` call, by
+    ``_values_agree``: a float rho is compared within its rounding.
     """
     window = nu.window
     if not nu.is_probability():
         raise ValueError("conditional measures are computed for probability measures")
 
-    swaps = [Permutation.swap(i, i + 1) for i in range(1, window)]
+    classes = list(orbit_classes(nu.atoms, window).values())
     cells = []
-    rn_ok = closed = True
-    for ci, members in enumerate(orbit_classes(nu.atoms, window).values()):
+    for ci, members in enumerate(classes):
         weight = sum((nu.atom(x) for x in members), Fraction(0))
-        cell = {x: nu.atom(x) / weight for x in members}
-        # verify d(cell o T_s)/d(cell) == rho on positive pairs; a swap keeps
-        # the ones count, so one that leaves the cell leaves the support
-        for x in members:
-            for s in swaps:
-                y = act(s, x)
-                if y not in cell:
-                    closed = False
-                elif not _values_agree(cell[y] / cell[x], rho(s, x)):
-                    rn_ok = False
-        cells.append(
-            ConditionalCell(f"cell-{ci}", frozenset(members), AtomicMeasure(cell), weight)
-        )
+        cell = AtomicMeasure({x: nu.atom(x) / weight for x in members})
+        cells.append(ConditionalCell(f"cell-{ci}", frozenset(members), cell, weight))
+    # each atom with each swap of coordinates j and j + 1 (row j - 1); a swap
+    # keeps the ones count, so one that leaves the cell leaves the support,
+    # and inside it d(cell o T_s)/d(cell) at x is nu(act(s, x)) / nu(x)
+    atoms = [x for members in classes for x in members]
+    swaps = (np.arange(1, window + 1) + np.eye(window - 1, window, dtype=np.intp)
+             - np.eye(window - 1, window, 1, dtype=np.intp))
+    g_rows = np.tile(swaps, (len(atoms), 1))
+    x_rows = np.repeat(np.array(atoms, dtype=np.uint8), window - 1, axis=0)
+    ys = list(map(tuple, act_rows(g_rows, x_rows).tolist()))
+    support = nu.support
+    inside = np.array([y in support for y in ys], dtype=bool)
+    num, den, exact = rho_rows(rho, g_rows[inside], x_rows[inside])
+    rn_ok = all(
+        _values_agree(nu.atom(ys[r]) / nu.atom(atoms[r // (window - 1)]),
+                      Fraction(n, d) if e else n / d)
+        for r, n, d, e in zip(np.flatnonzero(inside).tolist(), num, den, exact)
+    )
     return ConditionalAssignment(
         cells=tuple(cells),
         rn_verified=rn_ok,
-        support_orbit_closed=closed,
+        support_orbit_closed=bool(inside.all()),
     )
 
 

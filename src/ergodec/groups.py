@@ -122,8 +122,9 @@ def haar_sample(level: int, rng: RandomStream) -> Permutation:
     return Permutation({i + 1: v + 1 for i, v in enumerate(images)})
 
 
-def enumerate_level(level: int) -> Iterator[Permutation]:
-    """All level! elements of S(level), each exactly once."""
+def level_rows(level: int) -> np.ndarray:
+    """The one-line images of the level! elements of S(level), one row each,
+    in lexicographic order; CapacityError above S(8)."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if level > ENUMERATION_CAP:
@@ -131,8 +132,12 @@ def enumerate_level(level: int) -> Iterator[Permutation]:
             f"S({level}) has {factorial(level)} elements; exact enumeration is "
             f"capped at S({ENUMERATION_CAP})"
         )
-    for images in itertools.permutations(range(1, level + 1)):
-        yield Permutation.from_one_line(images)
+    return np.array(list(itertools.permutations(range(1, level + 1))), dtype=np.intp)
+
+
+def enumerate_level(level: int) -> Iterator[Permutation]:
+    """All level! elements of S(level), in the order of ``level_rows``."""
+    return map(Permutation.from_one_line, level_rows(level).tolist())
 
 
 def check_degree(g: Permutation, window: int) -> None:
@@ -154,6 +159,18 @@ def act(g: Permutation, x: Config) -> Config:
     for j, gj in g._map.items():
         y[gj - 1] = x[j - 1]
     return tuple(y)
+
+
+def act_rows(g_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+    """``act`` on each row pair: g_rows holds one-line images of S(level),
+    one row each, and x_rows 0/1 rows; DegreeOverflowError, as from ``act``,
+    when level exceeds their window."""
+    level = g_rows.shape[1]
+    if level > x_rows.shape[1]:
+        raise DegreeOverflowError(f"degree {level} exceeds window {x_rows.shape[1]}")
+    out = x_rows.copy()
+    out[np.arange(len(x_rows))[:, None], g_rows - 1] = x_rows[:, :level]
+    return out
 
 
 def row_ratio(

@@ -185,7 +185,7 @@ def run_validation_suite(config: dict, seed: int) -> list[Verdict]:
     pairs = 0
     for n in range(1, tc + 1):
         for m in range(n, tc + 1):
-            rep_t = tower_check(m, n, rho_t, phi, nu_t, level_cap=tc, model=model_t)
+            rep_t = tower_check(m, n, rho_t, phi, nu_t, model=model_t)
             pairs += 1
             if not rep_t.ok:
                 tower_ok = False

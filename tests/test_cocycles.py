@@ -16,10 +16,11 @@ from ergodec.cocycles import (
     _TRIAL_CHUNK,
     Cocycle,
     _identity_triples,
-    _violates,
+    _judge,
     constant_one,
     make_rho_f,
     make_rn,
+    rho_rows,
     verify_identity,
 )
 from ergodec.decomposition import _is_own_rn, pi_phi
@@ -184,9 +185,9 @@ _KERNEL_COCYCLES = {
     "trials, level, seed", [(500, 3, 2), (500, 6, 5), (2 * _TRIAL_CHUNK + 7, 4, 9)]
 )
 def test_rows_path_and_scalar_loop_give_equal_reports(monkeypatch, name, trials, level, seed):
-    # the same cocycle without its kernel takes the scalar loop on the same
-    # triples: counts and witness agree, and the rows path builds the
-    # Permutations of the first violation only
+    # the same cocycle without its kernel is called once per row through
+    # eval_fn on the same triples: counts and witness agree, and the kernel
+    # builds the Permutations of the first violation only
     rho = _KERNEL_COCYCLES[name]()
     assert rho.ratio_rows is not None
     loop = verify_identity(replace(rho, ratio_rows=None), trials, level, 6, substream(seed, 1))
@@ -279,6 +280,54 @@ def test_only_rational_products_and_geometric_weights_have_a_kernel():
         assert rho.ratio_rows is None
 
 
+def _float_weight(x):
+    return 0.7 ** sum(i * b for i, b in enumerate(x, 1))
+
+
+def _products(window, kind):
+    """Two non-exchangeable products on the window, rational or float."""
+    num = [(2 + i % 7, 7 - i % 5) for i in range(window)]
+    if kind is float:
+        return [ProductBernoulli([a / 11 for a, _ in num]),
+                ProductBernoulli([b / 11 for _, b in num])]
+    return [ProductBernoulli([Fraction(a, 11) for a, _ in num]),
+            ProductBernoulli([Fraction(b, 11) for _, b in num])]
+
+
+# every kind of cocycle the exact checks meet, built on a window
+_ROW_COCYCLES = {
+    "constant_one": lambda w: constant_one(),
+    "rn-rational-product": lambda w: make_rn(_products(w, Fraction)[0]),
+    "rn-float-product": lambda w: make_rn(_products(w, float)[0]),
+    "rn-rational-mixture": lambda w: make_rn(
+        Mixture([Fraction(1, 3), Fraction(2, 3)], _products(w, Fraction))),
+    "rn-float-mixture": lambda w: make_rn(Mixture([0.4, 0.6], _products(w, float))),
+    "rn-atomic": lambda w: make_rn(AtomicMeasure(
+        {x: 1 + sum(i * v for i, v in enumerate(x))
+         for x in itertools.product((0, 1), repeat=w)})),
+    "rho-f-geometric": lambda w: make_rho_f(GeometricWeight(3)),
+    "rho-f-plain-exact": lambda w: make_rho_f(_doubling_weight),
+    "rho-f-plain-float": lambda w: make_rho_f(_float_weight),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_COCYCLES))
+@settings(max_examples=40, deadline=None)
+@given(window=st.integers(1, 6), data=st.data())
+def test_rho_rows_is_rho_at_each_pair(name, window, data):
+    # the batch entry point against per-pair rho(g, x): the same value, as
+    # its exact ratio, and exact exactly where rho(g, x) is an int or Fraction
+    rho = _ROW_COCYCLES[name](window)
+    g_rows, x_rows = _kernel_rows(data, window)
+    num, den, exact = rho_rows(rho, g_rows, x_rows)
+    assert num.dtype == den.dtype == object and exact.dtype == bool
+    assert num.shape == den.shape == exact.shape == (len(g_rows),)
+    for g_row, x_row, a, b, e in zip(g_rows.tolist(), x_rows.tolist(), num, den, exact):
+        v = rho(Permutation.from_one_line(g_row), tuple(x_row))
+        assert b > 0 and Fraction(a, b) == Fraction(v)
+        assert e == isinstance(v, (int, Fraction))
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_identity_rejects_fewer_than_one_trial(trials):
     # no triple is drawn, so a pass would say nothing
@@ -286,75 +335,23 @@ def test_verify_identity_rejects_fewer_than_one_trial(trials):
         verify_identity(constant_one(), trials, 3, 6, substream(37, 0))
 
 
-@pytest.mark.parametrize("trials, batches", [(500, 1), (2 * _TRIAL_CHUNK + 7, 3)])
-def test_verify_identity_builds_each_element_of_the_level_once_per_batch(
-    monkeypatch, trials, batches
-):
-    built, calls = [], []
-    init = Permutation.__init__
-
-    def counted_init(self, mapping=None):
-        init(self, mapping)
-        built.append(self)
-
-    base = make_rn(ProductBernoulli([Fraction(2 + (i % 7), 11) for i in range(6)]))
+@pytest.mark.parametrize("trials", [500, 2 * _TRIAL_CHUNK + 7])
+def test_verify_identity_calls_a_cocycle_without_kernel_three_times_per_trial(trials):
+    # once per row of each of the three rho_rows calls of a batch, on a
+    # Permutation of the row's level and the row's configuration as a tuple
+    base = make_rn(_rational_product(6))
+    calls = []
 
     def counted_rho(g, x):
-        calls.append(g)
+        calls.append((g, x))
         return base(g, x)
 
-    monkeypatch.setattr(Permutation, "__init__", counted_init)
     rho = Cocycle(eval_fn=counted_rho, potential=base.potential)
     rep = verify_identity(rho, trials, 3, 6, substream(37, 2))
-    assert rep.ok and rep.exact
-    # a call builds each element of S(3) it meets once, over all its
-    # batches; all six are met
-    assert -(-trials // _TRIAL_CHUNK) == batches
-    assert len(built) == len(set(built)) == math.factorial(3)
-    # rho is still evaluated three times per trial, on the interned objects
+    assert rep == verify_identity(base, trials, 3, 6, substream(37, 2)) and rep.ok
     assert len(calls) == 3 * trials
-    assert {id(g) for g in calls} <= {id(g) for g in built}
-    # as validate runs its two cocycle verdicts: each call has a table of
-    # its own and builds at most level! elements
-    for key in (1, 2):
-        built.clear()
-        calls.clear()
-        again = verify_identity(rho, trials, 3, 6, substream(37, key))
-        assert again.ok and again.exact and (key != 2 or again == rep)
-        assert len(built) == len(set(built)) <= math.factorial(3)
-        assert len(calls) == 3 * trials
-        assert {id(g) for g in calls} <= {id(g) for g in built}
-
-
-def _distinct_rows_per_batch(trials, level, window, rng):
-    """The distinct one-line rows among each batch's g, h and g*h, from the
-    batches ``verify_identity`` draws."""
-    out = []
-    for start in range(0, trials, _TRIAL_CHUNK):
-        g, h, _ = _identity_triples(min(_TRIAL_CHUNK, trials - start), level, window, rng)
-        gh = np.take_along_axis(g, h - 1, axis=1)
-        out.append({tuple(r) for rows in (g, h, gh) for r in rows.tolist()})
-    return out
-
-
-def test_verify_identity_empties_a_full_interning_table_before_a_batch(monkeypatch):
-    # above S(8) a table kept across batches would grow with the trials:
-    # past the cap it starts again, so the last batch rebuilds every row it
-    # meets, also those the first batch built
-    built = []
-    init = Permutation.__init__
-
-    def counted_init(self, mapping=None):
-        init(self, mapping)
-        built.append(self)
-
-    monkeypatch.setattr(cocycles, "_INTERN_CAP", 100)
-    monkeypatch.setattr(Permutation, "__init__", counted_init)
-    trials = _TRIAL_CHUNK + 7
-    rep = verify_identity(constant_one(), trials, 7, 7, substream(37, 0))
-    batches = _distinct_rows_per_batch(trials, 7, 7, substream(37, 0))
-    assert rep.ok and len(batches[0]) > 100 and len(batches[1]) <= 3 * 7
-    assert len(built) == sum(map(len, batches)) > len(set.union(*batches))
+    assert all(isinstance(g, Permutation) and g.degree <= 3 for g, _ in calls)
+    assert all(type(x) is tuple and len(x) == 6 and set(x) <= {0, 1} for _, x in calls)
 
 
 def _int_or_fraction(value, g, x):
@@ -368,6 +365,12 @@ def test_verify_identity_compares_int_values_exactly(value, violated):
     rho = Cocycle(eval_fn=partial(_int_or_fraction, value), potential=lambda x: 1)
     rep = verify_identity(rho, 200, 3, 6, substream(41, 0))
     assert rep.exact and rep.violations == (200 if violated else 0)
+
+
+def _one_row(value, exact):
+    """``value`` as one row of ``rho_rows`` output, with the given flag."""
+    num, den = value.as_integer_ratio()
+    return np.array([num], dtype=object), np.array([den], dtype=object), np.array([exact])
 
 
 def _pair_tv(sampler, size, seed):
@@ -404,8 +407,29 @@ def test_identity_triples_have_the_law_of_independent_haar_pairs():
 @example(Fraction(3, 2), 3, Fraction(1, 2), False)
 @example(2, 1, 1, False)
 def test_cross_multiplied_verdict_is_the_fraction_comparison(lhs, a, b, equal):
+    # one exact row of each value, judged as verify_identity judges a batch
     lhs = a * b if equal else lhs
-    assert _violates(lhs, a, b) == (lhs != a * b)
+    exact, bad, rel = _judge(*(_one_row(v, True) for v in (lhs, a, b)))
+    assert exact.tolist() == [True] and rel.tolist() == [0.0]
+    assert bad.tolist() == [lhs != a * b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3), st.integers(0, 2),
+       st.booleans())
+@example([0.1, 0.2, 0.5], 0, False)
+@example([0.1, 0.2, 0.5], 1, True)
+@example([0.1 * (1 + 1e-9), 0.2, 0.5], 2, False)
+@example([0.1 * (1 + 1e-14), 0.2, 0.5], 2, False)
+def test_a_row_with_a_float_is_judged_by_relative_error(values, loose, equal):
+    # a float value enters as its exact integer ratio with its flag off; the
+    # row is then judged by |lhs - a b| / |a b| <= 1e-12, a b rounded once
+    lhs, a, b = values
+    lhs = a * b if equal else lhs
+    exact, bad, rel = _judge(*(_one_row(v, i != loose) for i, v in enumerate((lhs, a, b))))
+    want = abs(lhs - a * b) / abs(a * b)
+    assert exact.tolist() == [False] and rel.tolist() == [want]
+    assert bad.tolist() == [want > 1e-12]
 
 
 def test_weight_and_rn_agree_when_density_proportional():

@@ -1,6 +1,8 @@
 import itertools
+import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,13 @@ from ergodec.errors import CapacityError, DegreeOverflowError
 from ergodec.groups import (
     Permutation,
     act,
+    act_rows,
     check_degree,
     compose,
     enumerate_level,
     haar_sample,
     level_orbit,
+    level_rows,
     ones_count,
     validate_config,
 )
@@ -159,6 +163,33 @@ def test_act_degree_overflow():
 
 
 _ONE_LINE = st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.integers(1, 6), extra=st.integers(0, 4), data=st.data())
+def test_act_rows_is_act_on_each_row(level, extra, data):
+    window = level + extra
+    size = data.draw(st.integers(0, 5))
+    g = [data.draw(st.permutations(range(1, level + 1))) for _ in range(size)]
+    x = [data.draw(st.lists(st.integers(0, 1), min_size=window, max_size=window))
+         for _ in range(size)]
+    g_rows = np.array(g, dtype=np.intp).reshape(size, level)
+    x_rows = np.array(x, dtype=np.uint8).reshape(size, window)
+    got = act_rows(g_rows, x_rows)
+    assert got.dtype == np.uint8
+    assert [tuple(r) for r in got.tolist()] == [
+        act(Permutation.from_one_line(a), tuple(b)) for a, b in zip(g, x)]
+    if extra:
+        with pytest.raises(DegreeOverflowError):
+            act_rows(np.tile(np.arange(1, window + 1), (size, 1)), x_rows[:, :level])
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_level_rows_are_the_enumeration_in_order(level):
+    rows = level_rows(level)
+    assert rows.shape == (math.factorial(level), level)
+    assert [Permutation.from_one_line(r) for r in rows.tolist()] == list(enumerate_level(level))
+    assert rows.tolist() == [list(p) for p in itertools.permutations(range(1, level + 1))]
 
 
 @settings(max_examples=300, deadline=None)
