@@ -646,12 +646,8 @@ class OrbitWeights:
             if d == 0:
                 raise ZeroMassError("averaging denominator vanished")
             return Fraction(n * d_lcm, n_lcm * d)
-        num = Fraction(0)
-        den = Fraction(0)
-        for u in self.us:
-            den += u
-        for p, u in terms:
-            num += p * u
+        den = sum(self.us, Fraction(0))
+        num = sum((p * u for p, u in terms), Fraction(0))
         if den == 0:
             raise ZeroMassError("averaging denominator vanished")
         if isinstance(den, float) and not math.isfinite(den):
@@ -918,9 +914,21 @@ def level_table(
     return LevelTable(values, slacks, stderrs, methods, nums)
 
 
-# (k, x) pairs per ``rho_rows`` call of ``ExactModel.pushed``, a few hundred
-# bytes each: S(8) on 256 atoms is 10^7 pairs
+# (g, x) pairs per block of ``_pair_blocks``, a few hundred bytes each: S(8)
+# on 256 atoms is 10^7 pairs
 _PUSH_ROWS = 1 << 16
+
+
+def _pair_blocks(atoms: np.ndarray, group: np.ndarray):
+    """Each 0/1 row of ``atoms`` with each one-line row of ``group``, in blocks
+    of whole atoms of at most ``_PUSH_ROWS`` pairs: (index of the block's first
+    atom, g_rows, x_rows, the images act(g, x) as a list of tuples)."""
+    step = max(1, _PUSH_ROWS // max(1, len(group)))
+    for start in range(0, len(atoms), step):
+        block = atoms[start:start + step]
+        g_rows = np.tile(group, (len(block), 1))
+        x_rows = np.repeat(block, len(group), axis=0)
+        yield start, g_rows, x_rows, list(map(tuple, act_rows(g_rows, x_rows).tolist()))
 
 
 class _OrbitClass(NamedTuple):
@@ -937,6 +945,8 @@ class ExactModel:
 
     - ``classes(level)``: nu's atoms in S(level)-orbit classes, with their
       masses and orbit weights (``conditional_expectation_check``);
+    - ``weights(level, y)``, one ``OrbitWeights`` per (level, orbit class),
+      and ``zero_potential``, per atom (``tower_check``);
     - ``pushed(level)``: nu pushed through S(level) with rho as weight
       (``fubini_check``);
     - ``averages(phi)``: exact level averages of phi, one per orbit class
@@ -952,6 +962,7 @@ class ExactModel:
         self._classes: dict[int, list[_OrbitClass]] = {}
         self._pushed: dict[int, tuple[dict[Config, Fraction], bool]] = {}
         self._averages: dict = {}
+        self._weights: dict[tuple, OrbitWeights] = {}
 
     def classes(self, level: int) -> list[_OrbitClass]:
         """nu's atoms in S(level)-orbit classes, in label order."""
@@ -964,26 +975,35 @@ class ExactModel:
                 mass = Fraction(*_sum_over_lcm(
                     [w.numerator for w in masses], [w.denominator for w in masses]
                 ))
-                weights = orbit_weights(level, self.rho, members[0])
+                weights = self.weights(level, members[0])
                 out.append(_OrbitClass(label, members, masses, mass, weights))
             self._classes[level] = out
         return self._classes[level]
+
+    def weights(self, level: int, y: Config) -> OrbitWeights:
+        """The orbit weights of y's S(level)-orbit class, built at the first
+        point asked for (only a float potential vanishing there rescales)."""
+        key = (level, orbit_class_key(y, level))
+        if key not in self._weights:
+            self._weights[key] = orbit_weights(level, self.rho, y)
+        return self._weights[key]
+
+    @cached_property
+    def zero_potential(self) -> list[bool]:
+        """Per atom, in ``atoms`` order, whether rho's potential is 0 there."""
+        return [self.rho.potential(x) == 0 for x, _ in self.atoms]
 
     def pushed(self, level: int) -> tuple[dict[Config, Fraction], bool]:
         """y -> the sum of rho(k, x) nu(x) over the atoms x and k in S(level)
         with act(k, x) = y, exact (a float rho value enters as its integer
         ratio), and whether every rho value was an int or a Fraction; one
-        ``rho_rows`` call per block of whole atoms, up to ``_PUSH_ROWS`` pairs."""
+        ``rho_rows`` call per block of ``_pair_blocks``."""
         if level not in self._pushed:
             group = level_rows(level)
             xs = np.array([x for x, _ in self.atoms], dtype=np.uint8).reshape(-1, self.nu.window)
-            step = max(1, _PUSH_ROWS // len(group))
             terms: dict[Config, list[tuple[int, int]]] = {}
             exact = True
-            for start in range(0, len(xs), step):
-                x_rows = np.repeat(xs[start:start + step], len(group), axis=0)
-                g_rows = np.tile(group, (len(x_rows) // len(group), 1))
-                ys = map(tuple, act_rows(g_rows, x_rows).tolist())
+            for start, g_rows, x_rows, ys in _pair_blocks(xs, group):
                 num, den, flags = rho_rows(self.rho, g_rows, x_rows)
                 exact = exact and bool(flags.all())
                 for i, (y, r_num, r_den) in enumerate(zip(ys, num, den)):
@@ -1028,12 +1048,12 @@ def tower_check(
     coarser orbits decompose into finer orbit blocks and the weighted sums
     telescope. Both sides are orbit sums over the S(m) orbit of the atom, the
     same for every atom of a class, so each class's (lhs, rhs) pair is
-    computed once, keyed by ``orbit_class_key``; an atom where rho's
-    potential is 0 takes its own orbit sums, which rescale or raise there.
-    A_n phi and A_m phi are kept per class in ``model.averages(phi)``, so the
-    level pairs checked on one model compute each once. Atoms are walked in
-    sorted order, so ``pairs_checked`` and the witness are those of the
-    per-atom check.
+    computed once from ``model.weights``; an atom where rho's potential is 0
+    (``model.zero_potential``) takes its own orbit sums, which rescale or
+    raise there. A_n phi and A_m phi are kept per class in
+    ``model.averages(phi)``, so the level pairs checked on one model compute
+    each once. Atoms are walked in sorted order, so ``pairs_checked`` and the
+    witness are those of the per-atom check.
     """
     if not (1 <= n <= m <= EXACT_LEVEL_CAP):
         raise CapacityError(f"tower check requires 1 <= n <= m <= {EXACT_LEVEL_CAP}")
@@ -1043,27 +1063,26 @@ def tower_check(
     def average(level: int, y: Config):
         key = (level, orbit_class_key(y, level))
         if key not in averages:
-            averages[key] = average_exact(level, rho, phi, y)
+            averages[key] = model.weights(level, y).average(phi)
         return averages[key]
 
     def inner(y: Config):
         return average(n, y)
 
     lhs_of: dict[tuple, object] = {}
-    checked = 0
-    for x, _ in model.atoms:
-        if rho.potential(x) == 0:
-            lhs, rhs = average_exact(m, rho, inner, x), average_exact(m, rho, phi, x)
+    for checked, ((x, _), zero) in enumerate(zip(model.atoms, model.zero_potential), start=1):
+        if zero:
+            own = orbit_weights(m, rho, x)
+            lhs, rhs = own.average(inner), own.average(phi)
         else:
             rhs = average(m, x)
             key = orbit_class_key(x, m)
             if key not in lhs_of:
-                lhs_of[key] = average_exact(m, rho, inner, x)
+                lhs_of[key] = model.weights(m, x).average(inner)
             lhs = lhs_of[key]
-        checked += 1
         if not _values_agree(lhs, rhs):
             return TowerReport(ok=False, pairs_checked=checked, witness=(x, lhs, rhs))
-    return TowerReport(ok=True, pairs_checked=checked, witness=None)
+    return TowerReport(ok=True, pairs_checked=len(model.atoms), witness=None)
 
 
 @dataclass(frozen=True)

@@ -328,10 +328,8 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     for row in draws.tolist():
         phi = {k: Fraction(a, b) for k, (a, b) in zip(dec.weights, row)}
         current = reweight_decomposition(current, phi)
-        if current.descriptor != descriptor:
-            constant = False
-        if current.barycenter() != barycenter:
-            constant = False
+        constant = constant and current.descriptor == descriptor
+        constant = constant and current.barycenter() == barycenter
     verdicts = [
         Verdict(
             name="pcl-constant-under-reweighting",
@@ -351,10 +349,8 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     ratios = stream.integers(1, 9, size=(roundtrips, len(labels), 2)).tolist()
     transfer_ok = True
     for pick1, pick2 in zip(picks[:pairs], picks[pairs:2 * pairs]):
-        m1 = OrbitSigmaFinite({k: weights[k] for k in pick1})
-        m2 = OrbitSigmaFinite({k: weights[k] for k in pick2})
-        if ac_check(m1, m2) != pcl(m1, f).relation(pcl(m2, f)):
-            transfer_ok = False
+        m1, m2 = (OrbitSigmaFinite({k: weights[k] for k in pick}) for pick in (pick1, pick2))
+        transfer_ok = transfer_ok and ac_check(m1, m2) == pcl(m1, f).relation(pcl(m2, f))
     verdicts.append(
         Verdict(
             name="class-descriptor-transfer",
@@ -367,8 +363,7 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     for pick, row in zip(picks[2 * pairs:], ratios):
         model = OrbitSigmaFinite({k: Fraction(a, b) for k, (a, b) in zip(pick, row)})
         back = inv_p_f(p_f(model, f), f)
-        if not back.same_class(ProjectiveClass(representative=model)):
-            roundtrip_ok = False
+        roundtrip_ok = roundtrip_ok and back.same_class(ProjectiveClass(representative=model))
     verdicts.append(
         Verdict(
             name="normalization-roundtrip",
@@ -378,9 +373,7 @@ def run_sigma_finite(cfg: dict, seed: int) -> RunnerOutput:
     )
 
     header = ["orbit", "weight", "component_scale"]
-    rows = [
-        [k, dec.weights[k], dec.components[k].weight(k)] for k in sorted(dec.weights)
-    ]
+    rows = [[k, dec.weights[k], dec.scales[k]] for k in sorted(dec.weights)]
     tables = {"decomposition": [dict(zip(header, row)) for row in rows]}
     return {"verdicts": verdicts, "tables": tables}, {"components.csv": (header, rows)}
 

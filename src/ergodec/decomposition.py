@@ -41,6 +41,7 @@ import numpy as np
 
 from . import measures
 from .averaging import (
+    _pair_blocks,
     average_exact,  # noqa: F401  (bench/tracing.py wraps this binding)
     checked_schedule,
     closed_form_levels,
@@ -53,7 +54,7 @@ from .averaging import (
 from .cocycles import Cocycle, _values_agree, rho_rows
 from .dictionary import TestDictionary
 from .errors import NonConvergenceError
-from .groups import act_rows, haar_sample
+from .groups import haar_sample
 from .measures import (
     AtomicMeasure,
     Cylinder,
@@ -536,8 +537,8 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
     value. There is one cell per class, in the order of its first member;
     each cell measure is nu restricted and normalized, and the cocycle
     property of cell measures is verified on positive transposition pairs
-    (transpositions generate the level), all in one ``rho_rows`` call, by
-    ``_values_agree``: a float rho is compared within its rounding.
+    (transpositions generate the level), one ``rho_rows`` call per block of
+    ``_pair_blocks``, by ``_values_agree``: a float rho is compared within its rounding.
     """
     window = nu.window
     if not nu.is_probability():
@@ -555,21 +556,21 @@ def conditional_measures_exact(nu: AtomicMeasure, rho: Cocycle) -> ConditionalAs
     atoms = [x for members in classes for x in members]
     swaps = (np.arange(1, window + 1) + np.eye(window - 1, window, dtype=np.intp)
              - np.eye(window - 1, window, 1, dtype=np.intp))
-    g_rows = np.tile(swaps, (len(atoms), 1))
-    x_rows = np.repeat(np.array(atoms, dtype=np.uint8), window - 1, axis=0)
-    ys = list(map(tuple, act_rows(g_rows, x_rows).tolist()))
     support = nu.support
-    inside = np.array([y in support for y in ys], dtype=bool)
-    num, den, exact = rho_rows(rho, g_rows[inside], x_rows[inside])
-    rn_ok = all(
-        _values_agree(nu.atom(ys[r]) / nu.atom(atoms[r // (window - 1)]),
-                      Fraction(n, d) if e else n / d)
-        for r, n, d, e in zip(np.flatnonzero(inside).tolist(), num, den, exact)
-    )
+    rn_ok = closed = True
+    for start, g_rows, x_rows, ys in _pair_blocks(np.array(atoms, dtype=np.uint8), swaps):
+        inside = np.array([y in support for y in ys], dtype=bool)
+        closed = closed and bool(inside.all())
+        num, den, exact = rho_rows(rho, g_rows[inside], x_rows[inside])
+        rn_ok = rn_ok and all(
+            _values_agree(nu.atom(ys[r]) / nu.atom(atoms[start + r // (window - 1)]),
+                          Fraction(n, d) if e else n / d)
+            for r, n, d, e in zip(np.flatnonzero(inside).tolist(), num, den, exact)
+        )
     return ConditionalAssignment(
         cells=tuple(cells),
         rn_verified=rn_ok,
-        support_orbit_closed=bool(inside.all()),
+        support_orbit_closed=closed,
     )
 
 

@@ -13,7 +13,7 @@ closed-form rational computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -136,10 +136,7 @@ class FOrbitProbability:
             raise ValueError("orbit probabilities are strictly positive")
 
     def atom_mass(self, x) -> Fraction:
-        if isinstance(x, (frozenset, set)):
-            k = len(x)
-        else:
-            k = sum(x)
+        k = len(x) if isinstance(x, (frozenset, set)) else sum(x)
         w = self.orbit_probs.get(k)
         if w is None:
             return Fraction(0)
@@ -174,14 +171,10 @@ class MeasureClassDescriptor:
 
 
 def _orbit_masses(nu: OrbitSigmaFinite, f) -> dict[int, Fraction]:
-    masses = {}
-    for k in nu.labels:
-        m = f.orbit_mass(k, nu.scale)
+    masses = {k: f.orbit_mass(k, nu.scale) for k in nu.labels}
+    for k, m in masses.items():
         if m == INFINITE:
-            raise DivergentIntegralError(
-                f"weight integral diverges on orbit {k}"
-            )
-        masses[k] = m
+            raise DivergentIntegralError(f"weight integral diverges on orbit {k}")
     return masses
 
 
@@ -200,7 +193,7 @@ def p_f(nu, f):
             raise DivergentIntegralError("weight integral vanishes")
         return AtomicMeasure({x: m / total for x, m in weighted.items()})
     if isinstance(nu, OrbitSigmaFinite):
-        probs = decompose_sigma_finite(nu, f).weights
+        probs, _, _ = _orbit_probabilities(nu, f)
         return FOrbitProbability(orbit_probs=probs, f=f, scale=nu.scale)
     raise TypeError("p_f applies to atomic or orbit sigma-finite measures")
 
@@ -213,62 +206,63 @@ def inv_p_f(mu, f) -> ProjectiveClass:
     if isinstance(mu, FOrbitProbability):
         if mu.f != f:
             raise ValueError("dividing by a different weight than the density's")
-        masses = {k: f.orbit_mass(k, mu.scale) for k in mu.orbit_probs}
-        rep = OrbitSigmaFinite(
-            {k: w / masses[k] for k, w in mu.orbit_probs.items()}, mu.scale
-        )
-        return ProjectiveClass(representative=rep)
+        rep = {k: w / f.orbit_mass(k, mu.scale) for k, w in mu.orbit_probs.items()}
+        return ProjectiveClass(representative=OrbitSigmaFinite(rep, mu.scale))
     raise TypeError("inv_p_f applies to atomic or f-density orbit measures")
 
 
 @dataclass(frozen=True)
 class SigmaFiniteDecomposition:
-    """Ergodic decomposition of an orbit model into per-orbit counting
-    measures, each normalized to unit f-integral."""
+    """Ergodic decomposition of an orbit model (Corollary infdec): component
+    k is ``scales[k]`` times the counting measure on orbit k, with weight
+    ``weights[k]``."""
 
-    components: dict[int, OrbitSigmaFinite]
+    scales: dict[int, Fraction]
     weights: dict[int, Fraction]
     f: object
     scale: int | None
     f_mass: Fraction  # nu(f) of the original measure, before rescaling
 
     @property
+    def components(self) -> dict[int, OrbitSigmaFinite]:
+        return {k: OrbitSigmaFinite({k: c}, self.scale) for k, c in self.scales.items()}
+
+    @property
     def descriptor(self) -> MeasureClassDescriptor:
         return MeasureClassDescriptor(labels=frozenset(self.weights))
 
     def barycenter(self) -> OrbitSigmaFinite:
-        acc: dict[int, Fraction] = {}
-        for k, w in self.weights.items():
-            for kk, c in self.components[k].orbit_weights.items():
-                acc[kk] = acc[kk] + w * c if kk in acc else w * c
-        return OrbitSigmaFinite(acc, self.scale)
+        weights = {k: w * self.scales[k] for k, w in self.weights.items()}
+        return OrbitSigmaFinite(weights, self.scale)
+
+
+def _orbit_probabilities(nu: OrbitSigmaFinite, f):
+    """(the f-normalised orbit weights c_k m_k / nu(f), the masses m_k, nu(f))."""
+    masses = _orbit_masses(nu, f)
+    weighted = {k: nu.weight(k) * masses[k] for k in nu.labels}
+    total = sum(weighted.values(), Fraction(0))  # f_integral(nu, f)
+    if total == 0:
+        raise DivergentIntegralError("weight integral vanishes")
+    return {k: w / total for k, w in weighted.items()}, masses, total
 
 
 def decompose_sigma_finite(nu: OrbitSigmaFinite, f) -> SigmaFiniteDecomposition:
     """Split an invariant orbit measure into per-orbit ergodic components.
 
     The input is first rescaled to nu(f) = 1; component k is the orbit-k
-    counting measure scaled to unit f-integral, and its weight is
-    c_k * (orbit f-mass) / nu(f). Exact throughout.
+    counting measure scaled to unit f-integral (scale 1 / orbit f-mass), and
+    its weight is c_k * (orbit f-mass) / nu(f). Exact throughout.
     """
-    masses = _orbit_masses(nu, f)
-    weighted = {k: nu.weight(k) * masses[k] for k in nu.labels}
-    total = sum(weighted.values(), Fraction(0))  # f_integral(nu, f)
-    if total == 0:
-        raise DivergentIntegralError("weight integral vanishes")
-    components = {
-        k: OrbitSigmaFinite({k: 1 / masses[k]}, nu.scale) for k in nu.labels
-    }
-    weights = {k: w / total for k, w in weighted.items()}
-    return SigmaFiniteDecomposition(
-        components=components, weights=weights, f=f, scale=nu.scale, f_mass=total
-    )
+    weights, masses, total = _orbit_probabilities(nu, f)
+    scales = {k: 1 / masses[k] for k in weights}
+    return SigmaFiniteDecomposition(scales, weights, f, nu.scale, total)
 
 
 def reweight_decomposition(
     dec: SigmaFiniteDecomposition, phi: Mapping[int, Fraction]
 ) -> SigmaFiniteDecomposition:
-    """Deform components by eta -> eta / phi and weights by w -> phi * w.
+    """Deform components by eta -> eta / phi and weights by w -> phi * w
+    (Theorem ergdecinfpcl): scales c -> c / phi, numbers only.
 
     The barycenter is unchanged atomwise and the projective support is
     untouched, so the measure-class descriptor is invariant.
@@ -276,17 +270,10 @@ def reweight_decomposition(
     factors = {k: Fraction(phi[k]) for k in dec.weights}
     if any(v <= 0 for v in factors.values()):
         raise ValueError("reweighting factors are strictly positive")
-    components = {
-        k: comp.scaled(Fraction(factors[k].denominator, factors[k].numerator))
-        for k, comp in dec.components.items()
-    }
-    weights = {k: w * factors[k] for k, w in dec.weights.items()}
-    return SigmaFiniteDecomposition(
-        components=components,
-        weights=weights,
-        f=dec.f,
-        scale=dec.scale,
-        f_mass=dec.f_mass,
+    return replace(
+        dec,
+        scales={k: c / factors[k] for k, c in dec.scales.items()},
+        weights={k: w * factors[k] for k, w in dec.weights.items()},
     )
 
 

@@ -385,13 +385,25 @@ def _group_enumeration_average(level, rho, phi, x):
     return num / den
 
 
+class _GroupEnumerationWeights:
+    """Stands in for ``averaging.orbit_weights``, the seam through which
+    ``tower_check`` reads its orbit sums: each average is
+    ``_group_enumeration_average`` at the point the weights were built at."""
+
+    def __init__(self, level, rho, x):
+        self.level, self.rho, self.x = level, rho, x
+
+    def average(self, phi):
+        return _group_enumeration_average(self.level, self.rho, phi, self.x)
+
+
 def test_tower_reports_witness_when_weights_are_inconsistent(monkeypatch):
-    # average_exact sums the potential over the orbit, which no fake can
+    # orbit weights sum the potential over the orbit, which no fake can
     # break, so the negative control reads rho through group enumeration
     fake = Cocycle(eval_fn=_not_a_cocycle, potential=_unit_potential)
     nu = _product_atoms([Fraction(1, 2)] * 4)
     assert tower_check(3, 2, fake, CylinderMonomial((1,)), nu).ok
-    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
+    monkeypatch.setattr(averaging, "orbit_weights", _GroupEnumerationWeights)
     rep = tower_check(3, 2, fake, CylinderMonomial((1,)), nu)
     assert not rep.ok
     assert rep.witness is not None
@@ -419,7 +431,7 @@ def test_float_product_passes_tower_and_fubini_within_rounding(monkeypatch):
     other = make_rn(ProductBernoulli([0.3, 0.45, 0.6, 0.2]))
     assert not any(fubini_check(level, other, phi, nu).ok for level in (2, 3, 4))
     fake = Cocycle(eval_fn=_float_not_a_cocycle, potential=_unit_potential)
-    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
+    monkeypatch.setattr(averaging, "orbit_weights", _GroupEnumerationWeights)
     assert not tower_check(3, 2, fake, phi, nu).ok
 
 
@@ -1418,21 +1430,25 @@ def test_tower_takes_one_orbit_sum_pair_per_class(monkeypatch):
     nu = _product_atoms(params)
     rho = make_rn(ProductBernoulli(params))
     phi = CylinderMonomial((1,))
-    real = averaging.average_exact
+    real = averaging.orbit_weights
     top_level = []
     depth = [0]
 
-    def spy(level, rho, f, x):
-        # calls made by tower_check itself, not by an orbit sum inside one
-        if depth[0] == 0:
-            top_level.append((level, "rhs" if f is phi else "lhs"))
-        depth[0] += 1
-        try:
-            return real(level, rho, f, x)
-        finally:
-            depth[0] -= 1
+    class Spy:
+        def __init__(self, level, rho, x):
+            self.level, self.weights = level, real(level, rho, x)
 
-    monkeypatch.setattr(averaging, "average_exact", spy)
+        def average(self, f):
+            # orbit sums taken by tower_check itself, not inside another one
+            if depth[0] == 0:
+                top_level.append((self.level, "rhs" if f is phi else "lhs"))
+            depth[0] += 1
+            try:
+                return self.weights.average(f)
+            finally:
+                depth[0] -= 1
+
+    monkeypatch.setattr(averaging, "orbit_weights", Spy)
     rep = tower_check(3, 3, rho, phi, nu)
     assert rep.ok and rep.pairs_checked == 16
     assert top_level.count((3, "rhs")) == 8
@@ -1462,10 +1478,37 @@ def test_tower_witness_on_the_fake_cocycle_is_the_per_atom_one(monkeypatch):
     fake = Cocycle(eval_fn=_not_a_cocycle, potential=_unit_potential)
     nu = _product_atoms([Fraction(1, 2)] * 4)
     phi = CylinderMonomial((1,))
-    monkeypatch.setattr(averaging, "average_exact", _group_enumeration_average)
+    monkeypatch.setattr(averaging, "orbit_weights", _GroupEnumerationWeights)
     rep = tower_check(3, 2, fake, phi, nu)
     assert not rep.ok
     assert (rep.ok, rep.pairs_checked, rep.witness) == _per_atom_tower(3, 2, fake, phi, nu)
+
+
+def test_model_builds_one_orbit_weights_per_level_and_class(monkeypatch):
+    # validate's tower model and level pairs: window 4, and S(1), S(2), S(3)
+    # have 16 + 12 + 8 = 36 orbit classes among the 16 atoms
+    params = _rational_params(4)
+    nu = _product_atoms(params)
+    rho = make_rn(ProductBernoulli(params))
+    real = averaging.orbit_weights
+    built = []
+
+    def spy(level, rho, x):
+        built.append((level, orbit_class_key(x, level)))
+        return real(level, rho, x)
+
+    monkeypatch.setattr(averaging, "orbit_weights", spy)
+    model = ExactModel(rho, nu)
+    for phi in (CylinderMonomial((1,)), CylinderMonomial((2, 3))):
+        for n in range(1, 4):
+            for m in range(n, 4):
+                assert tower_check(m, n, rho, phi, nu, model=model).ok
+    assert len(built) == len(set(built)) == 36
+    # the model's orbit classes read the same weights
+    for level in (1, 2, 3):
+        assert conditional_expectation_check(
+            level, rho, CylinderMonomial((1, 2)), nu, model=model).ok
+    assert len(built) == 36
 
 
 def _ce_failures(nu_params, rho_params):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ergodec.averaging
 import ergodec.decomposition
 from ergodec.averaging import (
     EXACT_LEVEL_CAP,
@@ -648,6 +649,51 @@ def test_conditional_cells_past_window_twelve():
         assert len(cell.configs) == math.comb(14, k)
     assert _reconstruction(assignment) == nu.atoms
     assert assignment.rn_verified and assignment.support_orbit_closed
+
+
+def _blocked_assignment(monkeypatch, cap, nu, rho):
+    """conditional_measures_exact(nu, rho) with ``averaging._PUSH_ROWS`` set
+    to cap, and the row count of each ``rho_rows`` call it made."""
+    real, calls = ergodec.decomposition.rho_rows, []
+
+    def spy(rho, g_rows, x_rows):
+        calls.append(len(g_rows))
+        return real(rho, g_rows, x_rows)
+
+    monkeypatch.setattr(ergodec.averaging, "_PUSH_ROWS", cap)
+    monkeypatch.setattr(ergodec.decomposition, "rho_rows", spy)
+    return conditional_measures_exact(nu, rho), calls
+
+
+def _not_orbit_closed(window):
+    """The rational product's atoms without (1, 0, ..., 0), renormalized:
+    its orbit leaves the support."""
+    nu, _ = _verdict_model(window)
+    atoms = {x: m for x, m in nu.atoms.items() if x != (1,) + (0,) * (window - 1)}
+    return AtomicMeasure(atoms).normalized()
+
+
+@pytest.mark.parametrize("case", ["rational", "not-orbit-closed", "float", "float-wrong"])
+def test_conditional_measures_evaluate_rho_in_blocks_of_whole_atoms(monkeypatch, case):
+    window = 6
+    if case == "rational":
+        nu, rho = _verdict_model(window)
+    elif case == "not-orbit-closed":
+        nu, rho = _not_orbit_closed(window), _verdict_model(window)[1]
+    else:
+        params = [0.3, 0.6, 0.45, 0.2, 0.7, 0.35]
+        nu, _ = _float_product_atoms(params)
+        rho = make_rn(ProductBernoulli(params[::-1] if case == "float-wrong" else params))
+    whole, calls = _blocked_assignment(monkeypatch, 1 << 30, nu, rho)
+    assert len(calls) == 1
+    cap = 3 * (window - 1) + 2  # three whole atoms of five swaps each
+    blocked, calls = _blocked_assignment(monkeypatch, cap, nu, rho)
+    assert blocked == whole
+    assert calls and max(calls) <= cap
+    assert len(calls) == -(-len(nu.atoms) // 3)  # blocks of three atoms
+    assert (whole.rn_verified, whole.support_orbit_closed) == {
+        "rational": (True, True), "not-orbit-closed": (True, False),
+        "float": (True, True), "float-wrong": (False, True)}[case]
 
 
 def _float_product_atoms(params):

@@ -414,19 +414,61 @@ def test_reweighting_equals_the_formulas(orbit_weights, scale, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers(0, 4), st.tuples(_FACTOR, _ORBIT_WEIGHTS), min_size=1,
-                       max_size=4))
-def test_barycenter_of_overlapping_components_equals_the_formula(parts):
-    # components that share orbits, so the barycenter sums several terms
+@given(st.dictionaries(st.integers(0, 6), st.tuples(_FACTOR, _FACTOR), min_size=1, max_size=4),
+       st.sampled_from([None, 6, 9]))
+def test_barycenter_of_per_orbit_scales_equals_the_formula(parts, scale):
+    # component k is scales[k] times the counting measure on orbit k
     dec = SigmaFiniteDecomposition(
-        components={k: OrbitSigmaFinite(c) for k, (_, c) in parts.items()},
+        scales={k: Fraction(c) for k, (_, c) in parts.items()},
         weights={k: Fraction(w) for k, (w, _) in parts.items()},
-        f=make_fibrewise_f(), scale=None, f_mass=Fraction(1))
-    want = {}
-    for k, w in dec.weights.items():
-        for kk, c in dec.components[k].orbit_weights.items():
-            want[kk] = want.get(kk, Fraction(0)) + w * c
-    assert dec.barycenter().orbit_weights == want
+        f=make_fibrewise_f(), scale=scale, f_mass=Fraction(1))
+    assert dec.barycenter() == OrbitSigmaFinite(
+        {k: Fraction(w) * Fraction(c) for k, (w, c) in parts.items()}, scale)
+    assert dec.components == {
+        k: OrbitSigmaFinite({k: Fraction(c)}, scale) for k, (_, c) in parts.items()}
+
+
+def _brute_orbit_mass(f, k, scale):
+    """sum of f over the orbit with k ones: over every configuration of the
+    window when it is finite; on the idealized scale, the generating function
+    of partitions into k distinct parts, q^(k(k+1)/2) / prod_{j<=k} (1 - q^j)
+    with q = 1/base, as a plain product of Fractions."""
+    if scale is not None:
+        return sum((f(x) for x in itertools.product((0, 1), repeat=scale) if sum(x) == k),
+                   Fraction(0))
+    q = Fraction(1, f.base)
+    return q ** (k * (k + 1) // 2) / math.prod((1 - q**j for j in range(1, k + 1)),
+                                                start=Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORBIT_WEIGHTS, st.sampled_from([None, 6, 9]), st.data())
+def test_per_orbit_scales_equal_brute_force_formulas(orbit_weights, scale, data):
+    f = make_fibrewise_f()
+    nu = OrbitSigmaFinite(orbit_weights, scale)
+    c = nu.orbit_weights
+    m = {k: _brute_orbit_mass(f, k, scale) for k in c}
+    total = sum((c[k] * m[k] for k in c), Fraction(0))
+    weights = {k: c[k] * m[k] / total for k in c}
+    scales = {k: 1 / m[k] for k in c}
+    current = decompose_sigma_finite(nu, f)
+    assert (current.weights, current.scales, current.f_mass) == (weights, scales, total)
+    for _ in range(data.draw(st.integers(1, 5))):
+        phi = {k: data.draw(_FACTOR) for k in c}
+        current = reweight_decomposition(current, phi)
+        weights = {k: w * phi[k] for k, w in weights.items()}
+        scales = {k: s / phi[k] for k, s in scales.items()}
+        assert current.weights == weights and current.scales == scales
+        assert current.components == {k: OrbitSigmaFinite({k: scales[k]}, scale) for k in c}
+        assert current.barycenter() == OrbitSigmaFinite({k: c[k] / total for k in c}, scale)
+        assert current.descriptor.labels == frozenset(c)
+    # p_f carries the normalised orbit weights, and inv_p_f returns nu's class
+    # through the representative with weight (c_k m_k / total) / m_k on orbit k
+    mu = p_f(nu, f)
+    assert mu.orbit_probs == {k: c[k] * m[k] / total for k in c}
+    back = inv_p_f(mu, f)
+    assert back.representative == OrbitSigmaFinite({k: c[k] / total for k in c}, scale)
+    assert back.same_class(ProjectiveClass(representative=nu))
 
 
 @pytest.mark.parametrize("bad", [0, Fraction(0), -1, Fraction(-2, 3), -0.5])
