@@ -13,7 +13,7 @@ closed-form rational computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -267,13 +267,13 @@ def reweight_decomposition(
     The barycenter is unchanged atomwise and the projective support is
     untouched, so the measure-class descriptor is invariant.
     """
-    factors = {k: Fraction(phi[k]) for k in dec.weights}
+    factors = {k: phi[k] if type(phi[k]) is Fraction else Fraction(phi[k]) for k in dec.weights}
     if any(v <= 0 for v in factors.values()):
         raise ValueError("reweighting factors are strictly positive")
-    return replace(
-        dec,
-        scales={k: c / factors[k] for k, c in dec.scales.items()},
-        weights={k: w * factors[k] for k, w in dec.weights.items()},
+    return SigmaFiniteDecomposition(
+        {k: c / factors[k] for k, c in dec.scales.items()},
+        {k: w * factors[k] for k, w in dec.weights.items()},
+        dec.f, dec.scale, dec.f_mass,
     )
 
 
