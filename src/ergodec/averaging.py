@@ -914,15 +914,15 @@ def level_table(
     return LevelTable(values, slacks, stderrs, methods, nums)
 
 
-# (g, x) pairs per block of ``_pair_blocks``, a few hundred bytes each: S(8)
-# on 256 atoms is 10^7 pairs
-_PUSH_ROWS = 1 << 16
+# (g, x) pairs per block of ``_pair_blocks``, about 600 bytes each while the
+# block is live: S(8) on 256 atoms is 10^7 pairs
+_PUSH_ROWS = 1 << 12
 
 
 def _pair_blocks(atoms: np.ndarray, group: np.ndarray):
-    """Each 0/1 row of ``atoms`` with each one-line row of ``group``, in blocks
-    of whole atoms of at most ``_PUSH_ROWS`` pairs: (index of the block's first
-    atom, g_rows, x_rows, the images act(g, x) as a list of tuples)."""
+    """Each 0/1 row of ``atoms`` with each row of ``group``, in blocks of whole
+    atoms of at most ``_PUSH_ROWS`` pairs (or one atom): (index of the block's
+    first atom, g_rows, x_rows, the images act(g, x) as a list of tuples)."""
     step = max(1, _PUSH_ROWS // max(1, len(group)))
     for start in range(0, len(atoms), step):
         block = atoms[start:start + step]

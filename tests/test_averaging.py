@@ -41,8 +41,8 @@ from ergodec.decomposition import (
     pi_phi,
 )
 from ergodec.dictionary import CylinderMonomial, TestDictionary
-from ergodec.errors import CapacityError
-from ergodec.groups import act, enumerate_level, level_orbit
+from ergodec.errors import CapacityError, ZeroMassError
+from ergodec.groups import Permutation, act, enumerate_level, level_orbit, level_rows
 from ergodec.measures import AtomicMeasure, BetaExchangeable, Mixture, ProductBernoulli
 from ergodec.rng import substream
 from ergodec.sigma_finite import GeometricWeight, make_fibrewise_f, orbital_dichotomy
@@ -1484,6 +1484,22 @@ def test_tower_witness_on_the_fake_cocycle_is_the_per_atom_one(monkeypatch):
     assert (rep.ok, rep.pairs_checked, rep.witness) == _per_atom_tower(3, 2, fake, phi, nu)
 
 
+def test_tower_takes_its_own_orbit_sums_where_the_potential_vanishes():
+    # u is 0 at (1, 0, 0) only: its S(2) class also holds (0, 1, 0), which is
+    # walked first and whose orbit weights the class shares; the atom where u
+    # vanishes takes its own, which raise, as the per-atom check does
+    def potential(x):
+        return Fraction(0) if x == (1, 0, 0) else Fraction(1)
+
+    rho = Cocycle(eval_fn=lambda g, x: Fraction(1), potential=potential)
+    nu = _product_atoms([Fraction(1, 2)] * 3)
+    model = ExactModel(rho, nu)
+    assert model.zero_potential == [x == (1, 0, 0) for x, _ in model.atoms]
+    with pytest.raises(ZeroMassError, match="vanishes at the base point"):
+        tower_check(2, 1, rho, CylinderMonomial((1,)), nu, model=model)
+    assert (2, orbit_class_key((0, 1, 0), 2)) in model._weights
+
+
 def test_model_builds_one_orbit_weights_per_level_and_class(monkeypatch):
     # validate's tower model and level pairs: window 4, and S(1), S(2), S(3)
     # have 16 + 12 + 8 = 36 orbit classes among the 16 atoms
@@ -1509,6 +1525,25 @@ def test_model_builds_one_orbit_weights_per_level_and_class(monkeypatch):
         assert conditional_expectation_check(
             level, rho, CylinderMonomial((1, 2)), nu, model=model).ok
     assert len(built) == 36
+
+
+@pytest.mark.parametrize("level,cap,sizes", [
+    (3, 20, [3, 3, 3, 3, 3, 1]),  # S(3) has 6 rows: three atoms per block
+    (4, 20, [1] * 16),  # S(4) has 24 rows, more than the cap: one atom per block
+    (3, 1 << 12, [16]),
+])
+def test_pair_blocks_hold_whole_atoms_up_to_the_cap(monkeypatch, level, cap, sizes):
+    monkeypatch.setattr(averaging, "_PUSH_ROWS", cap)
+    atoms = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.uint8)
+    group = level_rows(level)
+    blocks = list(averaging._pair_blocks(atoms, group))
+    assert [len(x_rows) // len(group) for _, _, x_rows, _ in blocks] == sizes
+    assert [start for start, *_ in blocks] == list(itertools.accumulate([0] + sizes[:-1]))
+    pairs = [(tuple(g), tuple(x), y) for _, g_rows, x_rows, ys in blocks
+             for g, x, y in zip(g_rows.tolist(), x_rows.tolist(), ys)]
+    assert [(g, x) for g, x, _ in pairs] == [
+        (tuple(g), tuple(x)) for x in atoms.tolist() for g in group.tolist()]
+    assert all(y == act(Permutation(dict(enumerate(g, 1))), x) for g, x, y in pairs)
 
 
 def _ce_failures(nu_params, rho_params):
